@@ -4,10 +4,16 @@ Each control interval [t_k, t_{k+1}) applies one constant input chosen
 from the current measurement when it arrives, or from a compensation
 strategy when it is lost:
 
-* ``predictive-buffer`` recomputes a predicted input trajectory at every
-  received sample and replays buffered entries during losses, advancing
-  one entry per lost interval and freezing at the last entry once the
-  buffer is exhausted.
+* ``predictive-buffer`` applies the feedback to each received sample
+  and replays a predicted input trajectory during losses, advancing one
+  entry per lost interval and freezing at the last entry once the
+  buffer is exhausted.  The trajectory is planned lazily: a reception
+  records the measured state and applies entry 0 of its plan (the
+  feedback at that state), and the first loss after it plans the rest
+  from that state and step, or from the initial state when nothing has
+  been received yet.  A plan that leaves the domain mid-horizon
+  therefore makes the run diverge only when a loss replays it, at that
+  loss.
 * ``hold-last-value`` repeats the last applied input.
 * ``zero-input`` applies zero.
 
@@ -173,8 +179,9 @@ def run_closed_loop(
 ) -> RunResult:
     """Simulate the lossy loop and return per-interval records.
 
-    On a domain exit (truth integration or prediction) raises
-    ``SimulationDiverged`` carrying the records accumulated so far.
+    On a domain exit (truth integration, or a plan replayed by a loss)
+    raises ``SimulationDiverged`` carrying the records accumulated so
+    far.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}, expected one of {STRATEGIES}")
@@ -187,6 +194,9 @@ def run_closed_loop(
     setpoint = lyapunov.setpoint
     records: list[SimulationRecord] = []
     x = sim.x0
+    # State and step the next plan starts from; it is planned only when a
+    # loss first replays it.
+    plan_x, plan_k = sim.x0, 0
     trajectory: Optional[ControlTrajectory] = None
     age = 0
     last_u = 0.0
@@ -199,26 +209,20 @@ def run_closed_loop(
             x_pred: Optional[float] = None
             if strategy == PREDICTIVE_BUFFER:
                 if s_k:
-                    trajectory = predict_trajectory(
-                        predictor_cfg,
-                        dynamics,
-                        x,
-                        controller,
-                        origin_step=k,
-                        steps_per_input=steps_per_input,
-                    )
+                    # Entry 0 of the plan from x, without the rest of it.
+                    u = controller(x)
+                    x_pred = x
+                    plan_x, plan_k = x, k
+                    trajectory = None
                     age = 0
-                    offset = 0
                 else:
                     if trajectory is None:
-                        # No measurement yet: fall back to the trajectory
-                        # planned from the known initial state.
                         trajectory = predict_trajectory(
                             predictor_cfg,
                             dynamics,
-                            sim.x0,
+                            plan_x,
                             controller,
-                            origin_step=0,
+                            origin_step=plan_k,
                             steps_per_input=steps_per_input,
                         )
                     if sim.doubled_age_offset:
@@ -226,8 +230,8 @@ def run_closed_loop(
                     else:
                         offset = min(k - trajectory.origin_step, horizon)
                     age = min(age + 1, horizon)
-                u = trajectory.inputs[offset]
-                x_pred = trajectory.predicted_states[offset]
+                    u = trajectory.inputs[offset]
+                    x_pred = trajectory.predicted_states[offset]
             elif strategy == HOLD_LAST_VALUE:
                 if s_k:
                     u = controller(x)

@@ -64,6 +64,10 @@ class LossSpec:
                     raise ConfigError(f"loss.{name} is required for gilbert-elliott losses")
         if self.kind == "trace" and self.trace_path is None:
             raise ConfigError("loss.trace_path is required for trace losses")
+        for name in ("p", "p_g2b", "p_b2g", "loss_in_bad"):
+            value = getattr(self, name)
+            if value is not None and not 0.0 <= value <= 1.0:
+                raise ConfigError(f"loss.{name} must lie in [0, 1], got {value!r}")
 
     def build(self, seed: Optional[int] = None) -> LossModel:
         effective = self.seed if seed is None else seed
@@ -215,9 +219,16 @@ def _get(section: str, data: dict, key: str, required: bool, default=None):
 
 
 def _number(section: str, key: str, value) -> float:
+    """A finite float; JSON admits NaN, Infinity and integers past float range."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{section}.{key} must be a number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"{section}.{key} must be finite, got {value!r}")
+    return number
 
 
 def _integer(section: str, key: str, value) -> int:
@@ -240,7 +251,7 @@ def _string(section: str, key: str, value) -> str:
 
 def _parse_theta(value) -> UncertaintySignal:
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return UncertaintySignal.constant(float(value))
+        return UncertaintySignal.constant(_number("sim", "theta", value))
     if isinstance(value, list):
         times = []
         values = []
@@ -253,8 +264,8 @@ def _parse_theta(value) -> UncertaintySignal:
                 raise ConfigError(
                     f"sim.theta entries must be [time, value] number pairs, got {entry!r}"
                 )
-            times.append(float(entry[0]))
-            values.append(float(entry[1]))
+            times.append(_number("sim", "theta", entry[0]))
+            values.append(_number("sim", "theta", entry[1]))
         try:
             return UncertaintySignal(times=tuple(times), values=tuple(values))
         except ValueError as exc:

@@ -172,15 +172,46 @@ class TestRun:
         )
         assert rc == EXIT_CONFIG
 
-    @pytest.mark.parametrize("spec", ["bogus:1", "bernoulli:xyz", "ge:0.1,0.4", "none:0"])
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            "bogus:1",
+            "bernoulli:xyz",
+            "ge:0.1,0.4",
+            "none:0",
+            "bernoulli:1.5",
+            "bernoulli:nan",
+            "ge:0.1,2,0.5",
+        ],
+    )
     def test_bad_loss_flag(self, scenario_file, tmp_path, spec):
         rc = main(["run", scenario_file(), "--loss", spec, "--out", str(tmp_path / "o")])
         assert rc == EXIT_CONFIG
 
+    @pytest.mark.parametrize(
+        "assignment",
+        [
+            "sim.duration=Infinity",
+            "sim.theta=NaN",
+            "cost.q_c=NaN",
+            "plant.rho=NaN",
+            "controller.u_min=-Infinity",
+        ],
+    )
+    def test_non_finite_number_is_config_error(
+        self, scenario_file, tmp_path, capsys, assignment
+    ):
+        rc = main(
+            ["run", scenario_file(), "--set", assignment, "--out", str(tmp_path / "o")]
+        )
+        assert rc == EXIT_CONFIG
+        key = assignment.partition("=")[0]
+        assert f"{key} must be finite" in capsys.readouterr().err
+
     def test_divergence_writes_partial_artifacts(self, scenario_file, tmp_path, capsys):
         path = scenario_file({"predictor.gamma": 0.9})
         out = tmp_path / "out"
-        rc = main(["run", path, "--out", str(out)])
+        rc = main(["run", path, "--loss", "bernoulli:1", "--out", str(out)])
         assert rc == EXIT_DIVERGED
         summary = read_json(out / "summary.json")
         assert summary["diverged"] is True

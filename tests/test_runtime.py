@@ -1,8 +1,11 @@
+import itertools
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+
+import ncsim.runtime
 
 from ncsim import (
     ComparisonResult,
@@ -58,6 +61,41 @@ def make_record(k=0, x=2.0, u=3.0, x_pred=None):
     return SimulationRecord(
         k=k, t=float(k), x_true=x, x_pred=x_pred, s=1, i=0, u=u, j_running=0.0
     )
+
+
+def eager_reference(sc, bits, steps_per_input):
+    """The predictive-buffer loop that plans a trajectory at every reception."""
+    dynamics, lyap, cfg = sc.build_dynamics(), sc.lyapunov(), sc.predictor_config()
+    ccfg, sim, weights = sc.controller_config(), sc.sim_settings(), sc.cost_weights()
+    n = cfg.horizon
+    records, x, plan, age, j_running = [], sim.x0, None, 0, 0.0
+    for k, s in enumerate(bits):
+        if s or plan is None:
+            plan = predict_trajectory(
+                cfg,
+                dynamics,
+                x if s else sim.x0,
+                lambda xs: sontag_input(dynamics, lyap, ccfg, xs),
+                origin_step=k if s else 0,
+                steps_per_input=steps_per_input,
+            )
+        if s:
+            offset, age = 0, 0
+        elif sim.doubled_age_offset:
+            offset, age = min(2 * age + 1, n), min(age + 1, n)
+        else:
+            offset, age = min(k - plan.origin_step, n), min(age + 1, n)
+        u = plan.inputs[offset]
+        dev = x - lyap.setpoint
+        j_running += weights.q_c * dev * dev + weights.r_c * u * u
+        records.append(
+            SimulationRecord(
+                k=k, t=k * sim.t_s, x_true=x, x_pred=plan.predicted_states[offset],
+                s=s, i=age, u=u, j_running=j_running,
+            )
+        )
+        x = integrate_interval(dynamics, x, u, k * sim.t_s, sim.t_s, sim.n_truth, sim.theta)
+    return records, x
 
 
 class TestIntegrateInterval:
@@ -239,6 +277,7 @@ class TestRunClosedLoop:
 
     def test_prediction_divergence_before_record(self, small_scenario_dict):
         sc = small_scenario(small_scenario_dict)
+        steps = sc.sim_settings().steps
         bad = PredictorConfig(delta=sc.predictor.delta, gamma=0.9, horizon=10)
         with pytest.raises(SimulationDiverged) as excinfo:
             run_closed_loop(
@@ -246,7 +285,7 @@ class TestRunClosedLoop:
                 predictor_cfg=bad,
                 lyapunov=sc.lyapunov(),
                 control_cfg=sc.controller_config(),
-                loss_model=NoLoss(),
+                loss_model=TraceLoss([0] * steps),
                 strategy=PREDICTIVE_BUFFER,
                 sim=sc.sim_settings(),
                 weights=sc.cost_weights(),
@@ -255,6 +294,70 @@ class TestRunClosedLoop:
         assert err.step == 0
         assert err.records == []
         assert "domain" in err.reason
+
+    def test_unreplayed_plan_does_not_diverge(self, small_scenario_dict):
+        sc = small_scenario(small_scenario_dict)
+        steps = sc.sim_settings().steps
+        bad = PredictorConfig(delta=sc.predictor.delta, gamma=0.9, horizon=10)
+
+        def run(loss_model):
+            return run_closed_loop(
+                dynamics=sc.build_dynamics(),
+                predictor_cfg=bad,
+                lyapunov=sc.lyapunov(),
+                control_cfg=sc.controller_config(),
+                loss_model=loss_model,
+                strategy=PREDICTIVE_BUFFER,
+                sim=sc.sim_settings(),
+                weights=sc.cost_weights(),
+            )
+
+        assert len(run(NoLoss()).records) == steps
+        with pytest.raises(SimulationDiverged) as excinfo:
+            run(TraceLoss([1] + [0] * (steps - 1)))
+        err = excinfo.value
+        assert err.step == 1
+        assert len(err.records) == 1
+        assert "domain" in err.reason
+
+    @settings(
+        max_examples=40,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        bits=st.lists(st.integers(min_value=0, max_value=1), min_size=60, max_size=60),
+        doubled=st.booleans(),
+        steps_per_input=st.sampled_from([1, 2]),
+    )
+    def test_lazy_plan_matches_eager_reference(
+        self, small_scenario_dict, bits, doubled, steps_per_input
+    ):
+        sc = small_scenario(small_scenario_dict, {"sim.doubled_age_offset": doubled})
+        expected_records, expected_x = eager_reference(sc, bits, steps_per_input)
+        plans = []
+
+        def counting_predict(*args, **kwargs):
+            plans.append(kwargs["origin_step"])
+            return predict_trajectory(*args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ncsim.runtime, "predict_trajectory", counting_predict)
+            result = run_closed_loop(
+                dynamics=sc.build_dynamics(),
+                predictor_cfg=sc.predictor_config(),
+                lyapunov=sc.lyapunov(),
+                control_cfg=sc.controller_config(),
+                loss_model=TraceLoss(bits),
+                strategy=PREDICTIVE_BUFFER,
+                sim=sc.sim_settings(),
+                weights=sc.cost_weights(),
+                steps_per_input=steps_per_input,
+            )
+        assert list(result.records) == expected_records
+        assert result.x_final == expected_x
+        bursts = sum(1 for bit, _ in itertools.groupby(bits) if bit == 0)
+        assert len(plans) == bursts
 
     def test_truth_divergence_after_record(self):
         runaway = SystemDynamics(
@@ -395,7 +498,13 @@ class TestCompareStrategies:
         assert len(costs) == 1
 
     def test_diverged_cells_are_none(self, small_scenario_dict):
-        sc = small_scenario(small_scenario_dict, {"predictor.gamma": 0.9})
+        sc = small_scenario(
+            small_scenario_dict,
+            {
+                "predictor.gamma": 0.9,
+                "loss": {"kind": "bernoulli", "p": 0.3, "seed": 42},
+            },
+        )
         result = compare_strategies(
             sc, strategies=(PREDICTIVE_BUFFER, HOLD_LAST_VALUE), n_seeds=2
         )

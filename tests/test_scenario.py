@@ -21,6 +21,9 @@ from ncsim import (
 )
 
 
+GE_SPEC = {"kind": "gilbert-elliott", "p_g2b": 0.1, "p_b2g": 0.4, "loss_in_bad": 1.0}
+
+
 class TestLossSpec:
     def test_builds_each_kind(self, tmp_path):
         assert isinstance(LossSpec(kind="none").build(), NoLoss)
@@ -55,6 +58,20 @@ class TestLossSpec:
     )
     def test_rejects_incomplete_specs(self, kwargs):
         with pytest.raises(ConfigError):
+            LossSpec(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs,key",
+        [
+            ({"kind": "bernoulli", "p": 1.5}, "loss.p"),
+            ({"kind": "bernoulli", "p": float("nan")}, "loss.p"),
+            ({**GE_SPEC, "p_g2b": -0.1}, "loss.p_g2b"),
+            ({**GE_SPEC, "p_b2g": 2.0}, "loss.p_b2g"),
+            ({**GE_SPEC, "loss_in_bad": 1.1}, "loss.loss_in_bad"),
+        ],
+    )
+    def test_rejects_probabilities_outside_unit_interval(self, kwargs, key):
+        with pytest.raises(ConfigError, match=key):
             LossSpec(**kwargs)
 
 
@@ -163,6 +180,9 @@ class TestStrictParsing:
             [[0.0, 0.1], [1.0, "x"]],
             [[1.0, 0.1], [1.0, 0.2]],
             [],
+            float("nan"),
+            10**400,
+            [[0.0, float("inf")]],
         ],
     )
     def test_bad_theta_rejected(self, small_scenario_dict, theta):
