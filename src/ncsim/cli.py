@@ -223,6 +223,12 @@ def cmd_compare(args) -> int:
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    if len(result.seeds) < args.seeds:
+        print(
+            f"note: loss.kind {scenario.loss.kind!r} ignores the seed; "
+            f"ran seed {result.seeds[0]} once instead of {args.seeds} paired seeds",
+            file=sys.stderr,
+        )
 
     write_comparison_csv(result, os.path.join(out, "comparison.csv"))
     medians = {name: result.median_cost(name) for name in result.strategies}

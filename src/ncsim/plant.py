@@ -18,15 +18,17 @@ pressure ``p2``.  With the ideal-gas/orifice model the flow terms are
 so the model is only meaningful for pressures between ``p2`` and ``p1``.
 All evaluations are guarded: leaving the state domain raises
 ``DomainError`` instead of silently extrapolating through a negative
-square-root argument.
+square-root argument.  ``rk4_increment``, the package's one Runge-Kutta
+step (predictor: theta = 0; truth: the substep's theta), evaluates the
+fused ``rhs`` and checks each stage state against the domain inline.
 """
 
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
-from .errors import DomainError, NonFiniteError
+from .errors import DomainError, IntegrationDomainError
 
 StateFunction = Callable[[float], float]
 
@@ -39,19 +41,26 @@ class SystemDynamics:
         drift: the autonomous term f(x).
         input_gain: the control gain g(x).
         uncertainty_gain: the disturbance gain w(x).
-        state_domain: closed interval (lo, hi) on which the three
-            callables may be evaluated.
+        state_domain: closed interval (lo, hi) on which the callables
+            may be evaluated.
+        rhs: ``rhs(x, u, theta)``, bitwise f(x) + g(x)*u + w(x)*theta;
+            composed from the gains when left out, carried over as it is
+            by ``dataclasses.replace``.
     """
 
     drift: StateFunction
     input_gain: StateFunction
     uncertainty_gain: StateFunction
     state_domain: tuple[float, float]
+    rhs: Optional[Callable[[float, float, float], float]] = None
 
     def __post_init__(self):
         lo, hi = self.state_domain
         if not (math.isfinite(lo) and math.isfinite(hi)) or not lo < hi:
             raise ValueError(f"state_domain must be a finite interval, got {self.state_domain}")
+        if self.rhs is None:
+            f, g, w = self.drift, self.input_gain, self.uncertainty_gain
+            object.__setattr__(self, "rhs", lambda x, u, th: f(x) + g(x) * u + w(x) * th)
 
     def check_state(self, x: float) -> None:
         """Raise DomainError unless ``x`` lies in the state domain."""
@@ -72,17 +81,37 @@ class SystemDynamics:
         return self.uncertainty_gain(x)
 
 
-def eval_rhs(dynamics: SystemDynamics, x: float, u: float, theta: float) -> float:
-    """Evaluate dx/dt = f(x) + g(x)*u + w(x)*theta.
+def rk4_increment(
+    dynamics: SystemDynamics, x: float, u: float, h: float, theta: float = 0.0
+) -> float:
+    """The increment (k1 + 2*k2 + 2*k3 + k4) / 6 of one classical RK4 step
+    of dx/dt = rhs(x, u, theta), u and theta held over all four stages.
 
-    The state is checked against the domain once; a NaN or infinite
-    result raises ``NonFiniteError``.
+    A stage state outside the domain raises ``IntegrationDomainError``
+    carrying the 1-based stage index.
     """
-    dynamics.check_state(x)
-    value = dynamics.drift(x) + dynamics.input_gain(x) * u + dynamics.uncertainty_gain(x) * theta
-    if not math.isfinite(value):
-        raise NonFiniteError(f"dx/dt not finite at x={x!r}, u={u!r}, theta={theta!r}")
-    return value
+    if not h > 0:
+        raise ValueError(f"step h must be positive, got {h!r}")
+    rhs = dynamics.rhs
+    lo, hi = dynamics.state_domain
+    if not lo <= x <= hi:
+        raise _stage_error(1, x)
+    k1 = h * rhs(x, u, theta)
+    if not lo <= (xs := x + k1 / 2.0) <= hi:
+        raise _stage_error(2, xs)
+    k2 = h * rhs(xs, u, theta)
+    if not lo <= (xs := x + k2 / 2.0) <= hi:
+        raise _stage_error(3, xs)
+    k3 = h * rhs(xs, u, theta)
+    if not lo <= (xs := x + k3) <= hi:
+        raise _stage_error(4, xs)
+    k4 = h * rhs(xs, u, theta)
+    return (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+
+
+def _stage_error(stage: int, state: float) -> IntegrationDomainError:
+    message = f"stage {stage} state {state!r} left the domain"
+    return IntegrationDomainError(message, stage=stage, state=state)
 
 
 @dataclass(frozen=True)
@@ -112,6 +141,14 @@ class UncertaintySignal:
     def value(self, t: float) -> float:
         idx = bisect_right(self.times, t) - 1
         return self.values[max(idx, 0)]
+
+    def constant_over(self, t_first: float, t_last: float) -> Optional[float]:
+        """theta on [t_first, t_last], or None if a schedule time falls in
+        (t_first, t_last]."""
+        idx = bisect_right(self.times, t_first)
+        if idx < len(self.times) and self.times[idx] <= t_last:
+            return None
+        return self.values[max(idx - 1, 0)]
 
 
 @dataclass(frozen=True)
@@ -185,7 +222,7 @@ def tank_dynamics(params: TankParams, margin: float = 1e-3) -> SystemDynamics:
     if not lo < hi:
         raise ValueError(f"margin {margin!r} leaves an empty pressure range")
 
-    c_out = params.alpha2 * params.a2 * params.m2 / params.vol
+    neg_c_out = -(params.alpha2 * params.a2 * params.m2 / params.vol)
     c_in = params.alpha1 * params.a1 / params.vol
     two_over_rho = 2.0 / params.rho
     p1 = params.p1
@@ -193,7 +230,7 @@ def tank_dynamics(params: TankParams, margin: float = 1e-3) -> SystemDynamics:
     inv_vol = 1.0 / params.vol
 
     def drift(x: float) -> float:
-        return -c_out * x * math.sqrt(two_over_rho * (x - p2))
+        return neg_c_out * x * math.sqrt(two_over_rho * (x - p2))
 
     def input_gain(x: float) -> float:
         return c_in * x * math.sqrt(two_over_rho * (p1 - x))
@@ -201,9 +238,20 @@ def tank_dynamics(params: TankParams, margin: float = 1e-3) -> SystemDynamics:
     def uncertainty_gain(x: float) -> float:
         return x * inv_vol
 
+    sqrt = math.sqrt
+
+    def rhs(x: float, u: float, theta: float) -> float:
+        # the three gains in their own operation order: bitwise f + g*u + w*theta
+        return (
+            neg_c_out * x * sqrt(two_over_rho * (x - p2))
+            + c_in * x * sqrt(two_over_rho * (p1 - x)) * u
+            + x * inv_vol * theta
+        )
+
     return SystemDynamics(
         drift=drift,
         input_gain=input_gain,
         uncertainty_gain=uncertainty_gain,
         state_domain=(lo, hi),
+        rhs=rhs,
     )

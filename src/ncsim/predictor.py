@@ -1,8 +1,8 @@
 """State prediction for control intervals without fresh measurements.
 
 The predictor advances the nominal model (disturbance set to zero) with
-one classical fourth-order Runge-Kutta step per break point and applies
-a multiplicative correction afterwards:
+one step of the plant's RK4 kernel per break point and applies a
+multiplicative correction afterwards:
 
     xhat[i+1] = (1 + gamma) * xhat[i] + dx[i],   |gamma| < 1
 
@@ -19,13 +19,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .errors import (
-    CalibrationRangeError,
-    DomainError,
-    IntegrationDomainError,
-    TrajectoryError,
-)
-from .plant import SystemDynamics
+from .errors import CalibrationRangeError, DomainError, TrajectoryError
+from .plant import SystemDynamics, rk4_increment
 
 Controller = Callable[[float], float]
 
@@ -78,40 +73,14 @@ class ControlTrajectory:
             raise ValueError("origin_step must be non-negative")
 
 
-def rk4_increment(dynamics: SystemDynamics, x: float, u: float, delta: float) -> float:
-    """One classical Runge-Kutta step of the nominal model.
-
-    Returns the increment (k1 + 2*k2 + 2*k3 + k4) / 6 for
-    dx/dt = f(x) + g(x)*u with the input held constant across all four
-    stages.  A stage state outside the plant domain raises
-    ``IntegrationDomainError`` carrying the stage index.
-    """
-    if not delta > 0:
-        raise ValueError(f"delta must be positive, got {delta!r}")
-
-    def stage(xs: float, index: int) -> float:
-        try:
-            return delta * (dynamics.f(xs) + dynamics.g(xs) * u)
-        except DomainError as exc:
-            raise IntegrationDomainError(
-                f"stage {index} state {xs!r} left the domain", stage=index, state=xs
-            ) from exc
-
-    k1 = stage(x, 1)
-    k2 = stage(x + k1 / 2.0, 2)
-    k3 = stage(x + k2 / 2.0, 3)
-    k4 = stage(x + k3, 4)
-    return (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
-
-
 def predict_step(
     cfg: PredictorConfig, dynamics: SystemDynamics, xhat: float, u: float
 ) -> float:
     """Advance the prediction one break point.
 
     With ``gamma == 0`` this reduces bitwise to the plain update
-    ``xhat + rk4_increment(...)``.  The corrected state must stay in the
-    plant domain.
+    ``xhat + rk4_increment(...)`` (theta = 0).  The corrected state must
+    stay in the plant domain.
     """
     increment = rk4_increment(dynamics, xhat, u, cfg.delta)
     corrected = (1.0 + cfg.gamma) * xhat + increment

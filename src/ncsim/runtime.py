@@ -17,9 +17,9 @@ strategy when it is lost:
 * ``hold-last-value`` repeats the last applied input.
 * ``zero-input`` applies zero.
 
-The true state advances by Runge-Kutta integration of the full dynamics
-(disturbance included), subdivided into ``n_truth`` substeps per
-interval, which stands in for the continuous plant.
+The true state advances by the plant's RK4 kernel over the full
+dynamics, ``n_truth`` substeps per interval, with theta looked up once
+per interval unless its schedule changes inside it.
 """
 
 import math
@@ -29,15 +29,9 @@ from statistics import median
 from typing import Optional, Sequence
 
 from .controller import ControllerConfig, LyapunovSpec, sontag_input
-from .errors import (
-    DomainError,
-    IntegrationDomainError,
-    NonFiniteError,
-    SimulationDiverged,
-    TrajectoryError,
-)
+from .errors import DomainError, NonFiniteError, SimulationDiverged, TrajectoryError
 from .losses import LossModel
-from .plant import SystemDynamics, UncertaintySignal
+from .plant import SystemDynamics, UncertaintySignal, rk4_increment
 from .predictor import ControlTrajectory, PredictorConfig, predict_trajectory
 
 PREDICTIVE_BUFFER = "predictive-buffer"
@@ -135,30 +129,17 @@ def integrate_interval(
 ) -> float:
     """Advance the true state one control interval under constant input.
 
-    Runs ``n_truth`` Runge-Kutta steps of the full dynamics, evaluating
-    the disturbance at each substep start.  Any stage outside the state
-    domain raises ``IntegrationDomainError``.
+    Runs ``n_truth`` kernel steps with theta taken at each substep start
+    ``t_start + j*h``: one lookup when no schedule time falls between the
+    first and last start, else one per substep.  A stage outside the
+    state domain raises ``IntegrationDomainError``.
     """
-    lo, hi = dynamics.state_domain
-    f = dynamics.drift
-    g = dynamics.input_gain
-    w = dynamics.uncertainty_gain
     h = t_s / n_truth
-
-    def rhs(xs: float, th: float, stage: int) -> float:
-        if not (lo <= xs <= hi):
-            raise IntegrationDomainError(
-                f"stage {stage} state {xs!r} left the domain", stage=stage, state=xs
-            )
-        return f(xs) + g(xs) * u + w(xs) * th
-
+    th = theta.constant_over(t_start, t_start + (n_truth - 1) * h)
     for j in range(n_truth):
-        th = theta.value(t_start + j * h)
-        k1 = h * rhs(x, th, 1)
-        k2 = h * rhs(x + k1 / 2.0, th, 2)
-        k3 = h * rhs(x + k2 / 2.0, th, 3)
-        k4 = h * rhs(x + k3, th, 4)
-        x = x + (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+        x = x + rk4_increment(
+            dynamics, x, u, h, theta.value(t_start + j * h) if th is None else th
+        )
         if not math.isfinite(x):
             raise NonFiniteError(f"state became non-finite during interval at t={t_start!r}")
     dynamics.check_state(x)
@@ -366,7 +347,9 @@ def compare_strategies(
     """Run each strategy against the same loss realizations.
 
     Seeds are ``base_seed + j`` for j < n_seeds, shared across
-    strategies so comparisons are paired.  A diverged cell is marked
+    strategies so comparisons are paired.  A seedless channel (``none``
+    or ``trace``) realizes the same losses under every seed, so it runs
+    ``base_seed`` only.  A diverged cell is marked
     None instead of aborting the table.  ``workers > 1`` fans cells out
     to a process pool; results are keyed by cell, so the output does not
     depend on completion order.
@@ -382,6 +365,8 @@ def compare_strategies(
     if n_seeds < 1:
         raise ValueError("n_seeds must be >= 1")
     base_seed = scenario.loss_seed()
+    if not scenario.loss.seeded:
+        n_seeds = 1
     seeds = tuple(base_seed + j for j in range(n_seeds))
     tasks = [(scenario, strategy, seed) for strategy in chosen for seed in seeds]
 

@@ -32,6 +32,14 @@ LOSS_KINDS = ("none", "bernoulli", "gilbert-elliott", "trace")
 # Relative slack when checking that one time quantity divides another.
 _RATIO_TOL = 1e-9
 
+# Run-size caps, checked when a scenario is built so that no input can
+# ask for an unbounded run: control intervals (one record each), truth
+# RK4 substeps, and predictor steps if every interval planned a full
+# trajectory.  tank-reference needs 1800, 36_000 and 18_000.
+MAX_STEPS = 1_000_000
+MAX_TRUTH_SUBSTEPS = 20_000_000
+MAX_PREDICTOR_STEPS = 20_000_000
+
 
 @dataclass(frozen=True)
 class LossSpec:
@@ -68,6 +76,12 @@ class LossSpec:
             value = getattr(self, name)
             if value is not None and not 0.0 <= value <= 1.0:
                 raise ConfigError(f"loss.{name} must lie in [0, 1], got {value!r}")
+
+    @property
+    def seeded(self) -> bool:
+        """Whether the seed changes the loss realization (none and trace
+        channels ignore it)."""
+        return self.kind in ("bernoulli", "gilbert-elliott")
 
     def build(self, seed: Optional[int] = None) -> LossModel:
         effective = self.seed if seed is None else seed
@@ -123,10 +137,29 @@ class Scenario:
             )
         if not self.t_s > 0:
             raise ConfigError("sim.t_s must be positive")
+        if not self.duration / self.t_s < MAX_STEPS + 0.5:
+            raise ConfigError(
+                f"sim.duration {self.duration!r} / sim.t_s {self.t_s!r} asks for more "
+                f"than {MAX_STEPS} steps"
+            )
         steps = self._steps()
         if steps is None:
             raise ConfigError(
                 f"sim.duration {self.duration!r} must be a positive whole multiple of sim.t_s"
+            )
+        if self.n_truth < 1:
+            raise ConfigError(f"sim.n_truth must be >= 1, got {self.n_truth!r}")
+        if steps * self.n_truth > MAX_TRUTH_SUBSTEPS:
+            raise ConfigError(
+                f"sim.n_truth {self.n_truth} over {steps} steps asks for more than "
+                f"{MAX_TRUTH_SUBSTEPS} truth substeps"
+            )
+        per_input = self.steps_per_input()
+        if steps * self.predictor.horizon * per_input > MAX_PREDICTOR_STEPS:
+            raise ConfigError(
+                f"predictor.horizon {self.predictor.horizon} x {per_input:.6g} predictor "
+                f"steps per interval (sim.t_s / predictor.delta) x {steps} steps may ask "
+                f"for more than {MAX_PREDICTOR_STEPS} predictor steps"
             )
         if self.m_steps > steps:
             raise ConfigError(
@@ -197,6 +230,8 @@ class Scenario:
         the configured step size, mismatch and all.
         """
         ratio = self.t_s / self.predictor.delta
+        if math.isinf(ratio):
+            return 1
         n = round(ratio)
         if n >= 1 and abs(ratio - n) <= _RATIO_TOL * n:
             return n

@@ -208,6 +208,28 @@ class TestRun:
         key = assignment.partition("=")[0]
         assert f"{key} must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "assignments, key",
+        [
+            (["sim.duration=1e12"], "sim.duration"),
+            (["sim.t_s=1e-300"], "sim.t_s"),
+            (["sim.duration=1e300", "sim.t_s=1e-10"], "sim.duration"),
+            (["sim.n_truth=100000000"], "sim.n_truth"),
+            (["sim.n_truth=0"], "sim.n_truth"),
+            (["predictor.horizon=100000000"], "predictor.horizon"),
+            (["predictor.delta=1e-300"], "predictor.delta"),
+        ],
+    )
+    def test_run_size_is_capped_at_parse_time(self, tmp_path, capsys, assignments, key):
+        out = tmp_path / "o"
+        argv = ["run", "tank-reference", "--loss", "bernoulli:0.3", "--out", str(out)]
+        for assignment in assignments:
+            argv += ["--set", assignment]
+        assert main(argv) == EXIT_CONFIG
+        assert key in capsys.readouterr().err
+        # rejected before the resolved snapshot is written
+        assert not (out / "resolved_config.json").exists()
+
     def test_divergence_writes_partial_artifacts(self, scenario_file, tmp_path, capsys):
         path = scenario_file({"predictor.gamma": 0.9})
         out = tmp_path / "out"
@@ -266,6 +288,37 @@ class TestCompare:
         table1 = (out1 / "comparison.csv").read_bytes()
         assert table1 == (out2 / "comparison.csv").read_bytes()
         assert table1.decode().splitlines()[0] == "seed,hold-last-value,zero-input"
+
+    def test_seedless_channel_runs_one_seed(self, scenario_file, tmp_path, capsys):
+        bits = tmp_path / "bits.txt"
+        bits.write_text("1\n0\n1\n")
+        # a trace channel, and the scenario's own lossless channel (seed 42)
+        for name, loss_flag, seed in (
+            ("trace", ["--loss", f"trace:{bits}:wrap"], 0),
+            ("none", [], 42),
+        ):
+            out = tmp_path / name
+            rc = main(
+                [
+                    "compare",
+                    scenario_file(),
+                    *loss_flag,
+                    "--strategies",
+                    "hold-last-value,zero-input",
+                    "--seeds",
+                    "3",
+                    "--out",
+                    str(out),
+                ]
+            )
+            assert rc == EXIT_OK
+            lines = (out / "comparison.csv").read_text().splitlines()
+            assert len(lines) == 2
+            assert lines[1].startswith(f"{seed},")
+            assert read_json(out / "summary.json")["seeds"] == [seed]
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1
+            assert "ignores the seed" in err
 
     def test_bad_arguments(self, scenario_file, tmp_path):
         path = scenario_file()

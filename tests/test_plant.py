@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -6,11 +7,11 @@ from hypothesis import strategies as st
 
 from ncsim import (
     DomainError,
-    NonFiniteError,
+    IntegrationDomainError,
     SystemDynamics,
     TankParams,
     UncertaintySignal,
-    eval_rhs,
+    rk4_increment,
     tank_dynamics,
 )
 
@@ -79,7 +80,7 @@ class TestTankDynamics:
 
     def test_rhs_at_lower_boundary_is_uncertainty_only(self, benchmark_params):
         d = tank_dynamics(benchmark_params, margin=0.0)
-        assert eval_rhs(d, 100_000.0, 0.0, 0.175) == 8750.0
+        assert d.rhs(100_000.0, 0.0, 0.175) == 8750.0
 
     def test_output_valve_opening_scales_drift(self, benchmark_params):
         half = TankParams.benchmark(p2=100_000.0, m2=0.5)
@@ -103,8 +104,11 @@ class TestTankDynamics:
     def test_out_of_domain_evaluation_raises(self, tank, x):
         with pytest.raises(DomainError):
             tank.f(x)
-        with pytest.raises(DomainError):
-            eval_rhs(tank, x, 0.5, 0.0)
+        # the kernel checks the state before its first rhs evaluation
+        with pytest.raises(IntegrationDomainError) as excinfo:
+            rk4_increment(tank, x, 0.5, 2.0, 0.175)
+        assert excinfo.value.stage == 1
+        assert excinfo.value.state == x
 
     @given(x=st.floats(min_value=100_001.0, max_value=199_999.0))
     def test_flow_signs_inside_domain(self, x):
@@ -113,22 +117,34 @@ class TestTankDynamics:
         assert d.g(x) >= 0.0
         assert d.w(x) == x / 2.0
 
-    def test_eval_rhs_matches_field_sum(self, tank):
-        x, u, theta = 140_000.0, 0.7, 0.175
-        assert eval_rhs(tank, x, u, theta) == tank.f(x) + tank.g(x) * u + tank.w(x) * theta
-
-    def test_eval_rhs_rejects_nonfinite_result(self):
-        d = SystemDynamics(
-            drift=lambda x: math.inf,
-            input_gain=lambda x: 0.0,
-            uncertainty_gain=lambda x: 0.0,
-            state_domain=(-10.0, 10.0),
-        )
-        with pytest.raises(NonFiniteError):
-            eval_rhs(d, 1.0, 0.0, 0.0)
+    @given(
+        x=st.floats(min_value=100_000.001, max_value=199_999.999),
+        u=st.floats(min_value=-2.0, max_value=2.0),
+        theta=st.floats(min_value=-1.0, max_value=1.0),
+        vol=st.floats(min_value=0.1, max_value=10.0),
+        m2=st.floats(min_value=0.0, max_value=1.0),
+    )
+    def test_rhs_matches_field_sum(self, x, u, theta, vol, m2):
+        params = dataclasses.replace(TankParams.benchmark(m2=m2), vol=vol)
+        d = tank_dynamics(params, margin=1e-3)
+        # exact equality: the fused expression keeps the sum's operation order
+        assert d.rhs(x, u, theta) == d.f(x) + d.g(x) * u + d.w(x) * theta
 
 
 class TestSystemDynamics:
+    def test_rhs_composed_from_gains(self):
+        d = SystemDynamics(
+            drift=lambda x: -2.0 * x,
+            input_gain=lambda x: x + 1.0,
+            uncertainty_gain=lambda x: 3.0,
+            state_domain=(-10.0, 10.0),
+        )
+        assert d.rhs(1.5, 0.25, 0.5) == -3.0 + 2.5 * 0.25 + 3.0 * 0.5
+
+    def test_replace_carries_rhs(self, tank):
+        counted = dataclasses.replace(tank, drift=lambda x: 0.0)
+        assert counted.rhs is tank.rhs
+
     def test_empty_domain_rejected(self):
         with pytest.raises(ValueError):
             SystemDynamics(

@@ -16,6 +16,7 @@ from ncsim import (
     IntegrationDomainError,
     LyapunovSpec,
     NoLoss,
+    NonFiniteError,
     PREDICTIVE_BUFFER,
     PredictorConfig,
     SimSettings,
@@ -23,6 +24,7 @@ from ncsim import (
     SimulationRecord,
     STRATEGIES,
     SystemDynamics,
+    TankParams,
     TraceLoss,
     UncertaintySignal,
     ZERO_INPUT,
@@ -37,6 +39,7 @@ from ncsim import (
     scenario_cost,
     scenario_from_dict,
     sontag_input,
+    tank_dynamics,
     write_comparison_csv,
     write_records_csv,
 )
@@ -98,7 +101,82 @@ def eager_reference(sc, bits, steps_per_input):
     return records, x
 
 
+def per_substep_reference(dynamics, x, u, t_start, t_s, n_truth, theta):
+    """The truth loop that looks theta up at every substep start, with
+    RK4 written out over the three gains."""
+    f, g, w = dynamics.drift, dynamics.input_gain, dynamics.uncertainty_gain
+    h = t_s / n_truth
+
+    def rhs(xs, th):
+        return f(xs) + g(xs) * u + w(xs) * th
+
+    for j in range(n_truth):
+        th = theta.value(t_start + j * h)
+        k1 = h * rhs(x, th)
+        k2 = h * rhs(x + k1 / 2.0, th)
+        k3 = h * rhs(x + k2 / 2.0, th)
+        k4 = h * rhs(x + k3, th)
+        x = x + (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+    return x
+
+
+# Schedules around the interval [1800, 1802) with 20 substeps of 0.1 s.
+SCHEDULES = {
+    "break mid-interval": ((0.0, 1800.05), (0.175, 0.185)),
+    "break on a substep start": ((0.0, 1800.5), (0.175, 0.185)),
+    "break on the interval start": ((0.0, 1800.0), (0.175, 0.185)),
+    "break on the last substep start": ((0.0, 1800.0 + 19 * 0.1), (0.175, 0.185)),
+    "break after the last substep start": ((0.0, 1801.95), (0.175, 0.185)),
+    "several breaks": ((0.0, 1800.05, 1800.3, 1800.35, 1801.9), (0.175, 0.3, -0.2, 0.0, 0.185)),
+    "no break": ((0.0, 1000.0), (0.175, 0.185)),
+}
+
+
 class TestIntegrateInterval:
+    @pytest.mark.parametrize("name", sorted(SCHEDULES))
+    def test_matches_per_substep_lookup(self, tank, name):
+        theta = UncertaintySignal(*SCHEDULES[name])
+        for x, u in ((140_000.0, 0.0), (150_100.0, 0.37), (185_000.0, 1.0)):
+            args = (tank, x, u, 1800.0, 2.0, 20, theta)
+            assert integrate_interval(*args) == per_substep_reference(*args)
+
+    @pytest.mark.parametrize("times", [(-5.0,), (-5.0, 0.35), (-5.0, -1.0, 1.0)])
+    def test_break_before_time_zero(self, tank, times):
+        theta = UncertaintySignal(times, tuple(0.1 * (i + 1) for i in range(len(times))))
+        args = (tank, 150_000.0, 0.5, 0.0, 2.0, 20, theta)
+        assert integrate_interval(*args) == per_substep_reference(*args)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        breaks=st.lists(
+            st.floats(min_value=-2.0, max_value=4.0), min_size=1, max_size=5, unique=True
+        ),
+        # a band, disturbance and substep count that keep every stage
+        # state of both loops inside the domain
+        values=st.lists(st.floats(min_value=-0.2, max_value=0.2), min_size=5, max_size=5),
+        x=st.floats(min_value=140_000.0, max_value=160_000.0),
+        u=st.floats(min_value=0.0, max_value=1.0),
+        t_start=st.sampled_from([0.0, 1.0, 2.0]),
+        n_truth=st.integers(min_value=10, max_value=30),
+    )
+    def test_schedule_property(self, breaks, values, x, u, t_start, n_truth):
+        tank = tank_dynamics(TankParams.benchmark(), margin=1e-3)
+        times = tuple(sorted(breaks))
+        theta = UncertaintySignal(times, tuple(values[: len(times)]))
+        args = (tank, x, u, t_start, 2.0, n_truth, theta)
+        assert integrate_interval(*args) == per_substep_reference(*args)
+
+    def test_nonfinite_result_raises(self):
+        # every stage state stays in the domain; only k4 is infinite
+        cliff = SystemDynamics(
+            drift=lambda x: 1.0 if x < 1.9 else math.inf,
+            input_gain=lambda x: 0.0,
+            uncertainty_gain=lambda x: 0.0,
+            state_domain=WIDE,
+        )
+        with pytest.raises(NonFiniteError):
+            integrate_interval(cliff, 1.0, 0.0, 0.0, 1.0, 1, ZERO_THETA)
+
     def test_exponential_decay(self):
         x1 = integrate_interval(
             linear_decay_dynamics(), 1.0, 0.0, 0.0, 1.0, 100, ZERO_THETA
@@ -318,7 +396,17 @@ class TestRunClosedLoop:
         err = excinfo.value
         assert err.step == 1
         assert len(err.records) == 1
-        assert "domain" in err.reason
+        assert err.reason == "prediction left the domain after 1 entries"
+
+    def test_truth_domain_exit_text(self, small_scenario_dict):
+        # theta jumps on the substep start t = 61 inside interval 30
+        sc = small_scenario(small_scenario_dict, {"sim.theta": [[0.0, 0.175], [61.0, 2.0]]})
+        with pytest.raises(SimulationDiverged) as excinfo:
+            run_scenario(sc, PREDICTIVE_BUFFER)
+        err = excinfo.value
+        assert err.step == 30
+        assert len(err.records) == 31
+        assert err.reason == "stage 2 state 202433.75963201388 left the domain"
 
     @settings(
         max_examples=40,
@@ -496,6 +584,12 @@ class TestCompareStrategies:
         seed = result.seeds[0]
         costs = {result.costs[s][seed] for s in STRATEGIES}
         assert len(costs) == 1
+
+    def test_seedless_channel_runs_base_seed_only(self, small_scenario_dict):
+        sc = small_scenario(small_scenario_dict)
+        result = compare_strategies(sc, strategies=(HOLD_LAST_VALUE,), n_seeds=3)
+        assert result.seeds == (42,)
+        assert list(result.costs[HOLD_LAST_VALUE]) == [42]
 
     def test_diverged_cells_are_none(self, small_scenario_dict):
         sc = small_scenario(

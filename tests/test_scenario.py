@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from ncsim.scenario import MAX_PREDICTOR_STEPS, MAX_STEPS, MAX_TRUTH_SUBSTEPS
 from ncsim import (
     BernoulliLoss,
     ConfigError,
@@ -219,6 +220,31 @@ class TestCrossFieldValidation:
     def test_duration_tolerates_float_noise(self, small_scenario_dict):
         doc = small_scenario_dict({"sim.t_s": 0.1, "sim.duration": 0.3, "cost.m_steps": 3})
         assert scenario_from_dict(doc).sim_settings().steps == 3
+
+
+class TestRunSizeCaps:
+    def test_reference_scenario_far_inside_caps(self):
+        sc = builtin_scenario("tank-reference")
+        steps = sc.sim_settings().steps
+        assert 100 * steps <= MAX_STEPS
+        assert 100 * steps * sc.n_truth <= MAX_TRUTH_SUBSTEPS
+        assert 100 * steps * sc.predictor.horizon * sc.steps_per_input() <= MAX_PREDICTOR_STEPS
+
+    def test_caps_are_inclusive(self, small_scenario_dict):
+        # parsing only: nothing runs
+        at_cap = {"sim.t_s": 1.0, "sim.duration": float(MAX_STEPS), "sim.n_truth": 20}
+        assert scenario_from_dict(small_scenario_dict(at_cap)).sim_settings().steps == MAX_STEPS
+        for path, value in (
+            ("sim.duration", MAX_STEPS + 1.0),
+            ("sim.n_truth", 21),
+            ("predictor.horizon", MAX_PREDICTOR_STEPS // MAX_STEPS + 1),
+        ):
+            with pytest.raises(ConfigError, match=path):
+                scenario_from_dict(small_scenario_dict(dict(at_cap, **{path: value})))
+
+    def test_infinite_substep_ratio_is_one_step(self, small_scenario_dict):
+        sc = scenario_from_dict(small_scenario_dict({"predictor.delta": 5e-324}))
+        assert sc.steps_per_input() == 1
 
 
 class TestStepsPerInput:
