@@ -26,6 +26,7 @@ from .errors import (
 )
 from .predictor import SamplePair, calibrate_gamma_one, calibrate_gamma_two, mean_squared_error, read_sample_pairs
 from .runtime import (
+    MAX_COMPARE_SEEDS,
     STRATEGIES,
     compare_strategies,
     evaluate_cost,
@@ -212,8 +213,8 @@ def cmd_compare(args) -> int:
     strategies = None
     if args.strategies is not None:
         strategies = tuple(name.strip() for name in args.strategies.split(",") if name.strip())
-    if args.seeds < 1:
-        raise ConfigError("--seeds must be >= 1")
+    if not 1 <= args.seeds <= MAX_COMPARE_SEEDS:
+        raise ConfigError(f"--seeds must lie in [1, {MAX_COMPARE_SEEDS}], got {args.seeds}")
     if args.workers < 1:
         raise ConfigError("--workers must be >= 1")
     _write_text(os.path.join(out, "resolved_config.json"), resolved_json(scenario))

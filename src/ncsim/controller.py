@@ -59,9 +59,11 @@ class ControllerConfig:
 
     def __post_init__(self):
         if not self.lgv_threshold > 0:
-            raise ValueError("lgv_threshold must be positive")
+            raise ValueError(f"lgv_threshold must be positive, got {self.lgv_threshold!r}")
         if not self.u_min < self.u_max:
-            raise ValueError(f"need u_min < u_max, got [{self.u_min!r}, {self.u_max!r}]")
+            raise ValueError(
+                f"u_min must be below u_max, got u_min={self.u_min!r}, u_max={self.u_max!r}"
+            )
 
 
 def lie_derivatives(

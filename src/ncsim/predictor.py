@@ -14,7 +14,6 @@ error by a mean prediction, so the result is unit dependent and the
 sample sets must share the plant's units.
 """
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -212,6 +211,9 @@ def read_sample_pairs(path: str) -> list[SamplePair]:
     Expected header: ``pair_id,predicted,measured``.  Rows sharing a
     ``pair_id`` form one sample pair; pairs keep first-appearance order.
     """
+    # Imported here so that only ``ncsim calibrate`` pays for it.
+    import csv
+
     groups: dict[str, tuple[list[float], list[float]]] = {}
     order: list[str] = []
     with open(path, newline="") as handle:

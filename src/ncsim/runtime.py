@@ -23,9 +23,7 @@ per interval unless its schedule changes inside it.
 """
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from statistics import median
 from typing import Optional, Sequence
 
 from .controller import ControllerConfig, LyapunovSpec, sontag_input
@@ -38,6 +36,9 @@ PREDICTIVE_BUFFER = "predictive-buffer"
 HOLD_LAST_VALUE = "hold-last-value"
 ZERO_INPUT = "zero-input"
 STRATEGIES = (PREDICTIVE_BUFFER, HOLD_LAST_VALUE, ZERO_INPUT)
+
+# Paired seeds one compare may ask for; the cell list is built up front.
+MAX_COMPARE_SEEDS = 10_000
 
 TRACE_HEADER = ("k", "t", "x_true", "x_pred", "s", "i", "u", "J_running")
 
@@ -77,10 +78,11 @@ class CostWeights:
     m_steps: int
 
     def __post_init__(self):
-        if self.q_c < 0 or self.r_c < 0:
-            raise ValueError("cost weights must be non-negative")
+        for name, value in (("q_c", self.q_c), ("r_c", self.r_c)):
+            if value < 0:
+                raise ValueError(f"{name} must be non-negative, got {value!r}")
         if self.m_steps < 1:
-            raise ValueError("m_steps must be >= 1")
+            raise ValueError(f"m_steps must be >= 1, got {self.m_steps!r}")
 
 
 @dataclass(frozen=True)
@@ -312,6 +314,10 @@ class ComparisonResult:
     costs: dict
 
     def median_cost(self, strategy: str) -> Optional[float]:
+        # Imported here: statistics pulls in fractions and decimal, which
+        # a fresh ``ncsim run`` process would load for nothing.
+        from statistics import median
+
         finished = [c for c in self.costs[strategy].values() if c is not None]
         return median(finished) if finished else None
 
@@ -351,8 +357,9 @@ def compare_strategies(
     or ``trace``) realizes the same losses under every seed, so it runs
     ``base_seed`` only.  A diverged cell is marked
     None instead of aborting the table.  ``workers > 1`` fans cells out
-    to a process pool; results are keyed by cell, so the output does not
-    depend on completion order.
+    to a process pool of at most one worker per cell, imported only
+    then; results are keyed by cell, so the output does not depend on
+    completion order.
     """
     chosen = tuple(strategies) if strategies else tuple(scenario.strategies)
     if not chosen:
@@ -362,15 +369,20 @@ def compare_strategies(
             raise ValueError(f"unknown strategy {name!r}, expected one of {STRATEGIES}")
     if len(set(chosen)) != len(chosen):
         raise ValueError("strategies must be unique")
-    if n_seeds < 1:
-        raise ValueError("n_seeds must be >= 1")
+    if not 1 <= n_seeds <= MAX_COMPARE_SEEDS:
+        raise ValueError(f"n_seeds must lie in [1, {MAX_COMPARE_SEEDS}], got {n_seeds!r}")
     base_seed = scenario.loss_seed()
     if not scenario.loss.seeded:
         n_seeds = 1
     seeds = tuple(base_seed + j for j in range(n_seeds))
     tasks = [(scenario, strategy, seed) for strategy in chosen for seed in seeds]
 
+    # Under the fork start method the pool starts every worker at once,
+    # so it never asks for more than there are cells.
+    workers = min(workers, len(tasks))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_compare_cell, tasks))
     else:

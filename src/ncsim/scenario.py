@@ -175,8 +175,16 @@ class Scenario:
                     f"unknown strategy {name!r}, expected one of {STRATEGIES}"
                 )
         # Constructing these validates their own field ranges up front.
-        self.controller_config()
-        self.cost_weights()
+        # Their messages start with the field name, so the section prefix
+        # turns it into the scenario key.
+        for section, build in (
+            ("controller", self.controller_config),
+            ("cost", self.cost_weights),
+        ):
+            try:
+                build()
+            except ValueError as exc:
+                raise ConfigError(f"{section}.{exc}") from exc
 
     def _steps(self) -> Optional[int]:
         ratio = self.duration / self.t_s
@@ -441,32 +449,27 @@ def scenario_from_dict(data: dict) -> Scenario:
     ):
         raise ConfigError("strategies must be a list of strings")
 
-    try:
-        return Scenario(
-            plant=params,
-            domain_margin=domain_margin,
-            predictor=predictor,
-            setpoint=setpoint,
-            lgv_threshold=lgv_threshold,
-            u_min=u_min,
-            u_max=u_max,
-            loss=loss,
-            x0=x0,
-            t_s=t_s,
-            duration=duration,
-            theta=theta,
-            n_truth=n_truth,
-            doubled_age_offset=doubled_age_offset,
-            q_c=q_c,
-            r_c=r_c,
-            m_steps=m_steps,
-            raw_state=raw_state,
-            strategies=tuple(strategies_data),
-        )
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return Scenario(
+        plant=params,
+        domain_margin=domain_margin,
+        predictor=predictor,
+        setpoint=setpoint,
+        lgv_threshold=lgv_threshold,
+        u_min=u_min,
+        u_max=u_max,
+        loss=loss,
+        x0=x0,
+        t_s=t_s,
+        duration=duration,
+        theta=theta,
+        n_truth=n_truth,
+        doubled_age_offset=doubled_age_offset,
+        q_c=q_c,
+        r_c=r_c,
+        m_steps=m_steps,
+        raw_state=raw_state,
+        strategies=tuple(strategies_data),
+    )
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import ncsim.cli
 from ncsim.cli import (
     EXIT_CALIBRATION,
     EXIT_CONFIG,
@@ -209,6 +210,28 @@ class TestRun:
         assert f"{key} must be finite" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "assignment, keys",
+        [
+            ("controller.lgv_threshold=0", ["controller.lgv_threshold"]),
+            ("controller.u_min=2", ["controller.u_min", "u_max"]),
+            ("controller.u_max=-1", ["controller.u_min", "u_max"]),
+            ("cost.m_steps=0", ["cost.m_steps"]),
+            ("cost.q_c=-1", ["cost.q_c"]),
+            ("cost.r_c=-1", ["cost.r_c"]),
+        ],
+    )
+    def test_constructor_range_error_names_its_key(
+        self, scenario_file, tmp_path, capsys, assignment, keys
+    ):
+        out = tmp_path / "o"
+        rc = main(["run", scenario_file(), "--set", assignment, "--out", str(out)])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        for key in keys:
+            assert key in err
+        assert not (out / "resolved_config.json").exists()
+
+    @pytest.mark.parametrize(
         "assignments, key",
         [
             (["sim.duration=1e12"], "sim.duration"),
@@ -319,6 +342,21 @@ class TestCompare:
             err = capsys.readouterr().err
             assert err.count("\n") == 1
             assert "ignores the seed" in err
+
+    @pytest.mark.parametrize("seeds", ["10001", "1000000000000"])
+    def test_seed_count_is_capped_before_any_artifact(
+        self, scenario_file, tmp_path, capsys, monkeypatch, seeds
+    ):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("compare ran past the --seeds cap")
+
+        # Without the cap the cell list alone would exhaust memory.
+        monkeypatch.setattr(ncsim.cli, "compare_strategies", must_not_run)
+        out = tmp_path / "o"
+        path = scenario_file({"loss": {"kind": "bernoulli", "p": 0.3, "seed": 5}})
+        assert main(["compare", path, "--seeds", seeds, "--out", str(out)]) == EXIT_CONFIG
+        assert "--seeds" in capsys.readouterr().err
+        assert not (out / "resolved_config.json").exists()
 
     def test_bad_arguments(self, scenario_file, tmp_path):
         path = scenario_file()

@@ -1,3 +1,4 @@
+import concurrent.futures
 import itertools
 import math
 
@@ -616,7 +617,11 @@ class TestCompareStrategies:
         pooled = compare_strategies(sc, n_seeds=2, workers=2)
         assert serial == pooled
 
-    def test_rejects_bad_arguments(self, small_scenario_dict):
+    def test_rejects_bad_arguments(self, small_scenario_dict, monkeypatch):
+        def must_not_run(task):
+            raise AssertionError("a cell ran despite bad arguments")
+
+        monkeypatch.setattr(ncsim.runtime, "_compare_cell", must_not_run)
         sc = small_scenario(small_scenario_dict)
         with pytest.raises(ValueError):
             compare_strategies(sc, strategies=("nope",))
@@ -624,6 +629,44 @@ class TestCompareStrategies:
             compare_strategies(sc, strategies=(ZERO_INPUT, ZERO_INPUT))
         with pytest.raises(ValueError):
             compare_strategies(sc, n_seeds=0)
+        with pytest.raises(ValueError, match="n_seeds"):
+            compare_strategies(sc, n_seeds=ncsim.runtime.MAX_COMPARE_SEEDS + 1)
+
+    @pytest.mark.parametrize(
+        "workers, strategies, n_seeds, pool_size",
+        [
+            (8, (HOLD_LAST_VALUE, ZERO_INPUT), 1, 2),
+            (2, (HOLD_LAST_VALUE, ZERO_INPUT), 3, 2),
+            (4, (ZERO_INPUT,), 1, None),
+        ],
+    )
+    def test_pool_is_sized_to_the_cell_count(
+        self, small_scenario_dict, monkeypatch, workers, strategies, n_seeds, pool_size
+    ):
+        sizes = []
+
+        class InlineExecutor:
+            """Records the requested pool size and runs cells in this process."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, iterable):
+                return map(fn, iterable)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
+        sc = small_scenario(
+            small_scenario_dict, {"loss": {"kind": "bernoulli", "p": 0.3, "seed": 9}}
+        )
+        pooled = compare_strategies(sc, strategies=strategies, n_seeds=n_seeds, workers=workers)
+        assert sizes == ([] if pool_size is None else [pool_size])
+        assert pooled == compare_strategies(sc, strategies=strategies, n_seeds=n_seeds)
 
 
 class TestRecordsCsv:
