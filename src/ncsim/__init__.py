@@ -36,7 +36,6 @@ from .losses import (
     NoLoss,
     TraceLoss,
     read_trace_file,
-    sample_reception,
 )
 from .plant import (
     SystemDynamics,
@@ -51,6 +50,7 @@ from .predictor import (
     SamplePair,
     calibrate_gamma_one,
     calibrate_gamma_two,
+    calibration,
     mean_squared_error,
     predict_step,
     predict_trajectory,
@@ -67,12 +67,10 @@ from .runtime import (
     SimSettings,
     SimulationRecord,
     compare_strategies,
-    evaluate_cost,
     integrate_interval,
     read_records_csv,
     run_closed_loop,
     run_scenario,
-    scenario_cost,
     write_comparison_csv,
     write_records_csv,
 )
@@ -83,7 +81,6 @@ from .scenario import (
     apply_overrides,
     builtin_scenario,
     builtin_scenario_dict,
-    load_scenario,
     resolved_json,
     scenario_from_dict,
     scenario_to_dict,
@@ -132,12 +129,11 @@ __all__ = [
     "builtin_scenario_dict",
     "calibrate_gamma_one",
     "calibrate_gamma_two",
+    "calibration",
     "closed_loop_vdot",
     "compare_strategies",
-    "evaluate_cost",
     "integrate_interval",
     "lie_derivatives",
-    "load_scenario",
     "mean_squared_error",
     "predict_step",
     "predict_trajectory",
@@ -148,8 +144,6 @@ __all__ = [
     "rk4_increment",
     "run_closed_loop",
     "run_scenario",
-    "sample_reception",
-    "scenario_cost",
     "scenario_from_dict",
     "scenario_to_dict",
     "sontag_from_lie",

@@ -18,18 +18,13 @@ import os
 import sys
 from typing import Optional, Sequence
 
-from .errors import (
-    CalibrationRangeError,
-    ConfigError,
-    SimulationDiverged,
-    TraceExhaustedError,
-)
-from .predictor import SamplePair, calibrate_gamma_one, calibrate_gamma_two, mean_squared_error, read_sample_pairs
+from .errors import ConfigError, SimulationDiverged, TraceExhaustedError
+from .predictor import SamplePair, calibration, read_sample_pairs
 from .runtime import (
     MAX_COMPARE_SEEDS,
+    MAX_COMPARE_WORKERS,
     STRATEGIES,
     compare_strategies,
-    evaluate_cost,
     run_scenario,
     write_comparison_csv,
     write_records_csv,
@@ -65,9 +60,10 @@ def _scenario_document(ref: str) -> dict:
         return builtin_scenario_dict(ref)
     if os.path.exists(ref):
         try:
-            with open(ref) as handle:
+            with open(ref, encoding="utf-8") as handle:
                 return json.load(handle)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
+            # undecodable bytes and nesting past the recursion limit too
             raise ConfigError(f"scenario file {ref!r} is not valid JSON: {exc}") from exc
         except OSError as exc:
             raise ConfigError(f"cannot read scenario file {ref!r}: {exc}") from exc
@@ -166,7 +162,8 @@ def cmd_run(args) -> int:
 
     write_records_csv(records, os.path.join(out, "trace.csv"))
 
-    initial_dev = abs(scenario.x0 - scenario.setpoint)
+    setpoint = scenario.lyapunov.setpoint
+    initial_dev = abs(scenario.sim.x0 - setpoint)
     loss_count = sum(1 for r in records if r.s == 0)
     summary = {
         "scenario": args.scenario,
@@ -176,18 +173,13 @@ def cmd_run(args) -> int:
         "diverged": diverged is not None,
     }
     if diverged is None:
-        final_dev = abs(result.x_final - scenario.setpoint)
+        final_dev = abs(result.x_final - setpoint)
         summary["x_final"] = result.x_final
         summary["deviation_ratio"] = (
             final_dev / initial_dev if initial_dev > 0 else None
         )
         summary["j_total"] = records[-1].j_running if records else 0.0
-        summary["j_m_steps"] = evaluate_cost(
-            records,
-            scenario.cost_weights(),
-            setpoint=scenario.setpoint,
-            raw_state=scenario.raw_state,
-        )
+        summary["j_m_steps"] = result.cost(scenario.cost)
     else:
         summary["diverged_step"] = diverged.step
         summary["reason"] = diverged.reason
@@ -215,8 +207,10 @@ def cmd_compare(args) -> int:
         strategies = tuple(name.strip() for name in args.strategies.split(",") if name.strip())
     if not 1 <= args.seeds <= MAX_COMPARE_SEEDS:
         raise ConfigError(f"--seeds must lie in [1, {MAX_COMPARE_SEEDS}], got {args.seeds}")
-    if args.workers < 1:
-        raise ConfigError("--workers must be >= 1")
+    if not 1 <= args.workers <= MAX_COMPARE_WORKERS:
+        raise ConfigError(
+            f"--workers must lie in [1, {MAX_COMPARE_WORKERS}], got {args.workers}"
+        )
     _write_text(os.path.join(out, "resolved_config.json"), resolved_json(scenario))
     try:
         result = compare_strategies(
@@ -274,36 +268,20 @@ def cmd_calibrate(args) -> int:
         raise ConfigError(f"cannot load samples from {args.samples!r}: {exc}") from exc
 
     if args.method == "one":
-        predicted, measured = _flatten(pairs)
-        e_values = [mean_squared_error(predicted, measured)]
-        mean_pred = sum(predicted) / len(predicted)
-        mean_meas = sum(measured) / len(measured)
+        recordings = [_flatten(pairs)]
     else:
-        e_values = [mean_squared_error(p.predicted, p.measured) for p in pairs]
-        means_pred = [sum(p.predicted) / len(p.predicted) for p in pairs]
-        means_meas = [sum(p.measured) / len(p.measured) for p in pairs]
-        mean_pred = sum(means_pred) / len(means_pred)
-        mean_meas = sum(means_meas) / len(means_meas)
-    zeta = 1 if mean_pred <= mean_meas else -1
+        recordings = [(pair.predicted, pair.measured) for pair in pairs]
     try:
-        if args.method == "one":
-            gamma = calibrate_gamma_one(predicted, measured)
-        else:
-            gamma = calibrate_gamma_two(pairs)
-        in_range = True
-    except CalibrationRangeError as exc:
-        gamma = exc.gamma
-        in_range = False
+        e_values, e, zeta, gamma = calibration(recordings)
     except ZeroDivisionError as exc:
         raise ConfigError(f"samples are degenerate: {exc}") from exc
+    in_range = abs(gamma) < 1
 
     print(f"method: {args.method}")
     if args.method == "two":
         for index, e_i in enumerate(e_values):
             print(f"E_{index}: {e_i!r}")
-        print(f"E: {sum(e_values) / len(e_values)!r}")
-    else:
-        print(f"E: {e_values[0]!r}")
+    print(f"E: {e!r}")
     print(f"zeta: {zeta:+d}")
     print(f"gamma: {gamma!r}")
     print(f"in_range: {'true' if in_range else 'false'}")

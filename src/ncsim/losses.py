@@ -1,6 +1,6 @@
 """Reception models for the sensor-to-controller link.
 
-``sample_reception(model, k)`` returns 1 when the measurement of control
+``model.sample_reception(k)`` returns 1 when the measurement of control
 interval ``k`` reaches the controller and 0 when it is lost.  Only the
 measurement link is lossy; actuation is assumed reliable.  Stochastic
 models own a seeded stream (stdlib Mersenne Twister, so a fixed seed
@@ -30,11 +30,6 @@ class LossModel(ABC):
     @abstractmethod
     def _bit(self, k: int) -> int:
         ...
-
-
-def sample_reception(model: LossModel, k: int) -> int:
-    """Reception bit for control interval ``k`` (1 received, 0 lost)."""
-    return model.sample_reception(k)
 
 
 class NoLoss(LossModel):
@@ -153,7 +148,7 @@ class TraceLoss(LossModel):
 def read_trace_file(path: str) -> list[int]:
     """Read a reception trace: one 0 or 1 per line, blanks ignored."""
     bits = []
-    with open(path) as handle:
+    with open(path, encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
             text = line.strip()
             if not text:

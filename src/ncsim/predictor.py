@@ -43,7 +43,7 @@ class PredictorConfig:
         if not self.delta > 0:
             raise ValueError(f"delta must be positive, got {self.delta!r}")
         if not abs(self.gamma) < 1:
-            raise ValueError(f"|gamma| must be < 1, got {self.gamma!r}")
+            raise ValueError(f"gamma must lie in (-1, 1), got {self.gamma!r}")
         if self.horizon < 1:
             raise ValueError(f"horizon must be >= 1, got {self.horizon!r}")
 
@@ -165,6 +165,31 @@ def _check_range(gamma: float) -> float:
     return gamma
 
 
+def calibration(
+    recordings: Sequence[tuple[Sequence[float], Sequence[float]]],
+) -> tuple[list[float], float, int, float]:
+    """Calibration statistics of (predicted, measured) recordings.
+
+    Returns ``(e_values, e, zeta, gamma)``: each recording's mean squared
+    error, their mean E, the sign zeta (+1 exactly when the grand mean of
+    the recordings' prediction means is at most that of their measurement
+    means) and gamma = zeta * E / that grand mean prediction, not yet
+    range-checked.  One recording gives the single-recording method.
+    Raises ``ZeroDivisionError`` for a zero grand mean prediction.
+    """
+    if not recordings:
+        raise ValueError("at least one sample pair is required")
+    m = len(recordings)
+    e_values = [mean_squared_error(predicted, measured) for predicted, measured in recordings]
+    e = sum(e_values) / m
+    grand_pred = sum(_mean(predicted) for predicted, _ in recordings) / m
+    grand_meas = sum(_mean(measured) for _, measured in recordings) / m
+    if grand_pred == 0.0:
+        raise ZeroDivisionError("mean predicted state is zero")
+    zeta = 1 if grand_pred <= grand_meas else -1
+    return e_values, e, zeta, zeta * e / grand_pred
+
+
 def calibrate_gamma_one(
     predicted: Sequence[float], measured: Sequence[float]
 ) -> float:
@@ -176,13 +201,7 @@ def calibrate_gamma_one(
     mean prediction and ``CalibrationRangeError`` when the result has
     magnitude one or more.
     """
-    e = mean_squared_error(predicted, measured)
-    mean_pred = _mean(predicted)
-    mean_meas = _mean(measured)
-    if mean_pred == 0.0:
-        raise ZeroDivisionError("mean predicted state is zero")
-    zeta = 1.0 if mean_pred <= mean_meas else -1.0
-    return _check_range(zeta * e / mean_pred)
+    return _check_range(calibration([(predicted, measured)])[3])
 
 
 def calibrate_gamma_two(pairs: Sequence[SamplePair]) -> float:
@@ -193,16 +212,7 @@ def calibrate_gamma_two(pairs: Sequence[SamplePair]) -> float:
     the grand means of predictions and measurements.  With a single pair
     this collapses to the single-recording method.
     """
-    if not pairs:
-        raise ValueError("at least one sample pair is required")
-    m = len(pairs)
-    e = sum(mean_squared_error(p.predicted, p.measured) for p in pairs) / m
-    grand_pred = sum(_mean(p.predicted) for p in pairs) / m
-    grand_meas = sum(_mean(p.measured) for p in pairs) / m
-    if grand_pred == 0.0:
-        raise ZeroDivisionError("grand mean predicted state is zero")
-    zeta = 1.0 if grand_pred <= grand_meas else -1.0
-    return _check_range(zeta * e / grand_pred)
+    return _check_range(calibration([(p.predicted, p.measured) for p in pairs])[3])
 
 
 def read_sample_pairs(path: str) -> list[SamplePair]:

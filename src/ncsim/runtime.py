@@ -39,6 +39,8 @@ STRATEGIES = (PREDICTIVE_BUFFER, HOLD_LAST_VALUE, ZERO_INPUT)
 
 # Paired seeds one compare may ask for; the cell list is built up front.
 MAX_COMPARE_SEEDS = 10_000
+# Pool workers one compare may ask for; under fork all start at once.
+MAX_COMPARE_WORKERS = 64
 
 TRACE_HEADER = ("k", "t", "x_true", "x_pred", "s", "i", "u", "J_running")
 
@@ -71,11 +73,17 @@ class SimulationRecord:
 
 @dataclass(frozen=True)
 class CostWeights:
-    """Quadratic stage-cost weights and evaluation horizon."""
+    """Quadratic stage-cost weights and evaluation horizon.
+
+    The stage cost is q_c * (x - setpoint)^2 + r_c * u^2, with the
+    undeviated state x under ``raw_state``; ``RunResult.cost`` reads a
+    run's running cost after ``m_steps`` intervals.
+    """
 
     q_c: float
     r_c: float
     m_steps: int
+    raw_state: bool = False
 
     def __post_init__(self):
         for name, value in (("q_c", self.q_c), ("r_c", self.r_c)):
@@ -109,7 +117,7 @@ class SimSettings:
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
         if self.n_truth < 1:
-            raise ValueError("n_truth must be >= 1")
+            raise ValueError(f"n_truth must be >= 1, got {self.n_truth!r}")
 
 
 @dataclass(frozen=True)
@@ -118,6 +126,10 @@ class RunResult:
 
     records: tuple[SimulationRecord, ...]
     x_final: float
+
+    def cost(self, weights: CostWeights) -> float:
+        """The run's cost: its running cost after ``weights.m_steps`` intervals."""
+        return self.records[weights.m_steps - 1].j_running
 
 
 def integrate_interval(
@@ -157,7 +169,6 @@ def run_closed_loop(
     strategy: str,
     sim: SimSettings,
     weights: CostWeights,
-    cost_raw_state: bool = False,
     steps_per_input: int = 1,
 ) -> RunResult:
     """Simulate the lossy loop and return per-interval records.
@@ -175,6 +186,7 @@ def run_closed_loop(
 
     horizon = predictor_cfg.horizon
     setpoint = lyapunov.setpoint
+    raw_state = weights.raw_state
     records: list[SimulationRecord] = []
     x = sim.x0
     # State and step the next plan starts from; it is planned only when a
@@ -230,7 +242,7 @@ def run_closed_loop(
                     u = 0.0
                     age = min(age + 1, horizon)
 
-            deviation = x if cost_raw_state else x - setpoint
+            deviation = x if raw_state else x - setpoint
             j_running += weights.q_c * deviation * deviation + weights.r_c * u * u
             records.append(
                 SimulationRecord(
@@ -251,53 +263,12 @@ def run_closed_loop(
     return RunResult(records=tuple(records), x_final=x)
 
 
-def evaluate_cost(
-    records: Sequence[SimulationRecord],
-    weights: CostWeights,
-    setpoint: float = 0.0,
-    raw_state: bool = False,
-) -> float:
-    """Quadratic cost over the first ``m_steps`` records.
-
-    Sums q_c * (x - setpoint)^2 + r_c * u^2 per interval; with
-    ``raw_state`` the undeviated state enters the quadratic term.
-    """
-    if not records:
-        raise ValueError("records must be non-empty")
-    if weights.m_steps > len(records):
-        raise ValueError(
-            f"m_steps={weights.m_steps} exceeds record count {len(records)}"
-        )
-    total = 0.0
-    for record in records[: weights.m_steps]:
-        deviation = record.x_true if raw_state else record.x_true - setpoint
-        total += weights.q_c * deviation * deviation + weights.r_c * record.u * record.u
-    return total
-
-
 def run_scenario(scenario, strategy: str, seed: Optional[int] = None) -> RunResult:
     """Run one strategy of a scenario, optionally overriding the loss seed."""
     return run_closed_loop(
-        dynamics=scenario.build_dynamics(),
-        predictor_cfg=scenario.predictor_config(),
-        lyapunov=scenario.lyapunov(),
-        control_cfg=scenario.controller_config(),
-        loss_model=scenario.build_loss(seed),
-        strategy=strategy,
-        sim=scenario.sim_settings(),
-        weights=scenario.cost_weights(),
-        cost_raw_state=scenario.cost_raw_state(),
-        steps_per_input=scenario.steps_per_input(),
-    )
-
-
-def scenario_cost(scenario, result: RunResult) -> float:
-    """Evaluate a finished run under the scenario's cost settings."""
-    return evaluate_cost(
-        result.records,
-        scenario.cost_weights(),
-        setpoint=scenario.lyapunov().setpoint,
-        raw_state=scenario.cost_raw_state(),
+        scenario.build_dynamics(), scenario.predictor, scenario.lyapunov,
+        scenario.controller, scenario.loss.build(seed), strategy, scenario.sim,
+        scenario.cost, scenario.steps_per_input(),
     )
 
 
@@ -341,7 +312,7 @@ def _compare_cell(args) -> tuple[str, int, Optional[float]]:
         result = run_scenario(scenario, strategy, seed=seed)
     except SimulationDiverged:
         return strategy, seed, None
-    return strategy, seed, scenario_cost(scenario, result)
+    return strategy, seed, result.cost(scenario.cost)
 
 
 def compare_strategies(
@@ -355,11 +326,12 @@ def compare_strategies(
     Seeds are ``base_seed + j`` for j < n_seeds, shared across
     strategies so comparisons are paired.  A seedless channel (``none``
     or ``trace``) realizes the same losses under every seed, so it runs
-    ``base_seed`` only.  A diverged cell is marked
-    None instead of aborting the table.  ``workers > 1`` fans cells out
-    to a process pool of at most one worker per cell, imported only
-    then; results are keyed by cell, so the output does not depend on
-    completion order.
+    ``base_seed`` only.  A cell's cost is its run's running cost after
+    ``cost.m_steps`` intervals; a diverged cell is marked None instead
+    of aborting the table.  ``workers > 1``, at most
+    ``MAX_COMPARE_WORKERS``, fans cells out to a process pool of at most
+    one worker per cell, imported only then; results are keyed by cell,
+    so the output does not depend on completion order.
     """
     chosen = tuple(strategies) if strategies else tuple(scenario.strategies)
     if not chosen:
@@ -371,7 +343,9 @@ def compare_strategies(
         raise ValueError("strategies must be unique")
     if not 1 <= n_seeds <= MAX_COMPARE_SEEDS:
         raise ValueError(f"n_seeds must lie in [1, {MAX_COMPARE_SEEDS}], got {n_seeds!r}")
-    base_seed = scenario.loss_seed()
+    if not 1 <= workers <= MAX_COMPARE_WORKERS:
+        raise ValueError(f"workers must lie in [1, {MAX_COMPARE_WORKERS}], got {workers!r}")
+    base_seed = scenario.loss.seed
     if not scenario.loss.seeded:
         n_seeds = 1
     seeds = tuple(base_seed + j for j in range(n_seeds))

@@ -2,10 +2,12 @@
 
 A scenario bundles plant parameters, predictor and controller settings,
 the loss channel, simulation grid, cost weights, and the strategy list.
-Parsing is strict: unknown keys and wrong-typed values are rejected so a
-typo cannot silently fall back to a default.  ``to_dict`` emits a
-canonical form whose JSON serialization is stable under reload, which
-is what makes resolved-config snapshots byte-reproducible.
+Every key's type and default is written once, in ``_SCHEMA``; parsing
+and ``scenario_to_dict`` are both walks over it.  Parsing is strict:
+unknown keys and wrong-typed values are rejected so a typo cannot
+silently fall back to a default.  ``scenario_to_dict`` emits a canonical
+form whose JSON serialization is stable under reload, which is what
+makes resolved-config snapshots byte-reproducible.
 """
 
 import json
@@ -47,7 +49,9 @@ class LossSpec:
 
     ``build`` instantiates the model, optionally overriding the seed so
     paired comparisons can enumerate seeds without editing the channel
-    description itself.
+    description itself.  A trace channel reads its file once, here, so
+    a missing or malformed trace is a config error before anything runs
+    and compare cells do not read it again.
     """
 
     kind: str
@@ -58,6 +62,7 @@ class LossSpec:
     loss_in_bad: Optional[float] = None
     trace_path: Optional[str] = None
     wrap: bool = False
+    bits: tuple = field(default=(), init=False, repr=False)
 
     def __post_init__(self):
         if self.kind not in LOSS_KINDS:
@@ -76,6 +81,13 @@ class LossSpec:
             value = getattr(self, name)
             if value is not None and not 0.0 <= value <= 1.0:
                 raise ConfigError(f"loss.{name} must lie in [0, 1], got {value!r}")
+        if self.kind == "trace":
+            try:
+                object.__setattr__(self, "bits", tuple(read_trace_file(self.trace_path)))
+            except (OSError, ValueError) as exc:
+                raise ConfigError(
+                    f"loss.trace_path {self.trace_path!r} is not a readable trace: {exc}"
+                ) from exc
 
     @property
     def seeded(self) -> bool:
@@ -93,32 +105,46 @@ class LossSpec:
             return GilbertElliottLoss(
                 self.p_g2b, self.p_b2g, self.loss_in_bad, seed=effective
             )
-        return TraceLoss(read_trace_file(self.trace_path), wrap=self.wrap)
+        return TraceLoss(self.bits, wrap=self.wrap)
+
+
+def _steps(duration: float, t_s: float) -> int:
+    """Control intervals in ``duration``, a whole multiple of ``t_s``."""
+    if not t_s > 0:
+        raise ConfigError("sim.t_s must be positive")
+    ratio = duration / t_s
+    if not ratio < MAX_STEPS + 0.5:
+        raise ConfigError(
+            f"sim.duration {duration!r} / sim.t_s {t_s!r} asks for more "
+            f"than {MAX_STEPS} steps"
+        )
+    steps = round(ratio)
+    if steps < 1 or abs(ratio - steps) > _RATIO_TOL * max(1.0, steps):
+        raise ConfigError(
+            f"sim.duration {duration!r} must be a positive whole multiple of sim.t_s"
+        )
+    return steps
 
 
 @dataclass(frozen=True)
 class Scenario:
-    """Complete, validated description of one closed-loop experiment."""
+    """Complete, validated description of one closed-loop experiment.
+
+    It holds the config objects the loop takes.  ``duration`` is kept as
+    the document wrote it, so snapshots reproduce it; ``sim.steps`` is
+    derived from it.
+    """
 
     plant: TankParams
     domain_margin: float
     predictor: PredictorConfig
-    setpoint: float
-    lgv_threshold: float
-    u_min: float
-    u_max: float
+    lyapunov: LyapunovSpec
+    controller: ControllerConfig
     loss: LossSpec
-    x0: float
-    t_s: float
+    sim: SimSettings
     duration: float
-    theta: UncertaintySignal
-    n_truth: int = 20
-    doubled_age_offset: bool = False
-    q_c: float = 1.0
-    r_c: float = 1.0e6
-    m_steps: int = 1
-    raw_state: bool = False
-    strategies: tuple = field(default=STRATEGIES)
+    cost: CostWeights
+    strategies: tuple
 
     def __post_init__(self):
         if self.domain_margin < 0:
@@ -127,31 +153,21 @@ class Scenario:
         hi = self.plant.p1 - self.domain_margin
         if not lo < hi:
             raise ConfigError("plant.domain_margin leaves an empty state domain")
-        if not lo < self.setpoint < hi:
+        if not lo < self.lyapunov.setpoint < hi:
             raise ConfigError(
-                f"controller.setpoint {self.setpoint!r} outside state domain ({lo!r}, {hi!r})"
+                f"controller.setpoint {self.lyapunov.setpoint!r} outside state domain "
+                f"({lo!r}, {hi!r})"
             )
-        if not lo < self.x0 < hi:
+        if not lo < self.sim.x0 < hi:
             raise ConfigError(
-                f"sim.x0 {self.x0!r} outside state domain ({lo!r}, {hi!r})"
+                f"sim.x0 {self.sim.x0!r} outside state domain ({lo!r}, {hi!r})"
             )
-        if not self.t_s > 0:
-            raise ConfigError("sim.t_s must be positive")
-        if not self.duration / self.t_s < MAX_STEPS + 0.5:
+        steps = self.sim.steps
+        if _steps(self.duration, self.sim.t_s) != steps:
+            raise ConfigError(f"sim.duration {self.duration!r} is not {steps} steps")
+        if steps * self.sim.n_truth > MAX_TRUTH_SUBSTEPS:
             raise ConfigError(
-                f"sim.duration {self.duration!r} / sim.t_s {self.t_s!r} asks for more "
-                f"than {MAX_STEPS} steps"
-            )
-        steps = self._steps()
-        if steps is None:
-            raise ConfigError(
-                f"sim.duration {self.duration!r} must be a positive whole multiple of sim.t_s"
-            )
-        if self.n_truth < 1:
-            raise ConfigError(f"sim.n_truth must be >= 1, got {self.n_truth!r}")
-        if steps * self.n_truth > MAX_TRUTH_SUBSTEPS:
-            raise ConfigError(
-                f"sim.n_truth {self.n_truth} over {steps} steps asks for more than "
+                f"sim.n_truth {self.sim.n_truth} over {steps} steps asks for more than "
                 f"{MAX_TRUTH_SUBSTEPS} truth substeps"
             )
         per_input = self.steps_per_input()
@@ -161,9 +177,9 @@ class Scenario:
                 f"steps per interval (sim.t_s / predictor.delta) x {steps} steps may ask "
                 f"for more than {MAX_PREDICTOR_STEPS} predictor steps"
             )
-        if self.m_steps > steps:
+        if self.cost.m_steps > steps:
             raise ConfigError(
-                f"cost.m_steps {self.m_steps} exceeds the {steps} simulated steps"
+                f"cost.m_steps {self.cost.m_steps} exceeds the {steps} simulated steps"
             )
         if not self.strategies:
             raise ConfigError("strategies must be non-empty")
@@ -174,60 +190,9 @@ class Scenario:
                 raise ConfigError(
                     f"unknown strategy {name!r}, expected one of {STRATEGIES}"
                 )
-        # Constructing these validates their own field ranges up front.
-        # Their messages start with the field name, so the section prefix
-        # turns it into the scenario key.
-        for section, build in (
-            ("controller", self.controller_config),
-            ("cost", self.cost_weights),
-        ):
-            try:
-                build()
-            except ValueError as exc:
-                raise ConfigError(f"{section}.{exc}") from exc
-
-    def _steps(self) -> Optional[int]:
-        ratio = self.duration / self.t_s
-        steps = round(ratio)
-        if steps < 1 or abs(ratio - steps) > _RATIO_TOL * max(1.0, steps):
-            return None
-        return steps
 
     def build_dynamics(self):
         return tank_dynamics(self.plant, margin=self.domain_margin)
-
-    def predictor_config(self) -> PredictorConfig:
-        return self.predictor
-
-    def lyapunov(self) -> LyapunovSpec:
-        return LyapunovSpec(setpoint=self.setpoint)
-
-    def controller_config(self) -> ControllerConfig:
-        return ControllerConfig(
-            lgv_threshold=self.lgv_threshold, u_min=self.u_min, u_max=self.u_max
-        )
-
-    def build_loss(self, seed: Optional[int] = None) -> LossModel:
-        return self.loss.build(seed)
-
-    def loss_seed(self) -> int:
-        return self.loss.seed
-
-    def sim_settings(self) -> SimSettings:
-        return SimSettings(
-            x0=self.x0,
-            t_s=self.t_s,
-            steps=self._steps(),
-            theta=self.theta,
-            n_truth=self.n_truth,
-            doubled_age_offset=self.doubled_age_offset,
-        )
-
-    def cost_weights(self) -> CostWeights:
-        return CostWeights(q_c=self.q_c, r_c=self.r_c, m_steps=self.m_steps)
-
-    def cost_raw_state(self) -> bool:
-        return self.raw_state
 
     def steps_per_input(self) -> int:
         """Predictor substeps per control interval.
@@ -237,7 +202,7 @@ class Scenario:
         instants.  Otherwise one predictor step per interval is taken at
         the configured step size, mismatch and all.
         """
-        ratio = self.t_s / self.predictor.delta
+        ratio = self.sim.t_s / self.predictor.delta
         if math.isinf(ratio):
             return 1
         n = round(ratio)
@@ -246,55 +211,46 @@ class Scenario:
         return 1
 
 
-def _check_keys(section: str, data: dict, allowed: Sequence[str]) -> None:
-    for key in data:
-        if key not in allowed:
-            raise ConfigError(f"unknown key {section}.{key}" if section else f"unknown key {key}")
-
-
-def _get(section: str, data: dict, key: str, required: bool, default=None):
-    if key in data:
-        return data[key]
-    if required:
-        label = f"{section}.{key}" if section else key
-        raise ConfigError(f"missing required key {label}")
-    return default
-
-
-def _number(section: str, key: str, value) -> float:
+def _number(label: str, value) -> float:
     """A finite float; JSON admits NaN, Infinity and integers past float range."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{section}.{key} must be a number, got {value!r}")
+        raise ConfigError(f"{label} must be a number, got {value!r}")
     try:
         number = float(value)
     except OverflowError:
         number = math.inf
     if not math.isfinite(number):
-        raise ConfigError(f"{section}.{key} must be finite, got {value!r}")
+        raise ConfigError(f"{label} must be finite, got {value!r}")
     return number
 
 
-def _integer(section: str, key: str, value) -> int:
+def _integer(label: str, value) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{section}.{key} must be an integer, got {value!r}")
+        raise ConfigError(f"{label} must be an integer, got {value!r}")
     return value
 
 
-def _boolean(section: str, key: str, value) -> bool:
+def _boolean(label: str, value) -> bool:
     if not isinstance(value, bool):
-        raise ConfigError(f"{section}.{key} must be a boolean, got {value!r}")
+        raise ConfigError(f"{label} must be a boolean, got {value!r}")
     return value
 
 
-def _string(section: str, key: str, value) -> str:
+def _string(label: str, value) -> str:
     if not isinstance(value, str):
-        raise ConfigError(f"{section}.{key} must be a string, got {value!r}")
+        raise ConfigError(f"{label} must be a string, got {value!r}")
     return value
 
 
-def _parse_theta(value) -> UncertaintySignal:
+def _loss_kind(label: str, value) -> str:
+    if _string(label, value) not in LOSS_KINDS:
+        raise ConfigError(f"{label} must be one of {LOSS_KINDS}, got {value!r}")
+    return value
+
+
+def _theta(label: str, value) -> UncertaintySignal:
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return UncertaintySignal.constant(_number("sim", "theta", value))
+        return UncertaintySignal.constant(_number(label, value))
     if isinstance(value, list):
         times = []
         values = []
@@ -305,49 +261,102 @@ def _parse_theta(value) -> UncertaintySignal:
                 or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in entry)
             ):
                 raise ConfigError(
-                    f"sim.theta entries must be [time, value] number pairs, got {entry!r}"
+                    f"{label} entries must be [time, value] number pairs, got {entry!r}"
                 )
-            times.append(_number("sim", "theta", entry[0]))
-            values.append(_number("sim", "theta", entry[1]))
+            times.append(_number(label, entry[0]))
+            values.append(_number(label, entry[1]))
         try:
             return UncertaintySignal(times=tuple(times), values=tuple(values))
         except ValueError as exc:
-            raise ConfigError(f"sim.theta: {exc}") from exc
-    raise ConfigError(f"sim.theta must be a number or a list of pairs, got {value!r}")
+            raise ConfigError(f"{label}: {exc}") from exc
+    raise ConfigError(f"{label} must be a number or a list of pairs, got {value!r}")
 
 
-def _parse_loss(data) -> LossSpec:
-    if not isinstance(data, dict):
-        raise ConfigError("loss section must be an object")
-    kind = _string("loss", "kind", _get("loss", data, "kind", required=True))
-    common = ["kind", "seed"]
-    per_kind = {
-        "none": [],
-        "bernoulli": ["p"],
-        "gilbert-elliott": ["p_g2b", "p_b2g", "loss_in_bad"],
-        "trace": ["trace_path", "wrap"],
-    }
-    if kind not in per_kind:
-        raise ConfigError(f"loss.kind must be one of {LOSS_KINDS}, got {kind!r}")
-    _check_keys("loss", data, common + per_kind[kind])
-    seed = _integer("loss", "seed", _get("loss", data, "seed", required=False, default=0))
-    kwargs = {"kind": kind, "seed": seed}
-    if kind == "bernoulli":
-        kwargs["p"] = _number("loss", "p", _get("loss", data, "p", required=True))
-    elif kind == "gilbert-elliott":
-        for name in ("p_g2b", "p_b2g", "loss_in_bad"):
-            kwargs[name] = _number("loss", name, _get("loss", data, name, required=True))
-    elif kind == "trace":
-        kwargs["trace_path"] = _string(
-            "loss", "trace_path", _get("loss", data, "trace_path", required=True)
-        )
-        kwargs["wrap"] = _boolean(
-            "loss", "wrap", _get("loss", data, "wrap", required=False, default=False)
-        )
-    try:
-        return LossSpec(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+def _strategies(label: str, value) -> tuple:
+    if not isinstance(value, list) or not all(isinstance(s, str) for s in value):
+        raise ConfigError(f"{label} must be a list of strings")
+    return tuple(value)
+
+
+_REQUIRED = object()
+
+# Every scenario key, in snapshot order: (section, key, checker, default
+# or _REQUIRED, the Scenario field holding the value ("" for Scenario
+# itself), the loss kinds the key belongs to (None for all)).  Section
+# "" is the top level of the document.
+_SCHEMA = (
+    ("plant", "alpha1", _number, _REQUIRED, "plant", None),
+    ("plant", "alpha2", _number, _REQUIRED, "plant", None),
+    ("plant", "a1", _number, _REQUIRED, "plant", None),
+    ("plant", "a2", _number, _REQUIRED, "plant", None),
+    ("plant", "p1", _number, _REQUIRED, "plant", None),
+    ("plant", "p2", _number, _REQUIRED, "plant", None),
+    ("plant", "rho", _number, _REQUIRED, "plant", None),
+    ("plant", "vol", _number, _REQUIRED, "plant", None),
+    ("plant", "m2", _number, _REQUIRED, "plant", None),
+    ("plant", "domain_margin", _number, 1e-3, "", None),
+    ("predictor", "delta", _number, _REQUIRED, "predictor", None),
+    ("predictor", "gamma", _number, _REQUIRED, "predictor", None),
+    ("predictor", "horizon", _integer, _REQUIRED, "predictor", None),
+    ("controller", "setpoint", _number, _REQUIRED, "lyapunov", None),
+    ("controller", "lgv_threshold", _number, 1e-9, "controller", None),
+    ("controller", "u_min", _number, 0.0, "controller", None),
+    ("controller", "u_max", _number, 1.0, "controller", None),
+    ("loss", "kind", _loss_kind, _REQUIRED, "loss", None),
+    ("loss", "seed", _integer, 0, "loss", None),
+    ("loss", "p", _number, _REQUIRED, "loss", ("bernoulli",)),
+    ("loss", "p_g2b", _number, _REQUIRED, "loss", ("gilbert-elliott",)),
+    ("loss", "p_b2g", _number, _REQUIRED, "loss", ("gilbert-elliott",)),
+    ("loss", "loss_in_bad", _number, _REQUIRED, "loss", ("gilbert-elliott",)),
+    ("loss", "trace_path", _string, _REQUIRED, "loss", ("trace",)),
+    ("loss", "wrap", _boolean, False, "loss", ("trace",)),
+    ("sim", "x0", _number, _REQUIRED, "sim", None),
+    ("sim", "t_s", _number, _REQUIRED, "sim", None),
+    ("sim", "duration", _number, _REQUIRED, "", None),
+    ("sim", "theta", _theta, _REQUIRED, "sim", None),
+    ("sim", "n_truth", _integer, 20, "sim", None),
+    ("sim", "doubled_age_offset", _boolean, False, "sim", None),
+    ("cost", "q_c", _number, _REQUIRED, "cost", None),
+    ("cost", "r_c", _number, _REQUIRED, "cost", None),
+    ("cost", "m_steps", _integer, _REQUIRED, "cost", None),
+    ("cost", "raw_state", _boolean, False, "cost", None),
+    ("", "strategies", _strategies, STRATEGIES, "", None),
+)
+
+_TOP_KEYS = tuple(dict.fromkeys(row[0] or row[1] for row in _SCHEMA))
+
+# The class each Scenario field is built with from its gathered keys.
+_CLASSES = {
+    "plant": TankParams,
+    "predictor": PredictorConfig,
+    "lyapunov": LyapunovSpec,
+    "controller": ControllerConfig,
+    "loss": LossSpec,
+    "sim": SimSettings,
+    "cost": CostWeights,
+}
+
+
+def _check_keys(section: str, data: dict, allowed) -> None:
+    for key in data:
+        if key not in allowed:
+            raise ConfigError(f"unknown key {section}.{key}" if section else f"unknown key {key}")
+
+
+def _section(data: dict, name: str) -> dict:
+    if not name:
+        return data
+    if name not in data:
+        if name == "loss":
+            return {"kind": "none"}
+        raise ConfigError(f"missing required key {name}")
+    if not isinstance(data[name], dict):
+        raise ConfigError(f"{name} section must be an object")
+    return data[name]
+
+
+def _rows(kind: str):
+    return [row for row in _SCHEMA if row[5] is None or kind in row[5]]
 
 
 def scenario_from_dict(data: dict) -> Scenario:
@@ -358,190 +367,58 @@ def scenario_from_dict(data: dict) -> Scenario:
     """
     if not isinstance(data, dict):
         raise ConfigError("scenario document must be a JSON object")
-    _check_keys(
-        "", data, ["plant", "predictor", "controller", "loss", "sim", "cost", "strategies"]
-    )
+    _check_keys("", data, _TOP_KEYS)
+    loss = _section(data, "loss")
+    if "kind" not in loss:
+        raise ConfigError("missing required key loss.kind")
+    rows = _rows(_loss_kind("loss.kind", loss["kind"]))
+    sections: dict = {}
+    held: dict = {}
+    for section, key, check, default, holder, _ in rows:
+        if section not in sections:
+            sections[section] = _section(data, section)
+            if section:
+                _check_keys(section, sections[section], [r[1] for r in rows if r[0] == section])
+        label = f"{section}.{key}" if section else key
+        if key in sections[section]:
+            value = check(label, sections[section][key])
+        elif default is _REQUIRED:
+            raise ConfigError(f"missing required key {label}")
+        else:
+            value = default
+        held.setdefault(holder, {})[key] = value
+    fields = held.pop("")
+    held["sim"]["steps"] = _steps(fields["duration"], held["sim"]["t_s"])
+    for holder, cls in _CLASSES.items():
+        try:
+            fields[holder] = cls(**held[holder])
+        except ConfigError:
+            raise
+        except ValueError as exc:
+            # The constructors name the field; the section makes it the key.
+            section = "controller" if holder == "lyapunov" else holder
+            raise ConfigError(f"{section}.{exc}") from exc
+    return Scenario(**fields)
 
-    plant_data = _get("", data, "plant", required=True)
-    if not isinstance(plant_data, dict):
-        raise ConfigError("plant section must be an object")
-    plant_keys = ["alpha1", "alpha2", "a1", "a2", "p1", "p2", "rho", "vol", "m2"]
-    _check_keys("plant", plant_data, plant_keys + ["domain_margin"])
-    plant_kwargs = {
-        key: _number("plant", key, _get("plant", plant_data, key, required=True))
-        for key in plant_keys
-    }
-    try:
-        params = TankParams(**plant_kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"plant: {exc}") from exc
-    domain_margin = _number(
-        "plant",
-        "domain_margin",
-        _get("plant", plant_data, "domain_margin", required=False, default=1e-3),
-    )
 
-    pred_data = _get("", data, "predictor", required=True)
-    if not isinstance(pred_data, dict):
-        raise ConfigError("predictor section must be an object")
-    _check_keys("predictor", pred_data, ["delta", "gamma", "horizon"])
-    try:
-        predictor = PredictorConfig(
-            delta=_number("predictor", "delta", _get("predictor", pred_data, "delta", required=True)),
-            gamma=_number("predictor", "gamma", _get("predictor", pred_data, "gamma", required=True)),
-            horizon=_integer(
-                "predictor", "horizon", _get("predictor", pred_data, "horizon", required=True)
-            ),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"predictor: {exc}") from exc
-
-    ctrl_data = _get("", data, "controller", required=True)
-    if not isinstance(ctrl_data, dict):
-        raise ConfigError("controller section must be an object")
-    _check_keys("controller", ctrl_data, ["setpoint", "lgv_threshold", "u_min", "u_max"])
-    setpoint = _number("controller", "setpoint", _get("controller", ctrl_data, "setpoint", required=True))
-    lgv_threshold = _number(
-        "controller",
-        "lgv_threshold",
-        _get("controller", ctrl_data, "lgv_threshold", required=False, default=1e-9),
-    )
-    u_min = _number(
-        "controller", "u_min", _get("controller", ctrl_data, "u_min", required=False, default=0.0)
-    )
-    u_max = _number(
-        "controller", "u_max", _get("controller", ctrl_data, "u_max", required=False, default=1.0)
-    )
-
-    loss = _parse_loss(_get("", data, "loss", required=False, default={"kind": "none"}))
-
-    sim_data = _get("", data, "sim", required=True)
-    if not isinstance(sim_data, dict):
-        raise ConfigError("sim section must be an object")
-    _check_keys("sim", sim_data, ["x0", "t_s", "duration", "theta", "n_truth", "doubled_age_offset"])
-    x0 = _number("sim", "x0", _get("sim", sim_data, "x0", required=True))
-    t_s = _number("sim", "t_s", _get("sim", sim_data, "t_s", required=True))
-    duration = _number("sim", "duration", _get("sim", sim_data, "duration", required=True))
-    theta = _parse_theta(_get("sim", sim_data, "theta", required=True))
-    n_truth = _integer(
-        "sim", "n_truth", _get("sim", sim_data, "n_truth", required=False, default=20)
-    )
-    doubled_age_offset = _boolean(
-        "sim",
-        "doubled_age_offset",
-        _get("sim", sim_data, "doubled_age_offset", required=False, default=False),
-    )
-
-    cost_data = _get("", data, "cost", required=True)
-    if not isinstance(cost_data, dict):
-        raise ConfigError("cost section must be an object")
-    _check_keys("cost", cost_data, ["q_c", "r_c", "m_steps", "raw_state"])
-    q_c = _number("cost", "q_c", _get("cost", cost_data, "q_c", required=True))
-    r_c = _number("cost", "r_c", _get("cost", cost_data, "r_c", required=True))
-    m_steps = _integer("cost", "m_steps", _get("cost", cost_data, "m_steps", required=True))
-    raw_state = _boolean(
-        "cost", "raw_state", _get("cost", cost_data, "raw_state", required=False, default=False)
-    )
-
-    strategies_data = _get("", data, "strategies", required=False, default=list(STRATEGIES))
-    if not isinstance(strategies_data, list) or not all(
-        isinstance(s, str) for s in strategies_data
-    ):
-        raise ConfigError("strategies must be a list of strings")
-
-    return Scenario(
-        plant=params,
-        domain_margin=domain_margin,
-        predictor=predictor,
-        setpoint=setpoint,
-        lgv_threshold=lgv_threshold,
-        u_min=u_min,
-        u_max=u_max,
-        loss=loss,
-        x0=x0,
-        t_s=t_s,
-        duration=duration,
-        theta=theta,
-        n_truth=n_truth,
-        doubled_age_offset=doubled_age_offset,
-        q_c=q_c,
-        r_c=r_c,
-        m_steps=m_steps,
-        raw_state=raw_state,
-        strategies=tuple(strategies_data),
-    )
+def _plain(value):
+    if isinstance(value, UncertaintySignal):
+        return [list(pair) for pair in zip(value.times, value.values)]
+    return list(value) if isinstance(value, tuple) else value
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:
     """Canonical plain-dict form; reloading it reproduces the scenario."""
-    plant = scenario.plant
-    loss: dict = {"kind": scenario.loss.kind, "seed": scenario.loss.seed}
-    if scenario.loss.kind == "bernoulli":
-        loss["p"] = scenario.loss.p
-    elif scenario.loss.kind == "gilbert-elliott":
-        loss["p_g2b"] = scenario.loss.p_g2b
-        loss["p_b2g"] = scenario.loss.p_b2g
-        loss["loss_in_bad"] = scenario.loss.loss_in_bad
-    elif scenario.loss.kind == "trace":
-        loss["trace_path"] = scenario.loss.trace_path
-        loss["wrap"] = scenario.loss.wrap
-    return {
-        "plant": {
-            "alpha1": plant.alpha1,
-            "alpha2": plant.alpha2,
-            "a1": plant.a1,
-            "a2": plant.a2,
-            "p1": plant.p1,
-            "p2": plant.p2,
-            "rho": plant.rho,
-            "vol": plant.vol,
-            "m2": plant.m2,
-            "domain_margin": scenario.domain_margin,
-        },
-        "predictor": {
-            "delta": scenario.predictor.delta,
-            "gamma": scenario.predictor.gamma,
-            "horizon": scenario.predictor.horizon,
-        },
-        "controller": {
-            "setpoint": scenario.setpoint,
-            "lgv_threshold": scenario.lgv_threshold,
-            "u_min": scenario.u_min,
-            "u_max": scenario.u_max,
-        },
-        "loss": loss,
-        "sim": {
-            "x0": scenario.x0,
-            "t_s": scenario.t_s,
-            "duration": scenario.duration,
-            "theta": [list(pair) for pair in zip(scenario.theta.times, scenario.theta.values)],
-            "n_truth": scenario.n_truth,
-            "doubled_age_offset": scenario.doubled_age_offset,
-        },
-        "cost": {
-            "q_c": scenario.q_c,
-            "r_c": scenario.r_c,
-            "m_steps": scenario.m_steps,
-            "raw_state": scenario.raw_state,
-        },
-        "strategies": list(scenario.strategies),
-    }
+    doc: dict = {}
+    for section, key, _, _, holder, _ in _rows(scenario.loss.kind):
+        owner = getattr(scenario, holder) if holder else scenario
+        (doc.setdefault(section, {}) if section else doc)[key] = _plain(getattr(owner, key))
+    return doc
 
 
 def resolved_json(scenario: Scenario) -> str:
     """Stable JSON snapshot of a scenario with defaults filled in."""
     return json.dumps(scenario_to_dict(scenario), indent=2) + "\n"
-
-
-def load_scenario(path: str) -> Scenario:
-    try:
-        with open(path) as handle:
-            data = json.load(handle)
-    except OSError as exc:
-        raise ConfigError(f"cannot read scenario file {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"scenario file {path!r} is not valid JSON: {exc}") from exc
-    return scenario_from_dict(data)
 
 
 def apply_overrides(data: dict, assignments: Sequence[str]) -> dict:
@@ -564,6 +441,8 @@ def apply_overrides(data: dict, assignments: Sequence[str]) -> dict:
             value = json.loads(raw)
         except json.JSONDecodeError:
             value = raw
+        except RecursionError as exc:
+            raise ConfigError(f"override {path!r} nests its value too deeply") from exc
         node = result
         for part in parts[:-1]:
             if part not in node or not isinstance(node[part], dict):

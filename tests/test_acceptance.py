@@ -164,7 +164,7 @@ def test_feedback_decrease_across_the_pressure_range():
     tank = sc.build_dynamics()
     params = sc.plant
     unbounded = ControllerConfig(u_min=-math.inf, u_max=math.inf)
-    at_setpoint = sc.lyapunov()
+    at_setpoint = sc.lyapunov
     lo, hi = tank.state_domain
     cell = (hi - lo) / 1_000
 
@@ -198,9 +198,9 @@ def test_loss_free_regulation_reaches_the_setpoint():
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
 
-    deviations = [abs(r.x_true - sc.setpoint) for r in result.records]
-    deviations.append(abs(result.x_final - sc.setpoint))
-    initial = abs(sc.x0 - sc.setpoint)
+    deviations = [abs(r.x_true - sc.lyapunov.setpoint) for r in result.records]
+    deviations.append(abs(result.x_final - sc.lyapunov.setpoint))
+    initial = abs(sc.sim.x0 - sc.lyapunov.setpoint)
     assert deviations[-1] < 0.01 * initial
     assert all(late <= early for early, late in zip(deviations, deviations[1:]))
 
@@ -245,7 +245,7 @@ def test_byte_identical_runs_and_fanout(tmp_path):
 
 def test_buffer_age_law_under_adversarial_dropouts():
     sc = reference("sim.duration=240", "cost.m_steps=120")
-    steps = sc.sim_settings().steps
+    steps = sc.sim.steps
     horizon = sc.predictor.horizon
     rng = random.Random(3)
     patterns = [
@@ -258,13 +258,13 @@ def test_buffer_age_law_under_adversarial_dropouts():
     for bits in patterns:
         result = run_closed_loop(
             sc.build_dynamics(),
-            sc.predictor_config(),
-            sc.lyapunov(),
-            sc.controller_config(),
+            sc.predictor,
+            sc.lyapunov,
+            sc.controller,
             TraceLoss(bits),
             PREDICTIVE_BUFFER,
-            sc.sim_settings(),
-            sc.cost_weights(),
+            sc.sim,
+            sc.cost,
             steps_per_input=sc.steps_per_input(),
         )
         assert len(result.records) == steps

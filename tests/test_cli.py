@@ -3,6 +3,7 @@ import json
 import pytest
 
 import ncsim.cli
+import ncsim.scenario
 from ncsim.cli import (
     EXIT_CALIBRATION,
     EXIT_CONFIG,
@@ -268,6 +269,62 @@ class TestRun:
         assert "diverged at step 0" in capsys.readouterr().err
 
 
+class TestInputFiles:
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    @pytest.mark.parametrize(
+        "content", [None, b"1\n2\n", b"\xff\n", b""], ids=["missing", "two", "0xff", "empty"]
+    )
+    def test_bad_trace_file_is_rejected_at_parse_time(
+        self, scenario_file, tmp_path, capsys, command, content
+    ):
+        trace = tmp_path / "bits.txt"
+        if content is not None:
+            trace.write_bytes(content)
+        out = tmp_path / "o"
+        argv = [command, scenario_file(), "--loss", f"trace:{trace}", "--out", str(out)]
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "loss.trace_path" in err
+        assert "Traceback" not in err
+        assert not (out / "resolved_config.json").exists()
+
+    def test_compare_reads_the_trace_once(self, scenario_file, tmp_path, monkeypatch):
+        reads = []
+        read = ncsim.scenario.read_trace_file
+
+        def counting_read(path):
+            reads.append(path)
+            return read(path)
+
+        monkeypatch.setattr(ncsim.scenario, "read_trace_file", counting_read)
+        trace = tmp_path / "bits.txt"
+        trace.write_text("1\n0\n1\n")
+        argv = ["compare", scenario_file(), "--loss", f"trace:{trace}:wrap", "--out", str(tmp_path / "o")]
+        assert main(argv) == EXIT_OK
+        assert reads == [str(trace)]
+
+    def test_non_utf8_scenario_file(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes('{"plant": "\u00e9"}'.encode("latin-1"))
+        assert main(["run", str(path), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert str(path) in err and "utf-8" in err
+
+    def test_deeply_nested_scenario_file(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 3000 + "]" * 3000)
+        assert main(["run", str(path), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert str(path) in capsys.readouterr().err
+
+    def test_deeply_nested_override(self, tmp_path, capsys):
+        value = "[" * 3000 + "]" * 3000
+        out = tmp_path / "o"
+        argv = ["run", "tank-reference", "--set", f"sim.theta={value}", "--out", str(out)]
+        assert main(argv) == EXIT_CONFIG
+        assert "sim.theta" in capsys.readouterr().err
+        assert not (out / "resolved_config.json").exists()
+
+
 class TestCompare:
     def test_writes_table_and_summary(self, scenario_file, tmp_path, capsys):
         out = tmp_path / "out"
@@ -356,6 +413,21 @@ class TestCompare:
         path = scenario_file({"loss": {"kind": "bernoulli", "p": 0.3, "seed": 5}})
         assert main(["compare", path, "--seeds", seeds, "--out", str(out)]) == EXIT_CONFIG
         assert "--seeds" in capsys.readouterr().err
+        assert not (out / "resolved_config.json").exists()
+
+    @pytest.mark.parametrize("workers", ["65", "1000000", "0"])
+    def test_worker_count_is_capped_before_any_artifact(
+        self, scenario_file, tmp_path, capsys, monkeypatch, workers
+    ):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("compare ran past the --workers cap")
+
+        monkeypatch.setattr(ncsim.cli, "compare_strategies", must_not_run)
+        out = tmp_path / "o"
+        path = scenario_file({"loss": {"kind": "bernoulli", "p": 0.3, "seed": 5}})
+        argv = ["compare", path, "--seeds", "10000", "--workers", workers, "--out", str(out)]
+        assert main(argv) == EXIT_CONFIG
+        assert "--workers" in capsys.readouterr().err
         assert not (out / "resolved_config.json").exists()
 
     def test_bad_arguments(self, scenario_file, tmp_path):

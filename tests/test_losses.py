@@ -9,25 +9,24 @@ from ncsim import (
     TraceExhaustedError,
     TraceLoss,
     read_trace_file,
-    sample_reception,
 )
 
 
 class TestNoLoss:
     def test_everything_received(self):
         model = NoLoss()
-        assert [sample_reception(model, k) for k in range(100)] == [1] * 100
+        assert [model.sample_reception(k) for k in range(100)] == [1] * 100
         assert model.kind == "none"
 
     def test_negative_step_rejected(self):
         with pytest.raises(ValueError):
-            sample_reception(NoLoss(), -1)
+            NoLoss().sample_reception(-1)
 
 
 class TestBernoulliLoss:
     def test_frozen_prefix_for_seed_42(self):
         model = BernoulliLoss(0.3, seed=42)
-        bits = [sample_reception(model, k) for k in range(12)]
+        bits = [model.sample_reception(k) for k in range(12)]
         assert bits == [1, 0, 0, 0, 1, 1, 1, 0, 1, 0, 0, 1]
 
     def test_same_seed_same_stream(self):

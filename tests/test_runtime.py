@@ -31,13 +31,11 @@ from ncsim import (
     ZERO_INPUT,
     builtin_scenario_dict,
     compare_strategies,
-    evaluate_cost,
     integrate_interval,
     predict_trajectory,
     read_records_csv,
     run_closed_loop,
     run_scenario,
-    scenario_cost,
     scenario_from_dict,
     sontag_input,
     tank_dynamics,
@@ -67,10 +65,19 @@ def make_record(k=0, x=2.0, u=3.0, x_pred=None):
     )
 
 
+def stage_cost_sum(records, weights, setpoint):
+    """The quadratic cost of the first ``m_steps`` records, summed afresh."""
+    total = 0.0
+    for record in records[: weights.m_steps]:
+        deviation = record.x_true if weights.raw_state else record.x_true - setpoint
+        total += weights.q_c * deviation * deviation + weights.r_c * record.u * record.u
+    return total
+
+
 def eager_reference(sc, bits, steps_per_input):
     """The predictive-buffer loop that plans a trajectory at every reception."""
-    dynamics, lyap, cfg = sc.build_dynamics(), sc.lyapunov(), sc.predictor_config()
-    ccfg, sim, weights = sc.controller_config(), sc.sim_settings(), sc.cost_weights()
+    dynamics, lyap, cfg = sc.build_dynamics(), sc.lyapunov, sc.predictor
+    ccfg, sim, weights = sc.controller, sc.sim, sc.cost
     n = cfg.horizon
     records, x, plan, age, j_running = [], sim.x0, None, 0, 0.0
     for k, s in enumerate(bits):
@@ -244,18 +251,18 @@ class TestRunClosedLoop:
 
     def test_all_loss_hold_matches_zero_input(self, small_scenario_dict):
         sc = small_scenario(small_scenario_dict)
-        steps = sc.sim_settings().steps
+        steps = sc.sim.steps
         runs = {}
         for strategy in (HOLD_LAST_VALUE, ZERO_INPUT):
             runs[strategy] = run_closed_loop(
                 dynamics=sc.build_dynamics(),
-                predictor_cfg=sc.predictor_config(),
-                lyapunov=sc.lyapunov(),
-                control_cfg=sc.controller_config(),
+                predictor_cfg=sc.predictor,
+                lyapunov=sc.lyapunov,
+                control_cfg=sc.controller,
                 loss_model=TraceLoss([0] * steps),
                 strategy=strategy,
-                sim=sc.sim_settings(),
-                weights=sc.cost_weights(),
+                sim=sc.sim,
+                weights=sc.cost,
             )
         assert runs[HOLD_LAST_VALUE].records == runs[ZERO_INPUT].records
         assert all(r.u == 0.0 for r in runs[ZERO_INPUT].records)
@@ -263,23 +270,23 @@ class TestRunClosedLoop:
     def test_all_loss_predictive_replays_initial_plan(self, small_scenario_dict):
         sc = small_scenario(small_scenario_dict)
         dynamics = sc.build_dynamics()
-        lyap = sc.lyapunov()
-        ccfg = sc.controller_config()
-        steps = sc.sim_settings().steps
+        lyap = sc.lyapunov
+        ccfg = sc.controller
+        steps = sc.sim.steps
         result = run_closed_loop(
             dynamics=dynamics,
-            predictor_cfg=sc.predictor_config(),
+            predictor_cfg=sc.predictor,
             lyapunov=lyap,
             control_cfg=ccfg,
             loss_model=TraceLoss([0] * steps),
             strategy=PREDICTIVE_BUFFER,
-            sim=sc.sim_settings(),
-            weights=sc.cost_weights(),
+            sim=sc.sim,
+            weights=sc.cost,
         )
         plan = predict_trajectory(
-            sc.predictor_config(),
+            sc.predictor,
             dynamics,
-            sc.x0,
+            sc.sim.x0,
             lambda x: sontag_input(dynamics, lyap, ccfg, x),
             origin_step=0,
         )
@@ -296,19 +303,19 @@ class TestRunClosedLoop:
     def test_loss_burst_offset_rule(self, small_scenario_dict, doubled, expected_offsets):
         sc = small_scenario(small_scenario_dict)
         dynamics = sc.build_dynamics()
-        lyap = sc.lyapunov()
-        ccfg = sc.controller_config()
+        lyap = sc.lyapunov
+        ccfg = sc.controller
         sim = SimSettings(
-            x0=sc.x0,
-            t_s=sc.t_s,
+            x0=sc.sim.x0,
+            t_s=sc.sim.t_s,
             steps=6,
-            theta=sc.theta,
-            n_truth=sc.n_truth,
+            theta=sc.sim.theta,
+            n_truth=sc.sim.n_truth,
             doubled_age_offset=doubled,
         )
         result = run_closed_loop(
             dynamics=dynamics,
-            predictor_cfg=sc.predictor_config(),
+            predictor_cfg=sc.predictor,
             lyapunov=lyap,
             control_cfg=ccfg,
             loss_model=TraceLoss([1, 0, 0, 0, 1, 1]),
@@ -317,9 +324,9 @@ class TestRunClosedLoop:
             weights=CostWeights(q_c=1.0, r_c=1.0, m_steps=6),
         )
         plan = predict_trajectory(
-            sc.predictor_config(),
+            sc.predictor,
             dynamics,
-            sc.x0,
+            sc.sim.x0,
             lambda x: sontag_input(dynamics, lyap, ccfg, x),
             origin_step=0,
         )
@@ -331,11 +338,9 @@ class TestRunClosedLoop:
     def test_running_cost_matches_evaluate(self, small_scenario_dict):
         sc = small_scenario(small_scenario_dict)
         result = run_scenario(sc, PREDICTIVE_BUFFER)
-        total = evaluate_cost(
-            result.records, sc.cost_weights(), setpoint=sc.setpoint
-        )
+        total = stage_cost_sum(result.records, sc.cost, sc.lyapunov.setpoint)
         assert result.records[-1].j_running == total
-        assert scenario_cost(sc, result) == total
+        assert result.cost(sc.cost) == total
 
     @pytest.mark.parametrize("raw,expected", [(True, 8.0), (False, 4.5)])
     def test_cost_state_term(self, raw, expected):
@@ -347,8 +352,7 @@ class TestRunClosedLoop:
             loss_model=NoLoss(),
             strategy=ZERO_INPUT,
             sim=SimSettings(x0=2.0, t_s=1.0, steps=2, theta=ZERO_THETA, n_truth=4),
-            weights=CostWeights(q_c=2.0, r_c=3.0, m_steps=2),
-            cost_raw_state=raw,
+            weights=CostWeights(q_c=2.0, r_c=3.0, m_steps=2, raw_state=raw),
         )
         first = result.records[0]
         assert first.u == 0.0
@@ -356,18 +360,18 @@ class TestRunClosedLoop:
 
     def test_prediction_divergence_before_record(self, small_scenario_dict):
         sc = small_scenario(small_scenario_dict)
-        steps = sc.sim_settings().steps
+        steps = sc.sim.steps
         bad = PredictorConfig(delta=sc.predictor.delta, gamma=0.9, horizon=10)
         with pytest.raises(SimulationDiverged) as excinfo:
             run_closed_loop(
                 dynamics=sc.build_dynamics(),
                 predictor_cfg=bad,
-                lyapunov=sc.lyapunov(),
-                control_cfg=sc.controller_config(),
+                lyapunov=sc.lyapunov,
+                control_cfg=sc.controller,
                 loss_model=TraceLoss([0] * steps),
                 strategy=PREDICTIVE_BUFFER,
-                sim=sc.sim_settings(),
-                weights=sc.cost_weights(),
+                sim=sc.sim,
+                weights=sc.cost,
             )
         err = excinfo.value
         assert err.step == 0
@@ -376,19 +380,19 @@ class TestRunClosedLoop:
 
     def test_unreplayed_plan_does_not_diverge(self, small_scenario_dict):
         sc = small_scenario(small_scenario_dict)
-        steps = sc.sim_settings().steps
+        steps = sc.sim.steps
         bad = PredictorConfig(delta=sc.predictor.delta, gamma=0.9, horizon=10)
 
         def run(loss_model):
             return run_closed_loop(
                 dynamics=sc.build_dynamics(),
                 predictor_cfg=bad,
-                lyapunov=sc.lyapunov(),
-                control_cfg=sc.controller_config(),
+                lyapunov=sc.lyapunov,
+                control_cfg=sc.controller,
                 loss_model=loss_model,
                 strategy=PREDICTIVE_BUFFER,
-                sim=sc.sim_settings(),
-                weights=sc.cost_weights(),
+                sim=sc.sim,
+                weights=sc.cost,
             )
 
         assert len(run(NoLoss()).records) == steps
@@ -434,13 +438,13 @@ class TestRunClosedLoop:
             mp.setattr(ncsim.runtime, "predict_trajectory", counting_predict)
             result = run_closed_loop(
                 dynamics=sc.build_dynamics(),
-                predictor_cfg=sc.predictor_config(),
-                lyapunov=sc.lyapunov(),
-                control_cfg=sc.controller_config(),
+                predictor_cfg=sc.predictor,
+                lyapunov=sc.lyapunov,
+                control_cfg=sc.controller,
                 loss_model=TraceLoss(bits),
                 strategy=PREDICTIVE_BUFFER,
-                sim=sc.sim_settings(),
-                weights=sc.cost_weights(),
+                sim=sc.sim,
+                weights=sc.cost,
                 steps_per_input=steps_per_input,
             )
         assert list(result.records) == expected_records
@@ -476,30 +480,30 @@ class TestRunClosedLoop:
         with pytest.raises(ValueError):
             run_closed_loop(
                 dynamics=sc.build_dynamics(),
-                predictor_cfg=sc.predictor_config(),
-                lyapunov=sc.lyapunov(),
-                control_cfg=sc.controller_config(),
+                predictor_cfg=sc.predictor,
+                lyapunov=sc.lyapunov,
+                control_cfg=sc.controller,
                 loss_model=NoLoss(),
                 strategy="nope",
-                sim=sc.sim_settings(),
-                weights=sc.cost_weights(),
+                sim=sc.sim,
+                weights=sc.cost,
             )
 
     def test_initial_state_must_be_in_domain(self, small_scenario_dict):
         sc = small_scenario(small_scenario_dict)
         sim = SimSettings(
-            x0=50_000.0, t_s=sc.t_s, steps=1, theta=sc.theta, n_truth=1
+            x0=50_000.0, t_s=sc.sim.t_s, steps=1, theta=sc.sim.theta, n_truth=1
         )
         with pytest.raises(DomainError):
             run_closed_loop(
                 dynamics=sc.build_dynamics(),
-                predictor_cfg=sc.predictor_config(),
-                lyapunov=sc.lyapunov(),
-                control_cfg=sc.controller_config(),
+                predictor_cfg=sc.predictor,
+                lyapunov=sc.lyapunov,
+                control_cfg=sc.controller,
                 loss_model=NoLoss(),
                 strategy=ZERO_INPUT,
                 sim=sim,
-                weights=sc.cost_weights(),
+                weights=sc.cost,
             )
 
     def test_repeat_run_is_deterministic(self, small_scenario_dict):
@@ -522,13 +526,13 @@ class TestRunClosedLoop:
         sc = scenario_from_dict(doc)
         result = run_closed_loop(
             dynamics=sc.build_dynamics(),
-            predictor_cfg=sc.predictor_config(),
-            lyapunov=sc.lyapunov(),
-            control_cfg=sc.controller_config(),
+            predictor_cfg=sc.predictor,
+            lyapunov=sc.lyapunov,
+            control_cfg=sc.controller,
             loss_model=doc_loss,
             strategy=PREDICTIVE_BUFFER,
-            sim=sc.sim_settings(),
-            weights=sc.cost_weights(),
+            sim=sc.sim,
+            weights=sc.cost,
         )
         for rec in result.records:
             if rec.s == 1:
@@ -536,27 +540,66 @@ class TestRunClosedLoop:
             assert 0 <= rec.i <= sc.predictor.horizon
 
 
+def first_interval_cost(x0, setpoint, received=True, u_min=0.0, raw_state=False):
+    """Running cost after one interval of a two-interval run on xdot = -x + u."""
+    weights = CostWeights(1.0, 1.0, 1, raw_state=raw_state)
+    result = run_closed_loop(
+        dynamics=linear_decay_dynamics(),
+        predictor_cfg=PredictorConfig(delta=1.0, gamma=0.0, horizon=5),
+        lyapunov=LyapunovSpec(setpoint=setpoint),
+        control_cfg=ControllerConfig(u_min=u_min, u_max=u_min + 1.0),
+        loss_model=TraceLoss([1 if received else 0, 1]),
+        strategy=ZERO_INPUT,
+        sim=SimSettings(x0=x0, t_s=1.0, steps=2, theta=ZERO_THETA, n_truth=1),
+        weights=weights,
+    )
+    return result.cost(weights), result.records
+
+
 class TestEvaluateCost:
+    """A run's cost is its own running cost after ``cost.m_steps`` intervals."""
+
     def test_truncates_to_m_steps(self):
-        records = [make_record(k=0, x=2.0, u=3.0), make_record(k=1, x=100.0, u=100.0)]
-        assert evaluate_cost(records, CostWeights(1.0, 1.0, 1)) == 13.0
+        # the feedback saturates at u_min = 3 in the received first interval
+        cost, records = first_interval_cost(2.0, 0.0, u_min=3.0)
+        assert (records[0].x_true, records[0].u) == (2.0, 3.0)
+        assert cost == 13.0
+        assert records[1].j_running > 13.0
 
     def test_setpoint_shifts_deviation(self):
-        records = [make_record(x=5.0, u=0.0)]
-        assert evaluate_cost(records, CostWeights(1.0, 1.0, 1), setpoint=2.0) == 9.0
+        assert first_interval_cost(5.0, 2.0, received=False)[0] == 9.0
 
     def test_raw_state_ignores_setpoint(self):
-        records = [make_record(x=5.0, u=0.0)]
-        assert (
-            evaluate_cost(records, CostWeights(1.0, 1.0, 1), setpoint=2.0, raw_state=True)
-            == 25.0
-        )
+        assert first_interval_cost(5.0, 2.0, received=False, raw_state=True)[0] == 25.0
 
-    def test_rejects_empty_and_short_records(self):
-        with pytest.raises(ValueError):
-            evaluate_cost([], CostWeights(1.0, 1.0, 1))
-        with pytest.raises(ValueError):
-            evaluate_cost([make_record()], CostWeights(1.0, 1.0, 2))
+    def test_rejects_empty_and_short_records(self, small_scenario_dict):
+        # a run cannot be shorter than its cost horizon: both are parse errors
+        with pytest.raises(ValueError, match="sim.duration"):
+            scenario_from_dict(small_scenario_dict({"sim.duration": 0.0}))
+        with pytest.raises(ValueError, match="cost.m_steps"):
+            scenario_from_dict(small_scenario_dict({"cost.m_steps": 61}))
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Pool sizes compare asks for; a stand-in pool runs the cells in this process."""
+    sizes = []
+
+    class InlineExecutor:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable):
+            return map(fn, iterable)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
+    return sizes
 
 
 class TestCompareStrategies:
@@ -577,7 +620,24 @@ class TestCompareStrategies:
         )
         result = compare_strategies(sc, strategies=(HOLD_LAST_VALUE,), n_seeds=2)
         run = run_scenario(sc, HOLD_LAST_VALUE, seed=6)
-        assert result.costs[HOLD_LAST_VALUE][6] == scenario_cost(sc, run)
+        total = stage_cost_sum(run.records, sc.cost, sc.lyapunov.setpoint)
+        assert result.costs[HOLD_LAST_VALUE][6] == total
+
+    @pytest.mark.parametrize("m_steps", [1, 7, 59])
+    def test_cell_cost_stops_at_m_steps(self, small_scenario_dict, m_steps):
+        sc = small_scenario(
+            small_scenario_dict,
+            {"loss": {"kind": "bernoulli", "p": 0.3, "seed": 5}, "cost.m_steps": m_steps},
+        )
+        result = compare_strategies(sc, strategies=(PREDICTIVE_BUFFER,), n_seeds=2)
+        for seed in result.seeds:
+            run = run_scenario(sc, PREDICTIVE_BUFFER, seed=seed)
+            records = run.records
+            assert len(records) == 60
+            cost = result.costs[PREDICTIVE_BUFFER][seed]
+            assert cost == run.cost(sc.cost) == records[m_steps - 1].j_running
+            assert cost == stage_cost_sum(records, sc.cost, sc.lyapunov.setpoint)
+            assert cost < records[-1].j_running
 
     def test_lossless_columns_agree(self, small_scenario_dict):
         sc = small_scenario(small_scenario_dict)
@@ -641,32 +701,29 @@ class TestCompareStrategies:
         ],
     )
     def test_pool_is_sized_to_the_cell_count(
-        self, small_scenario_dict, monkeypatch, workers, strategies, n_seeds, pool_size
+        self, small_scenario_dict, pool_sizes, workers, strategies, n_seeds, pool_size
     ):
-        sizes = []
-
-        class InlineExecutor:
-            """Records the requested pool size and runs cells in this process."""
-
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, iterable):
-                return map(fn, iterable)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
         sc = small_scenario(
             small_scenario_dict, {"loss": {"kind": "bernoulli", "p": 0.3, "seed": 9}}
         )
         pooled = compare_strategies(sc, strategies=strategies, n_seeds=n_seeds, workers=workers)
-        assert sizes == ([] if pool_size is None else [pool_size])
+        assert pool_sizes == ([] if pool_size is None else [pool_size])
         assert pooled == compare_strategies(sc, strategies=strategies, n_seeds=n_seeds)
+
+
+    def test_pool_size_is_capped(self, small_scenario_dict, pool_sizes):
+        cap = ncsim.runtime.MAX_COMPARE_WORKERS
+        sc = small_scenario(
+            small_scenario_dict,
+            {"sim.duration": 4.0, "cost.m_steps": 2, "loss": {"kind": "bernoulli", "p": 0.3, "seed": 9}},
+        )
+        for workers in (cap + 1, 1_000_000, 0):
+            with pytest.raises(ValueError, match="workers"):
+                compare_strategies(sc, n_seeds=10_000, workers=workers)
+        assert pool_sizes == []
+        n_seeds = cap // len(STRATEGIES) + 1
+        compare_strategies(sc, n_seeds=n_seeds, workers=cap)
+        assert pool_sizes == [cap]
 
 
 class TestRecordsCsv:

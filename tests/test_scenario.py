@@ -1,7 +1,10 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ncsim.cli import EXIT_CONFIG, EXIT_OK, main
 from ncsim.scenario import MAX_PREDICTOR_STEPS, MAX_STEPS, MAX_TRUTH_SUBSTEPS
 from ncsim import (
     BernoulliLoss,
@@ -15,7 +18,6 @@ from ncsim import (
     apply_overrides,
     builtin_scenario,
     builtin_scenario_dict,
-    load_scenario,
     resolved_json,
     scenario_from_dict,
     scenario_to_dict,
@@ -79,12 +81,12 @@ class TestLossSpec:
 class TestBuiltinScenario:
     def test_reference_scenario_parses(self):
         sc = builtin_scenario("tank-reference")
-        assert sc.setpoint == 150_100.0
+        assert sc.lyapunov.setpoint == 150_100.0
         assert sc.predictor.gamma == 0.175
         assert sc.predictor.horizon == 10
-        assert sc.theta.times == (0.0, 1800.0)
-        assert sc.theta.values == (0.175, 0.185)
-        assert sc.sim_settings().steps == 1800
+        assert sc.sim.theta.times == (0.0, 1800.0)
+        assert sc.sim.theta.values == (0.175, 0.185)
+        assert sc.sim.steps == 1800
         assert sc.strategies == STRATEGIES
         assert sc.loss.kind == "none"
         assert sc.loss.seed == 42
@@ -115,7 +117,7 @@ class TestScenarioRoundTrip:
     def test_scalar_theta_normalizes_to_single_pair(self, small_scenario_dict):
         doc = small_scenario_dict({"sim.theta": 0.2})
         sc = scenario_from_dict(doc)
-        assert sc.theta == UncertaintySignal.constant(0.2)
+        assert sc.sim.theta == UncertaintySignal.constant(0.2)
         assert scenario_to_dict(sc)["sim"]["theta"] == [[0.0, 0.2]]
 
     def test_loss_section_defaults_to_no_loss(self, small_scenario_dict):
@@ -123,6 +125,196 @@ class TestScenarioRoundTrip:
         del doc["loss"]
         sc = scenario_from_dict(doc)
         assert sc.loss == LossSpec(kind="none", seed=0)
+
+
+# resolved_json of tank-reference with each loss kind, around its loss section.
+SNAPSHOT_HEAD = """{
+  "plant": {
+    "alpha1": 0.631811,
+    "alpha2": 0.631811,
+    "a1": 0.0019625,
+    "a2": 0.0019625,
+    "p1": 200000.0,
+    "p2": 100000.0,
+    "rho": 3.49772,
+    "vol": 2.0,
+    "m2": 1.0,
+    "domain_margin": 0.001
+  },
+  "predictor": {
+    "delta": 2.0,
+    "gamma": 0.175,
+    "horizon": 10
+  },
+  "controller": {
+    "setpoint": 150100.0,
+    "lgv_threshold": 1e-09,
+    "u_min": 0.0,
+    "u_max": 1.0
+  },
+"""
+SNAPSHOT_TAIL = """  "sim": {
+    "x0": 110000.0,
+    "t_s": 2.0,
+    "duration": 3600.0,
+    "theta": [
+      [
+        0.0,
+        0.175
+      ],
+      [
+        1800.0,
+        0.185
+      ]
+    ],
+    "n_truth": 20,
+    "doubled_age_offset": false
+  },
+  "cost": {
+    "q_c": 1.0,
+    "r_c": 1000000.0,
+    "m_steps": 1800,
+    "raw_state": false
+  },
+  "strategies": [
+    "predictive-buffer",
+    "hold-last-value",
+    "zero-input"
+  ]
+}
+"""
+SNAPSHOT_LOSS = {
+    "none": ({"kind": "none", "seed": 42}, """  "loss": {
+    "kind": "none",
+    "seed": 42
+  },
+"""),
+    "bernoulli": ({"p": 0.3, "seed": 7, "kind": "bernoulli"}, """  "loss": {
+    "kind": "bernoulli",
+    "seed": 7,
+    "p": 0.3
+  },
+"""),
+    "gilbert-elliott": (
+        {"kind": "gilbert-elliott", "loss_in_bad": 0.8, "p_b2g": 0.3, "p_g2b": 0.05, "seed": 3},
+        """  "loss": {
+    "kind": "gilbert-elliott",
+    "seed": 3,
+    "p_g2b": 0.05,
+    "p_b2g": 0.3,
+    "loss_in_bad": 0.8
+  },
+""",
+    ),
+    "trace": ({"wrap": True, "trace_path": "bits.txt", "kind": "trace"}, """  "loss": {
+    "kind": "trace",
+    "seed": 0,
+    "trace_path": "bits.txt",
+    "wrap": true
+  },
+"""),
+}
+
+
+class TestResolvedSnapshot:
+    @pytest.mark.parametrize("kind", sorted(SNAPSHOT_LOSS))
+    def test_text_is_pinned_per_loss_kind(self, kind, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "bits.txt").write_text("1\n0\n")
+        loss, block = SNAPSHOT_LOSS[kind]
+        doc = builtin_scenario_dict("tank-reference")
+        doc["loss"] = loss
+        assert resolved_json(scenario_from_dict(doc)) == SNAPSHOT_HEAD + block + SNAPSHOT_TAIL
+
+
+@pytest.fixture(scope="module")
+def trace_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("trace") / "bits.txt"
+    path.write_text("1\n0\n0\n")
+    return str(path)
+
+
+def numbers(low, high):
+    """JSON numbers in [low, high], integers included."""
+    return st.one_of(
+        st.floats(min_value=low, max_value=high), st.integers(min_value=int(low), max_value=int(high))
+    ).filter(lambda v: low <= v <= high)
+
+
+@st.composite
+def scenario_documents(draw, trace_path):
+    """Valid scenario documents, optional keys and sections left out at random."""
+
+    def maybe(section, key, strategy):
+        if draw(st.booleans()):
+            section[key] = draw(strategy)
+
+    plant = {key: draw(numbers(1e-3, 10.0)) for key in ("alpha1", "alpha2", "a1", "a2", "rho", "vol")}
+    plant.update(p1=draw(numbers(190_000, 200_000)), p2=draw(numbers(0, 100_000)))
+    plant["m2"] = draw(numbers(0, 1))
+    maybe(plant, "domain_margin", numbers(0, 100))
+    controller = {"setpoint": draw(numbers(110_000, 180_000))}
+    maybe(controller, "lgv_threshold", numbers(1e-12, 1.0))
+    maybe(controller, "u_min", numbers(-1, 0))
+    maybe(controller, "u_max", numbers(1, 2))
+    t_s = draw(st.sampled_from([0.1, 0.5, 2, 2.0]))
+    steps = draw(st.integers(min_value=1, max_value=40))
+    theta = draw(
+        st.one_of(
+            numbers(-1, 1),
+            st.lists(st.tuples(numbers(0, 100), numbers(-1, 1)), min_size=1, max_size=4,
+                     unique_by=lambda pair: float(pair[0])).map(
+                lambda pairs: [list(pair) for pair in sorted(pairs, key=lambda p: float(p[0]))]
+            ),
+        )
+    )
+    sim = {"x0": draw(numbers(110_000, 180_000)), "t_s": t_s, "duration": steps * t_s, "theta": theta}
+    maybe(sim, "n_truth", st.integers(min_value=1, max_value=30))
+    maybe(sim, "doubled_age_offset", st.booleans())
+    cost = {
+        "q_c": draw(numbers(0, 10)),
+        "r_c": draw(numbers(0, 1e6)),
+        "m_steps": draw(st.integers(min_value=1, max_value=steps)),
+    }
+    maybe(cost, "raw_state", st.booleans())
+    doc = {
+        "plant": plant,
+        "predictor": {
+            "delta": draw(numbers(0.01, 4)),
+            "gamma": draw(numbers(-0.99, 0.99)),
+            "horizon": draw(st.integers(min_value=1, max_value=20)),
+        },
+        "controller": controller,
+        "sim": sim,
+        "cost": cost,
+    }
+    kind = draw(st.sampled_from(["omitted", "none", "bernoulli", "gilbert-elliott", "trace"]))
+    if kind != "omitted":
+        loss = {"kind": kind}
+        if kind == "bernoulli":
+            loss["p"] = draw(numbers(0, 1))
+        elif kind == "gilbert-elliott":
+            loss.update({key: draw(numbers(0, 1)) for key in ("p_g2b", "p_b2g", "loss_in_bad")})
+        elif kind == "trace":
+            loss["trace_path"] = trace_path
+            maybe(loss, "wrap", st.booleans())
+        maybe(loss, "seed", st.integers(min_value=0, max_value=2**31))
+        doc["loss"] = loss
+    maybe(doc, "strategies", st.permutations(list(STRATEGIES)).flatmap(
+        lambda names: st.integers(min_value=1, max_value=3).map(lambda n: names[:n])
+    ))
+    return doc
+
+
+class TestResolvedRoundTrip:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_snapshot_reparses_to_itself(self, trace_file, data):
+        sc = scenario_from_dict(data.draw(scenario_documents(trace_file)))
+        text = resolved_json(sc)
+        again = scenario_from_dict(json.loads(text))
+        assert again == sc
+        assert resolved_json(again) == text
 
 
 class TestStrictParsing:
@@ -219,21 +411,21 @@ class TestCrossFieldValidation:
 
     def test_duration_tolerates_float_noise(self, small_scenario_dict):
         doc = small_scenario_dict({"sim.t_s": 0.1, "sim.duration": 0.3, "cost.m_steps": 3})
-        assert scenario_from_dict(doc).sim_settings().steps == 3
+        assert scenario_from_dict(doc).sim.steps == 3
 
 
 class TestRunSizeCaps:
     def test_reference_scenario_far_inside_caps(self):
         sc = builtin_scenario("tank-reference")
-        steps = sc.sim_settings().steps
+        steps = sc.sim.steps
         assert 100 * steps <= MAX_STEPS
-        assert 100 * steps * sc.n_truth <= MAX_TRUTH_SUBSTEPS
+        assert 100 * steps * sc.sim.n_truth <= MAX_TRUTH_SUBSTEPS
         assert 100 * steps * sc.predictor.horizon * sc.steps_per_input() <= MAX_PREDICTOR_STEPS
 
     def test_caps_are_inclusive(self, small_scenario_dict):
         # parsing only: nothing runs
         at_cap = {"sim.t_s": 1.0, "sim.duration": float(MAX_STEPS), "sim.n_truth": 20}
-        assert scenario_from_dict(small_scenario_dict(at_cap)).sim_settings().steps == MAX_STEPS
+        assert scenario_from_dict(small_scenario_dict(at_cap)).sim.steps == MAX_STEPS
         for path, value in (
             ("sim.duration", MAX_STEPS + 1.0),
             ("sim.n_truth", 21),
@@ -291,7 +483,7 @@ class TestApplyOverrides:
     def test_theta_scalar_override_reparses(self, small_scenario_dict):
         out = apply_overrides(small_scenario_dict(), ["sim.theta=0"])
         sc = scenario_from_dict(out)
-        assert sc.theta == UncertaintySignal.constant(0.0)
+        assert sc.sim.theta == UncertaintySignal.constant(0.0)
 
     @pytest.mark.parametrize(
         "assignment",
@@ -303,18 +495,26 @@ class TestApplyOverrides:
 
 
 class TestLoadScenario:
-    def test_file_round_trip(self, tmp_path):
-        sc = builtin_scenario("tank-reference")
+    """Scenario files are read by the command line."""
+
+    def test_file_round_trip(self, tmp_path, small_scenario_dict):
+        sc = scenario_from_dict(small_scenario_dict())
         path = tmp_path / "scenario.json"
         path.write_text(resolved_json(sc))
-        assert load_scenario(str(path)) == sc
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out)]) == EXIT_OK
+        assert (out / "resolved_config.json").read_text() == resolved_json(sc)
 
-    def test_invalid_json_rejected(self, tmp_path):
-        path = tmp_path / "broken.json"
+    def test_invalid_json_rejected(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
         path.write_text("{not json")
-        with pytest.raises(ConfigError, match="valid JSON"):
-            load_scenario(str(path))
+        assert main(["run", str(path), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert "valid JSON" in capsys.readouterr().err
 
-    def test_missing_file_rejected(self, tmp_path):
-        with pytest.raises(ConfigError, match="cannot read"):
-            load_scenario(str(tmp_path / "absent.json"))
+    def test_missing_file_rejected(self, tmp_path, capsys):
+        absent = tmp_path / "absent.json"
+        assert main(["run", str(absent), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert str(absent) in capsys.readouterr().err
+        # a path that exists but is no file
+        assert main(["run", str(tmp_path), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert "cannot read" in capsys.readouterr().err
