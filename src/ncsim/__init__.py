@@ -88,67 +88,9 @@ from .scenario import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BUILTIN_SCENARIOS",
-    "BernoulliLoss",
-    "CalibrationRangeError",
-    "ComparisonResult",
-    "ConfigError",
-    "ControlTrajectory",
-    "ControllerConfig",
-    "ControllerOverflowError",
-    "CostWeights",
-    "DomainError",
-    "GilbertElliottLoss",
-    "HOLD_LAST_VALUE",
-    "IntegrationDomainError",
-    "LossModel",
-    "LossSpec",
-    "LyapunovSpec",
-    "NcsimError",
-    "NoLoss",
-    "NonFiniteError",
-    "PREDICTIVE_BUFFER",
-    "PredictorConfig",
-    "RunResult",
-    "SamplePair",
-    "Scenario",
-    "SimSettings",
-    "SimulationDiverged",
-    "SimulationRecord",
-    "STRATEGIES",
-    "SystemDynamics",
-    "TankParams",
-    "TraceExhaustedError",
-    "TraceLoss",
-    "TrajectoryError",
-    "UncertaintySignal",
-    "ZERO_INPUT",
-    "apply_overrides",
-    "builtin_scenario",
-    "builtin_scenario_dict",
-    "calibrate_gamma_one",
-    "calibrate_gamma_two",
-    "calibration",
-    "closed_loop_vdot",
-    "compare_strategies",
-    "integrate_interval",
-    "lie_derivatives",
-    "mean_squared_error",
-    "predict_step",
-    "predict_trajectory",
-    "read_records_csv",
-    "read_sample_pairs",
-    "read_trace_file",
-    "resolved_json",
-    "rk4_increment",
-    "run_closed_loop",
-    "run_scenario",
-    "scenario_from_dict",
-    "scenario_to_dict",
-    "sontag_from_lie",
-    "sontag_input",
-    "tank_dynamics",
-    "write_comparison_csv",
-    "write_records_csv",
-]
+# The public names are the ones imported above, so each is written once.
+__all__ = sorted(
+    name for name in dir() if not name.startswith("_") and name not in (
+        "controller", "errors", "losses", "plant", "predictor", "runtime", "scenario"
+    )
+)

@@ -18,7 +18,7 @@ import os
 import sys
 from typing import Optional, Sequence
 
-from .errors import ConfigError, SimulationDiverged, TraceExhaustedError
+from .errors import ConfigError, SimulationDiverged, TraceExhaustedError, read_input
 from .predictor import SamplePair, calibration, read_sample_pairs
 from .runtime import (
     MAX_COMPARE_SEEDS,
@@ -60,8 +60,9 @@ def _scenario_document(ref: str) -> dict:
         return builtin_scenario_dict(ref)
     if os.path.exists(ref):
         try:
-            with open(ref, encoding="utf-8") as handle:
-                return json.load(handle)
+            return json.loads(read_input(ref))
+        except ConfigError:  # longer than the input cap
+            raise
         except (ValueError, RecursionError) as exc:
             # undecodable bytes and nesting past the recursion limit too
             raise ConfigError(f"scenario file {ref!r} is not valid JSON: {exc}") from exc

@@ -1,4 +1,9 @@
-"""Exception types shared across the simulator."""
+"""Exception types shared across the simulator, and the bounded read of
+its input files."""
+
+# Bytes a scenario, loss-trace or samples file may hold (a 1 000 000-step
+# trace needs 2 MB); the read stops one byte past it, even on /dev/zero.
+MAX_INPUT_BYTES = 16 * 1024 * 1024
 
 
 class NcsimError(Exception):
@@ -84,3 +89,13 @@ class SimulationDiverged(NcsimError):
         self.records = list(records)
         self.step = step
         self.reason = reason
+
+
+def read_input(path: str) -> str:
+    """The UTF-8 text of an input file; a file longer than
+    ``MAX_INPUT_BYTES`` is a ``ConfigError``, raised before decoding."""
+    with open(path, "rb") as handle:
+        data = handle.read(MAX_INPUT_BYTES + 1)
+    if len(data) > MAX_INPUT_BYTES:
+        raise ConfigError(f"input file {path!r} is longer than {MAX_INPUT_BYTES} bytes")
+    return data.decode("utf-8")

@@ -10,11 +10,12 @@ order.  A model instance is a stateful stream and must stay confined to
 one simulation.
 """
 
+import io
 import random
 from abc import ABC, abstractmethod
 from typing import Sequence
 
-from .errors import TraceExhaustedError
+from .errors import TraceExhaustedError, read_input
 
 
 class LossModel(ABC):
@@ -146,16 +147,16 @@ class TraceLoss(LossModel):
 
 
 def read_trace_file(path: str) -> list[int]:
-    """Read a reception trace: one 0 or 1 per line, blanks ignored."""
+    """Read a reception trace: one 0 or 1 per line, blanks ignored, in a
+    UTF-8 file of at most ``MAX_INPUT_BYTES`` bytes."""
     bits = []
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            text = line.strip()
-            if not text:
-                continue
-            if text not in ("0", "1"):
-                raise ValueError(f"{path}:{lineno}: expected 0 or 1, got {text!r}")
-            bits.append(int(text))
+    for lineno, line in enumerate(io.StringIO(read_input(path), newline=None), start=1):
+        text = line.strip()
+        if not text:
+            continue
+        if text not in ("0", "1"):
+            raise ValueError(f"{path}:{lineno}: expected 0 or 1, got {text!r}")
+        bits.append(int(text))
     if not bits:
         raise ValueError(f"no trace entries in {path}")
     return bits

@@ -18,9 +18,15 @@ pressure ``p2``.  With the ideal-gas/orifice model the flow terms are
 so the model is only meaningful for pressures between ``p2`` and ``p1``.
 All evaluations are guarded: leaving the state domain raises
 ``DomainError`` instead of silently extrapolating through a negative
-square-root argument.  ``rk4_increment``, the package's one Runge-Kutta
-step (predictor: theta = 0; truth: the substep's theta), evaluates the
-fused ``rhs`` and checks each stage state against the domain inline.
+square-root argument.
+
+The one RK4 step, ``_RK4``, is source text compiled per right-hand side
+into the n-step march of truth and prediction; ``rk4_increment`` runs
+it for one step.  The tank's gains are strings inlined at its four
+stages, so the formula is written once and no stage makes a call;
+dynamics built from callables get the text calling their ``rhs``.  Only
+this module's strings are compiled, and numbers are bound as values, so
+no input reaches the source.
 """
 
 import math
@@ -44,8 +50,10 @@ class SystemDynamics:
         state_domain: closed interval (lo, hi) on which the callables
             may be evaluated.
         rhs: ``rhs(x, u, theta)``, bitwise f(x) + g(x)*u + w(x)*theta;
-            composed from the gains when left out, carried over as it is
-            by ``dataclasses.replace``.
+            composed from the gains when left out.
+        march: the RK4 march over ``rhs`` (see ``_RK4``), generated when
+            left out.  ``dataclasses.replace`` carries ``rhs`` and
+            ``march`` over as they are.
     """
 
     drift: StateFunction
@@ -53,6 +61,7 @@ class SystemDynamics:
     uncertainty_gain: StateFunction
     state_domain: tuple[float, float]
     rhs: Optional[Callable[[float, float, float], float]] = None
+    march: Optional[Callable[..., tuple[float, float]]] = None
 
     def __post_init__(self):
         lo, hi = self.state_domain
@@ -61,6 +70,8 @@ class SystemDynamics:
         if self.rhs is None:
             f, g, w = self.drift, self.input_gain, self.uncertainty_gain
             object.__setattr__(self, "rhs", lambda x, u, th: f(x) + g(x) * u + w(x) * th)
+        if self.march is None:
+            object.__setattr__(self, "march", _generate(rhs=self.rhs)["march"])
 
     def check_state(self, x: float) -> None:
         """Raise DomainError unless ``x`` lies in the state domain."""
@@ -81,6 +92,64 @@ class SystemDynamics:
         return self.uncertainty_gain(x)
 
 
+# The RK4 step from y, RHS the right-hand side at the stage state x.
+# ``march`` takes n steps x <- scale*x + dx, u and theta held, hands an end
+# state outside [lo, hi] to ``fail(x, steps_left)``, which raises, and
+# returns the last x and dx (x and 0.0 for no step).
+_RK4 = """
+    def march(x, u, h, theta, lo, hi, n, scale, fail):
+        if not h > 0:
+            raise ValueError(f"step h must be positive, got {h!r}")
+        if not lo <= x <= hi:
+            raise stage_error(1, x)
+        dx = 0.0
+        for left in range(n - 1, -1, -1):
+            y = x
+            k1 = h * (RHS)
+            if not lo <= (x := y + k1 / 2.0) <= hi:
+                raise stage_error(2, x)
+            k2 = h * (RHS)
+            if not lo <= (x := y + k2 / 2.0) <= hi:
+                raise stage_error(3, x)
+            k3 = h * (RHS)
+            if not lo <= (x := y + k3) <= hi:
+                raise stage_error(4, x)
+            k4 = h * (RHS)
+            dx = (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+            x = scale * y + dx
+            if not lo <= x <= hi:
+                fail(x, left)
+        return x, dx
+"""
+# Compiled factories by (inlined right-hand side, names of the bound values).
+_FACTORIES: dict = {}
+
+
+def _generate(gains: tuple[str, ...] = (), **values) -> dict:
+    """``march`` over ``values``, compiled once per expression.
+
+    ``gains``, this module's f, g and w in x over the names in ``values``,
+    add ``drift``, ``input_gain``, ``uncertainty_gain`` and the fused ``rhs``
+    that the stages inline; without them the stages call ``values["rhs"]``.
+    """
+    rhs = "({}) + ({}) * u + ({}) * theta".format(*gains) if gains else "rhs(x, u, theta)"
+    names = ("drift", "input_gain", "uncertainty_gain", "rhs")
+    defs = dict(zip(names, (*gains, rhs))) if gains else {}
+    key = (rhs, tuple(values))
+    if key not in _FACTORIES:
+        lines = [f"def factory(stage_error, {', '.join(values)}):"]
+        for name, expr in defs.items():
+            args = "x, u, theta" if name == "rhs" else "x"
+            lines += [f"    def {name}({args}):", f"        return {expr}"]
+        lines.append(_RK4.replace("RHS", rhs))
+        made = ", ".join(f"{name}={name}" for name in (*defs, "march"))
+        lines.append(f"    return dict({made})")
+        namespace: dict = {}
+        exec(compile("\n".join(lines), "<ncsim.plant kernel>", "exec"), namespace)
+        _FACTORIES[key] = namespace["factory"]
+    return _FACTORIES[key](_stage_error, **values)
+
+
 def rk4_increment(
     dynamics: SystemDynamics, x: float, u: float, h: float, theta: float = 0.0
 ) -> float:
@@ -90,23 +159,9 @@ def rk4_increment(
     A stage state outside the domain raises ``IntegrationDomainError``
     carrying the 1-based stage index.
     """
-    if not h > 0:
-        raise ValueError(f"step h must be positive, got {h!r}")
-    rhs = dynamics.rhs
+    # one step, whose end state is the caller's to check
     lo, hi = dynamics.state_domain
-    if not lo <= x <= hi:
-        raise _stage_error(1, x)
-    k1 = h * rhs(x, u, theta)
-    if not lo <= (xs := x + k1 / 2.0) <= hi:
-        raise _stage_error(2, xs)
-    k2 = h * rhs(xs, u, theta)
-    if not lo <= (xs := x + k2 / 2.0) <= hi:
-        raise _stage_error(3, xs)
-    k3 = h * rhs(xs, u, theta)
-    if not lo <= (xs := x + k3) <= hi:
-        raise _stage_error(4, xs)
-    k4 = h * rhs(xs, u, theta)
-    return (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+    return dynamics.march(x, u, h, theta, lo, hi, 1, 1.0, lambda x, left: None)[1]
 
 
 def _stage_error(stage: int, state: float) -> IntegrationDomainError:
@@ -207,6 +262,15 @@ class TankParams:
         )
 
 
+# The tank's gains f, g and w over the constants ``tank_dynamics`` binds:
+# the one place the formula is written.
+_TANK_GAINS = (
+    "neg_c_out * x * sqrt(two_over_rho * (x - p2))",
+    "c_in * x * sqrt(two_over_rho * (p1 - x))",
+    "x * inv_vol",
+)
+
+
 def tank_dynamics(params: TankParams, margin: float = 1e-3) -> SystemDynamics:
     """Build the tank's SystemDynamics.
 
@@ -222,36 +286,8 @@ def tank_dynamics(params: TankParams, margin: float = 1e-3) -> SystemDynamics:
     if not lo < hi:
         raise ValueError(f"margin {margin!r} leaves an empty pressure range")
 
-    neg_c_out = -(params.alpha2 * params.a2 * params.m2 / params.vol)
-    c_in = params.alpha1 * params.a1 / params.vol
-    two_over_rho = 2.0 / params.rho
-    p1 = params.p1
-    p2 = params.p2
-    inv_vol = 1.0 / params.vol
-
-    def drift(x: float) -> float:
-        return neg_c_out * x * math.sqrt(two_over_rho * (x - p2))
-
-    def input_gain(x: float) -> float:
-        return c_in * x * math.sqrt(two_over_rho * (p1 - x))
-
-    def uncertainty_gain(x: float) -> float:
-        return x * inv_vol
-
-    sqrt = math.sqrt
-
-    def rhs(x: float, u: float, theta: float) -> float:
-        # the three gains in their own operation order: bitwise f + g*u + w*theta
-        return (
-            neg_c_out * x * sqrt(two_over_rho * (x - p2))
-            + c_in * x * sqrt(two_over_rho * (p1 - x)) * u
-            + x * inv_vol * theta
-        )
-
-    return SystemDynamics(
-        drift=drift,
-        input_gain=input_gain,
-        uncertainty_gain=uncertainty_gain,
-        state_domain=(lo, hi),
-        rhs=rhs,
-    )
+    return SystemDynamics(state_domain=(lo, hi), **_generate(
+        _TANK_GAINS, sqrt=math.sqrt, p1=params.p1, p2=params.p2, inv_vol=1.0 / params.vol,
+        neg_c_out=-(params.alpha2 * params.a2 * params.m2 / params.vol),
+        c_in=params.alpha1 * params.a1 / params.vol, two_over_rho=2.0 / params.rho,
+    ))

@@ -1,8 +1,8 @@
 """State prediction for control intervals without fresh measurements.
 
 The predictor advances the nominal model (disturbance set to zero) with
-one step of the plant's RK4 kernel per break point and applies a
-multiplicative correction afterwards:
+the plant's RK4 kernel, one step per break point, each followed by a
+multiplicative correction:
 
     xhat[i+1] = (1 + gamma) * xhat[i] + dx[i],   |gamma| < 1
 
@@ -14,12 +14,13 @@ error by a mean prediction, so the result is unit dependent and the
 sample sets must share the plant's units.
 """
 
+import io
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .errors import CalibrationRangeError, DomainError, TrajectoryError
-from .plant import SystemDynamics, rk4_increment
+from .errors import CalibrationRangeError, DomainError, TrajectoryError, read_input
+from .plant import SystemDynamics, rk4_increment  # re-exported: ncsim.predictor.rk4_increment
 
 Controller = Callable[[float], float]
 
@@ -73,18 +74,19 @@ class ControlTrajectory:
 
 
 def predict_step(
-    cfg: PredictorConfig, dynamics: SystemDynamics, xhat: float, u: float
+    cfg: PredictorConfig, dynamics: SystemDynamics, xhat: float, u: float, steps: int = 1
 ) -> float:
-    """Advance the prediction one break point.
+    """Advance the prediction ``steps`` break points holding ``u``.
 
-    With ``gamma == 0`` this reduces bitwise to the plain update
-    ``xhat + rk4_increment(...)`` (theta = 0).  The corrected state must
-    stay in the plant domain.
+    One march of the plant kernel (theta = 0) with scale ``1 + gamma``:
+    with ``gamma == 0`` each step reduces bitwise to the plain update
+    ``xhat + rk4_increment(...)``.  Each corrected state must stay in the
+    plant domain.
     """
-    increment = rk4_increment(dynamics, xhat, u, cfg.delta)
-    corrected = (1.0 + cfg.gamma) * xhat + increment
-    dynamics.check_state(corrected)
-    return corrected
+    return dynamics.march(
+        xhat, u, cfg.delta, 0.0, *dynamics.state_domain, steps, 1.0 + cfg.gamma,
+        lambda x, left: dynamics.check_state(x),
+    )[0]
 
 
 def predict_trajectory(
@@ -116,8 +118,7 @@ def predict_trajectory(
         if j == cfg.horizon:
             break
         try:
-            for _ in range(steps_per_input):
-                xhat = predict_step(cfg, dynamics, xhat, u)
+            xhat = predict_step(cfg, dynamics, xhat, u, steps_per_input)
         except DomainError as exc:
             raise TrajectoryError(
                 f"prediction left the domain after {len(inputs)} entries",
@@ -220,29 +221,29 @@ def read_sample_pairs(path: str) -> list[SamplePair]:
 
     Expected header: ``pair_id,predicted,measured``.  Rows sharing a
     ``pair_id`` form one sample pair; pairs keep first-appearance order.
+    The file is UTF-8 and at most ``MAX_INPUT_BYTES`` bytes long.
     """
     # Imported here so that only ``ncsim calibrate`` pays for it.
     import csv
 
     groups: dict[str, tuple[list[float], list[float]]] = {}
     order: list[str] = []
-    with open(path, newline="") as handle:
-        reader = csv.DictReader(handle)
-        required = {"pair_id", "predicted", "measured"}
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-            raise ValueError(
-                f"sample file must have columns pair_id,predicted,measured, got {reader.fieldnames}"
-            )
-        for row in reader:
-            pair_id = row["pair_id"]
-            if pair_id not in groups:
-                groups[pair_id] = ([], [])
-                order.append(pair_id)
-            try:
-                groups[pair_id][0].append(float(row["predicted"]))
-                groups[pair_id][1].append(float(row["measured"]))
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"bad sample row {row!r}") from exc
+    reader = csv.DictReader(io.StringIO(read_input(path), newline=""))
+    required = {"pair_id", "predicted", "measured"}
+    if reader.fieldnames is None or not required.issubset(reader.fieldnames):
+        raise ValueError(
+            f"sample file must have columns pair_id,predicted,measured, got {reader.fieldnames}"
+        )
+    for row in reader:
+        pair_id = row["pair_id"]
+        if pair_id not in groups:
+            groups[pair_id] = ([], [])
+            order.append(pair_id)
+        try:
+            groups[pair_id][0].append(float(row["predicted"]))
+            groups[pair_id][1].append(float(row["measured"]))
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"bad sample row {row!r}") from exc
     if not order:
         raise ValueError(f"no sample rows in {path}")
     return [

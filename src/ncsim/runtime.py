@@ -17,9 +17,9 @@ strategy when it is lost:
 * ``hold-last-value`` repeats the last applied input.
 * ``zero-input`` applies zero.
 
-The true state advances by the plant's RK4 kernel over the full
-dynamics, ``n_truth`` substeps per interval, with theta looked up once
-per interval unless its schedule changes inside it.
+The true state advances by one march of the plant's RK4 kernel over the
+full dynamics, ``n_truth`` substeps per interval, with theta looked up
+once per interval unless its schedule changes inside it.
 """
 
 import math
@@ -29,7 +29,7 @@ from typing import Optional, Sequence
 from .controller import ControllerConfig, LyapunovSpec, sontag_input
 from .errors import DomainError, NonFiniteError, SimulationDiverged, TrajectoryError
 from .losses import LossModel
-from .plant import SystemDynamics, UncertaintySignal, rk4_increment
+from .plant import SystemDynamics, UncertaintySignal, _stage_error
 from .predictor import ControlTrajectory, PredictorConfig, predict_trajectory
 
 PREDICTIVE_BUFFER = "predictive-buffer"
@@ -144,19 +144,30 @@ def integrate_interval(
     """Advance the true state one control interval under constant input.
 
     Runs ``n_truth`` kernel steps with theta taken at each substep start
-    ``t_start + j*h``: one lookup when no schedule time falls between the
-    first and last start, else one per substep.  A stage outside the
-    state domain raises ``IntegrationDomainError``.
+    ``t_start + j*h``: one march under one lookup when no schedule time
+    falls between the first and last start, else one march per substep.
+    A stage outside the state domain raises ``IntegrationDomainError``, a
+    NaN or infinite state ``NonFiniteError``, and an end state outside
+    the domain ``DomainError``.
     """
     h = t_s / n_truth
-    th = theta.constant_over(t_start, t_start + (n_truth - 1) * h)
-    for j in range(n_truth):
-        x = x + rk4_increment(
-            dynamics, x, u, h, theta.value(t_start + j * h) if th is None else th
-        )
-        if not math.isfinite(x):
+
+    def fail(xs: float, left: int) -> None:
+        # a state inside the domain is finite, so only one outside is tested
+        if not math.isfinite(xs):
             raise NonFiniteError(f"state became non-finite during interval at t={t_start!r}")
-    dynamics.check_state(x)
+        if left:  # the next substep's first stage
+            raise _stage_error(1, xs)
+        dynamics.check_state(xs)
+
+    th = theta.constant_over(t_start, t_start + (n_truth - 1) * h)
+    if th is not None:
+        return dynamics.march(x, u, h, th, *dynamics.state_domain, n_truth, 1.0, fail)[0]
+    for j in range(n_truth):
+        x = dynamics.march(
+            x, u, h, theta.value(t_start + j * h), *dynamics.state_domain, 1, 1.0,
+            lambda xs, _, left=n_truth - 1 - j: fail(xs, left),
+        )[0]
     return x
 
 

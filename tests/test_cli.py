@@ -1,8 +1,11 @@
 import json
+import os
 
 import pytest
 
 import ncsim.cli
+import ncsim.errors
+import ncsim.losses
 import ncsim.scenario
 from ncsim.cli import (
     EXIT_CALIBRATION,
@@ -323,6 +326,74 @@ class TestInputFiles:
         assert main(argv) == EXIT_CONFIG
         assert "sim.theta" in capsys.readouterr().err
         assert not (out / "resolved_config.json").exists()
+
+
+ENDLESS = "/dev/zero"
+
+
+@pytest.mark.skipif(not os.path.exists(ENDLESS), reason="needs /dev/zero")
+class TestBoundedReads:
+    @pytest.mark.parametrize(
+        "argv, key",
+        [
+            (["run", ENDLESS], None),
+            (["run", "tank-reference", "--loss", f"trace:{ENDLESS}"], "loss.trace_path"),
+            (["compare", "tank-reference", "--loss", f"trace:{ENDLESS}"], "loss.trace_path"),
+            (["calibrate", ENDLESS], None),
+            (["calibrate", "--apply-to", ENDLESS, "{samples}"], None),
+        ],
+        ids=["scenario", "run-trace", "compare-trace", "samples", "apply-to"],
+    )
+    def test_endless_file_exits_2(self, tmp_path, capsys, argv, key):
+        samples = tmp_path / "samples.csv"
+        samples.write_text("pair_id,predicted,measured\n0,1.0,1.1\n")
+        argv = [arg.format(samples=samples) for arg in argv]
+        assert main([*argv, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"{ENDLESS!r} is longer than {ncsim.errors.MAX_INPUT_BYTES} bytes" in err
+        assert key is None or key in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "o" / "resolved_config.json").exists()
+
+
+class TestReadInput:
+    def test_cap_is_inclusive(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(ncsim.errors, "MAX_INPUT_BYTES", 8)
+        path = tmp_path / "f"
+        path.write_bytes(b"12345678")
+        assert ncsim.errors.read_input(str(path)) == "12345678"
+        path.write_bytes(b"123456789")
+        with pytest.raises(ncsim.errors.ConfigError, match="longer than 8 bytes"):
+            ncsim.errors.read_input(str(path))
+
+    def test_size_is_checked_before_decoding(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(ncsim.errors, "MAX_INPUT_BYTES", 4)
+        path = tmp_path / "f"
+        path.write_bytes(b"\xff" * 5)
+        with pytest.raises(ncsim.errors.ConfigError, match="longer than 4 bytes"):
+            ncsim.errors.read_input(str(path))
+        path.write_bytes(b"\xff" * 4)
+        with pytest.raises(UnicodeDecodeError):
+            ncsim.errors.read_input(str(path))
+
+    @pytest.mark.parametrize("kind", ["scenario", "trace", "samples"])
+    def test_each_input_goes_through_the_cap(self, tmp_path, monkeypatch, capsys, kind):
+        monkeypatch.setattr(ncsim.errors, "MAX_INPUT_BYTES", 16)
+        path = tmp_path / "long"
+        path.write_text("1\n" * 9)
+        argv = {
+            "scenario": ["run", str(path)],
+            "trace": ["run", "tank-reference", "--loss", f"trace:{path}"],
+            "samples": ["calibrate", str(path)],
+        }[kind]
+        assert main([*argv, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert f"{str(path)!r} is longer than 16 bytes" in capsys.readouterr().err
+
+    def test_trace_lines_keep_their_numbers(self, tmp_path):
+        path = tmp_path / "bits.txt"
+        path.write_bytes(b"1\r\n0\r\n\n1\r2\n")
+        with pytest.raises(ValueError, match=r":5: expected 0 or 1, got '2'"):
+            ncsim.losses.read_trace_file(str(path))
 
 
 class TestCompare:

@@ -2,7 +2,7 @@ import dataclasses
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ncsim import (
@@ -145,6 +145,24 @@ class TestSystemDynamics:
         counted = dataclasses.replace(tank, drift=lambda x: 0.0)
         assert counted.rhs is tank.rhs
 
+    def test_replace_carries_the_generated_kernel(self, tank):
+        counted = dataclasses.replace(tank, drift=lambda x: 0.0, input_gain=lambda x: 0.0)
+        assert counted.march is tank.march
+        args = (150_000.0, 0.4, 0.1, 0.175, *tank.state_domain, 20, 1.0, None)
+        assert [v.hex() for v in counted.march(*args)] == [v.hex() for v in tank.march(*args)]
+        assert rk4_increment(counted, 150_000.0, 0.4, 0.1).hex() == rk4_increment(
+            tank, 150_000.0, 0.4, 0.1
+        ).hex()
+
+    def test_replaced_domain_binds_the_carried_kernel(self, tank):
+        narrow = dataclasses.replace(tank, state_domain=(140_000.0, 150_000.0))
+        assert narrow.march is tank.march
+        # fine in the tank's domain; stage 2 probes past the narrow one
+        rk4_increment(tank, 149_000.0, 1.0, 20.0)
+        with pytest.raises(IntegrationDomainError) as excinfo:
+            rk4_increment(narrow, 149_000.0, 1.0, 20.0)
+        assert excinfo.value.stage == 2
+
     def test_empty_domain_rejected(self):
         with pytest.raises(ValueError):
             SystemDynamics(
@@ -165,6 +183,127 @@ class TestSystemDynamics:
         d.check_state(1.0)
         with pytest.raises(DomainError):
             d.check_state(1.0000001)
+
+
+def reference_march(f, g, w, domain, x, u, h, theta, n, scale=1.0):
+    """n classical RK4 steps x <- scale*x + dx written out over the three
+    gains, or None once a stage or end state leaves the domain."""
+    lo, hi = domain
+
+    def rhs(xs):
+        return f(xs) + g(xs) * u + w(xs) * theta
+
+    dx = None
+    for _ in range(n):
+        if not lo <= x <= hi:
+            return None, dx
+        k1 = h * rhs(x)
+        if not lo <= x + k1 / 2.0 <= hi:
+            return None, dx
+        k2 = h * rhs(x + k1 / 2.0)
+        if not lo <= x + k2 / 2.0 <= hi:
+            return None, dx
+        k3 = h * rhs(x + k2 / 2.0)
+        if not lo <= x + k3 <= hi:
+            return None, dx
+        k4 = h * rhs(x + k3)
+        dx = (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+        x = scale * x + dx
+    return (x if lo <= x <= hi else None), dx
+
+
+def raise_domain_error(x, left):
+    raise DomainError(f"end state {x!r}")
+
+
+class TestGeneratedKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        x=st.floats(min_value=100_000.001, max_value=199_999.999),
+        u=st.floats(min_value=-2.0, max_value=2.0),
+        theta=st.floats(min_value=-1.0, max_value=1.0),
+        h=st.sampled_from([0.01, 0.1, 2.0]),
+        n=st.integers(min_value=1, max_value=25),
+        gamma=st.sampled_from([0.0, 0.05, -0.3]),
+    )
+    def test_tank_generic_and_reference_agree_bitwise(self, x, u, theta, h, n, gamma):
+        tank = tank_dynamics(TankParams.benchmark(), margin=1e-3)
+        # the same gains as callables: the generic kernel calling a composed rhs
+        generic = SystemDynamics(
+            drift=tank.drift,
+            input_gain=tank.input_gain,
+            uncertainty_gain=tank.uncertainty_gain,
+            state_domain=tank.state_domain,
+        )
+        assert generic.march is not tank.march
+        scale = 1.0 + gamma
+        expected, last_dx = reference_march(
+            tank.drift, tank.input_gain, tank.uncertainty_gain, tank.state_domain,
+            x, u, h, theta, n, scale,
+        )
+        for dyn in (tank, generic):
+            args = (x, u, h, theta, *dyn.state_domain, n, scale, raise_domain_error)
+            if expected is None:
+                with pytest.raises(DomainError):
+                    dyn.march(*args)
+            else:
+                end, dx = dyn.march(*args)
+                assert (end.hex(), dx.hex()) == (expected.hex(), last_dx.hex())
+        _, dx = reference_march(
+            tank.drift, tank.input_gain, tank.uncertainty_gain, tank.state_domain,
+            x, u, h, theta, 1,
+        )
+        if dx is not None:
+            assert rk4_increment(tank, x, u, h, theta).hex() == dx.hex()
+            assert rk4_increment(generic, x, u, h, theta).hex() == dx.hex()
+
+    def test_factory_is_compiled_once_per_expression(self, tank):
+        other = tank_dynamics(TankParams.benchmark(p2=50_000.0, m2=0.5), margin=1.0)
+        assert other.march.__code__ is tank.march.__code__
+        assert other.march is not tank.march
+        assert other.rhs(150_000.0, 0.5, 0.1) != tank.rhs(150_000.0, 0.5, 0.1)
+        linear = SystemDynamics(lambda x: -x, lambda x: 1.0, lambda x: 0.0, (-1.0, 1.0))
+        quadratic = SystemDynamics(lambda x: -x * x, lambda x: 1.0, lambda x: 0.0, (-1.0, 1.0))
+        assert linear.march.__code__ is quadratic.march.__code__
+
+    def test_generic_kernel_calls_a_given_rhs(self):
+        d = SystemDynamics(
+            drift=lambda x: 0.0,
+            input_gain=lambda x: 0.0,
+            uncertainty_gain=lambda x: 0.0,
+            state_domain=(-10.0, 10.0),
+            rhs=lambda x, u, theta: u,
+        )
+        assert rk4_increment(d, 0.0, 2.0, 0.5) == 1.0
+
+    @pytest.mark.parametrize(
+        "drift, domain, stage, state",
+        [
+            (lambda x: 0.0, (0.0, 4.0), 1, 5.0),  # the start state
+            (lambda x: 100.0, (0.0, 10.0), 2, 55.0),
+            (lambda x: 1.0 if x <= 5.25 else 20.0, (0.0, 10.0), 3, 15.0),
+            (lambda x: 1.0, (0.0, 5.9), 4, 6.0),
+        ],
+        ids=["stage1", "stage2", "stage3", "stage4"],
+    )
+    def test_each_stage_names_itself(self, drift, domain, stage, state):
+        d = SystemDynamics(drift, lambda x: 0.0, lambda x: 0.0, domain)
+        for run in (
+            lambda: rk4_increment(d, 5.0, 0.0, 1.0),
+            lambda: d.march(5.0, 0.0, 1.0, 0.0, *domain, 3, 1.0, raise_domain_error),
+        ):
+            with pytest.raises(IntegrationDomainError) as excinfo:
+                run()
+            assert excinfo.value.stage == stage
+            assert excinfo.value.state == state
+            assert str(excinfo.value) == f"stage {stage} state {state!r} left the domain"
+
+    @pytest.mark.parametrize("h", [0.0, -1.0, math.nan])
+    def test_step_must_be_positive(self, tank, h):
+        with pytest.raises(ValueError, match="step h must be positive"):
+            rk4_increment(tank, 150_000.0, 0.0, h)
+        with pytest.raises(ValueError, match="step h must be positive"):
+            tank.march(150_000.0, 0.0, h, 0.0, *tank.state_domain, 2, 1.0, raise_domain_error)
 
 
 class TestUncertaintySignal:

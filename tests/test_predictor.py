@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ncsim import (
@@ -127,6 +127,90 @@ class TestPredictStep:
         cfg = PredictorConfig(delta=2.0, gamma=0.5, horizon=1)
         with pytest.raises(DomainError):
             predict_step(cfg, d, 190_000.0, 1.0)
+
+
+def step_reference(cfg, dynamics, xhat, u):
+    """One predictor step written out: the increment, the correction, and
+    the corrected-state check."""
+    corrected = (1.0 + cfg.gamma) * xhat + rk4_increment(dynamics, xhat, u, cfg.delta)
+    dynamics.check_state(corrected)
+    return corrected
+
+
+class TestPredictorMarch:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        x=st.floats(min_value=100_001.0, max_value=199_999.0),
+        u=st.floats(min_value=0.0, max_value=1.0),
+        gamma=st.floats(min_value=-0.2, max_value=0.2).filter(lambda g: g != 0.0),
+        delta=st.sampled_from([0.5, 2.0]),
+        steps=st.integers(min_value=2, max_value=6),
+    )
+    def test_march_is_predict_step_repeated(self, x, u, gamma, delta, steps):
+        d = tank_dynamics(TankParams.benchmark(), margin=1e-3)
+        cfg = PredictorConfig(delta=delta, gamma=gamma, horizon=1)
+        try:
+            expected = x
+            for _ in range(steps):
+                expected = step_reference(cfg, d, expected, u)
+        except DomainError:
+            with pytest.raises(DomainError):
+                predict_step(cfg, d, x, u, steps)
+            return
+        assert predict_step(cfg, d, x, u, steps).hex() == expected.hex()
+        repeated = x
+        for _ in range(steps):
+            repeated = predict_step(cfg, d, repeated, u)
+        assert repeated.hex() == expected.hex()
+
+    @pytest.mark.parametrize("x0", [130_000.0, 190_000.0])
+    @pytest.mark.parametrize("gamma", [0.03, -0.04, 0.15])  # 0.15 leaves the domain
+    @pytest.mark.parametrize("steps_per_input", [2, 3])
+    def test_trajectory_with_several_steps_per_input(self, x0, gamma, steps_per_input):
+        d = tank_dynamics(TankParams.benchmark(), margin=1e-3)
+        cfg = PredictorConfig(delta=0.5, gamma=gamma, horizon=8)
+        lyap = LyapunovSpec(setpoint=150_000.0)
+        ccfg = ControllerConfig()
+
+        def controller(x):
+            return sontag_input(d, lyap, ccfg, x)
+
+        inputs, states, xhat = [], [x0], x0
+        try:
+            for j in range(cfg.horizon + 1):
+                inputs.append(controller(xhat))
+                if j == cfg.horizon:
+                    break
+                for _ in range(steps_per_input):
+                    xhat = step_reference(cfg, d, xhat, inputs[-1])
+                states.append(xhat)
+        except DomainError:
+            assert gamma == 0.15
+            with pytest.raises(TrajectoryError) as excinfo:
+                predict_trajectory(cfg, d, x0, controller, steps_per_input=steps_per_input)
+            assert excinfo.value.inputs == tuple(inputs)
+            assert excinfo.value.predicted_states == tuple(states)
+            return
+        assert gamma != 0.15
+        traj = predict_trajectory(cfg, d, x0, controller, steps_per_input=steps_per_input)
+        assert traj.inputs == tuple(inputs)
+        assert [s.hex() for s in traj.predicted_states] == [s.hex() for s in states]
+
+    def test_zero_steps_leave_the_state(self):
+        d = tank_dynamics(TankParams.benchmark(), margin=1e-3)
+        cfg = PredictorConfig(delta=2.0, gamma=0.1, horizon=1)
+        assert predict_step(cfg, d, 150_000.0, 0.5, 0) == 150_000.0
+        with pytest.raises(IntegrationDomainError):
+            predict_step(cfg, d, 250_000.0, 0.5, 0)
+
+    def test_corrected_state_check_keeps_its_text(self):
+        d = still_dynamics(domain=(0.0, 10.0))
+        cfg = PredictorConfig(delta=1.0, gamma=0.5, horizon=1)
+        # 6 -> 9 stays inside; the second step's 13.5 does not
+        with pytest.raises(DomainError) as excinfo:
+            predict_step(cfg, d, 6.0, 0.0, 2)
+        assert type(excinfo.value) is DomainError
+        assert str(excinfo.value) == "state 13.5 outside domain [0.0, 10.0]"
 
 
 class TestPredictTrajectory:

@@ -231,6 +231,63 @@ class TestIntegrateInterval:
         assert excinfo.value.stage == 2
 
 
+# Every stage stays in [0, 6.5] from 5 at h = 1 (5.5, 5.5, 6.0), but the
+# end state 5 + (1 + 2 + 2 + 100) / 6 = 22.5 does not.
+def end_escape(domain=(0.0, 6.5)) -> SystemDynamics:
+    return SystemDynamics(lambda x: 1.0 if x < 5.9 else 100.0, lambda x: 0.0, lambda x: 0.0, domain)
+
+
+# From 5 at h = 2 the stages sit at 5.05, 5.05 and 5.1, where 2 * 1e308 overflows.
+def overflow() -> SystemDynamics:
+    return SystemDynamics(lambda x: 0.05 if x < 5.08 else 1e308, lambda x: 0.0, lambda x: 0.0, WIDE)
+
+
+# theta schedules that take the constant and, for intervals from t = 3 with
+# more than one substep, the per-substep path
+THETA_PATHS = {
+    "constant": ZERO_THETA,
+    "per-substep": UncertaintySignal(times=(0.0, 3.5), values=(0.0, 0.0)),
+}
+
+
+class TestIntegrateIntervalErrors:
+    @pytest.mark.parametrize("path", sorted(THETA_PATHS))
+    @pytest.mark.parametrize("x, n_truth", [(5.0, 1), (4.0, 2)])  # from 4, step 1 ends at 5
+    def test_end_state_outside_the_domain(self, path, x, n_truth):
+        with pytest.raises(DomainError) as excinfo:
+            integrate_interval(end_escape(), x, 0.0, 3.0, n_truth * 1.0, n_truth, THETA_PATHS[path])
+        assert type(excinfo.value) is DomainError
+        assert str(excinfo.value) == "state 22.5 outside domain [0.0, 6.5]"
+
+    @pytest.mark.parametrize("path", sorted(THETA_PATHS))
+    @pytest.mark.parametrize("n_truth", [2, 3])
+    def test_mid_interval_exit_stops_the_next_first_stage(self, path, n_truth):
+        with pytest.raises(IntegrationDomainError) as excinfo:
+            integrate_interval(end_escape(), 5.0, 0.0, 3.0, n_truth * 1.0, n_truth, THETA_PATHS[path])
+        assert excinfo.value.stage == 1
+        assert excinfo.value.state == 22.5
+        assert str(excinfo.value) == "stage 1 state 22.5 left the domain"
+
+    @pytest.mark.parametrize("path", sorted(THETA_PATHS))
+    @pytest.mark.parametrize("n_truth", [1, 2])
+    def test_overflowing_rhs(self, path, n_truth):
+        with pytest.raises(NonFiniteError) as excinfo:
+            integrate_interval(overflow(), 5.0, 0.0, 3.0, n_truth * 2.0, n_truth, THETA_PATHS[path])
+        assert str(excinfo.value) == "state became non-finite during interval at t=3.0"
+
+    def test_stage_errors_keep_their_index(self):
+        # stage 4 probes 6.0 outside [0, 5.9]
+        with pytest.raises(IntegrationDomainError) as excinfo:
+            integrate_interval(end_escape((0.0, 5.9)), 5.0, 0.0, 0.0, 2.0, 2, ZERO_THETA)
+        assert excinfo.value.stage == 4
+        assert str(excinfo.value) == "stage 4 state 6.0 left the domain"
+
+    def test_start_state_outside_the_domain(self):
+        with pytest.raises(IntegrationDomainError) as excinfo:
+            integrate_interval(end_escape(), 7.0, 0.0, 0.0, 1.0, 1, ZERO_THETA)
+        assert (excinfo.value.stage, excinfo.value.state) == (1, 7.0)
+
+
 def small_scenario(small_scenario_dict, overrides=None):
     return scenario_from_dict(small_scenario_dict(overrides))
 
