@@ -24,6 +24,7 @@ from .runtime import (
     MAX_COMPARE_SEEDS,
     MAX_COMPARE_WORKERS,
     STRATEGIES,
+    check_strategies,
     compare_strategies,
     run_scenario,
     write_comparison_csv,
@@ -31,6 +32,7 @@ from .runtime import (
 )
 from .scenario import (
     BUILTIN_SCENARIOS,
+    SEEDED_KINDS,
     apply_overrides,
     builtin_scenario_dict,
     resolved_json,
@@ -121,7 +123,7 @@ def _apply_common_flags(doc: dict, args) -> dict:
         existing = doc.get("loss")
         seed = existing.get("seed", 0) if isinstance(existing, dict) else 0
         section = _parse_loss_flag(args.loss)
-        if section["kind"] in ("bernoulli", "gilbert-elliott"):
+        if section["kind"] in SEEDED_KINDS:
             section["seed"] = seed
         doc = dict(doc, loss=section)
     if args.seed is not None:
@@ -137,7 +139,15 @@ def _apply_common_flags(doc: dict, args) -> dict:
     return doc
 
 
-def _write_text(path: str, text: str) -> None:
+def _write(write, *args) -> None:
+    """``write(*args)`` to the path ``args[-1]``, a ConfigError if it cannot."""
+    try:
+        write(*args)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {args[-1]!r}: {exc}") from exc
+
+
+def _write_text(text: str, path: str) -> None:
     with open(path, "w", newline="") as handle:
         handle.write(text)
 
@@ -151,7 +161,7 @@ def cmd_run(args) -> int:
     doc = _apply_common_flags(_scenario_document(args.scenario), args)
     scenario = scenario_from_dict(doc)
     strategy = scenario.strategies[0]
-    _write_text(os.path.join(out, "resolved_config.json"), resolved_json(scenario))
+    _write(_write_text, resolved_json(scenario), os.path.join(out, "resolved_config.json"))
 
     diverged = None
     try:
@@ -161,7 +171,7 @@ def cmd_run(args) -> int:
         diverged = exc
         records = tuple(exc.records)
 
-    write_records_csv(records, os.path.join(out, "trace.csv"))
+    _write(write_records_csv, records, os.path.join(out, "trace.csv"))
 
     setpoint = scenario.lyapunov.setpoint
     initial_dev = abs(scenario.sim.x0 - setpoint)
@@ -184,7 +194,7 @@ def cmd_run(args) -> int:
     else:
         summary["diverged_step"] = diverged.step
         summary["reason"] = diverged.reason
-    _write_text(os.path.join(out, "summary.json"), _json_text(summary))
+    _write(_write_text, _json_text(summary), os.path.join(out, "summary.json"))
 
     if diverged is not None:
         print(f"diverged at step {diverged.step}: {diverged.reason}", file=sys.stderr)
@@ -205,14 +215,15 @@ def cmd_compare(args) -> int:
     scenario = scenario_from_dict(doc)
     strategies = None
     if args.strategies is not None:
-        strategies = tuple(name.strip() for name in args.strategies.split(",") if name.strip())
+        names = (name.strip() for name in args.strategies.split(","))
+        strategies = check_strategies([name for name in names if name], "--strategies")
     if not 1 <= args.seeds <= MAX_COMPARE_SEEDS:
         raise ConfigError(f"--seeds must lie in [1, {MAX_COMPARE_SEEDS}], got {args.seeds}")
     if not 1 <= args.workers <= MAX_COMPARE_WORKERS:
         raise ConfigError(
             f"--workers must lie in [1, {MAX_COMPARE_WORKERS}], got {args.workers}"
         )
-    _write_text(os.path.join(out, "resolved_config.json"), resolved_json(scenario))
+    _write(_write_text, resolved_json(scenario), os.path.join(out, "resolved_config.json"))
     try:
         result = compare_strategies(
             scenario, strategies=strategies, n_seeds=args.seeds, workers=args.workers
@@ -226,7 +237,7 @@ def cmd_compare(args) -> int:
             file=sys.stderr,
         )
 
-    write_comparison_csv(result, os.path.join(out, "comparison.csv"))
+    _write(write_comparison_csv, result, os.path.join(out, "comparison.csv"))
     medians = {name: result.median_cost(name) for name in result.strategies}
     wins = {
         a: {b: result.count_wins(a, b) for b in result.strategies if b != a}
@@ -240,7 +251,7 @@ def cmd_compare(args) -> int:
         "wins": wins,
         "diverged": {name: result.diverged_count(name) for name in result.strategies},
     }
-    _write_text(os.path.join(out, "summary.json"), _json_text(summary))
+    _write(_write_text, _json_text(summary), os.path.join(out, "summary.json"))
 
     for name in result.strategies:
         med = medians[name]
@@ -302,7 +313,7 @@ def cmd_calibrate(args) -> int:
         )
         scenario = scenario_from_dict(doc)
         path = os.path.join(out, "calibrated_config.json")
-        _write_text(path, resolved_json(scenario))
+        _write(_write_text, resolved_json(scenario), path)
         print(f"wrote {path}")
     return EXIT_OK
 
@@ -385,10 +396,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except TraceExhaustedError as exc:
+    except (ConfigError, TraceExhaustedError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

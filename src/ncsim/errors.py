@@ -1,6 +1,8 @@
 """Exception types shared across the simulator, and the bounded read of
 its input files."""
 
+import os
+
 # Bytes a scenario, loss-trace or samples file may hold (a 1 000 000-step
 # trace needs 2 MB); the read stops one byte past it, even on /dev/zero.
 MAX_INPUT_BYTES = 16 * 1024 * 1024
@@ -94,7 +96,10 @@ class SimulationDiverged(NcsimError):
 def read_input(path: str) -> str:
     """The UTF-8 text of an input file; a file longer than
     ``MAX_INPUT_BYTES`` is a ``ConfigError``, raised before decoding."""
-    with open(path, "rb") as handle:
+    # A FIFO with no writer opens at once and reads as empty, instead of
+    # waiting in open for a writer; the read itself blocks as usual.
+    with open(path, "rb", opener=lambda p, flags: os.open(p, flags | os.O_NONBLOCK)) as handle:
+        os.set_blocking(handle.fileno(), True)
         data = handle.read(MAX_INPUT_BYTES + 1)
     if len(data) > MAX_INPUT_BYTES:
         raise ConfigError(f"input file {path!r} is longer than {MAX_INPUT_BYTES} bytes")

@@ -98,13 +98,11 @@ class GilbertElliottLoss(_CachedStream):
         self.seed = seed
         self._rng = random.Random(seed)
         total = p_g2b + p_b2g
-        stationary_bad = p_g2b / total if total > 0 else 0.0
-        self._bad = self._rng.random() < stationary_bad
+        self.stationary_bad = p_g2b / total if total > 0 else 0.0
+        self._bad = self._rng.random() < self.stationary_bad
 
     def stationary_loss_rate(self) -> float:
-        total = self.p_g2b + self.p_b2g
-        stationary_bad = self.p_g2b / total if total > 0 else 0.0
-        return stationary_bad * self.loss_in_bad
+        return self.stationary_bad * self.loss_in_bad
 
     def _next_bit(self) -> int:
         if self._bad:

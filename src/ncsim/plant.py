@@ -21,12 +21,13 @@ All evaluations are guarded: leaving the state domain raises
 square-root argument.
 
 The one RK4 step, ``_RK4``, is source text compiled per right-hand side
-into the n-step march of truth and prediction; ``rk4_increment`` runs
-it for one step.  The tank's gains are strings inlined at its four
-stages, so the formula is written once and no stage makes a call;
-dynamics built from callables get the text calling their ``rhs``.  Only
-this module's strings are compiled, and numbers are bound as values, so
-no input reaches the source.
+into the n-step march: truth runs it once per theta segment (see
+``UncertaintySignal.segment``), prediction once per buffer entry, and
+``rk4_increment`` for one step.  The tank's gains are strings inlined at
+its four stages, so the formula is written once and no stage makes a
+call; dynamics built from callables get the text calling their ``rhs``.
+Only this module's strings are compiled, and numbers are bound as
+values, so no input reaches the source.
 """
 
 import math
@@ -197,13 +198,18 @@ class UncertaintySignal:
         idx = bisect_right(self.times, t) - 1
         return self.values[max(idx, 0)]
 
-    def constant_over(self, t_first: float, t_last: float) -> Optional[float]:
-        """theta on [t_first, t_last], or None if a schedule time falls in
-        (t_first, t_last]."""
-        idx = bisect_right(self.times, t_first)
-        if idx < len(self.times) and self.times[idx] <= t_last:
-            return None
-        return self.values[max(idx - 1, 0)]
+    def segment(self, t_start: float, h: float, j: int, n: int) -> tuple[float, int]:
+        """theta at the substep start ``t_start + j*h`` and how many of the
+        next starts ``t_start + i*h``, j < i < n, keep its entry: the floats
+        ``value`` would look up, so a segment ends where that lookup changes."""
+        idx = bisect_right(self.times, t_start + j * h)
+        theta = self.values[max(idx - 1, 0)]
+        if idx == len(self.times) or t_start + (n - 1) * h < self.times[idx]:
+            return theta, n - 1 - j
+        i = j + 1
+        while t_start + i * h < self.times[idx]:
+            i += 1
+        return theta, i - 1 - j
 
 
 @dataclass(frozen=True)

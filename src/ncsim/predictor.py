@@ -17,12 +17,21 @@ sample sets must share the plant's units.
 import io
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 from .errors import CalibrationRangeError, DomainError, TrajectoryError, read_input
 from .plant import SystemDynamics, rk4_increment  # re-exported: ncsim.predictor.rk4_increment
 
 Controller = Callable[[float], float]
+
+# Relative slack when checking that one time quantity divides another.
+_RATIO_TOL = 1e-9
+
+
+def whole_multiple(ratio: float) -> Optional[int]:
+    """``ratio`` as a whole number >= 1, within ``_RATIO_TOL`` relative, or None."""
+    n = round(ratio) if math.isfinite(ratio) else 0
+    return n if n >= 1 and abs(ratio - n) <= _RATIO_TOL * n else None
 
 
 @dataclass(frozen=True)
@@ -47,6 +56,12 @@ class PredictorConfig:
             raise ValueError(f"gamma must lie in (-1, 1), got {self.gamma!r}")
         if self.horizon < 1:
             raise ValueError(f"horizon must be >= 1, got {self.horizon!r}")
+
+    def steps_per_input(self, t_s: float) -> int:
+        """Predictor steps per control interval ``t_s``: ``t_s / delta`` when
+        whole, so break points line up with sampling instants, else one step
+        of ``delta``, mismatch and all."""
+        return whole_multiple(t_s / self.delta) or 1
 
 
 @dataclass(frozen=True)

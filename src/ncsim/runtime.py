@@ -1,25 +1,23 @@
 """Sampled-data closed loop with dropout compensation strategies.
 
-Each control interval [t_k, t_{k+1}) applies one constant input chosen
-from the current measurement when it arrives, or from a compensation
-strategy when it is lost:
+Each control interval [t_k, t_{k+1}) applies one constant input.  On
+reception every strategy applies the feedback to the measurement; on a
+loss the strategy supplies the input:
 
-* ``predictive-buffer`` applies the feedback to each received sample
-  and replays a predicted input trajectory during losses, advancing one
-  entry per lost interval and freezing at the last entry once the
+* ``predictive-buffer`` replays a predicted input trajectory, advancing
+  one entry per lost interval and freezing at the last entry once the
   buffer is exhausted.  The trajectory is planned lazily: a reception
-  records the measured state and applies entry 0 of its plan (the
-  feedback at that state), and the first loss after it plans the rest
-  from that state and step, or from the initial state when nothing has
-  been received yet.  A plan that leaves the domain mid-horizon
-  therefore makes the run diverge only when a loss replays it, at that
-  loss.
+  records the measured state (entry 0 of its plan is the feedback just
+  applied), and the first loss after it plans the rest from that state
+  and step, or from the initial state when nothing has been received
+  yet.  A plan that leaves the domain mid-horizon therefore makes the
+  run diverge only when a loss replays it, at that loss.
 * ``hold-last-value`` repeats the last applied input.
 * ``zero-input`` applies zero.
 
-The true state advances by one march of the plant's RK4 kernel over the
-full dynamics, ``n_truth`` substeps per interval, with theta looked up
-once per interval unless its schedule changes inside it.
+The true state advances by the plant's RK4 kernel over the full dynamics,
+``n_truth`` substeps per interval, in one march per segment of substeps
+under one theta schedule entry: one march unless theta changes inside it.
 """
 
 import math
@@ -27,7 +25,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .controller import ControllerConfig, LyapunovSpec, sontag_input
-from .errors import DomainError, NonFiniteError, SimulationDiverged, TrajectoryError
+from .errors import ConfigError, DomainError, NonFiniteError, SimulationDiverged, TrajectoryError
 from .losses import LossModel
 from .plant import SystemDynamics, UncertaintySignal, _stage_error
 from .predictor import ControlTrajectory, PredictorConfig, predict_trajectory
@@ -144,31 +142,42 @@ def integrate_interval(
     """Advance the true state one control interval under constant input.
 
     Runs ``n_truth`` kernel steps with theta taken at each substep start
-    ``t_start + j*h``: one march under one lookup when no schedule time
-    falls between the first and last start, else one march per substep.
+    ``t_start + j*h``: one march per segment of starts under one schedule
+    entry, so one march unless a schedule time falls inside the interval.
     A stage outside the state domain raises ``IntegrationDomainError``, a
     NaN or infinite state ``NonFiniteError``, and an end state outside
     the domain ``DomainError``.
     """
     h = t_s / n_truth
+    j = rest = 0  # substeps done, and those after the current segment
 
     def fail(xs: float, left: int) -> None:
         # a state inside the domain is finite, so only one outside is tested
         if not math.isfinite(xs):
             raise NonFiniteError(f"state became non-finite during interval at t={t_start!r}")
-        if left:  # the next substep's first stage
+        if left or rest:  # the next substep's first stage
             raise _stage_error(1, xs)
         dynamics.check_state(xs)
 
-    th = theta.constant_over(t_start, t_start + (n_truth - 1) * h)
-    if th is not None:
-        return dynamics.march(x, u, h, th, *dynamics.state_domain, n_truth, 1.0, fail)[0]
-    for j in range(n_truth):
-        x = dynamics.march(
-            x, u, h, theta.value(t_start + j * h), *dynamics.state_domain, 1, 1.0,
-            lambda xs, _, left=n_truth - 1 - j: fail(xs, left),
-        )[0]
+    while j < n_truth:
+        th, more = theta.segment(t_start, h, j, n_truth)
+        j += 1 + more
+        rest = n_truth - j
+        x = dynamics.march(x, u, h, th, *dynamics.state_domain, 1 + more, 1.0, fail)[0]
     return x
+
+
+def check_strategies(names: Sequence[str], label: str = "strategies") -> tuple[str, ...]:
+    """``names`` as a tuple if known and unique, else a ConfigError naming ``label``."""
+    names = tuple(names)
+    if not names:
+        raise ConfigError(f"{label} must be non-empty")
+    for name in names:
+        if name not in STRATEGIES:
+            raise ConfigError(f"{label}: unknown strategy {name!r}, expected one of {STRATEGIES}")
+    if len(set(names)) != len(names):
+        raise ConfigError(f"{label} must be unique")
+    return names
 
 
 def run_closed_loop(
@@ -180,21 +189,22 @@ def run_closed_loop(
     strategy: str,
     sim: SimSettings,
     weights: CostWeights,
-    steps_per_input: int = 1,
 ) -> RunResult:
     """Simulate the lossy loop and return per-interval records.
 
-    On a domain exit (truth integration, or a plan replayed by a loss)
-    raises ``SimulationDiverged`` carrying the records accumulated so
-    far.
+    A plan takes ``predictor_cfg.steps_per_input(sim.t_s)`` predictor
+    steps per buffer entry.  On a domain exit (truth integration, or a
+    plan replayed by a loss) raises ``SimulationDiverged`` carrying the
+    records accumulated so far.
     """
-    if strategy not in STRATEGIES:
-        raise ValueError(f"unknown strategy {strategy!r}, expected one of {STRATEGIES}")
+    check_strategies((strategy,), "strategy")
     dynamics.check_state(sim.x0)
 
     def controller(xs: float) -> float:
         return sontag_input(dynamics, lyapunov, control_cfg, xs)
 
+    buffered = strategy == PREDICTIVE_BUFFER
+    steps_per_input = predictor_cfg.steps_per_input(sim.t_s)
     horizon = predictor_cfg.horizon
     setpoint = lyapunov.setpoint
     raw_state = weights.raw_state
@@ -205,7 +215,7 @@ def run_closed_loop(
     plan_x, plan_k = sim.x0, 0
     trajectory: Optional[ControlTrajectory] = None
     age = 0
-    last_u = 0.0
+    u = 0.0  # the last applied input, which hold-last-value keeps
     j_running = 0.0
 
     for k in range(sim.steps):
@@ -213,58 +223,35 @@ def run_closed_loop(
         s_k = loss_model.sample_reception(k)
         try:
             x_pred: Optional[float] = None
-            if strategy == PREDICTIVE_BUFFER:
-                if s_k:
+            if s_k:
+                u = controller(x)
+                if buffered:
                     # Entry 0 of the plan from x, without the rest of it.
-                    u = controller(x)
                     x_pred = x
                     plan_x, plan_k = x, k
                     trajectory = None
-                    age = 0
+            elif buffered:
+                if trajectory is None:
+                    trajectory = predict_trajectory(
+                        predictor_cfg, dynamics, plan_x, controller,
+                        origin_step=plan_k, steps_per_input=steps_per_input,
+                    )
+                if sim.doubled_age_offset:
+                    offset = min(2 * age + 1, horizon)
                 else:
-                    if trajectory is None:
-                        trajectory = predict_trajectory(
-                            predictor_cfg,
-                            dynamics,
-                            plan_x,
-                            controller,
-                            origin_step=plan_k,
-                            steps_per_input=steps_per_input,
-                        )
-                    if sim.doubled_age_offset:
-                        offset = min(2 * age + 1, horizon)
-                    else:
-                        offset = min(k - trajectory.origin_step, horizon)
-                    age = min(age + 1, horizon)
-                    u = trajectory.inputs[offset]
-                    x_pred = trajectory.predicted_states[offset]
-            elif strategy == HOLD_LAST_VALUE:
-                if s_k:
-                    u = controller(x)
-                    age = 0
-                else:
-                    u = last_u
-                    age = min(age + 1, horizon)
-            else:  # ZERO_INPUT
-                if s_k:
-                    u = controller(x)
-                    age = 0
-                else:
-                    u = 0.0
-                    age = min(age + 1, horizon)
+                    offset = min(k - trajectory.origin_step, horizon)
+                u = trajectory.inputs[offset]
+                x_pred = trajectory.predicted_states[offset]
+            elif strategy == ZERO_INPUT:
+                u = 0.0
+            age = 0 if s_k else min(age + 1, horizon)
 
             deviation = x if raw_state else x - setpoint
             j_running += weights.q_c * deviation * deviation + weights.r_c * u * u
-            records.append(
-                SimulationRecord(
-                    k=k, t=t_k, x_true=x, x_pred=x_pred, s=s_k, i=age, u=u,
-                    j_running=j_running,
-                )
-            )
-            x = integrate_interval(
-                dynamics, x, u, t_k, sim.t_s, sim.n_truth, sim.theta
-            )
-            last_u = u
+            records.append(SimulationRecord(
+                k=k, t=t_k, x_true=x, x_pred=x_pred, s=s_k, i=age, u=u, j_running=j_running,
+            ))
+            x = integrate_interval(dynamics, x, u, t_k, sim.t_s, sim.n_truth, sim.theta)
         except (DomainError, NonFiniteError, TrajectoryError) as exc:
             raise SimulationDiverged(
                 f"run diverged at step {k}: {exc}", records=records, step=k,
@@ -279,7 +266,7 @@ def run_scenario(scenario, strategy: str, seed: Optional[int] = None) -> RunResu
     return run_closed_loop(
         scenario.build_dynamics(), scenario.predictor, scenario.lyapunov,
         scenario.controller, scenario.loss.build(seed), strategy, scenario.sim,
-        scenario.cost, scenario.steps_per_input(),
+        scenario.cost,
     )
 
 
@@ -344,14 +331,7 @@ def compare_strategies(
     one worker per cell, imported only then; results are keyed by cell,
     so the output does not depend on completion order.
     """
-    chosen = tuple(strategies) if strategies else tuple(scenario.strategies)
-    if not chosen:
-        raise ValueError("at least one strategy is required")
-    for name in chosen:
-        if name not in STRATEGIES:
-            raise ValueError(f"unknown strategy {name!r}, expected one of {STRATEGIES}")
-    if len(set(chosen)) != len(chosen):
-        raise ValueError("strategies must be unique")
+    chosen = check_strategies(scenario.strategies if strategies is None else strategies)
     if not 1 <= n_seeds <= MAX_COMPARE_SEEDS:
         raise ValueError(f"n_seeds must lie in [1, {MAX_COMPARE_SEEDS}], got {n_seeds!r}")
     if not 1 <= workers <= MAX_COMPARE_WORKERS:

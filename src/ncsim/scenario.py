@@ -26,13 +26,12 @@ from .losses import (
     read_trace_file,
 )
 from .plant import TankParams, UncertaintySignal, tank_dynamics
-from .predictor import PredictorConfig
-from .runtime import STRATEGIES, CostWeights, SimSettings
+from .predictor import PredictorConfig, whole_multiple
+from .runtime import STRATEGIES, CostWeights, SimSettings, check_strategies
 
 LOSS_KINDS = ("none", "bernoulli", "gilbert-elliott", "trace")
-
-# Relative slack when checking that one time quantity divides another.
-_RATIO_TOL = 1e-9
+# The kinds whose realization the seed changes (none and trace ignore it).
+SEEDED_KINDS = ("bernoulli", "gilbert-elliott")
 
 # Run-size caps, checked when a scenario is built so that no input can
 # ask for an unbounded run: control intervals (one record each), truth
@@ -91,9 +90,8 @@ class LossSpec:
 
     @property
     def seeded(self) -> bool:
-        """Whether the seed changes the loss realization (none and trace
-        channels ignore it)."""
-        return self.kind in ("bernoulli", "gilbert-elliott")
+        """Whether the seed changes the loss realization."""
+        return self.kind in SEEDED_KINDS
 
     def build(self, seed: Optional[int] = None) -> LossModel:
         effective = self.seed if seed is None else seed
@@ -118,8 +116,8 @@ def _steps(duration: float, t_s: float) -> int:
             f"sim.duration {duration!r} / sim.t_s {t_s!r} asks for more "
             f"than {MAX_STEPS} steps"
         )
-    steps = round(ratio)
-    if steps < 1 or abs(ratio - steps) > _RATIO_TOL * max(1.0, steps):
+    steps = whole_multiple(ratio)
+    if steps is None:
         raise ConfigError(
             f"sim.duration {duration!r} must be a positive whole multiple of sim.t_s"
         )
@@ -170,7 +168,7 @@ class Scenario:
                 f"sim.n_truth {self.sim.n_truth} over {steps} steps asks for more than "
                 f"{MAX_TRUTH_SUBSTEPS} truth substeps"
             )
-        per_input = self.steps_per_input()
+        per_input = self.predictor.steps_per_input(self.sim.t_s)
         if steps * self.predictor.horizon * per_input > MAX_PREDICTOR_STEPS:
             raise ConfigError(
                 f"predictor.horizon {self.predictor.horizon} x {per_input:.6g} predictor "
@@ -181,34 +179,10 @@ class Scenario:
             raise ConfigError(
                 f"cost.m_steps {self.cost.m_steps} exceeds the {steps} simulated steps"
             )
-        if not self.strategies:
-            raise ConfigError("strategies must be non-empty")
-        if len(set(self.strategies)) != len(self.strategies):
-            raise ConfigError("strategies must be unique")
-        for name in self.strategies:
-            if name not in STRATEGIES:
-                raise ConfigError(
-                    f"unknown strategy {name!r}, expected one of {STRATEGIES}"
-                )
+        check_strategies(self.strategies)
 
     def build_dynamics(self):
         return tank_dynamics(self.plant, margin=self.domain_margin)
-
-    def steps_per_input(self) -> int:
-        """Predictor substeps per control interval.
-
-        When the predictor step divides the sample time, the trajectory
-        advances in substeps so break points line up with sampling
-        instants.  Otherwise one predictor step per interval is taken at
-        the configured step size, mismatch and all.
-        """
-        ratio = self.sim.t_s / self.predictor.delta
-        if math.isinf(ratio):
-            return 1
-        n = round(ratio)
-        if n >= 1 and abs(ratio - n) <= _RATIO_TOL * n:
-            return n
-        return 1
 
 
 def _number(label: str, value) -> float:

@@ -265,7 +265,6 @@ def test_buffer_age_law_under_adversarial_dropouts():
             PREDICTIVE_BUFFER,
             sc.sim,
             sc.cost,
-            steps_per_input=sc.steps_per_input(),
         )
         assert len(result.records) == steps
         for record in result.records:

@@ -1,8 +1,13 @@
 import json
 import os
+import subprocess
+import sys
+import threading
+import time
 
 import pytest
 
+import ncsim
 import ncsim.cli
 import ncsim.errors
 import ncsim.losses
@@ -356,6 +361,84 @@ class TestBoundedReads:
         assert not (tmp_path / "o" / "resolved_config.json").exists()
 
 
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+class TestFifoInputs:
+    """A FIFO with no writer reads as empty, so it exits 2 instead of
+    leaving the command waiting in ``open`` for a writer."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["run", "{fifo}"], ["run", "tank-reference", "--loss", "trace:{fifo}"],
+         ["calibrate", "{fifo}"]],
+        ids=["scenario", "trace", "samples"],
+    )
+    def test_fifo_without_writer_exits_2(self, tmp_path, argv):
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(ncsim.__file__)))
+        done = subprocess.run(
+            [sys.executable, "-m", "ncsim", *(arg.format(fifo=fifo) for arg in argv),
+             "--out", str(tmp_path / "o")],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert done.returncode == EXIT_CONFIG, done.stderr
+        assert str(fifo) in done.stderr
+        assert "Traceback" not in done.stderr
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_pipe_with_a_writer_is_read_to_its_end(self):
+        read_end, write_end = os.pipe()
+
+        def write_late():
+            time.sleep(0.2)
+            os.write(write_end, b"1\n0\n")
+            os.close(write_end)
+
+        writer = threading.Thread(target=write_late)
+        writer.start()
+        try:
+            # the read waits for the writer instead of returning early
+            assert ncsim.errors.read_input(f"/dev/fd/{read_end}") == "1\n0\n"
+        finally:
+            writer.join()
+            os.close(read_end)
+
+
+class TestUnwritableArtifacts:
+    @pytest.mark.parametrize(
+        "command, artifact",
+        [
+            ("run", "resolved_config.json"),
+            ("run", "trace.csv"),
+            ("run", "summary.json"),
+            ("compare", "resolved_config.json"),
+            ("compare", "comparison.csv"),
+            ("calibrate", "calibrated_config.json"),
+        ],
+    )
+    def test_directory_in_the_way_exits_2(
+        self, scenario_file, tmp_path, capsys, command, artifact
+    ):
+        out = tmp_path / "o"
+        blocked = out / artifact
+        blocked.mkdir(parents=True)
+        argv = {
+            "run": ["run", scenario_file()],
+            "compare": ["compare", scenario_file(), "--seeds", "1"],
+            "calibrate": [
+                "calibrate", write_samples(tmp_path, ["a,1.0,1.5\n"]),
+                "--apply-to", scenario_file(),
+            ],
+        }[command]
+        assert main([*argv, "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"cannot write {str(blocked)!r}" in err
+        assert "Traceback" not in err
+
+
 class TestReadInput:
     def test_cap_is_inclusive(self, tmp_path, monkeypatch):
         monkeypatch.setattr(ncsim.errors, "MAX_INPUT_BYTES", 8)
@@ -517,6 +600,20 @@ class TestCompare:
             )
             == EXIT_CONFIG
         )
+
+    @pytest.mark.parametrize("spec", ["teleport", "zero-input,zero-input", ",", " , "])
+    def test_bad_strategies_are_rejected_before_any_artifact(
+        self, scenario_file, tmp_path, capsys, monkeypatch, spec
+    ):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("compare ran past a bad --strategies")
+
+        monkeypatch.setattr(ncsim.cli, "compare_strategies", must_not_run)
+        out = tmp_path / "o"
+        argv = ["compare", scenario_file(), "--strategies", spec, "--out", str(out)]
+        assert main(argv) == EXIT_CONFIG
+        assert "config error: --strategies" in capsys.readouterr().err
+        assert not (out / "resolved_config.json").exists()
 
 
 def write_samples(tmp_path, rows, name="samples.csv"):

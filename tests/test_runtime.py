@@ -10,6 +10,7 @@ import ncsim.runtime
 
 from ncsim import (
     ComparisonResult,
+    ConfigError,
     ControllerConfig,
     CostWeights,
     DomainError,
@@ -42,7 +43,7 @@ from ncsim import (
     write_comparison_csv,
     write_records_csv,
 )
-from ncsim.runtime import TRACE_HEADER
+from ncsim.runtime import TRACE_HEADER, check_strategies
 
 from conftest import WIDE, linear_decay_dynamics
 
@@ -483,11 +484,21 @@ class TestRunClosedLoop:
     def test_lazy_plan_matches_eager_reference(
         self, small_scenario_dict, bits, doubled, steps_per_input
     ):
-        sc = small_scenario(small_scenario_dict, {"sim.doubled_age_offset": doubled})
+        # the loop derives its predictor steps from delta = t_s / steps_per_input;
+        # gamma = theta * delta / vol as in tank-reference
+        t_s, theta, vol = 2.0, 0.175, 2.0
+        delta = t_s / steps_per_input
+        sc = small_scenario(small_scenario_dict, {
+            "sim.doubled_age_offset": doubled,
+            "predictor.delta": delta,
+            "predictor.gamma": theta * delta / vol,
+        })
+        assert (sc.sim.t_s, sc.sim.theta.values[0], sc.plant.vol) == (t_s, theta, vol)
         expected_records, expected_x = eager_reference(sc, bits, steps_per_input)
         plans = []
 
         def counting_predict(*args, **kwargs):
+            assert kwargs["steps_per_input"] == steps_per_input
             plans.append(kwargs["origin_step"])
             return predict_trajectory(*args, **kwargs)
 
@@ -502,7 +513,6 @@ class TestRunClosedLoop:
                 strategy=PREDICTIVE_BUFFER,
                 sim=sc.sim,
                 weights=sc.cost,
-                steps_per_input=steps_per_input,
             )
         assert list(result.records) == expected_records
         assert result.x_final == expected_x
@@ -781,6 +791,43 @@ class TestCompareStrategies:
         n_seeds = cap // len(STRATEGIES) + 1
         compare_strategies(sc, n_seeds=n_seeds, workers=cap)
         assert pool_sizes == [cap]
+
+
+class TestCheckStrategies:
+    """The scenario, compare and the loop check strategy names through one
+    function, which raises ``ConfigError`` naming what it checked."""
+
+    def test_known_unique_names_come_back_as_a_tuple(self):
+        assert check_strategies([ZERO_INPUT, HOLD_LAST_VALUE]) == (ZERO_INPUT, HOLD_LAST_VALUE)
+
+    @pytest.mark.parametrize(
+        "names, needle",
+        [((), "must be non-empty"), (("teleport",), "unknown strategy 'teleport'"),
+         ((ZERO_INPUT, ZERO_INPUT), "must be unique")],
+    )
+    def test_every_caller_rejects_the_same_names(
+        self, small_scenario_dict, monkeypatch, names, needle
+    ):
+        def must_not_run(task):
+            raise AssertionError("a cell ran despite bad strategies")
+
+        monkeypatch.setattr(ncsim.runtime, "_compare_cell", must_not_run)
+        assert issubclass(ConfigError, ValueError)
+        with pytest.raises(ConfigError, match=f"^--strategies:? {needle}"):
+            check_strategies(names, "--strategies")
+        with pytest.raises(ConfigError, match=f"^strategies:? {needle}"):
+            scenario_from_dict(small_scenario_dict({"strategies": list(names)}))
+        # an empty selection is an error, not the scenario's own list
+        with pytest.raises(ConfigError, match=f"^strategies:? {needle}"):
+            compare_strategies(small_scenario(small_scenario_dict), strategies=names)
+
+    def test_the_loop_names_its_strategy(self, small_scenario_dict):
+        sc = small_scenario(small_scenario_dict)
+        with pytest.raises(ConfigError, match="^strategy: unknown strategy 'nope'"):
+            run_closed_loop(
+                sc.build_dynamics(), sc.predictor, sc.lyapunov, sc.controller,
+                NoLoss(), "nope", sc.sim, sc.cost,
+            )
 
 
 class TestRecordsCsv:

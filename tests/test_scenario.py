@@ -420,7 +420,7 @@ class TestRunSizeCaps:
         steps = sc.sim.steps
         assert 100 * steps <= MAX_STEPS
         assert 100 * steps * sc.sim.n_truth <= MAX_TRUTH_SUBSTEPS
-        assert 100 * steps * sc.predictor.horizon * sc.steps_per_input() <= MAX_PREDICTOR_STEPS
+        assert 100 * steps * sc.predictor.horizon * sc.predictor.steps_per_input(sc.sim.t_s) <= MAX_PREDICTOR_STEPS
 
     def test_caps_are_inclusive(self, small_scenario_dict):
         # parsing only: nothing runs
@@ -436,7 +436,7 @@ class TestRunSizeCaps:
 
     def test_infinite_substep_ratio_is_one_step(self, small_scenario_dict):
         sc = scenario_from_dict(small_scenario_dict({"predictor.delta": 5e-324}))
-        assert sc.steps_per_input() == 1
+        assert sc.predictor.steps_per_input(sc.sim.t_s) == 1
 
 
 class TestStepsPerInput:
@@ -445,7 +445,7 @@ class TestStepsPerInput:
     )
     def test_substep_rule(self, small_scenario_dict, delta, expected):
         sc = scenario_from_dict(small_scenario_dict({"predictor.delta": delta}))
-        assert sc.steps_per_input() == expected
+        assert sc.predictor.steps_per_input(sc.sim.t_s) == expected
 
 
 class TestApplyOverrides:
