@@ -29,14 +29,7 @@ from .errors import (
     TraceExhaustedError,
     TrajectoryError,
 )
-from .losses import (
-    BernoulliLoss,
-    GilbertElliottLoss,
-    LossModel,
-    NoLoss,
-    TraceLoss,
-    read_trace_file,
-)
+from .losses import LossModel, LossSpec, read_trace_file
 from .plant import (
     SystemDynamics,
     TankParams,
@@ -76,7 +69,6 @@ from .runtime import (
 )
 from .scenario import (
     BUILTIN_SCENARIOS,
-    LossSpec,
     Scenario,
     apply_overrides,
     builtin_scenario,

@@ -19,6 +19,7 @@ import sys
 from typing import Optional, Sequence
 
 from .errors import ConfigError, SimulationDiverged, TraceExhaustedError, read_input
+from .losses import LOSS_KEYS, SEEDED_KINDS
 from .predictor import SamplePair, calibration, read_sample_pairs
 from .runtime import (
     MAX_COMPARE_SEEDS,
@@ -32,7 +33,6 @@ from .runtime import (
 )
 from .scenario import (
     BUILTIN_SCENARIOS,
-    SEEDED_KINDS,
     apply_overrides,
     builtin_scenario_dict,
     resolved_json,
@@ -78,35 +78,12 @@ def _parse_loss_flag(spec: str) -> dict:
     """Translate the ``--loss`` shorthand into a loss config section.
 
     Grammar: ``none``, ``bernoulli:P``, ``gilbert-elliott:PGB,PBG,PLOSS``
-    (alias ``ge:``), ``trace:PATH`` or ``trace:PATH:wrap``.  The seed is
-    filled in from the surrounding config afterwards.
+    (alias ``ge:``), ``trace:PATH`` or ``trace:PATH:wrap``.  The numbers
+    are the kind's keys in ``LOSS_KEYS`` order.  The seed is filled in
+    from the surrounding config afterwards.
     """
     kind, _, rest = spec.partition(":")
-    if kind == "none":
-        if rest:
-            raise ConfigError(f"--loss none takes no arguments, got {spec!r}")
-        return {"kind": "none"}
-    if kind == "bernoulli":
-        try:
-            return {"kind": "bernoulli", "p": float(rest)}
-        except ValueError as exc:
-            raise ConfigError(f"--loss bernoulli needs a probability, got {spec!r}") from exc
-    if kind in ("gilbert-elliott", "ge"):
-        parts = rest.split(",")
-        if len(parts) != 3:
-            raise ConfigError(
-                f"--loss gilbert-elliott needs p_g2b,p_b2g,loss_in_bad, got {spec!r}"
-            )
-        try:
-            p_g2b, p_b2g, loss_in_bad = (float(part) for part in parts)
-        except ValueError as exc:
-            raise ConfigError(f"--loss gilbert-elliott parameters must be numbers: {spec!r}") from exc
-        return {
-            "kind": "gilbert-elliott",
-            "p_g2b": p_g2b,
-            "p_b2g": p_b2g,
-            "loss_in_bad": loss_in_bad,
-        }
+    kind = "gilbert-elliott" if kind == "ge" else kind
     if kind == "trace":
         if not rest:
             raise ConfigError(f"--loss trace needs a file path, got {spec!r}")
@@ -114,7 +91,17 @@ def _parse_loss_flag(spec: str) -> dict:
         if path and flag == "wrap":
             return {"kind": "trace", "trace_path": path, "wrap": True}
         return {"kind": "trace", "trace_path": rest}
-    raise ConfigError(f"unknown loss kind {kind!r} in --loss {spec!r}")
+    if kind not in LOSS_KEYS:
+        raise ConfigError(f"unknown loss kind {kind!r} in --loss {spec!r}")
+    keys = LOSS_KEYS[kind]
+    parts = rest.split(",") if rest else []
+    if len(parts) != len(keys):
+        wanted = ",".join(keys) or "no arguments"
+        raise ConfigError(f"--loss {kind} takes {wanted}, got {spec!r}")
+    try:
+        return {"kind": kind, **{key: float(part) for key, part in zip(keys, parts)}}
+    except ValueError as exc:
+        raise ConfigError(f"--loss {kind} parameters must be numbers: {spec!r}") from exc
 
 
 def _apply_common_flags(doc: dict, args) -> dict:
@@ -285,8 +272,8 @@ def cmd_calibrate(args) -> int:
         recordings = [(pair.predicted, pair.measured) for pair in pairs]
     try:
         e_values, e, zeta, gamma = calibration(recordings)
-    except ZeroDivisionError as exc:
-        raise ConfigError(f"samples are degenerate: {exc}") from exc
+    except ArithmeticError as exc:  # an OverflowError's args are (errno, message)
+        raise ConfigError(f"samples are degenerate: {exc.args[-1]}") from exc
     in_range = abs(gamma) < 1
 
     print(f"method: {args.method}")

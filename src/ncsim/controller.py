@@ -78,8 +78,10 @@ def sontag_from_lie(lfv: float, lgv: float, cfg: ControllerConfig) -> float:
     """Universal-formula input from precomputed Lie derivatives."""
     if abs(lgv) <= cfg.lgv_threshold:
         return 0.0
-    root = math.sqrt(lfv * lfv + lgv ** 4)
-    u = -(lfv + root) / lgv
+    try:
+        u = -(lfv + math.sqrt(lfv * lfv + lgv ** 4)) / lgv
+    except OverflowError:  # a float ** raises where * gives inf
+        u = math.inf
     if not math.isfinite(u):
         raise ControllerOverflowError(
             f"feedback overflowed at LfV={lfv!r}, LgV={lgv!r}"

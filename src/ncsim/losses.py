@@ -1,147 +1,129 @@
-"""Reception models for the sensor-to-controller link.
+"""Loss channels of the sensor-to-controller link.
 
-``model.sample_reception(k)`` returns 1 when the measurement of control
-interval ``k`` reaches the controller and 0 when it is lost.  Only the
-measurement link is lossy; actuation is assumed reliable.  Stochastic
-models own a seeded stream (stdlib Mersenne Twister, so a fixed seed
-fixes the whole sequence) and cache generated bits, making the result a
-deterministic function of (parameters, seed, k) regardless of query
-order.  A model instance is a stateful stream and must stay confined to
-one simulation.
+``LossSpec`` describes a channel and is the only place that validates
+one; ``LossSpec.build(seed)`` realizes it as a ``LossModel``, whose
+``sample_reception(k)`` is 1 when the measurement of control interval
+``k`` reaches the controller and 0 when it is lost (actuation is
+reliable).  ``LOSS_KEYS`` names the keys of each kind.  Seeded kinds draw
+from a stdlib Mersenne Twister, and a model keeps every bit it has
+drawn, so a bit is a function of (spec, seed, k) whatever the query
+order.  A model is a stateful stream confined to one simulation.
 """
 
 import io
 import random
-from abc import ABC, abstractmethod
-from typing import Sequence
+from dataclasses import dataclass, field
+from itertools import cycle, repeat
+from typing import Iterable, Iterator, Optional
 
-from .errors import TraceExhaustedError, read_input
+from .errors import ConfigError, TraceExhaustedError, read_input
+
+# Each loss kind and its keys besides ``kind`` and ``seed``, in snapshot
+# order.  The keys of the seeded kinds are the probabilities they draw
+# with; the other kinds ignore the seed.
+LOSS_KEYS = {
+    "none": (),
+    "bernoulli": ("p",),
+    "gilbert-elliott": ("p_g2b", "p_b2g", "loss_in_bad"),
+    "trace": ("trace_path", "wrap"),
+}
+LOSS_KINDS = tuple(LOSS_KEYS)
+SEEDED_KINDS = ("bernoulli", "gilbert-elliott")
+PROBABILITIES = tuple(key for kind in SEEDED_KINDS for key in LOSS_KEYS[kind])
 
 
-class LossModel(ABC):
-    """Base class: reception bits indexed by control interval."""
+class LossModel:
+    """Reception bits indexed by control interval, drawn from ``bits``
+    on demand; a finite ``bits`` is a trace that does not wrap."""
 
-    kind: str = "abstract"
+    def __init__(self, bits: Iterable[int]):
+        self._source = iter(bits)
+        self._drawn: list[int] = []
 
     def sample_reception(self, k: int) -> int:
         if k < 0:
             raise ValueError(f"step index must be non-negative, got {k!r}")
-        return self._bit(k)
-
-    @abstractmethod
-    def _bit(self, k: int) -> int:
-        ...
-
-
-class NoLoss(LossModel):
-    """Perfect link; every sample is received."""
-
-    kind = "none"
-
-    def _bit(self, k: int) -> int:
-        return 1
+        drawn = self._drawn
+        while len(drawn) <= k:
+            bit = next(self._source, None)
+            if bit is None:
+                raise TraceExhaustedError(
+                    f"trace has {len(drawn)} entries, step {k} requested without wrap"
+                )
+            drawn.append(bit)
+        return drawn[k]
 
 
-class _CachedStream(LossModel):
-    """Grows a bit cache on demand so queries may arrive in any order."""
-
-    def __init__(self):
-        self._bits: list[int] = []
-
-    def _bit(self, k: int) -> int:
-        while len(self._bits) <= k:
-            self._bits.append(self._next_bit())
-        return self._bits[k]
-
-    def _next_bit(self) -> int:
-        raise NotImplementedError
-
-
-class BernoulliLoss(_CachedStream):
-    """Independent losses with a fixed per-sample probability."""
-
-    kind = "bernoulli"
-
-    def __init__(self, p_loss: float, seed: int = 0):
-        super().__init__()
-        if not 0.0 <= p_loss <= 1.0:
-            raise ValueError(f"p_loss must lie in [0, 1], got {p_loss!r}")
-        self.p_loss = p_loss
-        self.seed = seed
-        self._rng = random.Random(seed)
-
-    def _next_bit(self) -> int:
-        return 0 if self._rng.random() < self.p_loss else 1
+def _gilbert_elliott(
+    p_g2b: float, p_b2g: float, loss_in_bad: float, rng: random.Random
+) -> Iterator[int]:
+    """Two-state bursts: the link is good or bad, switching with
+    ``p_g2b`` and ``p_b2g``, and loses a sample with probability
+    ``loss_in_bad`` while bad.  The first draw picks the initial state from
+    the stationary distribution; then each step draws its loss while bad,
+    then the transition."""
+    draw = rng.random
+    total = p_g2b + p_b2g
+    bad = draw() < (p_g2b / total if total > 0 else 0.0)
+    while True:
+        yield 0 if bad and draw() < loss_in_bad else 1
+        roll = draw()
+        bad = roll >= p_b2g if bad else roll < p_g2b
 
 
-class GilbertElliottLoss(_CachedStream):
-    """Two-state burst-loss channel.
+@dataclass(frozen=True)
+class LossSpec:
+    """Declarative description of a loss channel.
 
-    A hidden state alternates between good and bad with transition
-    probabilities ``p_g2b`` and ``p_b2g``; samples are received in the
-    good state and lost with probability ``loss_in_bad`` in the bad one.
-    The initial state is drawn from the stationary distribution.  Draw
-    order per step is fixed (loss draw while bad, then transition draw)
-    so a seed pins the sequence.
+    ``build`` realizes it, optionally under another seed so paired
+    comparisons can enumerate seeds.  A trace channel reads its file
+    once, here, so a bad trace is a config error before anything runs.
     """
 
-    kind = "gilbert-elliott"
+    kind: str
+    seed: int = 0
+    p: Optional[float] = None
+    p_g2b: Optional[float] = None
+    p_b2g: Optional[float] = None
+    loss_in_bad: Optional[float] = None
+    trace_path: Optional[str] = None
+    wrap: bool = False
+    bits: tuple = field(default=(), init=False, repr=False)
 
-    def __init__(self, p_g2b: float, p_b2g: float, loss_in_bad: float, seed: int = 0):
-        super().__init__()
-        for name, value in (("p_g2b", p_g2b), ("p_b2g", p_b2g), ("loss_in_bad", loss_in_bad)):
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
-        self.p_g2b = p_g2b
-        self.p_b2g = p_b2g
-        self.loss_in_bad = loss_in_bad
-        self.seed = seed
-        self._rng = random.Random(seed)
-        total = p_g2b + p_b2g
-        self.stationary_bad = p_g2b / total if total > 0 else 0.0
-        self._bad = self._rng.random() < self.stationary_bad
+    def __post_init__(self):
+        if self.kind not in LOSS_KINDS:
+            raise ConfigError(
+                f"loss.kind must be one of {LOSS_KINDS}, got {self.kind!r}"
+            )
+        for name in LOSS_KEYS[self.kind]:
+            if getattr(self, name) is None:
+                raise ConfigError(f"loss.{name} is required for {self.kind} losses")
+        for name in PROBABILITIES:
+            value = getattr(self, name)
+            if value is not None and not 0.0 <= value <= 1.0:
+                raise ConfigError(f"loss.{name} must lie in [0, 1], got {value!r}")
+        if self.kind == "trace":
+            try:
+                object.__setattr__(self, "bits", tuple(read_trace_file(self.trace_path)))
+            except (OSError, ValueError) as exc:
+                raise ConfigError(
+                    f"loss.trace_path {self.trace_path!r} is not a readable trace: {exc}"
+                ) from exc
 
-    def stationary_loss_rate(self) -> float:
-        return self.stationary_bad * self.loss_in_bad
+    @property
+    def seeded(self) -> bool:
+        """Whether the seed changes the loss realization."""
+        return self.kind in SEEDED_KINDS
 
-    def _next_bit(self) -> int:
-        if self._bad:
-            bit = 0 if self._rng.random() < self.loss_in_bad else 1
-        else:
-            bit = 1
-        roll = self._rng.random()
-        if self._bad:
-            if roll < self.p_b2g:
-                self._bad = False
-        elif roll < self.p_g2b:
-            self._bad = True
-        return bit
-
-
-class TraceLoss(LossModel):
-    """Reception bits replayed from a recorded trace."""
-
-    kind = "trace"
-
-    def __init__(self, bits: Sequence[int], wrap: bool = False):
-        cleaned = []
-        for b in bits:
-            if b not in (0, 1):
-                raise ValueError(f"trace entries must be 0 or 1, got {b!r}")
-            cleaned.append(int(b))
-        if not cleaned:
-            raise ValueError("trace must contain at least one entry")
-        self.bits = tuple(cleaned)
-        self.wrap = wrap
-
-    def _bit(self, k: int) -> int:
-        if k >= len(self.bits):
-            if not self.wrap:
-                raise TraceExhaustedError(
-                    f"trace has {len(self.bits)} entries, step {k} requested without wrap"
-                )
-            k %= len(self.bits)
-        return self.bits[k]
+    def build(self, seed: Optional[int] = None) -> LossModel:
+        rng = random.Random(self.seed if seed is None else seed)
+        if self.kind == "none":
+            return LossModel(repeat(1))
+        if self.kind == "bernoulli":
+            return LossModel(0 if rng.random() < self.p else 1 for _ in repeat(None))
+        if self.kind == "gilbert-elliott":
+            return LossModel(_gilbert_elliott(self.p_g2b, self.p_b2g, self.loss_in_bad, rng))
+        return LossModel(cycle(self.bits) if self.wrap else self.bits)
 
 
 def read_trace_file(path: str) -> list[int]:

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from .errors import CalibrationRangeError, DomainError, TrajectoryError, read_input
+from .errors import CalibrationRangeError, DomainError, NonFiniteError, TrajectoryError, read_input
 from .plant import SystemDynamics, rk4_increment  # re-exported: ncsim.predictor.rk4_increment
 
 Controller = Callable[[float], float]
@@ -191,7 +191,9 @@ def calibration(
     the recordings' prediction means is at most that of their measurement
     means) and gamma = zeta * E / that grand mean prediction, not yet
     range-checked.  One recording gives the single-recording method.
-    Raises ``ZeroDivisionError`` for a zero grand mean prediction.
+    Raises ``ZeroDivisionError`` for a zero grand mean prediction, and
+    ``OverflowError`` or ``NonFiniteError`` when E, a grand mean or gamma
+    is not finite.
     """
     if not recordings:
         raise ValueError("at least one sample pair is required")
@@ -203,7 +205,10 @@ def calibration(
     if grand_pred == 0.0:
         raise ZeroDivisionError("mean predicted state is zero")
     zeta = 1 if grand_pred <= grand_meas else -1
-    return e_values, e, zeta, zeta * e / grand_pred
+    gamma = zeta * e / grand_pred
+    if not all(map(math.isfinite, (e, grand_pred, grand_meas, gamma))):
+        raise NonFiniteError(f"E {e!r}, grand means {grand_pred!r}, {grand_meas!r}, gamma {gamma!r}")
+    return e_values, e, zeta, gamma
 
 
 def calibrate_gamma_one(

@@ -3,35 +3,25 @@
 A scenario bundles plant parameters, predictor and controller settings,
 the loss channel, simulation grid, cost weights, and the strategy list.
 Every key's type and default is written once, in ``_SCHEMA``; parsing
-and ``scenario_to_dict`` are both walks over it.  Parsing is strict:
-unknown keys and wrong-typed values are rejected so a typo cannot
-silently fall back to a default.  ``scenario_to_dict`` emits a canonical
+and ``scenario_to_dict`` are both walks over it.  The loss section is a
+``LossSpec``, and ``ncsim.losses.LOSS_KEYS`` says which of its keys each
+loss kind takes.  Parsing is strict: unknown keys and wrong-typed values
+are rejected so a typo cannot silently fall back to a default.  ``scenario_to_dict`` emits a canonical
 form whose JSON serialization is stable under reload, which is what
 makes resolved-config snapshots byte-reproducible.
 """
 
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 from .controller import ControllerConfig, LyapunovSpec
 from .errors import ConfigError
-from .losses import (
-    BernoulliLoss,
-    GilbertElliottLoss,
-    LossModel,
-    NoLoss,
-    TraceLoss,
-    read_trace_file,
-)
+from .losses import LOSS_KEYS, LOSS_KINDS, LossSpec
 from .plant import TankParams, UncertaintySignal, tank_dynamics
 from .predictor import PredictorConfig, whole_multiple
 from .runtime import STRATEGIES, CostWeights, SimSettings, check_strategies
-
-LOSS_KINDS = ("none", "bernoulli", "gilbert-elliott", "trace")
-# The kinds whose realization the seed changes (none and trace ignore it).
-SEEDED_KINDS = ("bernoulli", "gilbert-elliott")
 
 # Run-size caps, checked when a scenario is built so that no input can
 # ask for an unbounded run: control intervals (one record each), truth
@@ -40,70 +30,6 @@ SEEDED_KINDS = ("bernoulli", "gilbert-elliott")
 MAX_STEPS = 1_000_000
 MAX_TRUTH_SUBSTEPS = 20_000_000
 MAX_PREDICTOR_STEPS = 20_000_000
-
-
-@dataclass(frozen=True)
-class LossSpec:
-    """Declarative description of a loss channel.
-
-    ``build`` instantiates the model, optionally overriding the seed so
-    paired comparisons can enumerate seeds without editing the channel
-    description itself.  A trace channel reads its file once, here, so
-    a missing or malformed trace is a config error before anything runs
-    and compare cells do not read it again.
-    """
-
-    kind: str
-    seed: int = 0
-    p: Optional[float] = None
-    p_g2b: Optional[float] = None
-    p_b2g: Optional[float] = None
-    loss_in_bad: Optional[float] = None
-    trace_path: Optional[str] = None
-    wrap: bool = False
-    bits: tuple = field(default=(), init=False, repr=False)
-
-    def __post_init__(self):
-        if self.kind not in LOSS_KINDS:
-            raise ConfigError(
-                f"loss.kind must be one of {LOSS_KINDS}, got {self.kind!r}"
-            )
-        if self.kind == "bernoulli" and self.p is None:
-            raise ConfigError("loss.p is required for bernoulli losses")
-        if self.kind == "gilbert-elliott":
-            for name in ("p_g2b", "p_b2g", "loss_in_bad"):
-                if getattr(self, name) is None:
-                    raise ConfigError(f"loss.{name} is required for gilbert-elliott losses")
-        if self.kind == "trace" and self.trace_path is None:
-            raise ConfigError("loss.trace_path is required for trace losses")
-        for name in ("p", "p_g2b", "p_b2g", "loss_in_bad"):
-            value = getattr(self, name)
-            if value is not None and not 0.0 <= value <= 1.0:
-                raise ConfigError(f"loss.{name} must lie in [0, 1], got {value!r}")
-        if self.kind == "trace":
-            try:
-                object.__setattr__(self, "bits", tuple(read_trace_file(self.trace_path)))
-            except (OSError, ValueError) as exc:
-                raise ConfigError(
-                    f"loss.trace_path {self.trace_path!r} is not a readable trace: {exc}"
-                ) from exc
-
-    @property
-    def seeded(self) -> bool:
-        """Whether the seed changes the loss realization."""
-        return self.kind in SEEDED_KINDS
-
-    def build(self, seed: Optional[int] = None) -> LossModel:
-        effective = self.seed if seed is None else seed
-        if self.kind == "none":
-            return NoLoss()
-        if self.kind == "bernoulli":
-            return BernoulliLoss(self.p, seed=effective)
-        if self.kind == "gilbert-elliott":
-            return GilbertElliottLoss(
-                self.p_g2b, self.p_b2g, self.loss_in_bad, seed=effective
-            )
-        return TraceLoss(self.bits, wrap=self.wrap)
 
 
 def _steps(duration: float, t_s: float) -> int:
@@ -256,45 +182,45 @@ _REQUIRED = object()
 
 # Every scenario key, in snapshot order: (section, key, checker, default
 # or _REQUIRED, the Scenario field holding the value ("" for Scenario
-# itself), the loss kinds the key belongs to (None for all)).  Section
-# "" is the top level of the document.
+# itself)).  Section "" is the top level of the document.  A loss key
+# past kind and seed belongs only to the kinds that ``LOSS_KEYS`` gives it.
 _SCHEMA = (
-    ("plant", "alpha1", _number, _REQUIRED, "plant", None),
-    ("plant", "alpha2", _number, _REQUIRED, "plant", None),
-    ("plant", "a1", _number, _REQUIRED, "plant", None),
-    ("plant", "a2", _number, _REQUIRED, "plant", None),
-    ("plant", "p1", _number, _REQUIRED, "plant", None),
-    ("plant", "p2", _number, _REQUIRED, "plant", None),
-    ("plant", "rho", _number, _REQUIRED, "plant", None),
-    ("plant", "vol", _number, _REQUIRED, "plant", None),
-    ("plant", "m2", _number, _REQUIRED, "plant", None),
-    ("plant", "domain_margin", _number, 1e-3, "", None),
-    ("predictor", "delta", _number, _REQUIRED, "predictor", None),
-    ("predictor", "gamma", _number, _REQUIRED, "predictor", None),
-    ("predictor", "horizon", _integer, _REQUIRED, "predictor", None),
-    ("controller", "setpoint", _number, _REQUIRED, "lyapunov", None),
-    ("controller", "lgv_threshold", _number, 1e-9, "controller", None),
-    ("controller", "u_min", _number, 0.0, "controller", None),
-    ("controller", "u_max", _number, 1.0, "controller", None),
-    ("loss", "kind", _loss_kind, _REQUIRED, "loss", None),
-    ("loss", "seed", _integer, 0, "loss", None),
-    ("loss", "p", _number, _REQUIRED, "loss", ("bernoulli",)),
-    ("loss", "p_g2b", _number, _REQUIRED, "loss", ("gilbert-elliott",)),
-    ("loss", "p_b2g", _number, _REQUIRED, "loss", ("gilbert-elliott",)),
-    ("loss", "loss_in_bad", _number, _REQUIRED, "loss", ("gilbert-elliott",)),
-    ("loss", "trace_path", _string, _REQUIRED, "loss", ("trace",)),
-    ("loss", "wrap", _boolean, False, "loss", ("trace",)),
-    ("sim", "x0", _number, _REQUIRED, "sim", None),
-    ("sim", "t_s", _number, _REQUIRED, "sim", None),
-    ("sim", "duration", _number, _REQUIRED, "", None),
-    ("sim", "theta", _theta, _REQUIRED, "sim", None),
-    ("sim", "n_truth", _integer, 20, "sim", None),
-    ("sim", "doubled_age_offset", _boolean, False, "sim", None),
-    ("cost", "q_c", _number, _REQUIRED, "cost", None),
-    ("cost", "r_c", _number, _REQUIRED, "cost", None),
-    ("cost", "m_steps", _integer, _REQUIRED, "cost", None),
-    ("cost", "raw_state", _boolean, False, "cost", None),
-    ("", "strategies", _strategies, STRATEGIES, "", None),
+    ("plant", "alpha1", _number, _REQUIRED, "plant"),
+    ("plant", "alpha2", _number, _REQUIRED, "plant"),
+    ("plant", "a1", _number, _REQUIRED, "plant"),
+    ("plant", "a2", _number, _REQUIRED, "plant"),
+    ("plant", "p1", _number, _REQUIRED, "plant"),
+    ("plant", "p2", _number, _REQUIRED, "plant"),
+    ("plant", "rho", _number, _REQUIRED, "plant"),
+    ("plant", "vol", _number, _REQUIRED, "plant"),
+    ("plant", "m2", _number, _REQUIRED, "plant"),
+    ("plant", "domain_margin", _number, 1e-3, ""),
+    ("predictor", "delta", _number, _REQUIRED, "predictor"),
+    ("predictor", "gamma", _number, _REQUIRED, "predictor"),
+    ("predictor", "horizon", _integer, _REQUIRED, "predictor"),
+    ("controller", "setpoint", _number, _REQUIRED, "lyapunov"),
+    ("controller", "lgv_threshold", _number, 1e-9, "controller"),
+    ("controller", "u_min", _number, 0.0, "controller"),
+    ("controller", "u_max", _number, 1.0, "controller"),
+    ("loss", "kind", _loss_kind, _REQUIRED, "loss"),
+    ("loss", "seed", _integer, 0, "loss"),
+    ("loss", "p", _number, _REQUIRED, "loss"),
+    ("loss", "p_g2b", _number, _REQUIRED, "loss"),
+    ("loss", "p_b2g", _number, _REQUIRED, "loss"),
+    ("loss", "loss_in_bad", _number, _REQUIRED, "loss"),
+    ("loss", "trace_path", _string, _REQUIRED, "loss"),
+    ("loss", "wrap", _boolean, False, "loss"),
+    ("sim", "x0", _number, _REQUIRED, "sim"),
+    ("sim", "t_s", _number, _REQUIRED, "sim"),
+    ("sim", "duration", _number, _REQUIRED, ""),
+    ("sim", "theta", _theta, _REQUIRED, "sim"),
+    ("sim", "n_truth", _integer, 20, "sim"),
+    ("sim", "doubled_age_offset", _boolean, False, "sim"),
+    ("cost", "q_c", _number, _REQUIRED, "cost"),
+    ("cost", "r_c", _number, _REQUIRED, "cost"),
+    ("cost", "m_steps", _integer, _REQUIRED, "cost"),
+    ("cost", "raw_state", _boolean, False, "cost"),
+    ("", "strategies", _strategies, STRATEGIES, ""),
 )
 
 _TOP_KEYS = tuple(dict.fromkeys(row[0] or row[1] for row in _SCHEMA))
@@ -330,7 +256,8 @@ def _section(data: dict, name: str) -> dict:
 
 
 def _rows(kind: str):
-    return [row for row in _SCHEMA if row[5] is None or kind in row[5]]
+    keys = ("kind", "seed") + LOSS_KEYS[kind]
+    return [row for row in _SCHEMA if row[0] != "loss" or row[1] in keys]
 
 
 def scenario_from_dict(data: dict) -> Scenario:
@@ -348,7 +275,7 @@ def scenario_from_dict(data: dict) -> Scenario:
     rows = _rows(_loss_kind("loss.kind", loss["kind"]))
     sections: dict = {}
     held: dict = {}
-    for section, key, check, default, holder, _ in rows:
+    for section, key, check, default, holder in rows:
         if section not in sections:
             sections[section] = _section(data, section)
             if section:
@@ -384,7 +311,7 @@ def _plain(value):
 def scenario_to_dict(scenario: Scenario) -> dict:
     """Canonical plain-dict form; reloading it reproduces the scenario."""
     doc: dict = {}
-    for section, key, _, _, holder, _ in _rows(scenario.loss.kind):
+    for section, key, _, _, holder in _rows(scenario.loss.kind):
         owner = getattr(scenario, holder) if holder else scenario
         (doc.setdefault(section, {}) if section else doc)[key] = _plain(getattr(owner, key))
     return doc
@@ -417,6 +344,8 @@ def apply_overrides(data: dict, assignments: Sequence[str]) -> dict:
             value = raw
         except RecursionError as exc:
             raise ConfigError(f"override {path!r} nests its value too deeply") from exc
+        except ValueError as exc:  # an integer past the digit limit
+            raise ConfigError(f"override {path!r}: {exc}") from exc
         node = result
         for part in parts[:-1]:
             if part not in node or not isinstance(node[part], dict):

@@ -18,7 +18,7 @@ import pytest
 from ncsim.cli import main
 from ncsim.controller import ControllerConfig, closed_loop_vdot, lie_derivatives
 from ncsim.errors import CalibrationRangeError, DomainError
-from ncsim.losses import TraceLoss
+from ncsim.losses import LossModel
 from ncsim.plant import SystemDynamics, TankParams, tank_dynamics
 from ncsim.predictor import (
     PredictorConfig,
@@ -261,7 +261,7 @@ def test_buffer_age_law_under_adversarial_dropouts():
             sc.predictor,
             sc.lyapunov,
             sc.controller,
-            TraceLoss(bits),
+            LossModel(bits),
             PREDICTIVE_BUFFER,
             sc.sim,
             sc.cost,

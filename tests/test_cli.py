@@ -6,6 +6,8 @@ import threading
 import time
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import ncsim
 import ncsim.cli
@@ -276,6 +278,26 @@ class TestRun:
         ]
         assert "diverged at step 0" in capsys.readouterr().err
 
+    def test_controller_overflow_is_a_divergence(self, tmp_path):
+        argv = [
+            sys.executable, "-m", "ncsim", "run", "tank-reference", "--set", "plant.p1=1e308",
+            "--set", "sim.duration=20", "--set", "cost.m_steps=10", "--out", str(tmp_path),
+        ]
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ncsim.__file__)))
+        done = subprocess.run(argv, env=env, capture_output=True, text=True, check=False)
+        assert done.returncode == EXIT_DIVERGED
+        assert "feedback overflowed" in done.stderr
+        assert "Traceback" not in done.stderr
+
+    def test_controller_overflow_is_a_diverged_compare_cell(self, tmp_path):
+        argv = [
+            "compare", "tank-reference", "--set", "plant.p1=1e308", "--set", "sim.duration=20",
+            "--set", "cost.m_steps=10", "--seeds", "1", "--out", str(tmp_path),
+        ]
+        assert main(argv) == EXIT_OK
+        summary = read_json(tmp_path / "summary.json")
+        assert all(count == 1 for count in summary["diverged"].values())
+
 
 class TestInputFiles:
     @pytest.mark.parametrize("command", ["run", "compare"])
@@ -298,13 +320,13 @@ class TestInputFiles:
 
     def test_compare_reads_the_trace_once(self, scenario_file, tmp_path, monkeypatch):
         reads = []
-        read = ncsim.scenario.read_trace_file
+        read = ncsim.losses.read_trace_file
 
         def counting_read(path):
             reads.append(path)
             return read(path)
 
-        monkeypatch.setattr(ncsim.scenario, "read_trace_file", counting_read)
+        monkeypatch.setattr(ncsim.losses, "read_trace_file", counting_read)
         trace = tmp_path / "bits.txt"
         trace.write_text("1\n0\n1\n")
         argv = ["compare", scenario_file(), "--loss", f"trace:{trace}:wrap", "--out", str(tmp_path / "o")]
@@ -701,5 +723,63 @@ class TestCalibrate:
         assert rc == EXIT_CONFIG
         assert "degenerate" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("row", ["a,1e200,-1e200\n", "a,1e308,-1e308\n"])
+    def test_non_finite_statistics_are_config_error(self, tmp_path, capsys, row):
+        path = write_samples(tmp_path, [row])
+        out = tmp_path / "out"
+        argv = ["calibrate", path, "--clamp-gamma", "--apply-to", "tank-reference", "--out", str(out)]
+        assert main(argv) == EXIT_CONFIG
+        assert "samples are degenerate" in capsys.readouterr().err
+        assert not (out / "calibrated_config.json").exists()
+
     def test_unreadable_samples_are_config_error(self, tmp_path):
         assert main(["calibrate", str(tmp_path / "absent.csv")]) == EXIT_CONFIG
+
+
+LOSS_FLAG_KINDS = ("none", "bernoulli", "gilbert-elliott", "ge", "trace", "")
+LOSS_SET_KEYS = ("kind", "seed", "p", "p_g2b", "p_b2g", "loss_in_bad", "trace_path", "wrap")
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=6,
+)
+loss_texts = st.one_of(
+    st.text(),
+    st.tuples(
+        st.sampled_from(LOSS_FLAG_KINDS),
+        st.lists(st.floats().map(repr) | st.integers().map(str) | st.text(), max_size=4),
+    ).map(lambda parts: parts[0] + ":" + ",".join(parts[1])),
+)
+
+
+class TestLossInputFuzz:
+    """Every --loss text and loss.* override ends in exit 0, 2 or 3."""
+
+    @staticmethod
+    def exit_code(argv, out):
+        try:
+            return main([*argv, "--set", "sim.duration=20", "--set", "cost.m_steps=10", "--out", out])
+        except SystemExit as exc:  # argparse's own usage errors
+            return exc.code
+
+    def check(self, argv, tmp_path, capsys):
+        assert self.exit_code(argv, str(tmp_path / "o")) in (EXIT_OK, EXIT_CONFIG, EXIT_DIVERGED)
+        assert "Traceback" not in capsys.readouterr().err
+
+    @settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(loss=loss_texts)
+    def test_loss_flag(self, tmp_path, capsys, loss):
+        self.check(["run", "tank-reference", f"--loss={loss}"], tmp_path, capsys)
+
+    @settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @example(base="none", key="seed", value="9" * 5000)
+    @given(
+        base=st.sampled_from(["none", "bernoulli:0.3", "ge:0.05,0.3,0.8", "trace:{bits}"]),
+        key=st.sampled_from(LOSS_SET_KEYS) | st.text(),
+        value=st.text() | json_values.map(json.dumps),
+    )
+    def test_loss_override(self, tmp_path, capsys, base, key, value):
+        bits = tmp_path / "bits.txt"
+        bits.write_text("1\n0\n0\n1\n")
+        argv = ["run", "tank-reference", "--loss", base.format(bits=bits), "--set", f"loss.{key}={value}"]
+        self.check(argv, tmp_path, capsys)

@@ -95,6 +95,11 @@ class TestSontagFromLie:
         with pytest.raises(ControllerOverflowError):
             sontag_from_lie(1e300, 1e-8, ControllerConfig())
 
+    def test_fourth_power_overflow_raises(self):
+        # a float ** raises OverflowError instead of returning inf
+        with pytest.raises(ControllerOverflowError):
+            sontag_from_lie(0.0, 1e100, ControllerConfig())
+
     @given(
         lfv=st.floats(min_value=-1e3, max_value=1e3),
         lgv_mag=st.floats(min_value=1e-3, max_value=1e3),

@@ -1,104 +1,136 @@
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ncsim import (
-    BernoulliLoss,
-    GilbertElliottLoss,
-    NoLoss,
-    TraceExhaustedError,
-    TraceLoss,
-    read_trace_file,
-)
+from ncsim import LossModel, LossSpec, TraceExhaustedError, read_trace_file
+
+
+def bernoulli(p, seed=0):
+    return LossSpec(kind="bernoulli", p=p).build(seed)
+
+
+def gilbert_elliott(p_g2b, p_b2g, loss_in_bad, seed=0):
+    spec = LossSpec(kind="gilbert-elliott", p_g2b=p_g2b, p_b2g=p_b2g, loss_in_bad=loss_in_bad)
+    return spec.build(seed)
+
+
+def first(model, n):
+    return [model.sample_reception(k) for k in range(n)]
+
+
+# The draw loops of the former BernoulliLoss and GilbertElliottLoss
+# classes, kept as the reference that pins the seeded streams.
+def reference_bernoulli(p, seed, n):
+    rng = random.Random(seed)
+    return [0 if rng.random() < p else 1 for _ in range(n)]
+
+
+def reference_gilbert_elliott(p_g2b, p_b2g, loss_in_bad, seed, n):
+    rng = random.Random(seed)
+    total = p_g2b + p_b2g
+    stationary_bad = p_g2b / total if total > 0 else 0.0
+    bad = rng.random() < stationary_bad
+    bits = []
+    for _ in range(n):
+        if bad:
+            bit = 0 if rng.random() < loss_in_bad else 1
+        else:
+            bit = 1
+        roll = rng.random()
+        if bad:
+            if roll < p_b2g:
+                bad = False
+        elif roll < p_g2b:
+            bad = True
+        bits.append(bit)
+    return bits
+
+
+probability = st.floats(min_value=0.0, max_value=1.0)
+seeds = st.integers(min_value=-(2**70), max_value=2**70)
+lengths = st.integers(min_value=0, max_value=300)
+
+
+class TestReferenceStreams:
+    @given(probability, seeds, lengths)
+    def test_bernoulli_matches_reference(self, p, seed, n):
+        assert first(bernoulli(p, seed), n) == reference_bernoulli(p, seed, n)
+
+    @given(probability, probability, probability, seeds, lengths)
+    def test_gilbert_elliott_matches_reference(self, p_g2b, p_b2g, loss_in_bad, seed, n):
+        model = gilbert_elliott(p_g2b, p_b2g, loss_in_bad, seed)
+        assert first(model, n) == reference_gilbert_elliott(p_g2b, p_b2g, loss_in_bad, seed, n)
 
 
 class TestNoLoss:
     def test_everything_received(self):
-        model = NoLoss()
-        assert [model.sample_reception(k) for k in range(100)] == [1] * 100
-        assert model.kind == "none"
+        assert first(LossSpec(kind="none").build(), 100) == [1] * 100
 
     def test_negative_step_rejected(self):
         with pytest.raises(ValueError):
-            NoLoss().sample_reception(-1)
+            LossSpec(kind="none").build().sample_reception(-1)
 
 
 class TestBernoulliLoss:
     def test_frozen_prefix_for_seed_42(self):
-        model = BernoulliLoss(0.3, seed=42)
-        bits = [model.sample_reception(k) for k in range(12)]
-        assert bits == [1, 0, 0, 0, 1, 1, 1, 0, 1, 0, 0, 1]
+        assert first(bernoulli(0.3, seed=42), 12) == [1, 0, 0, 0, 1, 1, 1, 0, 1, 0, 0, 1]
 
     def test_same_seed_same_stream(self):
-        a = BernoulliLoss(0.25, seed=9)
-        b = BernoulliLoss(0.25, seed=9)
-        assert [a.sample_reception(k) for k in range(200)] == [
-            b.sample_reception(k) for k in range(200)
-        ]
+        assert first(bernoulli(0.25, seed=9), 200) == first(bernoulli(0.25, seed=9), 200)
 
     def test_different_seeds_differ(self):
-        a = BernoulliLoss(0.5, seed=1)
-        b = BernoulliLoss(0.5, seed=2)
-        assert [a.sample_reception(k) for k in range(64)] != [
-            b.sample_reception(k) for k in range(64)
-        ]
+        assert first(bernoulli(0.5, seed=1), 64) != first(bernoulli(0.5, seed=2), 64)
 
     @given(st.lists(st.integers(min_value=0, max_value=63), max_size=30))
     def test_query_order_does_not_matter(self, order):
-        reference = BernoulliLoss(0.4, seed=11)
-        expected = [reference.sample_reception(k) for k in range(64)]
-        shuffled = BernoulliLoss(0.4, seed=11)
+        expected = first(bernoulli(0.4, seed=11), 64)
+        shuffled = bernoulli(0.4, seed=11)
         for k in order:
             assert shuffled.sample_reception(k) == expected[k]
 
     def test_empirical_rate(self):
-        model = BernoulliLoss(0.3, seed=7)
-        losses = sum(1 - model.sample_reception(k) for k in range(10_000))
+        losses = 10_000 - sum(first(bernoulli(0.3, seed=7), 10_000))
         assert abs(losses / 10_000 - 0.3) < 0.05
 
     def test_degenerate_probabilities(self):
-        never = BernoulliLoss(0.0, seed=0)
-        always = BernoulliLoss(1.0, seed=0)
-        assert all(never.sample_reception(k) == 1 for k in range(50))
-        assert all(always.sample_reception(k) == 0 for k in range(50))
+        assert first(bernoulli(0.0), 50) == [1] * 50
+        assert first(bernoulli(1.0), 50) == [0] * 50
 
     @pytest.mark.parametrize("p", [-0.1, 1.1])
     def test_rejects_bad_probability(self, p):
         with pytest.raises(ValueError):
-            BernoulliLoss(p)
+            LossSpec(kind="bernoulli", p=p)
 
 
 class TestGilbertElliottLoss:
     def test_benign_bad_state_never_loses(self):
-        model = GilbertElliottLoss(0.3, 0.2, 0.0, seed=5)
-        assert all(model.sample_reception(k) == 1 for k in range(200))
+        assert first(gilbert_elliott(0.3, 0.2, 0.0, seed=5), 200) == [1] * 200
 
     def test_same_seed_same_stream(self):
-        a = GilbertElliottLoss(0.1, 0.4, 0.9, seed=13)
-        b = GilbertElliottLoss(0.1, 0.4, 0.9, seed=13)
-        assert [a.sample_reception(k) for k in range(300)] == [
-            b.sample_reception(k) for k in range(300)
-        ]
+        a = gilbert_elliott(0.1, 0.4, 0.9, seed=13)
+        b = gilbert_elliott(0.1, 0.4, 0.9, seed=13)
+        assert first(a, 300) == first(b, 300)
 
-    def test_stationary_loss_rate_formula(self):
-        model = GilbertElliottLoss(0.2, 0.4, 1.0, seed=0)
-        assert model.stationary_loss_rate() == pytest.approx(1.0 / 3.0, rel=1e-12)
-        half = GilbertElliottLoss(0.2, 0.4, 0.5, seed=0)
-        assert half.stationary_loss_rate() == pytest.approx(1.0 / 6.0, rel=1e-12)
+    @given(st.lists(st.integers(min_value=0, max_value=63), max_size=30))
+    def test_query_order_does_not_matter(self, order):
+        expected = first(gilbert_elliott(0.2, 0.3, 0.8, seed=11), 64)
+        shuffled = gilbert_elliott(0.2, 0.3, 0.8, seed=11)
+        for k in order:
+            assert shuffled.sample_reception(k) == expected[k]
 
     def test_absorbing_good_state(self):
-        model = GilbertElliottLoss(0.0, 1.0, 1.0, seed=21)
         # never enters the bad state, so the link is clean
-        assert all(model.sample_reception(k) == 1 for k in range(100))
+        assert first(gilbert_elliott(0.0, 1.0, 1.0, seed=21), 100) == [1] * 100
 
     def test_empirical_rate_near_stationary(self):
-        model = GilbertElliottLoss(0.1, 0.3, 1.0, seed=17)
-        losses = sum(1 - model.sample_reception(k) for k in range(20_000))
-        assert abs(losses / 20_000 - model.stationary_loss_rate()) < 0.05
+        # stationary loss rate p_g2b / (p_g2b + p_b2g) * loss_in_bad = 0.25
+        losses = 20_000 - sum(first(gilbert_elliott(0.1, 0.3, 1.0, seed=17), 20_000))
+        assert abs(losses / 20_000 - 0.25) < 0.05
 
     def test_losses_cluster_in_bursts(self):
-        model = GilbertElliottLoss(0.02, 0.2, 1.0, seed=3)
-        bits = [model.sample_reception(k) for k in range(5_000)]
+        bits = first(gilbert_elliott(0.02, 0.2, 1.0, seed=3), 5_000)
         runs = []
         current = 0
         for b in bits:
@@ -126,29 +158,39 @@ class TestGilbertElliottLoss:
         base = {"p_g2b": 0.1, "p_b2g": 0.4, "loss_in_bad": 1.0}
         base.update(kwargs)
         with pytest.raises(ValueError):
-            GilbertElliottLoss(**base)
+            LossSpec(kind="gilbert-elliott", **base)
 
 
 class TestTraceLoss:
     def test_replays_bits(self):
-        model = TraceLoss([1, 0, 0, 1])
-        assert [model.sample_reception(k) for k in range(4)] == [1, 0, 0, 1]
+        assert first(LossModel([1, 0, 0, 1]), 4) == [1, 0, 0, 1]
 
     def test_exhaustion_without_wrap(self):
-        model = TraceLoss([1, 0])
+        model = LossModel([1, 0])
         model.sample_reception(1)
-        with pytest.raises(TraceExhaustedError):
+        with pytest.raises(TraceExhaustedError, match="trace has 2 entries, step 2 requested without wrap"):
             model.sample_reception(2)
 
-    def test_wrap_is_modular(self):
-        model = TraceLoss([1, 0, 0], wrap=True)
-        assert [model.sample_reception(k) for k in range(7)] == [1, 0, 0, 1, 0, 0, 1]
+    def test_wrap_is_modular(self, tmp_path):
+        path = tmp_path / "bits.txt"
+        path.write_text("1\n0\n0\n")
+        model = LossSpec(kind="trace", trace_path=str(path), wrap=True).build()
+        assert first(model, 7) == [1, 0, 0, 1, 0, 0, 1]
 
-    def test_rejects_bad_entries(self):
-        with pytest.raises(ValueError):
-            TraceLoss([1, 2, 0])
-        with pytest.raises(ValueError):
-            TraceLoss([])
+    def test_rejects_bad_entries(self, tmp_path):
+        for name, text in (("bad.txt", "1\n2\n0\n"), ("empty.txt", "")):
+            path = tmp_path / name
+            path.write_text(text)
+            with pytest.raises(ValueError):
+                LossSpec(kind="trace", trace_path=str(path))
+
+    def test_spec_without_wrap_is_exhausted(self, tmp_path):
+        path = tmp_path / "bits.txt"
+        path.write_text("1\n0\n")
+        model = LossSpec(kind="trace", trace_path=str(path)).build()
+        assert first(model, 2) == [1, 0]
+        with pytest.raises(TraceExhaustedError):
+            model.sample_reception(2)
 
 
 class TestReadTraceFile:

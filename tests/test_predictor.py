@@ -9,6 +9,7 @@ from ncsim import (
     ControlTrajectory,
     DomainError,
     IntegrationDomainError,
+    NonFiniteError,
     PredictorConfig,
     SamplePair,
     SystemDynamics,
@@ -303,6 +304,18 @@ class TestCalibration:
     def test_zero_mean_prediction_rejected(self):
         with pytest.raises(ZeroDivisionError):
             calibrate_gamma_one([1.0, -1.0], [1.0, 1.0])
+
+    @pytest.mark.parametrize(
+        "predicted,measured,error",
+        [
+            ([1e200], [-1e200], OverflowError),
+            ([1e308], [-1e308], NonFiniteError),
+            ([1e308, 1e308], [1e308, 1e308], NonFiniteError),
+        ],
+    )
+    def test_non_finite_statistics_raise(self, predicted, measured, error):
+        with pytest.raises(error):
+            calibrate_gamma_one(predicted, measured)
 
     def test_magnitude_one_or_more_raises_with_value(self):
         with pytest.raises(CalibrationRangeError) as excinfo:

@@ -16,8 +16,8 @@ from ncsim import (
     DomainError,
     HOLD_LAST_VALUE,
     IntegrationDomainError,
+    LossModel,
     LyapunovSpec,
-    NoLoss,
     NonFiniteError,
     PREDICTIVE_BUFFER,
     PredictorConfig,
@@ -27,7 +27,6 @@ from ncsim import (
     STRATEGIES,
     SystemDynamics,
     TankParams,
-    TraceLoss,
     UncertaintySignal,
     ZERO_INPUT,
     builtin_scenario_dict,
@@ -317,7 +316,7 @@ class TestRunClosedLoop:
                 predictor_cfg=sc.predictor,
                 lyapunov=sc.lyapunov,
                 control_cfg=sc.controller,
-                loss_model=TraceLoss([0] * steps),
+                loss_model=LossModel([0] * steps),
                 strategy=strategy,
                 sim=sc.sim,
                 weights=sc.cost,
@@ -336,7 +335,7 @@ class TestRunClosedLoop:
             predictor_cfg=sc.predictor,
             lyapunov=lyap,
             control_cfg=ccfg,
-            loss_model=TraceLoss([0] * steps),
+            loss_model=LossModel([0] * steps),
             strategy=PREDICTIVE_BUFFER,
             sim=sc.sim,
             weights=sc.cost,
@@ -376,7 +375,7 @@ class TestRunClosedLoop:
             predictor_cfg=sc.predictor,
             lyapunov=lyap,
             control_cfg=ccfg,
-            loss_model=TraceLoss([1, 0, 0, 0, 1, 1]),
+            loss_model=LossModel([1, 0, 0, 0, 1, 1]),
             strategy=PREDICTIVE_BUFFER,
             sim=sim,
             weights=CostWeights(q_c=1.0, r_c=1.0, m_steps=6),
@@ -407,7 +406,7 @@ class TestRunClosedLoop:
             predictor_cfg=PredictorConfig(delta=1.0, gamma=0.0, horizon=10),
             lyapunov=LyapunovSpec(setpoint=0.5),
             control_cfg=ControllerConfig(),
-            loss_model=NoLoss(),
+            loss_model=LossModel(itertools.repeat(1)),
             strategy=ZERO_INPUT,
             sim=SimSettings(x0=2.0, t_s=1.0, steps=2, theta=ZERO_THETA, n_truth=4),
             weights=CostWeights(q_c=2.0, r_c=3.0, m_steps=2, raw_state=raw),
@@ -426,7 +425,7 @@ class TestRunClosedLoop:
                 predictor_cfg=bad,
                 lyapunov=sc.lyapunov,
                 control_cfg=sc.controller,
-                loss_model=TraceLoss([0] * steps),
+                loss_model=LossModel([0] * steps),
                 strategy=PREDICTIVE_BUFFER,
                 sim=sc.sim,
                 weights=sc.cost,
@@ -453,9 +452,9 @@ class TestRunClosedLoop:
                 weights=sc.cost,
             )
 
-        assert len(run(NoLoss()).records) == steps
+        assert len(run(LossModel(itertools.repeat(1))).records) == steps
         with pytest.raises(SimulationDiverged) as excinfo:
-            run(TraceLoss([1] + [0] * (steps - 1)))
+            run(LossModel([1] + [0] * (steps - 1)))
         err = excinfo.value
         assert err.step == 1
         assert len(err.records) == 1
@@ -509,7 +508,7 @@ class TestRunClosedLoop:
                 predictor_cfg=sc.predictor,
                 lyapunov=sc.lyapunov,
                 control_cfg=sc.controller,
-                loss_model=TraceLoss(bits),
+                loss_model=LossModel(bits),
                 strategy=PREDICTIVE_BUFFER,
                 sim=sc.sim,
                 weights=sc.cost,
@@ -532,7 +531,7 @@ class TestRunClosedLoop:
                 predictor_cfg=PredictorConfig(delta=1.0, gamma=0.0, horizon=5),
                 lyapunov=LyapunovSpec(setpoint=5.0),
                 control_cfg=ControllerConfig(),
-                loss_model=NoLoss(),
+                loss_model=LossModel(itertools.repeat(1)),
                 strategy=ZERO_INPUT,
                 sim=SimSettings(x0=5.0, t_s=1.0, steps=3, theta=ZERO_THETA, n_truth=1),
                 weights=CostWeights(q_c=1.0, r_c=1.0, m_steps=1),
@@ -550,7 +549,7 @@ class TestRunClosedLoop:
                 predictor_cfg=sc.predictor,
                 lyapunov=sc.lyapunov,
                 control_cfg=sc.controller,
-                loss_model=NoLoss(),
+                loss_model=LossModel(itertools.repeat(1)),
                 strategy="nope",
                 sim=sc.sim,
                 weights=sc.cost,
@@ -567,7 +566,7 @@ class TestRunClosedLoop:
                 predictor_cfg=sc.predictor,
                 lyapunov=sc.lyapunov,
                 control_cfg=sc.controller,
-                loss_model=NoLoss(),
+                loss_model=LossModel(itertools.repeat(1)),
                 strategy=ZERO_INPUT,
                 sim=sim,
                 weights=sc.cost,
@@ -585,7 +584,7 @@ class TestRunClosedLoop:
     @settings(max_examples=40, deadline=None)
     @given(bits=st.lists(st.integers(min_value=0, max_value=1), min_size=12, max_size=12))
     def test_buffer_age_invariants(self, bits):
-        doc_loss = TraceLoss(bits)
+        doc_loss = LossModel(bits)
         doc = builtin_scenario_dict("tank-reference")
         doc["sim"]["duration"] = 24.0
         doc["sim"]["n_truth"] = 5
@@ -615,7 +614,7 @@ def first_interval_cost(x0, setpoint, received=True, u_min=0.0, raw_state=False)
         predictor_cfg=PredictorConfig(delta=1.0, gamma=0.0, horizon=5),
         lyapunov=LyapunovSpec(setpoint=setpoint),
         control_cfg=ControllerConfig(u_min=u_min, u_max=u_min + 1.0),
-        loss_model=TraceLoss([1 if received else 0, 1]),
+        loss_model=LossModel([1 if received else 0, 1]),
         strategy=ZERO_INPUT,
         sim=SimSettings(x0=x0, t_s=1.0, steps=2, theta=ZERO_THETA, n_truth=1),
         weights=weights,
@@ -826,7 +825,7 @@ class TestCheckStrategies:
         with pytest.raises(ConfigError, match="^strategy: unknown strategy 'nope'"):
             run_closed_loop(
                 sc.build_dynamics(), sc.predictor, sc.lyapunov, sc.controller,
-                NoLoss(), "nope", sc.sim, sc.cost,
+                LossModel(itertools.repeat(1)), "nope", sc.sim, sc.cost,
             )
 
 

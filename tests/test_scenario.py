@@ -7,13 +7,9 @@ from hypothesis import strategies as st
 from ncsim.cli import EXIT_CONFIG, EXIT_OK, main
 from ncsim.scenario import MAX_PREDICTOR_STEPS, MAX_STEPS, MAX_TRUTH_SUBSTEPS
 from ncsim import (
-    BernoulliLoss,
     ConfigError,
-    GilbertElliottLoss,
     LossSpec,
-    NoLoss,
     STRATEGIES,
-    TraceLoss,
     UncertaintySignal,
     apply_overrides,
     builtin_scenario,
@@ -29,26 +25,29 @@ GE_SPEC = {"kind": "gilbert-elliott", "p_g2b": 0.1, "p_b2g": 0.4, "loss_in_bad":
 
 class TestLossSpec:
     def test_builds_each_kind(self, tmp_path):
-        assert isinstance(LossSpec(kind="none").build(), NoLoss)
+        def first(model, n=6):
+            return [model.sample_reception(k) for k in range(n)]
+
+        assert first(LossSpec(kind="none").build()) == [1] * 6
         bern = LossSpec(kind="bernoulli", p=0.3, seed=5).build()
-        assert isinstance(bern, BernoulliLoss)
-        assert bern.p_loss == 0.3
-        assert bern.seed == 5
+        assert first(bern) == first(LossSpec(kind="bernoulli", p=0.3).build(5))
         ge = LossSpec(
-            kind="gilbert-elliott", p_g2b=0.1, p_b2g=0.4, loss_in_bad=0.9
+            kind="gilbert-elliott", p_g2b=0.1, p_b2g=0.4, loss_in_bad=0.0
         ).build()
-        assert isinstance(ge, GilbertElliottLoss)
+        assert first(ge, 200) == [1] * 200
         trace_file = tmp_path / "bits.txt"
         trace_file.write_text("1\n0\n")
-        trace = LossSpec(kind="trace", trace_path=str(trace_file), wrap=True).build()
-        assert isinstance(trace, TraceLoss)
-        assert trace.bits == (1, 0)
-        assert trace.wrap is True
+        spec = LossSpec(kind="trace", trace_path=str(trace_file), wrap=True)
+        assert spec.bits == (1, 0)
+        assert first(spec.build()) == [1, 0, 1, 0, 1, 0]
 
     def test_build_seed_override(self):
         spec = LossSpec(kind="bernoulli", p=0.5, seed=3)
-        assert spec.build().seed == 3
-        assert spec.build(seed=7).seed == 7
+        other = LossSpec(kind="bernoulli", p=0.5, seed=7)
+        bits = {seed: [spec.build(seed).sample_reception(k) for k in range(64)] for seed in (3, 7)}
+        assert [spec.build().sample_reception(k) for k in range(64)] == bits[3]
+        assert [other.build().sample_reception(k) for k in range(64)] == bits[7]
+        assert bits[3] != bits[7]
 
     @pytest.mark.parametrize(
         "kwargs",
