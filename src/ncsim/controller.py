@@ -21,7 +21,7 @@ units.
 import math
 from dataclasses import dataclass
 
-from .errors import ControllerOverflowError
+from .errors import ConfigError, ControllerOverflowError
 from .plant import SystemDynamics
 
 
@@ -33,7 +33,7 @@ class LyapunovSpec:
 
     def __post_init__(self):
         if not math.isfinite(self.setpoint):
-            raise ValueError("setpoint must be finite")
+            raise ConfigError(f"controller.setpoint must be finite, got {self.setpoint!r}")
 
     def value(self, x: float) -> float:
         return (x - self.setpoint) ** 2
@@ -59,10 +59,13 @@ class ControllerConfig:
 
     def __post_init__(self):
         if not self.lgv_threshold > 0:
-            raise ValueError(f"lgv_threshold must be positive, got {self.lgv_threshold!r}")
+            raise ConfigError(
+                f"controller.lgv_threshold must be positive, got {self.lgv_threshold!r}"
+            )
         if not self.u_min < self.u_max:
-            raise ValueError(
-                f"u_min must be below u_max, got u_min={self.u_min!r}, u_max={self.u_max!r}"
+            raise ConfigError(
+                f"controller.u_min must be below u_max, got u_min={self.u_min!r}, "
+                f"u_max={self.u_max!r}"
             )
 
 

@@ -35,7 +35,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .errors import DomainError, IntegrationDomainError
+from .errors import ConfigError, DomainError, IntegrationDomainError
 
 StateFunction = Callable[[float], float]
 
@@ -184,11 +184,11 @@ class UncertaintySignal:
 
     def __post_init__(self):
         if len(self.times) != len(self.values) or not self.times:
-            raise ValueError("times and values must be equally sized and non-empty")
+            raise ConfigError("sim.theta: times and values must be equally sized and non-empty")
         if any(not math.isfinite(v) for v in self.times + self.values):
-            raise ValueError("schedule entries must be finite")
+            raise ConfigError("sim.theta: schedule entries must be finite")
         if any(b <= a for a, b in zip(self.times, self.times[1:])):
-            raise ValueError("schedule times must be strictly increasing")
+            raise ConfigError("sim.theta: schedule times must be strictly increasing")
 
     @classmethod
     def constant(cls, value: float) -> "UncertaintySignal":
@@ -239,13 +239,13 @@ class TankParams:
     def __post_init__(self):
         for name in ("alpha1", "alpha2", "a1", "a2", "rho", "vol"):
             if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+                raise ConfigError(f"plant.{name} must be positive")
         if not 0.0 <= self.m2 <= 1.0:
-            raise ValueError(f"m2 must lie in [0, 1], got {self.m2!r}")
+            raise ConfigError(f"plant.m2 must lie in [0, 1], got {self.m2!r}")
         if not self.p2 >= 0:
-            raise ValueError("p2 must be non-negative")
+            raise ConfigError("plant.p2 must be non-negative")
         if not self.p1 > self.p2:
-            raise ValueError(f"p1 must exceed p2, got p1={self.p1!r}, p2={self.p2!r}")
+            raise ConfigError(f"plant.p1 must exceed p2, got p1={self.p1!r}, p2={self.p2!r}")
 
     @classmethod
     def benchmark(cls, p2: float = 100_000.0, m2: float = 1.0) -> "TankParams":
@@ -286,11 +286,11 @@ def tank_dynamics(params: TankParams, margin: float = 1e-3) -> SystemDynamics:
     boundary values f(p2) = 0 and g(p1) = 0 are still well defined.
     """
     if margin < 0:
-        raise ValueError("margin must be non-negative")
+        raise ConfigError("plant.domain_margin must be non-negative")
     lo = params.p2 + margin
     hi = params.p1 - margin
     if not lo < hi:
-        raise ValueError(f"margin {margin!r} leaves an empty pressure range")
+        raise ConfigError("plant.domain_margin leaves an empty state domain")
 
     return SystemDynamics(state_domain=(lo, hi), **_generate(
         _TANK_GAINS, sqrt=math.sqrt, p1=params.p1, p2=params.p2, inv_vol=1.0 / params.vol,

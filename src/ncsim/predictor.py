@@ -19,7 +19,9 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from .errors import CalibrationRangeError, DomainError, NonFiniteError, TrajectoryError, read_input
+from .errors import (
+    CalibrationRangeError, ConfigError, DomainError, NonFiniteError, TrajectoryError, read_input,
+)
 from .plant import SystemDynamics, rk4_increment  # re-exported: ncsim.predictor.rk4_increment
 
 Controller = Callable[[float], float]
@@ -51,11 +53,11 @@ class PredictorConfig:
 
     def __post_init__(self):
         if not self.delta > 0:
-            raise ValueError(f"delta must be positive, got {self.delta!r}")
+            raise ConfigError(f"predictor.delta must be positive, got {self.delta!r}")
         if not abs(self.gamma) < 1:
-            raise ValueError(f"gamma must lie in (-1, 1), got {self.gamma!r}")
+            raise ConfigError(f"predictor.gamma must lie in (-1, 1), got {self.gamma!r}")
         if self.horizon < 1:
-            raise ValueError(f"horizon must be >= 1, got {self.horizon!r}")
+            raise ConfigError(f"predictor.horizon must be >= 1, got {self.horizon!r}")
 
     def steps_per_input(self, t_s: float) -> int:
         """Predictor steps per control interval ``t_s``: ``t_s / delta`` when

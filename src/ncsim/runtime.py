@@ -18,6 +18,9 @@ loss the strategy supplies the input:
 The true state advances by the plant's RK4 kernel over the full dynamics,
 ``n_truth`` substeps per interval, in one march per segment of substeps
 under one theta schedule entry: one march unless theta changes inside it.
+A state outside the domain and a running cost past float range both end
+the run as ``SimulationDiverged`` at that step.  ``SimSettings`` derives
+the step count from ``duration`` and caps both it and the truth substeps.
 """
 
 import math
@@ -28,13 +31,18 @@ from .controller import ControllerConfig, LyapunovSpec, sontag_input
 from .errors import ConfigError, DomainError, NonFiniteError, SimulationDiverged, TrajectoryError
 from .losses import LossModel
 from .plant import SystemDynamics, UncertaintySignal, _stage_error
-from .predictor import ControlTrajectory, PredictorConfig, predict_trajectory
+from .predictor import ControlTrajectory, PredictorConfig, predict_trajectory, whole_multiple
 
 PREDICTIVE_BUFFER = "predictive-buffer"
 HOLD_LAST_VALUE = "hold-last-value"
 ZERO_INPUT = "zero-input"
 STRATEGIES = (PREDICTIVE_BUFFER, HOLD_LAST_VALUE, ZERO_INPUT)
 
+# Run-size caps, so that no input can ask for an unbounded run: control
+# intervals (one record each) and truth RK4 substeps.  tank-reference needs
+# 1800 and 36_000.
+MAX_STEPS = 1_000_000
+MAX_TRUTH_SUBSTEPS = 20_000_000
 # Paired seeds one compare may ask for; the cell list is built up front.
 MAX_COMPARE_SEEDS = 10_000
 # Pool workers one compare may ask for; under fork all start at once.
@@ -86,15 +94,17 @@ class CostWeights:
     def __post_init__(self):
         for name, value in (("q_c", self.q_c), ("r_c", self.r_c)):
             if value < 0:
-                raise ValueError(f"{name} must be non-negative, got {value!r}")
+                raise ConfigError(f"cost.{name} must be non-negative, got {value!r}")
         if self.m_steps < 1:
-            raise ValueError(f"m_steps must be >= 1, got {self.m_steps!r}")
+            raise ConfigError(f"cost.m_steps must be >= 1, got {self.m_steps!r}")
 
 
 @dataclass(frozen=True)
 class SimSettings:
     """Initial state, sampling grid, and truth-integration refinement.
 
+    ``duration`` is kept as written, so snapshots reproduce it; it must be
+    a whole multiple of ``t_s``, and ``steps`` is that multiple.
     ``doubled_age_offset`` switches the buffer replay rule during loss
     bursts: entry ``2i + 1`` after ``i`` consecutive losses rather than
     the entry matching the elapsed steps since the trajectory's origin.
@@ -102,20 +112,37 @@ class SimSettings:
 
     x0: float
     t_s: float
-    steps: int
+    duration: float
     theta: UncertaintySignal
     n_truth: int = 20
     doubled_age_offset: bool = False
 
     def __post_init__(self):
         if not math.isfinite(self.x0):
-            raise ValueError("x0 must be finite")
+            raise ConfigError(f"sim.x0 must be finite, got {self.x0!r}")
         if not self.t_s > 0:
-            raise ValueError("t_s must be positive")
-        if self.steps < 1:
-            raise ValueError("steps must be >= 1")
+            raise ConfigError("sim.t_s must be positive")
+        if not self.duration / self.t_s < MAX_STEPS + 0.5:
+            raise ConfigError(
+                f"sim.duration {self.duration!r} / sim.t_s {self.t_s!r} asks for more "
+                f"than {MAX_STEPS} steps"
+            )
+        if self.steps is None:
+            raise ConfigError(
+                f"sim.duration {self.duration!r} must be a positive whole multiple of sim.t_s"
+            )
         if self.n_truth < 1:
-            raise ValueError(f"n_truth must be >= 1, got {self.n_truth!r}")
+            raise ConfigError(f"sim.n_truth must be >= 1, got {self.n_truth!r}")
+        if self.steps * self.n_truth > MAX_TRUTH_SUBSTEPS:
+            raise ConfigError(
+                f"sim.n_truth {self.n_truth} over {self.steps} steps asks for more than "
+                f"{MAX_TRUTH_SUBSTEPS} truth substeps"
+            )
+
+    @property
+    def steps(self) -> int:
+        """Control intervals in ``duration``."""
+        return whole_multiple(self.duration / self.t_s)
 
 
 @dataclass(frozen=True)
@@ -248,6 +275,8 @@ def run_closed_loop(
 
             deviation = x if raw_state else x - setpoint
             j_running += weights.q_c * deviation * deviation + weights.r_c * u * u
+            if not math.isfinite(j_running):
+                raise NonFiniteError(f"running cost became non-finite: {j_running!r}")
             records.append(SimulationRecord(
                 k=k, t=t_k, x_true=x, x_pred=x_pred, s=s_k, i=age, u=u, j_running=j_running,
             ))
@@ -283,12 +312,15 @@ class ComparisonResult:
     costs: dict
 
     def median_cost(self, strategy: str) -> Optional[float]:
-        # Imported here: statistics pulls in fractions and decimal, which
-        # a fresh ``ncsim run`` process would load for nothing.
-        from statistics import median
-
-        finished = [c for c in self.costs[strategy].values() if c is not None]
-        return median(finished) if finished else None
+        finished = sorted(c for c in self.costs[strategy].values() if c is not None)
+        if not finished:
+            return None
+        half = len(finished) // 2
+        if len(finished) % 2:
+            return finished[half]
+        a, b = finished[half - 1], finished[half]
+        # the mean of the middle pair, also where their sum overflows
+        return (a + b) / 2 if a + b < math.inf else a / 2 + b / 2
 
     def count_wins(self, a: str, b: str) -> int:
         """Seeds on which strategy ``a`` costs strictly less than ``b``."""

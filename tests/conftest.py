@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from hypothesis import strategies as st
 
 from ncsim import (
     SystemDynamics,
@@ -10,6 +11,13 @@ from ncsim import (
 )
 
 WIDE = (-1.0e12, 1.0e12)
+
+# Any JSON value, non-finite numbers and huge integers included.
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=6,
+)
 
 
 def linear_decay_dynamics(domain=WIDE) -> SystemDynamics:

@@ -22,6 +22,8 @@ from ncsim.cli import (
     main,
 )
 
+from conftest import json_values
+
 
 @pytest.fixture
 def scenario_file(tmp_path, small_scenario_dict):
@@ -33,9 +35,14 @@ def scenario_file(tmp_path, small_scenario_dict):
     return write
 
 
+def reject_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
+
+
 def read_json(path):
+    """An artifact's JSON, which must hold no Infinity or NaN."""
     with open(path) as handle:
-        return json.load(handle)
+        return json.load(handle, parse_constant=reject_constant)
 
 
 class TestRun:
@@ -297,6 +304,49 @@ class TestRun:
         assert main(argv) == EXIT_OK
         summary = read_json(tmp_path / "summary.json")
         assert all(count == 1 for count in summary["diverged"].values())
+
+    def test_cost_overflow_is_a_divergence(self, tmp_path, capsys):
+        argv = [
+            "run", "tank-reference", "--loss", "bernoulli:0.3", "--set", "sim.duration=20",
+            "--set", "cost.m_steps=10", "--set", "cost.q_c=1e308", "--out", str(tmp_path),
+        ]
+        assert main(argv) == EXIT_DIVERGED
+        summary = read_json(tmp_path / "summary.json")
+        assert summary["diverged"] is True
+        assert summary["reason"].startswith("running cost became non-finite")
+        assert f"diverged at step {summary['diverged_step']}" in capsys.readouterr().err
+
+    def test_cost_overflow_is_a_diverged_compare_cell(self, tmp_path):
+        argv = [
+            "compare", "tank-reference", "--loss", "bernoulli:0.3", "--set", "sim.duration=20",
+            "--set", "cost.m_steps=10", "--set", "cost.r_c=1e308", "--seeds", "2",
+            "--out", str(tmp_path),
+        ]
+        assert main(argv) == EXIT_OK
+        summary = read_json(tmp_path / "summary.json")
+        assert summary["diverged"] == {name: 2 for name in summary["strategies"]}
+        assert summary["median_j"] == {name: None for name in summary["strategies"]}
+        rows = (tmp_path / "comparison.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[1:] for row in rows] == [[""] * 3] * 2
+
+    def test_deviation_ratio_past_float_range_is_null(self, scenario_file, tmp_path):
+        # x0 lies 1e-310 from the setpoint, and theta drives x up to about 0.09
+        path = scenario_file({
+            "plant.p1": 1.0, "plant.p2": 0.0, "plant.domain_margin": 0.0, "plant.vol": 1.0,
+            "controller.setpoint": 2e-310, "sim.x0": 1e-310, "sim.theta": 40.3,
+            "sim.duration": 20.0, "cost.m_steps": 10, "strategies": ["zero-input"],
+        })
+        assert main(["run", path, "--out", str(tmp_path / "o")]) == EXIT_OK
+        summary = read_json(tmp_path / "o" / "summary.json")
+        assert summary["x_final"] > 0.01
+        assert summary["deviation_ratio"] is None
+
+    @pytest.mark.parametrize("flag", ["--doubled-age-offset", "--cost-raw-state"])
+    def test_removed_flags_are_usage_errors(self, tmp_path, flag):
+        # the keys are set with --set sim.doubled_age_offset=true or cost.raw_state=true
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", "tank-reference", flag, "--out", str(tmp_path)])
+        assert excinfo.value.code == 2
 
 
 class TestInputFiles:
@@ -738,11 +788,6 @@ class TestCalibrate:
 
 LOSS_FLAG_KINDS = ("none", "bernoulli", "gilbert-elliott", "ge", "trace", "")
 LOSS_SET_KEYS = ("kind", "seed", "p", "p_g2b", "p_b2g", "loss_in_bad", "trace_path", "wrap")
-json_values = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
-    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
-    max_leaves=6,
-)
 loss_texts = st.one_of(
     st.text(),
     st.tuples(

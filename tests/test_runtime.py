@@ -3,7 +3,7 @@ import itertools
 import math
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import ncsim.runtime
@@ -365,7 +365,7 @@ class TestRunClosedLoop:
         sim = SimSettings(
             x0=sc.sim.x0,
             t_s=sc.sim.t_s,
-            steps=6,
+            duration=6 * sc.sim.t_s,
             theta=sc.sim.theta,
             n_truth=sc.sim.n_truth,
             doubled_age_offset=doubled,
@@ -408,7 +408,7 @@ class TestRunClosedLoop:
             control_cfg=ControllerConfig(),
             loss_model=LossModel(itertools.repeat(1)),
             strategy=ZERO_INPUT,
-            sim=SimSettings(x0=2.0, t_s=1.0, steps=2, theta=ZERO_THETA, n_truth=4),
+            sim=SimSettings(x0=2.0, t_s=1.0, duration=2.0, theta=ZERO_THETA, n_truth=4),
             weights=CostWeights(q_c=2.0, r_c=3.0, m_steps=2, raw_state=raw),
         )
         first = result.records[0]
@@ -533,7 +533,7 @@ class TestRunClosedLoop:
                 control_cfg=ControllerConfig(),
                 loss_model=LossModel(itertools.repeat(1)),
                 strategy=ZERO_INPUT,
-                sim=SimSettings(x0=5.0, t_s=1.0, steps=3, theta=ZERO_THETA, n_truth=1),
+                sim=SimSettings(x0=5.0, t_s=1.0, duration=3.0, theta=ZERO_THETA, n_truth=1),
                 weights=CostWeights(q_c=1.0, r_c=1.0, m_steps=1),
             )
         err = excinfo.value
@@ -558,7 +558,7 @@ class TestRunClosedLoop:
     def test_initial_state_must_be_in_domain(self, small_scenario_dict):
         sc = small_scenario(small_scenario_dict)
         sim = SimSettings(
-            x0=50_000.0, t_s=sc.sim.t_s, steps=1, theta=sc.sim.theta, n_truth=1
+            x0=50_000.0, t_s=sc.sim.t_s, duration=sc.sim.t_s, theta=sc.sim.theta, n_truth=1
         )
         with pytest.raises(DomainError):
             run_closed_loop(
@@ -616,7 +616,7 @@ def first_interval_cost(x0, setpoint, received=True, u_min=0.0, raw_state=False)
         control_cfg=ControllerConfig(u_min=u_min, u_max=u_min + 1.0),
         loss_model=LossModel([1 if received else 0, 1]),
         strategy=ZERO_INPUT,
-        sim=SimSettings(x0=x0, t_s=1.0, steps=2, theta=ZERO_THETA, n_truth=1),
+        sim=SimSettings(x0=x0, t_s=1.0, duration=2.0, theta=ZERO_THETA, n_truth=1),
         weights=weights,
     )
     return result.cost(weights), result.records
@@ -637,6 +637,18 @@ class TestEvaluateCost:
 
     def test_raw_state_ignores_setpoint(self):
         assert first_interval_cost(5.0, 2.0, received=False, raw_state=True)[0] == 25.0
+
+    @pytest.mark.parametrize("key", ["cost.q_c", "cost.r_c"])
+    def test_cost_past_float_range_is_a_divergence(self, small_scenario_dict, key):
+        sc = scenario_from_dict(small_scenario_dict({key: 1e308}))
+        for strategy in STRATEGIES:
+            with pytest.raises(SimulationDiverged) as excinfo:
+                run_scenario(sc, strategy)
+            err = excinfo.value
+            assert err.reason.startswith("running cost became non-finite")
+            # the records stop before the step whose cost overflowed
+            assert len(err.records) == err.step
+            assert all(math.isfinite(r.j_running) for r in err.records)
 
     def test_rejects_empty_and_short_records(self, small_scenario_dict):
         # a run cannot be shorter than its cost horizon: both are parse errors
@@ -734,6 +746,12 @@ class TestCompareStrategies:
         assert result.median_cost(HOLD_LAST_VALUE) is not None
         assert result.count_wins(HOLD_LAST_VALUE, PREDICTIVE_BUFFER) == 0
         assert result.count_wins(PREDICTIVE_BUFFER, HOLD_LAST_VALUE) == 0
+
+    def test_median_of_a_pair_whose_sum_overflows(self):
+        costs = {"a": {0: 1.5e308, 1: 1e308, 2: None}, "b": {0: 1.0, 1: 3.0, 2: 2.0}}
+        result = ComparisonResult(strategies=("a", "b"), seeds=(0, 1, 2), costs=costs)
+        assert result.median_cost("a") == 1.25e308
+        assert result.median_cost("b") == 2.0
 
     def test_worker_count_does_not_change_result(self, small_scenario_dict):
         sc = small_scenario(
@@ -885,3 +903,77 @@ class TestComparisonCsv:
             "1,3.5,1.0",
             "2,,2.0",
         ]
+
+
+# Keys the run property varies: any finite number where the key sizes
+# nothing, weighted towards the magnitudes where float overflow lives, and
+# bounded values where it sizes the run, so each example stays a few
+# milliseconds.
+any_number = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(-10**6, 10**6),
+    st.floats(min_value=1e300, max_value=1.7976931348623157e308),
+)
+probability = st.floats(min_value=0.0, max_value=1.0)
+seed = st.integers(min_value=0, max_value=2**31)
+RUN_KEYS = {
+    **{f"plant.{key}": any_number for key in (
+        "alpha1", "alpha2", "a1", "a2", "p1", "p2", "rho", "vol", "m2", "domain_margin"
+    )},
+    "predictor.delta": st.floats(min_value=0.01, max_value=100.0),
+    "predictor.gamma": any_number,
+    "predictor.horizon": st.integers(min_value=1, max_value=20),
+    **{f"controller.{key}": any_number for key in ("setpoint", "lgv_threshold", "u_min", "u_max")},
+    "sim.x0": any_number,
+    "sim.theta": any_number | st.lists(
+        st.tuples(st.floats(min_value=0.0, max_value=20.0), any_number).map(list), min_size=1,
+        max_size=3,
+    ),
+    "sim.n_truth": st.integers(min_value=1, max_value=30),
+    "sim.doubled_age_offset": st.booleans(),
+    "cost.q_c": any_number,
+    "cost.r_c": any_number,
+    "cost.raw_state": st.booleans(),
+    "loss": st.one_of(
+        st.just({"kind": "none"}),
+        st.builds(lambda p, s: {"kind": "bernoulli", "p": p, "seed": s}, probability, seed),
+        st.builds(
+            lambda g2b, b2g, bad, s: {
+                "kind": "gilbert-elliott", "p_g2b": g2b, "p_b2g": b2g, "loss_in_bad": bad, "seed": s,
+            },
+            probability, probability, probability, seed,
+        ),
+    ),
+}
+
+
+@st.composite
+def run_overrides(draw):
+    keys = draw(st.sets(st.sampled_from(sorted(RUN_KEYS)), min_size=1, max_size=4))
+    return {key: draw(RUN_KEYS[key]) for key in sorted(keys)}
+
+
+class TestAnyScenarioRunsOrDiverges:
+    """Every strategy of any parsed scenario finishes with a finite cost and
+    final state, or raises ``SimulationDiverged``."""
+
+    @settings(
+        max_examples=300, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @example(overrides={"cost.q_c": 1e308})
+    @example(overrides={"cost.r_c": 1e308})
+    @given(overrides=run_overrides())
+    def test_runs_or_diverges(self, small_scenario_dict, overrides):
+        doc = small_scenario_dict({"sim.duration": 20.0, "cost.m_steps": 10, **overrides})
+        try:
+            sc = scenario_from_dict(doc)
+        except ConfigError:
+            return  # not a scenario: the parse property covers the document
+        for strategy in STRATEGIES:
+            try:
+                result = run_scenario(sc, strategy)
+            except SimulationDiverged:
+                continue
+            assert math.isfinite(result.cost(sc.cost))
+            assert math.isfinite(result.x_final)

@@ -1,14 +1,19 @@
+import dataclasses
 import json
+import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from ncsim.cli import EXIT_CONFIG, EXIT_OK, main
-from ncsim.scenario import MAX_PREDICTOR_STEPS, MAX_STEPS, MAX_TRUTH_SUBSTEPS
+from ncsim.losses import LOSS_KEYS, LOSS_KINDS
+from ncsim.runtime import MAX_STEPS, MAX_TRUTH_SUBSTEPS
+from ncsim.scenario import MAX_PREDICTOR_STEPS
 from ncsim import (
     ConfigError,
     LossSpec,
+    LyapunovSpec,
     STRATEGIES,
     UncertaintySignal,
     apply_overrides,
@@ -17,7 +22,10 @@ from ncsim import (
     resolved_json,
     scenario_from_dict,
     scenario_to_dict,
+    tank_dynamics,
 )
+
+from conftest import json_values
 
 
 GE_SPEC = {"kind": "gilbert-elliott", "p_g2b": 0.1, "p_b2g": 0.4, "loss_in_bad": 1.0}
@@ -386,6 +394,103 @@ class TestStrictParsing:
         doc = small_scenario_dict({"predictor.gamma": 1.0})
         with pytest.raises(ConfigError, match="gamma"):
             scenario_from_dict(doc)
+
+
+def replaced(field):
+    """Build the scenario's ``field`` record again with one key replaced."""
+    return lambda sc, key, value: dataclasses.replace(getattr(sc, field), **{key: value})
+
+
+class TestRecordsNameTheirKey:
+    """Each record checks its own keys and raises the text parsing reports."""
+
+    @pytest.mark.parametrize(
+        "path,value,build",
+        [
+            ("plant.alpha1", 0.0, replaced("plant")),
+            ("plant.vol", -2.0, replaced("plant")),
+            ("plant.m2", 1.5, replaced("plant")),
+            ("plant.p2", -1.0, replaced("plant")),
+            ("plant.p1", 50_000.0, replaced("plant")),
+            ("plant.domain_margin", -1.0, lambda sc, key, value: tank_dynamics(sc.plant, value)),
+            ("plant.domain_margin", 50_000.0, lambda sc, key, value: tank_dynamics(sc.plant, value)),
+            ("predictor.delta", 0.0, replaced("predictor")),
+            ("predictor.gamma", 1.5, replaced("predictor")),
+            ("predictor.horizon", 0, replaced("predictor")),
+            ("controller.setpoint", math.nan, lambda sc, key, value: LyapunovSpec(value)),
+            ("controller.lgv_threshold", 0.0, replaced("controller")),
+            ("controller.u_min", 2.0, replaced("controller")),
+            ("controller.u_max", -1.0, replaced("controller")),
+            ("sim.x0", math.inf, replaced("sim")),
+            ("sim.t_s", 0.0, replaced("sim")),
+            ("sim.duration", 121.0, replaced("sim")),
+            ("sim.duration", 1e12, replaced("sim")),
+            ("sim.n_truth", 0, replaced("sim")),
+            ("sim.n_truth", 10**8, replaced("sim")),
+            (
+                "sim.theta", [[1.0, 0.1], [1.0, 0.2]],
+                lambda sc, key, value: UncertaintySignal(*map(tuple, zip(*value))),
+            ),
+            ("cost.q_c", -1.0, replaced("cost")),
+            ("cost.r_c", -1.0, replaced("cost")),
+            ("cost.m_steps", 0, replaced("cost")),
+        ],
+    )
+    def test_record_and_parser_report_the_same_text(
+        self, small_scenario_dict, path, value, build
+    ):
+        sc = scenario_from_dict(small_scenario_dict())
+        section, _, key = path.partition(".")
+        with pytest.raises(ConfigError) as built:
+            build(sc, key, value)
+        with pytest.raises(ConfigError) as parsed:
+            scenario_from_dict(small_scenario_dict({path: value}))
+        text = str(built.value)
+        assert text == str(parsed.value)
+        assert text.startswith(f"{section}.") and key in text
+
+
+# Every key a loss section may hold, across the kinds.
+LOSS_SECTION_KEYS = ("kind", "seed") + tuple(key for keys in LOSS_KEYS.values() for key in keys)
+
+
+@st.composite
+def mutated_documents(draw, base):
+    """``base`` with one to four keys replaced, added or dropped, at the top
+    level or inside a section, and any JSON value put in: loss kinds and
+    integers past float range among them."""
+    doc = json.loads(json.dumps(base))
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        name = draw(st.sampled_from(sorted(base)) | st.text())
+        value = draw(json_values | st.sampled_from(LOSS_KINDS) | st.integers(-(10**400), 10**400))
+        section = doc.get(name)
+        if isinstance(section, dict) and draw(st.booleans()):
+            known = sorted(set(section) | set(LOSS_SECTION_KEYS if name == "loss" else ()))
+            key = draw(st.sampled_from(known) | st.text() if known else st.text())
+            target = section
+        else:
+            key, target = name, doc
+        if draw(st.booleans()):
+            target[key] = value
+        else:
+            target.pop(key, None)
+    return doc
+
+
+class TestAnyDocument:
+    """Any document parses or raises ``ConfigError``, never another error."""
+
+    @settings(
+        max_examples=400, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(data=st.data())
+    def test_parses_or_raises_config_error(self, small_scenario_dict, data):
+        doc = data.draw(mutated_documents(small_scenario_dict()))
+        try:
+            scenario_from_dict(doc)
+        except ConfigError:
+            pass
 
 
 class TestCrossFieldValidation:
