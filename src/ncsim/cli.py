@@ -338,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--strategies", default=None, help="comma-separated subset to compare"
     )
     p_cmp.add_argument("--seeds", type=int, default=10, help="number of paired seeds")
-    p_cmp.add_argument("--workers", type=int, default=1, help="process pool size")
+    p_cmp.add_argument("--workers", type=int, default=1, help="processes running the cells, this one included")
     p_cmp.set_defaults(func=cmd_compare)
 
     p_cal = sub.add_parser("calibrate", help="estimate the prediction correction factor")

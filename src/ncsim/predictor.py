@@ -11,7 +11,8 @@ is exactly the structure of a disturbance entering through a gain
 proportional to x.  Two offline procedures estimate it from recorded
 pairs of predicted and measured states; both divide a mean squared
 error by a mean prediction, so the result is unit dependent and the
-sample sets must share the plant's units.
+sample sets must share the plant's units.  ``extend_plan`` grows a plan
+entry by entry, so a caller predicts only the entries it replays.
 """
 
 import io
@@ -106,6 +107,29 @@ def predict_step(
     )[0]
 
 
+def extend_plan(
+    cfg: PredictorConfig, dynamics: SystemDynamics, controller: Controller,
+    inputs: list[float], states: list[float], n: int, steps_per_input: int,
+) -> None:
+    """Grow the plan ``(inputs, states)`` in place to ``n`` entries, if shorter.
+
+    Entry j + 1 is the prediction ``steps_per_input`` predictor steps on
+    from entry j, holding input j, and the controller evaluated there.  If
+    the prediction leaves the plant domain a ``TrajectoryError`` with the
+    valid prefix is raised, and the plan keeps that prefix.
+    """
+    while len(states) < n:
+        try:
+            xhat = predict_step(cfg, dynamics, states[-1], inputs[-1], steps_per_input)
+        except DomainError as exc:
+            raise TrajectoryError(
+                f"prediction left the domain after {len(inputs)} entries", inputs, states
+            ) from exc
+        u = controller(xhat)
+        states.append(xhat)
+        inputs.append(u)
+
+
 def predict_trajectory(
     cfg: PredictorConfig,
     dynamics: SystemDynamics,
@@ -116,38 +140,16 @@ def predict_trajectory(
 ) -> ControlTrajectory:
     """Roll the predictor forward and collect a length-(N+1) input buffer.
 
-    Entry j is the controller evaluated on the predicted state j
-    intervals ahead; the prediction then advances ``steps_per_input``
-    predictor steps holding that input (one step when the predictor step
-    equals the control interval).  If the prediction leaves the plant
-    domain mid-horizon a ``TrajectoryError`` with the valid prefix is
-    raised.
+    Entry 0 is the controller evaluated on ``x0``; ``extend_plan`` grows
+    the rest.  If the prediction leaves the plant domain mid-horizon a
+    ``TrajectoryError`` with the valid prefix is raised.
     """
     if steps_per_input < 1:
         raise ValueError("steps_per_input must be >= 1")
     dynamics.check_state(x0)
-    inputs: list[float] = []
-    states: list[float] = [x0]
-    xhat = x0
-    for j in range(cfg.horizon + 1):
-        u = controller(xhat)
-        inputs.append(u)
-        if j == cfg.horizon:
-            break
-        try:
-            xhat = predict_step(cfg, dynamics, xhat, u, steps_per_input)
-        except DomainError as exc:
-            raise TrajectoryError(
-                f"prediction left the domain after {len(inputs)} entries",
-                inputs=inputs,
-                predicted_states=states,
-            ) from exc
-        states.append(xhat)
-    return ControlTrajectory(
-        origin_step=origin_step,
-        inputs=tuple(inputs),
-        predicted_states=tuple(states),
-    )
+    inputs, states = [controller(x0)], [x0]
+    extend_plan(cfg, dynamics, controller, inputs, states, cfg.horizon + 1, steps_per_input)
+    return ControlTrajectory(origin_step, tuple(inputs), tuple(states))
 
 
 @dataclass(frozen=True)

@@ -6,12 +6,12 @@ loss the strategy supplies the input:
 
 * ``predictive-buffer`` replays a predicted input trajectory, advancing
   one entry per lost interval and freezing at the last entry once the
-  buffer is exhausted.  The trajectory is planned lazily: a reception
-  records the measured state (entry 0 of its plan is the feedback just
-  applied), and the first loss after it plans the rest from that state
-  and step, or from the initial state when nothing has been received
-  yet.  A plan that leaves the domain mid-horizon therefore makes the
-  run diverge only when a loss replays it, at that loss.
+  buffer is exhausted.  Each entry is predicted when a loss first
+  replays it: a reception starts a plan whose entry 0 is the feedback
+  just applied (a leading loss starts one from the initial state), and
+  a loss grows it up to the entry it replays.  A plan that leaves the
+  domain at entry j makes the run diverge at the first loss that replays
+  entry j or later, and not before.
 * ``hold-last-value`` repeats the last applied input.
 * ``zero-input`` applies zero.
 
@@ -24,14 +24,18 @@ the step count from ``duration`` and caps both it and the truth substeps.
 """
 
 import math
+import os
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .controller import ControllerConfig, LyapunovSpec, sontag_input
-from .errors import ConfigError, DomainError, NonFiniteError, SimulationDiverged, TrajectoryError
+from .errors import (
+    ConfigError, DomainError, NcsimError, NonFiniteError, SimulationDiverged, TrajectoryError,
+)
 from .losses import LossModel
 from .plant import SystemDynamics, UncertaintySignal, _stage_error
-from .predictor import ControlTrajectory, PredictorConfig, predict_trajectory, whole_multiple
+from .predictor import PredictorConfig, extend_plan, whole_multiple
+from .predictor import predict_trajectory  # re-exported: ncsim.runtime.predict_trajectory
 
 PREDICTIVE_BUFFER = "predictive-buffer"
 HOLD_LAST_VALUE = "hold-last-value"
@@ -45,14 +49,13 @@ MAX_STEPS = 1_000_000
 MAX_TRUTH_SUBSTEPS = 20_000_000
 # Paired seeds one compare may ask for; the cell list is built up front.
 MAX_COMPARE_SEEDS = 10_000
-# Pool workers one compare may ask for; under fork all start at once.
+# Processes one compare may use, the calling one included; all start at once.
 MAX_COMPARE_WORKERS = 64
 
 TRACE_HEADER = ("k", "t", "x_true", "x_pred", "s", "i", "u", "J_running")
 
 
-@dataclass(frozen=True)
-class SimulationRecord:
+class SimulationRecord(NamedTuple):
     """One control interval of a closed-loop run.
 
     Attributes:
@@ -237,10 +240,9 @@ def run_closed_loop(
     raw_state = weights.raw_state
     records: list[SimulationRecord] = []
     x = sim.x0
-    # State and step the next plan starts from; it is planned only when a
-    # loss first replays it.
-    plan_x, plan_k = sim.x0, 0
-    trajectory: Optional[ControlTrajectory] = None
+    # The current plan, which a loss grows only up to the entry it replays,
+    # and the step it starts at.
+    inputs, states, plan_k = [], [], 0
     age = 0
     u = 0.0  # the last applied input, which hold-last-value keeps
     j_running = 0.0
@@ -253,22 +255,17 @@ def run_closed_loop(
             if s_k:
                 u = controller(x)
                 if buffered:
-                    # Entry 0 of the plan from x, without the rest of it.
                     x_pred = x
-                    plan_x, plan_k = x, k
-                    trajectory = None
+                    inputs, states, plan_k = [u], [x], k
             elif buffered:
-                if trajectory is None:
-                    trajectory = predict_trajectory(
-                        predictor_cfg, dynamics, plan_x, controller,
-                        origin_step=plan_k, steps_per_input=steps_per_input,
-                    )
-                if sim.doubled_age_offset:
-                    offset = min(2 * age + 1, horizon)
-                else:
-                    offset = min(k - trajectory.origin_step, horizon)
-                u = trajectory.inputs[offset]
-                x_pred = trajectory.predicted_states[offset]
+                if not inputs:
+                    inputs, states = [controller(sim.x0)], [sim.x0]
+                offset = min(2 * age + 1 if sim.doubled_age_offset else k - plan_k, horizon)
+                extend_plan(
+                    predictor_cfg, dynamics, controller, inputs, states, offset + 1, steps_per_input
+                )
+                u = inputs[offset]
+                x_pred = states[offset]
             elif strategy == ZERO_INPUT:
                 u = 0.0
             age = 0 if s_k else min(age + 1, horizon)
@@ -277,9 +274,7 @@ def run_closed_loop(
             j_running += weights.q_c * deviation * deviation + weights.r_c * u * u
             if not math.isfinite(j_running):
                 raise NonFiniteError(f"running cost became non-finite: {j_running!r}")
-            records.append(SimulationRecord(
-                k=k, t=t_k, x_true=x, x_pred=x_pred, s=s_k, i=age, u=u, j_running=j_running,
-            ))
+            records.append(SimulationRecord(k, t_k, x, x_pred, s_k, age, u, j_running))
             x = integrate_interval(dynamics, x, u, t_k, sim.t_s, sim.n_truth, sim.theta)
         except (DomainError, NonFiniteError, TrajectoryError) as exc:
             raise SimulationDiverged(
@@ -345,6 +340,65 @@ def _compare_cell(args) -> tuple[str, int, Optional[float]]:
     return strategy, seed, result.cost(scenario.cost)
 
 
+def _shares(tasks: Sequence, workers: int) -> list:
+    """``tasks`` dealt round-robin into one share per process, at most ``workers``."""
+    n = min(workers, len(tasks))
+    return [tasks[i::n] for i in range(n)]
+
+
+def _fan_out(fn, tasks: Sequence, workers: int) -> list:
+    """``[fn(task) for task in tasks]`` over at most ``workers`` processes.
+
+    This process runs share 0; each other share runs in a forked child that
+    pickles its outcomes, or the type and args of what it raised (raised
+    again here), into its own pipe.  A child that exits without a result
+    raises ``NcsimError``.  Whatever this process raises, it first kills
+    and reaps every child not yet reaped.
+    """
+    shares = _shares(tasks, workers)
+    if len(shares) > 1:  # imported only by a compare that forks
+        import pickle
+        import signal
+    children = {}  # pid -> read end of its pipe, until the child is reaped
+    try:
+        for share in shares[1:]:
+            reader, writer = map(os.fdopen, os.pipe(), ("rb", "wb"))
+            pid = os.fork()
+            if pid == 0:
+                status = 1
+                try:
+                    try:
+                        payload = None, [fn(task) for task in share]
+                    except Exception as exc:  # raised again by the parent
+                        payload = type(exc), exc.args
+                    pickle.dump(payload, writer)
+                    writer.close()
+                    status = 0
+                finally:
+                    os._exit(status)
+            writer.close()
+            children[pid] = reader
+        outcomes = [None] * len(tasks)
+        outcomes[::len(shares)] = [fn(task) for task in shares[0]]
+        for i, (pid, reader) in enumerate(list(children.items()), 1):
+            with reader:
+                data = reader.read()
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del children[pid]
+            if status != 0:
+                raise NcsimError(f"compare worker exited with status {status} without a result")
+            failed, value = pickle.loads(data)
+            if failed:  # built from its args alone, as __init__ may take others
+                raise failed.__new__(failed, *value)
+            outcomes[i::len(shares)] = value
+        return outcomes
+    finally:
+        for pid, reader in children.items():
+            reader.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
 def compare_strategies(
     scenario,
     strategies: Optional[Sequence[str]] = None,
@@ -358,10 +412,9 @@ def compare_strategies(
     or ``trace``) realizes the same losses under every seed, so it runs
     ``base_seed`` only.  A cell's cost is its run's running cost after
     ``cost.m_steps`` intervals; a diverged cell is marked None instead
-    of aborting the table.  ``workers > 1``, at most
-    ``MAX_COMPARE_WORKERS``, fans cells out to a process pool of at most
-    one worker per cell, imported only then; results are keyed by cell,
-    so the output does not depend on completion order.
+    of aborting the table.  ``workers``, at most ``MAX_COMPARE_WORKERS``,
+    counts the processes that share the cells round-robin, this one
+    included; the output does not depend on it.
     """
     chosen = check_strategies(scenario.strategies if strategies is None else strategies)
     if not 1 <= n_seeds <= MAX_COMPARE_SEEDS:
@@ -374,19 +427,8 @@ def compare_strategies(
     seeds = tuple(base_seed + j for j in range(n_seeds))
     tasks = [(scenario, strategy, seed) for strategy in chosen for seed in seeds]
 
-    # Under the fork start method the pool starts every worker at once,
-    # so it never asks for more than there are cells.
-    workers = min(workers, len(tasks))
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_compare_cell, tasks))
-    else:
-        outcomes = [_compare_cell(task) for task in tasks]
-
     costs: dict = {strategy: {} for strategy in chosen}
-    for strategy, seed, cost in outcomes:
+    for strategy, seed, cost in _fan_out(_compare_cell, tasks, workers):
         costs[strategy][seed] = cost
     return ComparisonResult(strategies=chosen, seeds=seeds, costs=costs)
 
@@ -418,18 +460,11 @@ def read_records_csv(path: str) -> list[SimulationRecord]:
             parts = line.rstrip("\n").split(",")
             if len(parts) != len(TRACE_HEADER):
                 raise ValueError(f"bad trace row {line!r}")
-            records.append(
-                SimulationRecord(
-                    k=int(parts[0]),
-                    t=float(parts[1]),
-                    x_true=float(parts[2]),
-                    x_pred=None if parts[3] == "" else float(parts[3]),
-                    s=int(parts[4]),
-                    i=int(parts[5]),
-                    u=float(parts[6]),
-                    j_running=float(parts[7]),
-                )
-            )
+            records.append(SimulationRecord(
+                int(parts[0]), float(parts[1]), float(parts[2]),
+                None if parts[3] == "" else float(parts[3]), int(parts[4]), int(parts[5]),
+                float(parts[6]), float(parts[7]),
+            ))
     return records
 
 

@@ -20,6 +20,54 @@ json_values = st.recursive(
 )
 
 
+# Keys the run and command-line properties vary: any finite number where
+# the key sizes nothing, weighted towards the magnitudes where float
+# overflow lives, and bounded values where it sizes the run, so each
+# example stays a few milliseconds.
+any_number = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(-10**6, 10**6),
+    st.floats(min_value=1e300, max_value=1.7976931348623157e308),
+)
+probability = st.floats(min_value=0.0, max_value=1.0)
+seed = st.integers(min_value=0, max_value=2**31)
+RUN_KEYS = {
+    **{f"plant.{key}": any_number for key in (
+        "alpha1", "alpha2", "a1", "a2", "p1", "p2", "rho", "vol", "m2", "domain_margin"
+    )},
+    "predictor.delta": st.floats(min_value=0.01, max_value=100.0),
+    "predictor.gamma": any_number,
+    "predictor.horizon": st.integers(min_value=1, max_value=20),
+    **{f"controller.{key}": any_number for key in ("setpoint", "lgv_threshold", "u_min", "u_max")},
+    "sim.x0": any_number,
+    "sim.theta": any_number | st.lists(
+        st.tuples(st.floats(min_value=0.0, max_value=20.0), any_number).map(list), min_size=1,
+        max_size=3,
+    ),
+    "sim.n_truth": st.integers(min_value=1, max_value=30),
+    "sim.doubled_age_offset": st.booleans(),
+    "cost.q_c": any_number,
+    "cost.r_c": any_number,
+    "cost.raw_state": st.booleans(),
+    "loss": st.one_of(
+        st.just({"kind": "none"}),
+        st.builds(lambda p, s: {"kind": "bernoulli", "p": p, "seed": s}, probability, seed),
+        st.builds(
+            lambda g2b, b2g, bad, s: {
+                "kind": "gilbert-elliott", "p_g2b": g2b, "p_b2g": b2g, "loss_in_bad": bad, "seed": s,
+            },
+            probability, probability, probability, seed,
+        ),
+    ),
+}
+
+
+@st.composite
+def run_overrides(draw):
+    keys = draw(st.sets(st.sampled_from(sorted(RUN_KEYS)), min_size=1, max_size=4))
+    return {key: draw(RUN_KEYS[key]) for key in sorted(keys)}
+
+
 def linear_decay_dynamics(domain=WIDE) -> SystemDynamics:
     """xdot = -x + u; the RK4 test bed with a closed-form solution."""
     return SystemDynamics(

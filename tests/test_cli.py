@@ -22,7 +22,9 @@ from ncsim.cli import (
     main,
 )
 
-from conftest import json_values
+from ncsim.runtime import STRATEGIES
+
+from conftest import RUN_KEYS, json_values
 
 
 @pytest.fixture
@@ -276,14 +278,17 @@ class TestRun:
         out = tmp_path / "out"
         rc = main(["run", path, "--loss", "bernoulli:1", "--out", str(out)])
         assert rc == EXIT_DIVERGED
+        # the first loss replays entry 0, the second predicts entry 1 and
+        # leaves the domain
         summary = read_json(out / "summary.json")
         assert summary["diverged"] is True
-        assert summary["diverged_step"] == 0
-        assert "reason" in summary
-        assert (out / "trace.csv").read_text().splitlines() == [
-            "k,t,x_true,x_pred,s,i,u,J_running"
-        ]
-        assert "diverged at step 0" in capsys.readouterr().err
+        assert summary["diverged_step"] == 1
+        assert summary["reason"] == "prediction left the domain after 1 entries"
+        lines = (out / "trace.csv").read_text().splitlines()
+        assert lines[0] == "k,t,x_true,x_pred,s,i,u,J_running"
+        assert len(lines) == 2
+        assert lines[1].startswith("0,0.0,")
+        assert "diverged at step 1" in capsys.readouterr().err
 
     def test_controller_overflow_is_a_divergence(self, tmp_path):
         argv = [
@@ -626,6 +631,22 @@ class TestCompare:
             assert err.count("\n") == 1
             assert "ignores the seed" in err
 
+    def test_failing_cell_exits_alike_at_any_worker_count(self, scenario_file, tmp_path, capsys):
+        bits = tmp_path / "bits.txt"
+        bits.write_text("1\n0\n1\n")  # shorter than the run, and no wrap
+        errors = []
+        for workers in ("1", "2"):
+            argv = [
+                "compare", scenario_file(), "--loss", f"trace:{bits}", "--strategies",
+                "hold-last-value,zero-input", "--workers", workers, "--out", str(tmp_path / workers),
+            ]
+            assert main(argv) == EXIT_CONFIG
+            errors.append(capsys.readouterr().err)
+            with pytest.raises(ChildProcessError):
+                os.waitpid(-1, os.WNOHANG)
+        assert errors[0] == errors[1]
+        assert errors[0].startswith("config error: ")
+
     @pytest.mark.parametrize("seeds", ["10001", "1000000000000"])
     def test_seed_count_is_capped_before_any_artifact(
         self, scenario_file, tmp_path, capsys, monkeypatch, seeds
@@ -828,3 +849,81 @@ class TestLossInputFuzz:
         bits.write_text("1\n0\n0\n1\n")
         argv = ["run", "tank-reference", "--loss", base.format(bits=bits), "--set", f"loss.{key}={value}"]
         self.check(argv, tmp_path, capsys)
+
+
+# Well-formed values for each flag; the fuzz adds any text to those that
+# take text.  --seeds and --workers stay small integers, so no example asks
+# for more than 3 workers.
+counts = st.integers(min_value=-1, max_value=3).map(str)
+FLAGS = {
+    "run": {"--strategy": st.sampled_from(STRATEGIES)},
+    "compare": {
+        "--strategies": st.lists(st.sampled_from(STRATEGIES), max_size=3).map(",".join),
+        "--seeds": counts,
+        "--workers": counts,
+    },
+    "calibrate": {
+        "--method": st.sampled_from(["one", "two"]),
+        "--clamp-gamma": None,  # takes no value
+        "--apply-to": st.sampled_from(["tank-reference", "nowhere"]),
+    },
+}
+for command in ("run", "compare"):
+    FLAGS[command].update({
+        "--seed": st.integers().map(str),
+        "--set": st.sampled_from(sorted(RUN_KEYS)).flatmap(
+            lambda key: RUN_KEYS[key].map(lambda value: f"{key}={json.dumps(value)}")
+        ),
+        "--loss": st.sampled_from(
+            ["none", "bernoulli:0.3", "ge:0.05,0.3,0.8", "trace:{bits}", "trace:{bits}:wrap"]
+        ),
+    })
+TEXT_FLAGS = ("--strategy", "--strategies", "--method", "--apply-to", "--seed", "--set", "--loss")
+
+
+class TestCommandLineFuzz:
+    """Any argument list ends in exit 0, 2, 3 or 4 with no traceback and no
+    child process left; runs are held at sim.duration 20 (10 steps)."""
+
+    @pytest.mark.parametrize("junk", [False, True], ids=["well-formed", "any-text"])
+    @settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_any_arguments(self, tmp_path, capsys, junk, data):
+        bits = tmp_path / "bits.txt"
+        bits.write_text("1\n0\n0\n1\n")
+        samples = [
+            write_samples(tmp_path, rows, f"{name}.csv")
+            for name, rows in (
+                ("fits", ["a,1.0,1.1\n", "a,2.0,2.1\n", "b,1.5,1.4\n"]),
+                ("wide", ["a,1.0,10.0\n"]),
+                ("huge", ["a,1e200,-1e200\n"]),
+            )
+        ]
+        command = data.draw(st.sampled_from(sorted(FLAGS)), label="command")
+        positional = st.sampled_from(samples if command == "calibrate" else ["tank-reference"])
+        flags = FLAGS[command]
+        if junk:
+            positional |= st.sampled_from([str(bits), "nowhere"]) | st.text()
+            flags = {
+                name: (value | (loss_texts if name == "--loss" else st.text()))
+                if name in TEXT_FLAGS else value
+                for name, value in flags.items()
+            }
+        argv = [command, data.draw(positional, label="positional")]
+        for name in data.draw(st.lists(st.sampled_from(sorted(flags)), max_size=4), label="flags"):
+            argv.append(name)
+            if flags[name] is not None:
+                argv.append(data.draw(flags[name], label=name).replace("{bits}", str(bits)))
+        if junk:
+            at = data.draw(st.integers(min_value=0, max_value=len(argv)), label="at")
+            argv[at:at] = data.draw(st.lists(st.text(), max_size=2), label="tokens")
+        if command != "calibrate":
+            argv += ["--set", "sim.duration=20", "--set", "cost.m_steps=10"]
+        try:
+            code = main([*argv, "--out", str(tmp_path / "o")])
+        except SystemExit as exc:  # argparse's own usage errors and --help
+            code = exc.code
+        assert code in (EXIT_OK, EXIT_CONFIG, EXIT_DIVERGED, EXIT_CALIBRATION)
+        assert "Traceback" not in capsys.readouterr().err
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)

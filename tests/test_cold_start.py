@@ -11,8 +11,9 @@ import sys
 
 import ncsim
 
-# The process pool (with multiprocessing), statistics (with fractions and
-# decimal) and csv: commands that do not use them should not import them.
+# A process pool (concurrent.futures, with multiprocessing), which compare
+# does without, statistics (with fractions and decimal) and csv: commands
+# that do not use them should not import them.
 WATCHED = ("concurrent", "multiprocessing", "statistics", "csv")
 
 SHORT_RUN = (
@@ -53,4 +54,9 @@ def test_run_loads_no_pool_statistics_or_csv(tmp_path):
 def test_serial_compare_loads_no_pool_or_csv(tmp_path):
     argv = ["compare", *SHORT_RUN, "--seeds", "2", "--workers", "1"]
     # statistics is imported only for the summary's medians
+    assert loaded_watched_modules(argv, tmp_path) <= {"statistics"}
+
+
+def test_parallel_compare_loads_no_pool_or_csv(tmp_path):
+    argv = ["compare", *SHORT_RUN, "--seeds", "2", "--workers", "2"]
     assert loaded_watched_modules(argv, tmp_path) <= {"statistics"}

@@ -1,6 +1,7 @@
-import concurrent.futures
 import itertools
 import math
+import os
+import time
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -18,6 +19,7 @@ from ncsim import (
     IntegrationDomainError,
     LossModel,
     LyapunovSpec,
+    NcsimError,
     NonFiniteError,
     PREDICTIVE_BUFFER,
     PredictorConfig,
@@ -42,9 +44,10 @@ from ncsim import (
     write_comparison_csv,
     write_records_csv,
 )
+from ncsim.predictor import extend_plan
 from ncsim.runtime import TRACE_HEADER, check_strategies
 
-from conftest import WIDE, linear_decay_dynamics
+from conftest import WIDE, linear_decay_dynamics, run_overrides
 
 ZERO_THETA = UncertaintySignal.constant(0.0)
 
@@ -107,6 +110,19 @@ def eager_reference(sc, bits, steps_per_input):
         )
         x = integrate_interval(dynamics, x, u, k * sim.t_s, sim.t_s, sim.n_truth, sim.theta)
     return records, x
+
+
+def replayed_offsets(bits, horizon, doubled):
+    """The buffer entry each interval replays, None on a reception."""
+    offsets, origin, age = [], 0, 0
+    for k, s in enumerate(bits):
+        if s:
+            offsets.append(None)
+            origin, age = k, 0
+        else:
+            offsets.append(min(2 * age + 1, horizon) if doubled else min(k - origin, horizon))
+            age = min(age + 1, horizon)
+    return offsets
 
 
 def per_substep_reference(dynamics, x, u, t_start, t_s, n_truth, theta):
@@ -430,10 +446,12 @@ class TestRunClosedLoop:
                 sim=sc.sim,
                 weights=sc.cost,
             )
+        # the leading loss replays entry 0, controller(x0); the next one
+        # predicts entry 1, which leaves the domain
         err = excinfo.value
-        assert err.step == 0
-        assert err.records == []
-        assert "domain" in err.reason
+        assert err.step == 1
+        assert len(err.records) == 1
+        assert err.reason == "prediction left the domain after 1 entries"
 
     def test_unreplayed_plan_does_not_diverge(self, small_scenario_dict):
         sc = small_scenario(small_scenario_dict)
@@ -494,15 +512,17 @@ class TestRunClosedLoop:
         })
         assert (sc.sim.t_s, sc.sim.theta.values[0], sc.plant.vol) == (t_s, theta, vol)
         expected_records, expected_x = eager_reference(sc, bits, steps_per_input)
-        plans = []
+        predicted = []
 
-        def counting_predict(*args, **kwargs):
-            assert kwargs["steps_per_input"] == steps_per_input
-            plans.append(kwargs["origin_step"])
-            return predict_trajectory(*args, **kwargs)
+        def counting_extend(*args):
+            assert args[-1] == steps_per_input
+            states = args[4]
+            before = len(states)
+            extend_plan(*args)
+            predicted.append(len(states) - before)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(ncsim.runtime, "predict_trajectory", counting_predict)
+            mp.setattr(ncsim.runtime, "extend_plan", counting_extend)
             result = run_closed_loop(
                 dynamics=sc.build_dynamics(),
                 predictor_cfg=sc.predictor,
@@ -515,8 +535,55 @@ class TestRunClosedLoop:
             )
         assert list(result.records) == expected_records
         assert result.x_final == expected_x
-        bursts = sum(1 for bit, _ in itertools.groupby(bits) if bit == 0)
-        assert len(plans) == bursts
+        # each burst predicts the entries up to the furthest one it replays
+        offsets = replayed_offsets(bits, sc.predictor.horizon, doubled)
+        bursts = itertools.groupby(offsets, key=lambda offset: offset is None)
+        assert sum(predicted) == sum(max(burst) for received, burst in bursts if not received)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        bits=st.lists(st.integers(min_value=0, max_value=1), min_size=1, max_size=30),
+        doubled=st.booleans(),
+        horizon=st.integers(min_value=1, max_value=8),
+        data=st.data(),
+    )
+    def test_plan_diverges_at_the_loss_that_replays_its_exit(self, bits, doubled, horizon, data):
+        # x' = 0 keeps the truth at x0 = 1, and the plan from any reception
+        # grows as (1 + gamma)^j, first past 1.2 at entry j (horizon + 1:
+        # never replayed)
+        j = data.draw(st.integers(min_value=1, max_value=horizon + 1), label="j")
+        gamma = 1.2 ** (1.0 / (j - 0.5)) - 1.0
+        still = SystemDynamics(
+            drift=lambda x: 0.0, input_gain=lambda x: 0.0, uncertainty_gain=lambda x: 0.0,
+            state_domain=(0.0, 1.2),
+        )
+
+        def run():
+            return run_closed_loop(
+                dynamics=still,
+                predictor_cfg=PredictorConfig(delta=1.0, gamma=gamma, horizon=horizon),
+                lyapunov=LyapunovSpec(setpoint=0.5),
+                control_cfg=ControllerConfig(),
+                loss_model=LossModel(bits),
+                strategy=PREDICTIVE_BUFFER,
+                sim=SimSettings(
+                    x0=1.0, t_s=1.0, duration=float(len(bits)), theta=ZERO_THETA,
+                    doubled_age_offset=doubled,
+                ),
+                weights=CostWeights(q_c=1.0, r_c=1.0, m_steps=1),
+            )
+
+        offsets = replayed_offsets(bits, horizon, doubled)
+        exits = [k for k, offset in enumerate(offsets) if offset is not None and offset >= j]
+        if not exits:
+            assert len(run().records) == len(bits)
+            return
+        with pytest.raises(SimulationDiverged) as excinfo:
+            run()
+        err = excinfo.value
+        assert err.step == exits[0]
+        assert len(err.records) == exits[0]
+        assert err.reason == f"prediction left the domain after {j} entries"
 
     def test_truth_divergence_after_record(self):
         runaway = SystemDynamics(
@@ -659,25 +726,24 @@ class TestEvaluateCost:
 
 
 @pytest.fixture
-def pool_sizes(monkeypatch):
-    """Pool sizes compare asks for; a stand-in pool runs the cells in this process."""
-    sizes = []
+def forks(monkeypatch):
+    """Pids of the children this process forks; they still run for real."""
+    pids = []
+    real_fork = os.fork
 
-    class InlineExecutor:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
+    def recording_fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
 
-        def __enter__(self):
-            return self
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return pids
 
-        def __exit__(self, *exc):
-            return False
 
-        def map(self, fn, iterable):
-            return map(fn, iterable)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
-    return sizes
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 class TestCompareStrategies:
@@ -782,20 +848,23 @@ class TestCompareStrategies:
             (8, (HOLD_LAST_VALUE, ZERO_INPUT), 1, 2),
             (2, (HOLD_LAST_VALUE, ZERO_INPUT), 3, 2),
             (4, (ZERO_INPUT,), 1, None),
+            (3, (PREDICTIVE_BUFFER, HOLD_LAST_VALUE), 2, 3),  # shares of 2, 1 and 1 cells
         ],
     )
     def test_pool_is_sized_to_the_cell_count(
-        self, small_scenario_dict, pool_sizes, workers, strategies, n_seeds, pool_size
+        self, small_scenario_dict, forks, workers, strategies, n_seeds, pool_size
     ):
+        # pool_size counts the calling process, which runs a share too, so
+        # compare forks pool_size - 1 children; None: it runs alone
         sc = small_scenario(
             small_scenario_dict, {"loss": {"kind": "bernoulli", "p": 0.3, "seed": 9}}
         )
         pooled = compare_strategies(sc, strategies=strategies, n_seeds=n_seeds, workers=workers)
-        assert pool_sizes == ([] if pool_size is None else [pool_size])
+        assert len(forks) == (0 if pool_size is None else pool_size - 1)
         assert pooled == compare_strategies(sc, strategies=strategies, n_seeds=n_seeds)
+        assert_no_child_left()
 
-
-    def test_pool_size_is_capped(self, small_scenario_dict, pool_sizes):
+    def test_pool_size_is_capped(self, small_scenario_dict, forks):
         cap = ncsim.runtime.MAX_COMPARE_WORKERS
         sc = small_scenario(
             small_scenario_dict,
@@ -804,10 +873,63 @@ class TestCompareStrategies:
         for workers in (cap + 1, 1_000_000, 0):
             with pytest.raises(ValueError, match="workers"):
                 compare_strategies(sc, n_seeds=10_000, workers=workers)
-        assert pool_sizes == []
-        n_seeds = cap // len(STRATEGIES) + 1
-        compare_strategies(sc, n_seeds=n_seeds, workers=cap)
-        assert pool_sizes == [cap]
+        assert forks == []
+        # the shares themselves, without forking a process per share
+        tasks = list(range(cap * 2 + 5))
+        shares = ncsim.runtime._shares(tasks, cap)
+        assert shares == [tasks[i::cap] for i in range(cap)]
+        assert ncsim.runtime._shares(tasks[:3], cap) == [[0], [1], [2]]
+        assert ncsim.runtime._shares(tasks, 1) == [tasks]
+
+    def test_cell_exception_is_raised_with_its_type_and_args(self, small_scenario_dict, monkeypatch):
+        parent = os.getpid()
+        cell = ncsim.runtime._compare_cell
+
+        def failing_in_a_child(task):
+            if os.getpid() != parent:
+                raise LookupError("no such cell", task[2])
+            return cell(task)
+
+        monkeypatch.setattr(ncsim.runtime, "_compare_cell", failing_in_a_child)
+        sc = small_scenario(
+            small_scenario_dict, {"loss": {"kind": "bernoulli", "p": 0.3, "seed": 9}}
+        )
+        with pytest.raises(LookupError) as excinfo:
+            compare_strategies(sc, strategies=(HOLD_LAST_VALUE, ZERO_INPUT), n_seeds=1, workers=2)
+        assert type(excinfo.value) is LookupError
+        assert excinfo.value.args == ("no such cell", 9)
+        assert_no_child_left()
+
+    def test_child_without_a_result_names_its_exit_status(self, small_scenario_dict, monkeypatch):
+        parent = os.getpid()
+        cell = ncsim.runtime._compare_cell
+
+        def exiting_in_a_child(task):
+            if os.getpid() != parent:
+                os._exit(7)
+            return cell(task)
+
+        monkeypatch.setattr(ncsim.runtime, "_compare_cell", exiting_in_a_child)
+        sc = small_scenario(small_scenario_dict)
+        with pytest.raises(NcsimError, match="status 7"):
+            compare_strategies(sc, strategies=(HOLD_LAST_VALUE, ZERO_INPUT), workers=2)
+        assert_no_child_left()
+
+    def test_interrupted_compare_kills_its_children(self, small_scenario_dict, monkeypatch):
+        parent = os.getpid()
+
+        def interrupted_here_stuck_there(task):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            time.sleep(60)
+
+        monkeypatch.setattr(ncsim.runtime, "_compare_cell", interrupted_here_stuck_there)
+        sc = small_scenario(small_scenario_dict)
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            compare_strategies(sc, workers=3)
+        assert time.monotonic() - start < 30
+        assert_no_child_left()
 
 
 class TestCheckStrategies:
@@ -903,54 +1025,6 @@ class TestComparisonCsv:
             "1,3.5,1.0",
             "2,,2.0",
         ]
-
-
-# Keys the run property varies: any finite number where the key sizes
-# nothing, weighted towards the magnitudes where float overflow lives, and
-# bounded values where it sizes the run, so each example stays a few
-# milliseconds.
-any_number = st.one_of(
-    st.floats(allow_nan=False, allow_infinity=False),
-    st.integers(-10**6, 10**6),
-    st.floats(min_value=1e300, max_value=1.7976931348623157e308),
-)
-probability = st.floats(min_value=0.0, max_value=1.0)
-seed = st.integers(min_value=0, max_value=2**31)
-RUN_KEYS = {
-    **{f"plant.{key}": any_number for key in (
-        "alpha1", "alpha2", "a1", "a2", "p1", "p2", "rho", "vol", "m2", "domain_margin"
-    )},
-    "predictor.delta": st.floats(min_value=0.01, max_value=100.0),
-    "predictor.gamma": any_number,
-    "predictor.horizon": st.integers(min_value=1, max_value=20),
-    **{f"controller.{key}": any_number for key in ("setpoint", "lgv_threshold", "u_min", "u_max")},
-    "sim.x0": any_number,
-    "sim.theta": any_number | st.lists(
-        st.tuples(st.floats(min_value=0.0, max_value=20.0), any_number).map(list), min_size=1,
-        max_size=3,
-    ),
-    "sim.n_truth": st.integers(min_value=1, max_value=30),
-    "sim.doubled_age_offset": st.booleans(),
-    "cost.q_c": any_number,
-    "cost.r_c": any_number,
-    "cost.raw_state": st.booleans(),
-    "loss": st.one_of(
-        st.just({"kind": "none"}),
-        st.builds(lambda p, s: {"kind": "bernoulli", "p": p, "seed": s}, probability, seed),
-        st.builds(
-            lambda g2b, b2g, bad, s: {
-                "kind": "gilbert-elliott", "p_g2b": g2b, "p_b2g": b2g, "loss_in_bad": bad, "seed": s,
-            },
-            probability, probability, probability, seed,
-        ),
-    ),
-}
-
-
-@st.composite
-def run_overrides(draw):
-    keys = draw(st.sets(st.sampled_from(sorted(RUN_KEYS)), min_size=1, max_size=4))
-    return {key: draw(RUN_KEYS[key]) for key in sorted(keys)}
 
 
 class TestAnyScenarioRunsOrDiverges:
