@@ -11,7 +11,6 @@ quadratic Lyapunov function, validated on a pressure-tank plant.
 
 from .controller import (
     ControllerConfig,
-    LyapunovSpec,
     closed_loop_vdot,
     lie_derivatives,
     sontag_from_lie,

@@ -22,9 +22,8 @@ from .errors import ConfigError, SimulationDiverged, TraceExhaustedError, read_i
 from .losses import LOSS_KEYS, SEEDED_KINDS
 from .predictor import SamplePair, calibration, read_sample_pairs
 from .runtime import (
-    MAX_COMPARE_SEEDS,
-    MAX_COMPARE_WORKERS,
     STRATEGIES,
+    check_compare_size,
     check_strategies,
     compare_strategies,
     run_scenario,
@@ -156,7 +155,7 @@ def cmd_run(args) -> int:
 
     _write(write_records_csv, records, os.path.join(out, "trace.csv"))
 
-    setpoint = scenario.lyapunov.setpoint
+    setpoint = scenario.controller.setpoint
     initial_dev = abs(scenario.sim.x0 - setpoint)
     loss_count = sum(1 for r in records if r.s == 0)
     summary = {
@@ -199,12 +198,7 @@ def cmd_compare(args) -> int:
     if args.strategies is not None:
         names = (name.strip() for name in args.strategies.split(","))
         strategies = check_strategies([name for name in names if name], "--strategies")
-    if not 1 <= args.seeds <= MAX_COMPARE_SEEDS:
-        raise ConfigError(f"--seeds must lie in [1, {MAX_COMPARE_SEEDS}], got {args.seeds}")
-    if not 1 <= args.workers <= MAX_COMPARE_WORKERS:
-        raise ConfigError(
-            f"--workers must lie in [1, {MAX_COMPARE_WORKERS}], got {args.workers}"
-        )
+    check_compare_size(args.seeds, args.workers, "--seeds", "--workers")
     _write(_write_text, resolved_json(scenario), os.path.join(out, "resolved_config.json"))
     result = compare_strategies(
         scenario, strategies=strategies, n_seeds=args.seeds, workers=args.workers

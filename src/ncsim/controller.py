@@ -26,38 +26,26 @@ from .plant import SystemDynamics
 
 
 @dataclass(frozen=True)
-class LyapunovSpec:
-    """Quadratic Lyapunov function centered on the regulation setpoint."""
-
-    setpoint: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.setpoint):
-            raise ConfigError(f"controller.setpoint must be finite, got {self.setpoint!r}")
-
-    def value(self, x: float) -> float:
-        return (x - self.setpoint) ** 2
-
-    def gradient(self, x: float) -> float:
-        return 2.0 * (x - self.setpoint)
-
-
-@dataclass(frozen=True)
 class ControllerConfig:
-    """Threshold and saturation limits of the feedback law.
+    """Setpoint, threshold and saturation limits of the feedback law.
 
     Attributes:
+        setpoint: the regulation setpoint, where V(x) = (x - setpoint)^2
+            vanishes.
         lgv_threshold: inputs are zero while |LgV| stays at or below
             this value.
         u_min, u_max: actuator saturation bounds (the tank valve runs
             from closed, 0, to fully open, 1).
     """
 
+    setpoint: float
     lgv_threshold: float = 1e-9
     u_min: float = 0.0
     u_max: float = 1.0
 
     def __post_init__(self):
+        if not math.isfinite(self.setpoint):
+            raise ConfigError(f"controller.setpoint must be finite, got {self.setpoint!r}")
         if not self.lgv_threshold > 0:
             raise ConfigError(
                 f"controller.lgv_threshold must be positive, got {self.lgv_threshold!r}"
@@ -70,11 +58,12 @@ class ControllerConfig:
 
 
 def lie_derivatives(
-    dynamics: SystemDynamics, lyapunov: LyapunovSpec, x: float
+    dynamics: SystemDynamics, cfg: ControllerConfig, x: float
 ) -> tuple[float, float]:
-    """Return (LfV, LgV) at ``x``."""
-    grad = lyapunov.gradient(x)
-    return grad * dynamics.f(x), grad * dynamics.g(x)
+    """Return (LfV, LgV) at ``x``, which must lie in the state domain."""
+    dynamics.check_state(x)
+    grad = 2.0 * (x - cfg.setpoint)
+    return grad * dynamics.drift(x), grad * dynamics.input_gain(x)
 
 
 def sontag_from_lie(lfv: float, lgv: float, cfg: ControllerConfig) -> float:
@@ -92,22 +81,18 @@ def sontag_from_lie(lfv: float, lgv: float, cfg: ControllerConfig) -> float:
     return min(max(u, cfg.u_min), cfg.u_max)
 
 
-def sontag_input(
-    dynamics: SystemDynamics, lyapunov: LyapunovSpec, cfg: ControllerConfig, x: float
-) -> float:
+def sontag_input(dynamics: SystemDynamics, cfg: ControllerConfig, x: float) -> float:
     """Saturated universal-formula feedback evaluated at state ``x``."""
-    lfv, lgv = lie_derivatives(dynamics, lyapunov, x)
+    lfv, lgv = lie_derivatives(dynamics, cfg, x)
     return sontag_from_lie(lfv, lgv, cfg)
 
 
-def closed_loop_vdot(
-    dynamics: SystemDynamics, lyapunov: LyapunovSpec, cfg: ControllerConfig, x: float
-) -> float:
+def closed_loop_vdot(dynamics: SystemDynamics, cfg: ControllerConfig, x: float) -> float:
     """Time derivative of V along the closed loop at ``x``.
 
     Equals -sqrt(LfV^2 + LgV^4) wherever the input is above threshold
     and unsaturated; with a binding saturation bound the value is simply
     reported and may be non-negative.
     """
-    lfv, lgv = lie_derivatives(dynamics, lyapunov, x)
+    lfv, lgv = lie_derivatives(dynamics, cfg, x)
     return lfv + lgv * sontag_from_lie(lfv, lgv, cfg)

@@ -16,9 +16,10 @@ pressure ``p2``.  With the ideal-gas/orifice model the flow terms are
     w(x) =  x / vol
 
 so the model is only meaningful for pressures between ``p2`` and ``p1``.
-All evaluations are guarded: leaving the state domain raises
-``DomainError`` instead of silently extrapolating through a negative
-square-root argument.
+Every evaluation is guarded: the feedback checks its state once with
+``check_state`` and the march checks every stage, so leaving the state
+domain raises ``DomainError`` instead of silently extrapolating through a
+negative square-root argument.
 
 The one RK4 step, ``_RK4``, is source text compiled per right-hand side
 into the n-step march: truth runs it once per theta segment (see
@@ -79,18 +80,6 @@ class SystemDynamics:
         lo, hi = self.state_domain
         if not (lo <= x <= hi):
             raise DomainError(f"state {x!r} outside domain [{lo!r}, {hi!r}]")
-
-    def f(self, x: float) -> float:
-        self.check_state(x)
-        return self.drift(x)
-
-    def g(self, x: float) -> float:
-        self.check_state(x)
-        return self.input_gain(x)
-
-    def w(self, x: float) -> float:
-        self.check_state(x)
-        return self.uncertainty_gain(x)
 
 
 # The RK4 step from y, RHS the right-hand side at the stage state x.
@@ -224,6 +213,10 @@ class TankParams:
         rho: gas density [kg/m^3].
         vol: tank volume [m^3].
         m2: fixed opening degree of the outlet valve, in [0, 1].
+        domain_margin: how far the state domain stays inside [p2, p1], so
+            that integration stages cannot probe the square roots at
+            negative arguments; 0 exposes the closed interval, where the
+            boundary values f(p2) = 0 and g(p1) = 0 are still well defined.
     """
 
     alpha1: float
@@ -235,6 +228,7 @@ class TankParams:
     rho: float
     vol: float
     m2: float
+    domain_margin: float = 1e-3
 
     def __post_init__(self):
         for name in ("alpha1", "alpha2", "a1", "a2", "rho", "vol"):
@@ -246,26 +240,16 @@ class TankParams:
             raise ConfigError("plant.p2 must be non-negative")
         if not self.p1 > self.p2:
             raise ConfigError(f"plant.p1 must exceed p2, got p1={self.p1!r}, p2={self.p2!r}")
+        if self.domain_margin < 0:
+            raise ConfigError("plant.domain_margin must be non-negative")
+        lo, hi = self.state_domain
+        if not lo < hi:
+            raise ConfigError("plant.domain_margin leaves an empty state domain")
 
-    @classmethod
-    def benchmark(cls, p2: float = 100_000.0, m2: float = 1.0) -> "TankParams":
-        """Benchmark tank parameters.
-
-        ``p2`` and ``m2`` are not fixed by the benchmark description and
-        must be chosen; the defaults are an atmospheric-order back
-        pressure and a fully open outlet valve.
-        """
-        return cls(
-            alpha1=0.631811,
-            alpha2=0.631811,
-            a1=1.9625e-3,
-            a2=1.9625e-3,
-            p1=2.0e5,
-            p2=p2,
-            rho=3.49772,
-            vol=2.0,
-            m2=m2,
-        )
+    @property
+    def state_domain(self) -> tuple[float, float]:
+        """(p2 + domain_margin, p1 - domain_margin)."""
+        return self.p2 + self.domain_margin, self.p1 - self.domain_margin
 
 
 # The tank's gains f, g and w over the constants ``tank_dynamics`` binds:
@@ -277,22 +261,9 @@ _TANK_GAINS = (
 )
 
 
-def tank_dynamics(params: TankParams, margin: float = 1e-3) -> SystemDynamics:
-    """Build the tank's SystemDynamics.
-
-    The state domain is shrunk to [p2 + margin, p1 - margin] so that
-    integration stages cannot probe the square roots at negative
-    arguments.  ``margin = 0`` exposes the closed interval, where the
-    boundary values f(p2) = 0 and g(p1) = 0 are still well defined.
-    """
-    if margin < 0:
-        raise ConfigError("plant.domain_margin must be non-negative")
-    lo = params.p2 + margin
-    hi = params.p1 - margin
-    if not lo < hi:
-        raise ConfigError("plant.domain_margin leaves an empty state domain")
-
-    return SystemDynamics(state_domain=(lo, hi), **_generate(
+def tank_dynamics(params: TankParams) -> SystemDynamics:
+    """Build the tank's SystemDynamics on ``params.state_domain``."""
+    return SystemDynamics(state_domain=params.state_domain, **_generate(
         _TANK_GAINS, sqrt=math.sqrt, p1=params.p1, p2=params.p2, inv_vol=1.0 / params.vol,
         neg_c_out=-(params.alpha2 * params.a2 * params.m2 / params.vol),
         c_in=params.alpha1 * params.a1 / params.vol, two_over_rho=2.0 / params.rho,

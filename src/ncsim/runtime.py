@@ -28,7 +28,7 @@ import os
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
-from .controller import ControllerConfig, LyapunovSpec, sontag_input
+from .controller import ControllerConfig, sontag_input
 from .errors import (
     ConfigError, DomainError, NcsimError, NonFiniteError, SimulationDiverged, TrajectoryError,
 )
@@ -210,10 +210,21 @@ def check_strategies(names: Sequence[str], label: str = "strategies") -> tuple[s
     return names
 
 
+def check_compare_size(
+    n_seeds: int, workers: int, seeds_label: str = "n_seeds", workers_label: str = "workers"
+) -> None:
+    """A ConfigError naming the label unless ``n_seeds`` and ``workers`` lie
+    within ``MAX_COMPARE_SEEDS`` and ``MAX_COMPARE_WORKERS``."""
+    for label, value, cap in (
+        (seeds_label, n_seeds, MAX_COMPARE_SEEDS), (workers_label, workers, MAX_COMPARE_WORKERS),
+    ):
+        if not 1 <= value <= cap:
+            raise ConfigError(f"{label} must lie in [1, {cap}], got {value!r}")
+
+
 def run_closed_loop(
     dynamics: SystemDynamics,
     predictor_cfg: PredictorConfig,
-    lyapunov: LyapunovSpec,
     control_cfg: ControllerConfig,
     loss_model: LossModel,
     strategy: str,
@@ -231,12 +242,12 @@ def run_closed_loop(
     dynamics.check_state(sim.x0)
 
     def controller(xs: float) -> float:
-        return sontag_input(dynamics, lyapunov, control_cfg, xs)
+        return sontag_input(dynamics, control_cfg, xs)
 
     buffered = strategy == PREDICTIVE_BUFFER
     steps_per_input = predictor_cfg.steps_per_input(sim.t_s)
     horizon = predictor_cfg.horizon
-    setpoint = lyapunov.setpoint
+    setpoint = control_cfg.setpoint
     raw_state = weights.raw_state
     records: list[SimulationRecord] = []
     x = sim.x0
@@ -288,9 +299,8 @@ def run_closed_loop(
 def run_scenario(scenario, strategy: str, seed: Optional[int] = None) -> RunResult:
     """Run one strategy of a scenario, optionally overriding the loss seed."""
     return run_closed_loop(
-        scenario.build_dynamics(), scenario.predictor, scenario.lyapunov,
-        scenario.controller, scenario.loss.build(seed), strategy, scenario.sim,
-        scenario.cost,
+        scenario.build_dynamics(), scenario.predictor, scenario.controller,
+        scenario.loss.build(seed), strategy, scenario.sim, scenario.cost,
     )
 
 
@@ -417,10 +427,7 @@ def compare_strategies(
     included; the output does not depend on it.
     """
     chosen = check_strategies(scenario.strategies if strategies is None else strategies)
-    if not 1 <= n_seeds <= MAX_COMPARE_SEEDS:
-        raise ValueError(f"n_seeds must lie in [1, {MAX_COMPARE_SEEDS}], got {n_seeds!r}")
-    if not 1 <= workers <= MAX_COMPARE_WORKERS:
-        raise ValueError(f"workers must lie in [1, {MAX_COMPARE_WORKERS}], got {workers!r}")
+    check_compare_size(n_seeds, workers)
     base_seed = scenario.loss.seed
     if not scenario.loss.seeded:
         n_seeds = 1

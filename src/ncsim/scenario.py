@@ -20,16 +20,17 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .controller import ControllerConfig, LyapunovSpec
+from .controller import ControllerConfig
 from .errors import ConfigError
 from .losses import LOSS_KEYS, LOSS_KINDS, LossSpec
 from .plant import TankParams, UncertaintySignal, tank_dynamics
 from .predictor import PredictorConfig
 from .runtime import STRATEGIES, CostWeights, SimSettings, check_strategies
 
-# Predictor steps a run may ask for if every interval planned a full
-# trajectory, checked when a scenario is built so that no input can ask
-# for an unbounded run.  tank-reference needs 18_000.
+# Predictor steps a run may ask for, checked when a scenario is built so
+# that no input can ask for an unbounded run.  A loss predicts at most one
+# buffer entry, or two under ``sim.doubled_age_offset`` (and never more
+# than ``predictor.horizon``), so tank-reference needs at most 3600.
 MAX_PREDICTOR_STEPS = 20_000_000
 
 
@@ -37,14 +38,13 @@ MAX_PREDICTOR_STEPS = 20_000_000
 class Scenario:
     """Complete, validated description of one closed-loop experiment.
 
-    It holds the config objects the loop takes.  Each of them checks its
-    own keys; this checks the rules that span two of them.
+    It holds the config objects the loop takes, one per section of the
+    document.  Each of them checks its own keys; this checks the rules
+    that span two of them.
     """
 
     plant: TankParams
-    domain_margin: float
     predictor: PredictorConfig
-    lyapunov: LyapunovSpec
     controller: ControllerConfig
     loss: LossSpec
     sim: SimSettings
@@ -52,17 +52,19 @@ class Scenario:
     strategies: tuple
 
     def __post_init__(self):
-        lo, hi = tank_dynamics(self.plant, self.domain_margin).state_domain
-        setpoint = self.lyapunov.setpoint
+        lo, hi = self.plant.state_domain
+        setpoint = self.controller.setpoint
         for key, value in (("controller.setpoint", setpoint), ("sim.x0", self.sim.x0)):
             if not lo < value < hi:
                 raise ConfigError(f"{key} {value!r} outside state domain ({lo!r}, {hi!r})")
         steps = self.sim.steps
         per_input = self.predictor.steps_per_input(self.sim.t_s)
-        if steps * self.predictor.horizon * per_input > MAX_PREDICTOR_STEPS:
+        entries = min(self.predictor.horizon, 2)
+        if steps * per_input * entries > MAX_PREDICTOR_STEPS:
             raise ConfigError(
-                f"predictor.horizon {self.predictor.horizon} x {per_input:.6g} predictor "
-                f"steps per interval (sim.t_s / predictor.delta) x {steps} steps may ask "
+                f"predictor.delta {self.predictor.delta!r} gives {per_input:.6g} predictor "
+                f"steps per interval (sim.t_s / predictor.delta), which over {steps} steps "
+                f"of up to min(predictor.horizon, 2) = {entries} predicted entries may ask "
                 f"for more than {MAX_PREDICTOR_STEPS} predictor steps"
             )
         if self.cost.m_steps > steps:
@@ -72,7 +74,7 @@ class Scenario:
         check_strategies(self.strategies)
 
     def build_dynamics(self):
-        return tank_dynamics(self.plant, margin=self.domain_margin)
+        return tank_dynamics(self.plant)
 
 
 def _number(label: str, value) -> float:
@@ -142,55 +144,55 @@ def _strategies(label: str, value) -> tuple:
 _REQUIRED = object()
 
 # Every scenario key, in snapshot order: (section, key, checker, default
-# or _REQUIRED, the Scenario field holding the value ("" for Scenario
-# itself)).  Section "" is the top level of the document.  A loss key
-# past kind and seed belongs only to the kinds that ``LOSS_KEYS`` gives it.
+# or _REQUIRED).  A section is the Scenario field whose record holds its
+# keys; section "" is the top level of the document, held by Scenario
+# itself.  A loss key past kind and seed belongs only to the kinds that
+# ``LOSS_KEYS`` gives it.
 _SCHEMA = (
-    ("plant", "alpha1", _number, _REQUIRED, "plant"),
-    ("plant", "alpha2", _number, _REQUIRED, "plant"),
-    ("plant", "a1", _number, _REQUIRED, "plant"),
-    ("plant", "a2", _number, _REQUIRED, "plant"),
-    ("plant", "p1", _number, _REQUIRED, "plant"),
-    ("plant", "p2", _number, _REQUIRED, "plant"),
-    ("plant", "rho", _number, _REQUIRED, "plant"),
-    ("plant", "vol", _number, _REQUIRED, "plant"),
-    ("plant", "m2", _number, _REQUIRED, "plant"),
-    ("plant", "domain_margin", _number, 1e-3, ""),
-    ("predictor", "delta", _number, _REQUIRED, "predictor"),
-    ("predictor", "gamma", _number, _REQUIRED, "predictor"),
-    ("predictor", "horizon", _integer, _REQUIRED, "predictor"),
-    ("controller", "setpoint", _number, _REQUIRED, "lyapunov"),
-    ("controller", "lgv_threshold", _number, 1e-9, "controller"),
-    ("controller", "u_min", _number, 0.0, "controller"),
-    ("controller", "u_max", _number, 1.0, "controller"),
-    ("loss", "kind", _loss_kind, _REQUIRED, "loss"),
-    ("loss", "seed", _integer, 0, "loss"),
-    ("loss", "p", _number, _REQUIRED, "loss"),
-    ("loss", "p_g2b", _number, _REQUIRED, "loss"),
-    ("loss", "p_b2g", _number, _REQUIRED, "loss"),
-    ("loss", "loss_in_bad", _number, _REQUIRED, "loss"),
-    ("loss", "trace_path", _string, _REQUIRED, "loss"),
-    ("loss", "wrap", _boolean, False, "loss"),
-    ("sim", "x0", _number, _REQUIRED, "sim"),
-    ("sim", "t_s", _number, _REQUIRED, "sim"),
-    ("sim", "duration", _number, _REQUIRED, "sim"),
-    ("sim", "theta", _theta, _REQUIRED, "sim"),
-    ("sim", "n_truth", _integer, 20, "sim"),
-    ("sim", "doubled_age_offset", _boolean, False, "sim"),
-    ("cost", "q_c", _number, _REQUIRED, "cost"),
-    ("cost", "r_c", _number, _REQUIRED, "cost"),
-    ("cost", "m_steps", _integer, _REQUIRED, "cost"),
-    ("cost", "raw_state", _boolean, False, "cost"),
-    ("", "strategies", _strategies, STRATEGIES, ""),
+    ("plant", "alpha1", _number, _REQUIRED),
+    ("plant", "alpha2", _number, _REQUIRED),
+    ("plant", "a1", _number, _REQUIRED),
+    ("plant", "a2", _number, _REQUIRED),
+    ("plant", "p1", _number, _REQUIRED),
+    ("plant", "p2", _number, _REQUIRED),
+    ("plant", "rho", _number, _REQUIRED),
+    ("plant", "vol", _number, _REQUIRED),
+    ("plant", "m2", _number, _REQUIRED),
+    ("plant", "domain_margin", _number, 1e-3),
+    ("predictor", "delta", _number, _REQUIRED),
+    ("predictor", "gamma", _number, _REQUIRED),
+    ("predictor", "horizon", _integer, _REQUIRED),
+    ("controller", "setpoint", _number, _REQUIRED),
+    ("controller", "lgv_threshold", _number, 1e-9),
+    ("controller", "u_min", _number, 0.0),
+    ("controller", "u_max", _number, 1.0),
+    ("loss", "kind", _loss_kind, _REQUIRED),
+    ("loss", "seed", _integer, 0),
+    ("loss", "p", _number, _REQUIRED),
+    ("loss", "p_g2b", _number, _REQUIRED),
+    ("loss", "p_b2g", _number, _REQUIRED),
+    ("loss", "loss_in_bad", _number, _REQUIRED),
+    ("loss", "trace_path", _string, _REQUIRED),
+    ("loss", "wrap", _boolean, False),
+    ("sim", "x0", _number, _REQUIRED),
+    ("sim", "t_s", _number, _REQUIRED),
+    ("sim", "duration", _number, _REQUIRED),
+    ("sim", "theta", _theta, _REQUIRED),
+    ("sim", "n_truth", _integer, 20),
+    ("sim", "doubled_age_offset", _boolean, False),
+    ("cost", "q_c", _number, _REQUIRED),
+    ("cost", "r_c", _number, _REQUIRED),
+    ("cost", "m_steps", _integer, _REQUIRED),
+    ("cost", "raw_state", _boolean, False),
+    ("", "strategies", _strategies, STRATEGIES),
 )
 
 _TOP_KEYS = tuple(dict.fromkeys(row[0] or row[1] for row in _SCHEMA))
 
-# The class each Scenario field is built with from its gathered keys.
+# The record each section is built into from its gathered keys.
 _CLASSES = {
     "plant": TankParams,
     "predictor": PredictorConfig,
-    "lyapunov": LyapunovSpec,
     "controller": ControllerConfig,
     "loss": LossSpec,
     "sim": SimSettings,
@@ -236,7 +238,7 @@ def scenario_from_dict(data: dict) -> Scenario:
     rows = _rows(_loss_kind("loss.kind", loss["kind"]))
     sections: dict = {}
     held: dict = {}
-    for section, key, check, default, holder in rows:
+    for section, key, check, default in rows:
         if section not in sections:
             sections[section] = _section(data, section)
             if section:
@@ -248,10 +250,10 @@ def scenario_from_dict(data: dict) -> Scenario:
             raise ConfigError(f"missing required key {label}")
         else:
             value = default
-        held.setdefault(holder, {})[key] = value
+        held.setdefault(section, {})[key] = value
     fields = held.pop("")
-    for holder, cls in _CLASSES.items():
-        fields[holder] = cls(**held[holder])
+    for section, cls in _CLASSES.items():
+        fields[section] = cls(**held[section])
     return Scenario(**fields)
 
 
@@ -264,8 +266,8 @@ def _plain(value):
 def scenario_to_dict(scenario: Scenario) -> dict:
     """Canonical plain-dict form; reloading it reproduces the scenario."""
     doc: dict = {}
-    for section, key, _, _, holder in _rows(scenario.loss.kind):
-        owner = getattr(scenario, holder) if holder else scenario
+    for section, key, _, _ in _rows(scenario.loss.kind):
+        owner = getattr(scenario, section) if section else scenario
         (doc.setdefault(section, {}) if section else doc)[key] = _plain(getattr(owner, key))
     return doc
 

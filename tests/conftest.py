@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from ncsim import (
     SystemDynamics,
     TankParams,
+    builtin_scenario,
     builtin_scenario_dict,
     tank_dynamics,
 )
@@ -78,14 +79,19 @@ def linear_decay_dynamics(domain=WIDE) -> SystemDynamics:
     )
 
 
+def reference_plant() -> TankParams:
+    """The tank of the built-in tank-reference scenario."""
+    return builtin_scenario("tank-reference").plant
+
+
 @pytest.fixture
 def benchmark_params() -> TankParams:
-    return TankParams.benchmark(p2=100_000.0, m2=1.0)
+    return reference_plant()
 
 
 @pytest.fixture
 def tank(benchmark_params) -> SystemDynamics:
-    return tank_dynamics(benchmark_params, margin=1e-3)
+    return tank_dynamics(benchmark_params)
 
 
 @pytest.fixture

@@ -19,7 +19,7 @@ from ncsim.cli import main
 from ncsim.controller import ControllerConfig, closed_loop_vdot, lie_derivatives
 from ncsim.errors import CalibrationRangeError, DomainError
 from ncsim.losses import LossModel
-from ncsim.plant import SystemDynamics, TankParams, tank_dynamics
+from ncsim.plant import SystemDynamics, tank_dynamics
 from ncsim.predictor import (
     PredictorConfig,
     SamplePair,
@@ -35,7 +35,9 @@ from ncsim.runtime import (
     run_closed_loop,
     run_scenario,
 )
-from ncsim.scenario import apply_overrides, builtin_scenario_dict, scenario_from_dict
+from ncsim.scenario import (
+    apply_overrides, builtin_scenario, builtin_scenario_dict, scenario_from_dict,
+)
 
 
 def reference(*overrides):
@@ -44,7 +46,7 @@ def reference(*overrides):
 
 
 def benchmark_tank():
-    return tank_dynamics(TankParams.benchmark(p2=100_000.0, m2=1.0), margin=1e-3)
+    return tank_dynamics(builtin_scenario("tank-reference").plant)
 
 
 def test_integrator_accuracy_and_order():
@@ -163,8 +165,8 @@ def test_feedback_decrease_across_the_pressure_range():
     sc = reference()
     tank = sc.build_dynamics()
     params = sc.plant
-    unbounded = ControllerConfig(u_min=-math.inf, u_max=math.inf)
-    at_setpoint = sc.lyapunov
+    at_setpoint = sc.controller
+    unbounded = ControllerConfig(at_setpoint.setpoint, u_min=-math.inf, u_max=math.inf)
     lo, hi = tank.state_domain
     cell = (hi - lo) / 1_000
 
@@ -176,7 +178,7 @@ def test_feedback_decrease_across_the_pressure_range():
         lfv, lgv = lie_derivatives(tank, at_setpoint, x)
         assert abs(lgv) > unbounded.lgv_threshold
         target = -math.sqrt(lfv * lfv + lgv ** 4)
-        vdot = closed_loop_vdot(tank, at_setpoint, unbounded, x)
+        vdot = closed_loop_vdot(tank, unbounded, x)
         assert vdot < 0.0
         assert abs(vdot - target) <= 1e-9 * abs(target)
 
@@ -185,8 +187,8 @@ def test_feedback_decrease_across_the_pressure_range():
         grad = 2.0 * x
         drain = -c_out * x * math.sqrt(2.0 * (x - params.p2) / params.rho)
         feed = c_in * x * math.sqrt(2.0 * (params.p1 - x) / params.rho)
-        lfv0 = grad * tank.f(x)
-        lgv0 = grad * tank.g(x)
+        lfv0 = grad * tank.drift(x)
+        lgv0 = grad * tank.input_gain(x)
         assert abs(lfv0 - grad * drain) <= 1e-12 * abs(grad * drain)
         assert abs(lgv0 - grad * feed) <= 1e-12 * abs(grad * feed)
 
@@ -198,9 +200,9 @@ def test_loss_free_regulation_reaches_the_setpoint():
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
 
-    deviations = [abs(r.x_true - sc.lyapunov.setpoint) for r in result.records]
-    deviations.append(abs(result.x_final - sc.lyapunov.setpoint))
-    initial = abs(sc.sim.x0 - sc.lyapunov.setpoint)
+    deviations = [abs(r.x_true - sc.controller.setpoint) for r in result.records]
+    deviations.append(abs(result.x_final - sc.controller.setpoint))
+    initial = abs(sc.sim.x0 - sc.controller.setpoint)
     assert deviations[-1] < 0.01 * initial
     assert all(late <= early for early, late in zip(deviations, deviations[1:]))
 
@@ -259,7 +261,6 @@ def test_buffer_age_law_under_adversarial_dropouts():
         result = run_closed_loop(
             sc.build_dynamics(),
             sc.predictor,
-            sc.lyapunov,
             sc.controller,
             LossModel(bits),
             PREDICTIVE_BUFFER,

@@ -259,7 +259,8 @@ class TestRun:
             (["sim.duration=1e300", "sim.t_s=1e-10"], "sim.duration"),
             (["sim.n_truth=100000000"], "sim.n_truth"),
             (["sim.n_truth=0"], "sim.n_truth"),
-            (["predictor.horizon=100000000"], "predictor.horizon"),
+            # 10 000 predictor steps per interval, at two entries per interval
+            (["predictor.horizon=2", "predictor.delta=2e-4"], "predictor.horizon"),
             (["predictor.delta=1e-300"], "predictor.delta"),
         ],
     )

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import re
 
 import pytest
 from hypothesis import given
@@ -7,8 +9,8 @@ from hypothesis import strategies as st
 from ncsim import (
     ControllerConfig,
     ControllerOverflowError,
-    LyapunovSpec,
-    TankParams,
+    DomainError,
+    SystemDynamics,
     closed_loop_vdot,
     lie_derivatives,
     sontag_from_lie,
@@ -16,32 +18,41 @@ from ncsim import (
     tank_dynamics,
 )
 
-UNBOUNDED = ControllerConfig(u_min=-math.inf, u_max=math.inf)
+from conftest import WIDE, reference_plant
+
+# The feedback settings of tank-reference, and the same without saturation.
+CFG = ControllerConfig(setpoint=150_100.0)
+UNBOUNDED = dataclasses.replace(CFG, u_min=-math.inf, u_max=math.inf)
+TANK = tank_dynamics(reference_plant())
 
 
 class TestLyapunovSpec:
-    def test_value_and_gradient(self):
-        lyap = LyapunovSpec(setpoint=1.0)
-        assert lyap.value(3.0) == 4.0
-        assert lyap.gradient(3.0) == 4.0
-        assert lyap.value(1.0) == 0.0
+    """V(x) = (x - setpoint)^2, centred on ``ControllerConfig.setpoint``."""
+
+    def test_gradient_is_twice_the_error(self):
+        # with unit gains the Lie derivatives are the gradient 2 (x - setpoint)
+        unit = SystemDynamics(
+            drift=lambda x: 1.0, input_gain=lambda x: 1.0, uncertainty_gain=lambda x: 0.0,
+            state_domain=WIDE,
+        )
+        assert lie_derivatives(unit, ControllerConfig(setpoint=1.0), 3.0) == (4.0, 4.0)
+        assert lie_derivatives(unit, ControllerConfig(setpoint=1.0), 1.0) == (0.0, 0.0)
 
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_rejects_nonfinite_setpoint(self, bad):
-        with pytest.raises(ValueError):
-            LyapunovSpec(setpoint=bad)
+        with pytest.raises(ValueError, match="controller.setpoint must be finite"):
+            ControllerConfig(setpoint=bad)
 
 
 class TestControllerConfig:
     def test_defaults(self):
-        cfg = ControllerConfig()
+        cfg = ControllerConfig(setpoint=0.0)
         assert cfg.lgv_threshold == 1e-9
         assert cfg.u_min == 0.0
         assert cfg.u_max == 1.0
 
     def test_infinite_bounds_allowed(self):
-        cfg = ControllerConfig(u_min=-math.inf, u_max=math.inf)
-        assert cfg.u_min < cfg.u_max
+        assert UNBOUNDED.u_min < UNBOUNDED.u_max
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -54,7 +65,7 @@ class TestControllerConfig:
     )
     def test_rejects_invalid(self, kwargs):
         with pytest.raises(ValueError):
-            ControllerConfig(**kwargs)
+            ControllerConfig(setpoint=0.0, **kwargs)
 
 
 class TestSontagFromLie:
@@ -75,30 +86,29 @@ class TestSontagFromLie:
 
     def test_saturates_at_upper_bound(self):
         # unclamped input is +2
-        assert sontag_from_lie(0.0, -2.0, ControllerConfig()) == 1.0
+        assert sontag_from_lie(0.0, -2.0, CFG) == 1.0
 
     def test_saturates_at_lower_bound(self):
         # unclamped input is -2
-        assert sontag_from_lie(0.0, 2.0, ControllerConfig()) == 0.0
-        assert sontag_from_lie(3.0, 1.0, ControllerConfig()) == 0.0
+        assert sontag_from_lie(0.0, 2.0, CFG) == 0.0
+        assert sontag_from_lie(3.0, 1.0, CFG) == 0.0
 
     def test_threshold_is_inclusive(self):
-        cfg = ControllerConfig()
-        assert sontag_from_lie(123.0, cfg.lgv_threshold, cfg) == 0.0
-        assert sontag_from_lie(123.0, -cfg.lgv_threshold, cfg) == 0.0
-        assert sontag_from_lie(123.0, 0.0, cfg) == 0.0
+        assert sontag_from_lie(123.0, CFG.lgv_threshold, CFG) == 0.0
+        assert sontag_from_lie(123.0, -CFG.lgv_threshold, CFG) == 0.0
+        assert sontag_from_lie(123.0, 0.0, CFG) == 0.0
 
     def test_just_above_threshold_acts(self):
         assert sontag_from_lie(0.0, 2e-9, UNBOUNDED) != 0.0
 
     def test_overflow_raises(self):
         with pytest.raises(ControllerOverflowError):
-            sontag_from_lie(1e300, 1e-8, ControllerConfig())
+            sontag_from_lie(1e300, 1e-8, CFG)
 
     def test_fourth_power_overflow_raises(self):
         # a float ** raises OverflowError instead of returning inf
         with pytest.raises(ControllerOverflowError):
-            sontag_from_lie(0.0, 1e100, ControllerConfig())
+            sontag_from_lie(0.0, 1e100, CFG)
 
     @given(
         lfv=st.floats(min_value=-1e3, max_value=1e3),
@@ -129,15 +139,14 @@ class TestSontagFromLie:
 
 class TestLieDerivatives:
     def test_vanish_at_setpoint(self, tank):
-        lyap = LyapunovSpec(setpoint=150_000.0)
-        assert lie_derivatives(tank, lyap, 150_000.0) == (0.0, 0.0)
+        assert lie_derivatives(tank, ControllerConfig(setpoint=150_000.0), 150_000.0) == (0.0, 0.0)
 
     @pytest.mark.parametrize("m2", [1.0, 0.5])
     @pytest.mark.parametrize("x", [120_000.0, 150_000.0, 180_000.0])
     def test_closed_forms_at_zero_reference(self, m2, x):
-        p = TankParams.benchmark(m2=m2)
-        d = tank_dynamics(p, margin=1e-3)
-        lfv, lgv = lie_derivatives(d, LyapunovSpec(setpoint=0.0), x)
+        p = dataclasses.replace(reference_plant(), m2=m2)
+        d = tank_dynamics(p)
+        lfv, lgv = lie_derivatives(d, ControllerConfig(setpoint=0.0), x)
         lfv_hand = (
             -(2.0 / p.vol)
             * p.alpha2
@@ -157,8 +166,7 @@ class TestLieDerivatives:
         assert lgv == pytest.approx(lgv_hand, rel=1e-12)
 
     def test_signs_off_setpoint(self, tank):
-        lyap = LyapunovSpec(setpoint=150_100.0)
-        lfv, lgv = lie_derivatives(tank, lyap, 140_000.0)
+        lfv, lgv = lie_derivatives(tank, CFG, 140_000.0)
         # below the setpoint the gradient is negative, f < 0, g > 0
         assert lfv > 0.0
         assert lgv < 0.0
@@ -166,33 +174,43 @@ class TestLieDerivatives:
 
 class TestSontagInput:
     def test_composition(self, tank):
-        lyap = LyapunovSpec(setpoint=150_100.0)
-        cfg = ControllerConfig()
         x = 133_000.0
-        lfv, lgv = lie_derivatives(tank, lyap, x)
-        assert sontag_input(tank, lyap, cfg, x) == sontag_from_lie(lfv, lgv, cfg)
+        lfv, lgv = lie_derivatives(tank, CFG, x)
+        assert sontag_input(tank, CFG, x) == sontag_from_lie(lfv, lgv, CFG)
+
+    @given(data=st.data())
+    def test_equals_the_formula_on_the_gains_bit_for_bit(self, data):
+        lo, hi = TANK.state_domain
+        x = data.draw(st.floats(min_value=lo, max_value=hi))
+        setpoint = st.floats(min_value=lo, max_value=hi, exclude_min=True, exclude_max=True)
+        cfg = ControllerConfig(setpoint=data.draw(setpoint))
+        g = 2.0 * (x - cfg.setpoint)
+        expected = sontag_from_lie(g * TANK.drift(x), g * TANK.input_gain(x), cfg)
+        assert sontag_input(TANK, cfg, x) == expected
+
+    @pytest.mark.parametrize("x", [99_999.0, 100_000.0, 200_000.0, 250_000.0])
+    def test_state_outside_the_domain_raises_the_check_state_text(self, tank, x):
+        lo, hi = tank.state_domain
+        text = re.escape(f"state {x!r} outside domain [{lo!r}, {hi!r}]")
+        for feedback in (sontag_input, closed_loop_vdot, lie_derivatives):
+            with pytest.raises(DomainError, match=f"^{text}$"):
+                feedback(tank, CFG, x)
 
     def test_opens_fully_below_setpoint(self, tank):
-        lyap = LyapunovSpec(setpoint=150_100.0)
-        assert sontag_input(tank, lyap, ControllerConfig(), 150_000.0) == 1.0
-        assert sontag_input(tank, lyap, ControllerConfig(), 140_000.0) == 1.0
+        assert sontag_input(tank, CFG, 150_000.0) == 1.0
+        assert sontag_input(tank, CFG, 140_000.0) == 1.0
 
     def test_closes_fully_above_setpoint(self, tank):
-        lyap = LyapunovSpec(setpoint=150_100.0)
-        assert sontag_input(tank, lyap, ControllerConfig(), 160_000.0) == 0.0
+        assert sontag_input(tank, CFG, 160_000.0) == 0.0
 
 
 class TestClosedLoopVdot:
     def test_matches_lie_composition(self, tank):
-        lyap = LyapunovSpec(setpoint=150_100.0)
-        cfg = ControllerConfig()
         x = 144_000.0
-        lfv, lgv = lie_derivatives(tank, lyap, x)
-        expected = lfv + lgv * sontag_from_lie(lfv, lgv, cfg)
-        assert closed_loop_vdot(tank, lyap, cfg, x) == expected
+        lfv, lgv = lie_derivatives(tank, CFG, x)
+        expected = lfv + lgv * sontag_from_lie(lfv, lgv, CFG)
+        assert closed_loop_vdot(tank, CFG, x) == expected
 
     @pytest.mark.parametrize("x", [120_000.0, 145_000.0, 155_000.0, 190_000.0])
     def test_negative_away_from_setpoint(self, x):
-        d = tank_dynamics(TankParams.benchmark(), margin=1e-3)
-        lyap = LyapunovSpec(setpoint=150_100.0)
-        assert closed_loop_vdot(d, lyap, UNBOUNDED, x) < 0.0
+        assert closed_loop_vdot(TANK, UNBOUNDED, x) < 0.0

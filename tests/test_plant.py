@@ -16,10 +16,12 @@ from ncsim import (
     tank_dynamics,
 )
 
+from conftest import reference_plant
+
 
 class TestTankParams:
     def test_benchmark_defaults(self):
-        p = TankParams.benchmark()
+        p = reference_plant()
         assert p.alpha1 == 0.631811
         assert p.alpha2 == 0.631811
         assert p.a1 == 0.0019625
@@ -29,11 +31,14 @@ class TestTankParams:
         assert p.rho == 3.49772
         assert p.vol == 2.0
         assert p.m2 == 1.0
+        assert p.domain_margin == 1e-3
+        assert p.state_domain == (100_000.001, 199_999.999)
 
     def test_benchmark_accepts_overrides(self):
-        p = TankParams.benchmark(p2=50_000.0, m2=0.5)
+        p = dataclasses.replace(reference_plant(), p2=50_000.0, m2=0.5)
         assert p.p2 == 50_000.0
         assert p.m2 == 0.5
+        assert p.state_domain == (50_000.001, 199_999.999)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -46,6 +51,8 @@ class TestTankParams:
             {"m2": 1.01},
             {"p2": -5.0},
             {"p1": 90_000.0},  # must exceed p2
+            {"domain_margin": -1.0},
+            {"domain_margin": 50_000.0},  # leaves an empty domain
         ],
     )
     def test_rejects_bad_parameters(self, kwargs):
@@ -65,46 +72,48 @@ class TestTankDynamics:
         coeff = benchmark_params.alpha1 * benchmark_params.a1
         expected_in = 0.5 * coeff * x * math.sqrt(2.0 * (200_000.0 - x) / 3.49772)
         expected_out = -0.5 * coeff * x * math.sqrt(2.0 * (x - 100_000.0) / 3.49772)
-        assert tank.g(x) == pytest.approx(expected_in, rel=1e-12)
-        assert tank.f(x) == pytest.approx(expected_out, rel=1e-12)
+        assert tank.input_gain(x) == pytest.approx(expected_in, rel=1e-12)
+        assert tank.drift(x) == pytest.approx(expected_out, rel=1e-12)
         # equal pressure drops on both orifices cancel exactly
-        assert tank.g(x) == -tank.f(x)
+        assert tank.input_gain(x) == -tank.drift(x)
 
     def test_boundary_flows_vanish(self, benchmark_params):
-        d = tank_dynamics(benchmark_params, margin=0.0)
-        assert d.f(100_000.0) == 0.0
-        assert d.g(200_000.0) == 0.0
+        d = tank_dynamics(dataclasses.replace(benchmark_params, domain_margin=0.0))
+        for x in (100_000.0, 200_000.0):
+            d.check_state(x)
+        assert d.drift(100_000.0) == 0.0
+        assert d.input_gain(200_000.0) == 0.0
 
     def test_uncertainty_gain_is_state_over_volume(self, tank):
-        assert tank.w(150_000.0) == 75_000.0
-        assert tank.w(110_000.0) == 55_000.0
+        assert tank.uncertainty_gain(150_000.0) == 75_000.0
+        assert tank.uncertainty_gain(110_000.0) == 55_000.0
 
     def test_rhs_at_lower_boundary_is_uncertainty_only(self, benchmark_params):
-        d = tank_dynamics(benchmark_params, margin=0.0)
+        d = tank_dynamics(dataclasses.replace(benchmark_params, domain_margin=0.0))
         assert d.rhs(100_000.0, 0.0, 0.175) == 8750.0
 
     def test_output_valve_opening_scales_drift(self, benchmark_params):
-        half = TankParams.benchmark(p2=100_000.0, m2=0.5)
-        d_full = tank_dynamics(benchmark_params, margin=1e-3)
-        d_half = tank_dynamics(half, margin=1e-3)
+        half = dataclasses.replace(benchmark_params, m2=0.5)
+        d_full = tank_dynamics(benchmark_params)
+        d_half = tank_dynamics(half)
         x = 160_000.0
-        assert d_half.f(x) == pytest.approx(0.5 * d_full.f(x), rel=1e-12)
-        assert d_half.g(x) == d_full.g(x)
+        assert d_half.drift(x) == pytest.approx(0.5 * d_full.drift(x), rel=1e-12)
+        assert d_half.input_gain(x) == d_full.input_gain(x)
 
     def test_margin_shrinks_domain(self, benchmark_params):
-        d = tank_dynamics(benchmark_params, margin=10.0)
+        d = tank_dynamics(dataclasses.replace(benchmark_params, domain_margin=10.0))
         assert d.state_domain == (100_010.0, 199_990.0)
         with pytest.raises(DomainError):
-            d.f(100_005.0)
+            d.check_state(100_005.0)
 
     def test_negative_margin_rejected(self, benchmark_params):
-        with pytest.raises(ValueError):
-            tank_dynamics(benchmark_params, margin=-1.0)
+        with pytest.raises(ValueError, match="plant.domain_margin must be non-negative"):
+            dataclasses.replace(benchmark_params, domain_margin=-1.0)
 
     @pytest.mark.parametrize("x", [99_999.0, 100_000.0, 200_000.0, 250_000.0])
     def test_out_of_domain_evaluation_raises(self, tank, x):
         with pytest.raises(DomainError):
-            tank.f(x)
+            tank.check_state(x)
         # the kernel checks the state before its first rhs evaluation
         with pytest.raises(IntegrationDomainError) as excinfo:
             rk4_increment(tank, x, 0.5, 2.0, 0.175)
@@ -113,10 +122,10 @@ class TestTankDynamics:
 
     @given(x=st.floats(min_value=100_001.0, max_value=199_999.0))
     def test_flow_signs_inside_domain(self, x):
-        d = tank_dynamics(TankParams.benchmark(), margin=1e-3)
-        assert d.f(x) <= 0.0
-        assert d.g(x) >= 0.0
-        assert d.w(x) == x / 2.0
+        d = tank_dynamics(reference_plant())
+        assert d.drift(x) <= 0.0
+        assert d.input_gain(x) >= 0.0
+        assert d.uncertainty_gain(x) == x / 2.0
 
     @given(
         x=st.floats(min_value=100_000.001, max_value=199_999.999),
@@ -126,10 +135,12 @@ class TestTankDynamics:
         m2=st.floats(min_value=0.0, max_value=1.0),
     )
     def test_rhs_matches_field_sum(self, x, u, theta, vol, m2):
-        params = dataclasses.replace(TankParams.benchmark(m2=m2), vol=vol)
-        d = tank_dynamics(params, margin=1e-3)
+        params = dataclasses.replace(reference_plant(), m2=m2, vol=vol)
+        d = tank_dynamics(params)
         # exact equality: the fused expression keeps the sum's operation order
-        assert d.rhs(x, u, theta) == d.f(x) + d.g(x) * u + d.w(x) * theta
+        assert d.rhs(x, u, theta) == (
+            d.drift(x) + d.input_gain(x) * u + d.uncertainty_gain(x) * theta
+        )
 
 
 class TestSystemDynamics:
@@ -228,7 +239,7 @@ class TestGeneratedKernel:
         gamma=st.sampled_from([0.0, 0.05, -0.3]),
     )
     def test_tank_generic_and_reference_agree_bitwise(self, x, u, theta, h, n, gamma):
-        tank = tank_dynamics(TankParams.benchmark(), margin=1e-3)
+        tank = tank_dynamics(reference_plant())
         # the same gains as callables: the generic kernel calling a composed rhs
         generic = SystemDynamics(
             drift=tank.drift,
@@ -259,7 +270,9 @@ class TestGeneratedKernel:
             assert rk4_increment(generic, x, u, h, theta).hex() == dx.hex()
 
     def test_factory_is_compiled_once_per_expression(self, tank):
-        other = tank_dynamics(TankParams.benchmark(p2=50_000.0, m2=0.5), margin=1.0)
+        other = tank_dynamics(
+            dataclasses.replace(reference_plant(), p2=50_000.0, m2=0.5, domain_margin=1.0)
+        )
         assert other.march.__code__ is tank.march.__code__
         assert other.march is not tank.march
         assert other.rhs(150_000.0, 0.5, 0.1) != tank.rhs(150_000.0, 0.5, 0.1)

@@ -13,7 +13,6 @@ from ncsim import (
     PredictorConfig,
     SamplePair,
     SystemDynamics,
-    TankParams,
     TrajectoryError,
     calibrate_gamma_one,
     calibrate_gamma_two,
@@ -24,9 +23,9 @@ from ncsim import (
     rk4_increment,
     tank_dynamics,
 )
-from ncsim.controller import ControllerConfig, LyapunovSpec, sontag_input
+from ncsim.controller import ControllerConfig, sontag_input
 
-from conftest import linear_decay_dynamics
+from conftest import linear_decay_dynamics, reference_plant
 
 
 def still_dynamics(domain=(-100.0, 100.0)) -> SystemDynamics:
@@ -119,12 +118,12 @@ class TestPredictStep:
         u=st.floats(min_value=0.0, max_value=1.0),
     )
     def test_zero_gamma_reduces_to_plain_update(self, x, u):
-        d = tank_dynamics(TankParams.benchmark(), margin=1e-3)
+        d = tank_dynamics(reference_plant())
         cfg = PredictorConfig(delta=2.0, gamma=0.0, horizon=1)
         assert predict_step(cfg, d, x, u) == x + rk4_increment(d, x, u, 2.0)
 
     def test_corrected_state_must_stay_in_domain(self):
-        d = tank_dynamics(TankParams.benchmark(), margin=1e-3)
+        d = tank_dynamics(reference_plant())
         cfg = PredictorConfig(delta=2.0, gamma=0.5, horizon=1)
         with pytest.raises(DomainError):
             predict_step(cfg, d, 190_000.0, 1.0)
@@ -148,7 +147,7 @@ class TestPredictorMarch:
         steps=st.integers(min_value=2, max_value=6),
     )
     def test_march_is_predict_step_repeated(self, x, u, gamma, delta, steps):
-        d = tank_dynamics(TankParams.benchmark(), margin=1e-3)
+        d = tank_dynamics(reference_plant())
         cfg = PredictorConfig(delta=delta, gamma=gamma, horizon=1)
         try:
             expected = x
@@ -168,13 +167,12 @@ class TestPredictorMarch:
     @pytest.mark.parametrize("gamma", [0.03, -0.04, 0.15])  # 0.15 leaves the domain
     @pytest.mark.parametrize("steps_per_input", [2, 3])
     def test_trajectory_with_several_steps_per_input(self, x0, gamma, steps_per_input):
-        d = tank_dynamics(TankParams.benchmark(), margin=1e-3)
+        d = tank_dynamics(reference_plant())
         cfg = PredictorConfig(delta=0.5, gamma=gamma, horizon=8)
-        lyap = LyapunovSpec(setpoint=150_000.0)
-        ccfg = ControllerConfig()
+        ccfg = ControllerConfig(setpoint=150_000.0)
 
         def controller(x):
-            return sontag_input(d, lyap, ccfg, x)
+            return sontag_input(d, ccfg, x)
 
         inputs, states, xhat = [], [x0], x0
         try:
@@ -198,7 +196,7 @@ class TestPredictorMarch:
         assert [s.hex() for s in traj.predicted_states] == [s.hex() for s in states]
 
     def test_zero_steps_leave_the_state(self):
-        d = tank_dynamics(TankParams.benchmark(), margin=1e-3)
+        d = tank_dynamics(reference_plant())
         cfg = PredictorConfig(delta=2.0, gamma=0.1, horizon=1)
         assert predict_step(cfg, d, 150_000.0, 0.5, 0) == 150_000.0
         with pytest.raises(IntegrationDomainError):
@@ -257,18 +255,15 @@ class TestPredictTrajectory:
     def test_stationary_at_input_one_equilibrium(self):
         # equal orifice pressure drops make 150 kPa a bitwise fixed point
         # of the fully-open nominal model, so the whole buffer is constant
-        d = tank_dynamics(TankParams.benchmark(), margin=1e-3)
-        lyap = LyapunovSpec(setpoint=150_100.0)
-        ccfg = ControllerConfig()
+        d = tank_dynamics(reference_plant())
+        ccfg = ControllerConfig(setpoint=150_100.0)
         cfg = PredictorConfig(delta=2.0, gamma=0.0, horizon=10)
-        traj = predict_trajectory(
-            cfg, d, 150_000.0, lambda x: sontag_input(d, lyap, ccfg, x)
-        )
+        traj = predict_trajectory(cfg, d, 150_000.0, lambda x: sontag_input(d, ccfg, x))
         assert traj.inputs == (1.0,) * 11
         assert traj.predicted_states == (150_000.0,) * 11
 
     def test_domain_exit_raises_with_valid_prefix(self):
-        d = tank_dynamics(TankParams.benchmark(), margin=1e-3)
+        d = tank_dynamics(reference_plant())
         cfg = PredictorConfig(delta=2.0, gamma=0.3, horizon=10)
         with pytest.raises(TrajectoryError) as excinfo:
             predict_trajectory(cfg, d, 180_000.0, lambda x: 1.0)

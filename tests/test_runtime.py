@@ -18,7 +18,6 @@ from ncsim import (
     HOLD_LAST_VALUE,
     IntegrationDomainError,
     LossModel,
-    LyapunovSpec,
     NcsimError,
     NonFiniteError,
     PREDICTIVE_BUFFER,
@@ -28,7 +27,6 @@ from ncsim import (
     SimulationRecord,
     STRATEGIES,
     SystemDynamics,
-    TankParams,
     UncertaintySignal,
     ZERO_INPUT,
     builtin_scenario_dict,
@@ -47,7 +45,7 @@ from ncsim import (
 from ncsim.predictor import extend_plan
 from ncsim.runtime import TRACE_HEADER, check_strategies
 
-from conftest import WIDE, linear_decay_dynamics, run_overrides
+from conftest import WIDE, linear_decay_dynamics, reference_plant, run_overrides
 
 ZERO_THETA = UncertaintySignal.constant(0.0)
 
@@ -79,7 +77,7 @@ def stage_cost_sum(records, weights, setpoint):
 
 def eager_reference(sc, bits, steps_per_input):
     """The predictive-buffer loop that plans a trajectory at every reception."""
-    dynamics, lyap, cfg = sc.build_dynamics(), sc.lyapunov, sc.predictor
+    dynamics, cfg = sc.build_dynamics(), sc.predictor
     ccfg, sim, weights = sc.controller, sc.sim, sc.cost
     n = cfg.horizon
     records, x, plan, age, j_running = [], sim.x0, None, 0, 0.0
@@ -89,7 +87,7 @@ def eager_reference(sc, bits, steps_per_input):
                 cfg,
                 dynamics,
                 x if s else sim.x0,
-                lambda xs: sontag_input(dynamics, lyap, ccfg, xs),
+                lambda xs: sontag_input(dynamics, ccfg, xs),
                 origin_step=k if s else 0,
                 steps_per_input=steps_per_input,
             )
@@ -100,7 +98,7 @@ def eager_reference(sc, bits, steps_per_input):
         else:
             offset, age = min(k - plan.origin_step, n), min(age + 1, n)
         u = plan.inputs[offset]
-        dev = x - lyap.setpoint
+        dev = x - ccfg.setpoint
         j_running += weights.q_c * dev * dev + weights.r_c * u * u
         records.append(
             SimulationRecord(
@@ -184,7 +182,7 @@ class TestIntegrateInterval:
         n_truth=st.integers(min_value=10, max_value=30),
     )
     def test_schedule_property(self, breaks, values, x, u, t_start, n_truth):
-        tank = tank_dynamics(TankParams.benchmark(), margin=1e-3)
+        tank = tank_dynamics(reference_plant())
         times = tuple(sorted(breaks))
         theta = UncertaintySignal(times, tuple(values[: len(times)]))
         args = (tank, x, u, t_start, 2.0, n_truth, theta)
@@ -330,7 +328,6 @@ class TestRunClosedLoop:
             runs[strategy] = run_closed_loop(
                 dynamics=sc.build_dynamics(),
                 predictor_cfg=sc.predictor,
-                lyapunov=sc.lyapunov,
                 control_cfg=sc.controller,
                 loss_model=LossModel([0] * steps),
                 strategy=strategy,
@@ -343,13 +340,11 @@ class TestRunClosedLoop:
     def test_all_loss_predictive_replays_initial_plan(self, small_scenario_dict):
         sc = small_scenario(small_scenario_dict)
         dynamics = sc.build_dynamics()
-        lyap = sc.lyapunov
         ccfg = sc.controller
         steps = sc.sim.steps
         result = run_closed_loop(
             dynamics=dynamics,
             predictor_cfg=sc.predictor,
-            lyapunov=lyap,
             control_cfg=ccfg,
             loss_model=LossModel([0] * steps),
             strategy=PREDICTIVE_BUFFER,
@@ -360,7 +355,7 @@ class TestRunClosedLoop:
             sc.predictor,
             dynamics,
             sc.sim.x0,
-            lambda x: sontag_input(dynamics, lyap, ccfg, x),
+            lambda x: sontag_input(dynamics, ccfg, x),
             origin_step=0,
         )
         n = sc.predictor.horizon
@@ -376,7 +371,6 @@ class TestRunClosedLoop:
     def test_loss_burst_offset_rule(self, small_scenario_dict, doubled, expected_offsets):
         sc = small_scenario(small_scenario_dict)
         dynamics = sc.build_dynamics()
-        lyap = sc.lyapunov
         ccfg = sc.controller
         sim = SimSettings(
             x0=sc.sim.x0,
@@ -389,7 +383,6 @@ class TestRunClosedLoop:
         result = run_closed_loop(
             dynamics=dynamics,
             predictor_cfg=sc.predictor,
-            lyapunov=lyap,
             control_cfg=ccfg,
             loss_model=LossModel([1, 0, 0, 0, 1, 1]),
             strategy=PREDICTIVE_BUFFER,
@@ -400,7 +393,7 @@ class TestRunClosedLoop:
             sc.predictor,
             dynamics,
             sc.sim.x0,
-            lambda x: sontag_input(dynamics, lyap, ccfg, x),
+            lambda x: sontag_input(dynamics, ccfg, x),
             origin_step=0,
         )
         for rec, offset in zip(result.records[1:4], expected_offsets):
@@ -411,7 +404,7 @@ class TestRunClosedLoop:
     def test_running_cost_matches_evaluate(self, small_scenario_dict):
         sc = small_scenario(small_scenario_dict)
         result = run_scenario(sc, PREDICTIVE_BUFFER)
-        total = stage_cost_sum(result.records, sc.cost, sc.lyapunov.setpoint)
+        total = stage_cost_sum(result.records, sc.cost, sc.controller.setpoint)
         assert result.records[-1].j_running == total
         assert result.cost(sc.cost) == total
 
@@ -420,8 +413,7 @@ class TestRunClosedLoop:
         result = run_closed_loop(
             dynamics=linear_decay_dynamics(),
             predictor_cfg=PredictorConfig(delta=1.0, gamma=0.0, horizon=10),
-            lyapunov=LyapunovSpec(setpoint=0.5),
-            control_cfg=ControllerConfig(),
+            control_cfg=ControllerConfig(setpoint=0.5),
             loss_model=LossModel(itertools.repeat(1)),
             strategy=ZERO_INPUT,
             sim=SimSettings(x0=2.0, t_s=1.0, duration=2.0, theta=ZERO_THETA, n_truth=4),
@@ -439,7 +431,6 @@ class TestRunClosedLoop:
             run_closed_loop(
                 dynamics=sc.build_dynamics(),
                 predictor_cfg=bad,
-                lyapunov=sc.lyapunov,
                 control_cfg=sc.controller,
                 loss_model=LossModel([0] * steps),
                 strategy=PREDICTIVE_BUFFER,
@@ -462,7 +453,6 @@ class TestRunClosedLoop:
             return run_closed_loop(
                 dynamics=sc.build_dynamics(),
                 predictor_cfg=bad,
-                lyapunov=sc.lyapunov,
                 control_cfg=sc.controller,
                 loss_model=loss_model,
                 strategy=PREDICTIVE_BUFFER,
@@ -526,7 +516,6 @@ class TestRunClosedLoop:
             result = run_closed_loop(
                 dynamics=sc.build_dynamics(),
                 predictor_cfg=sc.predictor,
-                lyapunov=sc.lyapunov,
                 control_cfg=sc.controller,
                 loss_model=LossModel(bits),
                 strategy=PREDICTIVE_BUFFER,
@@ -562,8 +551,7 @@ class TestRunClosedLoop:
             return run_closed_loop(
                 dynamics=still,
                 predictor_cfg=PredictorConfig(delta=1.0, gamma=gamma, horizon=horizon),
-                lyapunov=LyapunovSpec(setpoint=0.5),
-                control_cfg=ControllerConfig(),
+                control_cfg=ControllerConfig(setpoint=0.5),
                 loss_model=LossModel(bits),
                 strategy=PREDICTIVE_BUFFER,
                 sim=SimSettings(
@@ -596,8 +584,7 @@ class TestRunClosedLoop:
             run_closed_loop(
                 dynamics=runaway,
                 predictor_cfg=PredictorConfig(delta=1.0, gamma=0.0, horizon=5),
-                lyapunov=LyapunovSpec(setpoint=5.0),
-                control_cfg=ControllerConfig(),
+                control_cfg=ControllerConfig(setpoint=5.0),
                 loss_model=LossModel(itertools.repeat(1)),
                 strategy=ZERO_INPUT,
                 sim=SimSettings(x0=5.0, t_s=1.0, duration=3.0, theta=ZERO_THETA, n_truth=1),
@@ -614,7 +601,6 @@ class TestRunClosedLoop:
             run_closed_loop(
                 dynamics=sc.build_dynamics(),
                 predictor_cfg=sc.predictor,
-                lyapunov=sc.lyapunov,
                 control_cfg=sc.controller,
                 loss_model=LossModel(itertools.repeat(1)),
                 strategy="nope",
@@ -631,7 +617,6 @@ class TestRunClosedLoop:
             run_closed_loop(
                 dynamics=sc.build_dynamics(),
                 predictor_cfg=sc.predictor,
-                lyapunov=sc.lyapunov,
                 control_cfg=sc.controller,
                 loss_model=LossModel(itertools.repeat(1)),
                 strategy=ZERO_INPUT,
@@ -660,7 +645,6 @@ class TestRunClosedLoop:
         result = run_closed_loop(
             dynamics=sc.build_dynamics(),
             predictor_cfg=sc.predictor,
-            lyapunov=sc.lyapunov,
             control_cfg=sc.controller,
             loss_model=doc_loss,
             strategy=PREDICTIVE_BUFFER,
@@ -679,8 +663,7 @@ def first_interval_cost(x0, setpoint, received=True, u_min=0.0, raw_state=False)
     result = run_closed_loop(
         dynamics=linear_decay_dynamics(),
         predictor_cfg=PredictorConfig(delta=1.0, gamma=0.0, horizon=5),
-        lyapunov=LyapunovSpec(setpoint=setpoint),
-        control_cfg=ControllerConfig(u_min=u_min, u_max=u_min + 1.0),
+        control_cfg=ControllerConfig(setpoint=setpoint, u_min=u_min, u_max=u_min + 1.0),
         loss_model=LossModel([1 if received else 0, 1]),
         strategy=ZERO_INPUT,
         sim=SimSettings(x0=x0, t_s=1.0, duration=2.0, theta=ZERO_THETA, n_truth=1),
@@ -764,7 +747,7 @@ class TestCompareStrategies:
         )
         result = compare_strategies(sc, strategies=(HOLD_LAST_VALUE,), n_seeds=2)
         run = run_scenario(sc, HOLD_LAST_VALUE, seed=6)
-        total = stage_cost_sum(run.records, sc.cost, sc.lyapunov.setpoint)
+        total = stage_cost_sum(run.records, sc.cost, sc.controller.setpoint)
         assert result.costs[HOLD_LAST_VALUE][6] == total
 
     @pytest.mark.parametrize("m_steps", [1, 7, 59])
@@ -780,7 +763,7 @@ class TestCompareStrategies:
             assert len(records) == 60
             cost = result.costs[PREDICTIVE_BUFFER][seed]
             assert cost == run.cost(sc.cost) == records[m_steps - 1].j_running
-            assert cost == stage_cost_sum(records, sc.cost, sc.lyapunov.setpoint)
+            assert cost == stage_cost_sum(records, sc.cost, sc.controller.setpoint)
             assert cost < records[-1].j_running
 
     def test_lossless_columns_agree(self, small_scenario_dict):
@@ -964,7 +947,7 @@ class TestCheckStrategies:
         sc = small_scenario(small_scenario_dict)
         with pytest.raises(ConfigError, match="^strategy: unknown strategy 'nope'"):
             run_closed_loop(
-                sc.build_dynamics(), sc.predictor, sc.lyapunov, sc.controller,
+                sc.build_dynamics(), sc.predictor, sc.controller,
                 LossModel(itertools.repeat(1)), "nope", sc.sim, sc.cost,
             )
 

@@ -6,14 +6,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import ncsim.runtime
 from ncsim.cli import EXIT_CONFIG, EXIT_OK, main
 from ncsim.losses import LOSS_KEYS, LOSS_KINDS
-from ncsim.runtime import MAX_STEPS, MAX_TRUTH_SUBSTEPS
-from ncsim.scenario import MAX_PREDICTOR_STEPS
+from ncsim.runtime import MAX_STEPS, MAX_TRUTH_SUBSTEPS, PREDICTIVE_BUFFER, run_scenario
+from ncsim.scenario import _SCHEMA, MAX_PREDICTOR_STEPS, Scenario
 from ncsim import (
     ConfigError,
     LossSpec,
-    LyapunovSpec,
     STRATEGIES,
     UncertaintySignal,
     apply_overrides,
@@ -22,7 +22,6 @@ from ncsim import (
     resolved_json,
     scenario_from_dict,
     scenario_to_dict,
-    tank_dynamics,
 )
 
 from conftest import json_values
@@ -88,7 +87,7 @@ class TestLossSpec:
 class TestBuiltinScenario:
     def test_reference_scenario_parses(self):
         sc = builtin_scenario("tank-reference")
-        assert sc.lyapunov.setpoint == 150_100.0
+        assert sc.controller.setpoint == 150_100.0
         assert sc.predictor.gamma == 0.175
         assert sc.predictor.horizon == 10
         assert sc.sim.theta.times == (0.0, 1800.0)
@@ -412,12 +411,12 @@ class TestRecordsNameTheirKey:
             ("plant.m2", 1.5, replaced("plant")),
             ("plant.p2", -1.0, replaced("plant")),
             ("plant.p1", 50_000.0, replaced("plant")),
-            ("plant.domain_margin", -1.0, lambda sc, key, value: tank_dynamics(sc.plant, value)),
-            ("plant.domain_margin", 50_000.0, lambda sc, key, value: tank_dynamics(sc.plant, value)),
+            ("plant.domain_margin", -1.0, replaced("plant")),
+            ("plant.domain_margin", 50_000.0, replaced("plant")),
             ("predictor.delta", 0.0, replaced("predictor")),
             ("predictor.gamma", 1.5, replaced("predictor")),
             ("predictor.horizon", 0, replaced("predictor")),
-            ("controller.setpoint", math.nan, lambda sc, key, value: LyapunovSpec(value)),
+            ("controller.setpoint", math.nan, replaced("controller")),
             ("controller.lgv_threshold", 0.0, replaced("controller")),
             ("controller.u_min", 2.0, replaced("controller")),
             ("controller.u_max", -1.0, replaced("controller")),
@@ -524,23 +523,79 @@ class TestRunSizeCaps:
         steps = sc.sim.steps
         assert 100 * steps <= MAX_STEPS
         assert 100 * steps * sc.sim.n_truth <= MAX_TRUTH_SUBSTEPS
-        assert 100 * steps * sc.predictor.horizon * sc.predictor.steps_per_input(sc.sim.t_s) <= MAX_PREDICTOR_STEPS
+        entries = min(sc.predictor.horizon, 2)
+        assert 100 * steps * sc.predictor.steps_per_input(sc.sim.t_s) * entries <= MAX_PREDICTOR_STEPS
 
     def test_caps_are_inclusive(self, small_scenario_dict):
         # parsing only: nothing runs
-        at_cap = {"sim.t_s": 1.0, "sim.duration": float(MAX_STEPS), "sim.n_truth": 20}
-        assert scenario_from_dict(small_scenario_dict(at_cap)).sim.steps == MAX_STEPS
+        # two predicted entries per interval of 10 predictor steps each
+        per_input = MAX_PREDICTOR_STEPS // MAX_STEPS // 2
+        at_cap = {
+            "sim.t_s": 1.0, "sim.duration": float(MAX_STEPS), "sim.n_truth": 20,
+            "predictor.delta": 1.0 / per_input,
+        }
+        sc = scenario_from_dict(small_scenario_dict(at_cap))
+        assert sc.sim.steps == MAX_STEPS
+        assert sc.sim.steps * sc.predictor.steps_per_input(sc.sim.t_s) * 2 == MAX_PREDICTOR_STEPS
         for path, value in (
             ("sim.duration", MAX_STEPS + 1.0),
             ("sim.n_truth", 21),
-            ("predictor.horizon", MAX_PREDICTOR_STEPS // MAX_STEPS + 1),
+            ("predictor.delta", 1.0 / (per_input + 1)),
         ):
             with pytest.raises(ConfigError, match=path):
                 scenario_from_dict(small_scenario_dict(dict(at_cap, **{path: value})))
 
+    def test_long_horizon_is_not_charged_per_entry(self):
+        # at most two predicted entries per interval, however long the buffer
+        doc = apply_overrides(
+            builtin_scenario_dict("tank-reference"), ["predictor.delta=0.2", "predictor.horizon=1200"]
+        )
+        assert scenario_from_dict(doc).predictor.horizon == 1200
+        doc["predictor"]["horizon"] = 10**6
+        scenario_from_dict(doc)
+
+    @pytest.mark.parametrize("horizon", [1, 40])
+    def test_predicted_steps_stay_within_the_bound(self, small_scenario_dict, monkeypatch, horizon):
+        grown = []
+        extend = ncsim.runtime.extend_plan
+
+        def counting(cfg, dynamics, controller, inputs, states, n, steps_per_input):
+            before = len(inputs)
+            extend(cfg, dynamics, controller, inputs, states, n, steps_per_input)
+            grown.append((len(inputs) - before) * steps_per_input)
+
+        monkeypatch.setattr(ncsim.runtime, "extend_plan", counting)
+        sc = scenario_from_dict(small_scenario_dict({
+            # gamma = theta * delta / vol, as tank-reference sets it for its delta
+            "predictor.delta": 0.5, "predictor.gamma": 0.04375, "predictor.horizon": horizon,
+            "sim.doubled_age_offset": True,
+            "loss": {"kind": "bernoulli", "p": 0.8, "seed": 3},
+        }))
+        per_input = sc.predictor.steps_per_input(sc.sim.t_s)
+        records = run_scenario(sc, PREDICTIVE_BUFFER).records
+        losses = sum(1 for r in records if not r.s)
+        bound = sc.sim.steps * per_input * min(horizon, 2)
+        assert sum(grown) <= losses * per_input * min(horizon, 2) <= bound
+        if horizon > 2:
+            # the doubled offset does predict past one entry per loss
+            assert sum(grown) > losses * per_input
+
     def test_infinite_substep_ratio_is_one_step(self, small_scenario_dict):
         sc = scenario_from_dict(small_scenario_dict({"predictor.delta": 5e-324}))
         assert sc.predictor.steps_per_input(sc.sim.t_s) == 1
+
+
+class TestSchema:
+    def test_each_section_is_one_scenario_field_holding_its_keys(self):
+        sc = builtin_scenario("tank-reference")
+        sections = dict.fromkeys(row[0] for row in _SCHEMA)
+        top = [key for section, key, _, _ in _SCHEMA if not section]
+        fields = [field.name for field in dataclasses.fields(Scenario)]
+        assert fields == [section for section in sections if section] + top
+        assert fields == ["plant", "predictor", "controller", "loss", "sim", "cost", "strategies"]
+        for section, key, _, _ in _SCHEMA:
+            record = getattr(sc, section) if section else sc
+            assert hasattr(record, key), f"{section}.{key}"
 
 
 class TestStepsPerInput:
