@@ -107,10 +107,9 @@ def _apply_common_flags(doc: dict, args) -> dict:
     """Fold sugar flags into the scenario document, then --set overrides."""
     if args.loss is not None:
         existing = doc.get("loss")
-        seed = existing.get("seed", 0) if isinstance(existing, dict) else 0
         section = _parse_loss_flag(args.loss)
-        if section["kind"] in SEEDED_KINDS:
-            section["seed"] = seed
+        if section["kind"] in SEEDED_KINDS and isinstance(existing, dict) and "seed" in existing:
+            section["seed"] = existing["seed"]
         doc = dict(doc, loss=section)
     if args.seed is not None:
         doc = apply_overrides(doc, [f"loss.seed={args.seed}"])

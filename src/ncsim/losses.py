@@ -95,6 +95,9 @@ class LossSpec:
             raise ConfigError(
                 f"loss.kind must be one of {LOSS_KINDS}, got {self.kind!r}"
             )
+        if self.seed < 0:
+            # random.Random(-s) draws the same stream as random.Random(s)
+            raise ConfigError(f"loss.seed must be non-negative, got {self.seed!r}")
         for name in LOSS_KEYS[self.kind]:
             if getattr(self, name) is None:
                 raise ConfigError(f"loss.{name} is required for {self.kind} losses")

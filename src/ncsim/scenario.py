@@ -2,23 +2,24 @@
 
 A scenario bundles plant parameters, predictor and controller settings,
 the loss channel, simulation grid, cost weights, and the strategy list.
-Every key's type and default is written once, in ``_SCHEMA``; parsing
-and ``scenario_to_dict`` are both walks over it.  The loss section is a
-``LossSpec``, and ``ncsim.losses.LOSS_KEYS`` says which of its keys each
-loss kind takes.  Parsing is strict: unknown keys and wrong-typed values
-are rejected so a typo cannot silently fall back to a default.  Each
-range rule is written once, in the record that owns the key, which
-raises ``ConfigError`` naming it (``predictor.gamma must lie in (-1, 1),
-got 1.5``); ``Scenario`` checks only the rules that span two records.
-``scenario_to_dict`` emits a canonical form whose JSON serialization is
-stable under reload, which is what makes resolved-config snapshots
-byte-reproducible.
+The records are the schema: ``Scenario``'s fields are the sections, and
+a section's keys are its record's init fields, each with its order, its
+default or none if required, and a type that picks its checker; parsing
+and ``scenario_to_dict`` both walk them.  ``ncsim.losses.LOSS_KEYS``
+says which ``LossSpec`` keys each loss kind takes.  Parsing is strict:
+unknown keys and wrong-typed values are rejected so a typo cannot
+silently fall back to a default.  Each range rule is written once, in
+the record that owns the key, which raises ``ConfigError`` naming it
+(``loss.seed must be non-negative, got -1``); ``Scenario`` checks only
+the rules that span two records.  The canonical form's JSON is stable
+under reload, which makes resolved-config snapshots byte-reproducible.
 """
 
+import dataclasses
 import json
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import MISSING, dataclass
+from typing import Optional, Sequence
 
 from .controller import ControllerConfig
 from .errors import ConfigError
@@ -49,7 +50,7 @@ class Scenario:
     loss: LossSpec
     sim: SimSettings
     cost: CostWeights
-    strategies: tuple
+    strategies: tuple = STRATEGIES
 
     def __post_init__(self):
         lo, hi = self.plant.state_domain
@@ -108,12 +109,6 @@ def _string(label: str, value) -> str:
     return value
 
 
-def _loss_kind(label: str, value) -> str:
-    if _string(label, value) not in LOSS_KINDS:
-        raise ConfigError(f"{label} must be one of {LOSS_KINDS}, got {value!r}")
-    return value
-
-
 def _theta(label: str, value) -> UncertaintySignal:
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         return UncertaintySignal.constant(_number(label, value))
@@ -141,74 +136,40 @@ def _strategies(label: str, value) -> tuple:
     return tuple(value)
 
 
-_REQUIRED = object()
-
-# Every scenario key, in snapshot order: (section, key, checker, default
-# or _REQUIRED).  A section is the Scenario field whose record holds its
-# keys; section "" is the top level of the document, held by Scenario
-# itself.  A loss key past kind and seed belongs only to the kinds that
-# ``LOSS_KEYS`` gives it.
-_SCHEMA = (
-    ("plant", "alpha1", _number, _REQUIRED),
-    ("plant", "alpha2", _number, _REQUIRED),
-    ("plant", "a1", _number, _REQUIRED),
-    ("plant", "a2", _number, _REQUIRED),
-    ("plant", "p1", _number, _REQUIRED),
-    ("plant", "p2", _number, _REQUIRED),
-    ("plant", "rho", _number, _REQUIRED),
-    ("plant", "vol", _number, _REQUIRED),
-    ("plant", "m2", _number, _REQUIRED),
-    ("plant", "domain_margin", _number, 1e-3),
-    ("predictor", "delta", _number, _REQUIRED),
-    ("predictor", "gamma", _number, _REQUIRED),
-    ("predictor", "horizon", _integer, _REQUIRED),
-    ("controller", "setpoint", _number, _REQUIRED),
-    ("controller", "lgv_threshold", _number, 1e-9),
-    ("controller", "u_min", _number, 0.0),
-    ("controller", "u_max", _number, 1.0),
-    ("loss", "kind", _loss_kind, _REQUIRED),
-    ("loss", "seed", _integer, 0),
-    ("loss", "p", _number, _REQUIRED),
-    ("loss", "p_g2b", _number, _REQUIRED),
-    ("loss", "p_b2g", _number, _REQUIRED),
-    ("loss", "loss_in_bad", _number, _REQUIRED),
-    ("loss", "trace_path", _string, _REQUIRED),
-    ("loss", "wrap", _boolean, False),
-    ("sim", "x0", _number, _REQUIRED),
-    ("sim", "t_s", _number, _REQUIRED),
-    ("sim", "duration", _number, _REQUIRED),
-    ("sim", "theta", _theta, _REQUIRED),
-    ("sim", "n_truth", _integer, 20),
-    ("sim", "doubled_age_offset", _boolean, False),
-    ("cost", "q_c", _number, _REQUIRED),
-    ("cost", "r_c", _number, _REQUIRED),
-    ("cost", "m_steps", _integer, _REQUIRED),
-    ("cost", "raw_state", _boolean, False),
-    ("", "strategies", _strategies, STRATEGIES),
-)
-
-_TOP_KEYS = tuple(dict.fromkeys(row[0] or row[1] for row in _SCHEMA))
-
-# The record each section is built into from its gathered keys.
-_CLASSES = {
-    "plant": TankParams,
-    "predictor": PredictorConfig,
-    "controller": ControllerConfig,
-    "loss": LossSpec,
-    "sim": SimSettings,
-    "cost": CostWeights,
+# The checker of each type a key may have.  A Scenario field of any other
+# type is a section, held in a record of that type.
+_CHECKERS = {
+    float: _number, Optional[float]: _number, int: _integer, bool: _boolean,
+    str: _string, Optional[str]: _string, UncertaintySignal: _theta, tuple: _strategies,
 }
 
 
-def _check_keys(section: str, data: dict, allowed) -> None:
+def _keys(record) -> list:
+    """(name, type, required) for each key of a record type, in document
+    order.  The keys are its init fields; an ``init=False`` field such as
+    ``LossSpec.bits`` is derived from them."""
+    return [
+        (f.name, f.type, f.default is MISSING and f.default_factory is MISSING)
+        for f in dataclasses.fields(record)
+        if f.init
+    ]
+
+
+def _section_keys(record, loss_kind: str) -> list:
+    """A section's keys: a loss key ``LOSS_KEYS`` gives to some kinds
+    belongs to those kinds only."""
+    per_kind = {key for keys in LOSS_KEYS.values() for key in keys} if record is LossSpec else ()
+    return [k for k in _keys(record) if k[0] not in per_kind or k[0] in LOSS_KEYS[loss_kind]]
+
+
+def _check_keys(section: str, data: dict, keys) -> None:
+    allowed = [key for key, _, _ in keys]
     for key in data:
         if key not in allowed:
             raise ConfigError(f"unknown key {section}.{key}" if section else f"unknown key {key}")
 
 
 def _section(data: dict, name: str) -> dict:
-    if not name:
-        return data
     if name not in data:
         if name == "loss":
             return {"kind": "none"}
@@ -218,9 +179,17 @@ def _section(data: dict, name: str) -> dict:
     return data[name]
 
 
-def _rows(kind: str):
-    keys = ("kind", "seed") + LOSS_KEYS[kind]
-    return [row for row in _SCHEMA if row[0] != "loss" or row[1] in keys]
+def _given(section: str, data: dict, keys) -> dict:
+    """The keys ``data`` gives, each checked for its type.  A missing
+    optional key is left out, so the record's own default applies."""
+    values = {}
+    for key, kind, required in keys:
+        label = f"{section}.{key}" if section else key
+        if key in data:
+            values[key] = _CHECKERS[kind](label, data[key])
+        elif required:
+            raise ConfigError(f"missing required key {label}")
+    return values
 
 
 def scenario_from_dict(data: dict) -> Scenario:
@@ -228,33 +197,28 @@ def scenario_from_dict(data: dict) -> Scenario:
 
     Raises ``ConfigError`` on unknown keys, missing required fields, or
     values of the wrong type or out of range, naming the offending key.
+    Every value's type is checked before any record is built.
     """
     if not isinstance(data, dict):
         raise ConfigError("scenario document must be a JSON object")
-    _check_keys("", data, _TOP_KEYS)
+    top = _keys(Scenario)
+    _check_keys("", data, top)
     loss = _section(data, "loss")
     if "kind" not in loss:
         raise ConfigError("missing required key loss.kind")
-    rows = _rows(_loss_kind("loss.kind", loss["kind"]))
-    sections: dict = {}
-    held: dict = {}
-    for section, key, check, default in rows:
-        if section not in sections:
-            sections[section] = _section(data, section)
-            if section:
-                _check_keys(section, sections[section], [r[1] for r in rows if r[0] == section])
-        label = f"{section}.{key}" if section else key
-        if key in sections[section]:
-            value = check(label, sections[section][key])
-        elif default is _REQUIRED:
-            raise ConfigError(f"missing required key {label}")
-        else:
-            value = default
-        held.setdefault(section, {})[key] = value
-    fields = held.pop("")
-    for section, cls in _CLASSES.items():
-        fields[section] = cls(**held[section])
-    return Scenario(**fields)
+    loss_kind = _string("loss.kind", loss["kind"])
+    if loss_kind not in LOSS_KINDS:
+        raise ConfigError(f"loss.kind must be one of {LOSS_KINDS}, got {loss_kind!r}")
+    sections = {}
+    for name, record, _ in top:
+        if record not in _CHECKERS:
+            section = _section(data, name)
+            keys = _section_keys(record, loss_kind)
+            _check_keys(name, section, keys)
+            sections[name] = record, _given(name, section, keys)
+    top_level = _given("", data, [key for key in top if key[0] not in sections])
+    records = {name: record(**given) for name, (record, given) in sections.items()}
+    return Scenario(**records, **top_level)
 
 
 def _plain(value):
@@ -266,9 +230,13 @@ def _plain(value):
 def scenario_to_dict(scenario: Scenario) -> dict:
     """Canonical plain-dict form; reloading it reproduces the scenario."""
     doc: dict = {}
-    for section, key, _, _ in _rows(scenario.loss.kind):
-        owner = getattr(scenario, section) if section else scenario
-        (doc.setdefault(section, {}) if section else doc)[key] = _plain(getattr(owner, key))
+    for name, record, _ in _keys(Scenario):
+        value = getattr(scenario, name)
+        if record in _CHECKERS:
+            doc[name] = _plain(value)
+        else:
+            keys = _section_keys(record, scenario.loss.kind)
+            doc[name] = {key: _plain(getattr(value, key)) for key, _, _ in keys}
     return doc
 
 

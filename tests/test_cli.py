@@ -584,6 +584,19 @@ class TestCompare:
         assert "median_j" in stdout
         assert "wins" in stdout
 
+    def test_negative_seed_is_a_config_error(self, scenario_file, tmp_path, capsys):
+        # random.Random(-1) draws seed 1's stream, so seeds -1, 0 and 1 would
+        # count one loss realization twice
+        rc = main(
+            [
+                "compare", scenario_file(), "--loss", "bernoulli:0.3", "--seed", "-1",
+                "--seeds", "3", "--out", str(tmp_path / "out"),
+            ]
+        )
+        assert rc == EXIT_CONFIG
+        assert "loss.seed must be non-negative, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "comparison.csv").exists()
+
     def test_subset_and_worker_parity(self, scenario_file, tmp_path):
         path = scenario_file({"loss": {"kind": "bernoulli", "p": 0.3, "seed": 5}})
         out1, out2 = tmp_path / "a", tmp_path / "b"

@@ -10,7 +10,7 @@ import ncsim.runtime
 from ncsim.cli import EXIT_CONFIG, EXIT_OK, main
 from ncsim.losses import LOSS_KEYS, LOSS_KINDS
 from ncsim.runtime import MAX_STEPS, MAX_TRUTH_SUBSTEPS, PREDICTIVE_BUFFER, run_scenario
-from ncsim.scenario import _SCHEMA, MAX_PREDICTOR_STEPS, Scenario
+from ncsim.scenario import _CHECKERS, MAX_PREDICTOR_STEPS, Scenario
 from ncsim import (
     ConfigError,
     LossSpec,
@@ -433,6 +433,7 @@ class TestRecordsNameTheirKey:
             ("cost.q_c", -1.0, replaced("cost")),
             ("cost.r_c", -1.0, replaced("cost")),
             ("cost.m_steps", 0, replaced("cost")),
+            ("loss.seed", -1, replaced("loss")),
         ],
     )
     def test_record_and_parser_report_the_same_text(
@@ -447,6 +448,23 @@ class TestRecordsNameTheirKey:
         text = str(built.value)
         assert text == str(parsed.value)
         assert text.startswith(f"{section}.") and key in text
+
+    @pytest.mark.parametrize(
+        "loss,key",
+        [
+            ({"kind": "bernoulli"}, "loss.p"),
+            ({"kind": "trace"}, "loss.trace_path"),
+            ({"kind": "bernoulli", "p": 0.3, "seed": -1}, "loss.seed"),
+        ],
+    )
+    def test_loss_spec_and_parser_report_the_same_text(self, small_scenario_dict, loss, key):
+        with pytest.raises(ConfigError) as built:
+            LossSpec(**loss)
+        with pytest.raises(ConfigError) as parsed:
+            scenario_from_dict(small_scenario_dict({"loss": loss}))
+        text = str(built.value)
+        assert text == str(parsed.value)
+        assert text.startswith(f"{key} ")
 
 
 # Every key a loss section may hold, across the kinds.
@@ -585,17 +603,60 @@ class TestRunSizeCaps:
         assert sc.predictor.steps_per_input(sc.sim.t_s) == 1
 
 
-class TestSchema:
-    def test_each_section_is_one_scenario_field_holding_its_keys(self):
-        sc = builtin_scenario("tank-reference")
-        sections = dict.fromkeys(row[0] for row in _SCHEMA)
-        top = [key for section, key, _, _ in _SCHEMA if not section]
+# The keys a document may leave out; the records' defaults fill them in.
+OPTIONAL_KEYS = (
+    "plant.domain_margin", "controller.lgv_threshold", "controller.u_min", "controller.u_max",
+    "loss.seed", "loss.wrap", "sim.n_truth", "sim.doubled_age_offset", "cost.raw_state",
+    "strategies",
+)
+
+
+class TestRecordsAreTheSchema:
+    def test_scenario_fields_are_the_sections_and_strategies(self):
         fields = [field.name for field in dataclasses.fields(Scenario)]
-        assert fields == [section for section in sections if section] + top
         assert fields == ["plant", "predictor", "controller", "loss", "sim", "cost", "strategies"]
-        for section, key, _, _ in _SCHEMA:
-            record = getattr(sc, section) if section else sc
-            assert hasattr(record, key), f"{section}.{key}"
+
+    def test_every_key_has_a_checker(self):
+        for field in dataclasses.fields(Scenario):
+            if field.name == "strategies":
+                assert field.type in _CHECKERS
+                continue
+            for key in dataclasses.fields(field.type):
+                if key.init:
+                    assert key.type in _CHECKERS, f"{field.name}.{key.name}"
+
+    def test_optional_keys_are_the_keys_with_a_default(self):
+        defaulted = {
+            f"{field.name}.{key.name}"
+            for field in dataclasses.fields(Scenario) if field.name != "strategies"
+            for key in dataclasses.fields(field.type)
+            # a None loss key is one that only some kinds take, and they require it
+            if key.init and key.default not in (dataclasses.MISSING, None)
+        }
+        assert defaulted | {"strategies"} == set(OPTIONAL_KEYS)
+
+    @pytest.mark.parametrize("loss", [None, {"kind": "bernoulli", "p": 0.3}, GE_SPEC, "trace"])
+    def test_leaving_out_optional_keys_gives_the_records_defaults(
+        self, small_scenario_dict, trace_file, loss
+    ):
+        doc = small_scenario_dict()
+        doc["loss"] = {"kind": "trace", "trace_path": trace_file} if loss == "trace" else loss
+        if loss is None:
+            del doc["loss"]
+        for path in OPTIONAL_KEYS:
+            section, _, key = path.partition(".")
+            (doc.get(section, {}) if key else doc).pop(key or section, None)
+        sc = scenario_from_dict(doc)
+        assert sc.strategies == STRATEGIES
+        for field in dataclasses.fields(Scenario)[:-1]:
+            record = getattr(sc, field.name)
+            required = {
+                key.name: getattr(record, key.name)
+                for key in dataclasses.fields(record)
+                if key.init and f"{field.name}.{key.name}" not in OPTIONAL_KEYS
+                and getattr(record, key.name) is not None
+            }
+            assert record == type(record)(**required), field.name
 
 
 class TestStepsPerInput:
