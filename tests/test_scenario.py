@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import typing
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -10,7 +11,7 @@ import ncsim.runtime
 from ncsim.cli import EXIT_CONFIG, EXIT_OK, main
 from ncsim.losses import LOSS_KEYS, LOSS_KINDS
 from ncsim.runtime import MAX_STEPS, MAX_TRUTH_SUBSTEPS, PREDICTIVE_BUFFER, run_scenario
-from ncsim.scenario import _CHECKERS, MAX_PREDICTOR_STEPS, Scenario
+from ncsim.scenario import _CHECKERS, MAX_PREDICTOR_STEPS, Scenario, _keys
 from ncsim import (
     ConfigError,
     LossSpec,
@@ -454,7 +455,6 @@ class TestRecordsNameTheirKey:
         [
             ({"kind": "bernoulli"}, "loss.p"),
             ({"kind": "trace"}, "loss.trace_path"),
-            ({"kind": "bernoulli", "p": 0.3, "seed": -1}, "loss.seed"),
         ],
     )
     def test_loss_spec_and_parser_report_the_same_text(self, small_scenario_dict, loss, key):
@@ -611,29 +611,34 @@ OPTIONAL_KEYS = (
 )
 
 
+def _document_keys():
+    """(path, type, required) of every key a document may hold, top level
+    and sections alike, read from the records through ``_keys``."""
+    for name, record, required in _keys(Scenario):
+        if record in _CHECKERS:
+            yield name, record, required
+        else:
+            for key, kind, key_required in _keys(record):
+                yield f"{name}.{key}", kind, key_required
+
+
 class TestRecordsAreTheSchema:
     def test_scenario_fields_are_the_sections_and_strategies(self):
-        fields = [field.name for field in dataclasses.fields(Scenario)]
+        fields = [name for name, _, _ in _keys(Scenario)]
         assert fields == ["plant", "predictor", "controller", "loss", "sim", "cost", "strategies"]
 
     def test_every_key_has_a_checker(self):
-        for field in dataclasses.fields(Scenario):
-            if field.name == "strategies":
-                assert field.type in _CHECKERS
-                continue
-            for key in dataclasses.fields(field.type):
-                if key.init:
-                    assert key.type in _CHECKERS, f"{field.name}.{key.name}"
+        for path, kind, _ in _document_keys():
+            assert kind in _CHECKERS, path
 
     def test_optional_keys_are_the_keys_with_a_default(self):
+        # an Optional key defaults to None: only some loss kinds take it,
+        # and LossSpec requires it of them
         defaulted = {
-            f"{field.name}.{key.name}"
-            for field in dataclasses.fields(Scenario) if field.name != "strategies"
-            for key in dataclasses.fields(field.type)
-            # a None loss key is one that only some kinds take, and they require it
-            if key.init and key.default not in (dataclasses.MISSING, None)
+            path for path, kind, required in _document_keys()
+            if not required and type(None) not in typing.get_args(kind)
         }
-        assert defaulted | {"strategies"} == set(OPTIONAL_KEYS)
+        assert defaulted == set(OPTIONAL_KEYS)
 
     @pytest.mark.parametrize("loss", [None, {"kind": "bernoulli", "p": 0.3}, GE_SPEC, "trace"])
     def test_leaving_out_optional_keys_gives_the_records_defaults(
@@ -648,15 +653,14 @@ class TestRecordsAreTheSchema:
             (doc.get(section, {}) if key else doc).pop(key or section, None)
         sc = scenario_from_dict(doc)
         assert sc.strategies == STRATEGIES
-        for field in dataclasses.fields(Scenario)[:-1]:
-            record = getattr(sc, field.name)
+        for name, record_type, _ in _keys(Scenario)[:-1]:
+            record = getattr(sc, name)
             required = {
-                key.name: getattr(record, key.name)
-                for key in dataclasses.fields(record)
-                if key.init and f"{field.name}.{key.name}" not in OPTIONAL_KEYS
-                and getattr(record, key.name) is not None
+                key: getattr(record, key)
+                for key, _, _ in _keys(record_type)
+                if f"{name}.{key}" not in OPTIONAL_KEYS and getattr(record, key) is not None
             }
-            assert record == type(record)(**required), field.name
+            assert record == record_type(**required), name
 
 
 class TestStepsPerInput:
