@@ -19,14 +19,14 @@ units.
 """
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .errors import ConfigError, ControllerOverflowError
+from .errors import ConfigError, ControllerOverflowError, checked
 from .plant import SystemDynamics
 
 
-@dataclass(frozen=True)
-class ControllerConfig:
+@checked
+class ControllerConfig(NamedTuple):
     """Setpoint, threshold and saturation limits of the feedback law.
 
     Attributes:
@@ -43,7 +43,7 @@ class ControllerConfig:
     u_min: float = 0.0
     u_max: float = 1.0
 
-    def __post_init__(self):
+    def _check(self) -> None:
         if not math.isfinite(self.setpoint):
             raise ConfigError(f"controller.setpoint must be finite, got {self.setpoint!r}")
         if not self.lgv_threshold > 0:

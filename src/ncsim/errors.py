@@ -1,5 +1,5 @@
-"""Exception types shared across the simulator, and the bounded read of
-its input files."""
+"""Exception types shared across the simulator, the checking constructor
+of its records, and the bounded read of its input files."""
 
 import os
 
@@ -91,6 +91,25 @@ class SimulationDiverged(NcsimError):
         self.records = list(records)
         self.step = step
         self.reason = reason
+
+
+def checked(record):
+    """Make the ``NamedTuple`` class ``record`` check each instance it builds.
+
+    ``record._check()`` raises on a value out of range and returns None or
+    the derived fields to fill in.  It runs in the constructor and in
+    ``_replace``, which builds through ``_make`` and so would skip it;
+    ``_make`` itself stays unchecked.
+    """
+    new, replace = record.__new__, record._replace
+
+    def build(plain):
+        derived = plain._check()
+        return replace(plain, **derived) if derived else plain
+
+    record.__new__ = lambda cls, *args, **kwargs: build(new(cls, *args, **kwargs))
+    record._replace = lambda self, **changes: build(replace(self, **changes))
+    return record
 
 
 def read_input(path: str) -> str:

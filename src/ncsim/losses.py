@@ -12,11 +12,10 @@ order.  A model is a stateful stream confined to one simulation.
 
 import io
 import random
-from dataclasses import dataclass, field
 from itertools import cycle, repeat
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
-from .errors import ConfigError, TraceExhaustedError, read_input
+from .errors import ConfigError, TraceExhaustedError, checked, read_input
 
 # Each loss kind and its keys besides ``kind`` and ``seed``, in snapshot
 # order.  The keys of the seeded kinds are the probabilities they draw
@@ -71,13 +70,14 @@ def _gilbert_elliott(
         bad = roll >= p_b2g if bad else roll < p_g2b
 
 
-@dataclass(frozen=True)
-class LossSpec:
+@checked
+class LossSpec(NamedTuple):
     """Declarative description of a loss channel.
 
     ``build`` realizes it, optionally under another seed so paired
     comparisons can enumerate seeds.  A trace channel reads its file
-    once, here, so a bad trace is a config error before anything runs.
+    once, here, into the derived field ``bits``, so a bad trace is a
+    config error before anything runs; a ``bits`` passed in is replaced.
     """
 
     kind: str
@@ -88,14 +88,17 @@ class LossSpec:
     loss_in_bad: Optional[float] = None
     trace_path: Optional[str] = None
     wrap: bool = False
-    bits: tuple = field(default=(), init=False, repr=False)
+    bits: tuple = ()
 
-    def __post_init__(self):
+    # Fields ``_check`` derives from the others, which are no scenario keys.
+    _derived = ("bits",)
+
+    def _check(self) -> dict:
         if self.kind not in LOSS_KINDS:
             raise ConfigError(
                 f"loss.kind must be one of {LOSS_KINDS}, got {self.kind!r}"
             )
-        if self.seed < 0:
+        if not self.seed >= 0:
             # random.Random(-s) draws the same stream as random.Random(s)
             raise ConfigError(f"loss.seed must be non-negative, got {self.seed!r}")
         for name in LOSS_KEYS[self.kind]:
@@ -105,13 +108,14 @@ class LossSpec:
             value = getattr(self, name)
             if value is not None and not 0.0 <= value <= 1.0:
                 raise ConfigError(f"loss.{name} must lie in [0, 1], got {value!r}")
-        if self.kind == "trace":
-            try:
-                object.__setattr__(self, "bits", tuple(read_trace_file(self.trace_path)))
-            except (OSError, ValueError) as exc:
-                raise ConfigError(
-                    f"loss.trace_path {self.trace_path!r} is not a readable trace: {exc}"
-                ) from exc
+        if self.kind != "trace":
+            return {"bits": ()}
+        try:
+            return {"bits": tuple(read_trace_file(self.trace_path))}
+        except (OSError, ValueError) as exc:
+            raise ConfigError(
+                f"loss.trace_path {self.trace_path!r} is not a readable trace: {exc}"
+            ) from exc
 
     @property
     def seeded(self) -> bool:

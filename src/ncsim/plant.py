@@ -33,16 +33,15 @@ values, so no input reaches the source.
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
-from .errors import ConfigError, DomainError, IntegrationDomainError
+from .errors import ConfigError, DomainError, IntegrationDomainError, checked
 
 StateFunction = Callable[[float], float]
 
 
-@dataclass(frozen=True)
-class SystemDynamics:
+@checked
+class SystemDynamics(NamedTuple):
     """Scalar input-affine dynamics with a guarded state domain.
 
     Attributes:
@@ -54,8 +53,8 @@ class SystemDynamics:
         rhs: ``rhs(x, u, theta)``, bitwise f(x) + g(x)*u + w(x)*theta;
             composed from the gains when left out.
         march: the RK4 march over ``rhs`` (see ``_RK4``), generated when
-            left out.  ``dataclasses.replace`` carries ``rhs`` and
-            ``march`` over as they are.
+            left out.  ``_replace`` carries ``rhs`` and ``march`` over
+            as they are.
     """
 
     drift: StateFunction
@@ -65,15 +64,15 @@ class SystemDynamics:
     rhs: Optional[Callable[[float, float, float], float]] = None
     march: Optional[Callable[..., tuple[float, float]]] = None
 
-    def __post_init__(self):
+    def _check(self) -> Optional[dict]:
         lo, hi = self.state_domain
         if not (math.isfinite(lo) and math.isfinite(hi)) or not lo < hi:
             raise ValueError(f"state_domain must be a finite interval, got {self.state_domain}")
-        if self.rhs is None:
-            f, g, w = self.drift, self.input_gain, self.uncertainty_gain
-            object.__setattr__(self, "rhs", lambda x, u, th: f(x) + g(x) * u + w(x) * th)
-        if self.march is None:
-            object.__setattr__(self, "march", _generate(rhs=self.rhs)["march"])
+        if self.rhs is not None and self.march is not None:
+            return None
+        f, g, w = self.drift, self.input_gain, self.uncertainty_gain
+        rhs = self.rhs or (lambda x, u, th: f(x) + g(x) * u + w(x) * th)
+        return {"rhs": rhs, "march": self.march or _generate(rhs=rhs)["march"]}
 
     def check_state(self, x: float) -> None:
         """Raise DomainError unless ``x`` lies in the state domain."""
@@ -159,8 +158,8 @@ def _stage_error(stage: int, state: float) -> IntegrationDomainError:
     return IntegrationDomainError(message, stage=stage, state=state)
 
 
-@dataclass(frozen=True)
-class UncertaintySignal:
+@checked
+class UncertaintySignal(NamedTuple):
     """Piecewise-constant disturbance schedule theta(t).
 
     ``values[j]`` holds from ``times[j]`` until the next entry; before
@@ -171,7 +170,7 @@ class UncertaintySignal:
     times: tuple[float, ...]
     values: tuple[float, ...]
 
-    def __post_init__(self):
+    def _check(self) -> None:
         if len(self.times) != len(self.values) or not self.times:
             raise ConfigError("sim.theta: times and values must be equally sized and non-empty")
         if any(not math.isfinite(v) for v in self.times + self.values):
@@ -191,18 +190,19 @@ class UncertaintySignal:
         """theta at the substep start ``t_start + j*h`` and how many of the
         next starts ``t_start + i*h``, j < i < n, keep its entry: the floats
         ``value`` would look up, so a segment ends where that lookup changes."""
-        idx = bisect_right(self.times, t_start + j * h)
+        times = self.times
+        idx = bisect_right(times, t_start + j * h)
         theta = self.values[max(idx - 1, 0)]
-        if idx == len(self.times) or t_start + (n - 1) * h < self.times[idx]:
+        if idx == len(times) or t_start + (n - 1) * h < times[idx]:
             return theta, n - 1 - j
         i = j + 1
-        while t_start + i * h < self.times[idx]:
+        while t_start + i * h < times[idx]:
             i += 1
         return theta, i - 1 - j
 
 
-@dataclass(frozen=True)
-class TankParams:
+@checked
+class TankParams(NamedTuple):
     """Physical parameters of the benchmark tank.
 
     Attributes:
@@ -230,9 +230,9 @@ class TankParams:
     m2: float
     domain_margin: float = 1e-3
 
-    def __post_init__(self):
+    def _check(self) -> None:
         for name in ("alpha1", "alpha2", "a1", "a2", "rho", "vol"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise ConfigError(f"plant.{name} must be positive")
         if not 0.0 <= self.m2 <= 1.0:
             raise ConfigError(f"plant.m2 must lie in [0, 1], got {self.m2!r}")
@@ -240,7 +240,7 @@ class TankParams:
             raise ConfigError("plant.p2 must be non-negative")
         if not self.p1 > self.p2:
             raise ConfigError(f"plant.p1 must exceed p2, got p1={self.p1!r}, p2={self.p2!r}")
-        if self.domain_margin < 0:
+        if not self.domain_margin >= 0:
             raise ConfigError("plant.domain_margin must be non-negative")
         lo, hi = self.state_domain
         if not lo < hi:

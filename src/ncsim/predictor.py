@@ -17,11 +17,11 @@ entry by entry, so a caller predicts only the entries it replays.
 
 import io
 import math
-from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .errors import (
-    CalibrationRangeError, ConfigError, DomainError, NonFiniteError, TrajectoryError, read_input,
+    CalibrationRangeError, ConfigError, DomainError, NonFiniteError, TrajectoryError, checked,
+    read_input,
 )
 from .plant import SystemDynamics, rk4_increment  # re-exported: ncsim.predictor.rk4_increment
 
@@ -37,8 +37,8 @@ def whole_multiple(ratio: float) -> Optional[int]:
     return n if n >= 1 and abs(ratio - n) <= _RATIO_TOL * n else None
 
 
-@dataclass(frozen=True)
-class PredictorConfig:
+@checked
+class PredictorConfig(NamedTuple):
     """Prediction step size, correction factor, and buffer horizon.
 
     Attributes:
@@ -52,12 +52,12 @@ class PredictorConfig:
     gamma: float
     horizon: int
 
-    def __post_init__(self):
+    def _check(self) -> None:
         if not self.delta > 0:
             raise ConfigError(f"predictor.delta must be positive, got {self.delta!r}")
         if not abs(self.gamma) < 1:
             raise ConfigError(f"predictor.gamma must lie in (-1, 1), got {self.gamma!r}")
-        if self.horizon < 1:
+        if not self.horizon >= 1:
             raise ConfigError(f"predictor.horizon must be >= 1, got {self.horizon!r}")
 
     def steps_per_input(self, t_s: float) -> int:
@@ -67,8 +67,8 @@ class PredictorConfig:
         return whole_multiple(t_s / self.delta) or 1
 
 
-@dataclass(frozen=True)
-class ControlTrajectory:
+@checked
+class ControlTrajectory(NamedTuple):
     """Inputs precomputed at a sample instant for the next N intervals.
 
     Attributes:
@@ -84,10 +84,10 @@ class ControlTrajectory:
     inputs: tuple[float, ...]
     predicted_states: tuple[float, ...]
 
-    def __post_init__(self):
+    def _check(self) -> None:
         if len(self.inputs) != len(self.predicted_states) or not self.inputs:
             raise ValueError("inputs and predicted_states must be equally sized and non-empty")
-        if self.origin_step < 0:
+        if not self.origin_step >= 0:
             raise ValueError("origin_step must be non-negative")
 
 
@@ -152,14 +152,14 @@ def predict_trajectory(
     return ControlTrajectory(origin_step, tuple(inputs), tuple(states))
 
 
-@dataclass(frozen=True)
-class SamplePair:
+@checked
+class SamplePair(NamedTuple):
     """One matched recording of predicted and measured state sequences."""
 
     predicted: tuple[float, ...]
     measured: tuple[float, ...]
 
-    def __post_init__(self):
+    def _check(self) -> None:
         if len(self.predicted) != len(self.measured) or not self.predicted:
             raise ValueError("predicted and measured must be equally sized and non-empty")
         if any(not math.isfinite(v) for v in self.predicted + self.measured):

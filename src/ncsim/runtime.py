@@ -25,15 +25,15 @@ the step count from ``duration`` and caps both it and the truth substeps.
 
 import math
 import os
-from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
 from .controller import ControllerConfig, sontag_input
 from .errors import (
     ConfigError, DomainError, NcsimError, NonFiniteError, SimulationDiverged, TrajectoryError,
+    checked,
 )
 from .losses import LossModel
-from .plant import SystemDynamics, UncertaintySignal, _stage_error
+from .plant import SystemDynamics, UncertaintySignal, _stage_error, tank_dynamics
 from .predictor import PredictorConfig, extend_plan, whole_multiple
 from .predictor import predict_trajectory  # re-exported: ncsim.runtime.predict_trajectory
 
@@ -80,8 +80,8 @@ class SimulationRecord(NamedTuple):
     j_running: float
 
 
-@dataclass(frozen=True)
-class CostWeights:
+@checked
+class CostWeights(NamedTuple):
     """Quadratic stage-cost weights and evaluation horizon.
 
     The stage cost is q_c * (x - setpoint)^2 + r_c * u^2, with the
@@ -94,16 +94,16 @@ class CostWeights:
     m_steps: int
     raw_state: bool = False
 
-    def __post_init__(self):
+    def _check(self) -> None:
         for name, value in (("q_c", self.q_c), ("r_c", self.r_c)):
-            if value < 0:
+            if not value >= 0:
                 raise ConfigError(f"cost.{name} must be non-negative, got {value!r}")
-        if self.m_steps < 1:
+        if not self.m_steps >= 1:
             raise ConfigError(f"cost.m_steps must be >= 1, got {self.m_steps!r}")
 
 
-@dataclass(frozen=True)
-class SimSettings:
+@checked
+class SimSettings(NamedTuple):
     """Initial state, sampling grid, and truth-integration refinement.
 
     ``duration`` is kept as written, so snapshots reproduce it; it must be
@@ -120,7 +120,7 @@ class SimSettings:
     n_truth: int = 20
     doubled_age_offset: bool = False
 
-    def __post_init__(self):
+    def _check(self) -> None:
         if not math.isfinite(self.x0):
             raise ConfigError(f"sim.x0 must be finite, got {self.x0!r}")
         if not self.t_s > 0:
@@ -134,7 +134,7 @@ class SimSettings:
             raise ConfigError(
                 f"sim.duration {self.duration!r} must be a positive whole multiple of sim.t_s"
             )
-        if self.n_truth < 1:
+        if not self.n_truth >= 1:
             raise ConfigError(f"sim.n_truth must be >= 1, got {self.n_truth!r}")
         if self.steps * self.n_truth > MAX_TRUTH_SUBSTEPS:
             raise ConfigError(
@@ -148,8 +148,7 @@ class SimSettings:
         return whole_multiple(self.duration / self.t_s)
 
 
-@dataclass(frozen=True)
-class RunResult:
+class RunResult(NamedTuple):
     """Records of a completed run plus the state after the last interval."""
 
     records: tuple[SimulationRecord, ...]
@@ -180,6 +179,7 @@ def integrate_interval(
     """
     h = t_s / n_truth
     j = rest = 0  # substeps done, and those after the current segment
+    march, (lo, hi) = dynamics.march, dynamics.state_domain
 
     def fail(xs: float, left: int) -> None:
         # a state inside the domain is finite, so only one outside is tested
@@ -193,7 +193,7 @@ def integrate_interval(
         th, more = theta.segment(t_start, h, j, n_truth)
         j += 1 + more
         rest = n_truth - j
-        x = dynamics.march(x, u, h, th, *dynamics.state_domain, 1 + more, 1.0, fail)[0]
+        x = march(x, u, h, th, lo, hi, 1 + more, 1.0, fail)[0]
     return x
 
 
@@ -248,9 +248,13 @@ def run_closed_loop(
     steps_per_input = predictor_cfg.steps_per_input(sim.t_s)
     horizon = predictor_cfg.horizon
     setpoint = control_cfg.setpoint
-    raw_state = weights.raw_state
+    # record fields the loop reads, read once: each read of a NamedTuple
+    # field is a descriptor call
+    x0, t_s, theta, n_truth = sim.x0, sim.t_s, sim.theta, sim.n_truth
+    doubled = sim.doubled_age_offset
+    q_c, r_c, raw_state = weights.q_c, weights.r_c, weights.raw_state
     records: list[SimulationRecord] = []
-    x = sim.x0
+    x = x0
     # The current plan, which a loss grows only up to the entry it replays,
     # and the step it starts at.
     inputs, states, plan_k = [], [], 0
@@ -259,7 +263,7 @@ def run_closed_loop(
     j_running = 0.0
 
     for k in range(sim.steps):
-        t_k = k * sim.t_s
+        t_k = k * t_s
         s_k = loss_model.sample_reception(k)
         try:
             x_pred: Optional[float] = None
@@ -270,8 +274,8 @@ def run_closed_loop(
                     inputs, states, plan_k = [u], [x], k
             elif buffered:
                 if not inputs:
-                    inputs, states = [controller(sim.x0)], [sim.x0]
-                offset = min(2 * age + 1 if sim.doubled_age_offset else k - plan_k, horizon)
+                    inputs, states = [controller(x0)], [x0]
+                offset = min(2 * age + 1 if doubled else k - plan_k, horizon)
                 extend_plan(
                     predictor_cfg, dynamics, controller, inputs, states, offset + 1, steps_per_input
                 )
@@ -282,11 +286,11 @@ def run_closed_loop(
             age = 0 if s_k else min(age + 1, horizon)
 
             deviation = x if raw_state else x - setpoint
-            j_running += weights.q_c * deviation * deviation + weights.r_c * u * u
+            j_running += q_c * deviation * deviation + r_c * u * u
             if not math.isfinite(j_running):
                 raise NonFiniteError(f"running cost became non-finite: {j_running!r}")
             records.append(SimulationRecord(k, t_k, x, x_pred, s_k, age, u, j_running))
-            x = integrate_interval(dynamics, x, u, t_k, sim.t_s, sim.n_truth, sim.theta)
+            x = integrate_interval(dynamics, x, u, t_k, t_s, n_truth, theta)
         except (DomainError, NonFiniteError, TrajectoryError) as exc:
             raise SimulationDiverged(
                 f"run diverged at step {k}: {exc}", records=records, step=k,
@@ -299,13 +303,12 @@ def run_closed_loop(
 def run_scenario(scenario, strategy: str, seed: Optional[int] = None) -> RunResult:
     """Run one strategy of a scenario, optionally overriding the loss seed."""
     return run_closed_loop(
-        scenario.build_dynamics(), scenario.predictor, scenario.controller,
+        tank_dynamics(scenario.plant), scenario.predictor, scenario.controller,
         scenario.loss.build(seed), strategy, scenario.sim, scenario.cost,
     )
 
 
-@dataclass(frozen=True)
-class ComparisonResult:
+class ComparisonResult(NamedTuple):
     """Paired-seed cost table of several strategies on one scenario.
 
     ``costs[strategy][seed]`` is the cost of that cell or None when the

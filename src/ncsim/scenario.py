@@ -3,9 +3,9 @@
 A scenario bundles plant parameters, predictor and controller settings,
 the loss channel, simulation grid, cost weights, and the strategy list.
 The records are the schema: ``Scenario``'s fields are the sections, and
-a section's keys are its record's init fields, each with its order, its
-default or none if required, and a type that picks its checker; parsing
-and ``scenario_to_dict`` both walk them.  ``ncsim.losses.LOSS_KEYS``
+a section's keys are its record's fields but the derived ones, each with
+its order, its default or none if required, and a type that picks its
+checker; parsing and ``scenario_to_dict`` both walk them.  ``ncsim.losses.LOSS_KEYS``
 says which ``LossSpec`` keys each loss kind takes.  Parsing is strict:
 unknown keys and wrong-typed values are rejected so a typo cannot
 silently fall back to a default.  Each range rule is written once, in
@@ -15,16 +15,14 @@ the rules that span two records.  The canonical form's JSON is stable
 under reload, which makes resolved-config snapshots byte-reproducible.
 """
 
-import dataclasses
 import json
 import math
-from dataclasses import MISSING, dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .controller import ControllerConfig
-from .errors import ConfigError
+from .errors import ConfigError, checked
 from .losses import LOSS_KEYS, LOSS_KINDS, LossSpec
-from .plant import TankParams, UncertaintySignal, tank_dynamics
+from .plant import TankParams, UncertaintySignal
 from .predictor import PredictorConfig
 from .runtime import STRATEGIES, CostWeights, SimSettings, check_strategies
 
@@ -35,8 +33,8 @@ from .runtime import STRATEGIES, CostWeights, SimSettings, check_strategies
 MAX_PREDICTOR_STEPS = 20_000_000
 
 
-@dataclass(frozen=True)
-class Scenario:
+@checked
+class Scenario(NamedTuple):
     """Complete, validated description of one closed-loop experiment.
 
     It holds the config objects the loop takes, one per section of the
@@ -52,7 +50,7 @@ class Scenario:
     cost: CostWeights
     strategies: tuple = STRATEGIES
 
-    def __post_init__(self):
+    def _check(self) -> None:
         lo, hi = self.plant.state_domain
         setpoint = self.controller.setpoint
         for key, value in (("controller.setpoint", setpoint), ("sim.x0", self.sim.x0)):
@@ -73,9 +71,6 @@ class Scenario:
                 f"cost.m_steps {self.cost.m_steps} exceeds the {steps} simulated steps"
             )
         check_strategies(self.strategies)
-
-    def build_dynamics(self):
-        return tank_dynamics(self.plant)
 
 
 def _number(label: str, value) -> float:
@@ -146,12 +141,13 @@ _CHECKERS = {
 
 def _keys(record) -> list:
     """(name, type, required) for each key of a record type, in document
-    order.  The keys are its init fields; an ``init=False`` field such as
-    ``LossSpec.bits`` is derived from them."""
+    order.  The keys are its fields but those it derives from them, such
+    as ``LossSpec.bits``."""
+    derived = getattr(record, "_derived", ())
     return [
-        (f.name, f.type, f.default is MISSING and f.default_factory is MISSING)
-        for f in dataclasses.fields(record)
-        if f.init
+        (name, record.__annotations__[name], name not in record._field_defaults)
+        for name in record._fields
+        if name not in derived
     ]
 
 

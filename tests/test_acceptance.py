@@ -163,7 +163,7 @@ def test_calibration_identities():
 
 def test_feedback_decrease_across_the_pressure_range():
     sc = reference()
-    tank = sc.build_dynamics()
+    tank = tank_dynamics(sc.plant)
     params = sc.plant
     at_setpoint = sc.controller
     unbounded = ControllerConfig(at_setpoint.setpoint, u_min=-math.inf, u_max=math.inf)
@@ -259,7 +259,7 @@ def test_buffer_age_law_under_adversarial_dropouts():
     ]
     for bits in patterns:
         result = run_closed_loop(
-            sc.build_dynamics(),
+            tank_dynamics(sc.plant),
             sc.predictor,
             sc.controller,
             LossModel(bits),

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import re
 
@@ -22,7 +21,7 @@ from conftest import WIDE, reference_plant
 
 # The feedback settings of tank-reference, and the same without saturation.
 CFG = ControllerConfig(setpoint=150_100.0)
-UNBOUNDED = dataclasses.replace(CFG, u_min=-math.inf, u_max=math.inf)
+UNBOUNDED = CFG._replace(u_min=-math.inf, u_max=math.inf)
 TANK = tank_dynamics(reference_plant())
 
 
@@ -144,7 +143,7 @@ class TestLieDerivatives:
     @pytest.mark.parametrize("m2", [1.0, 0.5])
     @pytest.mark.parametrize("x", [120_000.0, 150_000.0, 180_000.0])
     def test_closed_forms_at_zero_reference(self, m2, x):
-        p = dataclasses.replace(reference_plant(), m2=m2)
+        p = reference_plant()._replace(m2=m2)
         d = tank_dynamics(p)
         lfv, lgv = lie_derivatives(d, ControllerConfig(setpoint=0.0), x)
         lfv_hand = (

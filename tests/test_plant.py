@@ -1,4 +1,3 @@
-import dataclasses
 import math
 from bisect import bisect_right
 
@@ -35,7 +34,7 @@ class TestTankParams:
         assert p.state_domain == (100_000.001, 199_999.999)
 
     def test_benchmark_accepts_overrides(self):
-        p = dataclasses.replace(reference_plant(), p2=50_000.0, m2=0.5)
+        p = reference_plant()._replace(p2=50_000.0, m2=0.5)
         assert p.p2 == 50_000.0
         assert p.m2 == 0.5
         assert p.state_domain == (50_000.001, 199_999.999)
@@ -78,7 +77,7 @@ class TestTankDynamics:
         assert tank.input_gain(x) == -tank.drift(x)
 
     def test_boundary_flows_vanish(self, benchmark_params):
-        d = tank_dynamics(dataclasses.replace(benchmark_params, domain_margin=0.0))
+        d = tank_dynamics(benchmark_params._replace(domain_margin=0.0))
         for x in (100_000.0, 200_000.0):
             d.check_state(x)
         assert d.drift(100_000.0) == 0.0
@@ -89,11 +88,11 @@ class TestTankDynamics:
         assert tank.uncertainty_gain(110_000.0) == 55_000.0
 
     def test_rhs_at_lower_boundary_is_uncertainty_only(self, benchmark_params):
-        d = tank_dynamics(dataclasses.replace(benchmark_params, domain_margin=0.0))
+        d = tank_dynamics(benchmark_params._replace(domain_margin=0.0))
         assert d.rhs(100_000.0, 0.0, 0.175) == 8750.0
 
     def test_output_valve_opening_scales_drift(self, benchmark_params):
-        half = dataclasses.replace(benchmark_params, m2=0.5)
+        half = benchmark_params._replace(m2=0.5)
         d_full = tank_dynamics(benchmark_params)
         d_half = tank_dynamics(half)
         x = 160_000.0
@@ -101,14 +100,14 @@ class TestTankDynamics:
         assert d_half.input_gain(x) == d_full.input_gain(x)
 
     def test_margin_shrinks_domain(self, benchmark_params):
-        d = tank_dynamics(dataclasses.replace(benchmark_params, domain_margin=10.0))
+        d = tank_dynamics(benchmark_params._replace(domain_margin=10.0))
         assert d.state_domain == (100_010.0, 199_990.0)
         with pytest.raises(DomainError):
             d.check_state(100_005.0)
 
     def test_negative_margin_rejected(self, benchmark_params):
         with pytest.raises(ValueError, match="plant.domain_margin must be non-negative"):
-            dataclasses.replace(benchmark_params, domain_margin=-1.0)
+            benchmark_params._replace(domain_margin=-1.0)
 
     @pytest.mark.parametrize("x", [99_999.0, 100_000.0, 200_000.0, 250_000.0])
     def test_out_of_domain_evaluation_raises(self, tank, x):
@@ -135,7 +134,7 @@ class TestTankDynamics:
         m2=st.floats(min_value=0.0, max_value=1.0),
     )
     def test_rhs_matches_field_sum(self, x, u, theta, vol, m2):
-        params = dataclasses.replace(reference_plant(), m2=m2, vol=vol)
+        params = reference_plant()._replace(m2=m2, vol=vol)
         d = tank_dynamics(params)
         # exact equality: the fused expression keeps the sum's operation order
         assert d.rhs(x, u, theta) == (
@@ -154,11 +153,11 @@ class TestSystemDynamics:
         assert d.rhs(1.5, 0.25, 0.5) == -3.0 + 2.5 * 0.25 + 3.0 * 0.5
 
     def test_replace_carries_rhs(self, tank):
-        counted = dataclasses.replace(tank, drift=lambda x: 0.0)
+        counted = tank._replace(drift=lambda x: 0.0)
         assert counted.rhs is tank.rhs
 
     def test_replace_carries_the_generated_kernel(self, tank):
-        counted = dataclasses.replace(tank, drift=lambda x: 0.0, input_gain=lambda x: 0.0)
+        counted = tank._replace(drift=lambda x: 0.0, input_gain=lambda x: 0.0)
         assert counted.march is tank.march
         args = (150_000.0, 0.4, 0.1, 0.175, *tank.state_domain, 20, 1.0, None)
         assert [v.hex() for v in counted.march(*args)] == [v.hex() for v in tank.march(*args)]
@@ -167,7 +166,7 @@ class TestSystemDynamics:
         ).hex()
 
     def test_replaced_domain_binds_the_carried_kernel(self, tank):
-        narrow = dataclasses.replace(tank, state_domain=(140_000.0, 150_000.0))
+        narrow = tank._replace(state_domain=(140_000.0, 150_000.0))
         assert narrow.march is tank.march
         # fine in the tank's domain; stage 2 probes past the narrow one
         rk4_increment(tank, 149_000.0, 1.0, 20.0)
@@ -271,7 +270,7 @@ class TestGeneratedKernel:
 
     def test_factory_is_compiled_once_per_expression(self, tank):
         other = tank_dynamics(
-            dataclasses.replace(reference_plant(), p2=50_000.0, m2=0.5, domain_margin=1.0)
+            reference_plant()._replace(p2=50_000.0, m2=0.5, domain_margin=1.0)
         )
         assert other.march.__code__ is tank.march.__code__
         assert other.march is not tank.march

@@ -77,7 +77,7 @@ def stage_cost_sum(records, weights, setpoint):
 
 def eager_reference(sc, bits, steps_per_input):
     """The predictive-buffer loop that plans a trajectory at every reception."""
-    dynamics, cfg = sc.build_dynamics(), sc.predictor
+    dynamics, cfg = tank_dynamics(sc.plant), sc.predictor
     ccfg, sim, weights = sc.controller, sc.sim, sc.cost
     n = cfg.horizon
     records, x, plan, age, j_running = [], sim.x0, None, 0, 0.0
@@ -326,7 +326,7 @@ class TestRunClosedLoop:
         runs = {}
         for strategy in (HOLD_LAST_VALUE, ZERO_INPUT):
             runs[strategy] = run_closed_loop(
-                dynamics=sc.build_dynamics(),
+                dynamics=tank_dynamics(sc.plant),
                 predictor_cfg=sc.predictor,
                 control_cfg=sc.controller,
                 loss_model=LossModel([0] * steps),
@@ -339,7 +339,7 @@ class TestRunClosedLoop:
 
     def test_all_loss_predictive_replays_initial_plan(self, small_scenario_dict):
         sc = small_scenario(small_scenario_dict)
-        dynamics = sc.build_dynamics()
+        dynamics = tank_dynamics(sc.plant)
         ccfg = sc.controller
         steps = sc.sim.steps
         result = run_closed_loop(
@@ -370,7 +370,7 @@ class TestRunClosedLoop:
     )
     def test_loss_burst_offset_rule(self, small_scenario_dict, doubled, expected_offsets):
         sc = small_scenario(small_scenario_dict)
-        dynamics = sc.build_dynamics()
+        dynamics = tank_dynamics(sc.plant)
         ccfg = sc.controller
         sim = SimSettings(
             x0=sc.sim.x0,
@@ -429,7 +429,7 @@ class TestRunClosedLoop:
         bad = PredictorConfig(delta=sc.predictor.delta, gamma=0.9, horizon=10)
         with pytest.raises(SimulationDiverged) as excinfo:
             run_closed_loop(
-                dynamics=sc.build_dynamics(),
+                dynamics=tank_dynamics(sc.plant),
                 predictor_cfg=bad,
                 control_cfg=sc.controller,
                 loss_model=LossModel([0] * steps),
@@ -451,7 +451,7 @@ class TestRunClosedLoop:
 
         def run(loss_model):
             return run_closed_loop(
-                dynamics=sc.build_dynamics(),
+                dynamics=tank_dynamics(sc.plant),
                 predictor_cfg=bad,
                 control_cfg=sc.controller,
                 loss_model=loss_model,
@@ -514,7 +514,7 @@ class TestRunClosedLoop:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(ncsim.runtime, "extend_plan", counting_extend)
             result = run_closed_loop(
-                dynamics=sc.build_dynamics(),
+                dynamics=tank_dynamics(sc.plant),
                 predictor_cfg=sc.predictor,
                 control_cfg=sc.controller,
                 loss_model=LossModel(bits),
@@ -599,7 +599,7 @@ class TestRunClosedLoop:
         sc = small_scenario(small_scenario_dict)
         with pytest.raises(ValueError):
             run_closed_loop(
-                dynamics=sc.build_dynamics(),
+                dynamics=tank_dynamics(sc.plant),
                 predictor_cfg=sc.predictor,
                 control_cfg=sc.controller,
                 loss_model=LossModel(itertools.repeat(1)),
@@ -615,7 +615,7 @@ class TestRunClosedLoop:
         )
         with pytest.raises(DomainError):
             run_closed_loop(
-                dynamics=sc.build_dynamics(),
+                dynamics=tank_dynamics(sc.plant),
                 predictor_cfg=sc.predictor,
                 control_cfg=sc.controller,
                 loss_model=LossModel(itertools.repeat(1)),
@@ -643,7 +643,7 @@ class TestRunClosedLoop:
         doc["cost"]["m_steps"] = 12
         sc = scenario_from_dict(doc)
         result = run_closed_loop(
-            dynamics=sc.build_dynamics(),
+            dynamics=tank_dynamics(sc.plant),
             predictor_cfg=sc.predictor,
             control_cfg=sc.controller,
             loss_model=doc_loss,
@@ -947,7 +947,7 @@ class TestCheckStrategies:
         sc = small_scenario(small_scenario_dict)
         with pytest.raises(ConfigError, match="^strategy: unknown strategy 'nope'"):
             run_closed_loop(
-                sc.build_dynamics(), sc.predictor, sc.controller,
+                tank_dynamics(sc.plant), sc.predictor, sc.controller,
                 LossModel(itertools.repeat(1)), "nope", sc.sim, sc.cost,
             )
 

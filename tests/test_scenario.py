@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import typing
@@ -398,7 +397,7 @@ class TestStrictParsing:
 
 def replaced(field):
     """Build the scenario's ``field`` record again with one key replaced."""
-    return lambda sc, key, value: dataclasses.replace(getattr(sc, field), **{key: value})
+    return lambda sc, key, value: getattr(sc, field)._replace(**{key: value})
 
 
 class TestRecordsNameTheirKey:
