@@ -37,7 +37,6 @@ from .plant import (
     tank_dynamics,
 )
 from .predictor import (
-    ControlTrajectory,
     PredictorConfig,
     SamplePair,
     calibrate_gamma_one,
@@ -45,7 +44,6 @@ from .predictor import (
     calibration,
     mean_squared_error,
     predict_step,
-    predict_trajectory,
     read_sample_pairs,
 )
 from .runtime import (
@@ -60,7 +58,6 @@ from .runtime import (
     SimulationRecord,
     compare_strategies,
     integrate_interval,
-    read_records_csv,
     run_closed_loop,
     run_scenario,
     write_comparison_csv,

@@ -18,9 +18,9 @@ import os
 import sys
 from typing import Optional, Sequence
 
-from .errors import ConfigError, SimulationDiverged, TraceExhaustedError, read_input
+from .errors import ConfigError, SimulationDiverged, read_input
 from .losses import LOSS_KEYS, SEEDED_KINDS
-from .predictor import SamplePair, calibration, read_sample_pairs
+from .predictor import SamplePair, calibration, gamma_in_range, read_sample_pairs
 from .runtime import (
     STRATEGIES,
     check_compare_size,
@@ -259,7 +259,7 @@ def cmd_calibrate(args) -> int:
         e_values, e, zeta, gamma = calibration(recordings)
     except ArithmeticError as exc:  # an OverflowError's args are (errno, message)
         raise ConfigError(f"samples are degenerate: {exc.args[-1]}") from exc
-    in_range = abs(gamma) < 1
+    in_range = gamma_in_range(gamma)
 
     print(f"method: {args.method}")
     if args.method == "two":
@@ -358,7 +358,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, TraceExhaustedError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

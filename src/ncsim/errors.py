@@ -43,7 +43,7 @@ class ControllerOverflowError(NonFiniteError):
 
 
 class TrajectoryError(NcsimError):
-    """Prediction left the state domain before the horizon was filled.
+    """Prediction left the state domain before the entry a loss replays.
 
     Carries the valid prefix so callers can inspect how far the
     prediction got.

@@ -31,6 +31,12 @@ Controller = Callable[[float], float]
 _RATIO_TOL = 1e-9
 
 
+def gamma_in_range(gamma: float) -> bool:
+    """Whether ``gamma`` lies in (-1, 1), the range a correction factor
+    must have; NaN does not."""
+    return abs(gamma) < 1
+
+
 def whole_multiple(ratio: float) -> Optional[int]:
     """``ratio`` as a whole number >= 1, within ``_RATIO_TOL`` relative, or None."""
     n = round(ratio) if math.isfinite(ratio) else 0
@@ -44,7 +50,7 @@ class PredictorConfig(NamedTuple):
     Attributes:
         delta: integration step of the predictor [s].
         gamma: multiplicative correction factor, magnitude below one.
-        horizon: number of look-ahead entries N; a trajectory holds
+        horizon: number of look-ahead entries N; a plan holds at most
             N + 1 inputs.
     """
 
@@ -55,7 +61,7 @@ class PredictorConfig(NamedTuple):
     def _check(self) -> None:
         if not self.delta > 0:
             raise ConfigError(f"predictor.delta must be positive, got {self.delta!r}")
-        if not abs(self.gamma) < 1:
+        if not gamma_in_range(self.gamma):
             raise ConfigError(f"predictor.gamma must lie in (-1, 1), got {self.gamma!r}")
         if not self.horizon >= 1:
             raise ConfigError(f"predictor.horizon must be >= 1, got {self.horizon!r}")
@@ -65,30 +71,6 @@ class PredictorConfig(NamedTuple):
         whole, so break points line up with sampling instants, else one step
         of ``delta``, mismatch and all."""
         return whole_multiple(t_s / self.delta) or 1
-
-
-@checked
-class ControlTrajectory(NamedTuple):
-    """Inputs precomputed at a sample instant for the next N intervals.
-
-    Attributes:
-        origin_step: control-interval index at which the trajectory was
-            computed.
-        inputs: N + 1 input values, entry j intended for the j-th
-            interval after the origin.
-        predicted_states: the predicted states the inputs were computed
-            from, aligned with ``inputs``.
-    """
-
-    origin_step: int
-    inputs: tuple[float, ...]
-    predicted_states: tuple[float, ...]
-
-    def _check(self) -> None:
-        if len(self.inputs) != len(self.predicted_states) or not self.inputs:
-            raise ValueError("inputs and predicted_states must be equally sized and non-empty")
-        if not self.origin_step >= 0:
-            raise ValueError("origin_step must be non-negative")
 
 
 def predict_step(
@@ -130,28 +112,6 @@ def extend_plan(
         inputs.append(u)
 
 
-def predict_trajectory(
-    cfg: PredictorConfig,
-    dynamics: SystemDynamics,
-    x0: float,
-    controller: Controller,
-    origin_step: int = 0,
-    steps_per_input: int = 1,
-) -> ControlTrajectory:
-    """Roll the predictor forward and collect a length-(N+1) input buffer.
-
-    Entry 0 is the controller evaluated on ``x0``; ``extend_plan`` grows
-    the rest.  If the prediction leaves the plant domain mid-horizon a
-    ``TrajectoryError`` with the valid prefix is raised.
-    """
-    if steps_per_input < 1:
-        raise ValueError("steps_per_input must be >= 1")
-    dynamics.check_state(x0)
-    inputs, states = [controller(x0)], [x0]
-    extend_plan(cfg, dynamics, controller, inputs, states, cfg.horizon + 1, steps_per_input)
-    return ControlTrajectory(origin_step, tuple(inputs), tuple(states))
-
-
 @checked
 class SamplePair(NamedTuple):
     """One matched recording of predicted and measured state sequences."""
@@ -178,7 +138,7 @@ def mean_squared_error(predicted: Sequence[float], measured: Sequence[float]) ->
 
 
 def _check_range(gamma: float) -> float:
-    if not abs(gamma) < 1:
+    if not gamma_in_range(gamma):
         raise CalibrationRangeError(
             f"calibrated correction factor {gamma!r} outside (-1, 1)", gamma=gamma
         )

@@ -35,7 +35,6 @@ from .errors import (
 from .losses import LossModel
 from .plant import SystemDynamics, UncertaintySignal, _stage_error, tank_dynamics
 from .predictor import PredictorConfig, extend_plan, whole_multiple
-from .predictor import predict_trajectory  # re-exported: ncsim.runtime.predict_trajectory
 
 PREDICTIVE_BUFFER = "predictive-buffer"
 HOLD_LAST_VALUE = "hold-last-value"
@@ -110,7 +109,7 @@ class SimSettings(NamedTuple):
     a whole multiple of ``t_s``, and ``steps`` is that multiple.
     ``doubled_age_offset`` switches the buffer replay rule during loss
     bursts: entry ``2i + 1`` after ``i`` consecutive losses rather than
-    the entry matching the elapsed steps since the trajectory's origin.
+    the entry matching the elapsed steps since the plan's start.
     """
 
     x0: float
@@ -457,25 +456,6 @@ def write_records_csv(records: Sequence[SimulationRecord], path: str) -> None:
                 f"{r.k},{_format_float(r.t)},{_format_float(r.x_true)},{x_pred},"
                 f"{r.s},{r.i},{_format_float(r.u)},{_format_float(r.j_running)}\n"
             )
-
-
-def read_records_csv(path: str) -> list[SimulationRecord]:
-    """Parse a records CSV written by ``write_records_csv``."""
-    records = []
-    with open(path, newline="") as handle:
-        header = handle.readline().strip()
-        if tuple(header.split(",")) != TRACE_HEADER:
-            raise ValueError(f"unexpected trace header {header!r}")
-        for line in handle:
-            parts = line.rstrip("\n").split(",")
-            if len(parts) != len(TRACE_HEADER):
-                raise ValueError(f"bad trace row {line!r}")
-            records.append(SimulationRecord(
-                int(parts[0]), float(parts[1]), float(parts[2]),
-                None if parts[3] == "" else float(parts[3]), int(parts[4]), int(parts[5]),
-                float(parts[6]), float(parts[7]),
-            ))
-    return records
 
 
 def write_comparison_csv(result: ComparisonResult, path: str) -> None:

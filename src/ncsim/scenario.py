@@ -57,6 +57,12 @@ class Scenario(NamedTuple):
             if not lo < value < hi:
                 raise ConfigError(f"{key} {value!r} outside state domain ({lo!r}, {hi!r})")
         steps = self.sim.steps
+        loss = self.loss
+        if loss.kind == "trace" and not loss.wrap and len(loss.bits) < steps:
+            raise ConfigError(
+                f"loss.trace_path {loss.trace_path!r} holds {len(loss.bits)} bits, fewer than "
+                f"the {steps} steps of sim.duration {self.sim.duration!r}, and loss.wrap is false"
+            )
         per_input = self.predictor.steps_per_input(self.sim.t_s)
         entries = min(self.predictor.horizon, 2)
         if steps * per_input * entries > MAX_PREDICTOR_STEPS:

@@ -10,8 +10,18 @@ from ncsim import (
     builtin_scenario_dict,
     tank_dynamics,
 )
+from ncsim.predictor import extend_plan
 
 WIDE = (-1.0e12, 1.0e12)
+
+
+def full_plan(cfg, dynamics, x0, controller, steps_per_input=1):
+    """The plan ``(inputs, states)`` from ``x0``, grown by ``extend_plan`` to
+    all ``horizon + 1`` entries, as a reception followed by a long enough
+    loss burst would grow it."""
+    inputs, states = [controller(x0)], [x0]
+    extend_plan(cfg, dynamics, controller, inputs, states, cfg.horizon + 1, steps_per_input)
+    return inputs, states
 
 # Any JSON value, non-finite numbers and huge integers included.
 json_values = st.recursive(

@@ -148,13 +148,20 @@ class TestRun:
         summary = read_json(out / "summary.json")
         assert summary["loss_count"] == 20
 
-    def test_exhausted_trace_is_a_config_error(self, scenario_file, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_exhausted_trace_is_a_config_error(self, scenario_file, tmp_path, capsys, command):
         bits = tmp_path / "bits.txt"
         bits.write_text("1\n0\n1\n")
         out = tmp_path / "out"
-        rc = main(["run", scenario_file(), "--loss", f"trace:{bits}", "--out", str(out)])
+        rc = main([command, scenario_file(), "--loss", f"trace:{bits}", "--out", str(out)])
         assert rc == EXIT_CONFIG
-        assert "config error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("config error: loss.trace_path ")
+        for needle in ("holds 3 bits", "60 steps of sim.duration 120.0", "loss.wrap is false"):
+            assert needle in err
+        assert "Traceback" not in err
+        # rejected when the scenario is parsed, before any artifact
+        assert not (out / "resolved_config.json").exists()
 
     def test_repeated_set_overrides_accumulate(self, scenario_file, tmp_path):
         out = tmp_path / "out"
@@ -647,7 +654,7 @@ class TestCompare:
 
     def test_failing_cell_exits_alike_at_any_worker_count(self, scenario_file, tmp_path, capsys):
         bits = tmp_path / "bits.txt"
-        bits.write_text("1\n0\n1\n")  # shorter than the run, and no wrap
+        bits.write_text("1\n0\n1\n")  # shorter than the run, and no wrap: rejected when parsed
         errors = []
         for workers in ("1", "2"):
             argv = [

@@ -18,7 +18,7 @@ import pytest
 
 import ncsim
 from ncsim import (
-    ConfigError, ControllerConfig, ControlTrajectory, CostWeights, LossSpec, PredictorConfig,
+    ConfigError, ControllerConfig, CostWeights, LossSpec, PredictorConfig,
     SamplePair, SimSettings, SystemDynamics, UncertaintySignal, builtin_scenario,
 )
 
@@ -150,10 +150,6 @@ RULES = [
     (REFERENCE, {"strategies": ("hold",)}, ConfigError, "strategies: unknown strategy 'hold'"),
     (SystemDynamics(abs, abs, abs, (0.0, 1.0)), {"state_domain": (1.0, 1.0)}, ValueError,
      "state_domain must be a finite interval"),
-    (ControlTrajectory(0, (0.5,), (1.0,)), {"origin_step": -1}, ValueError,
-     "origin_step must be non-negative"),
-    (ControlTrajectory(0, (0.5,), (1.0,)), {"inputs": ()}, ValueError,
-     "inputs and predicted_states must be equally sized"),
     (SamplePair((1.0,), (1.0,)), {"measured": (1.0, 2.0)}, ValueError,
      "predicted and measured must be equally sized"),
     (SamplePair((1.0,), (1.0,)), {"measured": (NAN,)}, ValueError, "samples must be finite"),

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from ncsim import (
     CalibrationRangeError,
-    ControlTrajectory,
     DomainError,
     IntegrationDomainError,
     NonFiniteError,
@@ -18,14 +17,14 @@ from ncsim import (
     calibrate_gamma_two,
     mean_squared_error,
     predict_step,
-    predict_trajectory,
     read_sample_pairs,
     rk4_increment,
     tank_dynamics,
 )
 from ncsim.controller import ControllerConfig, sontag_input
+from ncsim.predictor import _check_range, gamma_in_range
 
-from conftest import linear_decay_dynamics, reference_plant
+from conftest import full_plan, linear_decay_dynamics, reference_plant
 
 
 def still_dynamics(domain=(-100.0, 100.0)) -> SystemDynamics:
@@ -58,6 +57,22 @@ class TestPredictorConfig:
         base.update(kwargs)
         with pytest.raises(ValueError):
             PredictorConfig(**base)
+
+    @pytest.mark.parametrize(
+        "gamma,inside",
+        [(0.0, True), (-0.999, True), (math.nextafter(1.0, 0.0), True), (1.0, False),
+         (-1.0, False), (math.nan, False), (math.inf, False)],
+    )
+    def test_config_and_calibration_share_the_gamma_range(self, gamma, inside):
+        assert gamma_in_range(gamma) is inside
+        if inside:
+            assert PredictorConfig(delta=1.0, gamma=gamma, horizon=1).gamma == gamma
+            assert _check_range(gamma) == gamma
+            return
+        with pytest.raises(ValueError, match=r"^predictor\.gamma must lie in \(-1, 1\), got "):
+            PredictorConfig(delta=1.0, gamma=gamma, horizon=1)
+        with pytest.raises(CalibrationRangeError, match=r"^calibrated correction factor "):
+            _check_range(gamma)
 
 
 class TestRk4Increment:
@@ -186,14 +201,14 @@ class TestPredictorMarch:
         except DomainError:
             assert gamma == 0.15
             with pytest.raises(TrajectoryError) as excinfo:
-                predict_trajectory(cfg, d, x0, controller, steps_per_input=steps_per_input)
+                full_plan(cfg, d, x0, controller, steps_per_input)
             assert excinfo.value.inputs == tuple(inputs)
             assert excinfo.value.predicted_states == tuple(states)
             return
         assert gamma != 0.15
-        traj = predict_trajectory(cfg, d, x0, controller, steps_per_input=steps_per_input)
-        assert traj.inputs == tuple(inputs)
-        assert [s.hex() for s in traj.predicted_states] == [s.hex() for s in states]
+        plan_inputs, plan_states = full_plan(cfg, d, x0, controller, steps_per_input)
+        assert plan_inputs == inputs
+        assert [s.hex() for s in plan_states] == [s.hex() for s in states]
 
     def test_zero_steps_leave_the_state(self):
         d = tank_dynamics(reference_plant())
@@ -212,18 +227,20 @@ class TestPredictorMarch:
         assert str(excinfo.value) == "state 13.5 outside domain [0.0, 10.0]"
 
 
-class TestPredictTrajectory:
+class TestFullPlan:
+    """A plan grown by ``extend_plan`` from entry 0 to all ``horizon + 1`` entries."""
+
     def test_zero_field_single_step(self):
         cfg = PredictorConfig(delta=1.0, gamma=0.2, horizon=1)
-        traj = predict_trajectory(cfg, still_dynamics(), 10.0, lambda x: 0.0)
-        assert traj.inputs == (0.0, 0.0)
-        assert traj.predicted_states == (10.0, (1.0 + 0.2) * 10.0)
+        inputs, states = full_plan(cfg, still_dynamics(), 10.0, lambda x: 0.0)
+        assert inputs == [0.0, 0.0]
+        assert states == [10.0, (1.0 + 0.2) * 10.0]
 
     def test_constant_controller_everywhere(self):
         cfg = PredictorConfig(delta=0.1, gamma=0.0, horizon=5)
-        traj = predict_trajectory(cfg, linear_decay_dynamics(), 1.0, lambda x: 0.3)
-        assert traj.inputs == (0.3,) * 6
-        assert len(traj.predicted_states) == 6
+        inputs, states = full_plan(cfg, linear_decay_dynamics(), 1.0, lambda x: 0.3)
+        assert inputs == [0.3] * 6
+        assert len(states) == 6
 
     def test_controller_sees_the_predicted_states(self):
         cfg = PredictorConfig(delta=0.5, gamma=0.0, horizon=3)
@@ -233,24 +250,17 @@ class TestPredictTrajectory:
             seen.append(x)
             return 0.0
 
-        traj = predict_trajectory(cfg, linear_decay_dynamics(), 4.0, controller)
-        assert tuple(seen) == traj.predicted_states
-
-    def test_origin_step_recorded(self):
-        cfg = PredictorConfig(delta=1.0, gamma=0.0, horizon=1)
-        traj = predict_trajectory(
-            cfg, still_dynamics(), 0.0, lambda x: 0.0, origin_step=17
-        )
-        assert traj.origin_step == 17
+        _, states = full_plan(cfg, linear_decay_dynamics(), 4.0, controller)
+        assert seen == states
 
     def test_substeps_compose_predict_step(self):
         d = linear_decay_dynamics()
         cfg = PredictorConfig(delta=0.5, gamma=0.01, horizon=2)
-        traj = predict_trajectory(cfg, d, 1.0, lambda x: 0.25, steps_per_input=4)
+        _, states = full_plan(cfg, d, 1.0, lambda x: 0.25, steps_per_input=4)
         x = 1.0
         for _ in range(4):
             x = predict_step(cfg, d, x, 0.25)
-        assert traj.predicted_states[1] == x
+        assert states[1] == x
 
     def test_stationary_at_input_one_equilibrium(self):
         # equal orifice pressure drops make 150 kPa a bitwise fixed point
@@ -258,31 +268,20 @@ class TestPredictTrajectory:
         d = tank_dynamics(reference_plant())
         ccfg = ControllerConfig(setpoint=150_100.0)
         cfg = PredictorConfig(delta=2.0, gamma=0.0, horizon=10)
-        traj = predict_trajectory(cfg, d, 150_000.0, lambda x: sontag_input(d, ccfg, x))
-        assert traj.inputs == (1.0,) * 11
-        assert traj.predicted_states == (150_000.0,) * 11
+        inputs, states = full_plan(cfg, d, 150_000.0, lambda x: sontag_input(d, ccfg, x))
+        assert inputs == [1.0] * 11
+        assert states == [150_000.0] * 11
 
     def test_domain_exit_raises_with_valid_prefix(self):
         d = tank_dynamics(reference_plant())
         cfg = PredictorConfig(delta=2.0, gamma=0.3, horizon=10)
         with pytest.raises(TrajectoryError) as excinfo:
-            predict_trajectory(cfg, d, 180_000.0, lambda x: 1.0)
+            full_plan(cfg, d, 180_000.0, lambda x: 1.0)
         err = excinfo.value
         assert err.valid_length == len(err.inputs)
         assert len(err.predicted_states) == len(err.inputs)
         assert err.predicted_states[0] == 180_000.0
         assert err.valid_length <= 10
-
-    def test_rejects_bad_steps_per_input(self):
-        cfg = PredictorConfig(delta=1.0, gamma=0.0, horizon=1)
-        with pytest.raises(ValueError):
-            predict_trajectory(cfg, still_dynamics(), 0.0, lambda x: 0.0, steps_per_input=0)
-
-    def test_trajectory_lengths_validated(self):
-        with pytest.raises(ValueError):
-            ControlTrajectory(origin_step=0, inputs=(1.0,), predicted_states=(1.0, 2.0))
-        with pytest.raises(ValueError):
-            ControlTrajectory(origin_step=0, inputs=(), predicted_states=())
 
 
 class TestCalibration:

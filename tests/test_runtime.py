@@ -1,3 +1,4 @@
+import csv
 import itertools
 import math
 import os
@@ -32,8 +33,6 @@ from ncsim import (
     builtin_scenario_dict,
     compare_strategies,
     integrate_interval,
-    predict_trajectory,
-    read_records_csv,
     run_closed_loop,
     run_scenario,
     scenario_from_dict,
@@ -45,7 +44,7 @@ from ncsim import (
 from ncsim.predictor import extend_plan
 from ncsim.runtime import TRACE_HEADER, check_strategies
 
-from conftest import WIDE, linear_decay_dynamics, reference_plant, run_overrides
+from conftest import WIDE, full_plan, linear_decay_dynamics, reference_plant, run_overrides
 
 ZERO_THETA = UncertaintySignal.constant(0.0)
 
@@ -76,33 +75,31 @@ def stage_cost_sum(records, weights, setpoint):
 
 
 def eager_reference(sc, bits, steps_per_input):
-    """The predictive-buffer loop that plans a trajectory at every reception."""
+    """The predictive-buffer loop that plans all entries at every reception."""
     dynamics, cfg = tank_dynamics(sc.plant), sc.predictor
     ccfg, sim, weights = sc.controller, sc.sim, sc.cost
     n = cfg.horizon
-    records, x, plan, age, j_running = [], sim.x0, None, 0, 0.0
+    records, x, plan, origin, age, j_running = [], sim.x0, None, 0, 0, 0.0
     for k, s in enumerate(bits):
         if s or plan is None:
-            plan = predict_trajectory(
-                cfg,
-                dynamics,
-                x if s else sim.x0,
-                lambda xs: sontag_input(dynamics, ccfg, xs),
-                origin_step=k if s else 0,
-                steps_per_input=steps_per_input,
+            plan = full_plan(
+                cfg, dynamics, x if s else sim.x0,
+                lambda xs: sontag_input(dynamics, ccfg, xs), steps_per_input,
             )
+            origin = k if s else 0
         if s:
             offset, age = 0, 0
         elif sim.doubled_age_offset:
             offset, age = min(2 * age + 1, n), min(age + 1, n)
         else:
-            offset, age = min(k - plan.origin_step, n), min(age + 1, n)
-        u = plan.inputs[offset]
+            offset, age = min(k - origin, n), min(age + 1, n)
+        inputs, states = plan
+        u = inputs[offset]
         dev = x - ccfg.setpoint
         j_running += weights.q_c * dev * dev + weights.r_c * u * u
         records.append(
             SimulationRecord(
-                k=k, t=k * sim.t_s, x_true=x, x_pred=plan.predicted_states[offset],
+                k=k, t=k * sim.t_s, x_true=x, x_pred=states[offset],
                 s=s, i=age, u=u, j_running=j_running,
             )
         )
@@ -351,18 +348,14 @@ class TestRunClosedLoop:
             sim=sc.sim,
             weights=sc.cost,
         )
-        plan = predict_trajectory(
-            sc.predictor,
-            dynamics,
-            sc.sim.x0,
-            lambda x: sontag_input(dynamics, ccfg, x),
-            origin_step=0,
+        inputs, states = full_plan(
+            sc.predictor, dynamics, sc.sim.x0, lambda x: sontag_input(dynamics, ccfg, x)
         )
         n = sc.predictor.horizon
         for rec in result.records:
             offset = min(rec.k, n)
-            assert rec.u == plan.inputs[offset]
-            assert rec.x_pred == plan.predicted_states[offset]
+            assert rec.u == inputs[offset]
+            assert rec.x_pred == states[offset]
             assert rec.i == min(rec.k + 1, n)
 
     @pytest.mark.parametrize(
@@ -389,16 +382,12 @@ class TestRunClosedLoop:
             sim=sim,
             weights=CostWeights(q_c=1.0, r_c=1.0, m_steps=6),
         )
-        plan = predict_trajectory(
-            sc.predictor,
-            dynamics,
-            sc.sim.x0,
-            lambda x: sontag_input(dynamics, ccfg, x),
-            origin_step=0,
+        inputs, states = full_plan(
+            sc.predictor, dynamics, sc.sim.x0, lambda x: sontag_input(dynamics, ccfg, x)
         )
         for rec, offset in zip(result.records[1:4], expected_offsets):
-            assert rec.x_pred == plan.predicted_states[offset]
-            assert rec.u == plan.inputs[offset]
+            assert rec.x_pred == states[offset]
+            assert rec.u == inputs[offset]
         assert [r.i for r in result.records] == [0, 1, 2, 3, 0, 0]
 
     def test_running_cost_matches_evaluate(self, small_scenario_dict):
@@ -952,6 +941,25 @@ class TestCheckStrategies:
             )
 
 
+def read_records(path):
+    """The records of a trace CSV written by ``write_records_csv``, parsed
+    back with ``csv`` and ``float``."""
+    with open(path, newline="") as handle:
+        rows = list(csv.reader(handle))
+    if tuple(rows[0]) != TRACE_HEADER:
+        raise ValueError(f"unexpected trace header {rows[0]!r}")
+    records = []
+    for row in rows[1:]:
+        if len(row) != len(TRACE_HEADER):
+            raise ValueError(f"bad trace row {row!r}")
+        k, t, x_true, x_pred, s, i, u, j_running = row
+        records.append(SimulationRecord(
+            int(k), float(t), float(x_true), None if x_pred == "" else float(x_pred),
+            int(s), int(i), float(u), float(j_running),
+        ))
+    return records
+
+
 class TestRecordsCsv:
     def test_round_trip_with_and_without_predictions(self, small_scenario_dict, tmp_path):
         sc = small_scenario(
@@ -961,7 +969,7 @@ class TestRecordsCsv:
             result = run_scenario(sc, strategy)
             path = tmp_path / f"{strategy}.csv"
             write_records_csv(result.records, str(path))
-            assert read_records_csv(str(path)) == list(result.records)
+            assert read_records(str(path)) == list(result.records)
 
     def test_header_line_is_frozen(self, tmp_path):
         path = tmp_path / "trace.csv"
@@ -974,13 +982,13 @@ class TestRecordsCsv:
         path = tmp_path / "bad.csv"
         path.write_text("k,t,x\n")
         with pytest.raises(ValueError):
-            read_records_csv(str(path))
+            read_records(str(path))
 
     def test_rejects_short_row(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("k,t,x_true,x_pred,s,i,u,J_running\n0,0.0,1.0\n")
         with pytest.raises(ValueError):
-            read_records_csv(str(path))
+            read_records(str(path))
 
     def test_write_is_byte_stable(self, small_scenario_dict, tmp_path):
         sc = small_scenario(small_scenario_dict)

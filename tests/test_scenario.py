@@ -235,8 +235,10 @@ class TestResolvedSnapshot:
 
 @pytest.fixture(scope="module")
 def trace_file(tmp_path_factory):
+    # as many bits as the longest valid document below has steps, so that
+    # a trace that does not wrap covers every run
     path = tmp_path_factory.mktemp("trace") / "bits.txt"
-    path.write_text("1\n0\n0\n")
+    path.write_text("1\n0\n0\n" * 20)
     return str(path)
 
 
@@ -528,6 +530,30 @@ class TestCrossFieldValidation:
         doc = small_scenario_dict({path: value})
         with pytest.raises(ConfigError, match=needle):
             scenario_from_dict(doc)
+
+    @pytest.mark.parametrize("lines,wrap,ok", [(59, False, False), (60, False, True), (1, True, True)])
+    def test_trace_that_does_not_wrap_covers_the_run(
+        self, small_scenario_dict, tmp_path, lines, wrap, ok
+    ):
+        path = tmp_path / "bits.txt"
+        path.write_text("1\n" * lines)
+        loss = {"kind": "trace", "trace_path": str(path), "wrap": wrap}
+        doc = small_scenario_dict({"loss": loss})
+        if ok:
+            assert len(scenario_from_dict(doc).loss.bits) == lines
+            return
+        text = (
+            f"loss.trace_path {str(path)!r} holds 59 bits, fewer than the 60 steps of "
+            "sim.duration 120.0, and loss.wrap is false"
+        )
+        with pytest.raises(ConfigError) as parsed:
+            scenario_from_dict(doc)
+        assert str(parsed.value) == text
+        # the rule spans the loss and sim records, so Scenario owns it
+        sc = scenario_from_dict(small_scenario_dict())
+        with pytest.raises(ConfigError) as replaced:
+            sc._replace(loss=LossSpec(**loss))
+        assert str(replaced.value) == text
 
     def test_duration_tolerates_float_noise(self, small_scenario_dict):
         doc = small_scenario_dict({"sim.t_s": 0.1, "sim.duration": 0.3, "cost.m_steps": 3})
