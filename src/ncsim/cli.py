@@ -61,7 +61,7 @@ def _scenario_document(ref: str) -> dict:
         return builtin_scenario_dict(ref)
     if os.path.exists(ref):
         try:
-            return json.loads(read_input(ref))
+            doc = json.loads(read_input(ref))
         except ConfigError:  # longer than the input cap
             raise
         except (ValueError, RecursionError) as exc:
@@ -69,6 +69,9 @@ def _scenario_document(ref: str) -> dict:
             raise ConfigError(f"scenario file {ref!r} is not valid JSON: {exc}") from exc
         except OSError as exc:
             raise ConfigError(f"cannot read scenario file {ref!r}: {exc}") from exc
+        if not isinstance(doc, dict):
+            raise ConfigError(f"scenario file {ref!r} must hold a JSON object")
+        return doc
     known = ", ".join(sorted(BUILTIN_SCENARIOS))
     raise ConfigError(f"scenario {ref!r} is neither a built-in ({known}) nor an existing file")
 
@@ -111,13 +114,11 @@ def _apply_common_flags(doc: dict, args) -> dict:
         if section["kind"] in SEEDED_KINDS and isinstance(existing, dict) and "seed" in existing:
             section["seed"] = existing["seed"]
         doc = dict(doc, loss=section)
-    if args.seed is not None:
-        doc = apply_overrides(doc, [f"loss.seed={args.seed}"])
+    overrides = [] if args.seed is None else [f"loss.seed={args.seed}"]
     if getattr(args, "strategy", None) is not None:
-        doc = apply_overrides(doc, [f"strategies={json.dumps([args.strategy])}"])
-    if args.set:
-        doc = apply_overrides(doc, args.set)
-    return doc
+        overrides.append(f"strategies={json.dumps([args.strategy])}")
+    overrides += args.set
+    return apply_overrides(doc, overrides) if overrides else doc
 
 
 def _write(write, *args) -> None:
@@ -138,10 +139,9 @@ def _json_text(data) -> str:
 
 
 def cmd_run(args) -> int:
-    out = _output_dir(args.out)
-    doc = _apply_common_flags(_scenario_document(args.scenario), args)
-    scenario = scenario_from_dict(doc)
+    scenario = scenario_from_dict(_apply_common_flags(_scenario_document(args.scenario), args))
     strategy = scenario.strategies[0]
+    out = _output_dir(args.out)
     _write(_write_text, resolved_json(scenario), os.path.join(out, "resolved_config.json"))
 
     diverged = None
@@ -169,7 +169,7 @@ def cmd_run(args) -> int:
         summary["x_final"] = result.x_final
         # null when x0 is the setpoint or the ratio is past float range
         summary["deviation_ratio"] = ratio if ratio < math.inf else None
-        summary["j_total"] = records[-1].j_running if records else 0.0
+        summary["j_total"] = records[-1].j_running
         summary["j_m_steps"] = result.cost(scenario.cost)
     else:
         summary["diverged_step"] = diverged.step
@@ -190,14 +190,13 @@ def cmd_run(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    out = _output_dir(args.out)
-    doc = _apply_common_flags(_scenario_document(args.scenario), args)
-    scenario = scenario_from_dict(doc)
+    scenario = scenario_from_dict(_apply_common_flags(_scenario_document(args.scenario), args))
     strategies = None
     if args.strategies is not None:
         names = (name.strip() for name in args.strategies.split(","))
         strategies = check_strategies([name for name in names if name], "--strategies")
     check_compare_size(args.seeds, args.workers, "--seeds", "--workers")
+    out = _output_dir(args.out)
     _write(_write_text, resolved_json(scenario), os.path.join(out, "resolved_config.json"))
     result = compare_strategies(
         scenario, strategies=strategies, n_seeds=args.seeds, workers=args.workers
@@ -279,11 +278,11 @@ def cmd_calibrate(args) -> int:
         print(f"gamma_clamped: {gamma!r}")
 
     if args.apply_to is not None:
-        out = _output_dir(args.out)
         doc = apply_overrides(
             _scenario_document(args.apply_to), [f"predictor.gamma={gamma!r}"]
         )
         scenario = scenario_from_dict(doc)
+        out = _output_dir(args.out)
         path = os.path.join(out, "calibrated_config.json")
         _write(_write_text, resolved_json(scenario), path)
         print(f"wrote {path}")

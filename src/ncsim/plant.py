@@ -21,14 +21,14 @@ Every evaluation is guarded: the feedback checks its state once with
 domain raises ``DomainError`` instead of silently extrapolating through a
 negative square-root argument.
 
-The one RK4 step, ``_RK4``, is source text compiled per right-hand side
-into the n-step march: truth runs it once per theta segment (see
-``UncertaintySignal.segment``), prediction once per buffer entry, and
-``rk4_increment`` for one step.  The tank's gains are strings inlined at
-its four stages, so the formula is written once and no stage makes a
-call; dynamics built from callables get the text calling their ``rhs``.
-Only this module's strings are compiled, and numbers are bound as
-values, so no input reaches the source.
+The one RK4 step, ``_RK4``, is source text compiled from three gain
+expressions into the n-step march, which inlines
+``(f) + (g) * u + (w) * theta`` at its four stages: truth runs it once
+per theta segment (see ``UncertaintySignal.segment``), prediction once
+per buffer entry, and ``rk4_increment`` for one step.  The tank's gains are its formula, written
+once, so no stage makes a call; dynamics built from callables pass
+``f(x)``, ``g(x)`` and ``w(x)``.  Only this module's strings are compiled,
+and numbers are bound as values, so no input reaches the source.
 """
 
 import math
@@ -50,29 +50,25 @@ class SystemDynamics(NamedTuple):
         uncertainty_gain: the disturbance gain w(x).
         state_domain: closed interval (lo, hi) on which the callables
             may be evaluated.
-        rhs: ``rhs(x, u, theta)``, bitwise f(x) + g(x)*u + w(x)*theta;
-            composed from the gains when left out.
-        march: the RK4 march over ``rhs`` (see ``_RK4``), generated when
-            left out.  ``_replace`` carries ``rhs`` and ``march`` over
-            as they are.
+        march: the RK4 march over f(x) + g(x)*u + w(x)*theta (see
+            ``_RK4``), generated from the three gains when left out.
+            ``_replace`` carries it over as it is.
     """
 
     drift: StateFunction
     input_gain: StateFunction
     uncertainty_gain: StateFunction
     state_domain: tuple[float, float]
-    rhs: Optional[Callable[[float, float, float], float]] = None
     march: Optional[Callable[..., tuple[float, float]]] = None
 
     def _check(self) -> Optional[dict]:
         lo, hi = self.state_domain
         if not (math.isfinite(lo) and math.isfinite(hi)) or not lo < hi:
             raise ValueError(f"state_domain must be a finite interval, got {self.state_domain}")
-        if self.rhs is not None and self.march is not None:
-            return None
-        f, g, w = self.drift, self.input_gain, self.uncertainty_gain
-        rhs = self.rhs or (lambda x, u, th: f(x) + g(x) * u + w(x) * th)
-        return {"rhs": rhs, "march": self.march or _generate(rhs=rhs)["march"]}
+        if self.march is None:
+            f, g, w = self.drift, self.input_gain, self.uncertainty_gain
+            return {"march": _generate(("f(x)", "g(x)", "w(x)"), f=f, g=g, w=w)["march"]}
+        return None
 
     def check_state(self, x: float) -> None:
         """Raise DomainError unless ``x`` lies in the state domain."""
@@ -114,24 +110,20 @@ _RK4 = """
 _FACTORIES: dict = {}
 
 
-def _generate(gains: tuple[str, ...] = (), **values) -> dict:
-    """``march`` over ``values``, compiled once per expression.
-
-    ``gains``, this module's f, g and w in x over the names in ``values``,
-    add ``drift``, ``input_gain``, ``uncertainty_gain`` and the fused ``rhs``
-    that the stages inline; without them the stages call ``values["rhs"]``.
+def _generate(gains: tuple[str, str, str], **values) -> dict:
+    """``drift``, ``input_gain``, ``uncertainty_gain`` and ``march`` from
+    ``gains``, this module's f, g and w in x over the names in ``values``;
+    the march's stages inline their sum.  Compiled once per expression.
     """
-    rhs = "({}) + ({}) * u + ({}) * theta".format(*gains) if gains else "rhs(x, u, theta)"
-    names = ("drift", "input_gain", "uncertainty_gain", "rhs")
-    defs = dict(zip(names, (*gains, rhs))) if gains else {}
+    rhs = "({}) + ({}) * u + ({}) * theta".format(*gains)
     key = (rhs, tuple(values))
     if key not in _FACTORIES:
+        names = ("drift", "input_gain", "uncertainty_gain")
         lines = [f"def factory(stage_error, {', '.join(values)}):"]
-        for name, expr in defs.items():
-            args = "x, u, theta" if name == "rhs" else "x"
-            lines += [f"    def {name}({args}):", f"        return {expr}"]
+        for name, expr in zip(names, gains):
+            lines += [f"    def {name}(x):", f"        return {expr}"]
         lines.append(_RK4.replace("RHS", rhs))
-        made = ", ".join(f"{name}={name}" for name in (*defs, "march"))
+        made = ", ".join(f"{name}={name}" for name in (*names, "march"))
         lines.append(f"    return dict({made})")
         namespace: dict = {}
         exec(compile("\n".join(lines), "<ncsim.plant kernel>", "exec"), namespace)
@@ -143,7 +135,7 @@ def rk4_increment(
     dynamics: SystemDynamics, x: float, u: float, h: float, theta: float = 0.0
 ) -> float:
     """The increment (k1 + 2*k2 + 2*k3 + k4) / 6 of one classical RK4 step
-    of dx/dt = rhs(x, u, theta), u and theta held over all four stages.
+    of dx/dt = f(x) + g(x)*u + w(x)*theta, u and theta held over all four stages.
 
     A stage state outside the domain raises ``IntegrationDomainError``
     carrying the 1-based stage index.

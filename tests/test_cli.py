@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 
@@ -160,8 +161,8 @@ class TestRun:
         for needle in ("holds 3 bits", "60 steps of sim.duration 120.0", "loss.wrap is false"):
             assert needle in err
         assert "Traceback" not in err
-        # rejected when the scenario is parsed, before any artifact
-        assert not (out / "resolved_config.json").exists()
+        # rejected when the scenario is parsed, before the output directory
+        assert not out.exists()
 
     def test_repeated_set_overrides_accumulate(self, scenario_file, tmp_path):
         out = tmp_path / "out"
@@ -409,13 +410,31 @@ class TestInputFiles:
         assert main(["run", str(path), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
         assert str(path) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", ["[1, 2]", '"plant"', "3", "null"])
+    @pytest.mark.parametrize(
+        "argv",
+        [["run", "{path}", "--loss", "none"], ["run", "{path}", "--set", "loss=1"],
+         ["calibrate", "{samples}", "--apply-to", "{path}"]],
+        ids=["loss-flag", "set-flag", "apply-to"],
+    )
+    def test_non_object_scenario_file(self, tmp_path, capsys, text, argv):
+        path = tmp_path / "doc.json"
+        path.write_text(text)
+        samples = write_samples(tmp_path, ["a,1.0,1.1\n", "a,2.0,2.1\n", "b,1.5,1.4\n"])
+        out = tmp_path / "o"
+        argv = [arg.format(path=path, samples=samples) for arg in argv]
+        assert main([*argv, "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"config error: scenario file {str(path)!r} must hold a JSON object" in err
+        assert not out.exists()
+
     def test_deeply_nested_override(self, tmp_path, capsys):
         value = "[" * 3000 + "]" * 3000
         out = tmp_path / "o"
         argv = ["run", "tank-reference", "--set", f"sim.theta={value}", "--out", str(out)]
         assert main(argv) == EXIT_CONFIG
         assert "sim.theta" in capsys.readouterr().err
-        assert not (out / "resolved_config.json").exists()
+        assert not out.exists()
 
 
 ENDLESS = "/dev/zero"
@@ -904,7 +923,8 @@ TEXT_FLAGS = ("--strategy", "--strategies", "--method", "--apply-to", "--seed", 
 
 class TestCommandLineFuzz:
     """Any argument list ends in exit 0, 2, 3 or 4 with no traceback and no
-    child process left; runs are held at sim.duration 20 (10 steps)."""
+    child process left, and exit 2 leaves no output directory; runs are held
+    at sim.duration 20 (10 steps)."""
 
     @pytest.mark.parametrize("junk", [False, True], ids=["well-formed", "any-text"])
     @settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -940,11 +960,13 @@ class TestCommandLineFuzz:
             argv[at:at] = data.draw(st.lists(st.text(), max_size=2), label="tokens")
         if command != "calibrate":
             argv += ["--set", "sim.duration=20", "--set", "cost.m_steps=10"]
+        out = os.path.join(tempfile.mkdtemp(dir=tmp_path), "out")
         try:
-            code = main([*argv, "--out", str(tmp_path / "o")])
+            code = main([*argv, "--out", out])
         except SystemExit as exc:  # argparse's own usage errors and --help
             code = exc.code
         assert code in (EXIT_OK, EXIT_CONFIG, EXIT_DIVERGED, EXIT_CALIBRATION)
+        assert code != EXIT_CONFIG or not os.path.exists(out)
         assert "Traceback" not in capsys.readouterr().err
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)

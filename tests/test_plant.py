@@ -87,10 +87,6 @@ class TestTankDynamics:
         assert tank.uncertainty_gain(150_000.0) == 75_000.0
         assert tank.uncertainty_gain(110_000.0) == 55_000.0
 
-    def test_rhs_at_lower_boundary_is_uncertainty_only(self, benchmark_params):
-        d = tank_dynamics(benchmark_params._replace(domain_margin=0.0))
-        assert d.rhs(100_000.0, 0.0, 0.175) == 8750.0
-
     def test_output_valve_opening_scales_drift(self, benchmark_params):
         half = benchmark_params._replace(m2=0.5)
         d_full = tank_dynamics(benchmark_params)
@@ -133,28 +129,32 @@ class TestTankDynamics:
         vol=st.floats(min_value=0.1, max_value=10.0),
         m2=st.floats(min_value=0.0, max_value=1.0),
     )
-    def test_rhs_matches_field_sum(self, x, u, theta, vol, m2):
+    def test_step_matches_field_sum(self, x, u, theta, vol, m2):
         params = reference_plant()._replace(m2=m2, vol=vol)
         d = tank_dynamics(params)
-        # exact equality: the fused expression keeps the sum's operation order
-        assert d.rhs(x, u, theta) == (
-            d.drift(x) + d.input_gain(x) * u + d.uncertainty_gain(x) * theta
+        # exact equality: the inlined sum keeps the field sum's operation order
+        _, dx = reference_march(
+            d.drift, d.input_gain, d.uncertainty_gain, d.state_domain, x, u, 0.1, theta, 1
         )
+        if dx is None:
+            with pytest.raises(IntegrationDomainError):
+                rk4_increment(d, x, u, 0.1, theta)
+        else:
+            assert rk4_increment(d, x, u, 0.1, theta).hex() == dx.hex()
 
 
 class TestSystemDynamics:
-    def test_rhs_composed_from_gains(self):
+    def test_step_composed_from_gains(self):
         d = SystemDynamics(
             drift=lambda x: -2.0 * x,
             input_gain=lambda x: x + 1.0,
             uncertainty_gain=lambda x: 3.0,
             state_domain=(-10.0, 10.0),
         )
-        assert d.rhs(1.5, 0.25, 0.5) == -3.0 + 2.5 * 0.25 + 3.0 * 0.5
-
-    def test_replace_carries_rhs(self, tank):
-        counted = tank._replace(drift=lambda x: 0.0)
-        assert counted.rhs is tank.rhs
+        _, dx = reference_march(
+            d.drift, d.input_gain, d.uncertainty_gain, d.state_domain, 1.5, 0.25, 0.1, 0.5, 1
+        )
+        assert rk4_increment(d, 1.5, 0.25, 0.1, 0.5).hex() == dx.hex()
 
     def test_replace_carries_the_generated_kernel(self, tank):
         counted = tank._replace(drift=lambda x: 0.0, input_gain=lambda x: 0.0)
@@ -274,20 +274,10 @@ class TestGeneratedKernel:
         )
         assert other.march.__code__ is tank.march.__code__
         assert other.march is not tank.march
-        assert other.rhs(150_000.0, 0.5, 0.1) != tank.rhs(150_000.0, 0.5, 0.1)
+        assert other.drift(150_000.0) != tank.drift(150_000.0)
         linear = SystemDynamics(lambda x: -x, lambda x: 1.0, lambda x: 0.0, (-1.0, 1.0))
         quadratic = SystemDynamics(lambda x: -x * x, lambda x: 1.0, lambda x: 0.0, (-1.0, 1.0))
         assert linear.march.__code__ is quadratic.march.__code__
-
-    def test_generic_kernel_calls_a_given_rhs(self):
-        d = SystemDynamics(
-            drift=lambda x: 0.0,
-            input_gain=lambda x: 0.0,
-            uncertainty_gain=lambda x: 0.0,
-            state_domain=(-10.0, 10.0),
-            rhs=lambda x, u, theta: u,
-        )
-        assert rk4_increment(d, 0.0, 2.0, 0.5) == 1.0
 
     @pytest.mark.parametrize(
         "drift, domain, stage, state",
