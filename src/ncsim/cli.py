@@ -150,7 +150,7 @@ def cmd_run(args) -> int:
         records = result.records
     except SimulationDiverged as exc:
         diverged = exc
-        records = tuple(exc.records)
+        records = exc.records
 
     _write(write_records_csv, records, os.path.join(out, "trace.csv"))
 
@@ -225,12 +225,11 @@ def cmd_compare(args) -> int:
     _write(_write_text, _json_text(summary), os.path.join(out, "summary.json"))
 
     for name in result.strategies:
-        med = medians[name]
-        print(f"{name}: median_j={med!r} diverged={result.diverged_count(name)}")
+        print(f"{name}: median_j={medians[name]!r} diverged={summary['diverged'][name]}")
     for a in result.strategies:
         for b in result.strategies:
             if a < b:
-                print(f"wins {a} vs {b}: {result.count_wins(a, b)}-{result.count_wins(b, a)} of {len(result.seeds)}")
+                print(f"wins {a} vs {b}: {wins[a][b]}-{wins[b][a]} of {len(result.seeds)}")
     print(f"wrote comparison.csv, resolved_config.json, summary.json to {out}")
     return EXIT_OK
 
@@ -250,10 +249,7 @@ def cmd_calibrate(args) -> int:
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot load samples from {args.samples!r}: {exc}") from exc
 
-    if args.method == "one":
-        recordings = [_flatten(pairs)]
-    else:
-        recordings = [(pair.predicted, pair.measured) for pair in pairs]
+    recordings = [_flatten(pairs)] if args.method == "one" else pairs
     try:
         e_values, e, zeta, gamma = calibration(recordings)
     except ArithmeticError as exc:  # an OverflowError's args are (errno, message)

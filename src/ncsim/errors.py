@@ -45,20 +45,8 @@ class ControllerOverflowError(NonFiniteError):
 class TrajectoryError(NcsimError):
     """Prediction left the state domain before the entry a loss replays.
 
-    Carries the valid prefix so callers can inspect how far the
-    prediction got.
-
-    Attributes:
-        valid_length: number of input entries computed before the failure.
-        inputs: tuple with the valid input prefix.
-        predicted_states: tuple with the valid predicted-state prefix.
+    The plan being grown keeps its valid prefix (``extend_plan``).
     """
-
-    def __init__(self, message: str, inputs, predicted_states):
-        super().__init__(message)
-        self.inputs = tuple(inputs)
-        self.predicted_states = tuple(predicted_states)
-        self.valid_length = len(self.inputs)
 
 
 class CalibrationRangeError(NcsimError):
@@ -81,14 +69,14 @@ class SimulationDiverged(NcsimError):
     """The closed-loop state left the plant domain mid-run.
 
     Attributes:
-        records: the per-step records accumulated before the failure.
+        records: the list of per-step records accumulated before the failure.
         step: index of the control interval during which the run failed.
         reason: short human-readable cause.
     """
 
     def __init__(self, message: str, records, step: int, reason: str):
         super().__init__(message)
-        self.records = list(records)
+        self.records = records
         self.step = step
         self.reason = reason
 

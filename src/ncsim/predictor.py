@@ -23,7 +23,7 @@ from .errors import (
     CalibrationRangeError, ConfigError, DomainError, NonFiniteError, TrajectoryError, checked,
     read_input,
 )
-from .plant import SystemDynamics, rk4_increment  # re-exported: ncsim.predictor.rk4_increment
+from .plant import SystemDynamics
 
 Controller = Callable[[float], float]
 
@@ -97,16 +97,14 @@ def extend_plan(
 
     Entry j + 1 is the prediction ``steps_per_input`` predictor steps on
     from entry j, holding input j, and the controller evaluated there.  If
-    the prediction leaves the plant domain a ``TrajectoryError`` with the
-    valid prefix is raised, and the plan keeps that prefix.
+    the prediction leaves the plant domain a ``TrajectoryError`` is raised,
+    and the plan keeps its valid prefix.
     """
     while len(states) < n:
         try:
             xhat = predict_step(cfg, dynamics, states[-1], inputs[-1], steps_per_input)
         except DomainError as exc:
-            raise TrajectoryError(
-                f"prediction left the domain after {len(inputs)} entries", inputs, states
-            ) from exc
+            raise TrajectoryError(f"prediction left the domain after {len(inputs)} entries") from exc
         u = controller(xhat)
         states.append(xhat)
         inputs.append(u)
@@ -197,7 +195,7 @@ def calibrate_gamma_two(pairs: Sequence[SamplePair]) -> float:
     the grand means of predictions and measurements.  With a single pair
     this collapses to the single-recording method.
     """
-    return _check_range(calibration([(p.predicted, p.measured) for p in pairs])[3])
+    return _check_range(calibration(pairs)[3])
 
 
 def read_sample_pairs(path: str) -> list[SamplePair]:

@@ -343,13 +343,12 @@ class ComparisonResult(NamedTuple):
         return sum(1 for c in self.costs[strategy].values() if c is None)
 
 
-def _compare_cell(args) -> tuple[str, int, Optional[float]]:
+def _compare_cell(args) -> Optional[float]:
     scenario, strategy, seed = args
     try:
-        result = run_scenario(scenario, strategy, seed=seed)
+        return run_scenario(scenario, strategy, seed=seed).cost(scenario.cost)
     except SimulationDiverged:
-        return strategy, seed, None
-    return strategy, seed, result.cost(scenario.cost)
+        return None
 
 
 def _shares(tasks: Sequence, workers: int) -> list:
@@ -437,7 +436,7 @@ def compare_strategies(
     tasks = [(scenario, strategy, seed) for strategy in chosen for seed in seeds]
 
     costs: dict = {strategy: {} for strategy in chosen}
-    for strategy, seed, cost in _fan_out(_compare_cell, tasks, workers):
+    for (_, strategy, seed), cost in zip(tasks, _fan_out(_compare_cell, tasks, workers)):
         costs[strategy][seed] = cost
     return ComparisonResult(strategies=chosen, seeds=seeds, costs=costs)
 

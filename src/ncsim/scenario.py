@@ -171,10 +171,14 @@ def _check_keys(section: str, data: dict, keys) -> None:
             raise ConfigError(f"unknown key {section}.{key}" if section else f"unknown key {key}")
 
 
+# The sections a document may leave out, and what stands in for each.
+_DEFAULT_SECTIONS = {"loss": {"kind": "none"}}
+
+
 def _section(data: dict, name: str) -> dict:
     if name not in data:
-        if name == "loss":
-            return {"kind": "none"}
+        if name in _DEFAULT_SECTIONS:
+            return _DEFAULT_SECTIONS[name]
         raise ConfigError(f"missing required key {name}")
     if not isinstance(data[name], dict):
         raise ConfigError(f"{name} section must be an object")
@@ -252,8 +256,9 @@ def apply_overrides(data: dict, assignments: Sequence[str]) -> dict:
 
     Values are parsed as JSON when possible and fall back to bare
     strings, so ``loss.kind=bernoulli`` and ``predictor.gamma=0.2`` both
-    read naturally.  Intermediate path components must already exist;
-    the final key may be new (it is validated on reparse).
+    read naturally.  Intermediate path components must already exist,
+    or be a section the document may leave out, which then starts from
+    its default; the final key may be new (it is validated on reparse).
     """
     result = json.loads(json.dumps(data))
     for assignment in assignments:
@@ -271,6 +276,8 @@ def apply_overrides(data: dict, assignments: Sequence[str]) -> dict:
             raise ConfigError(f"override {path!r} nests its value too deeply") from exc
         except ValueError as exc:  # an integer past the digit limit
             raise ConfigError(f"override {path!r}: {exc}") from exc
+        if len(parts) > 1 and parts[0] in _DEFAULT_SECTIONS:
+            result.setdefault(parts[0], dict(_DEFAULT_SECTIONS[parts[0]]))
         node = result
         for part in parts[:-1]:
             if part not in node or not isinstance(node[part], dict):

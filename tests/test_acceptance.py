@@ -19,14 +19,13 @@ from ncsim.cli import main
 from ncsim.controller import ControllerConfig, closed_loop_vdot, lie_derivatives
 from ncsim.errors import CalibrationRangeError, DomainError
 from ncsim.losses import LossModel
-from ncsim.plant import SystemDynamics, tank_dynamics
+from ncsim.plant import SystemDynamics, rk4_increment, tank_dynamics
 from ncsim.predictor import (
     PredictorConfig,
     SamplePair,
     calibrate_gamma_one,
     calibrate_gamma_two,
     predict_step,
-    rk4_increment,
 )
 from ncsim.runtime import (
     HOLD_LAST_VALUE,

@@ -195,6 +195,35 @@ class TestRun:
         assert "config error" in err
         assert "tank-reference" in err
 
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_seed_flag_folds_into_a_left_out_loss_section(
+        self, tmp_path, small_scenario_dict, command
+    ):
+        doc = small_scenario_dict()
+        del doc["loss"]
+        bare, given = tmp_path / "bare.json", tmp_path / "given.json"
+        bare.write_text(json.dumps(doc))
+        given.write_text(json.dumps(dict(doc, loss={"kind": "none", "seed": 3})))
+        for path, flags, out in ((bare, ["--seed", "3"], "o1"), (given, [], "o2")):
+            assert main([command, str(path), *flags, "--out", str(tmp_path / out)]) == EXIT_OK
+        snapshot = (tmp_path / "o1" / "resolved_config.json").read_bytes()
+        assert snapshot == (tmp_path / "o2" / "resolved_config.json").read_bytes()
+        assert json.loads(snapshot)["loss"] == {"kind": "none", "seed": 3}
+
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_set_into_a_left_out_loss_section_checks_the_key(
+        self, tmp_path, small_scenario_dict, capsys, command
+    ):
+        doc = small_scenario_dict()
+        del doc["loss"]
+        path = tmp_path / "bare.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "o"
+        rc = main([command, str(path), "--set", "loss.p=0.3", "--out", str(out)])
+        assert rc == EXIT_CONFIG
+        assert capsys.readouterr().err == "config error: unknown key loss.p\n"
+        assert not out.exists()
+
     def test_bad_override_path(self, scenario_file, tmp_path):
         rc = main(
             ["run", scenario_file(), "--set", "nope.key=1", "--out", str(tmp_path / "o")]
@@ -202,20 +231,26 @@ class TestRun:
         assert rc == EXIT_CONFIG
 
     @pytest.mark.parametrize(
-        "spec",
+        "spec, message",
         [
-            "bogus:1",
-            "bernoulli:xyz",
-            "ge:0.1,0.4",
-            "none:0",
-            "bernoulli:1.5",
-            "bernoulli:nan",
-            "ge:0.1,2,0.5",
+            pytest.param(spec, message, id=spec) for spec, message in (
+                ("bogus:1", "unknown loss kind 'bogus'"),
+                ("bernoulli:xyz", "--loss bernoulli parameters must be numbers"),
+                ("ge:0.1,0.4", "--loss gilbert-elliott takes p_g2b,p_b2g,loss_in_bad"),
+                ("none:0", "--loss none takes no arguments"),
+                ("bernoulli:1.5", "loss.p must lie in [0, 1]"),
+                ("bernoulli:nan", "loss.p must be finite"),
+                ("ge:0.1,2,0.5", "loss.p_b2g must lie in [0, 1]"),
+                ("trace:", "--loss trace needs a file path"),
+            )
         ],
     )
-    def test_bad_loss_flag(self, scenario_file, tmp_path, spec):
+    def test_bad_loss_flag(self, scenario_file, tmp_path, capsys, spec, message):
         rc = main(["run", scenario_file(), "--loss", spec, "--out", str(tmp_path / "o")])
         assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {message}")
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize(
         "assignment",
@@ -529,7 +564,25 @@ class TestUnwritableArtifacts:
         out = tmp_path / "o"
         blocked = out / artifact
         blocked.mkdir(parents=True)
-        argv = {
+        assert main([*self.argv(command, scenario_file, tmp_path), "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"cannot write {str(blocked)!r}" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["run", "compare", "calibrate"])
+    def test_file_in_the_way_of_the_output_directory_exits_2(
+        self, scenario_file, tmp_path, capsys, command
+    ):
+        (tmp_path / "file").write_text("")
+        out = tmp_path / "file" / "o"
+        assert main([*self.argv(command, scenario_file, tmp_path), "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot create output directory {str(out)!r}: ")
+        assert "Traceback" not in err
+
+    @staticmethod
+    def argv(command, scenario_file, tmp_path):
+        return {
             "run": ["run", scenario_file()],
             "compare": ["compare", scenario_file(), "--seeds", "1"],
             "calibrate": [
@@ -537,10 +590,6 @@ class TestUnwritableArtifacts:
                 "--apply-to", scenario_file(),
             ],
         }[command]
-        assert main([*argv, "--out", str(out)]) == EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert f"cannot write {str(blocked)!r}" in err
-        assert "Traceback" not in err
 
 
 class TestReadInput:

@@ -22,7 +22,7 @@ from ncsim import (
     tank_dynamics,
 )
 from ncsim.controller import ControllerConfig, sontag_input
-from ncsim.predictor import _check_range, gamma_in_range
+from ncsim.predictor import _check_range, extend_plan, gamma_in_range
 
 from conftest import full_plan, linear_decay_dynamics, reference_plant
 
@@ -200,10 +200,14 @@ class TestPredictorMarch:
                 states.append(xhat)
         except DomainError:
             assert gamma == 0.15
-            with pytest.raises(TrajectoryError) as excinfo:
-                full_plan(cfg, d, x0, controller, steps_per_input)
-            assert excinfo.value.inputs == tuple(inputs)
-            assert excinfo.value.predicted_states == tuple(states)
+            plan_inputs, plan_states = [controller(x0)], [x0]
+            with pytest.raises(TrajectoryError):
+                extend_plan(
+                    cfg, d, controller, plan_inputs, plan_states, cfg.horizon + 1, steps_per_input
+                )
+            # the plan keeps the prefix predicted before the domain exit
+            assert plan_inputs == inputs
+            assert plan_states == states
             return
         assert gamma != 0.15
         plan_inputs, plan_states = full_plan(cfg, d, x0, controller, steps_per_input)
@@ -275,13 +279,13 @@ class TestFullPlan:
     def test_domain_exit_raises_with_valid_prefix(self):
         d = tank_dynamics(reference_plant())
         cfg = PredictorConfig(delta=2.0, gamma=0.3, horizon=10)
+        inputs, states = [1.0], [180_000.0]
         with pytest.raises(TrajectoryError) as excinfo:
-            full_plan(cfg, d, 180_000.0, lambda x: 1.0)
-        err = excinfo.value
-        assert err.valid_length == len(err.inputs)
-        assert len(err.predicted_states) == len(err.inputs)
-        assert err.predicted_states[0] == 180_000.0
-        assert err.valid_length <= 10
+            extend_plan(cfg, d, lambda x: 1.0, inputs, states, cfg.horizon + 1, 1)
+        assert str(excinfo.value) == f"prediction left the domain after {len(inputs)} entries"
+        assert len(states) == len(inputs)
+        assert states[0] == 180_000.0
+        assert len(inputs) <= 10
 
 
 class TestCalibration:

@@ -4,7 +4,8 @@ A public top-level function or class of ``src/ncsim`` must either be
 referenced by name in the package itself, outside ``__init__.py``, or be
 imported by ``tests/test_acceptance.py`` to pin a guarantee of the paper.
 A name that meets neither is code that no command runs.  An import alone
-is no reference, so a re-export does not keep a name alive.
+is no reference, so a re-export does not keep a name alive; and outside
+``__init__.py`` a module imports from its siblings only names it uses.
 """
 
 import ast
@@ -40,4 +41,22 @@ def test_every_public_definition_is_referenced_or_pinned():
     }
     assert defined, PACKAGE
     unused = sorted(f"{module}:{name}" for module, name in defined if name not in referenced | pinned)
+    assert unused == []
+
+
+def test_no_module_imports_a_sibling_name_it_does_not_use():
+    # ``__init__.py`` imports to re-export; any other module imports to use
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = _tree(path)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [
+            f"{path.name}: {alias.asname or alias.name}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level == 1
+            for alias in node.names
+            if (alias.asname or alias.name) not in used
+        ]
     assert unused == []
