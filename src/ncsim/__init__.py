@@ -54,14 +54,15 @@ from .runtime import (
     ComparisonResult,
     CostWeights,
     RunResult,
+    RunTally,
     SimSettings,
     SimulationRecord,
+    TraceWriter,
     compare_strategies,
     integrate_interval,
     run_closed_loop,
     run_scenario,
     write_comparison_csv,
-    write_records_csv,
 )
 from .scenario import (
     BUILTIN_SCENARIOS,

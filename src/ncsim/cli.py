@@ -23,12 +23,12 @@ from .losses import LOSS_KEYS, SEEDED_KINDS
 from .predictor import SamplePair, calibration, gamma_in_range, read_sample_pairs
 from .runtime import (
     STRATEGIES,
+    TraceWriter,
     check_compare_size,
     check_strategies,
     compare_strategies,
     run_scenario,
     write_comparison_csv,
-    write_records_csv,
 )
 from .scenario import (
     BUILTIN_SCENARIOS,
@@ -121,10 +121,10 @@ def _apply_common_flags(doc: dict, args) -> dict:
     return apply_overrides(doc, overrides) if overrides else doc
 
 
-def _write(write, *args) -> None:
+def _write(write, *args):
     """``write(*args)`` to the path ``args[-1]``, a ConfigError if it cannot."""
     try:
-        write(*args)
+        return write(*args)
     except OSError as exc:
         raise ConfigError(f"cannot write {args[-1]!r}: {exc}") from exc
 
@@ -138,39 +138,44 @@ def _json_text(data) -> str:
     return json.dumps(data, indent=2, allow_nan=False) + "\n"
 
 
+def _run_into_trace(scenario, strategy: str, path: str):
+    """Run ``strategy``, writing each ``trace.csv`` row to ``path`` as its
+    interval completes.  Returns the writer, the final state and the
+    divergence: a state and None, or None and the ``SimulationDiverged``."""
+    with open(path, "w", newline="") as handle:
+        trace = TraceWriter(handle, scenario.cost.m_steps)
+        try:
+            return trace, run_scenario(scenario, strategy, records=trace).x_final, None
+        except SimulationDiverged as exc:
+            return trace, None, exc
+
+
 def cmd_run(args) -> int:
     scenario = scenario_from_dict(_apply_common_flags(_scenario_document(args.scenario), args))
     strategy = scenario.strategies[0]
     out = _output_dir(args.out)
     _write(_write_text, resolved_json(scenario), os.path.join(out, "resolved_config.json"))
 
-    diverged = None
-    try:
-        result = run_scenario(scenario, strategy)
-        records = result.records
-    except SimulationDiverged as exc:
-        diverged = exc
-        records = exc.records
-
-    _write(write_records_csv, records, os.path.join(out, "trace.csv"))
+    trace, x_final, diverged = _write(
+        _run_into_trace, scenario, strategy, os.path.join(out, "trace.csv")
+    )
 
     setpoint = scenario.controller.setpoint
     initial_dev = abs(scenario.sim.x0 - setpoint)
-    loss_count = sum(1 for r in records if r.s == 0)
     summary = {
         "scenario": args.scenario,
         "strategy": strategy,
-        "steps": len(records),
-        "loss_count": loss_count,
+        "steps": trace.steps,
+        "loss_count": trace.loss_count,
         "diverged": diverged is not None,
     }
     if diverged is None:
-        ratio = abs(result.x_final - setpoint) / initial_dev if initial_dev > 0 else math.inf
-        summary["x_final"] = result.x_final
+        ratio = abs(x_final - setpoint) / initial_dev if initial_dev > 0 else math.inf
+        summary["x_final"] = x_final
         # null when x0 is the setpoint or the ratio is past float range
         summary["deviation_ratio"] = ratio if ratio < math.inf else None
-        summary["j_total"] = records[-1].j_running
-        summary["j_m_steps"] = result.cost(scenario.cost)
+        summary["j_total"] = trace.j_total
+        summary["j_m_steps"] = trace.j_m_steps
     else:
         summary["diverged_step"] = diverged.step
         summary["reason"] = diverged.reason
@@ -178,12 +183,12 @@ def cmd_run(args) -> int:
 
     if diverged is not None:
         print(f"diverged at step {diverged.step}: {diverged.reason}", file=sys.stderr)
-        print(f"wrote partial trace ({len(records)} steps) to {out}", file=sys.stderr)
+        print(f"wrote partial trace ({trace.steps} steps) to {out}", file=sys.stderr)
         return EXIT_DIVERGED
     print(
-        f"{strategy}: {len(records)} steps, x_final={result.x_final!r}, "
+        f"{strategy}: {trace.steps} steps, x_final={x_final!r}, "
         f"deviation_ratio={summary['deviation_ratio']!r}, "
-        f"J={summary['j_m_steps']!r}, losses={loss_count}"
+        f"J={summary['j_m_steps']!r}, losses={trace.loss_count}"
     )
     print(f"wrote trace.csv, resolved_config.json, summary.json to {out}")
     return EXIT_OK

@@ -69,7 +69,8 @@ class SimulationDiverged(NcsimError):
     """The closed-loop state left the plant domain mid-run.
 
     Attributes:
-        records: the list of per-step records accumulated before the failure.
+        records: what the run appended its records to before the failure,
+            a list unless the caller passed another sink.
         step: index of the control interval during which the run failed.
         reason: short human-readable cause.
     """

@@ -37,7 +37,7 @@ class LossModel:
 
     def __init__(self, bits: Iterable[int]):
         self._source = iter(bits)
-        self._drawn: list[int] = []
+        self._drawn = bytearray()  # one byte per bit drawn
 
     def sample_reception(self, k: int) -> int:
         if k < 0:

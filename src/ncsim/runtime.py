@@ -19,7 +19,9 @@ The true state advances by the plant's RK4 kernel over the full dynamics,
 ``n_truth`` substeps per interval, in one march per segment of substeps
 under one theta schedule entry: one march unless theta changes inside it.
 A state outside the domain and a running cost past float range both end
-the run as ``SimulationDiverged`` at that step.  ``SimSettings`` derives
+the run as ``SimulationDiverged`` at that step.  The loop keeps no record:
+it appends each one to the caller's sink as soon as the interval's input
+and running cost are known.  ``SimSettings`` derives
 the step count from ``duration`` and caps both it and the truth substeps.
 """
 
@@ -148,14 +150,43 @@ class SimSettings(NamedTuple):
 
 
 class RunResult(NamedTuple):
-    """Records of a completed run plus the state after the last interval."""
+    """Records of a completed run plus the state after the last interval.
 
-    records: tuple[SimulationRecord, ...]
+    ``records`` is the object the loop appended each record to: its own
+    list unless the caller passed another.
+    """
+
+    records: list
     x_final: float
 
     def cost(self, weights: CostWeights) -> float:
-        """The run's cost: its running cost after ``weights.m_steps`` intervals."""
+        """The run's cost: its running cost after ``weights.m_steps``
+        intervals, read from the list of records."""
         return self.records[weights.m_steps - 1].j_running
+
+
+class RunTally:
+    """A record sink that keeps only what a run's summary reads.
+
+    It counts the records and the lost intervals among them, and keeps
+    the last running cost and the one after ``m_steps`` intervals, each
+    None until a record brings it.
+    """
+
+    __slots__ = ("m_steps", "steps", "loss_count", "j_total", "j_m_steps")
+
+    def __init__(self, m_steps: int):
+        self.m_steps = m_steps
+        self.steps = self.loss_count = 0
+        self.j_total = self.j_m_steps = None
+
+    def append(self, record: SimulationRecord) -> None:
+        self.steps += 1
+        if not record.s:
+            self.loss_count += 1
+        self.j_total = record.j_running
+        if self.steps == self.m_steps:
+            self.j_m_steps = record.j_running
 
 
 def integrate_interval(
@@ -229,13 +260,17 @@ def run_closed_loop(
     strategy: str,
     sim: SimSettings,
     weights: CostWeights,
+    records=None,
 ) -> RunResult:
-    """Simulate the lossy loop and return per-interval records.
+    """Simulate the lossy loop, handing each interval's record to
+    ``records.append`` as soon as its input and running cost are known.
 
-    A plan takes ``predictor_cfg.steps_per_input(sim.t_s)`` predictor
-    steps per buffer entry.  On a domain exit (truth integration, or a
-    plan replayed by a loss) raises ``SimulationDiverged`` carrying the
-    records accumulated so far.
+    ``records`` defaults to a new list; the result and any
+    ``SimulationDiverged`` carry that object, so the loop itself keeps no
+    record.  A plan takes ``predictor_cfg.steps_per_input(sim.t_s)``
+    predictor steps per buffer entry.  On a domain exit (truth
+    integration, or a plan replayed by a loss) raises
+    ``SimulationDiverged`` after the records appended so far.
     """
     check_strategies((strategy,), "strategy")
     dynamics.check_state(sim.x0)
@@ -252,7 +287,9 @@ def run_closed_loop(
     x0, t_s, theta, n_truth = sim.x0, sim.t_s, sim.theta, sim.n_truth
     doubled = sim.doubled_age_offset
     q_c, r_c, raw_state = weights.q_c, weights.r_c, weights.raw_state
-    records: list[SimulationRecord] = []
+    if records is None:
+        records = []
+    append = records.append
     x = x0
     # The current plan, which a loss grows only up to the entry it replays,
     # and the step it starts at.
@@ -288,7 +325,7 @@ def run_closed_loop(
             j_running += q_c * deviation * deviation + r_c * u * u
             if not math.isfinite(j_running):
                 raise NonFiniteError(f"running cost became non-finite: {j_running!r}")
-            records.append(SimulationRecord(k, t_k, x, x_pred, s_k, age, u, j_running))
+            append(SimulationRecord(k, t_k, x, x_pred, s_k, age, u, j_running))
             x = integrate_interval(dynamics, x, u, t_k, t_s, n_truth, theta)
         except (DomainError, NonFiniteError, TrajectoryError) as exc:
             raise SimulationDiverged(
@@ -296,14 +333,17 @@ def run_closed_loop(
                 reason=str(exc),
             ) from exc
 
-    return RunResult(records=tuple(records), x_final=x)
+    return RunResult(records=records, x_final=x)
 
 
-def run_scenario(scenario, strategy: str, seed: Optional[int] = None) -> RunResult:
-    """Run one strategy of a scenario, optionally overriding the loss seed."""
+def run_scenario(
+    scenario, strategy: str, seed: Optional[int] = None, records=None
+) -> RunResult:
+    """Run one strategy of a scenario, optionally overriding the loss seed,
+    into ``records`` as ``run_closed_loop`` does."""
     return run_closed_loop(
         tank_dynamics(scenario.plant), scenario.predictor, scenario.controller,
-        scenario.loss.build(seed), strategy, scenario.sim, scenario.cost,
+        scenario.loss.build(seed), strategy, scenario.sim, scenario.cost, records,
     )
 
 
@@ -345,10 +385,12 @@ class ComparisonResult(NamedTuple):
 
 def _compare_cell(args) -> Optional[float]:
     scenario, strategy, seed = args
+    tally = RunTally(scenario.cost.m_steps)
     try:
-        return run_scenario(scenario, strategy, seed=seed).cost(scenario.cost)
-    except SimulationDiverged:
+        run_scenario(scenario, strategy, seed, tally)
+    except SimulationDiverged:  # also after m_steps
         return None
+    return tally.j_m_steps
 
 
 def _shares(tasks: Sequence, workers: int) -> list:
@@ -441,20 +483,28 @@ def compare_strategies(
     return ComparisonResult(strategies=chosen, seeds=seeds, costs=costs)
 
 
-def _format_float(value: float) -> str:
-    return repr(float(value))
+class TraceWriter(RunTally):
+    """A ``RunTally`` that writes each record as a ``trace.csv`` row to
+    ``handle`` when it arrives, each float as ``repr(float(value))``, its
+    full round-trip precision.
 
+    The header goes out when the writer is built.
+    """
 
-def write_records_csv(records: Sequence[SimulationRecord], path: str) -> None:
-    """Write run records with full float round-trip precision."""
-    with open(path, "w", newline="") as handle:
+    __slots__ = ("handle",)
+
+    def __init__(self, handle, m_steps: int):
+        super().__init__(m_steps)
+        self.handle = handle
         handle.write(",".join(TRACE_HEADER) + "\n")
-        for r in records:
-            x_pred = "" if r.x_pred is None else _format_float(r.x_pred)
-            handle.write(
-                f"{r.k},{_format_float(r.t)},{_format_float(r.x_true)},{x_pred},"
-                f"{r.s},{r.i},{_format_float(r.u)},{_format_float(r.j_running)}\n"
-            )
+
+    def append(self, r: SimulationRecord) -> None:
+        RunTally.append(self, r)
+        x_pred = "" if r.x_pred is None else repr(float(r.x_pred))
+        self.handle.write(
+            f"{r.k},{float(r.t)!r},{float(r.x_true)!r},{x_pred},"
+            f"{r.s},{r.i},{float(r.u)!r},{float(r.j_running)!r}\n"
+        )
 
 
 def write_comparison_csv(result: ComparisonResult, path: str) -> None:
@@ -465,5 +515,5 @@ def write_comparison_csv(result: ComparisonResult, path: str) -> None:
             cells = [str(seed)]
             for strategy in result.strategies:
                 cost = result.costs[strategy][seed]
-                cells.append("" if cost is None else _format_float(cost))
+                cells.append("" if cost is None else repr(float(cost)))
             handle.write(",".join(cells) + "\n")

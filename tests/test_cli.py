@@ -334,6 +334,24 @@ class TestRun:
         assert lines[1].startswith("0,0.0,")
         assert "diverged at step 1" in capsys.readouterr().err
 
+    def test_trace_rows_are_written_as_the_run_goes(self, scenario_file, tmp_path, monkeypatch):
+        class Stop(Exception):
+            pass
+
+        real = ncsim.losses.LossModel.sample_reception
+
+        def stop_at_5(model, k):
+            if k == 5:
+                raise Stop
+            return real(model, k)
+
+        monkeypatch.setattr(ncsim.losses.LossModel, "sample_reception", stop_at_5)
+        out = tmp_path / "out"
+        with pytest.raises(Stop):
+            main(["run", scenario_file(), "--out", str(out)])
+        lines = (out / "trace.csv").read_text().splitlines()
+        assert [line.split(",")[0] for line in lines] == ["k", "0", "1", "2", "3", "4"]
+
     def test_controller_overflow_is_a_divergence(self, tmp_path):
         argv = [
             sys.executable, "-m", "ncsim", "run", "tank-reference", "--set", "plant.p1=1e308",
@@ -568,6 +586,20 @@ class TestUnwritableArtifacts:
         err = capsys.readouterr().err
         assert f"cannot write {str(blocked)!r}" in err
         assert "Traceback" not in err
+
+    def test_unwritable_trace_fails_before_the_run(
+        self, scenario_file, tmp_path, capsys, monkeypatch
+    ):
+        drawn = []
+        monkeypatch.setattr(
+            ncsim.losses.LossModel, "sample_reception", lambda model, k: drawn.append(k) or 1
+        )
+        out = tmp_path / "o"
+        (out / "trace.csv").mkdir(parents=True)
+        assert main(["run", scenario_file(), "--out", str(out)]) == EXIT_CONFIG
+        assert f"cannot write {str(out / 'trace.csv')!r}" in capsys.readouterr().err
+        assert drawn == []
+        assert not (out / "summary.json").exists()
 
     @pytest.mark.parametrize("command", ["run", "compare", "calibrate"])
     def test_file_in_the_way_of_the_output_directory_exits_2(

@@ -7,15 +7,24 @@ shows that ``trace.csv``, ``comparison.csv`` and ``resolved_config.json``
 stayed byte-identical.  ``compare-bernoulli`` pins the compare cells'
 costs, which are each run's own running cost after ``cost.m_steps``
 intervals.  The digest file is only read.
+
+Each kind of divergence leaves a partial ``trace.csv``, a ``summary.json``
+and two stderr lines, pinned below as they were when ``ncsim run`` still
+held every record until the run ended.  ``trace.csv`` is written row by
+row as the run goes, so these pins show that streaming it changed no byte.
 """
 
 import hashlib
+import io
 import json
 from pathlib import Path
 
 import pytest
 
-from ncsim.cli import EXIT_OK, main
+from ncsim.cli import EXIT_DIVERGED, EXIT_OK, main
+from ncsim.errors import SimulationDiverged
+from ncsim.runtime import TraceWriter, run_scenario
+from ncsim.scenario import scenario_from_dict
 
 DIGESTS = Path(__file__).resolve().parents[1] / "bench" / "digests.json"
 
@@ -47,3 +56,70 @@ def test_artifacts_match_pinned_digests(workload, seed, tmp_path, capsys):
     assert "resolved_config.json" in pinned and len(pinned) == 2
     for name, digest in pinned.items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
+# Flags after "run tank-reference", the sha256 of trace.csv and of
+# summary.json, the first stderr line, and the rows of the partial trace.
+DIVERGED = {
+    "feedback-overflow": (
+        ("--set", "plant.p1=1e308"),
+        "266d3e2736d8a482cd176b708dc963e0659dfe732a4e2d8228db82ac11dff8db",
+        "883c2cea8989601d7e856409fb406f24f05092c11bd2424d87433ceb2e6e137d",
+        "diverged at step 0: feedback overflowed at LfV=413577004.8317513, "
+        "LgV=-4.135770048317513e+160",
+        0,
+    ),
+    "cost-overflow": (
+        ("--set", "cost.q_c=1e308"),
+        "266d3e2736d8a482cd176b708dc963e0659dfe732a4e2d8228db82ac11dff8db",
+        "586ee66e739dc64b53d380f99a00ef0484265b86e91c971a14390d38bbf66d20",
+        "diverged at step 0: running cost became non-finite: inf",
+        0,
+    ),
+    "prediction-exit-at-once": (
+        ("--set", "predictor.gamma=0.9", "--loss", "bernoulli:0.3"),
+        "bdb4c23374ab77a86434583fdb976ec047e9c68c267894fcba3a11feb1adb716",
+        "817e406b863181bf93cc51e8ea29b54a4de5d39be368b99675b182579d76ccab",
+        "diverged at step 1: prediction left the domain after 1 entries",
+        1,
+    ),
+    "prediction-exit-late": (
+        ("--set", "predictor.gamma=0.25", "--loss", "bernoulli:0.3", "--seed", "42"),
+        "24a2a93541af76e357a836e92dacf2a8f9b80a4437fd7caad4d53848163711fa",
+        "4d6a651c0920a0390bcc4c08f8d0a75c7b6b0c2eb676d724c1f86e6f9d3275da",
+        "diverged at step 46: prediction left the domain after 6 entries",
+        46,
+    ),
+    # the record of the interval whose truth march fails is already written
+    "truth-exit": (
+        ("--set", "sim.theta=[[0.0, 0.175], [61.0, 2.0]]"),
+        "0756c30f26003084222f8b33680ccf3c1ef7c5c7857ec297d47abc436dca4069",
+        "c0454e2112376f34448caaacedad173caee3b664dfce6a7a94bd03905a4254c4",
+        "diverged at step 30: stage 2 state 202433.75963201388 left the domain",
+        31,
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(DIVERGED))
+def test_diverged_run_artifacts_match_pinned_digests(kind, tmp_path, capsys):
+    flags, trace_digest, summary_digest, reason_line, rows = DIVERGED[kind]
+    assert main(["run", "tank-reference", *flags, "--out", str(tmp_path)]) == EXIT_DIVERGED
+    assert capsys.readouterr().err == (
+        f"{reason_line}\nwrote partial trace ({rows} steps) to {tmp_path}\n"
+    )
+    trace = (tmp_path / "trace.csv").read_bytes()
+    assert trace.count(b"\n") == rows + 1
+    assert hashlib.sha256(trace).hexdigest() == trace_digest
+    summary = (tmp_path / "summary.json").read_bytes()
+    assert hashlib.sha256(summary).hexdigest() == summary_digest
+
+    # through the API: the records the divergence carries, written out
+    scenario = scenario_from_dict(json.loads((tmp_path / "resolved_config.json").read_text()))
+    with pytest.raises(SimulationDiverged) as excinfo:
+        run_scenario(scenario, scenario.strategies[0])
+    written = io.StringIO()
+    writer = TraceWriter(written, scenario.cost.m_steps)
+    for record in excinfo.value.records:
+        writer.append(record)
+    assert written.getvalue().encode() == trace

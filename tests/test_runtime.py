@@ -23,11 +23,13 @@ from ncsim import (
     NonFiniteError,
     PREDICTIVE_BUFFER,
     PredictorConfig,
+    RunTally,
     SimSettings,
     SimulationDiverged,
     SimulationRecord,
     STRATEGIES,
     SystemDynamics,
+    TraceWriter,
     UncertaintySignal,
     ZERO_INPUT,
     builtin_scenario_dict,
@@ -39,7 +41,6 @@ from ncsim import (
     sontag_input,
     tank_dynamics,
     write_comparison_csv,
-    write_records_csv,
 )
 from ncsim.predictor import extend_plan
 from ncsim.runtime import TRACE_HEADER, check_strategies
@@ -755,6 +756,15 @@ class TestCompareStrategies:
             assert cost == stage_cost_sum(records, sc.cost, sc.controller.setpoint)
             assert cost < records[-1].j_running
 
+    def test_divergence_after_m_steps_empties_the_cell(self, small_scenario_dict):
+        # the truth march leaves the domain in interval 30, after m_steps = 10
+        sc = small_scenario(
+            small_scenario_dict,
+            {"sim.theta": [[0.0, 0.175], [61.0, 2.0]], "cost.m_steps": 10},
+        )
+        result = compare_strategies(sc, strategies=(HOLD_LAST_VALUE,), n_seeds=1)
+        assert result.costs[HOLD_LAST_VALUE] == {42: None}
+
     def test_lossless_columns_agree(self, small_scenario_dict):
         sc = small_scenario(small_scenario_dict)
         result = compare_strategies(sc, n_seeds=1)
@@ -941,8 +951,17 @@ class TestCheckStrategies:
             )
 
 
+def write_records(records, path):
+    """``records`` written to ``path`` by a ``TraceWriter``, as ``ncsim run``
+    writes its trace."""
+    with open(path, "w", newline="") as handle:
+        writer = TraceWriter(handle, 1)
+        for record in records:
+            writer.append(record)
+
+
 def read_records(path):
-    """The records of a trace CSV written by ``write_records_csv``, parsed
+    """The records of a trace CSV written by a ``TraceWriter``, parsed
     back with ``csv`` and ``float``."""
     with open(path, newline="") as handle:
         rows = list(csv.reader(handle))
@@ -968,12 +987,12 @@ class TestRecordsCsv:
         for strategy in (PREDICTIVE_BUFFER, HOLD_LAST_VALUE):
             result = run_scenario(sc, strategy)
             path = tmp_path / f"{strategy}.csv"
-            write_records_csv(result.records, str(path))
+            write_records(result.records, str(path))
             assert read_records(str(path)) == list(result.records)
 
     def test_header_line_is_frozen(self, tmp_path):
         path = tmp_path / "trace.csv"
-        write_records_csv([make_record()], str(path))
+        write_records([make_record()], str(path))
         first_line = path.read_text().splitlines()[0]
         assert first_line == "k,t,x_true,x_pred,s,i,u,J_running"
         assert tuple(first_line.split(",")) == TRACE_HEADER
@@ -994,9 +1013,77 @@ class TestRecordsCsv:
         sc = small_scenario(small_scenario_dict)
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"
-        write_records_csv(run_scenario(sc, PREDICTIVE_BUFFER).records, str(a))
-        write_records_csv(run_scenario(sc, PREDICTIVE_BUFFER).records, str(b))
+        write_records(run_scenario(sc, PREDICTIVE_BUFFER).records, str(a))
+        write_records(run_scenario(sc, PREDICTIVE_BUFFER).records, str(b))
         assert a.read_bytes() == b.read_bytes()
+
+
+class RecordingSink:
+    """A sink that is no list: it keeps what is appended to it, in order."""
+
+    def __init__(self):
+        self.records = []
+
+    def append(self, record):
+        self.records.append(record)
+
+
+class TestRecordSinks:
+    """The loop hands each record to ``records.append`` and keeps none."""
+
+    def bursty(self, small_scenario_dict):
+        return small_scenario(small_scenario_dict, {
+            "loss": {"kind": "bernoulli", "p": 0.3, "seed": 11}, "cost.m_steps": 7,
+        })
+
+    def test_default_is_a_list_the_result_holds(self, small_scenario_dict):
+        sc = self.bursty(small_scenario_dict)
+        result = run_scenario(sc, PREDICTIVE_BUFFER)
+        assert type(result.records) is list and len(result.records) == 60
+        given_list = []
+        again = run_scenario(sc, PREDICTIVE_BUFFER, records=given_list)
+        assert again.records is given_list
+        assert given_list == result.records
+
+    def test_each_record_arrives_before_its_truth_march(self, small_scenario_dict, monkeypatch):
+        sc = self.bursty(small_scenario_dict)
+        sink = RecordingSink()
+        marched = []
+
+        def counting(*args):
+            marched.append(len(sink.records))
+            return integrate_interval(*args)
+
+        monkeypatch.setattr(ncsim.runtime, "integrate_interval", counting)
+        result = run_scenario(sc, PREDICTIVE_BUFFER, records=sink)
+        assert result.records is sink
+        assert marched == list(range(1, 61))
+        assert [r.k for r in sink.records] == list(range(60))
+
+    def test_divergence_carries_the_sink(self, small_scenario_dict):
+        sc = small_scenario(small_scenario_dict, {"sim.theta": [[0.0, 0.175], [61.0, 2.0]]})
+        sink = RecordingSink()
+        with pytest.raises(SimulationDiverged) as excinfo:
+            run_scenario(sc, HOLD_LAST_VALUE, records=sink)
+        assert excinfo.value.records is sink
+        assert len(sink.records) == 31
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_tally_keeps_what_the_list_shows(self, small_scenario_dict, strategy):
+        sc = self.bursty(small_scenario_dict)
+        records = run_scenario(sc, strategy).records
+        tally = RunTally(sc.cost.m_steps)
+        assert run_scenario(sc, strategy, records=tally).records is tally
+        assert tally.steps == len(records) == 60
+        assert tally.loss_count == sum(1 for r in records if r.s == 0) > 0
+        assert tally.j_total == records[-1].j_running
+        assert tally.j_m_steps == records[6].j_running
+
+    def test_tally_before_m_steps(self):
+        tally = RunTally(2)
+        assert (tally.steps, tally.loss_count, tally.j_total, tally.j_m_steps) == (0, 0, None, None)
+        tally.append(make_record()._replace(s=0))
+        assert (tally.steps, tally.loss_count, tally.j_m_steps) == (1, 1, None)
 
 
 class TestComparisonCsv:
