@@ -24,8 +24,9 @@ negative square-root argument.
 The one RK4 step, ``_RK4``, is source text compiled from three gain
 expressions into the n-step march, which inlines
 ``(f) + (g) * u + (w) * theta`` at its four stages: truth runs it once
-per theta segment (see ``UncertaintySignal.segment``), prediction once
-per buffer entry, and ``rk4_increment`` for one step.  The tank's gains are its formula, written
+per interval unless a theta schedule time falls inside it (see
+``UncertaintySignal.held``), prediction once per buffer entry, and
+``rk4_increment`` for one step.  The tank's gains are its formula, written
 once, so no stage makes a call; dynamics built from callables pass
 ``f(x)``, ``g(x)`` and ``w(x)``.  Only this module's strings are compiled,
 and numbers are bound as values, so no input reaches the source.
@@ -79,7 +80,7 @@ class SystemDynamics(NamedTuple):
 
 # The RK4 step from y, RHS the right-hand side at the stage state x.
 # ``march`` takes n steps x <- scale*x + dx, u and theta held, hands an end
-# state outside [lo, hi] to ``fail(x, steps_left)``, which raises, and
+# state outside [lo, hi] to ``fail(x, steps_left)``, which may raise, and
 # returns the last x and dx (x and 0.0 for no step).
 _RK4 = """
     def march(x, u, h, theta, lo, hi, n, scale, fail):
@@ -178,19 +179,14 @@ class UncertaintySignal(NamedTuple):
         idx = bisect_right(self.times, t) - 1
         return self.values[max(idx, 0)]
 
-    def segment(self, t_start: float, h: float, j: int, n: int) -> tuple[float, int]:
-        """theta at the substep start ``t_start + j*h`` and how many of the
-        next starts ``t_start + i*h``, j < i < n, keep its entry: the floats
-        ``value`` would look up, so a segment ends where that lookup changes."""
-        times = self.times
-        idx = bisect_right(times, t_start + j * h)
-        theta = self.values[max(idx - 1, 0)]
-        if idx == len(times) or t_start + (n - 1) * h < times[idx]:
-            return theta, n - 1 - j
-        i = j + 1
-        while t_start + i * h < times[idx]:
-            i += 1
-        return theta, i - 1 - j
+    def held(self, t0: float, t1: float) -> Optional[float]:
+        """theta if one schedule entry covers every lookup from ``t0``
+        through ``t1``, else None: the lookups at both ends fall after the
+        same number of schedule times."""
+        idx = bisect_right(self.times, t0)
+        if bisect_right(self.times, t1) != idx:
+            return None
+        return self.values[max(idx - 1, 0)]
 
 
 @checked

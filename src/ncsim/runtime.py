@@ -16,8 +16,8 @@ loss the strategy supplies the input:
 * ``zero-input`` applies zero.
 
 The true state advances by the plant's RK4 kernel over the full dynamics,
-``n_truth`` substeps per interval, in one march per segment of substeps
-under one theta schedule entry: one march unless theta changes inside it.
+``n_truth`` substeps per interval: one march when one theta schedule
+entry covers the interval's substep starts, else one march per substep.
 A state outside the domain and a running cost past float range both end
 the run as ``SimulationDiverged`` at that step.  The loop keeps no record:
 it appends each one to the caller's sink as soon as the interval's input
@@ -201,29 +201,30 @@ def integrate_interval(
     """Advance the true state one control interval under constant input.
 
     Runs ``n_truth`` kernel steps with theta taken at each substep start
-    ``t_start + j*h``: one march per segment of starts under one schedule
-    entry, so one march unless a schedule time falls inside the interval.
-    A stage outside the state domain raises ``IntegrationDomainError``, a
-    NaN or infinite state ``NonFiniteError``, and an end state outside
-    the domain ``DomainError``.
+    ``t_start + j*h``: one march when one schedule entry covers every
+    start, else one march per substep.  A stage outside the state domain
+    raises ``IntegrationDomainError``, a NaN or infinite state
+    ``NonFiniteError``, and an end state outside the domain ``DomainError``.
     """
     h = t_s / n_truth
-    j = rest = 0  # substeps done, and those after the current segment
     march, (lo, hi) = dynamics.march, dynamics.state_domain
 
     def fail(xs: float, left: int) -> None:
-        # a state inside the domain is finite, so only one outside is tested
+        # a state outside the domain; a finite one after a march's last step
+        # meets the next march's first stage or the end-state check below
         if not math.isfinite(xs):
             raise NonFiniteError(f"state became non-finite during interval at t={t_start!r}")
-        if left or rest:  # the next substep's first stage
+        if left:
             raise _stage_error(1, xs)
-        dynamics.check_state(xs)
 
-    while j < n_truth:
-        th, more = theta.segment(t_start, h, j, n_truth)
-        j += 1 + more
-        rest = n_truth - j
-        x = march(x, u, h, th, lo, hi, 1 + more, 1.0, fail)[0]
+    th = theta.held(t_start, t_start + (n_truth - 1) * h)
+    if th is not None:
+        x = march(x, u, h, th, lo, hi, n_truth, 1.0, fail)[0]
+    else:
+        for j in range(n_truth):
+            x = march(x, u, h, theta.value(t_start + j * h), lo, hi, 1, 1.0, fail)[0]
+    if not lo <= x <= hi:
+        dynamics.check_state(x)
     return x
 
 

@@ -12,6 +12,8 @@ Each kind of divergence leaves a partial ``trace.csv``, a ``summary.json``
 and two stderr lines, pinned below as they were when ``ncsim run`` still
 held every record until the run ended.  ``trace.csv`` is written row by
 row as the run goes, so these pins show that streaming it changed no byte.
+One finished run whose theta schedule switches inside an interval is
+pinned the same way.
 """
 
 import hashlib
@@ -55,6 +57,27 @@ def test_artifacts_match_pinned_digests(workload, seed, tmp_path, capsys):
     assert main(argv) == EXIT_OK
     assert "resolved_config.json" in pinned and len(pinned) == 2
     for name, digest in pinned.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
+# A finished run whose interval 900, [1800, 1802), switches theta away
+# from 0.175 at 1800.05 and back at 1801.0: the first and last substep
+# starts give the same value from two schedule entries.  Digests as the
+# truth march computed them before it stepped such an interval per substep.
+STRADDLING = (
+    "run", "tank-reference", "--loss", "bernoulli:0.3", "--seed", "42",
+    "--set", "sim.theta=[[0.0, 0.175], [1800.05, 0.185], [1801.0, 0.175], [2000.3, 0.18]]",
+)
+STRADDLING_DIGESTS = {
+    "trace.csv": "9701c10762fed7fda420f08680cbf4c01700f92dca8cb6f469905041a79c66ae",
+    "summary.json": "f9100be9894360bc49a2a6a7863057ae311c46fa2a36859d04e3f480d4f4557a",
+    "resolved_config.json": "2dd41a188484923314b8ea69fc6afe543996b8fd3345a3dbc35968164f600d0b",
+}
+
+
+def test_straddling_run_matches_pinned_digests(tmp_path, capsys):
+    assert main([*STRADDLING, "--out", str(tmp_path)]) == EXIT_OK
+    for name, digest in STRADDLING_DIGESTS.items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
 

@@ -148,6 +148,7 @@ SCHEDULES = {
     "break on the last substep start": ((0.0, 1800.0 + 19 * 0.1), (0.175, 0.185)),
     "break after the last substep start": ((0.0, 1801.95), (0.175, 0.185)),
     "several breaks": ((0.0, 1800.05, 1800.3, 1800.35, 1801.9), (0.175, 0.3, -0.2, 0.0, 0.185)),
+    "break and back": ((0.0, 1800.5, 1801.0), (0.175, 0.3, 0.175)),
     "no break": ((0.0, 1000.0), (0.175, 0.185)),
 }
 
@@ -165,6 +166,14 @@ class TestIntegrateInterval:
         theta = UncertaintySignal(times, tuple(0.1 * (i + 1) for i in range(len(times))))
         args = (tank, 150_000.0, 0.5, 0.0, 2.0, 20, theta)
         assert integrate_interval(*args) == per_substep_reference(*args)
+
+    def test_break_on_the_lookup_floats(self):
+        # 0.9 / 0.3 is 3.0, but the start 3 * 0.3 is 0.8999999999999999,
+        # which the lookup still gives the first entry: 4 substeps of 1.0
+        theta = UncertaintySignal(times=(0.0, 0.9), values=(1.0, 2.0))
+        args = (disturbance_channel(), 0.0, 0.0, 0.0, 3.0, 10, theta)
+        assert integrate_interval(*args) == per_substep_reference(*args)
+        assert integrate_interval(*args) == pytest.approx(4 * 0.3 + 6 * 0.3 * 2.0)
 
     @settings(max_examples=60, deadline=None)
     @given(
