@@ -1,14 +1,16 @@
 """Compensation payoff across dropout rates.
 
 Sweeps the Bernoulli loss probability and reports, for each rate, how
-the predictive buffer compares with holding the last input over a set
-of paired loss realizations.
+the predictive buffer compares with holding the last input and with
+applying zero over a set of paired loss realizations: the median cost
+of each strategy, and the buffer's paired wins against each of the
+other two.
 """
 
 import argparse
 import json
 
-from ncsim.runtime import HOLD_LAST_VALUE, PREDICTIVE_BUFFER, compare_strategies
+from ncsim.runtime import HOLD_LAST_VALUE, PREDICTIVE_BUFFER, ZERO_INPUT, compare_strategies
 from ncsim.scenario import apply_overrides, builtin_scenario_dict, scenario_from_dict
 
 
@@ -20,21 +22,28 @@ def main() -> None:
     args = parser.parse_args()
 
     rates = [float(tok) for tok in args.rates.split(",")]
-    print(f"{'p_loss':>7} {'median J pred':>15} {'median J hold':>15} {'wins':>9}")
+    strategies = (PREDICTIVE_BUFFER, HOLD_LAST_VALUE, ZERO_INPUT)
+    print(
+        f"{'p_loss':>7} {'median J pred':>15} {'median J hold':>15} {'median J zero':>15}"
+        f" {'wins vs hold':>13} {'wins vs zero':>13}"
+    )
     for rate in rates:
         loss = json.dumps({"kind": "bernoulli", "p": rate, "seed": 42})
         doc = apply_overrides(builtin_scenario_dict("tank-reference"), [f"loss={loss}"])
         sc = scenario_from_dict(doc)
         result = compare_strategies(
             sc,
-            strategies=(PREDICTIVE_BUFFER, HOLD_LAST_VALUE),
+            strategies=strategies,
             n_seeds=args.seeds,
             workers=args.workers,
         )
-        pred = result.median_cost(PREDICTIVE_BUFFER)
-        hold = result.median_cost(HOLD_LAST_VALUE)
-        wins = result.count_wins(PREDICTIVE_BUFFER, HOLD_LAST_VALUE)
-        print(f"{rate:7.2f} {pred:15.4g} {hold:15.4g} {wins:5d}/{args.seeds}")
+        cells = [f"{rate:7.2f}"]
+        cells += [f"{result.median_cost(name):15.4g}" for name in strategies]
+        cells += [
+            f"{result.count_wins(PREDICTIVE_BUFFER, name)}/{args.seeds}".rjust(13)
+            for name in strategies[1:]
+        ]
+        print(" ".join(cells))
 
 
 if __name__ == "__main__":

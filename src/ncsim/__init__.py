@@ -53,7 +53,6 @@ from .runtime import (
     ZERO_INPUT,
     ComparisonResult,
     CostWeights,
-    RunResult,
     RunTally,
     SimSettings,
     SimulationRecord,

@@ -145,7 +145,7 @@ def _run_into_trace(scenario, strategy: str, path: str):
     with open(path, "w", newline="") as handle:
         trace = TraceWriter(handle, scenario.cost.m_steps)
         try:
-            return trace, run_scenario(scenario, strategy, records=trace).x_final, None
+            return trace, run_scenario(scenario, strategy, trace), None
         except SimulationDiverged as exc:
             return trace, None, exc
 

@@ -69,15 +69,12 @@ class SimulationDiverged(NcsimError):
     """The closed-loop state left the plant domain mid-run.
 
     Attributes:
-        records: what the run appended its records to before the failure,
-            a list unless the caller passed another sink.
         step: index of the control interval during which the run failed.
         reason: short human-readable cause.
     """
 
-    def __init__(self, message: str, records, step: int, reason: str):
+    def __init__(self, message: str, step: int, reason: str):
         super().__init__(message)
-        self.records = records
         self.step = step
         self.reason = reason
 

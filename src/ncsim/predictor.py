@@ -212,20 +212,23 @@ def read_sample_pairs(path: str) -> list[SamplePair]:
     order: list[str] = []
     reader = csv.DictReader(io.StringIO(read_input(path), newline=""))
     required = {"pair_id", "predicted", "measured"}
-    if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-        raise ValueError(
-            f"sample file must have columns pair_id,predicted,measured, got {reader.fieldnames}"
-        )
-    for row in reader:
-        pair_id = row["pair_id"]
-        if pair_id not in groups:
-            groups[pair_id] = ([], [])
-            order.append(pair_id)
-        try:
-            groups[pair_id][0].append(float(row["predicted"]))
-            groups[pair_id][1].append(float(row["measured"]))
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"bad sample row {row!r}") from exc
+    try:
+        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
+            raise ValueError(
+                f"sample file must have columns pair_id,predicted,measured, got {reader.fieldnames}"
+            )
+        for row in reader:
+            pair_id = row["pair_id"]
+            if pair_id not in groups:
+                groups[pair_id] = ([], [])
+                order.append(pair_id)
+            try:
+                groups[pair_id][0].append(float(row["predicted"]))
+                groups[pair_id][1].append(float(row["measured"]))
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"bad sample row {row!r}") from exc
+    except csv.Error as exc:  # a field past csv.field_size_limit(), say
+        raise ValueError(f"malformed CSV: {exc}") from exc
     if not order:
         raise ValueError(f"no sample rows in {path}")
     return [

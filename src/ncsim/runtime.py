@@ -86,8 +86,8 @@ class CostWeights(NamedTuple):
     """Quadratic stage-cost weights and evaluation horizon.
 
     The stage cost is q_c * (x - setpoint)^2 + r_c * u^2, with the
-    undeviated state x under ``raw_state``; ``RunResult.cost`` reads a
-    run's running cost after ``m_steps`` intervals.
+    undeviated state x under ``raw_state``; a run's cost is its running
+    cost after ``m_steps`` intervals, which ``RunTally.j_m_steps`` keeps.
     """
 
     q_c: float
@@ -147,22 +147,6 @@ class SimSettings(NamedTuple):
     def steps(self) -> int:
         """Control intervals in ``duration``."""
         return whole_multiple(self.duration / self.t_s)
-
-
-class RunResult(NamedTuple):
-    """Records of a completed run plus the state after the last interval.
-
-    ``records`` is the object the loop appended each record to: its own
-    list unless the caller passed another.
-    """
-
-    records: list
-    x_final: float
-
-    def cost(self, weights: CostWeights) -> float:
-        """The run's cost: its running cost after ``weights.m_steps``
-        intervals, read from the list of records."""
-        return self.records[weights.m_steps - 1].j_running
 
 
 class RunTally:
@@ -261,17 +245,16 @@ def run_closed_loop(
     strategy: str,
     sim: SimSettings,
     weights: CostWeights,
-    records=None,
-) -> RunResult:
+    records,
+) -> float:
     """Simulate the lossy loop, handing each interval's record to
-    ``records.append`` as soon as its input and running cost are known.
+    ``records.append`` as soon as its input and running cost are known,
+    and return the state after the last interval.
 
-    ``records`` defaults to a new list; the result and any
-    ``SimulationDiverged`` carry that object, so the loop itself keeps no
-    record.  A plan takes ``predictor_cfg.steps_per_input(sim.t_s)``
-    predictor steps per buffer entry.  On a domain exit (truth
-    integration, or a plan replayed by a loss) raises
-    ``SimulationDiverged`` after the records appended so far.
+    The loop itself keeps no record.  A plan takes
+    ``predictor_cfg.steps_per_input(sim.t_s)`` predictor steps per buffer
+    entry.  On a domain exit (truth integration, or a plan replayed by a
+    loss) raises ``SimulationDiverged`` after the records appended so far.
     """
     check_strategies((strategy,), "strategy")
     dynamics.check_state(sim.x0)
@@ -288,8 +271,6 @@ def run_closed_loop(
     x0, t_s, theta, n_truth = sim.x0, sim.t_s, sim.theta, sim.n_truth
     doubled = sim.doubled_age_offset
     q_c, r_c, raw_state = weights.q_c, weights.r_c, weights.raw_state
-    if records is None:
-        records = []
     append = records.append
     x = x0
     # The current plan, which a loss grows only up to the entry it replays,
@@ -330,16 +311,13 @@ def run_closed_loop(
             x = integrate_interval(dynamics, x, u, t_k, t_s, n_truth, theta)
         except (DomainError, NonFiniteError, TrajectoryError) as exc:
             raise SimulationDiverged(
-                f"run diverged at step {k}: {exc}", records=records, step=k,
-                reason=str(exc),
+                f"run diverged at step {k}: {exc}", step=k, reason=str(exc)
             ) from exc
 
-    return RunResult(records=records, x_final=x)
+    return x
 
 
-def run_scenario(
-    scenario, strategy: str, seed: Optional[int] = None, records=None
-) -> RunResult:
+def run_scenario(scenario, strategy: str, records, seed: Optional[int] = None) -> float:
     """Run one strategy of a scenario, optionally overriding the loss seed,
     into ``records`` as ``run_closed_loop`` does."""
     return run_closed_loop(
@@ -388,7 +366,7 @@ def _compare_cell(args) -> Optional[float]:
     scenario, strategy, seed = args
     tally = RunTally(scenario.cost.m_steps)
     try:
-        run_scenario(scenario, strategy, seed, tally)
+        run_scenario(scenario, strategy, tally, seed)
     except SimulationDiverged:  # also after m_steps
         return None
     return tally.j_m_steps

@@ -23,6 +23,14 @@ def full_plan(cfg, dynamics, x0, controller, steps_per_input=1):
     extend_plan(cfg, dynamics, controller, inputs, states, cfg.horizon + 1, steps_per_input)
     return inputs, states
 
+
+def collected(run, *args, **kwargs):
+    """``(records, x_final)``: the records ``run`` (``run_scenario`` or
+    ``run_closed_loop``) appends to a new list, and the state it returns."""
+    records = []
+    return records, run(*args, records=records, **kwargs)
+
+
 # Any JSON value, non-finite numbers and huge integers included.
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(),

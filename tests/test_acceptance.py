@@ -31,6 +31,7 @@ from ncsim.runtime import (
     HOLD_LAST_VALUE,
     PREDICTIVE_BUFFER,
     compare_strategies,
+    integrate_interval,
     run_closed_loop,
     run_scenario,
 )
@@ -194,16 +195,40 @@ def test_feedback_decrease_across_the_pressure_range():
 
 def test_loss_free_regulation_reaches_the_setpoint():
     sc = reference("sim.theta=0")
+    records = []
     start = time.perf_counter()
-    result = run_scenario(sc, PREDICTIVE_BUFFER)
+    x_final = run_scenario(sc, PREDICTIVE_BUFFER, records)
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
 
-    deviations = [abs(r.x_true - sc.controller.setpoint) for r in result.records]
-    deviations.append(abs(result.x_final - sc.controller.setpoint))
+    deviations = [abs(r.x_true - sc.controller.setpoint) for r in records]
+    deviations.append(abs(x_final - sc.controller.setpoint))
     initial = abs(sc.sim.x0 - sc.controller.setpoint)
     assert deviations[-1] < 0.01 * initial
     assert all(late <= early for early, late in zip(deviations, deviations[1:]))
+
+
+def test_loss_free_regulation_needs_the_feedback():
+    # At the default setpoint the feedback saturates at u_max throughout,
+    # so an always-open valve regulates as well.  At 140 kPa that valve
+    # settles at 150 kPa, a third of the initial deviation away; the
+    # feedback has to close it.  It acts as a relay here, so the deviation
+    # is not monotone.
+    sc = reference("controller.setpoint=140000", "sim.theta=0")
+    setpoint, u_max = sc.controller.setpoint, sc.controller.u_max
+    initial = abs(sc.sim.x0 - setpoint)
+    dynamics, sim = tank_dynamics(sc.plant), sc.sim
+    x_open = sim.x0
+    for k in range(sim.steps):
+        x_open = integrate_interval(
+            dynamics, x_open, u_max, k * sim.t_s, sim.t_s, sim.n_truth, sim.theta
+        )
+    assert abs(x_open - setpoint) > 0.3 * initial
+
+    records = []
+    x_final = run_scenario(sc, PREDICTIVE_BUFFER, records)
+    assert abs(x_final - setpoint) < 0.01 * initial
+    assert any(r.u < u_max for r in records)
 
 
 def test_compensation_beats_holding_under_dropouts():
@@ -257,7 +282,8 @@ def test_buffer_age_law_under_adversarial_dropouts():
         [rng.randint(0, 1) for _ in range(steps)],
     ]
     for bits in patterns:
-        result = run_closed_loop(
+        records = []
+        run_closed_loop(
             tank_dynamics(sc.plant),
             sc.predictor,
             sc.controller,
@@ -265,12 +291,13 @@ def test_buffer_age_law_under_adversarial_dropouts():
             PREDICTIVE_BUFFER,
             sc.sim,
             sc.cost,
+            records,
         )
-        assert len(result.records) == steps
-        for record in result.records:
+        assert len(records) == steps
+        for record in records:
             assert record.s in (0, 1)
             if record.s == 1:
                 assert record.i == 0
             assert 0 <= record.i <= horizon
         if not any(bits):
-            assert max(record.i for record in result.records) == horizon
+            assert max(record.i for record in records) == horizon

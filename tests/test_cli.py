@@ -927,6 +927,20 @@ class TestCalibrate:
     def test_unreadable_samples_are_config_error(self, tmp_path):
         assert main(["calibrate", str(tmp_path / "absent.csv")]) == EXIT_CONFIG
 
+    # a field past csv.field_size_limit() (131 072 characters by default),
+    # in a sample row and in the header
+    @pytest.mark.parametrize("text", [
+        "pair_id,predicted,measured\na," + "1" * 200_000 + ",1\n",
+        "pair_id,predicted," + "m" * 200_000 + "\na,1,1\n",
+    ], ids=["row", "header"])
+    def test_field_past_the_csv_limit_is_config_error(self, tmp_path, capsys, text):
+        path = tmp_path / "samples.csv"
+        path.write_text(text)
+        assert main(["calibrate", str(path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"cannot load samples from {str(path)!r}: " in err
+        assert "field larger than field limit" in err
+
 
 LOSS_FLAG_KINDS = ("none", "bernoulli", "gilbert-elliott", "ge", "trace", "")
 LOSS_SET_KEYS = ("kind", "seed", "p", "p_g2b", "p_b2g", "loss_in_bad", "trace_path", "wrap")

@@ -45,7 +45,9 @@ from ncsim import (
 from ncsim.predictor import extend_plan
 from ncsim.runtime import TRACE_HEADER, check_strategies
 
-from conftest import WIDE, full_plan, linear_decay_dynamics, reference_plant, run_overrides
+from conftest import (
+    WIDE, collected, full_plan, linear_decay_dynamics, reference_plant, run_overrides,
+)
 
 ZERO_THETA = UncertaintySignal.constant(0.0)
 
@@ -316,23 +318,24 @@ def small_scenario(small_scenario_dict, overrides=None):
 class TestRunClosedLoop:
     def test_lossless_strategies_coincide(self, small_scenario_dict):
         sc = small_scenario(small_scenario_dict)
-        results = {s: run_scenario(sc, s) for s in STRATEGIES}
-        reference = results[HOLD_LAST_VALUE]
-        assert results[ZERO_INPUT].records == reference.records
-        for pred_rec, rec in zip(results[PREDICTIVE_BUFFER].records, reference.records):
+        results = {s: collected(run_scenario, sc, s) for s in STRATEGIES}
+        reference, reference_x = results[HOLD_LAST_VALUE]
+        assert results[ZERO_INPUT][0] == reference
+        for pred_rec, rec in zip(results[PREDICTIVE_BUFFER][0], reference):
             assert pred_rec.x_pred == pred_rec.x_true
             assert rec.x_pred is None
             assert (pred_rec.k, pred_rec.t, pred_rec.x_true) == (rec.k, rec.t, rec.x_true)
             assert (pred_rec.s, pred_rec.i, pred_rec.u) == (1, 0, rec.u)
             assert pred_rec.j_running == rec.j_running
-        assert results[PREDICTIVE_BUFFER].x_final == reference.x_final
+        assert results[PREDICTIVE_BUFFER][1] == reference_x
 
     def test_all_loss_hold_matches_zero_input(self, small_scenario_dict):
         sc = small_scenario(small_scenario_dict)
         steps = sc.sim.steps
         runs = {}
         for strategy in (HOLD_LAST_VALUE, ZERO_INPUT):
-            runs[strategy] = run_closed_loop(
+            runs[strategy], _ = collected(
+                run_closed_loop,
                 dynamics=tank_dynamics(sc.plant),
                 predictor_cfg=sc.predictor,
                 control_cfg=sc.controller,
@@ -341,15 +344,16 @@ class TestRunClosedLoop:
                 sim=sc.sim,
                 weights=sc.cost,
             )
-        assert runs[HOLD_LAST_VALUE].records == runs[ZERO_INPUT].records
-        assert all(r.u == 0.0 for r in runs[ZERO_INPUT].records)
+        assert runs[HOLD_LAST_VALUE] == runs[ZERO_INPUT]
+        assert all(r.u == 0.0 for r in runs[ZERO_INPUT])
 
     def test_all_loss_predictive_replays_initial_plan(self, small_scenario_dict):
         sc = small_scenario(small_scenario_dict)
         dynamics = tank_dynamics(sc.plant)
         ccfg = sc.controller
         steps = sc.sim.steps
-        result = run_closed_loop(
+        records, _ = collected(
+            run_closed_loop,
             dynamics=dynamics,
             predictor_cfg=sc.predictor,
             control_cfg=ccfg,
@@ -362,7 +366,7 @@ class TestRunClosedLoop:
             sc.predictor, dynamics, sc.sim.x0, lambda x: sontag_input(dynamics, ccfg, x)
         )
         n = sc.predictor.horizon
-        for rec in result.records:
+        for rec in records:
             offset = min(rec.k, n)
             assert rec.u == inputs[offset]
             assert rec.x_pred == states[offset]
@@ -383,7 +387,8 @@ class TestRunClosedLoop:
             n_truth=sc.sim.n_truth,
             doubled_age_offset=doubled,
         )
-        result = run_closed_loop(
+        records, _ = collected(
+            run_closed_loop,
             dynamics=dynamics,
             predictor_cfg=sc.predictor,
             control_cfg=ccfg,
@@ -395,21 +400,21 @@ class TestRunClosedLoop:
         inputs, states = full_plan(
             sc.predictor, dynamics, sc.sim.x0, lambda x: sontag_input(dynamics, ccfg, x)
         )
-        for rec, offset in zip(result.records[1:4], expected_offsets):
+        for rec, offset in zip(records[1:4], expected_offsets):
             assert rec.x_pred == states[offset]
             assert rec.u == inputs[offset]
-        assert [r.i for r in result.records] == [0, 1, 2, 3, 0, 0]
+        assert [r.i for r in records] == [0, 1, 2, 3, 0, 0]
 
     def test_running_cost_matches_evaluate(self, small_scenario_dict):
         sc = small_scenario(small_scenario_dict)
-        result = run_scenario(sc, PREDICTIVE_BUFFER)
-        total = stage_cost_sum(result.records, sc.cost, sc.controller.setpoint)
-        assert result.records[-1].j_running == total
-        assert result.cost(sc.cost) == total
+        records, _ = collected(run_scenario, sc, PREDICTIVE_BUFFER)
+        total = stage_cost_sum(records, sc.cost, sc.controller.setpoint)
+        assert records[-1].j_running == total
 
     @pytest.mark.parametrize("raw,expected", [(True, 8.0), (False, 4.5)])
     def test_cost_state_term(self, raw, expected):
-        result = run_closed_loop(
+        records, _ = collected(
+            run_closed_loop,
             dynamics=linear_decay_dynamics(),
             predictor_cfg=PredictorConfig(delta=1.0, gamma=0.0, horizon=10),
             control_cfg=ControllerConfig(setpoint=0.5),
@@ -418,7 +423,7 @@ class TestRunClosedLoop:
             sim=SimSettings(x0=2.0, t_s=1.0, duration=2.0, theta=ZERO_THETA, n_truth=4),
             weights=CostWeights(q_c=2.0, r_c=3.0, m_steps=2, raw_state=raw),
         )
-        first = result.records[0]
+        first = records[0]
         assert first.u == 0.0
         assert first.j_running == expected
 
@@ -426,6 +431,7 @@ class TestRunClosedLoop:
         sc = small_scenario(small_scenario_dict)
         steps = sc.sim.steps
         bad = PredictorConfig(delta=sc.predictor.delta, gamma=0.9, horizon=10)
+        records = []
         with pytest.raises(SimulationDiverged) as excinfo:
             run_closed_loop(
                 dynamics=tank_dynamics(sc.plant),
@@ -435,12 +441,13 @@ class TestRunClosedLoop:
                 strategy=PREDICTIVE_BUFFER,
                 sim=sc.sim,
                 weights=sc.cost,
+                records=records,
             )
         # the leading loss replays entry 0, controller(x0); the next one
         # predicts entry 1, which leaves the domain
         err = excinfo.value
         assert err.step == 1
-        assert len(err.records) == 1
+        assert len(records) == 1
         assert err.reason == "prediction left the domain after 1 entries"
 
     def test_unreplayed_plan_does_not_diverge(self, small_scenario_dict):
@@ -448,7 +455,7 @@ class TestRunClosedLoop:
         steps = sc.sim.steps
         bad = PredictorConfig(delta=sc.predictor.delta, gamma=0.9, horizon=10)
 
-        def run(loss_model):
+        def run(loss_model, records):
             return run_closed_loop(
                 dynamics=tank_dynamics(sc.plant),
                 predictor_cfg=bad,
@@ -457,24 +464,29 @@ class TestRunClosedLoop:
                 strategy=PREDICTIVE_BUFFER,
                 sim=sc.sim,
                 weights=sc.cost,
+                records=records,
             )
 
-        assert len(run(LossModel(itertools.repeat(1))).records) == steps
+        records = []
+        run(LossModel(itertools.repeat(1)), records)
+        assert len(records) == steps
+        records = []
         with pytest.raises(SimulationDiverged) as excinfo:
-            run(LossModel([1] + [0] * (steps - 1)))
+            run(LossModel([1] + [0] * (steps - 1)), records)
         err = excinfo.value
         assert err.step == 1
-        assert len(err.records) == 1
+        assert len(records) == 1
         assert err.reason == "prediction left the domain after 1 entries"
 
     def test_truth_domain_exit_text(self, small_scenario_dict):
         # theta jumps on the substep start t = 61 inside interval 30
         sc = small_scenario(small_scenario_dict, {"sim.theta": [[0.0, 0.175], [61.0, 2.0]]})
+        records = []
         with pytest.raises(SimulationDiverged) as excinfo:
-            run_scenario(sc, PREDICTIVE_BUFFER)
+            run_scenario(sc, PREDICTIVE_BUFFER, records)
         err = excinfo.value
         assert err.step == 30
-        assert len(err.records) == 31
+        assert len(records) == 31
         assert err.reason == "stage 2 state 202433.75963201388 left the domain"
 
     @settings(
@@ -512,7 +524,8 @@ class TestRunClosedLoop:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(ncsim.runtime, "extend_plan", counting_extend)
-            result = run_closed_loop(
+            records, x_final = collected(
+                run_closed_loop,
                 dynamics=tank_dynamics(sc.plant),
                 predictor_cfg=sc.predictor,
                 control_cfg=sc.controller,
@@ -521,8 +534,8 @@ class TestRunClosedLoop:
                 sim=sc.sim,
                 weights=sc.cost,
             )
-        assert list(result.records) == expected_records
-        assert result.x_final == expected_x
+        assert records == expected_records
+        assert x_final == expected_x
         # each burst predicts the entries up to the furthest one it replays
         offsets = replayed_offsets(bits, sc.predictor.horizon, doubled)
         bursts = itertools.groupby(offsets, key=lambda offset: offset is None)
@@ -546,6 +559,8 @@ class TestRunClosedLoop:
             state_domain=(0.0, 1.2),
         )
 
+        records = []
+
         def run():
             return run_closed_loop(
                 dynamics=still,
@@ -558,18 +573,20 @@ class TestRunClosedLoop:
                     doubled_age_offset=doubled,
                 ),
                 weights=CostWeights(q_c=1.0, r_c=1.0, m_steps=1),
+                records=records,
             )
 
         offsets = replayed_offsets(bits, horizon, doubled)
         exits = [k for k, offset in enumerate(offsets) if offset is not None and offset >= j]
         if not exits:
-            assert len(run().records) == len(bits)
+            run()
+            assert len(records) == len(bits)
             return
         with pytest.raises(SimulationDiverged) as excinfo:
             run()
         err = excinfo.value
         assert err.step == exits[0]
-        assert len(err.records) == exits[0]
+        assert len(records) == exits[0]
         assert err.reason == f"prediction left the domain after {j} entries"
 
     def test_truth_divergence_after_record(self):
@@ -579,6 +596,7 @@ class TestRunClosedLoop:
             uncertainty_gain=lambda x: 0.0,
             state_domain=(0.0, 10.0),
         )
+        records = []
         with pytest.raises(SimulationDiverged) as excinfo:
             run_closed_loop(
                 dynamics=runaway,
@@ -588,10 +606,11 @@ class TestRunClosedLoop:
                 strategy=ZERO_INPUT,
                 sim=SimSettings(x0=5.0, t_s=1.0, duration=3.0, theta=ZERO_THETA, n_truth=1),
                 weights=CostWeights(q_c=1.0, r_c=1.0, m_steps=1),
+                records=records,
             )
         err = excinfo.value
         assert err.step == 0
-        assert len(err.records) == 1
+        assert len(records) == 1
         assert "stage" in err.reason
 
     def test_unknown_strategy_rejected(self, small_scenario_dict):
@@ -605,6 +624,7 @@ class TestRunClosedLoop:
                 strategy="nope",
                 sim=sc.sim,
                 weights=sc.cost,
+                records=[],
             )
 
     def test_initial_state_must_be_in_domain(self, small_scenario_dict):
@@ -621,16 +641,16 @@ class TestRunClosedLoop:
                 strategy=ZERO_INPUT,
                 sim=sim,
                 weights=sc.cost,
+                records=[],
             )
 
     def test_repeat_run_is_deterministic(self, small_scenario_dict):
         sc = small_scenario(
             small_scenario_dict, {"loss": {"kind": "bernoulli", "p": 0.3, "seed": 4}}
         )
-        first = run_scenario(sc, PREDICTIVE_BUFFER)
-        second = run_scenario(sc, PREDICTIVE_BUFFER)
-        assert first.records == second.records
-        assert first.x_final == second.x_final
+        assert collected(run_scenario, sc, PREDICTIVE_BUFFER) == collected(
+            run_scenario, sc, PREDICTIVE_BUFFER
+        )
 
     @settings(max_examples=40, deadline=None)
     @given(bits=st.lists(st.integers(min_value=0, max_value=1), min_size=12, max_size=12))
@@ -641,7 +661,8 @@ class TestRunClosedLoop:
         doc["sim"]["n_truth"] = 5
         doc["cost"]["m_steps"] = 12
         sc = scenario_from_dict(doc)
-        result = run_closed_loop(
+        records, _ = collected(
+            run_closed_loop,
             dynamics=tank_dynamics(sc.plant),
             predictor_cfg=sc.predictor,
             control_cfg=sc.controller,
@@ -650,7 +671,7 @@ class TestRunClosedLoop:
             sim=sc.sim,
             weights=sc.cost,
         )
-        for rec in result.records:
+        for rec in records:
             if rec.s == 1:
                 assert rec.i == 0
             assert 0 <= rec.i <= sc.predictor.horizon
@@ -659,7 +680,8 @@ class TestRunClosedLoop:
 def first_interval_cost(x0, setpoint, received=True, u_min=0.0, raw_state=False):
     """Running cost after one interval of a two-interval run on xdot = -x + u."""
     weights = CostWeights(1.0, 1.0, 1, raw_state=raw_state)
-    result = run_closed_loop(
+    records, _ = collected(
+        run_closed_loop,
         dynamics=linear_decay_dynamics(),
         predictor_cfg=PredictorConfig(delta=1.0, gamma=0.0, horizon=5),
         control_cfg=ControllerConfig(setpoint=setpoint, u_min=u_min, u_max=u_min + 1.0),
@@ -668,7 +690,7 @@ def first_interval_cost(x0, setpoint, received=True, u_min=0.0, raw_state=False)
         sim=SimSettings(x0=x0, t_s=1.0, duration=2.0, theta=ZERO_THETA, n_truth=1),
         weights=weights,
     )
-    return result.cost(weights), result.records
+    return records[weights.m_steps - 1].j_running, records
 
 
 class TestEvaluateCost:
@@ -691,13 +713,14 @@ class TestEvaluateCost:
     def test_cost_past_float_range_is_a_divergence(self, small_scenario_dict, key):
         sc = scenario_from_dict(small_scenario_dict({key: 1e308}))
         for strategy in STRATEGIES:
+            records = []
             with pytest.raises(SimulationDiverged) as excinfo:
-                run_scenario(sc, strategy)
+                run_scenario(sc, strategy, records)
             err = excinfo.value
             assert err.reason.startswith("running cost became non-finite")
             # the records stop before the step whose cost overflowed
-            assert len(err.records) == err.step
-            assert all(math.isfinite(r.j_running) for r in err.records)
+            assert len(records) == err.step
+            assert all(math.isfinite(r.j_running) for r in records)
 
     def test_rejects_empty_and_short_records(self, small_scenario_dict):
         # a run cannot be shorter than its cost horizon: both are parse errors
@@ -745,8 +768,8 @@ class TestCompareStrategies:
             small_scenario_dict, {"loss": {"kind": "bernoulli", "p": 0.3, "seed": 5}}
         )
         result = compare_strategies(sc, strategies=(HOLD_LAST_VALUE,), n_seeds=2)
-        run = run_scenario(sc, HOLD_LAST_VALUE, seed=6)
-        total = stage_cost_sum(run.records, sc.cost, sc.controller.setpoint)
+        records, _ = collected(run_scenario, sc, HOLD_LAST_VALUE, seed=6)
+        total = stage_cost_sum(records, sc.cost, sc.controller.setpoint)
         assert result.costs[HOLD_LAST_VALUE][6] == total
 
     @pytest.mark.parametrize("m_steps", [1, 7, 59])
@@ -757,11 +780,10 @@ class TestCompareStrategies:
         )
         result = compare_strategies(sc, strategies=(PREDICTIVE_BUFFER,), n_seeds=2)
         for seed in result.seeds:
-            run = run_scenario(sc, PREDICTIVE_BUFFER, seed=seed)
-            records = run.records
+            records, _ = collected(run_scenario, sc, PREDICTIVE_BUFFER, seed=seed)
             assert len(records) == 60
             cost = result.costs[PREDICTIVE_BUFFER][seed]
-            assert cost == run.cost(sc.cost) == records[m_steps - 1].j_running
+            assert cost == records[m_steps - 1].j_running
             assert cost == stage_cost_sum(records, sc.cost, sc.controller.setpoint)
             assert cost < records[-1].j_running
 
@@ -956,7 +978,7 @@ class TestCheckStrategies:
         with pytest.raises(ConfigError, match="^strategy: unknown strategy 'nope'"):
             run_closed_loop(
                 tank_dynamics(sc.plant), sc.predictor, sc.controller,
-                LossModel(itertools.repeat(1)), "nope", sc.sim, sc.cost,
+                LossModel(itertools.repeat(1)), "nope", sc.sim, sc.cost, [],
             )
 
 
@@ -994,10 +1016,10 @@ class TestRecordsCsv:
             small_scenario_dict, {"loss": {"kind": "bernoulli", "p": 0.3, "seed": 11}}
         )
         for strategy in (PREDICTIVE_BUFFER, HOLD_LAST_VALUE):
-            result = run_scenario(sc, strategy)
+            records, _ = collected(run_scenario, sc, strategy)
             path = tmp_path / f"{strategy}.csv"
-            write_records(result.records, str(path))
-            assert read_records(str(path)) == list(result.records)
+            write_records(records, str(path))
+            assert read_records(str(path)) == records
 
     def test_header_line_is_frozen(self, tmp_path):
         path = tmp_path / "trace.csv"
@@ -1022,8 +1044,8 @@ class TestRecordsCsv:
         sc = small_scenario(small_scenario_dict)
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"
-        write_records(run_scenario(sc, PREDICTIVE_BUFFER).records, str(a))
-        write_records(run_scenario(sc, PREDICTIVE_BUFFER).records, str(b))
+        write_records(collected(run_scenario, sc, PREDICTIVE_BUFFER)[0], str(a))
+        write_records(collected(run_scenario, sc, PREDICTIVE_BUFFER)[0], str(b))
         assert a.read_bytes() == b.read_bytes()
 
 
@@ -1045,15 +1067,6 @@ class TestRecordSinks:
             "loss": {"kind": "bernoulli", "p": 0.3, "seed": 11}, "cost.m_steps": 7,
         })
 
-    def test_default_is_a_list_the_result_holds(self, small_scenario_dict):
-        sc = self.bursty(small_scenario_dict)
-        result = run_scenario(sc, PREDICTIVE_BUFFER)
-        assert type(result.records) is list and len(result.records) == 60
-        given_list = []
-        again = run_scenario(sc, PREDICTIVE_BUFFER, records=given_list)
-        assert again.records is given_list
-        assert given_list == result.records
-
     def test_each_record_arrives_before_its_truth_march(self, small_scenario_dict, monkeypatch):
         sc = self.bursty(small_scenario_dict)
         sink = RecordingSink()
@@ -1064,25 +1077,24 @@ class TestRecordSinks:
             return integrate_interval(*args)
 
         monkeypatch.setattr(ncsim.runtime, "integrate_interval", counting)
-        result = run_scenario(sc, PREDICTIVE_BUFFER, records=sink)
-        assert result.records is sink
+        run_scenario(sc, PREDICTIVE_BUFFER, sink)
         assert marched == list(range(1, 61))
         assert [r.k for r in sink.records] == list(range(60))
 
-    def test_divergence_carries_the_sink(self, small_scenario_dict):
+    def test_divergence_leaves_the_records_in_the_sink(self, small_scenario_dict):
         sc = small_scenario(small_scenario_dict, {"sim.theta": [[0.0, 0.175], [61.0, 2.0]]})
         sink = RecordingSink()
         with pytest.raises(SimulationDiverged) as excinfo:
-            run_scenario(sc, HOLD_LAST_VALUE, records=sink)
-        assert excinfo.value.records is sink
-        assert len(sink.records) == 31
+            run_scenario(sc, HOLD_LAST_VALUE, sink)
+        assert not hasattr(excinfo.value, "records")
+        assert [r.k for r in sink.records] == list(range(31))
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_tally_keeps_what_the_list_shows(self, small_scenario_dict, strategy):
         sc = self.bursty(small_scenario_dict)
-        records = run_scenario(sc, strategy).records
+        records, x_final = collected(run_scenario, sc, strategy)
         tally = RunTally(sc.cost.m_steps)
-        assert run_scenario(sc, strategy, records=tally).records is tally
+        assert run_scenario(sc, strategy, tally) == x_final
         assert tally.steps == len(records) == 60
         assert tally.loss_count == sum(1 for r in records if r.s == 0) > 0
         assert tally.j_total == records[-1].j_running
@@ -1132,9 +1144,10 @@ class TestAnyScenarioRunsOrDiverges:
         except ConfigError:
             return  # not a scenario: the parse property covers the document
         for strategy in STRATEGIES:
+            tally = RunTally(sc.cost.m_steps)
             try:
-                result = run_scenario(sc, strategy)
+                x_final = run_scenario(sc, strategy, tally)
             except SimulationDiverged:
                 continue
-            assert math.isfinite(result.cost(sc.cost))
-            assert math.isfinite(result.x_final)
+            assert math.isfinite(tally.j_m_steps)
+            assert math.isfinite(x_final)

@@ -615,7 +615,8 @@ class TestRunSizeCaps:
             "loss": {"kind": "bernoulli", "p": 0.8, "seed": 3},
         }))
         per_input = sc.predictor.steps_per_input(sc.sim.t_s)
-        records = run_scenario(sc, PREDICTIVE_BUFFER).records
+        records = []
+        run_scenario(sc, PREDICTIVE_BUFFER, records)
         losses = sum(1 for r in records if not r.s)
         bound = sc.sim.steps * per_input * min(horizon, 2)
         assert sum(grown) <= losses * per_input * min(horizon, 2) <= bound
