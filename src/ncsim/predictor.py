@@ -198,6 +198,16 @@ def calibrate_gamma_two(pairs: Sequence[SamplePair]) -> float:
     return _check_range(calibration(pairs)[3])
 
 
+def _clipped(text: Optional[str], limit: int = 40) -> str:
+    """``text`` quoted, cut to its first ``limit`` characters and its
+    length if longer; "nothing" for None."""
+    if text is None:
+        return "nothing"
+    if len(text) <= limit:
+        return repr(text)
+    return f"{text[:limit]!r}... ({len(text)} characters)"
+
+
 def read_sample_pairs(path: str) -> list[SamplePair]:
     """Load calibration samples from a CSV file.
 
@@ -215,18 +225,22 @@ def read_sample_pairs(path: str) -> list[SamplePair]:
     try:
         if reader.fieldnames is None or not required.issubset(reader.fieldnames):
             raise ValueError(
-                f"sample file must have columns pair_id,predicted,measured, got {reader.fieldnames}"
+                "sample file must have columns pair_id,predicted,measured, got "
+                + _clipped(",".join(reader.fieldnames or ()))
             )
         for row in reader:
             pair_id = row["pair_id"]
             if pair_id not in groups:
                 groups[pair_id] = ([], [])
                 order.append(pair_id)
-            try:
-                groups[pair_id][0].append(float(row["predicted"]))
-                groups[pair_id][1].append(float(row["measured"]))
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"bad sample row {row!r}") from exc
+            for column, values in zip(("predicted", "measured"), groups[pair_id]):
+                try:
+                    values.append(float(row[column]))
+                except (TypeError, ValueError) as exc:  # TypeError: a short row
+                    raise ValueError(
+                        f"bad sample on line {reader.line_num}, column {column}: "
+                        + _clipped(row[column])
+                    ) from exc
     except csv.Error as exc:  # a field past csv.field_size_limit(), say
         raise ValueError(f"malformed CSV: {exc}") from exc
     if not order:

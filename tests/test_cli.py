@@ -941,6 +941,23 @@ class TestCalibrate:
         assert f"cannot load samples from {str(path)!r}: " in err
         assert "field larger than field limit" in err
 
+    # a 100 000-character field within csv.field_size_limit(): the message
+    # names its line and column and quotes its first 40 characters
+    @pytest.mark.parametrize("text, names", [
+        ("pair_id,predicted,measured\na,1,1\nb," + "x" * 100_000 + ",1\n",
+         "bad sample on line 3, column predicted: '" + "x" * 40 + "'... (100000 characters)"),
+        ("pair_id,predicted,measured\na,1,1\nb,1\n", "bad sample on line 3, column measured: nothing"),
+        ("pair_id,predicted," + "m" * 100_000 + "\na,1,1\n",
+         "must have columns pair_id,predicted,measured, got 'pair_id,predicted,"),
+    ], ids=["row", "short row", "header"])
+    def test_bad_sample_message_is_short(self, tmp_path, capsys, text, names):
+        path = tmp_path / "samples.csv"
+        path.write_text(text)
+        assert main(["calibrate", str(path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert names in err
+        assert len(err) < 300 + len(str(path))
+
 
 LOSS_FLAG_KINDS = ("none", "bernoulli", "gilbert-elliott", "ge", "trace", "")
 LOSS_SET_KEYS = ("kind", "seed", "p", "p_g2b", "p_b2g", "loss_in_bad", "trace_path", "wrap")

@@ -5,13 +5,15 @@ compare cell keeps only its cost, so neither holds the run's records.
 Run ten times longer, the traced peak of either may grow by the loss
 model's one byte per drawn reception bit, and by less than
 ``BYTES_PER_INTERVAL`` per added interval in all; holding every record
-took about 220 bytes per interval.
+took about 220 bytes per interval.  The truth memo holds at most
+``TRUTH_MEMO_ENTRIES`` end states, which even the shorter run fills.
 """
 
 import tracemalloc
 
 from ncsim import PREDICTIVE_BUFFER, compare_strategies
 from ncsim.cli import EXIT_OK, main
+from ncsim.runtime import TRUTH_MEMO_ENTRIES
 from ncsim.scenario import apply_overrides, builtin_scenario_dict, scenario_from_dict
 
 # sim.duration of tank-reference (t_s = 2) for 1800 and 18 000 intervals
@@ -34,6 +36,7 @@ def traced(fn, *args):
 
 
 def assert_flat(peak_of) -> None:
+    assert SHORT / 2.0 > TRUTH_MEMO_ENTRIES  # both runs reach the memo cap
     peak_of(SHORT)  # once unmeasured, for what a process builds on first use
     short, long = peak_of(SHORT), peak_of(LONG)
     assert long - short < BYTES_PER_INTERVAL * ADDED_INTERVALS, (short, long)

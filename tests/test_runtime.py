@@ -1107,6 +1107,115 @@ class TestRecordSinks:
         assert (tally.steps, tally.loss_count, tally.j_m_steps) == (1, 1, None)
 
 
+def lossless_reference(dynamics, control_cfg, sim, weights, predicts):
+    """The loop without loss that marches the truth at every interval:
+    ``(records, x_final)``, with ``x_pred`` the state when ``predicts``."""
+    records, x, j_running = [], sim.x0, 0.0
+    for k in range(sim.steps):
+        u = sontag_input(dynamics, control_cfg, x)
+        deviation = x if weights.raw_state else x - control_cfg.setpoint
+        j_running += weights.q_c * deviation * deviation + weights.r_c * u * u
+        t_k = k * sim.t_s
+        records.append(SimulationRecord(k, t_k, x, x if predicts else None, 1, 0, u, j_running))
+        x = integrate_interval(dynamics, x, u, t_k, sim.t_s, sim.n_truth, sim.theta)
+    return records, x
+
+
+def bitwise(records):
+    """Each record as text that tells +0.0 from -0.0."""
+    return [repr(r) for r in records]
+
+
+def counted_marches(monkeypatch):
+    """The argument tuples of every ``integrate_interval`` call the loop makes."""
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return integrate_interval(*args)
+
+    monkeypatch.setattr(ncsim.runtime, "integrate_interval", counting)
+    return calls
+
+
+def sign_of_zero_drift(x):
+    """-1 at -0.0 and +1 at +0.0.  From x0 = -0.0 with h = 1, RK4 goes
+    to -1.0, then exactly to +0.0 (stages -1, 2, 1, 1), then to 1.0: a memo
+    that merged the two zeros would send +0.0 back to -1.0."""
+    if x == 0.0:
+        return math.copysign(1.0, x)
+    if x > 0.0:
+        return 1.0
+    return 2.0 if x < -1.25 else -1.0
+
+
+class TestTruthMemo:
+    """A run marches each held-theta truth interval once per distinct
+    (x, u, theta), and its records match a loop that marches them all."""
+
+    # The memo cap and the marches of a lossless tank-reference run.  Its
+    # 182 distinct keys are a transient and a cycle of a few states before
+    # and after theta switches: 4 entries are emptied within the cycle.
+    @pytest.mark.parametrize("cap, marches", [(256, 182), (4, 988)])
+    def test_lossless_tank_reference_revisits_its_states(self, monkeypatch, cap, marches):
+        sc = scenario_from_dict(builtin_scenario_dict("tank-reference"))
+        monkeypatch.setattr(ncsim.runtime, "TRUTH_MEMO_ENTRIES", cap)
+        calls = counted_marches(monkeypatch)
+        records, x_final = collected(run_scenario, sc, PREDICTIVE_BUFFER)
+        assert len(calls) == marches
+        assert len({(x, u, th) for _, x, u, *_, th in calls}) == 182
+        expected = lossless_reference(
+            tank_dynamics(sc.plant), sc.controller, sc.sim, sc.cost, predicts=True
+        )
+        assert (records, x_final) == expected
+        assert len(records) == 1800
+
+    def test_signed_zeros_are_different_keys(self, monkeypatch):
+        dynamics = SystemDynamics(
+            drift=sign_of_zero_drift,
+            input_gain=lambda x: 0.0,
+            uncertainty_gain=lambda x: 0.0,
+            state_domain=WIDE,
+        )
+        control = ControllerConfig(setpoint=0.0)
+        sim = SimSettings(x0=-0.0, t_s=1.0, duration=5.0, theta=ZERO_THETA, n_truth=1)
+        weights = CostWeights(q_c=1.0, r_c=1.0, m_steps=5)
+        calls = counted_marches(monkeypatch)
+        records, x_final = collected(
+            run_closed_loop, dynamics, PredictorConfig(delta=1.0, gamma=0.0, horizon=2),
+            control, LossModel(itertools.repeat(1)), HOLD_LAST_VALUE, sim, weights,
+        )
+        expected = lossless_reference(dynamics, control, sim, weights, predicts=False)
+        assert bitwise(records) == bitwise(expected[0])
+        assert [r.x_true for r in records] == [-0.0, -1.0, 0.0, 1.0, 2.0]
+        assert math.copysign(1.0, records[2].x_true) == 1.0
+        assert x_final == expected[1] == 3.0
+        assert len(calls) == 5
+
+    @pytest.mark.parametrize("position", range(3))
+    def test_key_tells_the_zeros_apart(self, position):
+        key = ncsim.runtime._truth_key
+        plus, minus = [1.0, 0.5, 0.175], [1.0, 0.5, 0.175]
+        plus[position], minus[position] = 0.0, -0.0
+        assert key(*plus) != key(*minus)
+
+    def test_straddling_intervals_march_every_time(self, monkeypatch):
+        # x stands still, so held intervals under one theta share one key;
+        # the schedule times 2.5 and 4.5 fall inside intervals 2 and 4
+        still = SystemDynamics(lambda x: 0.0, lambda x: 0.0, lambda x: 0.0, WIDE)
+        theta = UncertaintySignal(times=(0.0, 2.5, 4.5), values=(0.0, 1.0, 0.0))
+        sim = SimSettings(x0=1.0, t_s=1.0, duration=7.0, theta=theta, n_truth=2)
+        calls = counted_marches(monkeypatch)
+        collected(
+            run_closed_loop, still, PredictorConfig(delta=1.0, gamma=0.0, horizon=2),
+            ControllerConfig(setpoint=0.5), LossModel(itertools.repeat(1)), ZERO_INPUT,
+            sim, CostWeights(q_c=1.0, r_c=1.0, m_steps=7),
+        )
+        # (interval start, held theta or None for a straddling interval)
+        marched = [(args[3], args[7] if len(args) > 7 else None) for args in calls]
+        assert marched == [(0.0, 0.0), (2.0, None), (3.0, 1.0), (4.0, None)]
+
+
 class TestComparisonCsv:
     def test_layout_and_empty_cells(self, tmp_path):
         result = ComparisonResult(
