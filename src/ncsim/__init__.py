@@ -9,13 +9,7 @@ correction, the controller a universal-formula feedback from a
 quadratic Lyapunov function, validated on a pressure-tank plant.
 """
 
-from .controller import (
-    ControllerConfig,
-    closed_loop_vdot,
-    lie_derivatives,
-    sontag_from_lie,
-    sontag_input,
-)
+from .controller import ControllerConfig, sontag_feedback
 from .errors import (
     CalibrationRangeError,
     ConfigError,

@@ -19,7 +19,7 @@ units.
 """
 
 import math
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .errors import ConfigError, ControllerOverflowError, checked
 from .plant import SystemDynamics
@@ -57,42 +57,28 @@ class ControllerConfig(NamedTuple):
             )
 
 
-def lie_derivatives(
-    dynamics: SystemDynamics, cfg: ControllerConfig, x: float
-) -> tuple[float, float]:
-    """Return (LfV, LgV) at ``x``, which must lie in the state domain."""
-    dynamics.check_state(x)
-    grad = 2.0 * (x - cfg.setpoint)
-    return grad * dynamics.drift(x), grad * dynamics.input_gain(x)
+def sontag_feedback(dynamics: SystemDynamics, cfg: ControllerConfig) -> Callable[[float], float]:
+    """The saturated universal-formula feedback ``u(x)`` on ``dynamics``.
 
-
-def sontag_from_lie(lfv: float, lgv: float, cfg: ControllerConfig) -> float:
-    """Universal-formula input from precomputed Lie derivatives."""
-    if abs(lgv) <= cfg.lgv_threshold:
-        return 0.0
-    try:
-        u = -(lfv + math.sqrt(lfv * lfv + lgv ** 4)) / lgv
-    except OverflowError:  # a float ** raises where * gives inf
-        u = math.inf
-    if not math.isfinite(u):
-        raise ControllerOverflowError(
-            f"feedback overflowed at LfV={lfv!r}, LgV={lgv!r}"
-        )
-    return min(max(u, cfg.u_min), cfg.u_max)
-
-
-def sontag_input(dynamics: SystemDynamics, cfg: ControllerConfig, x: float) -> float:
-    """Saturated universal-formula feedback evaluated at state ``x``."""
-    lfv, lgv = lie_derivatives(dynamics, cfg, x)
-    return sontag_from_lie(lfv, lgv, cfg)
-
-
-def closed_loop_vdot(dynamics: SystemDynamics, cfg: ControllerConfig, x: float) -> float:
-    """Time derivative of V along the closed loop at ``x``.
-
-    Equals -sqrt(LfV^2 + LgV^4) wherever the input is above threshold
-    and unsaturated; with a binding saturation bound the value is simply
-    reported and may be non-negative.
+    The gains and settings are read here, once; ``u(x)`` raises
+    ``DomainError`` for a state outside the domain and
+    ``ControllerOverflowError`` where the formula leaves float range.
     """
-    lfv, lgv = lie_derivatives(dynamics, cfg, x)
-    return lfv + lgv * sontag_from_lie(lfv, lgv, cfg)
+    check_state, f, g = dynamics.check_state, dynamics.drift, dynamics.input_gain
+    setpoint, threshold, u_min, u_max = cfg.setpoint, cfg.lgv_threshold, cfg.u_min, cfg.u_max
+
+    def feedback(x: float) -> float:
+        check_state(x)
+        grad = 2.0 * (x - setpoint)
+        lfv, lgv = grad * f(x), grad * g(x)
+        if abs(lgv) <= threshold:
+            return 0.0
+        try:
+            u = -(lfv + math.sqrt(lfv * lfv + lgv ** 4)) / lgv
+        except OverflowError:  # a float ** raises where * gives inf
+            u = math.inf
+        if not math.isfinite(u):
+            raise ControllerOverflowError(f"feedback overflowed at LfV={lfv!r}, LgV={lgv!r}")
+        return min(max(u, u_min), u_max)
+
+    return feedback

@@ -26,10 +26,11 @@ marched in a memo keyed on the bits of all three, emptied when it holds
 the tank, every input ``u_min`` or ``u_max``: a run without loss falls
 into a cycle of exact states, and a lossless ``tank-reference`` run
 marches 182 of its 1800 intervals.  A march that raises stores nothing,
-and an interval that a schedule time falls inside is marched every time.  A state outside the domain and a running cost
-past float range both end the run as ``SimulationDiverged`` at that
-step.  The loop keeps no record: it appends each one to the caller's
-sink as soon as the interval's input and running cost are known.
+and an interval that a schedule time falls inside is marched every time.
+A state outside the domain and a running cost past float range both end
+the run as ``SimulationDiverged`` at that step.  The loop keeps no
+record: it appends each one to the caller's sink as soon as the
+interval's input and running cost are known.
 ``SimSettings`` derives the step count from ``duration`` and caps both
 it and the truth substeps.
 """
@@ -39,7 +40,7 @@ import os
 import struct
 from typing import NamedTuple, Optional, Sequence
 
-from .controller import ControllerConfig, sontag_input
+from .controller import ControllerConfig, sontag_feedback
 from .errors import (
     ConfigError, DomainError, NcsimError, NonFiniteError, SimulationDiverged, TrajectoryError,
     checked,
@@ -278,9 +279,7 @@ def run_closed_loop(
     check_strategies((strategy,), "strategy")
     dynamics.check_state(sim.x0)
 
-    def controller(xs: float) -> float:
-        return sontag_input(dynamics, control_cfg, xs)
-
+    controller = sontag_feedback(dynamics, control_cfg)
     buffered = strategy == PREDICTIVE_BUFFER
     steps_per_input = predictor_cfg.steps_per_input(sim.t_s)
     horizon = predictor_cfg.horizon

@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from hypothesis import settings
 from hypothesis import strategies as st
 
 from ncsim import (
@@ -13,6 +14,10 @@ from ncsim import (
 from ncsim.predictor import extend_plan
 
 WIDE = (-1.0e12, 1.0e12)
+
+# A longer search than the default 100 examples, loaded only on request:
+#   python -m pytest tests/test_cli.py -k Fuzz --hypothesis-profile=deep
+settings.register_profile("deep", max_examples=2000, deadline=None)
 
 
 def full_plan(cfg, dynamics, x0, controller, steps_per_input=1):

@@ -16,7 +16,7 @@ from fractions import Fraction
 import pytest
 
 from ncsim.cli import main
-from ncsim.controller import ControllerConfig, closed_loop_vdot, lie_derivatives
+from ncsim.controller import ControllerConfig, sontag_feedback
 from ncsim.errors import CalibrationRangeError, DomainError
 from ncsim.losses import LossModel
 from ncsim.plant import SystemDynamics, rk4_increment, tank_dynamics
@@ -173,12 +173,14 @@ def test_feedback_decrease_across_the_pressure_range():
     c_out = params.alpha2 * params.a2 * params.m2 / params.vol
     c_in = params.alpha1 * params.a1 / params.vol
 
+    feedback = sontag_feedback(tank, unbounded)
     for i in range(1_000):
         x = lo + (i + 0.5) * cell
-        lfv, lgv = lie_derivatives(tank, at_setpoint, x)
+        dv = 2.0 * (x - at_setpoint.setpoint)  # the gradient of V
+        lfv, lgv = dv * tank.drift(x), dv * tank.input_gain(x)
         assert abs(lgv) > unbounded.lgv_threshold
         target = -math.sqrt(lfv * lfv + lgv ** 4)
-        vdot = closed_loop_vdot(tank, unbounded, x)
+        vdot = lfv + lgv * feedback(x)
         assert vdot < 0.0
         assert abs(vdot - target) <= 1e-9 * abs(target)
 

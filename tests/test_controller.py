@@ -1,19 +1,18 @@
 import math
 import re
+import struct
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from ncsim import (
     ControllerConfig,
     ControllerOverflowError,
     DomainError,
+    NcsimError,
     SystemDynamics,
-    closed_loop_vdot,
-    lie_derivatives,
-    sontag_from_lie,
-    sontag_input,
+    sontag_feedback,
     tank_dynamics,
 )
 
@@ -25,17 +24,71 @@ UNBOUNDED = CFG._replace(u_min=-math.inf, u_max=math.inf)
 TANK = tank_dynamics(reference_plant())
 
 
+def constant_gains(f: float, g: float) -> SystemDynamics:
+    return SystemDynamics(
+        drift=lambda x: f, input_gain=lambda x: g, uncertainty_gain=lambda x: 0.0,
+        state_domain=WIDE,
+    )
+
+
+def at_lie(lfv: float, lgv: float, cfg: ControllerConfig) -> float:
+    """The feedback where LfV = ``lfv`` and LgV = ``lgv``: constant gains at
+    x = setpoint + 0.5, where the gradient 2 (x - setpoint) is exactly 1."""
+    return sontag_feedback(constant_gains(lfv, lgv), cfg)(cfg.setpoint + 0.5)
+
+
+def reference_feedback(dynamics: SystemDynamics, cfg: ControllerConfig, x: float) -> float:
+    """The feedback written out as its two steps, the Lie derivatives at
+    ``x`` and the saturated formula on them, reading every gain and
+    setting at each call."""
+    dynamics.check_state(x)
+    grad = 2.0 * (x - cfg.setpoint)
+    lfv, lgv = grad * dynamics.drift(x), grad * dynamics.input_gain(x)
+    if abs(lgv) <= cfg.lgv_threshold:
+        return 0.0
+    try:
+        u = -(lfv + math.sqrt(lfv * lfv + lgv ** 4)) / lgv
+    except OverflowError:
+        u = math.inf
+    if not math.isfinite(u):
+        raise ControllerOverflowError(f"feedback overflowed at LfV={lfv!r}, LgV={lgv!r}")
+    return min(max(u, cfg.u_min), cfg.u_max)
+
+
+def outcome(feedback, *args):
+    """The bits of ``feedback(*args)``, so that -0.0 and +0.0 differ, or the
+    type and text of the ``NcsimError`` it raises."""
+    try:
+        return struct.pack("d", feedback(*args))
+    except NcsimError as exc:
+        return type(exc), str(exc)
+
+
+def drawn_config(setpoint: float, lgv: float, bounds, threshold) -> ControllerConfig:
+    """The config with ``threshold``, or |``lgv``| itself for None (where that
+    is a valid threshold), and ``bounds`` ordered."""
+    if threshold is None:
+        threshold = abs(lgv) if abs(lgv) > 0 else 1e-9
+    return ControllerConfig(setpoint, threshold, min(bounds), max(bounds))
+
+
+# Actuator bounds, infinite ones included, and positive thresholds.
+BOUNDS = st.tuples(st.floats(allow_nan=False), st.floats(allow_nan=False)).filter(
+    lambda b: b[0] != b[1]
+)
+THRESHOLDS = st.none() | st.floats(min_value=0.0, exclude_min=True, allow_nan=False)
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
 class TestLyapunovSpec:
     """V(x) = (x - setpoint)^2, centred on ``ControllerConfig.setpoint``."""
 
     def test_gradient_is_twice_the_error(self):
-        # with unit gains the Lie derivatives are the gradient 2 (x - setpoint)
-        unit = SystemDynamics(
-            drift=lambda x: 1.0, input_gain=lambda x: 1.0, uncertainty_gain=lambda x: 0.0,
-            state_domain=WIDE,
-        )
-        assert lie_derivatives(unit, ControllerConfig(setpoint=1.0), 3.0) == (4.0, 4.0)
-        assert lie_derivatives(unit, ControllerConfig(setpoint=1.0), 1.0) == (0.0, 0.0)
+        # with unit gains LfV = LgV = 2 (x - setpoint), 4 at x = 3
+        cfg = ControllerConfig(setpoint=1.0, u_min=-math.inf, u_max=math.inf)
+        feedback = sontag_feedback(constant_gains(1.0, 1.0), cfg)
+        assert feedback(3.0) == -(4.0 + math.sqrt(16.0 + 4.0 ** 4)) / 4.0
+        assert feedback(1.0) == 0.0
 
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_rejects_nonfinite_setpoint(self, bad):
@@ -67,47 +120,51 @@ class TestControllerConfig:
             ControllerConfig(setpoint=0.0, **kwargs)
 
 
-class TestSontagFromLie:
+class TestUniversalFormula:
+    """The formula at chosen (LfV, LgV), through constant gains."""
+
     def test_closed_form_positive_gain(self):
         # -(3 + sqrt(9 + 1)) / 1
-        assert sontag_from_lie(3.0, 1.0, UNBOUNDED) == -(3.0 + math.sqrt(10.0))
+        assert at_lie(3.0, 1.0, UNBOUNDED) == -(3.0 + math.sqrt(10.0))
 
     def test_closed_form_negative_drift(self):
         # -(-5 + sqrt(25 + 16)) / 2
-        assert sontag_from_lie(-5.0, 2.0, UNBOUNDED) == (5.0 - math.sqrt(41.0)) / 2.0
+        assert at_lie(-5.0, 2.0, UNBOUNDED) == (5.0 - math.sqrt(41.0)) / 2.0
 
     def test_closed_form_negative_gain(self):
-        assert sontag_from_lie(-5.0, -2.0, UNBOUNDED) == (math.sqrt(41.0) - 5.0) / 2.0
+        assert at_lie(-5.0, -2.0, UNBOUNDED) == (math.sqrt(41.0) - 5.0) / 2.0
 
     def test_decrease_holds_at_closed_form_point(self):
-        u = sontag_from_lie(-5.0, 2.0, UNBOUNDED)
+        u = at_lie(-5.0, 2.0, UNBOUNDED)
         assert -5.0 + 2.0 * u == -math.sqrt(41.0)
 
     def test_saturates_at_upper_bound(self):
         # unclamped input is +2
-        assert sontag_from_lie(0.0, -2.0, CFG) == 1.0
+        assert at_lie(0.0, -2.0, CFG) == 1.0
 
     def test_saturates_at_lower_bound(self):
         # unclamped input is -2
-        assert sontag_from_lie(0.0, 2.0, CFG) == 0.0
-        assert sontag_from_lie(3.0, 1.0, CFG) == 0.0
+        assert at_lie(0.0, 2.0, CFG) == 0.0
+        assert at_lie(3.0, 1.0, CFG) == 0.0
 
     def test_threshold_is_inclusive(self):
-        assert sontag_from_lie(123.0, CFG.lgv_threshold, CFG) == 0.0
-        assert sontag_from_lie(123.0, -CFG.lgv_threshold, CFG) == 0.0
-        assert sontag_from_lie(123.0, 0.0, CFG) == 0.0
+        assert at_lie(123.0, CFG.lgv_threshold, CFG) == 0.0
+        assert at_lie(123.0, -CFG.lgv_threshold, CFG) == 0.0
+        assert at_lie(123.0, 0.0, CFG) == 0.0
 
     def test_just_above_threshold_acts(self):
-        assert sontag_from_lie(0.0, 2e-9, UNBOUNDED) != 0.0
+        assert at_lie(0.0, 2e-9, UNBOUNDED) != 0.0
 
     def test_overflow_raises(self):
-        with pytest.raises(ControllerOverflowError):
-            sontag_from_lie(1e300, 1e-8, CFG)
+        text = re.escape("feedback overflowed at LfV=1e+300, LgV=1e-08")
+        with pytest.raises(ControllerOverflowError, match=f"^{text}$"):
+            at_lie(1e300, 1e-8, CFG)
 
     def test_fourth_power_overflow_raises(self):
         # a float ** raises OverflowError instead of returning inf
-        with pytest.raises(ControllerOverflowError):
-            sontag_from_lie(0.0, 1e100, CFG)
+        text = re.escape("feedback overflowed at LfV=0.0, LgV=1e+100")
+        with pytest.raises(ControllerOverflowError, match=f"^{text}$"):
+            at_lie(0.0, 1e100, CFG)
 
     @given(
         lfv=st.floats(min_value=-1e3, max_value=1e3),
@@ -116,7 +173,7 @@ class TestSontagFromLie:
     )
     def test_unsaturated_vdot_identity(self, lfv, lgv_mag, sign):
         lgv = sign * lgv_mag
-        u = sontag_from_lie(lfv, lgv, UNBOUNDED)
+        u = at_lie(lfv, lgv, UNBOUNDED)
         vdot = lfv + lgv * u
         expected = -math.sqrt(lfv * lfv + lgv ** 4)
         assert vdot == pytest.approx(expected, rel=1e-9)
@@ -132,21 +189,51 @@ class TestSontagFromLie:
     )
     def test_scaling_homogeneity(self, lfv, lgv_mag, sign, c):
         lgv = sign * lgv_mag
-        scaled = sontag_from_lie(c * c * lfv, c * lgv, UNBOUNDED)
-        assert scaled == pytest.approx(c * sontag_from_lie(lfv, lgv, UNBOUNDED), rel=1e-9)
+        scaled = at_lie(c * c * lfv, c * lgv, UNBOUNDED)
+        assert scaled == pytest.approx(c * at_lie(lfv, lgv, UNBOUNDED), rel=1e-9)
 
 
-class TestLieDerivatives:
-    def test_vanish_at_setpoint(self, tank):
-        assert lie_derivatives(tank, ControllerConfig(setpoint=150_000.0), 150_000.0) == (0.0, 0.0)
+class TestAgainstTheReference:
+    """``sontag_feedback(dynamics, cfg)(x)`` is the two-step feedback, bit
+    for bit, and raises the same errors with the same texts."""
+
+    @given(data=st.data())
+    def test_tank(self, data):
+        lo, hi = TANK.state_domain
+        # states a little past either end of the domain included
+        x = data.draw(st.floats(min_value=lo - 1e3, max_value=hi + 1e3))
+        setpoint = data.draw(st.floats(min_value=lo, max_value=hi))
+        lgv = 2.0 * (x - setpoint) * TANK.input_gain(x) if lo <= x <= hi else 0.0
+        cfg = drawn_config(setpoint, lgv, data.draw(BOUNDS), data.draw(THRESHOLDS))
+        assert outcome(sontag_feedback(TANK, cfg), x) == outcome(reference_feedback, TANK, cfg, x)
+
+    @given(
+        lfv=FINITE, lgv=FINITE, x=FINITE, setpoint=FINITE, bounds=BOUNDS, threshold=THRESHOLDS
+    )
+    # the formula past float range, by * and by **
+    @example(lfv=1e300, lgv=1e-8, x=0.5, setpoint=0.0, bounds=(0.0, 1.0), threshold=1e-9)
+    @example(lfv=0.0, lgv=1e100, x=0.5, setpoint=0.0, bounds=(0.0, 1.0), threshold=1e-9)
+    # a -0.0 input, which the clamp keeps at the bound 0.0, and |LgV| = 4
+    # on the threshold
+    @example(lfv=-1.0, lgv=1e-100, x=0.5, setpoint=0.0, bounds=(0.0, 1.0), threshold=1e-200)
+    @example(lfv=3.0, lgv=2.0, x=1.0, setpoint=0.0, bounds=(-1.0, 0.0), threshold=None)
+    def test_constant_gains(self, lfv, lgv, x, setpoint, bounds, threshold):
+        dynamics = constant_gains(lfv, lgv)
+        cfg = drawn_config(setpoint, 2.0 * (x - setpoint) * lgv, bounds, threshold)
+        expected = outcome(reference_feedback, dynamics, cfg, x)
+        assert outcome(sontag_feedback(dynamics, cfg), x) == expected
+
+
+class TestTankFeedback:
+    def test_zero_at_the_setpoint(self, tank):
+        assert sontag_feedback(tank, ControllerConfig(setpoint=150_000.0))(150_000.0) == 0.0
 
     @pytest.mark.parametrize("m2", [1.0, 0.5])
     @pytest.mark.parametrize("x", [120_000.0, 150_000.0, 180_000.0])
     def test_closed_forms_at_zero_reference(self, m2, x):
         p = reference_plant()._replace(m2=m2)
         d = tank_dynamics(p)
-        lfv, lgv = lie_derivatives(d, ControllerConfig(setpoint=0.0), x)
-        lfv_hand = (
+        lfv = (
             -(2.0 / p.vol)
             * p.alpha2
             * p.a2
@@ -154,62 +241,41 @@ class TestLieDerivatives:
             * x ** 2
             * math.sqrt(2.0 * (x - p.p2) / p.rho)
         )
-        lgv_hand = (
+        lgv = (
             (2.0 / p.vol)
             * p.alpha1
             * p.a1
             * x ** 2
             * math.sqrt(2.0 * (p.p1 - x) / p.rho)
         )
-        assert lfv == pytest.approx(lfv_hand, rel=1e-12)
-        assert lgv == pytest.approx(lgv_hand, rel=1e-12)
+        cfg = ControllerConfig(setpoint=0.0, u_min=-math.inf, u_max=math.inf)
+        u = sontag_feedback(d, cfg)(x)
+        assert u == pytest.approx(-(lfv + math.sqrt(lfv * lfv + lgv ** 4)) / lgv, rel=1e-9)
 
     def test_signs_off_setpoint(self, tank):
-        lfv, lgv = lie_derivatives(tank, CFG, 140_000.0)
-        # below the setpoint the gradient is negative, f < 0, g > 0
-        assert lfv > 0.0
-        assert lgv < 0.0
-
-
-class TestSontagInput:
-    def test_composition(self, tank):
-        x = 133_000.0
-        lfv, lgv = lie_derivatives(tank, CFG, x)
-        assert sontag_input(tank, CFG, x) == sontag_from_lie(lfv, lgv, CFG)
-
-    @given(data=st.data())
-    def test_equals_the_formula_on_the_gains_bit_for_bit(self, data):
-        lo, hi = TANK.state_domain
-        x = data.draw(st.floats(min_value=lo, max_value=hi))
-        setpoint = st.floats(min_value=lo, max_value=hi, exclude_min=True, exclude_max=True)
-        cfg = ControllerConfig(setpoint=data.draw(setpoint))
-        g = 2.0 * (x - cfg.setpoint)
-        expected = sontag_from_lie(g * TANK.drift(x), g * TANK.input_gain(x), cfg)
-        assert sontag_input(TANK, cfg, x) == expected
+        # below the setpoint the gradient is negative, f < 0 and g > 0, so
+        # LfV > 0 > LgV and the unclamped input opens the valve; above, it closes
+        feedback = sontag_feedback(tank, UNBOUNDED)
+        assert feedback(140_000.0) > 0.0
+        assert feedback(160_000.0) < 0.0
 
     @pytest.mark.parametrize("x", [99_999.0, 100_000.0, 200_000.0, 250_000.0])
     def test_state_outside_the_domain_raises_the_check_state_text(self, tank, x):
         lo, hi = tank.state_domain
         text = re.escape(f"state {x!r} outside domain [{lo!r}, {hi!r}]")
-        for feedback in (sontag_input, closed_loop_vdot, lie_derivatives):
-            with pytest.raises(DomainError, match=f"^{text}$"):
-                feedback(tank, CFG, x)
+        with pytest.raises(DomainError, match=f"^{text}$"):
+            sontag_feedback(tank, CFG)(x)
 
     def test_opens_fully_below_setpoint(self, tank):
-        assert sontag_input(tank, CFG, 150_000.0) == 1.0
-        assert sontag_input(tank, CFG, 140_000.0) == 1.0
+        feedback = sontag_feedback(tank, CFG)
+        assert feedback(150_000.0) == 1.0
+        assert feedback(140_000.0) == 1.0
 
     def test_closes_fully_above_setpoint(self, tank):
-        assert sontag_input(tank, CFG, 160_000.0) == 0.0
-
-
-class TestClosedLoopVdot:
-    def test_matches_lie_composition(self, tank):
-        x = 144_000.0
-        lfv, lgv = lie_derivatives(tank, CFG, x)
-        expected = lfv + lgv * sontag_from_lie(lfv, lgv, CFG)
-        assert closed_loop_vdot(tank, CFG, x) == expected
+        assert sontag_feedback(tank, CFG)(160_000.0) == 0.0
 
     @pytest.mark.parametrize("x", [120_000.0, 145_000.0, 155_000.0, 190_000.0])
-    def test_negative_away_from_setpoint(self, x):
-        assert closed_loop_vdot(TANK, UNBOUNDED, x) < 0.0
+    def test_vdot_negative_away_from_setpoint(self, x):
+        grad = 2.0 * (x - UNBOUNDED.setpoint)
+        lfv, lgv = grad * TANK.drift(x), grad * TANK.input_gain(x)
+        assert lfv + lgv * sontag_feedback(TANK, UNBOUNDED)(x) < 0.0

@@ -21,7 +21,7 @@ from ncsim import (
     rk4_increment,
     tank_dynamics,
 )
-from ncsim.controller import ControllerConfig, sontag_input
+from ncsim.controller import ControllerConfig, sontag_feedback
 from ncsim.predictor import _check_range, extend_plan, gamma_in_range
 
 from conftest import full_plan, linear_decay_dynamics, reference_plant
@@ -184,11 +184,7 @@ class TestPredictorMarch:
     def test_trajectory_with_several_steps_per_input(self, x0, gamma, steps_per_input):
         d = tank_dynamics(reference_plant())
         cfg = PredictorConfig(delta=0.5, gamma=gamma, horizon=8)
-        ccfg = ControllerConfig(setpoint=150_000.0)
-
-        def controller(x):
-            return sontag_input(d, ccfg, x)
-
+        controller = sontag_feedback(d, ControllerConfig(setpoint=150_000.0))
         inputs, states, xhat = [], [x0], x0
         try:
             for j in range(cfg.horizon + 1):
@@ -272,7 +268,7 @@ class TestFullPlan:
         d = tank_dynamics(reference_plant())
         ccfg = ControllerConfig(setpoint=150_100.0)
         cfg = PredictorConfig(delta=2.0, gamma=0.0, horizon=10)
-        inputs, states = full_plan(cfg, d, 150_000.0, lambda x: sontag_input(d, ccfg, x))
+        inputs, states = full_plan(cfg, d, 150_000.0, sontag_feedback(d, ccfg))
         assert inputs == [1.0] * 11
         assert states == [150_000.0] * 11
 

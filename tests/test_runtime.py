@@ -38,7 +38,7 @@ from ncsim import (
     run_closed_loop,
     run_scenario,
     scenario_from_dict,
-    sontag_input,
+    sontag_feedback,
     tank_dynamics,
     write_comparison_csv,
 )
@@ -87,7 +87,7 @@ def eager_reference(sc, bits, steps_per_input):
         if s or plan is None:
             plan = full_plan(
                 cfg, dynamics, x if s else sim.x0,
-                lambda xs: sontag_input(dynamics, ccfg, xs), steps_per_input,
+                sontag_feedback(dynamics, ccfg), steps_per_input,
             )
             origin = k if s else 0
         if s:
@@ -363,7 +363,7 @@ class TestRunClosedLoop:
             weights=sc.cost,
         )
         inputs, states = full_plan(
-            sc.predictor, dynamics, sc.sim.x0, lambda x: sontag_input(dynamics, ccfg, x)
+            sc.predictor, dynamics, sc.sim.x0, sontag_feedback(dynamics, ccfg)
         )
         n = sc.predictor.horizon
         for rec in records:
@@ -398,7 +398,7 @@ class TestRunClosedLoop:
             weights=CostWeights(q_c=1.0, r_c=1.0, m_steps=6),
         )
         inputs, states = full_plan(
-            sc.predictor, dynamics, sc.sim.x0, lambda x: sontag_input(dynamics, ccfg, x)
+            sc.predictor, dynamics, sc.sim.x0, sontag_feedback(dynamics, ccfg)
         )
         for rec, offset in zip(records[1:4], expected_offsets):
             assert rec.x_pred == states[offset]
@@ -1111,8 +1111,9 @@ def lossless_reference(dynamics, control_cfg, sim, weights, predicts):
     """The loop without loss that marches the truth at every interval:
     ``(records, x_final)``, with ``x_pred`` the state when ``predicts``."""
     records, x, j_running = [], sim.x0, 0.0
+    feedback = sontag_feedback(dynamics, control_cfg)
     for k in range(sim.steps):
-        u = sontag_input(dynamics, control_cfg, x)
+        u = feedback(x)
         deviation = x if weights.raw_state else x - control_cfg.setpoint
         j_running += weights.q_c * deviation * deviation + weights.r_c * u * u
         t_k = k * sim.t_s
