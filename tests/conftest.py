@@ -20,6 +20,13 @@ WIDE = (-1.0e12, 1.0e12)
 settings.register_profile("deep", max_examples=2000, deadline=None)
 
 
+def lie(dynamics, setpoint, x):
+    """``(LfV, LgV)`` at ``x`` for V = (x - setpoint)^2, whose gradient is
+    2 (x - setpoint)."""
+    grad = 2.0 * (x - setpoint)
+    return grad * dynamics.drift(x), grad * dynamics.input_gain(x)
+
+
 def full_plan(cfg, dynamics, x0, controller, steps_per_input=1):
     """The plan ``(inputs, states)`` from ``x0``, grown by ``extend_plan`` to
     all ``horizon + 1`` entries, as a reception followed by a long enough

@@ -39,6 +39,8 @@ from ncsim.scenario import (
     apply_overrides, builtin_scenario, builtin_scenario_dict, scenario_from_dict,
 )
 
+from conftest import lie
+
 
 def reference(*overrides):
     doc = apply_overrides(builtin_scenario_dict("tank-reference"), list(overrides))
@@ -176,8 +178,7 @@ def test_feedback_decrease_across_the_pressure_range():
     feedback = sontag_feedback(tank, unbounded)
     for i in range(1_000):
         x = lo + (i + 0.5) * cell
-        dv = 2.0 * (x - at_setpoint.setpoint)  # the gradient of V
-        lfv, lgv = dv * tank.drift(x), dv * tank.input_gain(x)
+        lfv, lgv = lie(tank, at_setpoint.setpoint, x)
         assert abs(lgv) > unbounded.lgv_threshold
         target = -math.sqrt(lfv * lfv + lgv ** 4)
         vdot = lfv + lgv * feedback(x)
@@ -189,8 +190,7 @@ def test_feedback_decrease_across_the_pressure_range():
         grad = 2.0 * x
         drain = -c_out * x * math.sqrt(2.0 * (x - params.p2) / params.rho)
         feed = c_in * x * math.sqrt(2.0 * (params.p1 - x) / params.rho)
-        lfv0 = grad * tank.drift(x)
-        lgv0 = grad * tank.input_gain(x)
+        lfv0, lgv0 = lie(tank, 0.0, x)
         assert abs(lfv0 - grad * drain) <= 1e-12 * abs(grad * drain)
         assert abs(lgv0 - grad * feed) <= 1e-12 * abs(grad * feed)
 

@@ -16,7 +16,7 @@ from ncsim import (
     tank_dynamics,
 )
 
-from conftest import WIDE, reference_plant
+from conftest import WIDE, lie, reference_plant
 
 # The feedback settings of tank-reference, and the same without saturation.
 CFG = ControllerConfig(setpoint=150_100.0)
@@ -42,8 +42,7 @@ def reference_feedback(dynamics: SystemDynamics, cfg: ControllerConfig, x: float
     ``x`` and the saturated formula on them, reading every gain and
     setting at each call."""
     dynamics.check_state(x)
-    grad = 2.0 * (x - cfg.setpoint)
-    lfv, lgv = grad * dynamics.drift(x), grad * dynamics.input_gain(x)
+    lfv, lgv = lie(dynamics, cfg.setpoint, x)
     if abs(lgv) <= cfg.lgv_threshold:
         return 0.0
     try:
@@ -203,7 +202,7 @@ class TestAgainstTheReference:
         # states a little past either end of the domain included
         x = data.draw(st.floats(min_value=lo - 1e3, max_value=hi + 1e3))
         setpoint = data.draw(st.floats(min_value=lo, max_value=hi))
-        lgv = 2.0 * (x - setpoint) * TANK.input_gain(x) if lo <= x <= hi else 0.0
+        lgv = lie(TANK, setpoint, x)[1] if lo <= x <= hi else 0.0
         cfg = drawn_config(setpoint, lgv, data.draw(BOUNDS), data.draw(THRESHOLDS))
         assert outcome(sontag_feedback(TANK, cfg), x) == outcome(reference_feedback, TANK, cfg, x)
 
@@ -219,7 +218,7 @@ class TestAgainstTheReference:
     @example(lfv=3.0, lgv=2.0, x=1.0, setpoint=0.0, bounds=(-1.0, 0.0), threshold=None)
     def test_constant_gains(self, lfv, lgv, x, setpoint, bounds, threshold):
         dynamics = constant_gains(lfv, lgv)
-        cfg = drawn_config(setpoint, 2.0 * (x - setpoint) * lgv, bounds, threshold)
+        cfg = drawn_config(setpoint, lie(dynamics, setpoint, x)[1], bounds, threshold)
         expected = outcome(reference_feedback, dynamics, cfg, x)
         assert outcome(sontag_feedback(dynamics, cfg), x) == expected
 
@@ -233,7 +232,7 @@ class TestTankFeedback:
     def test_closed_forms_at_zero_reference(self, m2, x):
         p = reference_plant()._replace(m2=m2)
         d = tank_dynamics(p)
-        lfv = (
+        lfv_hand = (
             -(2.0 / p.vol)
             * p.alpha2
             * p.a2
@@ -241,16 +240,19 @@ class TestTankFeedback:
             * x ** 2
             * math.sqrt(2.0 * (x - p.p2) / p.rho)
         )
-        lgv = (
+        lgv_hand = (
             (2.0 / p.vol)
             * p.alpha1
             * p.a1
             * x ** 2
             * math.sqrt(2.0 * (p.p1 - x) / p.rho)
         )
+        lfv, lgv = lie(d, 0.0, x)
+        assert lfv == pytest.approx(lfv_hand, rel=1e-12)
+        assert lgv == pytest.approx(lgv_hand, rel=1e-12)
         cfg = ControllerConfig(setpoint=0.0, u_min=-math.inf, u_max=math.inf)
         u = sontag_feedback(d, cfg)(x)
-        assert u == pytest.approx(-(lfv + math.sqrt(lfv * lfv + lgv ** 4)) / lgv, rel=1e-9)
+        assert u == pytest.approx(-(lfv + math.sqrt(lfv * lfv + lgv ** 4)) / lgv, rel=1e-12)
 
     def test_signs_off_setpoint(self, tank):
         # below the setpoint the gradient is negative, f < 0 and g > 0, so
@@ -276,6 +278,5 @@ class TestTankFeedback:
 
     @pytest.mark.parametrize("x", [120_000.0, 145_000.0, 155_000.0, 190_000.0])
     def test_vdot_negative_away_from_setpoint(self, x):
-        grad = 2.0 * (x - UNBOUNDED.setpoint)
-        lfv, lgv = grad * TANK.drift(x), grad * TANK.input_gain(x)
+        lfv, lgv = lie(TANK, UNBOUNDED.setpoint, x)
         assert lfv + lgv * sontag_feedback(TANK, UNBOUNDED)(x) < 0.0

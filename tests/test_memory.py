@@ -17,7 +17,10 @@ caches of the standard library fill.
 import contextlib
 import gc
 import io
+import sys
 import tracemalloc
+
+import pytest
 
 from ncsim import PREDICTIVE_BUFFER, compare_strategies
 from ncsim.cli import EXIT_OK, main
@@ -83,10 +86,14 @@ SHORT_RUN = ("run", "tank-reference", "--set", "sim.duration=20", "--set", "cost
 WARM_UP_CALLS, TRACED_CALLS = 200, 200
 # Retained over the traced calls, on Python 3.11: 27 to 38 KB in most
 # processes and 59 KB at most, argparse and file-writing buffers of the
-# standard library; keeping 600 bytes per run would add 120 KB.
+# standard library; keeping 600 bytes per run would add 120 KB.  What the
+# standard library retains differs between versions, and the bound is
+# measured on 3.11 only, so other versions do not run the test until it is
+# measured there; the failure message gives the retained figure.
 RETAINED_BYTES = 120_000
 
 
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="bound measured on Python 3.11 only")
 def test_repeated_runs_in_one_process_retain_a_bounded_amount(tmp_path):
     def call(i):
         argv = [*SHORT_RUN, "--seed", str(i % 10), "--out", str(tmp_path)]
