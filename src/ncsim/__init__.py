@@ -11,7 +11,6 @@ quadratic Lyapunov function, validated on a pressure-tank plant.
 
 from .controller import ControllerConfig, sontag_feedback
 from .errors import (
-    CalibrationRangeError,
     ConfigError,
     ControllerOverflowError,
     DomainError,
@@ -33,10 +32,8 @@ from .plant import (
 from .predictor import (
     PredictorConfig,
     SamplePair,
-    calibrate_gamma_one,
-    calibrate_gamma_two,
     calibration,
-    mean_squared_error,
+    gamma_in_range,
     predict_step,
     read_sample_pairs,
 )

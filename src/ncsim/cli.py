@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 from .errors import ConfigError, SimulationDiverged, read_input
 from .losses import LOSS_KEYS, SEEDED_KINDS
-from .predictor import SamplePair, calibration, gamma_in_range, read_sample_pairs
+from .predictor import calibration, gamma_in_range, read_sample_pairs
 from .runtime import (
     STRATEGIES,
     TraceWriter,
@@ -239,24 +239,19 @@ def cmd_compare(args) -> int:
     return EXIT_OK
 
 
-def _flatten(pairs: Sequence[SamplePair]) -> tuple[list[float], list[float]]:
-    predicted: list[float] = []
-    measured: list[float] = []
-    for pair in pairs:
-        predicted.extend(pair.predicted)
-        measured.extend(pair.measured)
-    return predicted, measured
-
-
 def cmd_calibrate(args) -> int:
     try:
         pairs = read_sample_pairs(args.samples)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot load samples from {args.samples!r}: {exc}") from exc
 
-    recordings = [_flatten(pairs)] if args.method == "one" else pairs
+    if args.method == "one":  # every sample in a single recording
+        pairs = [(
+            [value for pair in pairs for value in pair.predicted],
+            [value for pair in pairs for value in pair.measured],
+        )]
     try:
-        e_values, e, zeta, gamma = calibration(recordings)
+        e_values, e, zeta, gamma = calibration(pairs)
     except ArithmeticError as exc:  # an OverflowError's args are (errno, message)
         raise ConfigError(f"samples are degenerate: {exc.args[-1]}") from exc
     in_range = gamma_in_range(gamma)

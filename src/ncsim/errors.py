@@ -49,18 +49,6 @@ class TrajectoryError(NcsimError):
     """
 
 
-class CalibrationRangeError(NcsimError):
-    """Calibration produced a correction factor with magnitude >= 1.
-
-    Attributes:
-        gamma: the raw out-of-range value.
-    """
-
-    def __init__(self, message: str, gamma: float):
-        super().__init__(message)
-        self.gamma = gamma
-
-
 class TraceExhaustedError(NcsimError):
     """A reception trace ran out of entries and wrapping was not enabled."""
 

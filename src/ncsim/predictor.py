@@ -20,7 +20,7 @@ import math
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .errors import (
-    CalibrationRangeError, ConfigError, DomainError, NonFiniteError, TrajectoryError, checked,
+    ConfigError, DomainError, NonFiniteError, TrajectoryError, checked,
     read_input,
 )
 from .plant import SystemDynamics
@@ -124,25 +124,6 @@ class SamplePair(NamedTuple):
             raise ValueError("samples must be finite")
 
 
-def _mean(values: Sequence[float]) -> float:
-    return sum(values) / len(values)
-
-
-def mean_squared_error(predicted: Sequence[float], measured: Sequence[float]) -> float:
-    """Average of the squared prediction errors over one sample set."""
-    if len(predicted) != len(measured) or not predicted:
-        raise ValueError("predicted and measured must be equally sized and non-empty")
-    return sum((m - p) ** 2 for p, m in zip(predicted, measured)) / len(predicted)
-
-
-def _check_range(gamma: float) -> float:
-    if not gamma_in_range(gamma):
-        raise CalibrationRangeError(
-            f"calibrated correction factor {gamma!r} outside (-1, 1)", gamma=gamma
-        )
-    return gamma
-
-
 def calibration(
     recordings: Sequence[tuple[Sequence[float], Sequence[float]]],
 ) -> tuple[list[float], float, int, float]:
@@ -151,19 +132,25 @@ def calibration(
     Returns ``(e_values, e, zeta, gamma)``: each recording's mean squared
     error, their mean E, the sign zeta (+1 exactly when the grand mean of
     the recordings' prediction means is at most that of their measurement
-    means) and gamma = zeta * E / that grand mean prediction, not yet
-    range-checked.  One recording gives the single-recording method.
-    Raises ``ZeroDivisionError`` for a zero grand mean prediction, and
-    ``OverflowError`` or ``NonFiniteError`` when E, a grand mean or gamma
-    is not finite.
+    means) and gamma = zeta * E / that grand mean prediction, not
+    range-checked: ``gamma_in_range`` tells whether a predictor can use it.
+    One recording of every sample is the paper's first method, one
+    recording per pair its second.  Each recording must make a valid
+    ``SamplePair``, else ``ValueError``.  Raises ``ZeroDivisionError`` for
+    a zero grand mean prediction, and ``OverflowError`` or
+    ``NonFiniteError`` when E, a grand mean or gamma is not finite.
     """
     if not recordings:
         raise ValueError("at least one sample pair is required")
-    m = len(recordings)
-    e_values = [mean_squared_error(predicted, measured) for predicted, measured in recordings]
-    e = sum(e_values) / m
-    grand_pred = sum(_mean(predicted) for predicted, _ in recordings) / m
-    grand_meas = sum(_mean(measured) for _, measured in recordings) / m
+    pairs = [SamplePair(tuple(predicted), tuple(measured)) for predicted, measured in recordings]
+    count = len(pairs)
+    e_values = [
+        sum((m - p) ** 2 for p, m in zip(pair.predicted, pair.measured)) / len(pair.predicted)
+        for pair in pairs
+    ]
+    e = sum(e_values) / count
+    grand_pred = sum(sum(pair.predicted) / len(pair.predicted) for pair in pairs) / count
+    grand_meas = sum(sum(pair.measured) / len(pair.measured) for pair in pairs) / count
     if grand_pred == 0.0:
         raise ZeroDivisionError("mean predicted state is zero")
     zeta = 1 if grand_pred <= grand_meas else -1
@@ -171,31 +158,6 @@ def calibration(
     if not all(map(math.isfinite, (e, grand_pred, grand_meas, gamma))):
         raise NonFiniteError(f"E {e!r}, grand means {grand_pred!r}, {grand_meas!r}, gamma {gamma!r}")
     return e_values, e, zeta, gamma
-
-
-def calibrate_gamma_one(
-    predicted: Sequence[float], measured: Sequence[float]
-) -> float:
-    """Single-recording calibration.
-
-    The mean squared error E is divided by the mean predicted state and
-    signed positive exactly when the predictions underestimate the
-    measurements on average.  Raises ``ZeroDivisionError`` for a zero
-    mean prediction and ``CalibrationRangeError`` when the result has
-    magnitude one or more.
-    """
-    return _check_range(calibration([(predicted, measured)])[3])
-
-
-def calibrate_gamma_two(pairs: Sequence[SamplePair]) -> float:
-    """Multi-recording calibration.
-
-    Per-pair mean squared errors are averaged, the denominator is the
-    grand mean of the per-pair prediction means, and the sign compares
-    the grand means of predictions and measurements.  With a single pair
-    this collapses to the single-recording method.
-    """
-    return _check_range(calibration(pairs)[3])
 
 
 def _clipped(text: Optional[str], limit: int = 40) -> str:
@@ -219,7 +181,6 @@ def read_sample_pairs(path: str) -> list[SamplePair]:
     import csv
 
     groups: dict[str, tuple[list[float], list[float]]] = {}
-    order: list[str] = []
     reader = csv.DictReader(io.StringIO(read_input(path), newline=""))
     required = {"pair_id", "predicted", "measured"}
     try:
@@ -229,23 +190,20 @@ def read_sample_pairs(path: str) -> list[SamplePair]:
                 + _clipped(",".join(reader.fieldnames or ()))
             )
         for row in reader:
-            pair_id = row["pair_id"]
-            if pair_id not in groups:
-                groups[pair_id] = ([], [])
-                order.append(pair_id)
-            for column, values in zip(("predicted", "measured"), groups[pair_id]):
+            pair = groups.setdefault(row["pair_id"], ([], []))
+            for column, values in zip(("predicted", "measured"), pair):
                 try:
-                    values.append(float(row[column]))
-                except (TypeError, ValueError) as exc:  # TypeError: a short row
+                    value = float(row[column])
+                except (TypeError, ValueError):  # not a number; TypeError: a short row
+                    value = math.nan
+                if not math.isfinite(value):
                     raise ValueError(
                         f"bad sample on line {reader.line_num}, column {column}: "
                         + _clipped(row[column])
-                    ) from exc
+                    )
+                values.append(value)
     except csv.Error as exc:  # a field past csv.field_size_limit(), say
         raise ValueError(f"malformed CSV: {exc}") from exc
-    if not order:
+    if not groups:
         raise ValueError(f"no sample rows in {path}")
-    return [
-        SamplePair(predicted=tuple(groups[p][0]), measured=tuple(groups[p][1]))
-        for p in order
-    ]
+    return [SamplePair(tuple(predicted), tuple(measured)) for predicted, measured in groups.values()]

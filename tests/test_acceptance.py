@@ -17,14 +17,13 @@ import pytest
 
 from ncsim.cli import main
 from ncsim.controller import ControllerConfig, sontag_feedback
-from ncsim.errors import CalibrationRangeError, DomainError
+from ncsim.errors import DomainError
 from ncsim.losses import LossModel
 from ncsim.plant import SystemDynamics, rk4_increment, tank_dynamics
 from ncsim.predictor import (
     PredictorConfig,
     SamplePair,
-    calibrate_gamma_one,
-    calibrate_gamma_two,
+    calibration,
     predict_step,
 )
 from ncsim.runtime import (
@@ -132,13 +131,10 @@ def test_correction_off_is_the_plain_update():
 
 
 def test_calibration_identities():
-    assert calibrate_gamma_one([1.0, 1.0], [1.5, 1.5]) == 0.25
-
     def gamma_one(predicted, measured):
-        try:
-            return calibrate_gamma_one(predicted, measured)
-        except CalibrationRangeError as exc:
-            return exc.gamma
+        return calibration([(predicted, measured)])[3]
+
+    assert gamma_one([1.0, 1.0], [1.5, 1.5]) == 0.25
 
     rng = random.Random(7)
     for _ in range(1_000):
@@ -156,11 +152,7 @@ def test_calibration_identities():
             predicted=tuple(rng.uniform(0.5, 10.0) for _ in range(n)),
             measured=tuple(rng.uniform(0.5, 10.0) for _ in range(n)),
         )
-        try:
-            collapsed = calibrate_gamma_two([pair])
-        except CalibrationRangeError as exc:
-            collapsed = exc.gamma
-        assert collapsed == gamma_one(list(pair.predicted), list(pair.measured))
+        assert calibration([pair])[3] == gamma_one(list(pair.predicted), list(pair.measured))
 
 
 def test_feedback_decrease_across_the_pressure_range():

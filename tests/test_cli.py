@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -868,6 +869,47 @@ class TestCalibrate:
         assert "E_1: " in out
         assert "gamma: 0.065" in out
 
+    # Three pairs of 3, 2 and 4 samples near 1e5, interleaved: every printed
+    # statistic and the snapshot's bytes are pinned for both methods.
+    PINNED_ROWS = [
+        "a,150000.0,150120.5\n", "b,98000.25,97950.0\n", "a,150310.75,150402.0\n",
+        "c,120500.0,120530.125\n", "b,98100.5,98010.75\n", "a,150620.125,150790.0\n",
+        "c,120610.5,120660.25\n", "c,120720.0,120701.5\n", "c,120830.75,120905.0\n",
+    ]
+    PINNED = {
+        "one": (
+            "method: one\n"
+            "E: 7946.927083333333\n"
+            "zeta: +1\n"
+            "gamma: 0.06331131702499229\n"
+            "in_range: true\n",
+            "ec88dd84b5daa05d670dc5e3731cb5af28a1bf90bf545dc35152fe86bece23ef",
+        ),
+        "two": (
+            "method: two\n"
+            "E_0: 17234.776041666668\n"
+            "E_1: 5290.0625\n"
+            "E_2: 2309.47265625\n"
+            "E: 8278.103732638889\n"
+            "zeta: +1\n"
+            "gamma: 0.06729691837414112\n"
+            "in_range: true\n",
+            "ca6397de09fe52f6677d4a7a6527582cb1096906934daff43ca637a1e4e340ee",
+        ),
+    }
+
+    @pytest.mark.parametrize("method", ["one", "two"])
+    def test_output_is_pinned(self, tmp_path, capsys, method):
+        samples = write_samples(tmp_path, self.PINNED_ROWS)
+        out = tmp_path / "out"
+        argv = ["calibrate", samples, "--method", method, "--apply-to", "tank-reference",
+                "--out", str(out)]
+        assert main(argv) == EXIT_OK
+        stdout, digest = self.PINNED[method]
+        path = out / "calibrated_config.json"
+        assert capsys.readouterr().out == stdout + f"wrote {path}\n"
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
     def test_single_pair_methods_agree(self, tmp_path, capsys):
         path = write_samples(tmp_path, ["a,1.0,1.5\n", "a,1.0,1.5\n"])
         assert main(["calibrate", path, "--method", "one"]) == EXIT_OK
@@ -949,7 +991,11 @@ class TestCalibrate:
         ("pair_id,predicted,measured\na,1,1\nb,1\n", "bad sample on line 3, column measured: nothing"),
         ("pair_id,predicted," + "m" * 100_000 + "\na,1,1\n",
          "must have columns pair_id,predicted,measured, got 'pair_id,predicted,"),
-    ], ids=["row", "short row", "header"])
+        ("pair_id,predicted,measured\na,nan,1\n", "bad sample on line 2, column predicted: 'nan'"),
+        ("pair_id,predicted,measured\na,inf,1\n", "bad sample on line 2, column predicted: 'inf'"),
+        ("pair_id,predicted,measured\na,1e999,1\n",
+         "bad sample on line 2, column predicted: '1e999'"),
+    ], ids=["row", "short row", "header", "nan", "inf", "1e999"])
     def test_bad_sample_message_is_short(self, tmp_path, capsys, text, names):
         path = tmp_path / "samples.csv"
         path.write_text(text)

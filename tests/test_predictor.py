@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ncsim import (
-    CalibrationRangeError,
     DomainError,
     IntegrationDomainError,
     NonFiniteError,
@@ -13,16 +12,15 @@ from ncsim import (
     SamplePair,
     SystemDynamics,
     TrajectoryError,
-    calibrate_gamma_one,
-    calibrate_gamma_two,
-    mean_squared_error,
+    calibration,
+    gamma_in_range,
     predict_step,
     read_sample_pairs,
     rk4_increment,
     tank_dynamics,
 )
 from ncsim.controller import ControllerConfig, sontag_feedback
-from ncsim.predictor import _check_range, extend_plan, gamma_in_range
+from ncsim.predictor import extend_plan
 
 from conftest import full_plan, linear_decay_dynamics, reference_plant
 
@@ -67,12 +65,9 @@ class TestPredictorConfig:
         assert gamma_in_range(gamma) is inside
         if inside:
             assert PredictorConfig(delta=1.0, gamma=gamma, horizon=1).gamma == gamma
-            assert _check_range(gamma) == gamma
             return
         with pytest.raises(ValueError, match=r"^predictor\.gamma must lie in \(-1, 1\), got "):
             PredictorConfig(delta=1.0, gamma=gamma, horizon=1)
-        with pytest.raises(CalibrationRangeError, match=r"^calibrated correction factor "):
-            _check_range(gamma)
 
 
 class TestRk4Increment:
@@ -284,20 +279,25 @@ class TestFullPlan:
         assert len(inputs) <= 10
 
 
+def gamma_one(predicted, measured):
+    """The single-recording method's correction factor, range unchecked."""
+    return calibration([(predicted, measured)])[3]
+
+
 class TestCalibration:
     def test_underestimating_prediction(self):
         # E = 0.25, mean prediction 1, measurements larger -> +0.25
-        assert calibrate_gamma_one([1.0, 1.0], [1.5, 1.5]) == 0.25
+        assert gamma_one([1.0, 1.0], [1.5, 1.5]) == 0.25
 
     def test_perfect_prediction_gives_zero(self):
-        assert calibrate_gamma_one([2.0, 3.0], [2.0, 3.0]) == 0.0
+        assert gamma_one([2.0, 3.0], [2.0, 3.0]) == 0.0
 
     def test_overestimating_prediction_is_negative(self):
-        assert calibrate_gamma_one([2.0, 2.0], [1.0, 1.0]) == -0.5
+        assert gamma_one([2.0, 2.0], [1.0, 1.0]) == -0.5
 
     def test_zero_mean_prediction_rejected(self):
         with pytest.raises(ZeroDivisionError):
-            calibrate_gamma_one([1.0, -1.0], [1.0, 1.0])
+            gamma_one([1.0, -1.0], [1.0, 1.0])
 
     @pytest.mark.parametrize(
         "predicted,measured,error",
@@ -309,12 +309,12 @@ class TestCalibration:
     )
     def test_non_finite_statistics_raise(self, predicted, measured, error):
         with pytest.raises(error):
-            calibrate_gamma_one(predicted, measured)
+            gamma_one(predicted, measured)
 
-    def test_magnitude_one_or_more_raises_with_value(self):
-        with pytest.raises(CalibrationRangeError) as excinfo:
-            calibrate_gamma_one([0.1, 0.1], [5.0, 5.0])
-        assert excinfo.value.gamma == pytest.approx(24.01 / 0.1, rel=1e-12)
+    def test_magnitude_one_or_more_is_out_of_range(self):
+        gamma = gamma_one([0.1, 0.1], [5.0, 5.0])
+        assert not gamma_in_range(gamma)
+        assert gamma == pytest.approx(24.01 / 0.1, rel=1e-12)
 
     def test_two_recordings_average(self):
         pairs = [
@@ -322,11 +322,22 @@ class TestCalibration:
             SamplePair((3.0, 3.0), (3.1, 3.1)),
         ]
         # per-pair errors 0.25 and 0.01 average to 0.13 over grand mean 2
-        assert calibrate_gamma_two(pairs) == pytest.approx(0.065, rel=1e-12)
+        assert calibration(pairs)[3] == pytest.approx(0.065, rel=1e-12)
 
     def test_two_recordings_empty_rejected(self):
         with pytest.raises(ValueError):
-            calibrate_gamma_two([])
+            calibration([])
+
+    @pytest.mark.parametrize(
+        "predicted,measured,message",
+        [
+            ([1.0], [1.0, 2.0], "equally sized and non-empty"),
+            ([1.0, math.nan], [1.0, 2.0], "samples must be finite"),
+        ],
+    )
+    def test_raw_recording_is_checked_as_a_sample_pair(self, predicted, measured, message):
+        with pytest.raises(ValueError, match=message):
+            calibration([(predicted, measured)])
 
     @given(
         values=st.lists(
@@ -340,10 +351,11 @@ class TestCalibration:
         n = min(len(values), len(noise))
         predicted = values[:n]
         measured = [p + e for p, e in zip(predicted, noise[:n])]
-        if mean_squared_error(predicted, measured) == 0.0:
-            assert calibrate_gamma_one(predicted, measured) == 0.0
+        e_values, _, _, gamma = calibration([(predicted, measured)])
+        if e_values[0] == 0.0:
+            assert gamma == 0.0
             return
-        gamma = calibrate_gamma_one(predicted, measured)
+        assert gamma_in_range(gamma)
         mean_pred = sum(predicted) / n
         mean_meas = sum(measured) / n
         if mean_pred <= mean_meas:
@@ -364,24 +376,24 @@ class TestCalibration:
         pred = tuple(predicted[:n])
         meas = tuple(p + e for p, e in zip(pred, noise[:n]))
         pair = SamplePair(pred, meas)
-        assert calibrate_gamma_two([pair]) == calibrate_gamma_one(pred, meas)
+        assert calibration([pair]) == calibration([(pred, meas)])
 
     def test_error_scaling_is_quadratic(self):
-        base = calibrate_gamma_one([4.0, 4.0], [4.1, 4.1])
-        scaled = calibrate_gamma_one([4.0, 4.0], [4.3, 4.3])
+        base = gamma_one([4.0, 4.0], [4.1, 4.1])
+        scaled = gamma_one([4.0, 4.0], [4.3, 4.3])
         # tripled errors scale E, hence gamma, by nine
         assert scaled == pytest.approx(9.0 * base, rel=1e-10)
 
 
 class TestMeanSquaredError:
     def test_hand_value(self):
-        assert mean_squared_error([1.0, 2.0], [1.5, 2.5]) == 0.25
+        assert calibration([([1.0, 2.0], [1.5, 2.5])])[0] == [0.25]
 
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(ValueError):
-            mean_squared_error([1.0], [1.0, 2.0])
+            calibration([([1.0], [1.0, 2.0])])
         with pytest.raises(ValueError):
-            mean_squared_error([], [])
+            calibration([([], [])])
 
 
 class TestSamplePair:
