@@ -30,6 +30,18 @@ per interval unless a theta schedule time falls inside it (see
 once, so no stage makes a call; dynamics built from callables pass
 ``f(x)``, ``g(x)`` and ``w(x)``.  Only this module's strings are compiled,
 and numbers are bound as values, so no input reaches the source.
+
+The tank also compiles a zero-input march from the same template, whose
+stages inline ``(f) + 0.0 + (w) * theta``, and its march runs that one
+when u is +0.0 (the closed valve, which most lossy-run intervals hold) and
+the caller's domain lies inside the tank's.  It returns the same bits:
+the domain's lower end is > 0, so every stage state x is, and g(x) is at
+most the float bound ``c_in * hi * sqrt(two_over_rho * (p1 - lo))``
+because rounding is monotone; when that bound is finite, g(x) is finite
+and >= +0.0, g(x) * (+0.0) is +0.0, and f + (+0.0) equals f + 0.0 for
+every f, -0.0 included.  At u = -0.0 or NaN, on a domain that reaches 0,
+for a gain that may overflow, and for dynamics built from callables, the
+full march runs.
 """
 
 import math
@@ -107,16 +119,21 @@ _RK4 = """
                 fail(x, left)
         return x, dx
 """
+# The right-hand side a march inlines, over the gains f, g and w, and the
+# zero-input one, which leaves g(x) * u out (see ``tank_dynamics``).
+_RHS = "({0}) + ({1}) * u + ({2}) * theta"
+_ZERO_INPUT_RHS = "({0}) + 0.0 + ({2}) * theta"
 # Compiled factories by (inlined right-hand side, names of the bound values).
 _FACTORIES: dict = {}
 
 
-def _generate(gains: tuple[str, str, str], **values) -> dict:
+def _generate(gains: tuple[str, str, str], rhs: str = _RHS, **values) -> dict:
     """``drift``, ``input_gain``, ``uncertainty_gain`` and ``march`` from
     ``gains``, this module's f, g and w in x over the names in ``values``;
-    the march's stages inline their sum.  Compiled once per expression.
+    the march's stages inline ``rhs`` over them.  Compiled once per
+    expression.
     """
-    rhs = "({}) + ({}) * u + ({}) * theta".format(*gains)
+    rhs = rhs.format(*gains)
     key = (rhs, tuple(values))
     if key not in _FACTORIES:
         names = ("drift", "input_gain", "uncertainty_gain")
@@ -250,9 +267,30 @@ _TANK_GAINS = (
 
 
 def tank_dynamics(params: TankParams) -> SystemDynamics:
-    """Build the tank's SystemDynamics on ``params.state_domain``."""
-    return SystemDynamics(state_domain=params.state_domain, **_generate(
-        _TANK_GAINS, sqrt=math.sqrt, p1=params.p1, p2=params.p2, inv_vol=1.0 / params.vol,
+    """Build the tank's SystemDynamics on ``params.state_domain``.
+
+    Where the domain proves g(x) finite and >= +0.0, the march takes the
+    zero-input march for u = +0.0 in that domain, bitwise the same.
+    """
+    lo, hi = params.state_domain
+    values = dict(
+        sqrt=math.sqrt, p1=params.p1, p2=params.p2, inv_vol=1.0 / params.vol,
         neg_c_out=-(params.alpha2 * params.a2 * params.m2 / params.vol),
         c_in=params.alpha1 * params.a1 / params.vol, two_over_rho=2.0 / params.rho,
-    ))
+    )
+    made = _generate(_TANK_GAINS, **values)
+    # with lo > 0 every stage state x is > 0, and g(x) <= this float bound
+    # on [lo, hi] since rounding is monotone; when it is finite, g(x) * (+0.0)
+    # is +0.0 and adds to f what 0.0 adds
+    bound = values["c_in"] * hi * math.sqrt(values["two_over_rho"] * (params.p1 - lo))
+    if lo > 0 and math.isfinite(bound):
+        full = made["march"]
+        zero_input = _generate(_TANK_GAINS, _ZERO_INPUT_RHS, **values)["march"]
+
+        def march(x, u, h, theta, stage_lo, stage_hi, n, scale, fail):
+            if u == 0.0 and math.copysign(1.0, u) > 0.0 and lo <= stage_lo and stage_hi <= hi:
+                return zero_input(x, u, h, theta, stage_lo, stage_hi, n, scale, fail)
+            return full(x, u, h, theta, stage_lo, stage_hi, n, scale, fail)
+
+        made["march"] = march
+    return SystemDynamics(state_domain=(lo, hi), **made)

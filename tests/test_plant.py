@@ -1,4 +1,5 @@
 import math
+import sys
 from bisect import bisect_right
 
 import pytest
@@ -14,6 +15,8 @@ from ncsim import (
     rk4_increment,
     tank_dynamics,
 )
+
+from ncsim.plant import _TANK_GAINS, _generate
 
 from conftest import reference_plant
 
@@ -307,6 +310,108 @@ class TestGeneratedKernel:
             rk4_increment(tank, 150_000.0, 0.0, h)
         with pytest.raises(ValueError, match="step h must be positive"):
             tank.march(150_000.0, 0.0, h, 0.0, *tank.state_domain, 2, 1.0, raise_domain_error)
+
+
+def full_march(params):
+    """The tank's march over f + g*u + w*theta at every u, with the values
+    ``tank_dynamics`` binds."""
+    return _generate(
+        _TANK_GAINS, sqrt=math.sqrt, p1=params.p1, p2=params.p2, inv_vol=1.0 / params.vol,
+        neg_c_out=-(params.alpha2 * params.a2 * params.m2 / params.vol),
+        c_in=params.alpha1 * params.a1 / params.vol, two_over_rho=2.0 / params.rho,
+    )["march"]
+
+
+def outcome(march, *args):
+    """The hex of the end state and last increment, or the error raised."""
+    try:
+        return tuple(v.hex() for v in march(*args))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+class TestZeroInputMarch:
+    """At u = +0.0 the tank marches without its input gain where that is
+    bitwise the same as the full march."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        params=st.builds(
+            reference_plant()._replace,
+            p2=st.sampled_from([0.0, 5e4, 1e5]),
+            domain_margin=st.sampled_from([0.0, 1e-3, 1.0]),
+            m2=st.sampled_from([0.0, 0.5, 1.0]),
+            alpha1=st.one_of(
+                st.sampled_from([0.631811, 1e300, 1e306]),
+                st.floats(min_value=1e-6, max_value=1e306),
+            ),
+        ),
+        data=st.data(),
+        u=st.one_of(st.sampled_from([0.0, -0.0, 1.0, math.nan]), st.floats()),
+        theta=st.one_of(st.sampled_from([0.0, -0.0]), st.floats(min_value=-1.0, max_value=1.0)),
+        h=st.sampled_from([0.1, 2.0]),
+        n=st.integers(min_value=1, max_value=20),
+        gamma=st.sampled_from([0.0, 0.05, -0.3]),
+    )
+    def test_tank_march_equals_full_march(self, params, data, u, theta, h, n, gamma):
+        lo, hi = params.state_domain
+        x = data.draw(st.one_of(
+            st.sampled_from([lo, hi, 0.0, -0.0]), st.floats(min_value=lo, max_value=hi)
+        ))
+        args = (x, u, h, theta, lo, hi, n, 1.0 + gamma, raise_domain_error)
+        assert outcome(tank_dynamics(params).march, *args) == outcome(full_march(params), *args)
+
+    @pytest.mark.parametrize(
+        "changes, x, u, theta, expected",
+        [
+            # lo = 0 admits x = -0.0, where g(x) * (+0.0) is -0.0
+            ({"p2": 0.0, "domain_margin": 0.0}, -0.0, 0.0, 0.0, ("-0x0.0p+0", "-0x0.0p+0")),
+            # with m2 = 0, f is -0.0, which g(x) * (-0.0) keeps and +0.0 would not
+            ({"m2": 0.0}, 150_000.0, -0.0, -0.0, ((150_000.0).hex(), "-0x0.0p+0")),
+            # g(x) overflows, and inf * (+0.0) is nan
+            ({"alpha1": 1e306}, 150_000.0, 0.0, 0.175,
+             (IntegrationDomainError, "stage 2 state nan left the domain")),
+        ],
+        ids=["negative-zero-state", "negative-zero-input", "gain-overflow"],
+    )
+    def test_guards_keep_the_full_march(self, changes, x, u, theta, expected):
+        params = reference_plant()._replace(**changes)
+        args = (x, u, 0.1, theta, *params.state_domain, 20, 1.0, raise_domain_error)
+        assert outcome(tank_dynamics(params).march, *args) == expected
+        assert outcome(full_march(params), *args) == expected
+
+    def test_wider_replaced_domain_keeps_the_full_march(self, tank, benchmark_params):
+        # past p1 the input gain takes the square root of a negative number
+        wide = tank._replace(state_domain=(tank.state_domain[0], 250_000.0))
+        args = (210_000.0, 0.0, 0.1, 0.175, *wide.state_domain, 1, 1.0, raise_domain_error)
+        assert outcome(wide.march, *args) == (ValueError, "math domain error")
+        assert outcome(full_march(benchmark_params), *args) == (ValueError, "math domain error")
+
+    @staticmethod
+    def sqrt_calls(march, u, domain):
+        calls = 0
+
+        def count(frame, event, arg):
+            nonlocal calls
+            calls += event == "c_call" and arg is math.sqrt
+
+        sys.setprofile(count)
+        try:
+            march(150_000.0, u, 0.1, 0.175, *domain, 20, 1.0, raise_domain_error)
+        finally:
+            sys.setprofile(None)
+        return calls
+
+    def test_closed_valve_skips_the_input_gain(self, tank):
+        # f and g each take one square root per stage, 4 stages per step
+        assert self.sqrt_calls(tank.march, 0.0, tank.state_domain) == 80
+        assert self.sqrt_calls(tank.march, 1.0, tank.state_domain) == 160
+        assert self.sqrt_calls(tank.march, -0.0, tank.state_domain) == 160
+        # nothing proves a callable's g, so dynamics built from callables call it
+        generic = SystemDynamics(
+            tank.drift, tank.input_gain, tank.uncertainty_gain, tank.state_domain
+        )
+        assert self.sqrt_calls(generic.march, 0.0, tank.state_domain) == 160
 
 
 class TestUncertaintySignal:
