@@ -19,7 +19,6 @@ from .errors import (
     NonFiniteError,
     SimulationDiverged,
     TraceExhaustedError,
-    TrajectoryError,
 )
 from .losses import LossModel, LossSpec, read_trace_file
 from .plant import (

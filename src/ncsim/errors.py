@@ -17,7 +17,8 @@ class ConfigError(NcsimError, ValueError):
 
 
 class DomainError(NcsimError, ValueError):
-    """A state evaluation was requested outside the plant's state domain."""
+    """A state evaluation was requested outside the plant's state domain,
+    or a prediction a loss replays left it."""
 
 
 class IntegrationDomainError(DomainError):
@@ -40,13 +41,6 @@ class NonFiniteError(NcsimError, ArithmeticError):
 
 class ControllerOverflowError(NonFiniteError):
     """The feedback formula overflowed (e.g. the fourth power of LgV)."""
-
-
-class TrajectoryError(NcsimError):
-    """Prediction left the state domain before the entry a loss replays.
-
-    The plan being grown keeps its valid prefix (``extend_plan``).
-    """
 
 
 class TraceExhaustedError(NcsimError):

@@ -11,21 +11,17 @@ is exactly the structure of a disturbance entering through a gain
 proportional to x.  Two offline procedures estimate it from recorded
 pairs of predicted and measured states; both divide a mean squared
 error by a mean prediction, so the result is unit dependent and the
-sample sets must share the plant's units.  ``extend_plan`` grows a plan
-entry by entry, so a caller predicts only the entries it replays.
+sample sets must share the plant's units.  A buffer entry is one
+``predict_step`` on from the entry before it, so a caller predicts only
+the entries it replays.
 """
 
 import io
 import math
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
-from .errors import (
-    ConfigError, DomainError, NonFiniteError, TrajectoryError, checked,
-    read_input,
-)
+from .errors import ConfigError, NonFiniteError, checked, read_input
 from .plant import SystemDynamics
-
-Controller = Callable[[float], float]
 
 # Relative slack when checking that one time quantity divides another.
 _RATIO_TOL = 1e-9
@@ -50,8 +46,9 @@ class PredictorConfig(NamedTuple):
     Attributes:
         delta: integration step of the predictor [s].
         gamma: multiplicative correction factor, magnitude below one.
-        horizon: number of look-ahead entries N; a plan holds at most
-            N + 1 inputs.
+        horizon: number of look-ahead entries N; a loss burst replays
+            entries 0 to N of its plan, advancing one head entry at a
+            time, and freezes at entry N.
     """
 
     delta: float
@@ -87,27 +84,6 @@ def predict_step(
         xhat, u, cfg.delta, 0.0, *dynamics.state_domain, steps, 1.0 + cfg.gamma,
         lambda x, left: dynamics.check_state(x),
     )[0]
-
-
-def extend_plan(
-    cfg: PredictorConfig, dynamics: SystemDynamics, controller: Controller,
-    inputs: list[float], states: list[float], n: int, steps_per_input: int,
-) -> None:
-    """Grow the plan ``(inputs, states)`` in place to ``n`` entries, if shorter.
-
-    Entry j + 1 is the prediction ``steps_per_input`` predictor steps on
-    from entry j, holding input j, and the controller evaluated there.  If
-    the prediction leaves the plant domain a ``TrajectoryError`` is raised,
-    and the plan keeps its valid prefix.
-    """
-    while len(states) < n:
-        try:
-            xhat = predict_step(cfg, dynamics, states[-1], inputs[-1], steps_per_input)
-        except DomainError as exc:
-            raise TrajectoryError(f"prediction left the domain after {len(inputs)} entries") from exc
-        u = controller(xhat)
-        states.append(xhat)
-        inputs.append(u)
 
 
 @checked

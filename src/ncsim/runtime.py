@@ -6,12 +6,13 @@ loss the strategy supplies the input:
 
 * ``predictive-buffer`` replays a predicted input trajectory, advancing
   one entry per lost interval and freezing at the last entry once the
-  buffer is exhausted.  Each entry is predicted when a loss first
-  replays it: a reception starts a plan whose entry 0 is the feedback
-  just applied (a leading loss starts one from the initial state), and
-  a loss grows it up to the entry it replays.  A plan that leaves the
-  domain at entry j makes the run diverge at the first loss that replays
-  entry j or later, and not before.
+  buffer is exhausted.  The loop keeps only the plan's head, the entry
+  a loss last replayed: a reception makes the feedback just applied
+  entry 0 (a leading loss starts from the initial state), and a loss
+  advances the head one ``predict_step`` and one feedback at a time to
+  the entry it replays, which never goes back within a burst.  A plan
+  that leaves the domain at entry j makes the run diverge at the first
+  loss that replays entry j or later, and not before.
 * ``hold-last-value`` repeats the last applied input.
 * ``zero-input`` applies zero.
 
@@ -42,12 +43,11 @@ from typing import NamedTuple, Optional, Sequence
 
 from .controller import ControllerConfig, sontag_feedback
 from .errors import (
-    ConfigError, DomainError, NcsimError, NonFiniteError, SimulationDiverged, TrajectoryError,
-    checked,
+    ConfigError, DomainError, NcsimError, NonFiniteError, SimulationDiverged, checked,
 )
 from .losses import LossModel
 from .plant import SystemDynamics, UncertaintySignal, _stage_error, tank_dynamics
-from .predictor import PredictorConfig, extend_plan, whole_multiple
+from .predictor import PredictorConfig, predict_step, whole_multiple
 
 PREDICTIVE_BUFFER = "predictive-buffer"
 HOLD_LAST_VALUE = "hold-last-value"
@@ -273,8 +273,9 @@ def run_closed_loop(
 
     The loop itself keeps no record.  A plan takes
     ``predictor_cfg.steps_per_input(sim.t_s)`` predictor steps per buffer
-    entry.  On a domain exit (truth integration, or a plan replayed by a
-    loss) raises ``SimulationDiverged`` after the records appended so far.
+    entry.  On a domain exit (truth integration, or a prediction a loss
+    replays) raises ``SimulationDiverged`` after the records appended so
+    far.
     """
     check_strategies((strategy,), "strategy")
     dynamics.check_state(sim.x0)
@@ -295,9 +296,11 @@ def run_closed_loop(
     q_c, r_c, raw_state = weights.q_c, weights.r_c, weights.raw_state
     append = records.append
     x = x0
-    # The current plan, which a loss grows only up to the entry it replays,
-    # and the step it starts at.
-    inputs, states, plan_k = [], [], 0
+    # The buffer's head: the entry a loss last replayed (-1 before the
+    # first plan), its predicted state and its input, and the step the
+    # plan starts at.  Within a burst the replayed entry never goes back.
+    entry, plan_k = -1, 0
+    x_pred: Optional[float] = None
     age = 0
     u = 0.0  # the last applied input, which hold-last-value keeps
     j_running = 0.0
@@ -306,21 +309,23 @@ def run_closed_loop(
         t_k = k * t_s
         s_k = loss_model.sample_reception(k)
         try:
-            x_pred: Optional[float] = None
             if s_k:
                 u = controller(x)
                 if buffered:
-                    x_pred = x
-                    inputs, states, plan_k = [u], [x], k
+                    x_pred, entry, plan_k = x, 0, k
             elif buffered:
-                if not inputs:
-                    inputs, states = [controller(x0)], [x0]
+                if entry < 0:
+                    x_pred, u, entry = x0, controller(x0), 0
                 offset = min(2 * age + 1 if doubled else k - plan_k, horizon)
-                extend_plan(
-                    predictor_cfg, dynamics, controller, inputs, states, offset + 1, steps_per_input
-                )
-                u = inputs[offset]
-                x_pred = states[offset]
+                while entry < offset:
+                    try:
+                        x_pred = predict_step(predictor_cfg, dynamics, x_pred, u, steps_per_input)
+                    except DomainError as exc:
+                        raise DomainError(
+                            f"prediction left the domain after {entry + 1} entries"
+                        ) from exc
+                    u = controller(x_pred)
+                    entry += 1
             elif strategy == ZERO_INPUT:
                 u = 0.0
             age = 0 if s_k else min(age + 1, horizon)
@@ -343,7 +348,7 @@ def run_closed_loop(
                         dynamics, x, u, t_k, t_s, n_truth, theta, th
                     )
                 x = x_next
-        except (DomainError, NonFiniteError, TrajectoryError) as exc:
+        except (DomainError, NonFiniteError) as exc:
             raise SimulationDiverged(
                 f"run diverged at step {k}: {exc}", step=k, reason=str(exc)
             ) from exc

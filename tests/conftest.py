@@ -9,14 +9,16 @@ from ncsim import (
     TankParams,
     builtin_scenario,
     builtin_scenario_dict,
+    predict_step,
     tank_dynamics,
 )
-from ncsim.predictor import extend_plan
 
 WIDE = (-1.0e12, 1.0e12)
 
 # A longer search than the default 100 examples, loaded only on request:
 #   python -m pytest tests/test_cli.py -k Fuzz --hypothesis-profile=deep
+# CI runs it on the command-line fuzz and on the plan-equivalence tests of
+# tests/test_runtime.py.
 settings.register_profile("deep", max_examples=2000, deadline=None)
 
 
@@ -28,11 +30,15 @@ def lie(dynamics, setpoint, x):
 
 
 def full_plan(cfg, dynamics, x0, controller, steps_per_input=1):
-    """The plan ``(inputs, states)`` from ``x0``, grown by ``extend_plan`` to
-    all ``horizon + 1`` entries, as a reception followed by a long enough
-    loss burst would grow it."""
+    """The plan ``(inputs, states)`` from ``x0``, all ``horizon + 1`` entries,
+    as a reception followed by a long enough loss burst replays it: entry
+    j + 1 is ``steps_per_input`` predictor steps on from entry j, holding
+    input j, and the controller evaluated there.  A prediction that leaves
+    the domain raises its ``DomainError``."""
     inputs, states = [controller(x0)], [x0]
-    extend_plan(cfg, dynamics, controller, inputs, states, cfg.horizon + 1, steps_per_input)
+    for _ in range(cfg.horizon):
+        states.append(predict_step(cfg, dynamics, states[-1], inputs[-1], steps_per_input))
+        inputs.append(controller(states[-1]))
     return inputs, states
 
 

@@ -11,7 +11,6 @@ from ncsim import (
     PredictorConfig,
     SamplePair,
     SystemDynamics,
-    TrajectoryError,
     calibration,
     gamma_in_range,
     predict_step,
@@ -20,7 +19,6 @@ from ncsim import (
     tank_dynamics,
 )
 from ncsim.controller import ControllerConfig, sontag_feedback
-from ncsim.predictor import extend_plan
 
 from conftest import full_plan, linear_decay_dynamics, reference_plant
 
@@ -191,14 +189,8 @@ class TestPredictorMarch:
                 states.append(xhat)
         except DomainError:
             assert gamma == 0.15
-            plan_inputs, plan_states = [controller(x0)], [x0]
-            with pytest.raises(TrajectoryError):
-                extend_plan(
-                    cfg, d, controller, plan_inputs, plan_states, cfg.horizon + 1, steps_per_input
-                )
-            # the plan keeps the prefix predicted before the domain exit
-            assert plan_inputs == inputs
-            assert plan_states == states
+            with pytest.raises(DomainError):
+                full_plan(cfg, d, x0, controller, steps_per_input)
             return
         assert gamma != 0.15
         plan_inputs, plan_states = full_plan(cfg, d, x0, controller, steps_per_input)
@@ -223,13 +215,8 @@ class TestPredictorMarch:
 
 
 class TestFullPlan:
-    """A plan grown by ``extend_plan`` from entry 0 to all ``horizon + 1`` entries."""
-
-    def test_zero_field_single_step(self):
-        cfg = PredictorConfig(delta=1.0, gamma=0.2, horizon=1)
-        inputs, states = full_plan(cfg, still_dynamics(), 10.0, lambda x: 0.0)
-        assert inputs == [0.0, 0.0]
-        assert states == [10.0, (1.0 + 0.2) * 10.0]
+    """The reference plan of ``full_plan``: all ``horizon + 1`` entries from
+    entry 0, each one ``predict_step`` and one feedback on from the last."""
 
     def test_constant_controller_everywhere(self):
         cfg = PredictorConfig(delta=0.1, gamma=0.0, horizon=5)
@@ -248,15 +235,6 @@ class TestFullPlan:
         _, states = full_plan(cfg, linear_decay_dynamics(), 4.0, controller)
         assert seen == states
 
-    def test_substeps_compose_predict_step(self):
-        d = linear_decay_dynamics()
-        cfg = PredictorConfig(delta=0.5, gamma=0.01, horizon=2)
-        _, states = full_plan(cfg, d, 1.0, lambda x: 0.25, steps_per_input=4)
-        x = 1.0
-        for _ in range(4):
-            x = predict_step(cfg, d, x, 0.25)
-        assert states[1] == x
-
     def test_stationary_at_input_one_equilibrium(self):
         # equal orifice pressure drops make 150 kPa a bitwise fixed point
         # of the fully-open nominal model, so the whole buffer is constant
@@ -266,17 +244,6 @@ class TestFullPlan:
         inputs, states = full_plan(cfg, d, 150_000.0, sontag_feedback(d, ccfg))
         assert inputs == [1.0] * 11
         assert states == [150_000.0] * 11
-
-    def test_domain_exit_raises_with_valid_prefix(self):
-        d = tank_dynamics(reference_plant())
-        cfg = PredictorConfig(delta=2.0, gamma=0.3, horizon=10)
-        inputs, states = [1.0], [180_000.0]
-        with pytest.raises(TrajectoryError) as excinfo:
-            extend_plan(cfg, d, lambda x: 1.0, inputs, states, cfg.horizon + 1, 1)
-        assert str(excinfo.value) == f"prediction left the domain after {len(inputs)} entries"
-        assert len(states) == len(inputs)
-        assert states[0] == 180_000.0
-        assert len(inputs) <= 10
 
 
 def gamma_one(predicted, measured):

@@ -42,7 +42,6 @@ from ncsim import (
     tank_dynamics,
     write_comparison_csv,
 )
-from ncsim.predictor import extend_plan
 from ncsim.runtime import TRACE_HEADER, check_strategies
 
 from conftest import (
@@ -77,33 +76,39 @@ def stage_cost_sum(records, weights, setpoint):
     return total
 
 
-def eager_reference(sc, bits, steps_per_input):
-    """The predictive-buffer loop that plans all entries at every reception."""
+def eager_reference(sc, bits, steps_per_input, strategy):
+    """The loop without the truth memo or the lazy plan: the buffer plans
+    all entries at every reception, hold-last-value keeps the last applied
+    input and zero-input applies 0.0 on a loss."""
     dynamics, cfg = tank_dynamics(sc.plant), sc.predictor
     ccfg, sim, weights = sc.controller, sc.sim, sc.cost
+    controller = sontag_feedback(dynamics, ccfg)
     n = cfg.horizon
-    records, x, plan, origin, age, j_running = [], sim.x0, None, 0, 0, 0.0
+    records, x, plan, origin, age, u, j_running = [], sim.x0, None, 0, 0, 0.0, 0.0
     for k, s in enumerate(bits):
-        if s or plan is None:
-            plan = full_plan(
-                cfg, dynamics, x if s else sim.x0,
-                sontag_feedback(dynamics, ccfg), steps_per_input,
-            )
-            origin = k if s else 0
-        if s:
-            offset, age = 0, 0
-        elif sim.doubled_age_offset:
-            offset, age = min(2 * age + 1, n), min(age + 1, n)
-        else:
-            offset, age = min(k - origin, n), min(age + 1, n)
-        inputs, states = plan
-        u = inputs[offset]
+        x_pred = None
+        if strategy == PREDICTIVE_BUFFER:
+            if s or plan is None:
+                plan = full_plan(cfg, dynamics, x if s else sim.x0, controller, steps_per_input)
+                origin = k if s else 0
+            if s:
+                offset = 0
+            elif sim.doubled_age_offset:
+                offset = min(2 * age + 1, n)
+            else:
+                offset = min(k - origin, n)
+            inputs, states = plan
+            u, x_pred = inputs[offset], states[offset]
+        elif s:
+            u = controller(x)
+        elif strategy == ZERO_INPUT:
+            u = 0.0
+        age = 0 if s else min(age + 1, n)
         dev = x - ccfg.setpoint
         j_running += weights.q_c * dev * dev + weights.r_c * u * u
         records.append(
             SimulationRecord(
-                k=k, t=k * sim.t_s, x_true=x, x_pred=states[offset],
-                s=s, i=age, u=u, j_running=j_running,
+                k=k, t=k * sim.t_s, x_true=x, x_pred=x_pred, s=s, i=age, u=u, j_running=j_running,
             )
         )
         x = integrate_interval(dynamics, x, u, k * sim.t_s, sim.t_s, sim.n_truth, sim.theta)
@@ -489,18 +494,15 @@ class TestRunClosedLoop:
         assert len(records) == 31
         assert err.reason == "stage 2 state 202433.75963201388 left the domain"
 
-    @settings(
-        max_examples=40,
-        deadline=None,
-        suppress_health_check=[HealthCheck.function_scoped_fixture],
-    )
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    @settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(
         bits=st.lists(st.integers(min_value=0, max_value=1), min_size=60, max_size=60),
         doubled=st.booleans(),
         steps_per_input=st.sampled_from([1, 2]),
     )
     def test_lazy_plan_matches_eager_reference(
-        self, small_scenario_dict, bits, doubled, steps_per_input
+        self, small_scenario_dict, strategy, bits, doubled, steps_per_input
     ):
         # the loop derives its predictor steps from delta = t_s / steps_per_input;
         # gamma = theta * delta / vol as in tank-reference
@@ -512,36 +514,37 @@ class TestRunClosedLoop:
             "predictor.gamma": theta * delta / vol,
         })
         assert (sc.sim.t_s, sc.sim.theta.values[0], sc.plant.vol) == (t_s, theta, vol)
-        expected_records, expected_x = eager_reference(sc, bits, steps_per_input)
+        expected_records, expected_x = eager_reference(sc, bits, steps_per_input, strategy)
+        predict_step = ncsim.runtime.predict_step
         predicted = []
 
-        def counting_extend(*args):
+        def counting_predict_step(*args):
             assert args[-1] == steps_per_input
-            states = args[4]
-            before = len(states)
-            extend_plan(*args)
-            predicted.append(len(states) - before)
+            predicted.append(args)
+            return predict_step(*args)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(ncsim.runtime, "extend_plan", counting_extend)
+            mp.setattr(ncsim.runtime, "predict_step", counting_predict_step)
             records, x_final = collected(
                 run_closed_loop,
                 dynamics=tank_dynamics(sc.plant),
                 predictor_cfg=sc.predictor,
                 control_cfg=sc.controller,
                 loss_model=LossModel(bits),
-                strategy=PREDICTIVE_BUFFER,
+                strategy=strategy,
                 sim=sc.sim,
                 weights=sc.cost,
             )
         assert records == expected_records
         assert x_final == expected_x
-        # each burst predicts the entries up to the furthest one it replays
+        # each burst predicts the entries up to the furthest one it replays,
+        # one predict_step call per entry; no other strategy predicts
         offsets = replayed_offsets(bits, sc.predictor.horizon, doubled)
         bursts = itertools.groupby(offsets, key=lambda offset: offset is None)
-        assert sum(predicted) == sum(max(burst) for received, burst in bursts if not received)
+        furthest = sum(max(burst) for received, burst in bursts if not received)
+        assert len(predicted) == (furthest if strategy == PREDICTIVE_BUFFER else 0)
 
-    @settings(max_examples=200, deadline=None)
+    @settings(deadline=None)
     @given(
         bits=st.lists(st.integers(min_value=0, max_value=1), min_size=1, max_size=30),
         doubled=st.booleans(),

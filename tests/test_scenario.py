@@ -600,14 +600,13 @@ class TestRunSizeCaps:
     @pytest.mark.parametrize("horizon", [1, 40])
     def test_predicted_steps_stay_within_the_bound(self, small_scenario_dict, monkeypatch, horizon):
         grown = []
-        extend = ncsim.runtime.extend_plan
+        predict_step = ncsim.runtime.predict_step
 
-        def counting(cfg, dynamics, controller, inputs, states, n, steps_per_input):
-            before = len(inputs)
-            extend(cfg, dynamics, controller, inputs, states, n, steps_per_input)
-            grown.append((len(inputs) - before) * steps_per_input)
+        def counting(cfg, dynamics, xhat, u, steps):
+            grown.append(steps)
+            return predict_step(cfg, dynamics, xhat, u, steps)
 
-        monkeypatch.setattr(ncsim.runtime, "extend_plan", counting)
+        monkeypatch.setattr(ncsim.runtime, "predict_step", counting)
         sc = scenario_from_dict(small_scenario_dict({
             # gamma = theta * delta / vol, as tank-reference sets it for its delta
             "predictor.delta": 0.5, "predictor.gamma": 0.04375, "predictor.horizon": horizon,
