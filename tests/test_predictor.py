@@ -218,6 +218,12 @@ class TestFullPlan:
     """The reference plan of ``full_plan``: all ``horizon + 1`` entries from
     entry 0, each one ``predict_step`` and one feedback on from the last."""
 
+    def test_zero_field_single_step(self):
+        cfg = PredictorConfig(delta=1.0, gamma=0.2, horizon=1)
+        inputs, states = full_plan(cfg, still_dynamics(), 10.0, lambda x: 0.0)
+        assert inputs == [0.0, 0.0]
+        assert states == [10.0, (1.0 + 0.2) * 10.0]
+
     def test_constant_controller_everywhere(self):
         cfg = PredictorConfig(delta=0.1, gamma=0.0, horizon=5)
         inputs, states = full_plan(cfg, linear_decay_dynamics(), 1.0, lambda x: 0.3)
@@ -234,6 +240,15 @@ class TestFullPlan:
 
         _, states = full_plan(cfg, linear_decay_dynamics(), 4.0, controller)
         assert seen == states
+
+    def test_substeps_compose_predict_step(self):
+        d = linear_decay_dynamics()
+        cfg = PredictorConfig(delta=0.5, gamma=0.01, horizon=2)
+        _, states = full_plan(cfg, d, 1.0, lambda x: 0.25, steps_per_input=4)
+        x = 1.0
+        for _ in range(4):
+            x = predict_step(cfg, d, x, 0.25)
+        assert states[1] == x
 
     def test_stationary_at_input_one_equilibrium(self):
         # equal orifice pressure drops make 150 kPa a bitwise fixed point
