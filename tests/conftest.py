@@ -1,15 +1,22 @@
 import json
+import math
 
 import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
 from ncsim import (
+    DomainError,
+    IntegrationDomainError,
+    NonFiniteError,
+    PREDICTIVE_BUFFER,
+    SimulationRecord,
     SystemDynamics,
     TankParams,
+    ZERO_INPUT,
     builtin_scenario,
     builtin_scenario_dict,
-    predict_step,
+    sontag_feedback,
     tank_dynamics,
 )
 
@@ -17,8 +24,8 @@ WIDE = (-1.0e12, 1.0e12)
 
 # A longer search than the default 100 examples, loaded only on request:
 #   python -m pytest tests/test_cli.py -k Fuzz --hypothesis-profile=deep
-# CI runs it on the command-line fuzz and on the plan-equivalence tests of
-# tests/test_runtime.py.
+# CI runs it on the command-line fuzz and on the reference-run and
+# plan-divergence tests of tests/test_runtime.py.
 settings.register_profile("deep", max_examples=2000, deadline=None)
 
 
@@ -29,17 +36,117 @@ def lie(dynamics, setpoint, x):
     return grad * dynamics.drift(x), grad * dynamics.input_gain(x)
 
 
-def full_plan(cfg, dynamics, x0, controller, steps_per_input=1):
-    """The plan ``(inputs, states)`` from ``x0``, all ``horizon + 1`` entries,
-    as a reception followed by a long enough loss burst replays it: entry
-    j + 1 is ``steps_per_input`` predictor steps on from entry j, holding
-    input j, and the controller evaluated there.  A prediction that leaves
-    the domain raises its ``DomainError``."""
-    inputs, states = [controller(x0)], [x0]
-    for _ in range(cfg.horizon):
-        states.append(predict_step(cfg, dynamics, states[-1], inputs[-1], steps_per_input))
-        inputs.append(controller(states[-1]))
-    return inputs, states
+def reference_march(dynamics, x, u, h, theta, n=1, scale=1.0, fail=lambda x: None):
+    """``(x, dx)`` after ``n`` classical RK4 steps x <- scale*x + dx of
+    f(x) + g(x)*u + w(x)*theta, u and theta held: a stage state outside the
+    domain raises the kernel's ``IntegrationDomainError``, and an end state
+    outside it goes to ``fail(x)``."""
+    f, g, w = dynamics.drift, dynamics.input_gain, dynamics.uncertainty_gain
+    lo, hi = dynamics.state_domain
+
+    def slope(stage, xs):
+        if not lo <= xs <= hi:
+            message = f"stage {stage} state {xs!r} left the domain"
+            raise IntegrationDomainError(message, stage=stage, state=xs)
+        return h * (f(xs) + g(xs) * u + w(xs) * theta)
+
+    dx = 0.0
+    for _ in range(n):
+        k1 = slope(1, x)
+        k2 = slope(2, x + k1 / 2.0)
+        k3 = slope(3, x + k2 / 2.0)
+        k4 = slope(4, x + k3)
+        dx = (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+        x = scale * x + dx
+        if not lo <= x <= hi:
+            fail(x)
+    return x, dx
+
+
+def reference_interval(dynamics, x, u, t_start, t_s, n_truth, theta):
+    """The true state one control interval on: one step per substep, theta
+    looked up at each substep start."""
+    h = t_s / n_truth
+    for j in range(n_truth):
+        x = reference_march(dynamics, x, u, h, theta.value(t_start + j * h))[0]
+        if not math.isfinite(x):
+            raise NonFiniteError(f"state became non-finite during interval at t={t_start!r}")
+    dynamics.check_state(x)
+    return x
+
+
+def reference_plan(cfg, dynamics, x, controller, steps_per_input=1):
+    """The buffer planned from ``x``, all ``horizon + 1`` entries: entry 0 is
+    ``(x, controller(x))`` and entry j + 1 the corrected prediction
+    (theta = 0) ``steps_per_input`` steps on from entry j, holding its
+    input, with the controller there.  An entry the plan cannot reach
+    holds the error that stopped it."""
+    entries = []
+    try:
+        for j in range(cfg.horizon + 1):
+            if j:
+                try:
+                    x = reference_march(
+                        dynamics, x, u, cfg.delta, 0.0, steps_per_input, 1.0 + cfg.gamma,
+                        dynamics.check_state,
+                    )[0]
+                except DomainError as exc:
+                    raise DomainError(f"prediction left the domain after {j} entries") from exc
+            u = controller(x)
+            entries.append((x, u))
+    except (DomainError, NonFiniteError) as exc:
+        entries += [exc] * (cfg.horizon + 1 - len(entries))
+    return entries
+
+
+def reference_run(dynamics, predictor_cfg, control_cfg, bits, strategy, sim, weights):
+    """``(records, end)`` of the loop under reception ``bits``, with none of
+    the program's fast paths (plan head, truth memo, held-theta and
+    zero-input marches): ``end`` is the final state, or ``(step, reason)``
+    where the run diverged.  The buffer plans every entry at each reception
+    (a leading loss plans from x0, the state at step 0) and raises an
+    entry's error when a loss replays it; every interval is marched."""
+    dynamics.check_state(sim.x0)
+    controller = sontag_feedback(dynamics, control_cfg)
+    steps_per_input = predictor_cfg.steps_per_input(sim.t_s)
+    horizon = predictor_cfg.horizon
+    records, x, plan, origin, age, u, j_running = [], sim.x0, None, 0, 0, 0.0, 0.0
+    for k in range(sim.steps):
+        s, t_k, x_pred = bits[k], k * sim.t_s, None
+        try:
+            if strategy == PREDICTIVE_BUFFER:
+                if s or not k:
+                    plan = reference_plan(predictor_cfg, dynamics, x, controller, steps_per_input)
+                    origin = k
+                lost = 2 * age + 1 if sim.doubled_age_offset else k - origin
+                offset = 0 if s else min(lost, horizon)
+                if isinstance(plan[offset], Exception):
+                    raise plan[offset]
+                x_pred, u = plan[offset]
+            elif s:
+                u = controller(x)
+            elif strategy == ZERO_INPUT:
+                u = 0.0
+            age = 0 if s else min(age + 1, horizon)
+            deviation = x if weights.raw_state else x - control_cfg.setpoint
+            j_running += weights.q_c * deviation * deviation + weights.r_c * u * u
+            if not math.isfinite(j_running):
+                raise NonFiniteError(f"running cost became non-finite: {j_running!r}")
+            records.append(SimulationRecord(k, t_k, x, x_pred, s, age, u, j_running))
+            x = reference_interval(dynamics, x, u, t_k, sim.t_s, sim.n_truth, sim.theta)
+        except (DomainError, NonFiniteError) as exc:
+            return records, (k, str(exc))
+    return records, x
+
+
+def outcome(fn, *args):
+    """The hex of the float, or of each float of the tuple, that
+    ``fn(*args)`` returns, or the type and text of the error it raises."""
+    try:
+        value = fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return tuple(v.hex() for v in value) if isinstance(value, tuple) else value.hex()
 
 
 def collected(run, *args, **kwargs):

@@ -16,9 +16,7 @@ from ncsim import (
     tank_dynamics,
 )
 
-from ncsim.plant import _TANK_GAINS, _generate
-
-from conftest import reference_plant
+from conftest import outcome, reference_march, reference_plant
 
 
 class TestTankParams:
@@ -136,14 +134,9 @@ class TestTankDynamics:
         params = reference_plant()._replace(m2=m2, vol=vol)
         d = tank_dynamics(params)
         # exact equality: the inlined sum keeps the field sum's operation order
-        _, dx = reference_march(
-            d.drift, d.input_gain, d.uncertainty_gain, d.state_domain, x, u, 0.1, theta, 1
+        assert outcome(rk4_increment, d, x, u, 0.1, theta) == outcome(
+            lambda: reference_march(d, x, u, 0.1, theta)[1]
         )
-        if dx is None:
-            with pytest.raises(IntegrationDomainError):
-                rk4_increment(d, x, u, 0.1, theta)
-        else:
-            assert rk4_increment(d, x, u, 0.1, theta).hex() == dx.hex()
 
 
 class TestSystemDynamics:
@@ -154,9 +147,7 @@ class TestSystemDynamics:
             uncertainty_gain=lambda x: 3.0,
             state_domain=(-10.0, 10.0),
         )
-        _, dx = reference_march(
-            d.drift, d.input_gain, d.uncertainty_gain, d.state_domain, 1.5, 0.25, 0.1, 0.5, 1
-        )
+        _, dx = reference_march(d, 1.5, 0.25, 0.1, 0.5)
         assert rk4_increment(d, 1.5, 0.25, 0.1, 0.5).hex() == dx.hex()
 
     def test_replace_carries_the_generated_kernel(self, tank):
@@ -199,35 +190,16 @@ class TestSystemDynamics:
             d.check_state(1.0000001)
 
 
-def reference_march(f, g, w, domain, x, u, h, theta, n, scale=1.0):
-    """n classical RK4 steps x <- scale*x + dx written out over the three
-    gains, or None once a stage or end state leaves the domain."""
-    lo, hi = domain
-
-    def rhs(xs):
-        return f(xs) + g(xs) * u + w(xs) * theta
-
-    dx = None
-    for _ in range(n):
-        if not lo <= x <= hi:
-            return None, dx
-        k1 = h * rhs(x)
-        if not lo <= x + k1 / 2.0 <= hi:
-            return None, dx
-        k2 = h * rhs(x + k1 / 2.0)
-        if not lo <= x + k2 / 2.0 <= hi:
-            return None, dx
-        k3 = h * rhs(x + k2 / 2.0)
-        if not lo <= x + k3 <= hi:
-            return None, dx
-        k4 = h * rhs(x + k3)
-        dx = (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
-        x = scale * x + dx
-    return (x if lo <= x <= hi else None), dx
-
-
-def raise_domain_error(x, left):
+def raise_domain_error(x, left=None):
     raise DomainError(f"end state {x!r}")
+
+
+def marched(dynamics, x, u, h, theta, n, scale):
+    """The outcomes of ``dynamics.march`` and ``reference_march``, each
+    raising at an end state outside the domain."""
+    args = (x, u, h, theta, *dynamics.state_domain, n, scale, raise_domain_error)
+    expected = outcome(reference_march, dynamics, x, u, h, theta, n, scale, raise_domain_error)
+    return outcome(dynamics.march, *args), expected
 
 
 class TestGeneratedKernel:
@@ -250,26 +222,12 @@ class TestGeneratedKernel:
             state_domain=tank.state_domain,
         )
         assert generic.march is not tank.march
-        scale = 1.0 + gamma
-        expected, last_dx = reference_march(
-            tank.drift, tank.input_gain, tank.uncertainty_gain, tank.state_domain,
-            x, u, h, theta, n, scale,
-        )
-        for dyn in (tank, generic):
-            args = (x, u, h, theta, *dyn.state_domain, n, scale, raise_domain_error)
-            if expected is None:
-                with pytest.raises(DomainError):
-                    dyn.march(*args)
-            else:
-                end, dx = dyn.march(*args)
-                assert (end.hex(), dx.hex()) == (expected.hex(), last_dx.hex())
-        _, dx = reference_march(
-            tank.drift, tank.input_gain, tank.uncertainty_gain, tank.state_domain,
-            x, u, h, theta, 1,
-        )
-        if dx is not None:
-            assert rk4_increment(tank, x, u, h, theta).hex() == dx.hex()
-            assert rk4_increment(generic, x, u, h, theta).hex() == dx.hex()
+        tank_march, expected = marched(tank, x, u, h, theta, n, 1.0 + gamma)
+        assert tank_march == expected
+        assert marched(generic, x, u, h, theta, n, 1.0 + gamma) == (expected, expected)
+        expected = outcome(lambda: reference_march(tank, x, u, h, theta)[1])
+        assert outcome(rk4_increment, tank, x, u, h, theta) == expected
+        assert outcome(rk4_increment, generic, x, u, h, theta) == expected
 
     def test_factory_is_compiled_once_per_expression(self, tank):
         other = tank_dynamics(
@@ -312,27 +270,9 @@ class TestGeneratedKernel:
             tank.march(150_000.0, 0.0, h, 0.0, *tank.state_domain, 2, 1.0, raise_domain_error)
 
 
-def full_march(params):
-    """The tank's march over f + g*u + w*theta at every u, with the values
-    ``tank_dynamics`` binds."""
-    return _generate(
-        _TANK_GAINS, sqrt=math.sqrt, p1=params.p1, p2=params.p2, inv_vol=1.0 / params.vol,
-        neg_c_out=-(params.alpha2 * params.a2 * params.m2 / params.vol),
-        c_in=params.alpha1 * params.a1 / params.vol, two_over_rho=2.0 / params.rho,
-    )["march"]
-
-
-def outcome(march, *args):
-    """The hex of the end state and last increment, or the error raised."""
-    try:
-        return tuple(v.hex() for v in march(*args))
-    except Exception as exc:
-        return type(exc), str(exc)
-
-
 class TestZeroInputMarch:
     """At u = +0.0 the tank marches without its input gain where that is
-    bitwise the same as the full march."""
+    bitwise the same as the full march, ``reference_march``."""
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -358,8 +298,8 @@ class TestZeroInputMarch:
         x = data.draw(st.one_of(
             st.sampled_from([lo, hi, 0.0, -0.0]), st.floats(min_value=lo, max_value=hi)
         ))
-        args = (x, u, h, theta, lo, hi, n, 1.0 + gamma, raise_domain_error)
-        assert outcome(tank_dynamics(params).march, *args) == outcome(full_march(params), *args)
+        tank_march, expected = marched(tank_dynamics(params), x, u, h, theta, n, 1.0 + gamma)
+        assert tank_march == expected
 
     @pytest.mark.parametrize(
         "changes, x, u, theta, expected",
@@ -375,17 +315,14 @@ class TestZeroInputMarch:
         ids=["negative-zero-state", "negative-zero-input", "gain-overflow"],
     )
     def test_guards_keep_the_full_march(self, changes, x, u, theta, expected):
-        params = reference_plant()._replace(**changes)
-        args = (x, u, 0.1, theta, *params.state_domain, 20, 1.0, raise_domain_error)
-        assert outcome(tank_dynamics(params).march, *args) == expected
-        assert outcome(full_march(params), *args) == expected
+        dynamics = tank_dynamics(reference_plant()._replace(**changes))
+        assert marched(dynamics, x, u, 0.1, theta, 20, 1.0) == (expected, expected)
 
-    def test_wider_replaced_domain_keeps_the_full_march(self, tank, benchmark_params):
+    def test_wider_replaced_domain_keeps_the_full_march(self, tank):
         # past p1 the input gain takes the square root of a negative number
         wide = tank._replace(state_domain=(tank.state_domain[0], 250_000.0))
-        args = (210_000.0, 0.0, 0.1, 0.175, *wide.state_domain, 1, 1.0, raise_domain_error)
-        assert outcome(wide.march, *args) == (ValueError, "math domain error")
-        assert outcome(full_march(benchmark_params), *args) == (ValueError, "math domain error")
+        failed = ValueError, "math domain error"
+        assert marched(wide, 210_000.0, 0.0, 0.1, 0.175, 1, 1.0) == (failed, failed)
 
     @staticmethod
     def sqrt_calls(march, u, domain):

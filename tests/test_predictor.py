@@ -20,7 +20,9 @@ from ncsim import (
 )
 from ncsim.controller import ControllerConfig, sontag_feedback
 
-from conftest import full_plan, linear_decay_dynamics, reference_plant
+from conftest import (
+    linear_decay_dynamics, outcome, reference_march, reference_plan, reference_plant,
+)
 
 
 def still_dynamics(domain=(-100.0, 100.0)) -> SystemDynamics:
@@ -137,14 +139,6 @@ class TestPredictStep:
             predict_step(cfg, d, 190_000.0, 1.0)
 
 
-def step_reference(cfg, dynamics, xhat, u):
-    """One predictor step written out: the increment, the correction, and
-    the corrected-state check."""
-    corrected = (1.0 + cfg.gamma) * xhat + rk4_increment(dynamics, xhat, u, cfg.delta)
-    dynamics.check_state(corrected)
-    return corrected
-
-
 class TestPredictorMarch:
     @settings(max_examples=200, deadline=None)
     @given(
@@ -157,19 +151,18 @@ class TestPredictorMarch:
     def test_march_is_predict_step_repeated(self, x, u, gamma, delta, steps):
         d = tank_dynamics(reference_plant())
         cfg = PredictorConfig(delta=delta, gamma=gamma, horizon=1)
-        try:
-            expected = x
+        expected = outcome(
+            lambda: reference_march(d, x, u, delta, 0.0, steps, 1.0 + gamma, d.check_state)[0]
+        )
+        assert outcome(predict_step, cfg, d, x, u, steps) == expected
+
+        def repeated():
+            xs = x
             for _ in range(steps):
-                expected = step_reference(cfg, d, expected, u)
-        except DomainError:
-            with pytest.raises(DomainError):
-                predict_step(cfg, d, x, u, steps)
-            return
-        assert predict_step(cfg, d, x, u, steps).hex() == expected.hex()
-        repeated = x
-        for _ in range(steps):
-            repeated = predict_step(cfg, d, repeated, u)
-        assert repeated.hex() == expected.hex()
+                xs = predict_step(cfg, d, xs, u)
+            return xs
+
+        assert outcome(repeated) == expected
 
     @pytest.mark.parametrize("x0", [130_000.0, 190_000.0])
     @pytest.mark.parametrize("gamma", [0.03, -0.04, 0.15])  # 0.15 leaves the domain
@@ -178,24 +171,21 @@ class TestPredictorMarch:
         d = tank_dynamics(reference_plant())
         cfg = PredictorConfig(delta=0.5, gamma=gamma, horizon=8)
         controller = sontag_feedback(d, ControllerConfig(setpoint=150_000.0))
-        inputs, states, xhat = [], [x0], x0
-        try:
-            for j in range(cfg.horizon + 1):
-                inputs.append(controller(xhat))
-                if j == cfg.horizon:
-                    break
-                for _ in range(steps_per_input):
-                    xhat = step_reference(cfg, d, xhat, inputs[-1])
-                states.append(xhat)
-        except DomainError:
-            assert gamma == 0.15
-            with pytest.raises(DomainError):
-                full_plan(cfg, d, x0, controller, steps_per_input)
-            return
+        plan = reference_plan(cfg, d, x0, controller, steps_per_input)
+        xhat, u = plan[0]
+        for entry in plan[1:]:
+            if isinstance(entry, DomainError):
+                assert gamma == 0.15
+                # the predictor's own error, which the loop reports by its entry
+                stop = entry.__cause__
+                assert outcome(predict_step, cfg, d, xhat, u, steps_per_input) == (
+                    type(stop), str(stop)
+                )
+                return
+            xhat = predict_step(cfg, d, xhat, u, steps_per_input)
+            u = controller(xhat)
+            assert (xhat.hex(), u) == (entry[0].hex(), entry[1])
         assert gamma != 0.15
-        plan_inputs, plan_states = full_plan(cfg, d, x0, controller, steps_per_input)
-        assert plan_inputs == inputs
-        assert [s.hex() for s in plan_states] == [s.hex() for s in states]
 
     def test_zero_steps_leave_the_state(self):
         d = tank_dynamics(reference_plant())
@@ -214,21 +204,19 @@ class TestPredictorMarch:
         assert str(excinfo.value) == "state 13.5 outside domain [0.0, 10.0]"
 
 
-class TestFullPlan:
-    """The reference plan of ``full_plan``: all ``horizon + 1`` entries from
-    entry 0, each one ``predict_step`` and one feedback on from the last."""
+class TestReferencePlan:
+    """The plan of ``reference_plan``: all ``horizon + 1`` entries from
+    entry 0, each one predictor step and one feedback on from the last."""
 
     def test_zero_field_single_step(self):
         cfg = PredictorConfig(delta=1.0, gamma=0.2, horizon=1)
-        inputs, states = full_plan(cfg, still_dynamics(), 10.0, lambda x: 0.0)
-        assert inputs == [0.0, 0.0]
-        assert states == [10.0, (1.0 + 0.2) * 10.0]
+        plan = reference_plan(cfg, still_dynamics(), 10.0, lambda x: 0.0)
+        assert plan == [(10.0, 0.0), ((1.0 + 0.2) * 10.0, 0.0)]
 
     def test_constant_controller_everywhere(self):
         cfg = PredictorConfig(delta=0.1, gamma=0.0, horizon=5)
-        inputs, states = full_plan(cfg, linear_decay_dynamics(), 1.0, lambda x: 0.3)
-        assert inputs == [0.3] * 6
-        assert len(states) == 6
+        plan = reference_plan(cfg, linear_decay_dynamics(), 1.0, lambda x: 0.3)
+        assert [u for _, u in plan] == [0.3] * 6
 
     def test_controller_sees_the_predicted_states(self):
         cfg = PredictorConfig(delta=0.5, gamma=0.0, horizon=3)
@@ -238,17 +226,17 @@ class TestFullPlan:
             seen.append(x)
             return 0.0
 
-        _, states = full_plan(cfg, linear_decay_dynamics(), 4.0, controller)
-        assert seen == states
+        plan = reference_plan(cfg, linear_decay_dynamics(), 4.0, controller)
+        assert seen == [x for x, _ in plan]
 
     def test_substeps_compose_predict_step(self):
         d = linear_decay_dynamics()
         cfg = PredictorConfig(delta=0.5, gamma=0.01, horizon=2)
-        _, states = full_plan(cfg, d, 1.0, lambda x: 0.25, steps_per_input=4)
+        plan = reference_plan(cfg, d, 1.0, lambda x: 0.25, steps_per_input=4)
         x = 1.0
         for _ in range(4):
             x = predict_step(cfg, d, x, 0.25)
-        assert states[1] == x
+        assert plan[1][0] == x
 
     def test_stationary_at_input_one_equilibrium(self):
         # equal orifice pressure drops make 150 kPa a bitwise fixed point
@@ -256,9 +244,8 @@ class TestFullPlan:
         d = tank_dynamics(reference_plant())
         ccfg = ControllerConfig(setpoint=150_100.0)
         cfg = PredictorConfig(delta=2.0, gamma=0.0, horizon=10)
-        inputs, states = full_plan(cfg, d, 150_000.0, sontag_feedback(d, ccfg))
-        assert inputs == [1.0] * 11
-        assert states == [150_000.0] * 11
+        plan = reference_plan(cfg, d, 150_000.0, sontag_feedback(d, ccfg))
+        assert plan == [(150_000.0, 1.0)] * 11
 
 
 def gamma_one(predicted, measured):
@@ -367,7 +354,7 @@ class TestCalibration:
         assert scaled == pytest.approx(9.0 * base, rel=1e-10)
 
 
-class TestMeanSquaredError:
+class TestPerRecordingError:
     def test_hand_value(self):
         assert calibration([([1.0, 2.0], [1.5, 2.5])])[0] == [0.25]
 

@@ -45,7 +45,8 @@ from ncsim import (
 from ncsim.runtime import TRACE_HEADER, check_strategies
 
 from conftest import (
-    WIDE, collected, full_plan, linear_decay_dynamics, reference_plant, run_overrides,
+    WIDE, collected, linear_decay_dynamics, outcome, reference_interval, reference_plan,
+    reference_plant, reference_run, run_overrides,
 )
 
 ZERO_THETA = UncertaintySignal.constant(0.0)
@@ -76,43 +77,37 @@ def stage_cost_sum(records, weights, setpoint):
     return total
 
 
-def eager_reference(sc, bits, steps_per_input, strategy):
-    """The loop without the truth memo or the lazy plan: the buffer plans
-    all entries at every reception, hold-last-value keeps the last applied
-    input and zero-input applies 0.0 on a loss."""
-    dynamics, cfg = tank_dynamics(sc.plant), sc.predictor
-    ccfg, sim, weights = sc.controller, sc.sim, sc.cost
-    controller = sontag_feedback(dynamics, ccfg)
-    n = cfg.horizon
-    records, x, plan, origin, age, u, j_running = [], sim.x0, None, 0, 0, 0.0, 0.0
-    for k, s in enumerate(bits):
-        x_pred = None
-        if strategy == PREDICTIVE_BUFFER:
-            if s or plan is None:
-                plan = full_plan(cfg, dynamics, x if s else sim.x0, controller, steps_per_input)
-                origin = k if s else 0
-            if s:
-                offset = 0
-            elif sim.doubled_age_offset:
-                offset = min(2 * age + 1, n)
-            else:
-                offset = min(k - origin, n)
-            inputs, states = plan
-            u, x_pred = inputs[offset], states[offset]
-        elif s:
-            u = controller(x)
-        elif strategy == ZERO_INPUT:
-            u = 0.0
-        age = 0 if s else min(age + 1, n)
-        dev = x - ccfg.setpoint
-        j_running += weights.q_c * dev * dev + weights.r_c * u * u
-        records.append(
-            SimulationRecord(
-                k=k, t=k * sim.t_s, x_true=x, x_pred=x_pred, s=s, i=age, u=u, j_running=j_running,
-            )
-        )
-        x = integrate_interval(dynamics, x, u, k * sim.t_s, sim.t_s, sim.n_truth, sim.theta)
-    return records, x
+# Corners of the tank: no outflow, a domain reaching p2 or 0, and an input
+# gain past float range; the last two keep the full march at u = +0.0.
+TANK_CORNERS = {
+    "plant.m2": 0.0, "plant.domain_margin": 0.0, "plant.p2": 0.0, "plant.alpha1": 1e306,
+}
+
+
+@st.composite
+def loop_cases(draw):
+    """Reception bits and the overrides of a short tank-reference run."""
+    bits = tuple(draw(st.lists(st.sampled_from([0, 1]), min_size=1, max_size=16)))
+    # schedule times anywhere in the run, so most fall inside an interval;
+    # with m2 = 0, theta = 0 and the valve closed the state stands still
+    change = st.tuples(st.floats(0.0, 2.0 * len(bits)), st.just(0.0) | st.floats(-0.3, 0.3))
+    theta = st.lists(change, min_size=1, max_size=3, unique_by=lambda pair: pair[0]).map(sorted)
+    corners = draw(st.sets(st.sampled_from(sorted(TANK_CORNERS)), max_size=2))
+    # states inside the domain at either margin
+    lo = 0.001 if "plant.p2" in corners else 100_000.001
+    state = st.floats(lo, 199_999.999, exclude_min=True, exclude_max=True)
+    return bits, {
+        **{key: TANK_CORNERS[key] for key in corners},
+        "sim.x0": draw(state),
+        "controller.setpoint": draw(state),
+        "sim.theta": draw(theta),
+        "sim.doubled_age_offset": draw(st.booleans()),
+        "predictor.horizon": draw(st.integers(1, 5)),
+        "predictor.gamma": draw(st.floats(-0.5, 0.5)),
+        "predictor.delta": draw(st.sampled_from([2.0, 1.0])),  # 1 or 2 steps per input
+        "sim.n_truth": draw(st.integers(1, 5)),
+        "cost.raw_state": draw(st.booleans()),
+    }
 
 
 def replayed_offsets(bits, horizon, doubled):
@@ -126,25 +121,6 @@ def replayed_offsets(bits, horizon, doubled):
             offsets.append(min(2 * age + 1, horizon) if doubled else min(k - origin, horizon))
             age = min(age + 1, horizon)
     return offsets
-
-
-def per_substep_reference(dynamics, x, u, t_start, t_s, n_truth, theta):
-    """The truth loop that looks theta up at every substep start, with
-    RK4 written out over the three gains."""
-    f, g, w = dynamics.drift, dynamics.input_gain, dynamics.uncertainty_gain
-    h = t_s / n_truth
-
-    def rhs(xs, th):
-        return f(xs) + g(xs) * u + w(xs) * th
-
-    for j in range(n_truth):
-        th = theta.value(t_start + j * h)
-        k1 = h * rhs(x, th)
-        k2 = h * rhs(x + k1 / 2.0, th)
-        k3 = h * rhs(x + k2 / 2.0, th)
-        k4 = h * rhs(x + k3, th)
-        x = x + (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
-    return x
 
 
 # Schedules around the interval [1800, 1802) with 20 substeps of 0.1 s.
@@ -166,20 +142,20 @@ class TestIntegrateInterval:
         theta = UncertaintySignal(*SCHEDULES[name])
         for x, u in ((140_000.0, 0.0), (150_100.0, 0.37), (185_000.0, 1.0)):
             args = (tank, x, u, 1800.0, 2.0, 20, theta)
-            assert integrate_interval(*args) == per_substep_reference(*args)
+            assert integrate_interval(*args) == reference_interval(*args)
 
     @pytest.mark.parametrize("times", [(-5.0,), (-5.0, 0.35), (-5.0, -1.0, 1.0)])
     def test_break_before_time_zero(self, tank, times):
         theta = UncertaintySignal(times, tuple(0.1 * (i + 1) for i in range(len(times))))
         args = (tank, 150_000.0, 0.5, 0.0, 2.0, 20, theta)
-        assert integrate_interval(*args) == per_substep_reference(*args)
+        assert integrate_interval(*args) == reference_interval(*args)
 
     def test_break_on_the_lookup_floats(self):
         # 0.9 / 0.3 is 3.0, but the start 3 * 0.3 is 0.8999999999999999,
         # which the lookup still gives the first entry: 4 substeps of 1.0
         theta = UncertaintySignal(times=(0.0, 0.9), values=(1.0, 2.0))
         args = (disturbance_channel(), 0.0, 0.0, 0.0, 3.0, 10, theta)
-        assert integrate_interval(*args) == per_substep_reference(*args)
+        assert integrate_interval(*args) == reference_interval(*args)
         assert integrate_interval(*args) == pytest.approx(4 * 0.3 + 6 * 0.3 * 2.0)
 
     @settings(max_examples=60, deadline=None)
@@ -200,7 +176,7 @@ class TestIntegrateInterval:
         times = tuple(sorted(breaks))
         theta = UncertaintySignal(times, tuple(values[: len(times)]))
         args = (tank, x, u, t_start, 2.0, n_truth, theta)
-        assert integrate_interval(*args) == per_substep_reference(*args)
+        assert integrate_interval(*args) == reference_interval(*args)
 
     def test_nonfinite_result_raises(self):
         # every stage state stays in the domain; only k4 is infinite
@@ -210,8 +186,10 @@ class TestIntegrateInterval:
             uncertainty_gain=lambda x: 0.0,
             state_domain=WIDE,
         )
-        with pytest.raises(NonFiniteError):
-            integrate_interval(cliff, 1.0, 0.0, 0.0, 1.0, 1, ZERO_THETA)
+        args = (cliff, 1.0, 0.0, 0.0, 1.0, 1, ZERO_THETA)
+        assert outcome(integrate_interval, *args) == outcome(reference_interval, *args) == (
+            NonFiniteError, "state became non-finite during interval at t=0.0"
+        )
 
     def test_exponential_decay(self):
         x1 = integrate_interval(
@@ -254,9 +232,13 @@ class TestIntegrateInterval:
             uncertainty_gain=lambda x: 0.0,
             state_domain=(0.0, 10.0),
         )
+        args = (runaway, 5.0, 0.0, 0.0, 1.0, 1, ZERO_THETA)
         with pytest.raises(IntegrationDomainError) as excinfo:
-            integrate_interval(runaway, 5.0, 0.0, 0.0, 1.0, 1, ZERO_THETA)
+            integrate_interval(*args)
         assert excinfo.value.stage == 2
+        assert outcome(reference_interval, *args) == (
+            IntegrationDomainError, "stage 2 state 55.0 left the domain"
+        ) == (type(excinfo.value), str(excinfo.value))
 
 
 # Every stage stays in [0, 6.5] from 5 at h = 1 (5.5, 5.5, 6.0), but the
@@ -282,26 +264,30 @@ class TestIntegrateIntervalErrors:
     @pytest.mark.parametrize("path", sorted(THETA_PATHS))
     @pytest.mark.parametrize("x, n_truth", [(5.0, 1), (4.0, 2)])  # from 4, step 1 ends at 5
     def test_end_state_outside_the_domain(self, path, x, n_truth):
-        with pytest.raises(DomainError) as excinfo:
-            integrate_interval(end_escape(), x, 0.0, 3.0, n_truth * 1.0, n_truth, THETA_PATHS[path])
-        assert type(excinfo.value) is DomainError
-        assert str(excinfo.value) == "state 22.5 outside domain [0.0, 6.5]"
+        args = (end_escape(), x, 0.0, 3.0, n_truth * 1.0, n_truth, THETA_PATHS[path])
+        assert outcome(integrate_interval, *args) == outcome(reference_interval, *args) == (
+            DomainError, "state 22.5 outside domain [0.0, 6.5]"
+        )
 
     @pytest.mark.parametrize("path", sorted(THETA_PATHS))
     @pytest.mark.parametrize("n_truth", [2, 3])
     def test_mid_interval_exit_stops_the_next_first_stage(self, path, n_truth):
+        args = (end_escape(), 5.0, 0.0, 3.0, n_truth * 1.0, n_truth, THETA_PATHS[path])
         with pytest.raises(IntegrationDomainError) as excinfo:
-            integrate_interval(end_escape(), 5.0, 0.0, 3.0, n_truth * 1.0, n_truth, THETA_PATHS[path])
+            integrate_interval(*args)
         assert excinfo.value.stage == 1
         assert excinfo.value.state == 22.5
-        assert str(excinfo.value) == "stage 1 state 22.5 left the domain"
+        assert outcome(reference_interval, *args) == (
+            IntegrationDomainError, "stage 1 state 22.5 left the domain"
+        ) == (type(excinfo.value), str(excinfo.value))
 
     @pytest.mark.parametrize("path", sorted(THETA_PATHS))
     @pytest.mark.parametrize("n_truth", [1, 2])
     def test_overflowing_rhs(self, path, n_truth):
-        with pytest.raises(NonFiniteError) as excinfo:
-            integrate_interval(overflow(), 5.0, 0.0, 3.0, n_truth * 2.0, n_truth, THETA_PATHS[path])
-        assert str(excinfo.value) == "state became non-finite during interval at t=3.0"
+        args = (overflow(), 5.0, 0.0, 3.0, n_truth * 2.0, n_truth, THETA_PATHS[path])
+        assert outcome(integrate_interval, *args) == outcome(reference_interval, *args) == (
+            NonFiniteError, "state became non-finite during interval at t=3.0"
+        )
 
     def test_stage_errors_keep_their_index(self):
         # stage 4 probes 6.0 outside [0, 5.9]
@@ -367,14 +353,10 @@ class TestRunClosedLoop:
             sim=sc.sim,
             weights=sc.cost,
         )
-        inputs, states = full_plan(
-            sc.predictor, dynamics, sc.sim.x0, sontag_feedback(dynamics, ccfg)
-        )
+        plan = reference_plan(sc.predictor, dynamics, sc.sim.x0, sontag_feedback(dynamics, ccfg))
         n = sc.predictor.horizon
         for rec in records:
-            offset = min(rec.k, n)
-            assert rec.u == inputs[offset]
-            assert rec.x_pred == states[offset]
+            assert (rec.x_pred, rec.u) == plan[min(rec.k, n)]
             assert rec.i == min(rec.k + 1, n)
 
     @pytest.mark.parametrize(
@@ -402,15 +384,12 @@ class TestRunClosedLoop:
             sim=sim,
             weights=CostWeights(q_c=1.0, r_c=1.0, m_steps=6),
         )
-        inputs, states = full_plan(
-            sc.predictor, dynamics, sc.sim.x0, sontag_feedback(dynamics, ccfg)
-        )
+        plan = reference_plan(sc.predictor, dynamics, sc.sim.x0, sontag_feedback(dynamics, ccfg))
         for rec, offset in zip(records[1:4], expected_offsets):
-            assert rec.x_pred == states[offset]
-            assert rec.u == inputs[offset]
+            assert (rec.x_pred, rec.u) == plan[offset]
         assert [r.i for r in records] == [0, 1, 2, 3, 0, 0]
 
-    def test_running_cost_matches_evaluate(self, small_scenario_dict):
+    def test_running_cost_is_the_stage_cost_sum(self, small_scenario_dict):
         sc = small_scenario(small_scenario_dict)
         records, _ = collected(run_scenario, sc, PREDICTIVE_BUFFER)
         total = stage_cost_sum(records, sc.cost, sc.controller.setpoint)
@@ -496,50 +475,49 @@ class TestRunClosedLoop:
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
     @settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(
-        bits=st.lists(st.integers(min_value=0, max_value=1), min_size=60, max_size=60),
-        doubled=st.booleans(),
-        steps_per_input=st.sampled_from([1, 2]),
-    )
-    def test_lazy_plan_matches_eager_reference(
-        self, small_scenario_dict, strategy, bits, doubled, steps_per_input
-    ):
-        # the loop derives its predictor steps from delta = t_s / steps_per_input;
-        # gamma = theta * delta / vol as in tank-reference
-        t_s, theta, vol = 2.0, 0.175, 2.0
-        delta = t_s / steps_per_input
+    # a theta break between substep starts of a lossy interval
+    @example(case=((1, 0, 0, 1, 0), {"sim.theta": [[0.0, 0.175], [2.55, 0.185]]}))
+    # an input gain past float range: a leading loss that holds u = +0.0
+    # marches inf * 0.0
+    @example(case=((0, 1), {"plant.alpha1": 1e306}))
+    # entries 1 and 3 replayed, and entry 2 leaves the domain
+    @example(case=((1, 0, 0), {"sim.doubled_age_offset": True, "predictor.gamma": 0.4}))
+    # no outflow, theta = 0 and the valve closed hold the state still, so the
+    # interval under theta = 0.1 starts from a state already marched
+    @example(case=((1, 1, 1), {
+        "plant.m2": 0.0, "sim.x0": 160_000.0, "sim.theta": [[0.0, 0.0], [4.0, 0.1]],
+    }))
+    @given(case=loop_cases())
+    def test_loop_matches_reference_run(self, small_scenario_dict, strategy, case):
+        bits, overrides = case
         sc = small_scenario(small_scenario_dict, {
-            "sim.doubled_age_offset": doubled,
-            "predictor.delta": delta,
-            "predictor.gamma": theta * delta / vol,
+            "sim.duration": 2.0 * len(bits), "cost.m_steps": 1, **overrides,
         })
-        assert (sc.sim.t_s, sc.sim.theta.values[0], sc.plant.vol) == (t_s, theta, vol)
-        expected_records, expected_x = eager_reference(sc, bits, steps_per_input, strategy)
+        loop = (tank_dynamics(sc.plant), sc.predictor, sc.controller)
+        expected_records, expected_end = reference_run(*loop, bits, strategy, sc.sim, sc.cost)
+        steps_per_input = sc.predictor.steps_per_input(sc.sim.t_s)
         predict_step = ncsim.runtime.predict_step
         predicted = []
 
-        def counting_predict_step(*args):
-            assert args[-1] == steps_per_input
-            predicted.append(args)
-            return predict_step(*args)
+        def counting_predict_step(*step_args):
+            assert step_args[-1] == steps_per_input
+            predicted.append(step_args)
+            return predict_step(*step_args)
 
+        records = []
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(ncsim.runtime, "predict_step", counting_predict_step)
-            records, x_final = collected(
-                run_closed_loop,
-                dynamics=tank_dynamics(sc.plant),
-                predictor_cfg=sc.predictor,
-                control_cfg=sc.controller,
-                loss_model=LossModel(bits),
-                strategy=strategy,
-                sim=sc.sim,
-                weights=sc.cost,
-            )
-        assert records == expected_records
-        assert x_final == expected_x
+            try:
+                end = run_closed_loop(*loop, LossModel(bits), strategy, sc.sim, sc.cost, records)
+            except SimulationDiverged as exc:
+                end = exc.step, exc.reason
+        assert bitwise(records) == bitwise(expected_records)
+        assert repr(end) == repr(expected_end)
+        if isinstance(end, tuple):
+            return
         # each burst predicts the entries up to the furthest one it replays,
         # one predict_step call per entry; no other strategy predicts
-        offsets = replayed_offsets(bits, sc.predictor.horizon, doubled)
+        offsets = replayed_offsets(bits, sc.predictor.horizon, sc.sim.doubled_age_offset)
         bursts = itertools.groupby(offsets, key=lambda offset: offset is None)
         furthest = sum(max(burst) for received, burst in bursts if not received)
         assert len(predicted) == (furthest if strategy == PREDICTIVE_BUFFER else 0)
@@ -696,7 +674,7 @@ def first_interval_cost(x0, setpoint, received=True, u_min=0.0, raw_state=False)
     return records[weights.m_steps - 1].j_running, records
 
 
-class TestEvaluateCost:
+class TestRunningCost:
     """A run's cost is its own running cost after ``cost.m_steps`` intervals."""
 
     def test_truncates_to_m_steps(self):
@@ -1110,21 +1088,6 @@ class TestRecordSinks:
         assert (tally.steps, tally.loss_count, tally.j_m_steps) == (1, 1, None)
 
 
-def lossless_reference(dynamics, control_cfg, sim, weights, predicts):
-    """The loop without loss that marches the truth at every interval:
-    ``(records, x_final)``, with ``x_pred`` the state when ``predicts``."""
-    records, x, j_running = [], sim.x0, 0.0
-    feedback = sontag_feedback(dynamics, control_cfg)
-    for k in range(sim.steps):
-        u = feedback(x)
-        deviation = x if weights.raw_state else x - control_cfg.setpoint
-        j_running += weights.q_c * deviation * deviation + weights.r_c * u * u
-        t_k = k * sim.t_s
-        records.append(SimulationRecord(k, t_k, x, x if predicts else None, 1, 0, u, j_running))
-        x = integrate_interval(dynamics, x, u, t_k, sim.t_s, sim.n_truth, sim.theta)
-    return records, x
-
-
 def bitwise(records):
     """Each record as text that tells +0.0 from -0.0."""
     return [repr(r) for r in records]
@@ -1168,8 +1131,9 @@ class TestTruthMemo:
         records, x_final = collected(run_scenario, sc, PREDICTIVE_BUFFER)
         assert len(calls) == marches
         assert len({(x, u, th) for _, x, u, *_, th in calls}) == 182
-        expected = lossless_reference(
-            tank_dynamics(sc.plant), sc.controller, sc.sim, sc.cost, predicts=True
+        expected = reference_run(
+            tank_dynamics(sc.plant), sc.predictor, sc.controller, [1] * 1800, PREDICTIVE_BUFFER,
+            sc.sim, sc.cost,
         )
         assert (records, x_final) == expected
         assert len(records) == 1800
@@ -1184,12 +1148,15 @@ class TestTruthMemo:
         control = ControllerConfig(setpoint=0.0)
         sim = SimSettings(x0=-0.0, t_s=1.0, duration=5.0, theta=ZERO_THETA, n_truth=1)
         weights = CostWeights(q_c=1.0, r_c=1.0, m_steps=5)
+        predictor_cfg = PredictorConfig(delta=1.0, gamma=0.0, horizon=2)
         calls = counted_marches(monkeypatch)
         records, x_final = collected(
-            run_closed_loop, dynamics, PredictorConfig(delta=1.0, gamma=0.0, horizon=2),
-            control, LossModel(itertools.repeat(1)), HOLD_LAST_VALUE, sim, weights,
+            run_closed_loop, dynamics, predictor_cfg, control, LossModel(itertools.repeat(1)),
+            HOLD_LAST_VALUE, sim, weights,
         )
-        expected = lossless_reference(dynamics, control, sim, weights, predicts=False)
+        expected = reference_run(
+            dynamics, predictor_cfg, control, [1] * 5, HOLD_LAST_VALUE, sim, weights
+        )
         assert bitwise(records) == bitwise(expected[0])
         assert [r.x_true for r in records] == [-0.0, -1.0, 0.0, 1.0, 2.0]
         assert math.copysign(1.0, records[2].x_true) == 1.0
