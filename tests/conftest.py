@@ -222,6 +222,16 @@ def linear_decay_dynamics(domain=WIDE) -> SystemDynamics:
     )
 
 
+def still_dynamics(domain=(-100.0, 100.0)) -> SystemDynamics:
+    """x' = 0: every gain is zero."""
+    return SystemDynamics(
+        drift=lambda x: 0.0,
+        input_gain=lambda x: 0.0,
+        uncertainty_gain=lambda x: 0.0,
+        state_domain=domain,
+    )
+
+
 def reference_plant() -> TankParams:
     """The tank of the built-in tank-reference scenario."""
     return builtin_scenario("tank-reference").plant

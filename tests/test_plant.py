@@ -16,7 +16,7 @@ from ncsim import (
     tank_dynamics,
 )
 
-from conftest import outcome, reference_march, reference_plant
+from conftest import outcome, reference_march, reference_plant, still_dynamics
 
 
 class TestTankParams:
@@ -170,20 +170,10 @@ class TestSystemDynamics:
 
     def test_empty_domain_rejected(self):
         with pytest.raises(ValueError):
-            SystemDynamics(
-                drift=lambda x: 0.0,
-                input_gain=lambda x: 0.0,
-                uncertainty_gain=lambda x: 0.0,
-                state_domain=(1.0, 1.0),
-            )
+            still_dynamics((1.0, 1.0))
 
     def test_check_state_accepts_bounds(self):
-        d = SystemDynamics(
-            drift=lambda x: 0.0,
-            input_gain=lambda x: 0.0,
-            uncertainty_gain=lambda x: 0.0,
-            state_domain=(0.0, 1.0),
-        )
+        d = still_dynamics((0.0, 1.0))
         d.check_state(0.0)
         d.check_state(1.0)
         with pytest.raises(DomainError):

@@ -22,16 +22,8 @@ from ncsim.controller import ControllerConfig, sontag_feedback
 
 from conftest import (
     linear_decay_dynamics, outcome, reference_march, reference_plan, reference_plant,
+    still_dynamics,
 )
-
-
-def still_dynamics(domain=(-100.0, 100.0)) -> SystemDynamics:
-    return SystemDynamics(
-        drift=lambda x: 0.0,
-        input_gain=lambda x: 0.0,
-        uncertainty_gain=lambda x: 0.0,
-        state_domain=domain,
-    )
 
 
 class TestPredictorConfig:
@@ -139,6 +131,27 @@ class TestPredictStep:
             predict_step(cfg, d, 190_000.0, 1.0)
 
 
+def chained(cfg, dynamics, plan, controller, steps_per_input=1):
+    """Check that each entry of ``plan`` after the first is one
+    ``predict_step`` and one feedback on from the last, and that an entry
+    the plan cannot reach holds the error ``predict_step`` raises there as
+    its cause.  True if the plan reaches all ``horizon + 1`` entries."""
+    assert len(plan) == cfg.horizon + 1
+    xhat, u = plan[0]
+    for entry in plan[1:]:
+        if isinstance(entry, DomainError):
+            # the predictor's own error, which the loop reports by its entry
+            stop = entry.__cause__
+            assert outcome(predict_step, cfg, dynamics, xhat, u, steps_per_input) == (
+                type(stop), str(stop)
+            )
+            return False
+        xhat = predict_step(cfg, dynamics, xhat, u, steps_per_input)
+        u = controller(xhat)
+        assert (xhat.hex(), u) == (entry[0].hex(), entry[1])
+    return True
+
+
 class TestPredictorMarch:
     @settings(max_examples=200, deadline=None)
     @given(
@@ -172,20 +185,7 @@ class TestPredictorMarch:
         cfg = PredictorConfig(delta=0.5, gamma=gamma, horizon=8)
         controller = sontag_feedback(d, ControllerConfig(setpoint=150_000.0))
         plan = reference_plan(cfg, d, x0, controller, steps_per_input)
-        xhat, u = plan[0]
-        for entry in plan[1:]:
-            if isinstance(entry, DomainError):
-                assert gamma == 0.15
-                # the predictor's own error, which the loop reports by its entry
-                stop = entry.__cause__
-                assert outcome(predict_step, cfg, d, xhat, u, steps_per_input) == (
-                    type(stop), str(stop)
-                )
-                return
-            xhat = predict_step(cfg, d, xhat, u, steps_per_input)
-            u = controller(xhat)
-            assert (xhat.hex(), u) == (entry[0].hex(), entry[1])
-        assert gamma != 0.15
+        assert chained(cfg, d, plan, controller, steps_per_input) == (gamma != 0.15)
 
     def test_zero_steps_leave_the_state(self):
         d = tank_dynamics(reference_plant())
@@ -204,21 +204,28 @@ class TestPredictorMarch:
         assert str(excinfo.value) == "state 13.5 outside domain [0.0, 10.0]"
 
 
-class TestReferencePlan:
-    """The plan of ``reference_plan``: all ``horizon + 1`` entries from
-    entry 0, each one predictor step and one feedback on from the last."""
+class TestFullPlan:
+    """The full plan: all ``horizon + 1`` entries from entry 0, each one
+    ``predict_step`` and one feedback on from the last, as ``reference_plan``
+    builds it."""
 
     def test_zero_field_single_step(self):
+        d = still_dynamics()
         cfg = PredictorConfig(delta=1.0, gamma=0.2, horizon=1)
-        plan = reference_plan(cfg, still_dynamics(), 10.0, lambda x: 0.0)
+        plan = reference_plan(cfg, d, 10.0, lambda x: 0.0)
+        assert chained(cfg, d, plan, lambda x: 0.0)
         assert plan == [(10.0, 0.0), ((1.0 + 0.2) * 10.0, 0.0)]
 
     def test_constant_controller_everywhere(self):
+        d = linear_decay_dynamics()
         cfg = PredictorConfig(delta=0.1, gamma=0.0, horizon=5)
-        plan = reference_plan(cfg, linear_decay_dynamics(), 1.0, lambda x: 0.3)
+        plan = reference_plan(cfg, d, 1.0, lambda x: 0.3)
+        assert chained(cfg, d, plan, lambda x: 0.3)
+        assert len(plan) == 6
         assert [u for _, u in plan] == [0.3] * 6
 
     def test_controller_sees_the_predicted_states(self):
+        d = linear_decay_dynamics()
         cfg = PredictorConfig(delta=0.5, gamma=0.0, horizon=3)
         seen = []
 
@@ -226,13 +233,15 @@ class TestReferencePlan:
             seen.append(x)
             return 0.0
 
-        plan = reference_plan(cfg, linear_decay_dynamics(), 4.0, controller)
+        plan = reference_plan(cfg, d, 4.0, controller)
         assert seen == [x for x, _ in plan]
+        assert chained(cfg, d, plan, lambda x: 0.0)
 
     def test_substeps_compose_predict_step(self):
         d = linear_decay_dynamics()
         cfg = PredictorConfig(delta=0.5, gamma=0.01, horizon=2)
         plan = reference_plan(cfg, d, 1.0, lambda x: 0.25, steps_per_input=4)
+        assert chained(cfg, d, plan, lambda x: 0.25, steps_per_input=4)
         x = 1.0
         for _ in range(4):
             x = predict_step(cfg, d, x, 0.25)
@@ -242,9 +251,10 @@ class TestReferencePlan:
         # equal orifice pressure drops make 150 kPa a bitwise fixed point
         # of the fully-open nominal model, so the whole buffer is constant
         d = tank_dynamics(reference_plant())
-        ccfg = ControllerConfig(setpoint=150_100.0)
+        controller = sontag_feedback(d, ControllerConfig(setpoint=150_100.0))
         cfg = PredictorConfig(delta=2.0, gamma=0.0, horizon=10)
-        plan = reference_plan(cfg, d, 150_000.0, sontag_feedback(d, ccfg))
+        plan = reference_plan(cfg, d, 150_000.0, controller)
+        assert chained(cfg, d, plan, controller)
         assert plan == [(150_000.0, 1.0)] * 11
 
 

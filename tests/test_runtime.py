@@ -46,7 +46,7 @@ from ncsim.runtime import TRACE_HEADER, check_strategies
 
 from conftest import (
     WIDE, collected, linear_decay_dynamics, outcome, reference_interval, reference_plan,
-    reference_plant, reference_run, run_overrides,
+    reference_plant, reference_run, run_overrides, still_dynamics,
 )
 
 ZERO_THETA = UncertaintySignal.constant(0.0)
@@ -102,10 +102,10 @@ def loop_cases(draw):
         "controller.setpoint": draw(state),
         "sim.theta": draw(theta),
         "sim.doubled_age_offset": draw(st.booleans()),
-        "predictor.horizon": draw(st.integers(1, 5)),
+        "predictor.horizon": draw(st.integers(1, 5) | st.just(10)),
         "predictor.gamma": draw(st.floats(-0.5, 0.5)),
         "predictor.delta": draw(st.sampled_from([2.0, 1.0])),  # 1 or 2 steps per input
-        "sim.n_truth": draw(st.integers(1, 5)),
+        "sim.n_truth": draw(st.integers(1, 5) | st.just(20)),
         "cost.raw_state": draw(st.booleans()),
     }
 
@@ -306,6 +306,14 @@ def small_scenario(small_scenario_dict, overrides=None):
     return scenario_from_dict(small_scenario_dict(overrides))
 
 
+def run_bits(sc, bits, strategy, sim=None, weights=None):
+    """``(records, x_final)`` of the loop of ``sc`` under reception ``bits``."""
+    return collected(
+        run_closed_loop, tank_dynamics(sc.plant), sc.predictor, sc.controller, LossModel(bits),
+        strategy, sim or sc.sim, weights or sc.cost,
+    )
+
+
 class TestRunClosedLoop:
     def test_lossless_strategies_coincide(self, small_scenario_dict):
         sc = small_scenario(small_scenario_dict)
@@ -322,19 +330,7 @@ class TestRunClosedLoop:
 
     def test_all_loss_hold_matches_zero_input(self, small_scenario_dict):
         sc = small_scenario(small_scenario_dict)
-        steps = sc.sim.steps
-        runs = {}
-        for strategy in (HOLD_LAST_VALUE, ZERO_INPUT):
-            runs[strategy], _ = collected(
-                run_closed_loop,
-                dynamics=tank_dynamics(sc.plant),
-                predictor_cfg=sc.predictor,
-                control_cfg=sc.controller,
-                loss_model=LossModel([0] * steps),
-                strategy=strategy,
-                sim=sc.sim,
-                weights=sc.cost,
-            )
+        runs = {s: run_bits(sc, [0] * sc.sim.steps, s)[0] for s in (HOLD_LAST_VALUE, ZERO_INPUT)}
         assert runs[HOLD_LAST_VALUE] == runs[ZERO_INPUT]
         assert all(r.u == 0.0 for r in runs[ZERO_INPUT])
 
@@ -342,17 +338,7 @@ class TestRunClosedLoop:
         sc = small_scenario(small_scenario_dict)
         dynamics = tank_dynamics(sc.plant)
         ccfg = sc.controller
-        steps = sc.sim.steps
-        records, _ = collected(
-            run_closed_loop,
-            dynamics=dynamics,
-            predictor_cfg=sc.predictor,
-            control_cfg=ccfg,
-            loss_model=LossModel([0] * steps),
-            strategy=PREDICTIVE_BUFFER,
-            sim=sc.sim,
-            weights=sc.cost,
-        )
+        records, _ = run_bits(sc, [0] * sc.sim.steps, PREDICTIVE_BUFFER)
         plan = reference_plan(sc.predictor, dynamics, sc.sim.x0, sontag_feedback(dynamics, ccfg))
         n = sc.predictor.horizon
         for rec in records:
@@ -374,16 +360,8 @@ class TestRunClosedLoop:
             n_truth=sc.sim.n_truth,
             doubled_age_offset=doubled,
         )
-        records, _ = collected(
-            run_closed_loop,
-            dynamics=dynamics,
-            predictor_cfg=sc.predictor,
-            control_cfg=ccfg,
-            loss_model=LossModel([1, 0, 0, 0, 1, 1]),
-            strategy=PREDICTIVE_BUFFER,
-            sim=sim,
-            weights=CostWeights(q_c=1.0, r_c=1.0, m_steps=6),
-        )
+        weights = CostWeights(q_c=1.0, r_c=1.0, m_steps=6)
+        records, _ = run_bits(sc, [1, 0, 0, 0, 1, 1], PREDICTIVE_BUFFER, sim, weights)
         plan = reference_plan(sc.predictor, dynamics, sc.sim.x0, sontag_feedback(dynamics, ccfg))
         for rec, offset in zip(records[1:4], expected_offsets):
             assert (rec.x_pred, rec.u) == plan[offset]
@@ -487,6 +465,11 @@ class TestRunClosedLoop:
     @example(case=((1, 1, 1), {
         "plant.m2": 0.0, "sim.x0": 160_000.0, "sim.theta": [[0.0, 0.0], [4.0, 0.1]],
     }))
+    # the tank-reference settings over 60 intervals, three bursts longer
+    # than the horizon of 10: every strategy finishes
+    @example(case=(
+        (1,) + (0,) * 14 + (1, 1) + (0,) * 11 + (1, 0, 0) * 4 + (0,) * 12 + (1,) * 3 + (0,) * 5, {},
+    ))
     @given(case=loop_cases())
     def test_loop_matches_reference_run(self, small_scenario_dict, strategy, case):
         bits, overrides = case
@@ -535,10 +518,7 @@ class TestRunClosedLoop:
         # never replayed)
         j = data.draw(st.integers(min_value=1, max_value=horizon + 1), label="j")
         gamma = 1.2 ** (1.0 / (j - 0.5)) - 1.0
-        still = SystemDynamics(
-            drift=lambda x: 0.0, input_gain=lambda x: 0.0, uncertainty_gain=lambda x: 0.0,
-            state_domain=(0.0, 1.2),
-        )
+        still = still_dynamics((0.0, 1.2))
 
         records = []
 
@@ -1173,7 +1153,7 @@ class TestTruthMemo:
     def test_straddling_intervals_march_every_time(self, monkeypatch):
         # x stands still, so held intervals under one theta share one key;
         # the schedule times 2.5 and 4.5 fall inside intervals 2 and 4
-        still = SystemDynamics(lambda x: 0.0, lambda x: 0.0, lambda x: 0.0, WIDE)
+        still = still_dynamics(WIDE)
         theta = UncertaintySignal(times=(0.0, 2.5, 4.5), values=(0.0, 1.0, 0.0))
         sim = SimSettings(x0=1.0, t_s=1.0, duration=7.0, theta=theta, n_truth=2)
         calls = counted_marches(monkeypatch)
