@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 
@@ -6,6 +7,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 
 from ncsim import (
+    ControllerOverflowError,
     DomainError,
     IntegrationDomainError,
     NonFiniteError,
@@ -16,7 +18,6 @@ from ncsim import (
     ZERO_INPUT,
     builtin_scenario,
     builtin_scenario_dict,
-    sontag_feedback,
     tank_dynamics,
 )
 
@@ -34,6 +35,23 @@ def lie(dynamics, setpoint, x):
     2 (x - setpoint)."""
     grad = 2.0 * (x - setpoint)
     return grad * dynamics.drift(x), grad * dynamics.input_gain(x)
+
+
+def reference_feedback(dynamics, cfg, x):
+    """The feedback written out as its two steps, the Lie derivatives at
+    ``x`` and the saturated formula on them, reading every gain and
+    setting at each call."""
+    dynamics.check_state(x)
+    lfv, lgv = lie(dynamics, cfg.setpoint, x)
+    if abs(lgv) <= cfg.lgv_threshold:
+        return 0.0
+    try:
+        u = -(lfv + math.sqrt(lfv * lfv + lgv ** 4)) / lgv
+    except OverflowError:
+        u = math.inf
+    if not math.isfinite(u):
+        raise ControllerOverflowError(f"feedback overflowed at LfV={lfv!r}, LgV={lgv!r}")
+    return min(max(u, cfg.u_min), cfg.u_max)
 
 
 def reference_march(dynamics, x, u, h, theta, n=1, scale=1.0, fail=lambda x: None):
@@ -107,7 +125,7 @@ def reference_run(dynamics, predictor_cfg, control_cfg, bits, strategy, sim, wei
     (a leading loss plans from x0, the state at step 0) and raises an
     entry's error when a loss replays it; every interval is marched."""
     dynamics.check_state(sim.x0)
-    controller = sontag_feedback(dynamics, control_cfg)
+    controller = functools.partial(reference_feedback, dynamics, control_cfg)
     steps_per_input = predictor_cfg.steps_per_input(sim.t_s)
     horizon = predictor_cfg.horizon
     records, x, plan, origin, age, u, j_running = [], sim.x0, None, 0, 0, 0.0, 0.0

@@ -253,71 +253,6 @@ class TestRun:
         assert err.startswith(f"config error: {message}")
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize(
-        "assignment",
-        [
-            "sim.duration=Infinity",
-            "sim.theta=NaN",
-            "cost.q_c=NaN",
-            "plant.rho=NaN",
-            "controller.u_min=-Infinity",
-        ],
-    )
-    def test_non_finite_number_is_config_error(
-        self, scenario_file, tmp_path, capsys, assignment
-    ):
-        rc = main(
-            ["run", scenario_file(), "--set", assignment, "--out", str(tmp_path / "o")]
-        )
-        assert rc == EXIT_CONFIG
-        key = assignment.partition("=")[0]
-        assert f"{key} must be finite" in capsys.readouterr().err
-
-    @pytest.mark.parametrize(
-        "assignment, keys",
-        [
-            ("controller.lgv_threshold=0", ["controller.lgv_threshold"]),
-            ("controller.u_min=2", ["controller.u_min", "u_max"]),
-            ("controller.u_max=-1", ["controller.u_min", "u_max"]),
-            ("cost.m_steps=0", ["cost.m_steps"]),
-            ("cost.q_c=-1", ["cost.q_c"]),
-            ("cost.r_c=-1", ["cost.r_c"]),
-        ],
-    )
-    def test_constructor_range_error_names_its_key(
-        self, scenario_file, tmp_path, capsys, assignment, keys
-    ):
-        out = tmp_path / "o"
-        rc = main(["run", scenario_file(), "--set", assignment, "--out", str(out)])
-        assert rc == EXIT_CONFIG
-        err = capsys.readouterr().err
-        for key in keys:
-            assert key in err
-        assert not (out / "resolved_config.json").exists()
-
-    @pytest.mark.parametrize(
-        "assignments, key",
-        [
-            (["sim.duration=1e12"], "sim.duration"),
-            (["sim.t_s=1e-300"], "sim.t_s"),
-            (["sim.duration=1e300", "sim.t_s=1e-10"], "sim.duration"),
-            (["sim.n_truth=100000000"], "sim.n_truth"),
-            (["sim.n_truth=0"], "sim.n_truth"),
-            # 10 000 predictor steps per interval, at two entries per interval
-            (["predictor.horizon=2", "predictor.delta=2e-4"], "predictor.horizon"),
-            (["predictor.delta=1e-300"], "predictor.delta"),
-        ],
-    )
-    def test_run_size_is_capped_at_parse_time(self, tmp_path, capsys, assignments, key):
-        out = tmp_path / "o"
-        argv = ["run", "tank-reference", "--loss", "bernoulli:0.3", "--out", str(out)]
-        for assignment in assignments:
-            argv += ["--set", assignment]
-        assert main(argv) == EXIT_CONFIG
-        assert key in capsys.readouterr().err
-        # rejected before the resolved snapshot is written
-        assert not (out / "resolved_config.json").exists()
-
     def test_divergence_writes_partial_artifacts(self, scenario_file, tmp_path, capsys):
         path = scenario_file({"predictor.gamma": 0.9})
         out = tmp_path / "out"

@@ -10,7 +10,6 @@ from ncsim import (
     DomainError,
     IntegrationDomainError,
     SystemDynamics,
-    TankParams,
     UncertaintySignal,
     rk4_increment,
     tank_dynamics,
@@ -39,30 +38,6 @@ class TestTankParams:
         assert p.p2 == 50_000.0
         assert p.m2 == 0.5
         assert p.state_domain == (50_000.001, 199_999.999)
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"alpha1": -0.1},
-            {"a2": 0.0},
-            {"rho": -1.0},
-            {"vol": 0.0},
-            {"m2": -0.01},
-            {"m2": 1.01},
-            {"p2": -5.0},
-            {"p1": 90_000.0},  # must exceed p2
-            {"domain_margin": -1.0},
-            {"domain_margin": 50_000.0},  # leaves an empty domain
-        ],
-    )
-    def test_rejects_bad_parameters(self, kwargs):
-        base = dict(
-            alpha1=0.631811, alpha2=0.631811, a1=0.0019625, a2=0.0019625,
-            p1=200_000.0, p2=100_000.0, rho=3.49772, vol=2.0, m2=1.0,
-        )
-        base.update(kwargs)
-        with pytest.raises(ValueError):
-            TankParams(**base)
 
 
 class TestTankDynamics:
@@ -101,10 +76,6 @@ class TestTankDynamics:
         assert d.state_domain == (100_010.0, 199_990.0)
         with pytest.raises(DomainError):
             d.check_state(100_005.0)
-
-    def test_negative_margin_rejected(self, benchmark_params):
-        with pytest.raises(ValueError, match="plant.domain_margin must be non-negative"):
-            benchmark_params._replace(domain_margin=-1.0)
 
     @pytest.mark.parametrize("x", [99_999.0, 100_000.0, 200_000.0, 250_000.0])
     def test_out_of_domain_evaluation_raises(self, tank, x):

@@ -32,23 +32,6 @@ class TestPredictorConfig:
         assert cfg.gamma == -0.999
 
     @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"delta": 0.0},
-            {"delta": -1.0},
-            {"gamma": 1.0},
-            {"gamma": -1.0},
-            {"gamma": 1.5},
-            {"horizon": 0},
-        ],
-    )
-    def test_rejects_invalid(self, kwargs):
-        base = {"delta": 0.1, "gamma": 0.0, "horizon": 10}
-        base.update(kwargs)
-        with pytest.raises(ValueError):
-            PredictorConfig(**base)
-
-    @pytest.mark.parametrize(
         "gamma,inside",
         [(0.0, True), (-0.999, True), (math.nextafter(1.0, 0.0), True), (1.0, False),
          (-1.0, False), (math.nan, False), (math.inf, False)],

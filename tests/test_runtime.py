@@ -957,12 +957,8 @@ def read_records(path):
     back with ``csv`` and ``float``."""
     with open(path, newline="") as handle:
         rows = list(csv.reader(handle))
-    if tuple(rows[0]) != TRACE_HEADER:
-        raise ValueError(f"unexpected trace header {rows[0]!r}")
     records = []
     for row in rows[1:]:
-        if len(row) != len(TRACE_HEADER):
-            raise ValueError(f"bad trace row {row!r}")
         k, t, x_true, x_pred, s, i, u, j_running = row
         records.append(SimulationRecord(
             int(k), float(t), float(x_true), None if x_pred == "" else float(x_pred),
@@ -988,18 +984,6 @@ class TestRecordsCsv:
         first_line = path.read_text().splitlines()[0]
         assert first_line == "k,t,x_true,x_pred,s,i,u,J_running"
         assert tuple(first_line.split(",")) == TRACE_HEADER
-
-    def test_rejects_foreign_header(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("k,t,x\n")
-        with pytest.raises(ValueError):
-            read_records(str(path))
-
-    def test_rejects_short_row(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("k,t,x_true,x_pred,s,i,u,J_running\n0,0.0,1.0\n")
-        with pytest.raises(ValueError):
-            read_records(str(path))
 
     def test_write_is_byte_stable(self, small_scenario_dict, tmp_path):
         sc = small_scenario(small_scenario_dict)

@@ -13,8 +13,15 @@ from ncsim.runtime import MAX_STEPS, MAX_TRUTH_SUBSTEPS, PREDICTIVE_BUFFER, run_
 from ncsim.scenario import _CHECKERS, MAX_PREDICTOR_STEPS, Scenario, _keys
 from ncsim import (
     ConfigError,
+    ControllerConfig,
+    CostWeights,
     LossSpec,
+    PredictorConfig,
     STRATEGIES,
+    SamplePair,
+    SimSettings,
+    SystemDynamics,
+    TankParams,
     UncertaintySignal,
     apply_overrides,
     builtin_scenario,
@@ -55,33 +62,6 @@ class TestLossSpec:
         assert [spec.build().sample_reception(k) for k in range(64)] == bits[3]
         assert [other.build().sample_reception(k) for k in range(64)] == bits[7]
         assert bits[3] != bits[7]
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"kind": "mystery"},
-            {"kind": "bernoulli"},
-            {"kind": "gilbert-elliott", "p_g2b": 0.1, "p_b2g": 0.4},
-            {"kind": "trace"},
-        ],
-    )
-    def test_rejects_incomplete_specs(self, kwargs):
-        with pytest.raises(ConfigError):
-            LossSpec(**kwargs)
-
-    @pytest.mark.parametrize(
-        "kwargs,key",
-        [
-            ({"kind": "bernoulli", "p": 1.5}, "loss.p"),
-            ({"kind": "bernoulli", "p": float("nan")}, "loss.p"),
-            ({**GE_SPEC, "p_g2b": -0.1}, "loss.p_g2b"),
-            ({**GE_SPEC, "p_b2g": 2.0}, "loss.p_b2g"),
-            ({**GE_SPEC, "loss_in_bad": 1.1}, "loss.loss_in_bad"),
-        ],
-    )
-    def test_rejects_probabilities_outside_unit_interval(self, kwargs, key):
-        with pytest.raises(ConfigError, match=key):
-            LossSpec(**kwargs)
 
 
 class TestBuiltinScenario:
@@ -326,19 +306,6 @@ class TestResolvedRoundTrip:
 
 
 class TestStrictParsing:
-    def test_unknown_top_level_key(self, small_scenario_dict):
-        doc = small_scenario_dict()
-        doc["extra"] = 1
-        with pytest.raises(ConfigError, match="unknown key extra"):
-            scenario_from_dict(doc)
-
-    @pytest.mark.parametrize("section", ["plant", "predictor", "controller", "sim", "cost"])
-    def test_unknown_section_key(self, small_scenario_dict, section):
-        doc = small_scenario_dict()
-        doc[section]["bogus"] = 1
-        with pytest.raises(ConfigError, match=f"{section}.bogus"):
-            scenario_from_dict(doc)
-
     def test_missing_required_key_names_it(self, small_scenario_dict):
         doc = small_scenario_dict()
         del doc["cost"]["q_c"]
@@ -351,121 +318,228 @@ class TestStrictParsing:
         with pytest.raises(ConfigError, match="predictor"):
             scenario_from_dict(doc)
 
-    def test_boolean_is_not_a_number(self, small_scenario_dict):
-        doc = small_scenario_dict({"sim.x0": True})
-        with pytest.raises(ConfigError, match="sim.x0"):
-            scenario_from_dict(doc)
 
-    def test_fractional_horizon_rejected(self, small_scenario_dict):
-        doc = small_scenario_dict({"predictor.horizon": 2.5})
-        with pytest.raises(ConfigError, match="predictor.horizon"):
-            scenario_from_dict(doc)
+REFERENCE = builtin_scenario("tank-reference")
+NAN, INF = math.nan, math.inf
+GE_KEYS = {
+    "loss.kind": "gilbert-elliott", "loss.p_g2b": 0.1, "loss.p_b2g": 0.4, "loss.loss_in_bad": 1.0,
+}
+# The valid record that the rows of a record outside any scenario change.
+STANDALONE = {
+    SystemDynamics: SystemDynamics(abs, abs, abs, (0.0, 1.0)),
+    SamplePair: SamplePair((1.0,), (1.0,)),
+}
 
-    def test_string_flag_rejected(self, small_scenario_dict):
-        doc = small_scenario_dict({"sim.doubled_age_offset": "yes"})
-        with pytest.raises(ConfigError, match="sim.doubled_age_offset"):
-            scenario_from_dict(doc)
+# Every config rule, one row each: (owner, changed keys, error type, exact
+# text).  The owner is the record that checks the rule, ``Scenario`` for a
+# rule that spans two records, or None for a rule of the parser's own.  A
+# key is a path from tank-reference to a field, or from the ``STANDALONE``
+# record.  A rule is added as one row.
+RULES = [
+    *[(TankParams, {f"plant.{key}": value}, ConfigError, f"plant.{key} must be positive")
+      for key in ("alpha1", "alpha2", "a1", "a2", "rho", "vol") for value in (0.0, -1.0, NAN)],
+    (TankParams, {"plant.alpha1": -0.1}, ConfigError, "plant.alpha1 must be positive"),
+    (TankParams, {"plant.vol": -2.0}, ConfigError, "plant.vol must be positive"),
+    *[(TankParams, {"plant.m2": value}, ConfigError, f"plant.m2 must lie in [0, 1], got {value!r}")
+      for value in (1.5, 1.01, -0.01, NAN)],
+    *[(TankParams, {"plant.p2": value}, ConfigError, "plant.p2 must be non-negative")
+      for value in (-1.0, -5.0, NAN)],
+    *[(TankParams, {"plant.p1": value}, ConfigError,
+       f"plant.p1 must exceed p2, got p1={value!r}, p2=100000.0")
+      for value in (50_000.0, 90_000.0, NAN)],
+    (TankParams, {"plant.domain_margin": -1.0}, ConfigError,
+     "plant.domain_margin must be non-negative"),
+    (TankParams, {"plant.domain_margin": NAN}, ConfigError,
+     "plant.domain_margin must be non-negative"),
+    (TankParams, {"plant.domain_margin": 50_000.0}, ConfigError,
+     "plant.domain_margin leaves an empty state domain"),
+    *[(PredictorConfig, {"predictor.delta": value}, ConfigError,
+       f"predictor.delta must be positive, got {value!r}") for value in (0.0, -1.0, NAN)],
+    *[(PredictorConfig, {"predictor.gamma": value}, ConfigError,
+       f"predictor.gamma must lie in (-1, 1), got {value!r}") for value in (1.0, -1.0, 1.5, NAN)],
+    *[(PredictorConfig, {"predictor.horizon": value}, ConfigError,
+       f"predictor.horizon must be >= 1, got {value!r}") for value in (0, NAN)],
+    *[(ControllerConfig, {"controller.setpoint": value}, ConfigError,
+       f"controller.setpoint must be finite, got {value!r}") for value in (NAN, INF, -INF)],
+    *[(ControllerConfig, {"controller.lgv_threshold": value}, ConfigError,
+       f"controller.lgv_threshold must be positive, got {value!r}") for value in (0.0, -1e-9, NAN)],
+    *[(ControllerConfig, {f"controller.{key}": value for key, value in bounds.items()}, ConfigError,
+       f"controller.u_min must be below u_max, got {shown}")
+      for bounds, shown in (
+          ({"u_min": 2.0}, "u_min=2.0, u_max=1.0"),
+          ({"u_min": 1.0, "u_max": 1.0}, "u_min=1.0, u_max=1.0"),
+          ({"u_max": -1.0}, "u_min=0.0, u_max=-1.0"),
+          ({"u_max": NAN}, "u_min=0.0, u_max=nan"),
+      )],
+    *[(LossSpec, {"loss.kind": value}, ConfigError,
+       f"loss.kind must be one of {LOSS_KINDS}, got {value!r}") for value in ("burst", "mystery")],
+    *[(LossSpec, {"loss.seed": value}, ConfigError,
+       f"loss.seed must be non-negative, got {value!r}") for value in (-1, NAN)],
+    (LossSpec, {"loss.kind": "bernoulli"}, ConfigError, "loss.p is required for bernoulli losses"),
+    (LossSpec, {"loss.kind": "trace"}, ConfigError, "loss.trace_path is required for trace losses"),
+    (LossSpec, {"loss.kind": "gilbert-elliott", "loss.p_g2b": 0.1, "loss.p_b2g": 0.4}, ConfigError,
+     "loss.loss_in_bad is required for gilbert-elliott losses"),
+    *[(LossSpec, {"loss.kind": "bernoulli", "loss.p": value}, ConfigError,
+       f"loss.p must lie in [0, 1], got {value!r}") for value in (1.5, -0.1, 1.1, NAN)],
+    *[(LossSpec, {**GE_KEYS, f"loss.{key}": value}, ConfigError,
+       f"loss.{key} must lie in [0, 1], got {value!r}")
+      for key, value in (("p_g2b", -0.1), ("p_g2b", 1.5), ("p_b2g", 2.0), ("loss_in_bad", -0.5),
+                         ("loss_in_bad", 1.1))],
+    (LossSpec, {"loss.kind": "trace", "loss.trace_path": "/nonexistent/bits.txt"}, ConfigError,
+     "loss.trace_path '/nonexistent/bits.txt' is not a readable trace: "
+     "[Errno 2] No such file or directory: '/nonexistent/bits.txt'"),
+    (SimSettings, {"sim.x0": INF}, ConfigError, "sim.x0 must be finite, got inf"),
+    (SimSettings, {"sim.t_s": 0.0}, ConfigError, "sim.t_s must be positive"),
+    (SimSettings, {"sim.t_s": NAN}, ConfigError, "sim.t_s must be positive"),
+    *[(SimSettings, {f"sim.{key}": value for key, value in grid.items()}, ConfigError,
+       f"sim.duration {shown} asks for more than {MAX_STEPS} steps")
+      for grid, shown in (
+          ({"duration": 1e12}, "1000000000000.0 / sim.t_s 2.0"),
+          ({"duration": NAN}, "nan / sim.t_s 2.0"),
+          ({"t_s": 1e-300}, "3600.0 / sim.t_s 1e-300"),
+          ({"duration": 1e300, "t_s": 1e-10}, "1e+300 / sim.t_s 1e-10"),
+      )],
+    (SimSettings, {"sim.duration": 121.0}, ConfigError,
+     "sim.duration 121.0 must be a positive whole multiple of sim.t_s"),
+    *[(SimSettings, {"sim.n_truth": value}, ConfigError, f"sim.n_truth must be >= 1, got {value!r}")
+      for value in (0, NAN)],
+    # t_s / n_truth underflows to 0.0, which the RK4 kernel would reject mid-run
+    (SimSettings, {"sim.t_s": 5e-324, "sim.duration": 5e-324, "sim.n_truth": 2}, ConfigError,
+     "sim.t_s 5e-324 / sim.n_truth 2 must give a positive truth step"),
+    (SimSettings, {"sim.n_truth": 10**8}, ConfigError,
+     f"sim.n_truth 100000000 over 1800 steps asks for more than {MAX_TRUTH_SUBSTEPS} "
+     "truth substeps"),
+    (UncertaintySignal, {"sim.theta.times": (0.0,)}, ConfigError,
+     "sim.theta: times and values must be equally sized and non-empty"),
+    (UncertaintySignal, {"sim.theta.times": (), "sim.theta.values": ()}, ConfigError,
+     "sim.theta: times and values must be equally sized and non-empty"),
+    (UncertaintySignal, {"sim.theta.values": (0.1, NAN)}, ConfigError,
+     "sim.theta: schedule entries must be finite"),
+    (UncertaintySignal, {"sim.theta.times": (1.0, 1.0), "sim.theta.values": (0.1, 0.2)},
+     ConfigError, "sim.theta: schedule times must be strictly increasing"),
+    *[(CostWeights, {f"cost.{key}": value}, ConfigError,
+       f"cost.{key} must be non-negative, got {value!r}")
+      for key in ("q_c", "r_c") for value in (-1.0, NAN)],
+    *[(CostWeights, {"cost.m_steps": value}, ConfigError,
+       f"cost.m_steps must be >= 1, got {value!r}") for value in (0, NAN)],
+    *[(Scenario, {key: value}, ConfigError,
+       f"{key} {value!r} outside state domain (100000.001, 199999.999)")
+      for key, value in (("controller.setpoint", 250_000.0), ("sim.x0", 50_000.0),
+                         ("sim.x0", 99_000.0))],
+    (Scenario, {"cost.m_steps": 1801}, ConfigError,
+     "cost.m_steps 1801 exceeds the 1800 simulated steps"),
+    *[(Scenario, predictor, ConfigError,
+       f"predictor.delta {delta!r} gives {per_input} predictor steps per interval "
+       "(sim.t_s / predictor.delta), which over 1800 steps of up to min(predictor.horizon, 2) "
+       f"= 2 predicted entries may ask for more than {MAX_PREDICTOR_STEPS} predictor steps")
+      for predictor, delta, per_input in (
+          ({"predictor.delta": 1e-6}, 1e-6, "2e+06"),
+          ({"predictor.delta": 1e-300}, 1e-300, "2e+300"),
+          # 10 000 predictor steps per interval, at two entries per interval
+          ({"predictor.horizon": 2, "predictor.delta": 2e-4}, 2e-4, "10000"),
+      )],
+    *[(Scenario, {"strategies": value}, ConfigError,
+       f"strategies: unknown strategy {value[0]!r}, expected one of {STRATEGIES}")
+      for value in (("hold",), ("teleport",))],
+    (Scenario, {"strategies": ("zero-input", "zero-input")}, ConfigError,
+     "strategies must be unique"),
+    (Scenario, {"strategies": ()}, ConfigError, "strategies must be non-empty"),
+    (SystemDynamics, {"state_domain": (1.0, 1.0)}, ValueError,
+     "state_domain must be a finite interval, got (1.0, 1.0)"),
+    (SamplePair, {"measured": (1.0, 2.0)}, ValueError,
+     "predicted and measured must be equally sized and non-empty"),
+    (SamplePair, {"measured": (NAN,)}, ValueError, "samples must be finite"),
+    *[(None, {key: value}, ConfigError, f"{key} must be finite, got {value!r}")
+      for key, value in (("sim.duration", INF), ("sim.theta", NAN), ("cost.q_c", NAN),
+                         ("plant.rho", NAN), ("controller.u_min", -INF),
+                         ("controller.setpoint", NAN), ("sim.x0", INF), ("sim.theta", 10**400))],
+    (None, {"sim.theta": [[0.0, INF]]}, ConfigError, "sim.theta must be finite, got inf"),
+    *[(None, {key: 1}, ConfigError, f"unknown key {key}")
+      for key in ("extra", "plant.bogus", "predictor.bogus", "controller.bogus", "sim.bogus",
+                  "cost.bogus")],
+    (None, {"sim.x0": True}, ConfigError, "sim.x0 must be a number, got True"),
+    (None, {"predictor.horizon": 2.5}, ConfigError,
+     "predictor.horizon must be an integer, got 2.5"),
+    (None, {"sim.doubled_age_offset": "yes"}, ConfigError,
+     "sim.doubled_age_offset must be a boolean, got 'yes'"),
+    *[(None, {"strategies": value}, ConfigError, "strategies must be a list of strings")
+      for value in ("zero-input", [1, 2])],
+    *[(None, {"sim.theta": value}, ConfigError,
+       f"sim.theta must be a number or a list of pairs, got {value!r}") for value in (True, "0.1")],
+    *[(None, {"sim.theta": [[0.0, 0.1], entry]}, ConfigError,
+       f"sim.theta entries must be [time, value] number pairs, got {entry!r}")
+      for entry in ([1.0], [1.0, "x"])],
+]
 
-    def test_strategies_must_be_string_list(self, small_scenario_dict):
-        with pytest.raises(ConfigError):
-            scenario_from_dict(small_scenario_dict({"strategies": "zero-input"}))
-        with pytest.raises(ConfigError):
-            scenario_from_dict(small_scenario_dict({"strategies": [1, 2]}))
 
-    @pytest.mark.parametrize(
-        "theta",
-        [
-            True,
-            "0.1",
-            [[0.0, 0.1], [1.0]],
-            [[0.0, 0.1], [1.0, "x"]],
-            [[1.0, 0.1], [1.0, 0.2]],
-            [],
-            float("nan"),
-            10**400,
-            [[0.0, float("inf")]],
-        ],
-    )
-    def test_bad_theta_rejected(self, small_scenario_dict, theta):
-        doc = small_scenario_dict({"sim.theta": theta})
-        with pytest.raises(ConfigError, match="sim.theta"):
-            scenario_from_dict(doc)
-
-    def test_invalid_predictor_value_is_config_error(self, small_scenario_dict):
-        doc = small_scenario_dict({"predictor.gamma": 1.0})
-        with pytest.raises(ConfigError, match="gamma"):
-            scenario_from_dict(doc)
+def broken(owner, changes):
+    """``(record, fields)``: the valid record of type ``owner`` that the
+    paths of ``changes`` reach, and the fields they change on it.  For
+    ``Scenario`` a changed section is its record with the keys replaced."""
+    if owner is Scenario:
+        fields = {}
+        for path, value in changes.items():
+            name, _, key = path.partition(".")
+            section = fields.get(name, getattr(REFERENCE, name))
+            fields[name] = section._replace(**{key: value}) if key else value
+        return REFERENCE, fields
+    record = STANDALONE.get(owner, REFERENCE)
+    *walk, _ = next(iter(changes)).split(".")
+    for name in walk:
+        record = getattr(record, name)
+    return record, {path.rpartition(".")[2]: value for path, value in changes.items()}
 
 
-def replaced(field):
-    """Build the scenario's ``field`` record again with one key replaced."""
-    return lambda sc, key, value: getattr(sc, field)._replace(**{key: value})
+def assignments(owner, changes):
+    """``changes`` as ``--set`` assignments on a scenario document, or None
+    where a document cannot carry them to ``owner``'s check: its record is
+    no part of a document, its schedule's times and values differ in size
+    (a document writes [time, value] pairs), or a value is NaN or infinite,
+    which the parser rejects first."""
+    if owner in STANDALONE:
+        return None
+    if owner is UncertaintySignal:
+        record, fields = broken(owner, changes)
+        times, values = {**record._asdict(), **fields}.values()
+        if len(times) != len(values):
+            return None
+        changes = {"sim.theta": list(zip(times, values))}
+    try:
+        return [f"{path}={json.dumps(value, allow_nan=owner is None)}"
+                for path, value in changes.items()]
+    except ValueError:
+        return None
 
 
-class TestRecordsNameTheirKey:
-    """Each record checks its own keys and raises the text parsing reports."""
+def _rule_id(owner, changes, error, text):
+    shown = (f"-{path}={value}" for path, value in changes.items())
+    return "".join([getattr(owner, "__name__", "parser"), *shown])
 
-    @pytest.mark.parametrize(
-        "path,value,build",
-        [
-            ("plant.alpha1", 0.0, replaced("plant")),
-            ("plant.vol", -2.0, replaced("plant")),
-            ("plant.m2", 1.5, replaced("plant")),
-            ("plant.p2", -1.0, replaced("plant")),
-            ("plant.p1", 50_000.0, replaced("plant")),
-            ("plant.domain_margin", -1.0, replaced("plant")),
-            ("plant.domain_margin", 50_000.0, replaced("plant")),
-            ("predictor.delta", 0.0, replaced("predictor")),
-            ("predictor.gamma", 1.5, replaced("predictor")),
-            ("predictor.horizon", 0, replaced("predictor")),
-            ("controller.setpoint", math.nan, replaced("controller")),
-            ("controller.lgv_threshold", 0.0, replaced("controller")),
-            ("controller.u_min", 2.0, replaced("controller")),
-            ("controller.u_max", -1.0, replaced("controller")),
-            ("sim.x0", math.inf, replaced("sim")),
-            ("sim.t_s", 0.0, replaced("sim")),
-            ("sim.duration", 121.0, replaced("sim")),
-            ("sim.duration", 1e12, replaced("sim")),
-            ("sim.n_truth", 0, replaced("sim")),
-            ("sim.n_truth", 10**8, replaced("sim")),
-            (
-                "sim.theta", [[1.0, 0.1], [1.0, 0.2]],
-                lambda sc, key, value: UncertaintySignal(*map(tuple, zip(*value))),
-            ),
-            ("cost.q_c", -1.0, replaced("cost")),
-            ("cost.r_c", -1.0, replaced("cost")),
-            ("cost.m_steps", 0, replaced("cost")),
-            ("loss.seed", -1, replaced("loss")),
-        ],
-    )
-    def test_record_and_parser_report_the_same_text(
-        self, small_scenario_dict, path, value, build
-    ):
-        sc = scenario_from_dict(small_scenario_dict())
-        section, _, key = path.partition(".")
-        with pytest.raises(ConfigError) as built:
-            build(sc, key, value)
-        with pytest.raises(ConfigError) as parsed:
-            scenario_from_dict(small_scenario_dict({path: value}))
-        text = str(built.value)
-        assert text == str(parsed.value)
-        assert text.startswith(f"{section}.") and key in text
 
-    @pytest.mark.parametrize(
-        "loss,key",
-        [
-            ({"kind": "bernoulli"}, "loss.p"),
-            ({"kind": "trace"}, "loss.trace_path"),
-        ],
-    )
-    def test_loss_spec_and_parser_report_the_same_text(self, small_scenario_dict, loss, key):
-        with pytest.raises(ConfigError) as built:
-            LossSpec(**loss)
-        with pytest.raises(ConfigError) as parsed:
-            scenario_from_dict(small_scenario_dict({"loss": loss}))
-        text = str(built.value)
-        assert text == str(parsed.value)
-        assert text.startswith(f"{key} ")
+@pytest.mark.parametrize("owner,changes,error,text", RULES, ids=[_rule_id(*row) for row in RULES])
+def test_every_layer_raises_the_rule_text(tmp_path, capsys, owner, changes, error, text):
+    """The record's constructor and ``_replace`` raise the row's error, and
+    where a document can carry the values, so do ``scenario_from_dict``
+    and ``ncsim run``, which exits 2 before it makes its output directory."""
+    if owner is not None:
+        record, fields = broken(owner, changes)
+        with pytest.raises(error) as built:
+            type(record)(**{**record._asdict(), **fields})
+        with pytest.raises(error) as replaced:
+            record._replace(**fields)
+        for raised in (built, replaced):
+            assert (type(raised.value), str(raised.value)) == (error, text)
+    sets = assignments(owner, changes)
+    if sets is None:
+        return
+    with pytest.raises(ConfigError) as parsed:
+        scenario_from_dict(apply_overrides(builtin_scenario_dict("tank-reference"), sets))
+    assert str(parsed.value) == text
+    out = tmp_path / "out"
+    argv = ["run", "tank-reference", "--out", str(out)]
+    assert main(argv + [arg for assignment in sets for arg in ("--set", assignment)]) == EXIT_CONFIG
+    assert capsys.readouterr() == ("", f"config error: {text}\n")
+    assert not out.exists()
 
 
 # Every key a loss section may hold, across the kinds.
@@ -512,25 +586,6 @@ class TestAnyDocument:
 
 
 class TestCrossFieldValidation:
-    @pytest.mark.parametrize(
-        "path,value,needle",
-        [
-            ("controller.setpoint", 250_000.0, "setpoint"),
-            ("sim.x0", 99_000.0, "x0"),
-            ("sim.duration", 121.0, "duration"),
-            ("cost.m_steps", 61, "m_steps"),
-            ("plant.domain_margin", -1.0, "domain_margin"),
-            ("plant.domain_margin", 50_000.0, "domain"),
-            ("strategies", ["zero-input", "zero-input"], "unique"),
-            ("strategies", ["teleport"], "unknown strategy"),
-            ("strategies", [], "non-empty"),
-        ],
-    )
-    def test_inconsistent_documents_rejected(self, small_scenario_dict, path, value, needle):
-        doc = small_scenario_dict({path: value})
-        with pytest.raises(ConfigError, match=needle):
-            scenario_from_dict(doc)
-
     @pytest.mark.parametrize("lines,wrap,ok", [(59, False, False), (60, False, True), (1, True, True)])
     def test_trace_that_does_not_wrap_covers_the_run(
         self, small_scenario_dict, tmp_path, lines, wrap, ok
