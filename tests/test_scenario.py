@@ -516,22 +516,29 @@ def _rule_id(owner, changes, error, text):
     return "".join([getattr(owner, "__name__", "parser"), *shown])
 
 
-@pytest.mark.parametrize("owner,changes,error,text", RULES, ids=[_rule_id(*row) for row in RULES])
-def test_every_layer_raises_the_rule_text(tmp_path, capsys, owner, changes, error, text):
-    """The record's constructor and ``_replace`` raise the row's error, and
-    where a document can carry the values, so do ``scenario_from_dict``
-    and ``ncsim run``, which exits 2 before it makes its output directory."""
-    if owner is not None:
-        record, fields = broken(owner, changes)
-        with pytest.raises(error) as built:
-            type(record)(**{**record._asdict(), **fields})
-        with pytest.raises(error) as replaced:
-            record._replace(**fields)
-        for raised in (built, replaced):
-            assert (type(raised.value), str(raised.value)) == (error, text)
+def _rows(rows):
+    return pytest.mark.parametrize(
+        "owner,changes,error,text", rows, ids=[_rule_id(*row) for row in rows])
+
+
+@_rows([row for row in RULES if row[0] is not None])
+def test_record_raises_the_rule_text(owner, changes, error, text):
+    """The record's constructor and ``_replace`` raise the row's error."""
+    record, fields = broken(owner, changes)
+    with pytest.raises(error) as built:
+        type(record)(**{**record._asdict(), **fields})
+    with pytest.raises(error) as replaced:
+        record._replace(**fields)
+    for raised in (built, replaced):
+        assert (type(raised.value), str(raised.value)) == (error, text)
+
+
+@_rows([row for row in RULES if assignments(*row[:2]) is not None])
+def test_document_raises_the_rule_text(tmp_path, capsys, owner, changes, error, text):
+    """Where a document can carry the row's values, ``scenario_from_dict``
+    raises its text, and ``ncsim run`` prints it and exits 2 before it
+    makes its output directory."""
     sets = assignments(owner, changes)
-    if sets is None:
-        return
     with pytest.raises(ConfigError) as parsed:
         scenario_from_dict(apply_overrides(builtin_scenario_dict("tank-reference"), sets))
     assert str(parsed.value) == text
