@@ -153,15 +153,15 @@ class SimSettings(NamedTuple):
             )
         if not self.n_truth >= 1:
             raise ConfigError(f"sim.n_truth must be >= 1, got {self.n_truth!r}")
-        if not self.t_s / self.n_truth > 0:
-            raise ConfigError(
-                f"sim.t_s {self.t_s!r} / sim.n_truth {self.n_truth!r} must give a positive "
-                "truth step"
-            )
         if self.steps * self.n_truth > MAX_TRUTH_SUBSTEPS:
             raise ConfigError(
                 f"sim.n_truth {self.n_truth} over {self.steps} steps asks for more than "
                 f"{MAX_TRUTH_SUBSTEPS} truth substeps"
+            )
+        if not self.t_s / self.n_truth > 0:
+            raise ConfigError(
+                f"sim.t_s {self.t_s!r} / sim.n_truth {self.n_truth!r} must give a positive "
+                "truth step"
             )
 
     @property
