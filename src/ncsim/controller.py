@@ -65,10 +65,12 @@ def sontag_feedback(dynamics: SystemDynamics, cfg: ControllerConfig) -> Callable
     ``ControllerOverflowError`` where the formula leaves float range.
     """
     check_state, f, g = dynamics.check_state, dynamics.drift, dynamics.input_gain
+    lo, hi = dynamics.state_domain
     setpoint, threshold, u_min, u_max = cfg.setpoint, cfg.lgv_threshold, cfg.u_min, cfg.u_max
 
     def feedback(x: float) -> float:
-        check_state(x)
+        if not lo <= x <= hi:  # NaN included
+            check_state(x)
         grad = 2.0 * (x - setpoint)
         lfv, lgv = grad * f(x), grad * g(x)
         if abs(lgv) <= threshold:

@@ -28,6 +28,14 @@ the tank, every input ``u_min`` or ``u_max``: a run without loss falls
 into a cycle of exact states, and a lossless ``tank-reference`` run
 marches 182 of its 1800 intervals.  A march that raises stores nothing,
 and an interval that a schedule time falls inside is marched every time.
+The loop finds such intervals with a cursor over the schedule, which
+passes each schedule time once.  For the same reason a run keeps the
+feedback at each received state in a second memo keyed on the bits of
+x, capped alike, and applies it 181 times on that run; a feedback that
+raises stores nothing, and the buffer's predicted entries and a leading
+loss's plan from x0 call the feedback directly.  A reception record's
+``x_pred`` is its ``x_true`` object, so ``TraceWriter`` writes its text
+once for both.
 A state outside the domain and a running cost past float range both end
 the run as ``SimulationDiverged`` at that step.  The loop keeps no
 record: it appends each one to the caller's sink as soon as the
@@ -68,6 +76,8 @@ MAX_COMPARE_WORKERS = 64
 # stored, as a march from NaN raises.
 TRUTH_MEMO_ENTRIES = 256
 _truth_key = struct.Struct("3d").pack
+# The feedback memo of a run holds as many inputs, keyed on the bits of x.
+_state_key = struct.Struct("d").pack
 
 TRACE_HEADER = ("k", "t", "x_true", "x_pred", "s", "i", "u", "J_running")
 
@@ -209,7 +219,7 @@ def integrate_interval(
     Runs ``n_truth`` kernel steps with theta taken at each substep start
     ``t_start + j*h``: one march when one schedule entry covers every
     start, else one march per substep.  ``th``, when given, is that
-    entry's theta as the caller's ``theta.held`` over the starts found it.
+    entry's theta, as ``theta.held`` over the starts gives it.
     A stage outside the state domain raises ``IntegrationDomainError``, a
     NaN or infinite state ``NonFiniteError``, and an end state outside the
     domain ``DomainError``.
@@ -297,6 +307,13 @@ def run_closed_loop(
     # computes it, and the truth end states by _truth_key(x, u, theta)
     last_start = (n_truth - 1) * (t_s / n_truth)
     memo: dict = {}
+    # the feedback at each received state, by _state_key(x)
+    feedback_memo: dict = {}
+    # the theta schedule cursor: the next schedule time after the interval
+    # start (None once every one is passed), how many are passed, and the
+    # value held since the last one passed
+    times, values = theta.times, theta.values
+    th_next, passed, th_held = times[0], 0, values[0]
     doubled = sim.doubled_age_offset
     q_c, r_c, raw_state = weights.q_c, weights.r_c, weights.raw_state
     append = records.append
@@ -315,7 +332,12 @@ def run_closed_loop(
         s_k = loss_model.sample_reception(k)
         try:
             if s_k:
-                u = controller(x)
+                key = _state_key(x)
+                u = feedback_memo.get(key)
+                if u is None:
+                    if len(feedback_memo) >= TRUTH_MEMO_ENTRIES:
+                        feedback_memo.clear()
+                    u = feedback_memo[key] = controller(x)
                 if buffered:
                     x_pred, entry, plan_k = x, 0, k
             elif buffered:
@@ -340,7 +362,11 @@ def run_closed_loop(
             if not math.isfinite(j_running):
                 raise NonFiniteError(f"running cost became non-finite: {j_running!r}")
             append(SimulationRecord(k, t_k, x, x_pred, s_k, age, u, j_running))
-            th = theta.held(t_k, t_k + last_start)
+            while th_next is not None and th_next <= t_k:
+                th_held = values[passed]
+                passed += 1
+                th_next = times[passed] if passed < len(times) else None
+            th = None if th_next is not None and th_next <= t_k + last_start else th_held
             if th is None:
                 x = integrate_interval(dynamics, x, u, t_k, t_s, n_truth, theta)
             else:
@@ -522,11 +548,24 @@ class TraceWriter(RunTally):
         handle.write(",".join(TRACE_HEADER) + "\n")
 
     def append(self, r: SimulationRecord) -> None:
-        RunTally.append(self, r)
-        x_pred = "" if r.x_pred is None else repr(float(r.x_pred))
+        k, t, x_true, x_pred, s, i, u, j_running = r
+        # RunTally.append, inline
+        self.steps = steps = self.steps + 1
+        if not s:
+            self.loss_count += 1
+        self.j_total = j_running
+        if steps == self.m_steps:
+            self.j_m_steps = j_running
+        # the buffer's reception rows predict the state itself: the same
+        # object, so the same text (an equal float may be the other zero)
+        true_text = repr(float(x_true))
+        if x_pred is x_true:
+            pred_text = true_text
+        else:
+            pred_text = "" if x_pred is None else repr(float(x_pred))
         self.handle.write(
-            f"{r.k},{float(r.t)!r},{float(r.x_true)!r},{x_pred},"
-            f"{r.s},{r.i},{float(r.u)!r},{float(r.j_running)!r}\n"
+            f"{k},{float(t)!r},{true_text},{pred_text},"
+            f"{s},{i},{float(u)!r},{float(j_running)!r}\n"
         )
 
 

@@ -1,4 +1,5 @@
 import csv
+import io
 import itertools
 import math
 import os
@@ -14,6 +15,7 @@ from ncsim import (
     ComparisonResult,
     ConfigError,
     ControllerConfig,
+    ControllerOverflowError,
     CostWeights,
     DomainError,
     HOLD_LAST_VALUE,
@@ -993,6 +995,42 @@ class TestRecordsCsv:
         write_records(collected(run_scenario, sc, PREDICTIVE_BUFFER)[0], str(b))
         assert a.read_bytes() == b.read_bytes()
 
+    def test_an_equal_prediction_of_the_other_zero_keeps_its_sign(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        for x, x_pred in ((0.0, -0.0), (-0.0, 0.0)):
+            write_records([make_record(x=x, x_pred=x_pred)], str(path))
+            assert path.read_text().splitlines()[1].split(",")[2:4] == [repr(x), repr(x_pred)]
+
+    def test_a_prediction_that_is_the_state_writes_as_an_equal_float(
+        self, small_scenario_dict, tmp_path
+    ):
+        # a buffer run's reception rows carry the state itself as x_pred
+        sc = small_scenario(
+            small_scenario_dict, {"loss": {"kind": "bernoulli", "p": 0.3, "seed": 11}}
+        )
+        records, _ = collected(run_scenario, sc, PREDICTIVE_BUFFER)
+        shared = [r for r in records if r.x_pred is r.x_true]
+        assert len(shared) == sum(r.s for r in records) > 0
+        fresh = [r._replace(x_pred=float.fromhex(r.x_pred.hex())) for r in records]
+        assert not any(r.x_pred is r.x_true for r in fresh)
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        write_records(records, str(a))
+        write_records(fresh, str(b))
+        assert a.read_bytes() == b.read_bytes()
+
+    def test_writer_tallies_as_run_tally(self, small_scenario_dict):
+        sc = small_scenario(small_scenario_dict, {
+            "loss": {"kind": "bernoulli", "p": 0.3, "seed": 11}, "cost.m_steps": 7,
+        })
+        records, _ = collected(run_scenario, sc, PREDICTIVE_BUFFER)
+        writer, tally = TraceWriter(io.StringIO(), 7), RunTally(7)
+        fields = ("steps", "loss_count", "j_total", "j_m_steps")
+        for record in records:
+            writer.append(record)
+            tally.append(record)
+            assert [getattr(writer, f) for f in fields] == [getattr(tally, f) for f in fields]
+        assert tally.loss_count > 0 and tally.j_m_steps == records[6].j_running
+
 
 class RecordingSink:
     """A sink that is no list: it keeps what is appended to it, in order."""
@@ -1135,20 +1173,139 @@ class TestTruthMemo:
         assert key(*plus) != key(*minus)
 
     def test_straddling_intervals_march_every_time(self, monkeypatch):
-        # x stands still, so held intervals under one theta share one key;
-        # the schedule times 2.5 and 4.5 fall inside intervals 2 and 4
+        # x stands still, so held intervals under one theta share one key.
+        # Intervals [k, k + 1) have substep starts k and k + 0.5.  Schedule
+        # times: one before the run, 2.5 inside interval 2, 3.0 on interval
+        # 3's start, 4.5 on interval 4's last substep start, 6.2 and 6.4
+        # inside interval 6, and one after the run
         still = still_dynamics(WIDE)
-        theta = UncertaintySignal(times=(0.0, 2.5, 4.5), values=(0.0, 1.0, 0.0))
-        sim = SimSettings(x0=1.0, t_s=1.0, duration=7.0, theta=theta, n_truth=2)
+        theta = UncertaintySignal(
+            times=(-1.0, 2.5, 3.0, 4.5, 6.2, 6.4, 100.0),
+            values=(0.0, 1.0, 2.0, 0.0, 3.0, 1.0, 5.0),
+        )
+        sim = SimSettings(x0=1.0, t_s=1.0, duration=8.0, theta=theta, n_truth=2)
         calls = counted_marches(monkeypatch)
         collected(
             run_closed_loop, still, PredictorConfig(delta=1.0, gamma=0.0, horizon=2),
             ControllerConfig(setpoint=0.5), LossModel(itertools.repeat(1)), ZERO_INPUT,
-            sim, CostWeights(q_c=1.0, r_c=1.0, m_steps=7),
+            sim, CostWeights(q_c=1.0, r_c=1.0, m_steps=8),
         )
         # (interval start, held theta or None for a straddling interval)
         marched = [(args[3], args[7] if len(args) > 7 else None) for args in calls]
-        assert marched == [(0.0, 0.0), (2.0, None), (3.0, 1.0), (4.0, None)]
+        # what held gives interval by interval, each held theta marched once
+        expected, seen = [], set()
+        for k in range(sim.steps):
+            th = theta.held(float(k), k + 0.5)
+            if th not in seen:
+                expected.append((float(k), th))
+            if th is not None:
+                seen.add(th)
+        assert marched == expected == [
+            (0.0, 0.0), (2.0, None), (3.0, 2.0), (4.0, None), (6.0, None), (7.0, 1.0),
+        ]
+
+
+def counted_feedback(monkeypatch):
+    """The states at which every feedback built by the loop is called."""
+    build, states = sontag_feedback, []
+
+    def counting(dynamics, cfg):
+        feedback = build(dynamics, cfg)
+
+        def u(x):
+            states.append(x)
+            return feedback(x)
+
+        return u
+
+    monkeypatch.setattr(ncsim.runtime, "sontag_feedback", counting)
+    return states
+
+
+# Slopes of signed_zero_drift away from 0, each at the stage states one
+# run below meets, so its RK4 steps (h = 1) are exact.
+ZERO_RUN_SLOPES = {0.5: -4.0, 1.0: -7.0, -1.0: -1.0, -1.5: 2.0}
+
+
+def signed_zero_drift(x):
+    """+1 at +0.0 and -1 at -0.0.  With g = 1, setpoint 1 and u in [0, 2]
+    the feedback is 2.0 at -0.0 and sqrt(5) - 1 at +0.0, and a run from
+    -0.0 goes to -1.0 under that 2.0, then under a lost zero input to
+    +0.0 (the steps of ``sign_of_zero_drift``)."""
+    if x == 0.0:
+        return math.copysign(1.0, x)
+    return ZERO_RUN_SLOPES.get(x, 0.0)
+
+
+class TestFeedbackMemo:
+    """A run applies the feedback once per distinct received state, and
+    its records match a loop that applies it at every reception."""
+
+    # The memo cap and the feedback calls of a lossless tank-reference run,
+    # whose 1800 receptions meet 181 distinct states.
+    @pytest.mark.parametrize("cap, calls", [(256, 181), (4, 987)])
+    def test_lossless_tank_reference_revisits_its_states(self, monkeypatch, cap, calls):
+        sc = scenario_from_dict(builtin_scenario_dict("tank-reference"))
+        monkeypatch.setattr(ncsim.runtime, "TRUTH_MEMO_ENTRIES", cap)
+        states = counted_feedback(monkeypatch)
+        records, x_final = collected(run_scenario, sc, PREDICTIVE_BUFFER)
+        assert len(states) == calls
+        assert len(set(states)) == 181
+        expected = reference_run(
+            tank_dynamics(sc.plant), sc.predictor, sc.controller, [1] * 1800, PREDICTIVE_BUFFER,
+            sc.sim, sc.cost,
+        )
+        assert (records, x_final) == expected
+
+    def test_signed_zeros_are_different_keys(self, monkeypatch):
+        dynamics = SystemDynamics(
+            drift=signed_zero_drift,
+            input_gain=lambda x: 1.0,
+            uncertainty_gain=lambda x: 0.0,
+            state_domain=WIDE,
+        )
+        control = ControllerConfig(setpoint=1.0, u_min=0.0, u_max=2.0)
+        sim = SimSettings(x0=-0.0, t_s=1.0, duration=3.0, theta=ZERO_THETA, n_truth=1)
+        weights = CostWeights(q_c=1.0, r_c=1.0, m_steps=3)
+        predictor_cfg = PredictorConfig(delta=1.0, gamma=0.0, horizon=2)
+        bits = [1, 0, 1]
+        states = counted_feedback(monkeypatch)
+        records, x_final = collected(
+            run_closed_loop, dynamics, predictor_cfg, control, LossModel(bits), ZERO_INPUT,
+            sim, weights,
+        )
+        expected = reference_run(dynamics, predictor_cfg, control, bits, ZERO_INPUT, sim, weights)
+        assert bitwise(records) == bitwise(expected[0])
+        assert x_final == expected[1]
+        assert bitwise(states) == ["-0.0", "0.0"]
+        assert [r.u for r in records] == [2.0, 0.0, math.sqrt(5.0) - 1.0]
+
+    def test_a_feedback_that_raises_stores_nothing(self, monkeypatch):
+        # x climbs by 1 per interval; at 3.5 the input gain makes LgV^4
+        # leave float range
+        dynamics = SystemDynamics(
+            drift=lambda x: 1.0,
+            input_gain=lambda x: 0.0 if x < 3.5 else 1e200,
+            uncertainty_gain=lambda x: 0.0,
+            state_domain=WIDE,
+        )
+        control = ControllerConfig(setpoint=0.0)
+        sim = SimSettings(x0=0.5, t_s=1.0, duration=6.0, theta=ZERO_THETA, n_truth=1)
+        weights = CostWeights(q_c=1.0, r_c=1.0, m_steps=6)
+        predictor_cfg = PredictorConfig(delta=1.0, gamma=0.0, horizon=2)
+        states = counted_feedback(monkeypatch)
+        records = []
+        with pytest.raises(SimulationDiverged) as excinfo:
+            run_closed_loop(
+                dynamics, predictor_cfg, control, LossModel([1] * 6), HOLD_LAST_VALUE,
+                sim, weights, records,
+            )
+        expected = reference_run(
+            dynamics, predictor_cfg, control, [1] * 6, HOLD_LAST_VALUE, sim, weights
+        )
+        assert (records, (excinfo.value.step, excinfo.value.reason)) == expected
+        assert isinstance(excinfo.value.__cause__, ControllerOverflowError)
+        assert states == [0.5, 1.5, 2.5, 3.5]
 
 
 class TestComparisonCsv:
