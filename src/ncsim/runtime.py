@@ -35,7 +35,9 @@ x, capped alike, and applies it 181 times on that run; a feedback that
 raises stores nothing, and the buffer's predicted entries and a leading
 loss's plan from x0 call the feedback directly.  A reception record's
 ``x_pred`` is its ``x_true`` object, so ``TraceWriter`` writes its text
-once for both.
+once for both, and the writer keeps each state's text in a third memo
+keyed on the bits of x, capped alike: the same run formats 181 state
+texts for its 1800 rows.
 A state outside the domain and a running cost past float range both end
 the run as ``SimulationDiverged`` at that step.  The loop keeps no
 record: it appends each one to the caller's sink as soon as the
@@ -76,7 +78,8 @@ MAX_COMPARE_WORKERS = 64
 # stored, as a march from NaN raises.
 TRUTH_MEMO_ENTRIES = 256
 _truth_key = struct.Struct("3d").pack
-# The feedback memo of a run holds as many inputs, keyed on the bits of x.
+# The feedback memo of a run holds as many inputs, and a TraceWriter's
+# text memo as many state texts, each keyed on the bits of x.
 _state_key = struct.Struct("d").pack
 
 TRACE_HEADER = ("k", "t", "x_true", "x_pred", "s", "i", "u", "J_running")
@@ -317,6 +320,8 @@ def run_closed_loop(
     doubled = sim.doubled_age_offset
     q_c, r_c, raw_state = weights.q_c, weights.r_c, weights.raw_state
     append = records.append
+    # what SimulationRecord(...) calls, without the frame of its __new__
+    new_tuple = tuple.__new__
     x = x0
     # The buffer's head: the entry a loss last replayed (-1 before the
     # first plan), its predicted state and its input, and the step the
@@ -361,7 +366,7 @@ def run_closed_loop(
             j_running += q_c * deviation * deviation + r_c * u * u
             if not math.isfinite(j_running):
                 raise NonFiniteError(f"running cost became non-finite: {j_running!r}")
-            append(SimulationRecord(k, t_k, x, x_pred, s_k, age, u, j_running))
+            append(new_tuple(SimulationRecord, (k, t_k, x, x_pred, s_k, age, u, j_running)))
             while th_next is not None and th_next <= t_k:
                 th_held = values[passed]
                 passed += 1
@@ -537,15 +542,26 @@ class TraceWriter(RunTally):
     ``handle`` when it arrives, each float as ``repr(float(value))``, its
     full round-trip precision.
 
-    The header goes out when the writer is built.
+    The header goes out when the writer is built.  The text of each state
+    written is kept by ``_state_key(x)``, so +0.0 and -0.0 keep their own,
+    and the memo is emptied when it holds ``TRUTH_MEMO_ENTRIES``.
     """
 
-    __slots__ = ("handle",)
+    __slots__ = ("handle", "texts")
 
     def __init__(self, handle, m_steps: int):
         super().__init__(m_steps)
         self.handle = handle
+        self.texts: dict = {}
         handle.write(",".join(TRACE_HEADER) + "\n")
+
+    def _format(self, key: bytes, x) -> str:
+        """The text of a state not in the memo, stored there."""
+        texts = self.texts
+        if len(texts) >= TRUTH_MEMO_ENTRIES:
+            texts.clear()
+        text = texts[key] = repr(float(x))
+        return text
 
     def append(self, r: SimulationRecord) -> None:
         k, t, x_true, x_pred, s, i, u, j_running = r
@@ -556,13 +572,17 @@ class TraceWriter(RunTally):
         self.j_total = j_running
         if steps == self.m_steps:
             self.j_m_steps = j_running
+        key = _state_key(x_true)
+        true_text = self.texts.get(key) or self._format(key, x_true)
         # the buffer's reception rows predict the state itself: the same
-        # object, so the same text (an equal float may be the other zero)
-        true_text = repr(float(x_true))
+        # object, so the same text
         if x_pred is x_true:
             pred_text = true_text
+        elif x_pred is None:
+            pred_text = ""
         else:
-            pred_text = "" if x_pred is None else repr(float(x_pred))
+            key = _state_key(x_pred)
+            pred_text = self.texts.get(key) or self._format(key, x_pred)
         self.handle.write(
             f"{k},{float(t)!r},{true_text},{pred_text},"
             f"{s},{i},{float(u)!r},{float(j_running)!r}\n"

@@ -352,6 +352,41 @@ class TestRun:
         assert excinfo.value.code == 2
 
 
+class TestParserReuse:
+    """``main`` builds one parser per process, and a call's flags do not
+    reach the next call."""
+
+    def test_flags_do_not_outlive_their_call(self, tmp_path, monkeypatch, capsys):
+        build, built = ncsim.cli.build_parser, []
+
+        def counting():
+            built.append(build())
+            return built[-1]
+
+        monkeypatch.setattr(ncsim.cli, "build_parser", counting)
+        monkeypatch.setattr(ncsim.cli, "_parser", None)
+        flagged, plain, fresh = (tmp_path / name for name in ("flagged", "plain", "fresh"))
+        assert main([
+            "run", "tank-reference", "--set", "sim.duration=20", "--set", "cost.m_steps=10",
+            "--loss", "bernoulli:0.3", "--seed", "7", "--strategy", "hold-last-value",
+            "--out", str(flagged),
+        ]) == EXIT_OK
+        assert main(["run", "tank-reference", "--out", str(plain)]) == EXIT_OK
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ncsim.__file__)))
+        subprocess.run(
+            [sys.executable, "-m", "ncsim", "run", "tank-reference", "--out", str(fresh)],
+            env=env, capture_output=True, check=True,
+        )
+        snapshot = "resolved_config.json"
+        assert (plain / snapshot).read_bytes() == (fresh / snapshot).read_bytes()
+        assert (flagged / snapshot).read_bytes() != (plain / snapshot).read_bytes()
+        for argv, code in ((["run", "--help"], 0), (["run"], 2), (["run", "--help"], 0)):
+            with pytest.raises(SystemExit) as excinfo:
+                main(argv)
+            assert excinfo.value.code == code
+        assert len(built) == 1
+
+
 class TestInputFiles:
     @pytest.mark.parametrize("command", ["run", "compare"])
     @pytest.mark.parametrize(

@@ -6,16 +6,18 @@ compare cell keeps only its cost, so neither holds the run's records.
 Run ten times longer, the traced peak of either may grow by the loss
 model's one byte per drawn reception bit, and by less than
 ``BYTES_PER_INTERVAL`` per added interval in all; holding every record
-took about 220 bytes per interval.  A run's two memos, the truth memo of
-end states and the feedback memo of inputs at received states, each hold
-at most ``TRUTH_MEMO_ENTRIES`` entries, and even the shorter run fills
-both: its Bernoulli 0.3 receptions mostly meet states not seen before.
-The same bound holds the feedback memo to its cap: uncapped, it grew the
+took about 220 bytes per interval.  A run's three memos, the truth memo
+of end states, the feedback memo of inputs at received states and the
+trace writer's memo of state texts, are each capped at
+``TRUTH_MEMO_ENTRIES`` entries, and even the shorter run fills all
+three: its Bernoulli 0.3 run mostly meets states not seen before.  The
+same bound holds the feedback memo to its cap: uncapped, it grew the
 longer run's peak by about 1.2 MB.
 
-A process that calls ``main`` for many short runs keeps nothing per run:
-the memory it retains levels off after the first hundred or so calls, as
-caches of the standard library fill.
+A process that calls ``main`` for many short runs keeps nothing per run
+beyond the argument parser its first call builds: the memory it retains
+levels off after the first hundred or so calls, as caches of the
+standard library fill.
 """
 
 import contextlib

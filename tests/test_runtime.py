@@ -1083,6 +1083,18 @@ class TestRecordSinks:
         assert tally.j_total == records[-1].j_running
         assert tally.j_m_steps == records[6].j_running
 
+    def test_records_are_simulation_records(self, small_scenario_dict):
+        # the reference comparisons go by value, which a bare tuple passes
+        sc = self.bursty(small_scenario_dict)
+        sink = RecordingSink()
+        run_scenario(sc, PREDICTIVE_BUFFER, sink)
+        assert {type(r) for r in sink.records} == {SimulationRecord}
+        by_name = [
+            (r.k, r.t, r.x_true, r.x_pred, r.s, r.i, r.u, r.j_running) for r in sink.records
+        ]
+        assert by_name == [tuple(r) for r in collected(run_scenario, sc, PREDICTIVE_BUFFER)[0]]
+        assert [r.k for r in sink.records] == list(range(60))
+
     def test_tally_before_m_steps(self):
         tally = RunTally(2)
         assert (tally.steps, tally.loss_count, tally.j_total, tally.j_m_steps) == (0, 0, None, None)
@@ -1306,6 +1318,70 @@ class TestFeedbackMemo:
         assert (records, (excinfo.value.step, excinfo.value.reason)) == expected
         assert isinstance(excinfo.value.__cause__, ControllerOverflowError)
         assert states == [0.5, 1.5, 2.5, 3.5]
+
+
+def trace_row(r):
+    """A record's ``trace.csv`` row, each float formatted afresh."""
+    x_pred = "" if r.x_pred is None else repr(float(r.x_pred))
+    return (
+        f"{r.k},{float(r.t)!r},{float(r.x_true)!r},{x_pred},"
+        f"{r.s},{r.i},{float(r.u)!r},{float(r.j_running)!r}\n"
+    )
+
+
+def written_rows(records):
+    """The rows, header left out, that a ``TraceWriter`` writes for ``records``."""
+    handle = io.StringIO()
+    writer = TraceWriter(handle, 1)
+    for record in records:
+        writer.append(record)
+    return handle.getvalue().splitlines(keepends=True)[1:]
+
+
+class TestTextMemo:
+    """A ``TraceWriter`` formats each distinct state once, by its bits, and
+    writes the same rows as formatting every float afresh."""
+
+    def test_signed_zeros_keep_their_text(self):
+        records = [make_record(k=k, x=x) for k, x in enumerate((0.0, -0.0, 0.0))]
+        rows = written_rows(records)
+        assert [row.split(",")[2] for row in rows] == ["0.0", "-0.0", "0.0"]
+        assert rows == [trace_row(r) for r in records]
+
+    def test_an_int_state_writes_as_a_float(self):
+        # the API accepts an int x0, which a run's first record carries
+        record = make_record(x=110000, x_pred=110000)
+        rows = written_rows([record])
+        assert rows == [trace_row(record)]
+        assert rows[0].split(",")[2:4] == ["110000.0", "110000.0"]
+
+    def test_memo_is_capped_and_keeps_the_right_texts(self):
+        cap = ncsim.runtime.TRUTH_MEMO_ENTRIES
+        states = [1.0 + j / 8 for j in range(2 * cap + 3)]
+        records = [make_record(k=k, x=x, x_pred=-x) for k, x in enumerate(states + states[::-3])]
+        handle = io.StringIO()
+        writer = TraceWriter(handle, 1)
+        for record in records:
+            writer.append(record)
+            assert len(writer.texts) <= cap
+        assert handle.getvalue().splitlines(keepends=True)[1:] == [trace_row(r) for r in records]
+
+    def test_lossless_tank_reference_formats_each_state_once(self, monkeypatch):
+        # counted through a repr put into the module's globals
+        sc = scenario_from_dict(builtin_scenario_dict("tank-reference"))
+        texts = []
+
+        def counting(value):
+            texts.append(value)
+            return repr(value)
+
+        monkeypatch.setattr(ncsim.runtime, "repr", counting, raising=False)
+        handle = io.StringIO()
+        run_scenario(sc, PREDICTIVE_BUFFER, TraceWriter(handle, sc.cost.m_steps))
+        assert len(texts) == len(set(texts)) == 181
+        monkeypatch.undo()
+        records, _ = collected(run_scenario, sc, PREDICTIVE_BUFFER)
+        assert handle.getvalue().splitlines(keepends=True)[1:] == [trace_row(r) for r in records]
 
 
 class TestComparisonCsv:
