@@ -24,12 +24,13 @@ negative square-root argument.
 The one RK4 step, ``_RK4``, is source text compiled from three gain
 expressions into the n-step march, which inlines
 ``(f) + (g) * u + (w) * theta`` at its four stages: truth runs it once
-per interval unless a theta schedule time falls inside it (see
-``UncertaintySignal.held``), prediction once per buffer entry, and
-``rk4_increment`` for one step.  The tank's gains are its formula, written
-once, so no stage makes a call; dynamics built from callables pass
-``f(x)``, ``g(x)`` and ``w(x)``.  Only this module's strings are compiled,
-and numbers are bound as values, so no input reaches the source.
+per run of substeps under one theta schedule entry (once per interval
+unless a schedule time falls inside it), prediction once per buffer
+entry, and ``rk4_increment`` for one step.  The tank's gains are its
+formula, written once, so no stage makes a call; dynamics built from
+callables pass ``f(x)``, ``g(x)`` and ``w(x)``.  Only this module's
+strings are compiled, and numbers are bound as values, so no input
+reaches the source.
 
 The tank also compiles a zero-input march from the same template, whose
 stages inline ``(f) + 0.0 + (w) * theta``, and its march runs that one
@@ -195,15 +196,6 @@ class UncertaintySignal(NamedTuple):
     def value(self, t: float) -> float:
         idx = bisect_right(self.times, t) - 1
         return self.values[max(idx, 0)]
-
-    def held(self, t0: float, t1: float) -> Optional[float]:
-        """theta if one schedule entry covers every lookup from ``t0``
-        through ``t1``, else None: the lookups at both ends fall after the
-        same number of schedule times."""
-        idx = bisect_right(self.times, t0)
-        if bisect_right(self.times, t1) != idx:
-            return None
-        return self.values[max(idx - 1, 0)]
 
 
 @checked

@@ -17,12 +17,13 @@ loss the strategy supplies the input:
 * ``zero-input`` applies zero.
 
 The true state advances by the plant's RK4 kernel over the full dynamics,
-``n_truth`` substeps per interval: one march when one theta schedule
-entry covers the interval's substep starts, else one march per substep.
-Given a run's dynamics, with gains that are pure functions, ``t_s`` and
-``n_truth``, a march under one held theta is a pure function of the
-state, the input and theta.  So a run keeps the end states it has
-marched in a memo keyed on the bits of all three, emptied when it holds
+``n_truth`` substeps per interval, with theta read at each substep start:
+one march per run of starts under the same schedule entry, so one march
+when no schedule time falls among them.  Given a run's dynamics, with
+gains that are pure functions, ``t_s`` and ``n_truth``, a march under
+one held theta is a pure function of the state, the input and theta.
+So a run keeps the end states it has marched in a ``CappedMemo`` keyed
+on the bits of all three, emptied when it holds
 ``TRUTH_MEMO_ENTRIES``.  It pays because the feedback acts as a relay on
 the tank, every input ``u_min`` or ``u_max``: a run without loss falls
 into a cycle of exact states, and a lossless ``tank-reference`` run
@@ -49,6 +50,7 @@ it and the truth substeps.
 import math
 import os
 import struct
+from bisect import bisect_left, bisect_right
 from typing import NamedTuple, Optional, Sequence
 
 from .controller import ControllerConfig, sontag_feedback
@@ -73,13 +75,13 @@ MAX_TRUTH_SUBSTEPS = 20_000_000
 MAX_COMPARE_SEEDS = 10_000
 # Processes one compare may use, the calling one included; all start at once.
 MAX_COMPARE_WORKERS = 64
-# End states of held-theta truth intervals one run keeps.  The key is the
-# bits of (x, u, theta), which tell +0.0 from -0.0; a NaN key is never
-# stored, as a march from NaN raises.
+# Entries a ``CappedMemo`` holds: the end states of held-theta truth
+# intervals one run keeps, keyed on the bits of (x, u, theta), which tell
+# +0.0 from -0.0 (a NaN key is never stored, as a march from NaN raises);
+# the feedback memo of a run holds as many inputs, and a TraceWriter's
+# text memo as many state texts, each keyed on the bits of x.
 TRUTH_MEMO_ENTRIES = 256
 _truth_key = struct.Struct("3d").pack
-# The feedback memo of a run holds as many inputs, and a TraceWriter's
-# text memo as many state texts, each keyed on the bits of x.
 _state_key = struct.Struct("d").pack
 
 TRACE_HEADER = ("k", "t", "x_true", "x_pred", "s", "i", "u", "J_running")
@@ -183,6 +185,19 @@ class SimSettings(NamedTuple):
         return whole_multiple(self.duration / self.t_s)
 
 
+class CappedMemo(dict):
+    """A dict emptied before a store when it holds ``TRUTH_MEMO_ENTRIES``."""
+
+    __slots__ = ()
+
+    def store(self, key, value):
+        """Store ``value`` at ``key`` and return it."""
+        if len(self) >= TRUTH_MEMO_ENTRIES:
+            self.clear()
+        self[key] = value
+        return value
+
+
 class RunTally:
     """A record sink that keeps only what a run's summary reads.
 
@@ -215,20 +230,20 @@ def integrate_interval(
     t_s: float,
     n_truth: int,
     theta: UncertaintySignal,
-    th: Optional[float] = None,
 ) -> float:
     """Advance the true state one control interval under constant input.
 
     Runs ``n_truth`` kernel steps with theta taken at each substep start
-    ``t_start + j*h``: one march when one schedule entry covers every
-    start, else one march per substep.  ``th``, when given, is that
-    entry's theta, as ``theta.held`` over the starts gives it.
+    ``t_start + j*h``, as one march per run of consecutive starts that
+    fall after the same number of schedule times: one march when no
+    schedule time falls among the starts.
     A stage outside the state domain raises ``IntegrationDomainError``, a
     NaN or infinite state ``NonFiniteError``, and an end state outside the
     domain ``DomainError``.
     """
     h = t_s / n_truth
     march, (lo, hi) = dynamics.march, dynamics.state_domain
+    times, values = theta
 
     def fail(xs: float, left: int) -> None:
         # a state outside the domain; a finite one after a march's last step
@@ -238,13 +253,15 @@ def integrate_interval(
         if left:
             raise _stage_error(1, xs)
 
-    if th is None:
-        th = theta.held(t_start, t_start + (n_truth - 1) * h)
-    if th is not None:
-        x = march(x, u, h, th, lo, hi, n_truth, 1.0, fail)[0]
-    else:
-        for j in range(n_truth):
-            x = march(x, u, h, theta.value(t_start + j * h), lo, hi, 1, 1.0, fail)[0]
+    j, last = 0, t_start + (n_truth - 1) * h
+    while j < n_truth:
+        idx = bisect_right(times, t_start + j * h)
+        end = n_truth
+        if idx < len(times) and times[idx] <= last:
+            # the first start on or after the next schedule time
+            end = bisect_left(range(n_truth), times[idx], j, key=lambda i: t_start + i * h)
+        x = march(x, u, h, values[idx - 1] if idx else values[0], lo, hi, end - j, 1.0, fail)[0]
+        j = end
     if not lo <= x <= hi:
         dynamics.check_state(x)
     return x
@@ -307,11 +324,12 @@ def run_closed_loop(
     # field is a descriptor call
     x0, t_s, theta, n_truth = sim.x0, sim.t_s, sim.theta, sim.n_truth
     # the offset of an interval's last substep start, as integrate_interval
-    # computes it, and the truth end states by _truth_key(x, u, theta)
+    # computes it; the truth end states by _truth_key(x, u, theta) and the
+    # feedback at each received state by _state_key(x), each read through
+    # its get, bound once
     last_start = (n_truth - 1) * (t_s / n_truth)
-    memo: dict = {}
-    # the feedback at each received state, by _state_key(x)
-    feedback_memo: dict = {}
+    memo, feedback_memo = CappedMemo(), CappedMemo()
+    truth_of, feedback_of = memo.get, feedback_memo.get
     # the theta schedule cursor: the next schedule time after the interval
     # start (None once every one is passed), how many are passed, and the
     # value held since the last one passed
@@ -338,11 +356,9 @@ def run_closed_loop(
         try:
             if s_k:
                 key = _state_key(x)
-                u = feedback_memo.get(key)
+                u = feedback_of(key)
                 if u is None:
-                    if len(feedback_memo) >= TRUTH_MEMO_ENTRIES:
-                        feedback_memo.clear()
-                    u = feedback_memo[key] = controller(x)
+                    u = feedback_memo.store(key, controller(x))
                 if buffered:
                     x_pred, entry, plan_k = x, 0, k
             elif buffered:
@@ -371,17 +387,14 @@ def run_closed_loop(
                 th_held = values[passed]
                 passed += 1
                 th_next = times[passed] if passed < len(times) else None
-            th = None if th_next is not None and th_next <= t_k + last_start else th_held
-            if th is None:
+            if th_next is not None and th_next <= t_k + last_start:
                 x = integrate_interval(dynamics, x, u, t_k, t_s, n_truth, theta)
             else:
-                key = _truth_key(x, u, th)
-                x_next = memo.get(key)
+                key = _truth_key(x, u, th_held)
+                x_next = truth_of(key)
                 if x_next is None:
-                    if len(memo) >= TRUTH_MEMO_ENTRIES:
-                        memo.clear()
-                    x_next = memo[key] = integrate_interval(
-                        dynamics, x, u, t_k, t_s, n_truth, theta, th
+                    x_next = memo.store(
+                        key, integrate_interval(dynamics, x, u, t_k, t_s, n_truth, theta)
                     )
                 x = x_next
         except (DomainError, NonFiniteError) as exc:
@@ -543,8 +556,8 @@ class TraceWriter(RunTally):
     full round-trip precision.
 
     The header goes out when the writer is built.  The text of each state
-    written is kept by ``_state_key(x)``, so +0.0 and -0.0 keep their own,
-    and the memo is emptied when it holds ``TRUTH_MEMO_ENTRIES``.
+    written is kept in a ``CappedMemo`` by ``_state_key(x)``, so +0.0 and
+    -0.0 keep their own.
     """
 
     __slots__ = ("handle", "texts")
@@ -552,16 +565,8 @@ class TraceWriter(RunTally):
     def __init__(self, handle, m_steps: int):
         super().__init__(m_steps)
         self.handle = handle
-        self.texts: dict = {}
+        self.texts = CappedMemo()
         handle.write(",".join(TRACE_HEADER) + "\n")
-
-    def _format(self, key: bytes, x) -> str:
-        """The text of a state not in the memo, stored there."""
-        texts = self.texts
-        if len(texts) >= TRUTH_MEMO_ENTRIES:
-            texts.clear()
-        text = texts[key] = repr(float(x))
-        return text
 
     def append(self, r: SimulationRecord) -> None:
         k, t, x_true, x_pred, s, i, u, j_running = r
@@ -573,7 +578,7 @@ class TraceWriter(RunTally):
         if steps == self.m_steps:
             self.j_m_steps = j_running
         key = _state_key(x_true)
-        true_text = self.texts.get(key) or self._format(key, x_true)
+        true_text = self.texts.get(key) or self.texts.store(key, repr(float(x_true)))
         # the buffer's reception rows predict the state itself: the same
         # object, so the same text
         if x_pred is x_true:
@@ -582,7 +587,7 @@ class TraceWriter(RunTally):
             pred_text = ""
         else:
             key = _state_key(x_pred)
-            pred_text = self.texts.get(key) or self._format(key, x_pred)
+            pred_text = self.texts.get(key) or self.texts.store(key, repr(float(x_pred)))
         self.handle.write(
             f"{k},{float(t)!r},{true_text},{pred_text},"
             f"{s},{i},{float(u)!r},{float(j_running)!r}\n"

@@ -1,9 +1,8 @@
 import math
 import sys
-from bisect import bisect_right
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ncsim import (
@@ -342,29 +341,3 @@ class TestUncertaintySignal:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             UncertaintySignal(times=(), values=())
-
-    @settings(max_examples=300, deadline=None)
-    @given(
-        # few values, so that a schedule often changes and changes back
-        schedule=st.lists(
-            st.tuples(st.floats(-50.0, 50.0), st.sampled_from((-1.0, 0.0, 1.0))),
-            min_size=1, max_size=6, unique_by=lambda pair: pair[0],
-        ).map(sorted),
-        t_start=st.floats(-60.0, 60.0),
-        h=st.floats(1e-3, 10.0),
-        n=st.integers(1, 60),
-    )
-    # 0.5 at both ends from two entries; the ends before times[0] and on it
-    @example(schedule=[(0.0, 0.5), (1.0, 0.7), (2.0, 0.5)], t_start=0.5, h=1.0, n=3)
-    @example(schedule=[(0.0, 0.5)], t_start=-2.0, h=1.0, n=3)
-    # 0.9 / 0.3 is 3.0, but the start 3 * 0.3 is 0.8999999999999999: one entry
-    @example(schedule=[(0.0, 1.0), (0.9, 2.0)], t_start=0.0, h=0.3, n=4)
-    def test_held_matches_per_substep_lookup(self, schedule, t_start, h, n):
-        sig = UncertaintySignal(*map(tuple, zip(*schedule)))
-        starts = [t_start + i * h for i in range(n)]
-        theta = sig.held(starts[0], starts[-1])
-        if theta is not None:
-            assert [sig.value(t) for t in starts] == [theta] * n
-        # None exactly when the starts fall under more than one entry
-        entries = {bisect_right(sig.times, t) for t in starts}
-        assert (theta is None) == (len(entries) > 1)

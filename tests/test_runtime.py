@@ -4,6 +4,7 @@ import itertools
 import math
 import os
 import time
+from bisect import bisect_right
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -134,51 +135,103 @@ SCHEDULES = {
     "break after the last substep start": ((0.0, 1801.95), (0.175, 0.185)),
     "several breaks": ((0.0, 1800.05, 1800.3, 1800.35, 1801.9), (0.175, 0.3, -0.2, 0.0, 0.185)),
     "break and back": ((0.0, 1800.5, 1801.0), (0.175, 0.3, 0.175)),
+    # the same theta at both ends, from two entries, switching between starts
+    "switch away and back between starts": ((0.0, 1800.45, 1801.05), (0.175, 0.3, 0.175)),
     "no break": ((0.0, 1000.0), (0.175, 0.185)),
 }
+# The substeps of each march over that interval, one per run of substep
+# starts that fall after the same number of schedule times.
+SCHEDULE_RUNS = {
+    "break mid-interval": [1, 19],
+    "break on a substep start": [5, 15],
+    "break on the interval start": [20],
+    "break on the last substep start": [19, 1],
+    "break after the last substep start": [20],
+    "several breaks": [1, 2, 1, 15, 1],
+    "break and back": [5, 5, 10],
+    "switch away and back between starts": [5, 6, 9],
+    "no break": [20],
+}
+
+
+def counted_march(dynamics):
+    """``dynamics`` with a march that records the substeps of each call."""
+    steps = []
+
+    def march(x, u, h, theta, lo, hi, n, scale, fail):
+        steps.append(n)
+        return dynamics.march(x, u, h, theta, lo, hi, n, scale, fail)
+
+    return dynamics._replace(march=march), steps
+
+
+def theta_runs(t_start, t_s, n_truth, theta):
+    """The lengths of the maximal runs of substep starts ``t_start + j*h``
+    that fall after the same number of schedule times."""
+    h = t_s / n_truth
+    entries = [bisect_right(theta.times, t_start + j * h) for j in range(n_truth)]
+    return [len(list(run)) for _, run in itertools.groupby(entries)]
+
+
+def held_theta(t_start, t_s, n_truth, theta):
+    """theta if one schedule entry covers every substep start of the
+    interval, else None."""
+    return theta.value(t_start) if len(theta_runs(t_start, t_s, n_truth, theta)) == 1 else None
 
 
 class TestIntegrateInterval:
     @pytest.mark.parametrize("name", sorted(SCHEDULES))
     def test_matches_per_substep_lookup(self, tank, name):
         theta = UncertaintySignal(*SCHEDULES[name])
+        counted, steps = counted_march(tank)
         for x, u in ((140_000.0, 0.0), (150_100.0, 0.37), (185_000.0, 1.0)):
-            args = (tank, x, u, 1800.0, 2.0, 20, theta)
-            assert integrate_interval(*args) == reference_interval(*args)
+            args = (x, u, 1800.0, 2.0, 20, theta)
+            assert integrate_interval(counted, *args) == reference_interval(tank, *args)
+            assert steps == theta_runs(*args[2:]) == SCHEDULE_RUNS[name]
+            steps.clear()
 
-    @pytest.mark.parametrize("times", [(-5.0,), (-5.0, 0.35), (-5.0, -1.0, 1.0)])
+    # (1.0,): the starts before 1.0 precede times[0] and take its value
+    @pytest.mark.parametrize("times", [(-5.0,), (-5.0, 0.35), (-5.0, -1.0, 1.0), (1.0,)])
     def test_break_before_time_zero(self, tank, times):
         theta = UncertaintySignal(times, tuple(0.1 * (i + 1) for i in range(len(times))))
-        args = (tank, 150_000.0, 0.5, 0.0, 2.0, 20, theta)
-        assert integrate_interval(*args) == reference_interval(*args)
+        counted, steps = counted_march(tank)
+        args = (150_000.0, 0.5, 0.0, 2.0, 20, theta)
+        assert integrate_interval(counted, *args) == reference_interval(tank, *args)
+        assert steps == theta_runs(*args[2:])
 
     def test_break_on_the_lookup_floats(self):
         # 0.9 / 0.3 is 3.0, but the start 3 * 0.3 is 0.8999999999999999,
         # which the lookup still gives the first entry: 4 substeps of 1.0
         theta = UncertaintySignal(times=(0.0, 0.9), values=(1.0, 2.0))
-        args = (disturbance_channel(), 0.0, 0.0, 0.0, 3.0, 10, theta)
-        assert integrate_interval(*args) == reference_interval(*args)
-        assert integrate_interval(*args) == pytest.approx(4 * 0.3 + 6 * 0.3 * 2.0)
+        counted, steps = counted_march(disturbance_channel())
+        args = (0.0, 0.0, 0.0, 3.0, 10, theta)
+        x = integrate_interval(counted, *args)
+        assert x == reference_interval(disturbance_channel(), *args)
+        assert x == pytest.approx(4 * 0.3 + 6 * 0.3 * 2.0)
+        assert steps == theta_runs(*args[2:]) == [4, 6]
 
     @settings(max_examples=60, deadline=None)
     @given(
         breaks=st.lists(
             st.floats(min_value=-2.0, max_value=4.0), min_size=1, max_size=5, unique=True
         ),
-        # a band, disturbance and substep count that keep every stage
-        # state of both loops inside the domain
-        values=st.lists(st.floats(min_value=-0.2, max_value=0.2), min_size=5, max_size=5),
-        x=st.floats(min_value=140_000.0, max_value=160_000.0),
+        # a band and disturbance that keep every stage state of both loops
+        # inside the domain down to one substep; values from three, so a
+        # run often ends at an entry of the same value
+        values=st.lists(st.sampled_from((-0.2, 0.0, 0.2)), min_size=5, max_size=5),
+        x=st.floats(min_value=145_000.0, max_value=160_000.0),
         u=st.floats(min_value=0.0, max_value=1.0),
         t_start=st.sampled_from([0.0, 1.0, 2.0]),
-        n_truth=st.integers(min_value=10, max_value=30),
+        n_truth=st.integers(min_value=1, max_value=30),
     )
     def test_schedule_property(self, breaks, values, x, u, t_start, n_truth):
         tank = tank_dynamics(reference_plant())
         times = tuple(sorted(breaks))
         theta = UncertaintySignal(times, tuple(values[: len(times)]))
-        args = (tank, x, u, t_start, 2.0, n_truth, theta)
-        assert integrate_interval(*args) == reference_interval(*args)
+        counted, steps = counted_march(tank)
+        args = (x, u, t_start, 2.0, n_truth, theta)
+        assert integrate_interval(counted, *args) == reference_interval(tank, *args)
+        assert steps == theta_runs(t_start, 2.0, n_truth, theta)
 
     def test_nonfinite_result_raises(self):
         # every stage state stays in the domain; only k4 is infinite
@@ -254,11 +307,12 @@ def overflow() -> SystemDynamics:
     return SystemDynamics(lambda x: 0.05 if x < 5.08 else 1e308, lambda x: 0.0, lambda x: 0.0, WIDE)
 
 
-# theta schedules that take the constant and, for intervals from t = 3 with
-# more than one substep, the per-substep path
+# theta schedules under which an interval from t = 3 is one march, and,
+# with more than one substep, a straddling one: a march before 3.5 and
+# one from it
 THETA_PATHS = {
     "constant": ZERO_THETA,
-    "per-substep": UncertaintySignal(times=(0.0, 3.5), values=(0.0, 0.0)),
+    "straddling": UncertaintySignal(times=(0.0, 3.5), values=(0.0, 0.0)),
 }
 
 
@@ -1144,7 +1198,7 @@ class TestTruthMemo:
         calls = counted_marches(monkeypatch)
         records, x_final = collected(run_scenario, sc, PREDICTIVE_BUFFER)
         assert len(calls) == marches
-        assert len({(x, u, th) for _, x, u, *_, th in calls}) == 182
+        assert len({(x, u, held_theta(*rest)) for _, x, u, *rest in calls}) == 182
         expected = reference_run(
             tank_dynamics(sc.plant), sc.predictor, sc.controller, [1] * 1800, PREDICTIVE_BUFFER,
             sc.sim, sc.cost,
@@ -1203,11 +1257,12 @@ class TestTruthMemo:
             sim, CostWeights(q_c=1.0, r_c=1.0, m_steps=8),
         )
         # (interval start, held theta or None for a straddling interval)
-        marched = [(args[3], args[7] if len(args) > 7 else None) for args in calls]
-        # what held gives interval by interval, each held theta marched once
+        marched = [(args[3], held_theta(*args[3:])) for args in calls]
+        # what the schedule holds interval by interval, each held theta
+        # marched once
         expected, seen = [], set()
         for k in range(sim.steps):
-            th = theta.held(float(k), k + 0.5)
+            th = held_theta(float(k), sim.t_s, sim.n_truth, theta)
             if th not in seen:
                 expected.append((float(k), th))
             if th is not None:
