@@ -15,7 +15,7 @@ def run_once(label: str, overrides: list) -> None:
     doc = apply_overrides(builtin_scenario_dict("tank-reference"), overrides)
     sc = scenario_from_dict(doc)
     records = []
-    x_final = run_scenario(sc, PREDICTIVE_BUFFER, records)
+    x_final = run_scenario(sc, PREDICTIVE_BUFFER, records).x_final
     initial = abs(sc.sim.x0 - sc.controller.setpoint)
 
     print(f"{label}: setpoint {sc.controller.setpoint:.0f} Pa, start {sc.sim.x0:.0f} Pa")

@@ -43,7 +43,7 @@ from .runtime import (
     ZERO_INPUT,
     ComparisonResult,
     CostWeights,
-    RunTally,
+    RunStats,
     SimSettings,
     SimulationRecord,
     TraceWriter,

@@ -34,6 +34,7 @@ from .scenario import (
     BUILTIN_SCENARIOS,
     apply_overrides,
     builtin_scenario_dict,
+    json_text,
     resolved_json,
     scenario_from_dict,
 )
@@ -134,20 +135,15 @@ def _write_text(text: str, path: str) -> None:
         handle.write(text)
 
 
-def _json_text(data) -> str:
-    return json.dumps(data, indent=2, allow_nan=False) + "\n"
-
-
 def _run_into_trace(scenario, strategy: str, path: str):
     """Run ``strategy``, writing each ``trace.csv`` row to ``path`` as its
-    interval completes.  Returns the writer, the final state and the
-    divergence: a state and None, or None and the ``SimulationDiverged``."""
+    interval completes.  Returns the run's ``RunStats`` and the divergence,
+    None or the ``SimulationDiverged``."""
     with open(path, "w", newline="") as handle:
-        trace = TraceWriter(handle, scenario.cost.m_steps)
         try:
-            return trace, run_scenario(scenario, strategy, trace), None
+            return run_scenario(scenario, strategy, TraceWriter(handle)), None
         except SimulationDiverged as exc:
-            return trace, None, exc
+            return exc.stats, exc
 
 
 def cmd_run(args) -> int:
@@ -156,7 +152,7 @@ def cmd_run(args) -> int:
     out = _output_dir(args.out)
     _write(_write_text, resolved_json(scenario), os.path.join(out, "resolved_config.json"))
 
-    trace, x_final, diverged = _write(
+    stats, diverged = _write(
         _run_into_trace, scenario, strategy, os.path.join(out, "trace.csv")
     )
 
@@ -165,30 +161,30 @@ def cmd_run(args) -> int:
     summary = {
         "scenario": args.scenario,
         "strategy": strategy,
-        "steps": trace.steps,
-        "loss_count": trace.loss_count,
+        "steps": stats.steps,
+        "loss_count": stats.loss_count,
         "diverged": diverged is not None,
     }
     if diverged is None:
-        ratio = abs(x_final - setpoint) / initial_dev if initial_dev > 0 else math.inf
-        summary["x_final"] = x_final
+        ratio = abs(stats.x_final - setpoint) / initial_dev if initial_dev > 0 else math.inf
+        summary["x_final"] = stats.x_final
         # null when x0 is the setpoint or the ratio is past float range
         summary["deviation_ratio"] = ratio if ratio < math.inf else None
-        summary["j_total"] = trace.j_total
-        summary["j_m_steps"] = trace.j_m_steps
+        summary["j_total"] = stats.j_total
+        summary["j_m_steps"] = stats.j_m_steps
     else:
         summary["diverged_step"] = diverged.step
         summary["reason"] = diverged.reason
-    _write(_write_text, _json_text(summary), os.path.join(out, "summary.json"))
+    _write(_write_text, json_text(summary), os.path.join(out, "summary.json"))
 
     if diverged is not None:
         print(f"diverged at step {diverged.step}: {diverged.reason}", file=sys.stderr)
-        print(f"wrote partial trace ({trace.steps} steps) to {out}", file=sys.stderr)
+        print(f"wrote partial trace ({stats.steps} steps) to {out}", file=sys.stderr)
         return EXIT_DIVERGED
     print(
-        f"{strategy}: {trace.steps} steps, x_final={x_final!r}, "
+        f"{strategy}: {stats.steps} steps, x_final={stats.x_final!r}, "
         f"deviation_ratio={summary['deviation_ratio']!r}, "
-        f"J={summary['j_m_steps']!r}, losses={trace.loss_count}"
+        f"J={summary['j_m_steps']!r}, losses={stats.loss_count}"
     )
     print(f"wrote trace.csv, resolved_config.json, summary.json to {out}")
     return EXIT_OK
@@ -227,7 +223,7 @@ def cmd_compare(args) -> int:
         "wins": wins,
         "diverged": {name: result.diverged_count(name) for name in result.strategies},
     }
-    _write(_write_text, _json_text(summary), os.path.join(out, "summary.json"))
+    _write(_write_text, json_text(summary), os.path.join(out, "summary.json"))
 
     for name in result.strategies:
         print(f"{name}: median_j={medians[name]!r} diverged={summary['diverged'][name]}")

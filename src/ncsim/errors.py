@@ -53,12 +53,15 @@ class SimulationDiverged(NcsimError):
     Attributes:
         step: index of the control interval during which the run failed.
         reason: short human-readable cause.
+        stats: the run's ``RunStats`` over the records appended before
+            the failure, ``x_final`` None.
     """
 
-    def __init__(self, message: str, step: int, reason: str):
+    def __init__(self, message: str, step: int, reason: str, stats):
         super().__init__(message)
         self.step = step
         self.reason = reason
+        self.stats = stats
 
 
 def checked(record):

@@ -42,7 +42,8 @@ texts for its 1800 rows.
 A state outside the domain and a running cost past float range both end
 the run as ``SimulationDiverged`` at that step.  The loop keeps no
 record: it appends each one to the caller's sink as soon as the
-interval's input and running cost are known.
+interval's input and running cost are known, and returns a
+``RunStats`` of what a run's summary reads, counted over those records.
 ``SimSettings`` derives the step count from ``duration`` and caps both
 it and the truth substeps.
 """
@@ -51,6 +52,7 @@ import math
 import os
 import struct
 from bisect import bisect_left, bisect_right
+from collections import deque
 from typing import NamedTuple, Optional, Sequence
 
 from .controller import ControllerConfig, sontag_feedback
@@ -118,7 +120,7 @@ class CostWeights(NamedTuple):
 
     The stage cost is q_c * (x - setpoint)^2 + r_c * u^2, with the
     undeviated state x under ``raw_state``; a run's cost is its running
-    cost after ``m_steps`` intervals, which ``RunTally.j_m_steps`` keeps.
+    cost after ``m_steps`` intervals, ``RunStats.j_m_steps``.
     """
 
     q_c: float
@@ -198,28 +200,23 @@ class CappedMemo(dict):
         return value
 
 
-class RunTally:
-    """A record sink that keeps only what a run's summary reads.
+class RunStats(NamedTuple):
+    """What a run's summary reads, counted over the records appended.
 
-    It counts the records and the lost intervals among them, and keeps
-    the last running cost and the one after ``m_steps`` intervals, each
-    None until a record brings it.
+    Attributes:
+        steps: records appended.
+        loss_count: lost intervals among them.
+        j_total: running cost of the last one (None without one).
+        j_m_steps: running cost after ``CostWeights.m_steps`` intervals
+            (None until the run reaches them).
+        x_final: state after the last interval (None on a diverged run).
     """
 
-    __slots__ = ("m_steps", "steps", "loss_count", "j_total", "j_m_steps")
-
-    def __init__(self, m_steps: int):
-        self.m_steps = m_steps
-        self.steps = self.loss_count = 0
-        self.j_total = self.j_m_steps = None
-
-    def append(self, record: SimulationRecord) -> None:
-        self.steps += 1
-        if not record.s:
-            self.loss_count += 1
-        self.j_total = record.j_running
-        if self.steps == self.m_steps:
-            self.j_m_steps = record.j_running
+    steps: int
+    loss_count: int
+    j_total: Optional[float]
+    j_m_steps: Optional[float]
+    x_final: Optional[float]
 
 
 def integrate_interval(
@@ -301,16 +298,16 @@ def run_closed_loop(
     sim: SimSettings,
     weights: CostWeights,
     records,
-) -> float:
+) -> RunStats:
     """Simulate the lossy loop, handing each interval's record to
     ``records.append`` as soon as its input and running cost are known,
-    and return the state after the last interval.
+    and return the ``RunStats`` of the records appended.
 
     The loop itself keeps no record.  A plan takes
     ``predictor_cfg.steps_per_input(sim.t_s)`` predictor steps per buffer
     entry.  On a domain exit (truth integration, or a prediction a loss
     replays) raises ``SimulationDiverged`` after the records appended so
-    far.
+    far, with their ``RunStats`` as its ``stats``.
     """
     check_strategies((strategy,), "strategy")
     dynamics.check_state(sim.x0)
@@ -336,7 +333,7 @@ def run_closed_loop(
     times, values = theta.times, theta.values
     th_next, passed, th_held = times[0], 0, values[0]
     doubled = sim.doubled_age_offset
-    q_c, r_c, raw_state = weights.q_c, weights.r_c, weights.raw_state
+    q_c, r_c, m_steps, raw_state = weights.q_c, weights.r_c, weights.m_steps, weights.raw_state
     append = records.append
     # what SimulationRecord(...) calls, without the frame of its __new__
     new_tuple = tuple.__new__
@@ -348,7 +345,10 @@ def run_closed_loop(
     x_pred: Optional[float] = None
     age = 0
     u = 0.0  # the last applied input, which hold-last-value keeps
-    j_running = 0.0
+    # the RunStats counts: records appended, lost ones among them, and the
+    # running cost of the last one and of the m_steps-th
+    steps = loss_count = 0
+    j_running, j_m_steps = 0.0, None
 
     for k in range(sim.steps):
         t_k = k * t_s
@@ -379,10 +379,18 @@ def run_closed_loop(
             age = 0 if s_k else min(age + 1, horizon)
 
             deviation = x if raw_state else x - setpoint
-            j_running += q_c * deviation * deviation + r_c * u * u
-            if not math.isfinite(j_running):
-                raise NonFiniteError(f"running cost became non-finite: {j_running!r}")
+            # the stage cost summed first: float addition does not associate,
+            # and the pinned traces hold the bits of this order
+            j_next = j_running + (q_c * deviation * deviation + r_c * u * u)
+            if not math.isfinite(j_next):
+                raise NonFiniteError(f"running cost became non-finite: {j_next!r}")
+            j_running = j_next
             append(new_tuple(SimulationRecord, (k, t_k, x, x_pred, s_k, age, u, j_running)))
+            steps = k + 1
+            if not s_k:
+                loss_count += 1
+            if steps == m_steps:
+                j_m_steps = j_running
             while th_next is not None and th_next <= t_k:
                 th_held = values[passed]
                 passed += 1
@@ -398,14 +406,15 @@ def run_closed_loop(
                     )
                 x = x_next
         except (DomainError, NonFiniteError) as exc:
+            stats = RunStats(steps, loss_count, j_running if steps else None, j_m_steps, None)
             raise SimulationDiverged(
-                f"run diverged at step {k}: {exc}", step=k, reason=str(exc)
+                f"run diverged at step {k}: {exc}", step=k, reason=str(exc), stats=stats
             ) from exc
 
-    return x
+    return RunStats(steps, loss_count, j_running, j_m_steps, x)
 
 
-def run_scenario(scenario, strategy: str, records, seed: Optional[int] = None) -> float:
+def run_scenario(scenario, strategy: str, records, seed: Optional[int] = None) -> RunStats:
     """Run one strategy of a scenario, optionally overriding the loss seed,
     into ``records`` as ``run_closed_loop`` does."""
     return run_closed_loop(
@@ -452,12 +461,10 @@ class ComparisonResult(NamedTuple):
 
 def _compare_cell(args) -> Optional[float]:
     scenario, strategy, seed = args
-    tally = RunTally(scenario.cost.m_steps)
-    try:
-        run_scenario(scenario, strategy, tally, seed)
+    try:  # into a sink that keeps nothing
+        return run_scenario(scenario, strategy, deque(maxlen=0), seed).j_m_steps
     except SimulationDiverged:  # also after m_steps
         return None
-    return tally.j_m_steps
 
 
 def _shares(tasks: Sequence, workers: int) -> list:
@@ -550,8 +557,8 @@ def compare_strategies(
     return ComparisonResult(strategies=chosen, seeds=seeds, costs=costs)
 
 
-class TraceWriter(RunTally):
-    """A ``RunTally`` that writes each record as a ``trace.csv`` row to
+class TraceWriter:
+    """A record sink that writes each record as a ``trace.csv`` row to
     ``handle`` when it arrives, each float as ``repr(float(value))``, its
     full round-trip precision.
 
@@ -562,21 +569,13 @@ class TraceWriter(RunTally):
 
     __slots__ = ("handle", "texts")
 
-    def __init__(self, handle, m_steps: int):
-        super().__init__(m_steps)
+    def __init__(self, handle):
         self.handle = handle
         self.texts = CappedMemo()
         handle.write(",".join(TRACE_HEADER) + "\n")
 
     def append(self, r: SimulationRecord) -> None:
         k, t, x_true, x_pred, s, i, u, j_running = r
-        # RunTally.append, inline
-        self.steps = steps = self.steps + 1
-        if not s:
-            self.loss_count += 1
-        self.j_total = j_running
-        if steps == self.m_steps:
-            self.j_m_steps = j_running
         key = _state_key(x_true)
         true_text = self.texts.get(key) or self.texts.store(key, repr(float(x_true)))
         # the buffer's reception rows predict the state itself: the same

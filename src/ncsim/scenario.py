@@ -246,9 +246,14 @@ def scenario_to_dict(scenario: Scenario) -> dict:
     return doc
 
 
+def json_text(data) -> str:
+    """``data`` as the indented, strictly finite JSON text of every artifact."""
+    return json.dumps(data, indent=2, allow_nan=False) + "\n"
+
+
 def resolved_json(scenario: Scenario) -> str:
     """Stable JSON snapshot of a scenario with defaults filled in."""
-    return json.dumps(scenario_to_dict(scenario), indent=2, allow_nan=False) + "\n"
+    return json_text(scenario_to_dict(scenario))
 
 
 def apply_overrides(data: dict, assignments: Sequence[str]) -> dict:

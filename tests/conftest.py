@@ -169,9 +169,10 @@ def outcome(fn, *args):
 
 def collected(run, *args, **kwargs):
     """``(records, x_final)``: the records ``run`` (``run_scenario`` or
-    ``run_closed_loop``) appends to a new list, and the state it returns."""
+    ``run_closed_loop``) appends to a new list, and the final state of the
+    ``RunStats`` it returns."""
     records = []
-    return records, run(*args, records=records, **kwargs)
+    return records, run(*args, records=records, **kwargs).x_final
 
 
 # Any JSON value, non-finite numbers and huge integers included.

@@ -191,7 +191,7 @@ def test_loss_free_regulation_reaches_the_setpoint():
     sc = reference("sim.theta=0")
     records = []
     start = time.perf_counter()
-    x_final = run_scenario(sc, PREDICTIVE_BUFFER, records)
+    x_final = run_scenario(sc, PREDICTIVE_BUFFER, records).x_final
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
 
@@ -220,7 +220,7 @@ def test_loss_free_regulation_needs_the_feedback():
     assert abs(x_open - setpoint) > 0.3 * initial
 
     records = []
-    x_final = run_scenario(sc, PREDICTIVE_BUFFER, records)
+    x_final = run_scenario(sc, PREDICTIVE_BUFFER, records).x_final
     assert abs(x_final - setpoint) < 0.01 * initial
     assert any(r.u < u_max for r in records)
 

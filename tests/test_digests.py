@@ -152,5 +152,5 @@ def test_diverged_run_artifacts_match_pinned_digests(kind, tmp_path, capsys):
     scenario = scenario_from_dict(json.loads((tmp_path / "resolved_config.json").read_text()))
     written = io.StringIO()
     with pytest.raises(SimulationDiverged):
-        run_scenario(scenario, scenario.strategies[0], TraceWriter(written, scenario.cost.m_steps))
+        run_scenario(scenario, scenario.strategies[0], TraceWriter(written))
     assert written.getvalue().encode() == trace

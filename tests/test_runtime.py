@@ -5,6 +5,7 @@ import math
 import os
 import time
 from bisect import bisect_right
+from collections import deque
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -26,7 +27,7 @@ from ncsim import (
     NonFiniteError,
     PREDICTIVE_BUFFER,
     PredictorConfig,
-    RunTally,
+    RunStats,
     SimSettings,
     SimulationDiverged,
     SimulationRecord,
@@ -514,6 +515,14 @@ class TestRunClosedLoop:
     # an input gain past float range: a leading loss that holds u = +0.0
     # marches inf * 0.0
     @example(case=((0, 1), {"plant.alpha1": 1e306}))
+    # a stage cost whose two terms round differently when added to the
+    # running cost one at a time
+    @example(case=((0, 0, 1), {
+        "plant.p2": 0.0, "plant.domain_margin": 0.0, "sim.x0": 1.0, "controller.setpoint": 1.0,
+        "sim.theta": [[0.0, 0.0]],
+    }))
+    # the running cost overflows at step 1, after the first record
+    @example(case=((1, 0, 1), {"cost.raw_state": True, "cost.q_c": 1e298}))
     # entries 1 and 3 replayed, and entry 2 leaves the domain
     @example(case=((1, 0, 0), {"sim.doubled_age_offset": True, "predictor.gamma": 0.4}))
     # no outflow, theta = 0 and the valve closed hold the state still, so the
@@ -547,11 +556,20 @@ class TestRunClosedLoop:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(ncsim.runtime, "predict_step", counting_predict_step)
             try:
-                end = run_closed_loop(*loop, LossModel(bits), strategy, sc.sim, sc.cost, records)
+                stats = run_closed_loop(*loop, LossModel(bits), strategy, sc.sim, sc.cost, records)
+                end = stats.x_final
             except SimulationDiverged as exc:
-                end = exc.step, exc.reason
+                stats, end = exc.stats, (exc.step, exc.reason)
         assert bitwise(records) == bitwise(expected_records)
         assert repr(end) == repr(expected_end)
+        # the loop's counts are a recount of the records it appended
+        m_steps = sc.cost.m_steps
+        assert stats == RunStats(
+            len(records), sum(1 for r in records if r.s == 0),
+            records[-1].j_running if records else None,
+            records[m_steps - 1].j_running if len(records) >= m_steps else None,
+            None if isinstance(expected_end, tuple) else expected_end,
+        )
         if isinstance(end, tuple):
             return
         # each burst predicts the entries up to the furthest one it replays,
@@ -1003,7 +1021,7 @@ def write_records(records, path):
     """``records`` written to ``path`` by a ``TraceWriter``, as ``ncsim run``
     writes its trace."""
     with open(path, "w", newline="") as handle:
-        writer = TraceWriter(handle, 1)
+        writer = TraceWriter(handle)
         for record in records:
             writer.append(record)
 
@@ -1072,18 +1090,14 @@ class TestRecordsCsv:
         write_records(fresh, str(b))
         assert a.read_bytes() == b.read_bytes()
 
-    def test_writer_tallies_as_run_tally(self, small_scenario_dict):
+    def test_a_writer_run_counts_as_a_list_run(self, small_scenario_dict):
         sc = small_scenario(small_scenario_dict, {
             "loss": {"kind": "bernoulli", "p": 0.3, "seed": 11}, "cost.m_steps": 7,
         })
-        records, _ = collected(run_scenario, sc, PREDICTIVE_BUFFER)
-        writer, tally = TraceWriter(io.StringIO(), 7), RunTally(7)
-        fields = ("steps", "loss_count", "j_total", "j_m_steps")
-        for record in records:
-            writer.append(record)
-            tally.append(record)
-            assert [getattr(writer, f) for f in fields] == [getattr(tally, f) for f in fields]
-        assert tally.loss_count > 0 and tally.j_m_steps == records[6].j_running
+        records = []
+        stats = run_scenario(sc, PREDICTIVE_BUFFER, records)
+        assert run_scenario(sc, PREDICTIVE_BUFFER, TraceWriter(io.StringIO())) == stats
+        assert stats.loss_count > 0 and stats.j_m_steps == records[6].j_running
 
 
 class RecordingSink:
@@ -1127,15 +1141,16 @@ class TestRecordSinks:
         assert [r.k for r in sink.records] == list(range(31))
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
-    def test_tally_keeps_what_the_list_shows(self, small_scenario_dict, strategy):
+    def test_stats_keep_what_the_list_shows(self, small_scenario_dict, strategy):
         sc = self.bursty(small_scenario_dict)
         records, x_final = collected(run_scenario, sc, strategy)
-        tally = RunTally(sc.cost.m_steps)
-        assert run_scenario(sc, strategy, tally) == x_final
-        assert tally.steps == len(records) == 60
-        assert tally.loss_count == sum(1 for r in records if r.s == 0) > 0
-        assert tally.j_total == records[-1].j_running
-        assert tally.j_m_steps == records[6].j_running
+        # a sink that keeps nothing, as a compare cell passes
+        stats = run_scenario(sc, strategy, deque(maxlen=0))
+        assert stats.x_final == x_final
+        assert stats.steps == len(records) == 60
+        assert stats.loss_count == sum(1 for r in records if r.s == 0) > 0
+        assert stats.j_total == records[-1].j_running
+        assert stats.j_m_steps == records[6].j_running
 
     def test_records_are_simulation_records(self, small_scenario_dict):
         # the reference comparisons go by value, which a bare tuple passes
@@ -1149,11 +1164,21 @@ class TestRecordSinks:
         assert by_name == [tuple(r) for r in collected(run_scenario, sc, PREDICTIVE_BUFFER)[0]]
         assert [r.k for r in sink.records] == list(range(60))
 
-    def test_tally_before_m_steps(self):
-        tally = RunTally(2)
-        assert (tally.steps, tally.loss_count, tally.j_total, tally.j_m_steps) == (0, 0, None, None)
-        tally.append(make_record()._replace(s=0))
-        assert (tally.steps, tally.loss_count, tally.j_m_steps) == (1, 1, None)
+    def test_stats_before_m_steps(self, small_scenario_dict):
+        # the running cost overflows at step 0, before the first append
+        sc = small_scenario(small_scenario_dict, {"cost.q_c": 1e308})
+        with pytest.raises(SimulationDiverged) as excinfo:
+            run_scenario(sc, HOLD_LAST_VALUE, [])
+        assert excinfo.value.stats == (0, 0, None, None, None)
+        # one lost interval of the two that m_steps asks for
+        sc = small_scenario(small_scenario_dict)
+        records = []
+        stats = run_closed_loop(
+            tank_dynamics(sc.plant), sc.predictor, sc.controller, LossModel([0]), HOLD_LAST_VALUE,
+            sc.sim._replace(duration=sc.sim.t_s), sc.cost._replace(m_steps=2), records,
+        )
+        assert (stats.steps, stats.loss_count, stats.j_m_steps) == (1, 1, None)
+        assert stats.j_total == records[0].j_running
 
 
 def bitwise(records):
@@ -1387,7 +1412,7 @@ def trace_row(r):
 def written_rows(records):
     """The rows, header left out, that a ``TraceWriter`` writes for ``records``."""
     handle = io.StringIO()
-    writer = TraceWriter(handle, 1)
+    writer = TraceWriter(handle)
     for record in records:
         writer.append(record)
     return handle.getvalue().splitlines(keepends=True)[1:]
@@ -1415,7 +1440,7 @@ class TestTextMemo:
         states = [1.0 + j / 8 for j in range(2 * cap + 3)]
         records = [make_record(k=k, x=x, x_pred=-x) for k, x in enumerate(states + states[::-3])]
         handle = io.StringIO()
-        writer = TraceWriter(handle, 1)
+        writer = TraceWriter(handle)
         for record in records:
             writer.append(record)
             assert len(writer.texts) <= cap
@@ -1432,7 +1457,7 @@ class TestTextMemo:
 
         monkeypatch.setattr(ncsim.runtime, "repr", counting, raising=False)
         handle = io.StringIO()
-        run_scenario(sc, PREDICTIVE_BUFFER, TraceWriter(handle, sc.cost.m_steps))
+        run_scenario(sc, PREDICTIVE_BUFFER, TraceWriter(handle))
         assert len(texts) == len(set(texts)) == 181
         monkeypatch.undo()
         records, _ = collected(run_scenario, sc, PREDICTIVE_BUFFER)
@@ -1476,10 +1501,9 @@ class TestAnyScenarioRunsOrDiverges:
         except ConfigError:
             return  # not a scenario: the parse property covers the document
         for strategy in STRATEGIES:
-            tally = RunTally(sc.cost.m_steps)
             try:
-                x_final = run_scenario(sc, strategy, tally)
+                stats = run_scenario(sc, strategy, [])
             except SimulationDiverged:
                 continue
-            assert math.isfinite(tally.j_m_steps)
-            assert math.isfinite(x_final)
+            assert math.isfinite(stats.j_m_steps)
+            assert math.isfinite(stats.x_final)
