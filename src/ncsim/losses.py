@@ -5,9 +5,9 @@ one; ``LossSpec.build(seed)`` realizes it as a ``LossModel``, whose
 ``sample_reception(k)`` is 1 when the measurement of control interval
 ``k`` reaches the controller and 0 when it is lost (actuation is
 reliable).  ``LOSS_KEYS`` names the keys of each kind.  Seeded kinds draw
-from a stdlib Mersenne Twister, and a model keeps every bit it has
-drawn, so a bit is a function of (spec, seed, k) whatever the query
-order.  A model is a stateful stream confined to one simulation.
+from a stdlib Mersenne Twister.  A model is a stream confined to one
+simulation: it keeps no bit it has drawn and answers for k = 0, 1, 2,
+... in order, so the k-th bit is a function of (spec, seed, k).
 """
 
 import io
@@ -32,25 +32,20 @@ PROBABILITIES = tuple(key for kind in SEEDED_KINDS for key in LOSS_KEYS[kind])
 
 
 class LossModel:
-    """Reception bits indexed by control interval, drawn from ``bits``
-    on demand; a finite ``bits`` is a trace that does not wrap."""
+    """Reception bits drawn from ``bits`` one per call, in control
+    interval order: ``sample_reception(k)`` is the next bit, and the
+    caller asks for k = 0, 1, 2, ... once each.  A finite ``bits`` is a
+    trace that does not wrap."""
 
     def __init__(self, bits: Iterable[int]):
         self._source = iter(bits)
-        self._drawn = bytearray()  # one byte per bit drawn
 
     def sample_reception(self, k: int) -> int:
-        if k < 0:
-            raise ValueError(f"step index must be non-negative, got {k!r}")
-        drawn = self._drawn
-        while len(drawn) <= k:
-            bit = next(self._source, None)
-            if bit is None:
-                raise TraceExhaustedError(
-                    f"trace has {len(drawn)} entries, step {k} requested without wrap"
-                )
-            drawn.append(bit)
-        return drawn[k]
+        bit = next(self._source, None)
+        if bit is None:
+            # read in order, k is the count of bits drawn
+            raise TraceExhaustedError(f"trace has {k} entries, step {k} requested without wrap")
+        return bit
 
 
 def _gilbert_elliott(

@@ -327,11 +327,11 @@ def run_closed_loop(
     last_start = (n_truth - 1) * (t_s / n_truth)
     memo, feedback_memo = CappedMemo(), CappedMemo()
     truth_of, feedback_of = memo.get, feedback_memo.get
-    # the theta schedule cursor: the next schedule time after the interval
-    # start (None once every one is passed), how many are passed, and the
-    # value held since the last one passed
-    times, values = theta.times, theta.values
-    th_next, passed, th_held = times[0], 0, values[0]
+    # the theta schedule cursor: the schedule times, ended by an infinite
+    # one that no interval passes; times[passed] is the next one after the
+    # interval start, and th_held the value held since the last one passed
+    times, values = theta.times + (math.inf,), theta.values
+    passed, th_held = 0, values[0]
     doubled = sim.doubled_age_offset
     q_c, r_c, m_steps, raw_state = weights.q_c, weights.r_c, weights.m_steps, weights.raw_state
     append = records.append
@@ -391,11 +391,10 @@ def run_closed_loop(
                 loss_count += 1
             if steps == m_steps:
                 j_m_steps = j_running
-            while th_next is not None and th_next <= t_k:
+            while times[passed] <= t_k:
                 th_held = values[passed]
                 passed += 1
-                th_next = times[passed] if passed < len(times) else None
-            if th_next is not None and th_next <= t_k + last_start:
+            if times[passed] <= t_k + last_start:
                 x = integrate_interval(dynamics, x, u, t_k, t_s, n_truth, theta)
             else:
                 key = _truth_key(x, u, th_held)

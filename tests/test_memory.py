@@ -3,10 +3,9 @@ number of runs.
 
 ``ncsim run`` writes each trace row as its interval completes, and a
 compare cell keeps only its cost, so neither holds the run's records.
-Run ten times longer, the traced peak of either may grow by the loss
-model's one byte per drawn reception bit, and by less than
-``BYTES_PER_INTERVAL`` per added interval in all; holding every record
-took about 220 bytes per interval.  A run's three memos, the truth memo
+Run ten times longer, the traced peak of either grows by less than
+``BYTES_PER_INTERVAL`` per added interval; holding every record took
+about 220 bytes per interval.  A run's three memos, the truth memo
 of end states, the feedback memo of inputs at received states and the
 trace writer's memo of state texts, are each capped at
 ``TRUTH_MEMO_ENTRIES`` entries, and even the shorter run fills all
@@ -33,7 +32,7 @@ from ncsim.scenario import apply_overrides, builtin_scenario_dict, scenario_from
 # sim.duration of tank-reference (t_s = 2) for 1800 and 18 000 intervals
 SHORT, LONG = 3600.0, 36000.0
 ADDED_INTERVALS = (LONG - SHORT) / 2.0
-BYTES_PER_INTERVAL = 4
+BYTES_PER_INTERVAL = 1
 # One truth substep per interval: the memory per interval does not depend
 # on it, and tracemalloc slows each allocation down.
 SETTINGS = ("sim.n_truth=1", 'loss={"kind": "bernoulli", "p": 0.3, "seed": 42}')

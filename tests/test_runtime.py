@@ -33,6 +33,7 @@ from ncsim import (
     SimulationRecord,
     STRATEGIES,
     SystemDynamics,
+    TraceExhaustedError,
     TraceWriter,
     UncertaintySignal,
     ZERO_INPUT,
@@ -1163,6 +1164,26 @@ class TestRecordSinks:
         ]
         assert by_name == [tuple(r) for r in collected(run_scenario, sc, PREDICTIVE_BUFFER)[0]]
         assert [r.k for r in sink.records] == list(range(60))
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    @pytest.mark.parametrize("short", [0, 1])
+    def test_loss_model_is_read_one_bit_per_interval(self, small_scenario_dict, strategy, short):
+        # a trace of exactly sim.steps bits runs to the end, so no bit is drawn
+        # ahead; one bit short, the last interval finds it exhausted
+        sc = small_scenario(small_scenario_dict)
+        n = sc.sim.steps - short
+        sink = RecordingSink()
+        args = (
+            tank_dynamics(sc.plant), sc.predictor, sc.controller, LossModel(([1, 0, 0] * n)[:n]),
+            strategy, sc.sim, sc.cost, sink,
+        )
+        if short:
+            with pytest.raises(TraceExhaustedError) as excinfo:
+                run_closed_loop(*args)
+            assert str(excinfo.value) == f"trace has {n} entries, step {n} requested without wrap"
+        else:
+            assert run_closed_loop(*args).steps == n
+        assert [r.k for r in sink.records] == list(range(n))
 
     def test_stats_before_m_steps(self, small_scenario_dict):
         # the running cost overflows at step 0, before the first append

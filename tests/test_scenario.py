@@ -37,11 +37,12 @@ from conftest import json_values
 GE_SPEC = {"kind": "gilbert-elliott", "p_g2b": 0.1, "p_b2g": 0.4, "loss_in_bad": 1.0}
 
 
+def first(model, n=6):
+    return [model.sample_reception(k) for k in range(n)]
+
+
 class TestLossSpec:
     def test_builds_each_kind(self, tmp_path):
-        def first(model, n=6):
-            return [model.sample_reception(k) for k in range(n)]
-
         assert first(LossSpec(kind="none").build()) == [1] * 6
         bern = LossSpec(kind="bernoulli", p=0.3, seed=5).build()
         assert first(bern) == first(LossSpec(kind="bernoulli", p=0.3).build(5))
@@ -58,9 +59,9 @@ class TestLossSpec:
     def test_build_seed_override(self):
         spec = LossSpec(kind="bernoulli", p=0.5, seed=3)
         other = LossSpec(kind="bernoulli", p=0.5, seed=7)
-        bits = {seed: [spec.build(seed).sample_reception(k) for k in range(64)] for seed in (3, 7)}
-        assert [spec.build().sample_reception(k) for k in range(64)] == bits[3]
-        assert [other.build().sample_reception(k) for k in range(64)] == bits[7]
+        bits = {seed: first(spec.build(seed), 64) for seed in (3, 7)}
+        assert first(spec.build(), 64) == bits[3]
+        assert first(other.build(), 64) == bits[7]
         assert bits[3] != bits[7]
 
 
