@@ -7,8 +7,9 @@ snapshot reproduces the trace byte for byte, so sugar flags such as
 ``--seed`` and ``--loss`` are folded into the config before anything
 executes.
 
-Exit codes: 0 success, 2 config error, 3 simulation divergence,
-4 calibration out of range.
+Exit codes: 0 success, 1 standard output cannot be written (``entry``
+only), 2 config error, 3 simulation divergence, 4 calibration out of
+range.
 """
 
 import argparse
@@ -40,6 +41,7 @@ from .scenario import (
 )
 
 EXIT_OK = 0
+EXIT_STDOUT = 1
 EXIT_CONFIG = 2
 EXIT_DIVERGED = 3
 EXIT_CALIBRATION = 4
@@ -361,5 +363,37 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_CONFIG
 
 
+def _stdout_lost(exc: OSError) -> int:
+    print(f"ncsim: cannot write standard output: {exc.strerror or exc}", file=sys.stderr)
+    return EXIT_STDOUT
+
+
+def entry() -> None:
+    """The ``ncsim`` command: ``main()`` on ``sys.argv``, then ``os._exit``.
+
+    Once ``main`` has returned and standard output and error are flushed,
+    the process ends without the interpreter's final collection and module
+    teardown.  That is safe because every artifact is written in a
+    ``with open(...)`` block that closes before ``main`` returns, and
+    nothing is registered with ``atexit``; code added to the commands
+    keeps both rules.  A ``BrokenPipeError`` from ``main`` or an
+    ``OSError`` from the flush is one line on stderr and exit status 1.
+    A ``SystemExit`` (``--help``, a usage error), ``KeyboardInterrupt``
+    and any other exception leave through the normal interpreter exit.
+    ``main`` itself only returns or raises, so in-process callers keep it.
+    """
+    try:
+        code = main()
+    except BrokenPipeError as exc:  # a print into a closed pipe
+        code = _stdout_lost(exc)
+    else:
+        try:
+            sys.stdout.flush()
+        except OSError as exc:  # a closed pipe or a full disk
+            code = _stdout_lost(exc)
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

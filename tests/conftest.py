@@ -1,11 +1,15 @@
 import functools
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
+import ncsim
 from ncsim import (
     ControllerOverflowError,
     DomainError,
@@ -28,6 +32,17 @@ WIDE = (-1.0e12, 1.0e12)
 # CI runs it on the command-line fuzz and on the reference-run and
 # plan-divergence tests of tests/test_runtime.py.
 settings.register_profile("deep", max_examples=2000, deadline=None)
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(ncsim.__file__)))
+
+
+def run_fresh(argv, env=os.environ, **kwargs):
+    """``python -m ncsim *argv`` in a fresh interpreter that imports this
+    ``ncsim``: ``subprocess.run`` with ``kwargs``, under ``env`` with
+    ``PYTHONPATH`` set to the source tree."""
+    return subprocess.run(
+        [sys.executable, "-m", "ncsim", *argv], env=dict(env, PYTHONPATH=SRC), **kwargs
+    )
 
 
 def lie(dynamics, setpoint, x):

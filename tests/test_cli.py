@@ -2,7 +2,6 @@ import hashlib
 import json
 import os
 import subprocess
-import sys
 import tempfile
 import threading
 import time
@@ -11,7 +10,6 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-import ncsim
 import ncsim.cli
 import ncsim.errors
 import ncsim.losses
@@ -26,7 +24,7 @@ from ncsim.cli import (
 
 from ncsim.runtime import STRATEGIES
 
-from conftest import RUN_KEYS, json_values
+from conftest import RUN_KEYS, json_values, run_fresh
 
 
 @pytest.fixture
@@ -290,11 +288,10 @@ class TestRun:
 
     def test_controller_overflow_is_a_divergence(self, tmp_path):
         argv = [
-            sys.executable, "-m", "ncsim", "run", "tank-reference", "--set", "plant.p1=1e308",
+            "run", "tank-reference", "--set", "plant.p1=1e308",
             "--set", "sim.duration=20", "--set", "cost.m_steps=10", "--out", str(tmp_path),
         ]
-        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ncsim.__file__)))
-        done = subprocess.run(argv, env=env, capture_output=True, text=True, check=False)
+        done = run_fresh(argv, capture_output=True, text=True, check=False)
         assert done.returncode == EXIT_DIVERGED
         assert "feedback overflowed" in done.stderr
         assert "Traceback" not in done.stderr
@@ -372,11 +369,7 @@ class TestParserReuse:
             "--out", str(flagged),
         ]) == EXIT_OK
         assert main(["run", "tank-reference", "--out", str(plain)]) == EXIT_OK
-        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ncsim.__file__)))
-        subprocess.run(
-            [sys.executable, "-m", "ncsim", "run", "tank-reference", "--out", str(fresh)],
-            env=env, capture_output=True, check=True,
-        )
+        run_fresh(["run", "tank-reference", "--out", str(fresh)], capture_output=True, check=True)
         snapshot = "resolved_config.json"
         assert (plain / snapshot).read_bytes() == (fresh / snapshot).read_bytes()
         assert (flagged / snapshot).read_bytes() != (plain / snapshot).read_bytes()
@@ -385,6 +378,90 @@ class TestParserReuse:
                 main(argv)
             assert excinfo.value.code == code
         assert len(built) == 1
+
+
+SHORT_RUN = [
+    "tank-reference", "--loss", "bernoulli:0.3", "--set", "sim.duration=20",
+    "--set", "cost.m_steps=10",
+]
+
+
+def artifacts(out):
+    """Each file in the directory ``out`` by name: its bytes."""
+    return {path.name: path.read_bytes() for path in out.iterdir()} if out.exists() else {}
+
+
+def buffered_env(**extra):
+    """``os.environ`` without ``PYTHONUNBUFFERED``, plus ``extra``: a child's
+    stdout sent to a file or a pipe is then block-buffered."""
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    return dict(env, **extra)
+
+
+class TestFreshExit:
+    """``python -m ncsim`` runs ``ncsim.cli.entry``: once ``main`` returns it
+    flushes standard output and error and ends in ``os._exit``, skipping
+    the interpreter's teardown.  A fresh process prints and writes exactly
+    what an in-process ``main`` does, and a closed stdout is one line on
+    stderr and exit status 1."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "tank-reference", "--loss", "bernoulli:0.3", "--seed", "3", "--out", "out"],
+            ["compare", *SHORT_RUN, "--seeds", "2", "--workers", "2", "--out", "out"],
+            ["--help"],
+            ["run", "--bogus"],
+        ],
+        ids=["run", "compare", "help", "usage-error"],
+    )
+    def test_fresh_process_matches_main(self, tmp_path, monkeypatch, capsys, argv):
+        # the help text is wrapped to the same width in both
+        monkeypatch.setenv("COLUMNS", "80")
+        here, fresh = tmp_path / "main", tmp_path / "fresh"
+        here.mkdir()
+        fresh.mkdir()
+        monkeypatch.chdir(here)
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # --help exits 0, a usage error 2
+            code = exc.code
+        want = capsys.readouterr()
+        assert want.out + want.err
+
+        # stdout goes to a file without PYTHONUNBUFFERED, so only the flush
+        # before the exit writes it
+        with open(fresh / "stdout", "w") as out, open(fresh / "stderr", "w") as err:
+            done = run_fresh(
+                argv, env=buffered_env(COLUMNS="80"), cwd=fresh, stdout=out, stderr=err,
+                timeout=60,
+            )
+        assert done.returncode == code
+        assert (fresh / "stdout").read_text() == want.out
+        assert (fresh / "stderr").read_text() == want.err
+        assert artifacts(fresh / "out") == artifacts(here / "out")
+
+    @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+    @pytest.mark.parametrize(
+        "argv", [["run", *SHORT_RUN], ["compare", *SHORT_RUN, "--seeds", "2", "--workers", "2"]],
+        ids=["run", "compare"],
+    )
+    def test_closed_stdout_is_one_line_and_exit_1(self, tmp_path, argv, unbuffered):
+        env = buffered_env(PYTHONUNBUFFERED="1") if unbuffered else buffered_env()
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = run_fresh(
+                [*argv, "--out", str(tmp_path / "fresh")], env=env, stdout=write_end,
+                stderr=subprocess.PIPE, text=True, timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert done.stderr == "ncsim: cannot write standard output: Broken pipe\n"
+        assert done.returncode == 1
+        # every artifact was complete before the first print
+        assert main([*argv, "--out", str(tmp_path / "main")]) == EXIT_OK
+        assert artifacts(tmp_path / "fresh") == artifacts(tmp_path / "main")
 
 
 class TestInputFiles:
@@ -503,11 +580,8 @@ class TestFifoInputs:
     def test_fifo_without_writer_exits_2(self, tmp_path, argv):
         fifo = tmp_path / "fifo"
         os.mkfifo(fifo)
-        src = os.path.dirname(os.path.dirname(os.path.abspath(ncsim.__file__)))
-        done = subprocess.run(
-            [sys.executable, "-m", "ncsim", *(arg.format(fifo=fifo) for arg in argv),
-             "--out", str(tmp_path / "o")],
-            env=dict(os.environ, PYTHONPATH=src),
+        done = run_fresh(
+            [*(arg.format(fifo=fifo) for arg in argv), "--out", str(tmp_path / "o")],
             capture_output=True,
             text=True,
             timeout=60,
