@@ -1,11 +1,11 @@
-"""Count the lines of the ``ncsim`` package by kind.
+"""Count the lines of the ``ncsim`` package and of its tests by kind.
 
-Every line of ``src/ncsim/*.py`` is one of four kinds, found with ``ast``
-and ``tokenize``: a docstring line (a line of the string that opens a
-module, class or function body, its blank lines included), a blank
-line, a comment line (only a comment), or a code line (anything else,
-such as a multi-line string that is not a docstring).  Prints the
-package totals by kind:
+Every line of ``src/ncsim/*.py`` and ``tests/*.py`` is one of four kinds,
+found with ``ast`` and ``tokenize``: a docstring line (a line of the
+string that opens a module, class or function body, its blank lines
+included), a blank line, a comment line (only a comment), or a code line
+(anything else, such as a multi-line string that is not a docstring).
+Prints the totals by kind, one line for the package and one for the tests:
 
     python scripts/code_lines.py
 """
@@ -16,7 +16,7 @@ import pathlib
 import tokenize
 
 KINDS = ("code", "docstring", "comment", "blank")
-PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "ncsim"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def docstring_lines(tree: ast.AST) -> set:
@@ -58,13 +58,14 @@ def count(source: str) -> dict:
 
 
 def main() -> None:
-    total = dict.fromkeys(KINDS, 0)
-    for path in PACKAGE.glob("*.py"):
-        counts = count(path.read_text(encoding="utf-8"))
-        for kind in KINDS:
-            total[kind] += counts[kind]
-    counts = ", ".join(f"{total[kind]} {kind}" for kind in KINDS)
-    print(f"{counts} lines of src/ncsim ({sum(total.values())} in all)")
+    for pattern in ("src/ncsim/*.py", "tests/*.py"):
+        total = dict.fromkeys(KINDS, 0)
+        for path in ROOT.glob(pattern):
+            counts = count(path.read_text(encoding="utf-8"))
+            for kind in KINDS:
+                total[kind] += counts[kind]
+        counts = ", ".join(f"{total[kind]} {kind}" for kind in KINDS)
+        print(f"{counts} lines of {pattern} ({sum(total.values())} in all)")
 
 
 if __name__ == "__main__":

@@ -339,9 +339,9 @@ def run_closed_loop(
     new_tuple = tuple.__new__
     x = x0
     # The buffer's head: the entry a loss last replayed (-1 before the
-    # first plan), its predicted state and its input, and the step the
-    # plan starts at.  Within a burst the replayed entry never goes back.
-    entry, plan_k = -1, 0
+    # first plan), its predicted state and its input.  Within a burst the
+    # replayed entry never goes back.
+    entry = -1
     x_pred: Optional[float] = None
     age = 0
     u = 0.0  # the last applied input, which hold-last-value keeps
@@ -360,11 +360,11 @@ def run_closed_loop(
                 if u is None:
                     u = feedback_memo.store(key, controller(x))
                 if buffered:
-                    x_pred, entry, plan_k = x, 0, k
+                    x_pred, entry = x, 0
             elif buffered:
+                offset = min(2 * age + 1 if doubled else entry + 1, horizon)
                 if entry < 0:
                     x_pred, u, entry = x0, controller(x0), 0
-                offset = min(2 * age + 1 if doubled else k - plan_k, horizon)
                 while entry < offset:
                     try:
                         x_pred = predict_step(predictor_cfg, dynamics, x_pred, u, steps_per_input)

@@ -281,20 +281,21 @@ def tank(benchmark_params) -> SystemDynamics:
     return tank_dynamics(benchmark_params)
 
 
+def small_scenario(overrides=None):
+    """Benchmark scenario shrunk to 60 steps so runs finish in milliseconds,
+    with the value of each ``section.key`` or ``section`` of ``overrides``."""
+    doc = builtin_scenario_dict("tank-reference")
+    doc["sim"]["duration"] = 120.0
+    doc["cost"]["m_steps"] = 60
+    for path, value in (overrides or {}).items():
+        section, _, key = path.partition(".")
+        if key:
+            doc[section][key] = value
+        else:
+            doc[section] = value
+    return json.loads(json.dumps(doc))
+
+
 @pytest.fixture
 def small_scenario_dict():
-    """Benchmark scenario shrunk to 60 steps so runs finish in milliseconds."""
-
-    def make(overrides=None):
-        doc = builtin_scenario_dict("tank-reference")
-        doc["sim"]["duration"] = 120.0
-        doc["cost"]["m_steps"] = 60
-        for path, value in (overrides or {}).items():
-            section, _, key = path.partition(".")
-            if key:
-                doc[section][key] = value
-            else:
-                doc[section] = value
-        return json.loads(json.dumps(doc))
-
-    return make
+    return small_scenario

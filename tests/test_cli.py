@@ -1,10 +1,16 @@
+import csv
+import errno
+import functools
 import hashlib
+import io
 import json
 import os
+import string
 import subprocess
 import tempfile
 import threading
 import time
+from typing import NamedTuple, Optional
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -24,7 +30,7 @@ from ncsim.cli import (
 
 from ncsim.runtime import STRATEGIES
 
-from conftest import RUN_KEYS, json_values, run_fresh
+from conftest import RUN_KEYS, json_values, run_fresh, small_scenario
 
 
 @pytest.fixture
@@ -148,21 +154,6 @@ class TestRun:
         summary = read_json(out / "summary.json")
         assert summary["loss_count"] == 20
 
-    @pytest.mark.parametrize("command", ["run", "compare"])
-    def test_exhausted_trace_is_a_config_error(self, scenario_file, tmp_path, capsys, command):
-        bits = tmp_path / "bits.txt"
-        bits.write_text("1\n0\n1\n")
-        out = tmp_path / "out"
-        rc = main([command, scenario_file(), "--loss", f"trace:{bits}", "--out", str(out)])
-        assert rc == EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert err.startswith("config error: loss.trace_path ")
-        for needle in ("holds 3 bits", "60 steps of sim.duration 120.0", "loss.wrap is false"):
-            assert needle in err
-        assert "Traceback" not in err
-        # rejected when the scenario is parsed, before the output directory
-        assert not out.exists()
-
     def test_repeated_set_overrides_accumulate(self, scenario_file, tmp_path):
         out = tmp_path / "out"
         rc = main(
@@ -187,13 +178,6 @@ class TestRun:
         assert main(["run", scenario_file()]) == EXIT_OK
         assert (target / "trace.csv").exists()
 
-    def test_unknown_scenario_reference(self, tmp_path, capsys):
-        rc = main(["run", "no-such-scenario", "--out", str(tmp_path / "out")])
-        assert rc == EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert "config error" in err
-        assert "tank-reference" in err
-
     @pytest.mark.parametrize("command", ["run", "compare"])
     def test_seed_flag_folds_into_a_left_out_loss_section(
         self, tmp_path, small_scenario_dict, command
@@ -208,48 +192,6 @@ class TestRun:
         snapshot = (tmp_path / "o1" / "resolved_config.json").read_bytes()
         assert snapshot == (tmp_path / "o2" / "resolved_config.json").read_bytes()
         assert json.loads(snapshot)["loss"] == {"kind": "none", "seed": 3}
-
-    @pytest.mark.parametrize("command", ["run", "compare"])
-    def test_set_into_a_left_out_loss_section_checks_the_key(
-        self, tmp_path, small_scenario_dict, capsys, command
-    ):
-        doc = small_scenario_dict()
-        del doc["loss"]
-        path = tmp_path / "bare.json"
-        path.write_text(json.dumps(doc))
-        out = tmp_path / "o"
-        rc = main([command, str(path), "--set", "loss.p=0.3", "--out", str(out)])
-        assert rc == EXIT_CONFIG
-        assert capsys.readouterr().err == "config error: unknown key loss.p\n"
-        assert not out.exists()
-
-    def test_bad_override_path(self, scenario_file, tmp_path):
-        rc = main(
-            ["run", scenario_file(), "--set", "nope.key=1", "--out", str(tmp_path / "o")]
-        )
-        assert rc == EXIT_CONFIG
-
-    @pytest.mark.parametrize(
-        "spec, message",
-        [
-            pytest.param(spec, message, id=spec) for spec, message in (
-                ("bogus:1", "unknown loss kind 'bogus'"),
-                ("bernoulli:xyz", "--loss bernoulli parameters must be numbers"),
-                ("ge:0.1,0.4", "--loss gilbert-elliott takes p_g2b,p_b2g,loss_in_bad"),
-                ("none:0", "--loss none takes no arguments"),
-                ("bernoulli:1.5", "loss.p must lie in [0, 1]"),
-                ("bernoulli:nan", "loss.p must be finite"),
-                ("ge:0.1,2,0.5", "loss.p_b2g must lie in [0, 1]"),
-                ("trace:", "--loss trace needs a file path"),
-            )
-        ],
-    )
-    def test_bad_loss_flag(self, scenario_file, tmp_path, capsys, spec, message):
-        rc = main(["run", scenario_file(), "--loss", spec, "--out", str(tmp_path / "o")])
-        assert rc == EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert err.startswith(f"config error: {message}")
-        assert "Traceback" not in err
 
     def test_divergence_writes_partial_artifacts(self, scenario_file, tmp_path, capsys):
         path = scenario_file({"predictor.gamma": 0.9})
@@ -465,24 +407,6 @@ class TestFreshExit:
 
 
 class TestInputFiles:
-    @pytest.mark.parametrize("command", ["run", "compare"])
-    @pytest.mark.parametrize(
-        "content", [None, b"1\n2\n", b"\xff\n", b""], ids=["missing", "two", "0xff", "empty"]
-    )
-    def test_bad_trace_file_is_rejected_at_parse_time(
-        self, scenario_file, tmp_path, capsys, command, content
-    ):
-        trace = tmp_path / "bits.txt"
-        if content is not None:
-            trace.write_bytes(content)
-        out = tmp_path / "o"
-        argv = [command, scenario_file(), "--loss", f"trace:{trace}", "--out", str(out)]
-        assert main(argv) == EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert "loss.trace_path" in err
-        assert "Traceback" not in err
-        assert not (out / "resolved_config.json").exists()
-
     def test_compare_reads_the_trace_once(self, scenario_file, tmp_path, monkeypatch):
         reads = []
         read = ncsim.losses.read_trace_file
@@ -498,72 +422,252 @@ class TestInputFiles:
         assert main(argv) == EXIT_OK
         assert reads == [str(trace)]
 
-    def test_non_utf8_scenario_file(self, tmp_path, capsys):
-        path = tmp_path / "latin1.json"
-        path.write_bytes('{"plant": "\u00e9"}'.encode("latin-1"))
-        assert main(["run", str(path), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert str(path) in err and "utf-8" in err
 
-    def test_deeply_nested_scenario_file(self, tmp_path, capsys):
-        path = tmp_path / "deep.json"
-        path.write_text("[" * 3000 + "]" * 3000)
-        assert main(["run", str(path), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
-        assert str(path) in capsys.readouterr().err
+def scenario_text(*drop):
+    """The JSON text of ``small_scenario()`` without the dotted keys ``drop``."""
+    doc = small_scenario()
+    for path in drop:
+        *section, key = path.split(".")
+        del (doc[section[0]] if section else doc)[key]
+    return json.dumps(doc)
 
-    @pytest.mark.parametrize("text", ["[1, 2]", '"plant"', "3", "null"])
-    @pytest.mark.parametrize(
-        "argv",
-        [["run", "{path}", "--loss", "none"], ["run", "{path}", "--set", "loss=1"],
-         ["calibrate", "{samples}", "--apply-to", "{path}"]],
-        ids=["loss-flag", "set-flag", "apply-to"],
-    )
-    def test_non_object_scenario_file(self, tmp_path, capsys, text, argv):
-        path = tmp_path / "doc.json"
-        path.write_text(text)
-        samples = write_samples(tmp_path, ["a,1.0,1.1\n", "a,2.0,2.1\n", "b,1.5,1.4\n"])
-        out = tmp_path / "o"
-        argv = [arg.format(path=path, samples=samples) for arg in argv]
-        assert main([*argv, "--out", str(out)]) == EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert f"config error: scenario file {str(path)!r} must hold a JSON object" in err
-        assert not out.exists()
 
-    def test_deeply_nested_override(self, tmp_path, capsys):
-        value = "[" * 3000 + "]" * 3000
-        out = tmp_path / "o"
-        argv = ["run", "tank-reference", "--set", f"sim.theta={value}", "--out", str(out)]
-        assert main(argv) == EXIT_CONFIG
-        assert "sim.theta" in capsys.readouterr().err
-        assert not out.exists()
+def csv_rows(text):
+    return list(csv.reader(io.StringIO(text, newline="")))
+
+
+class Rejected(NamedTuple):
+    """An input a command rejects with exit 2.
+
+    ``argv`` and ``stderr`` write ``$tmp`` for a fresh directory, ``$name``
+    for each file ``name`` of ``files`` in it, ``$out`` for the output
+    directory ``out`` in it (passed as ``--out``), and ``$reason`` for the
+    text of the error, or else of the result, of the standard-library call
+    ``reason``, ``(function, *args)``.  A file holds text, bytes, a count
+    of zero bytes, or is a directory (None).  ``artifacts`` are the names
+    the command adds to ``$out``, None where ``$out`` must not exist, and
+    ``after_run`` marks a check that can fail only once the run started.
+    """
+
+    id: str
+    argv: list
+    stderr: str
+    files: dict = {}
+    stdout: str = ""
+    artifacts: Optional[tuple] = None
+    after_run: bool = False
+    reason: tuple = ()
+    out: str = "out"
 
 
 ENDLESS = "/dev/zero"
+CAP = ncsim.errors.MAX_INPUT_BYTES
+DEEP = "[" * 3000 + "]" * 3000
+LATIN1 = '{"plant": "é"}'.encode("latin-1")
+HEADER = "pair_id,predicted,measured\n"
+SCENARIO = {"scenario": scenario_text()}
+SAMPLES = {"samples": HEADER + "a,1.0,1.1\na,2.0,2.1\nb,1.5,1.4\n"}
+CALIBRATED = (
+    "method: one\nE: 0.010000000000000018\nzeta: +1\ngamma: 0.006666666666666678\nin_range: true\n"
+)
+RUN, COMPARE = ["run", "$scenario"], ["compare", "$scenario"]
+ONE_SEED, CALIBRATE = [*COMPARE, "--seeds", "1"], ["calibrate", "$samples", "--apply-to", "$scenario"]
+NOT_AN_OBJECT = "config error: scenario file '$scenario' must hold a JSON object\n"
+
+# Every input a command rejects, one row each; a rejected input is added as
+# one row.  Only config rules stay in tests/test_scenario.py's RULES.
+REJECTED = [
+    # a trace shorter than the run that does not wrap, at any worker count
+    *[Rejected(name, [*argv, "--loss", "trace:$bits"],
+               "config error: loss.trace_path '$bits' holds 3 bits, fewer than the 60 steps of "
+               "sim.duration 120.0, and loss.wrap is false\n", {**SCENARIO, "bits": "1\n0\n1\n"})
+      for name, argv in (
+          ("run-short-trace", RUN), ("compare-short-trace", COMPARE),
+          *((f"compare-short-trace-workers-{workers}",
+             [*COMPARE, "--strategies", "hold-last-value,zero-input", "--workers", workers])
+            for workers in "12"),
+      )],
+    *[Rejected(f"{argv[0]}-trace-{name}", [*argv, "--loss", "trace:$tmp/bits"],
+               f"config error: loss.trace_path '$tmp/bits' is not a readable trace: {tail}\n",
+               {**SCENARIO, **files}, reason=reason)
+      for argv in (RUN, COMPARE) for name, files, tail, reason in (
+          ("missing", {}, "$reason", (open, "$tmp/bits")),
+          ("two", {"bits": "1\n2\n"}, "$tmp/bits:2: expected 0 or 1, got '2'", ()),
+          ("0xff", {"bits": b"\xff\n"}, "$reason", (bytes.decode, b"\xff\n")),
+          ("empty", {"bits": ""}, "no trace entries in $tmp/bits", ()),
+      )],
+    Rejected("unknown-scenario", ["run", "no-such-scenario"],
+             "config error: scenario 'no-such-scenario' is neither a built-in (tank-reference) "
+             "nor an existing file\n"),
+    Rejected("missing-scenario-file", ["run", "$tmp/absent.json"],
+             "config error: scenario '$tmp/absent.json' is neither a built-in (tank-reference) "
+             "nor an existing file\n"),
+    Rejected("directory-as-scenario", ["run", "$tmp"],
+             "config error: cannot read scenario file '$tmp': $reason\n", reason=(open, "$tmp")),
+    *[Rejected(f"scenario-{name}", RUN,
+               f"config error: scenario file '$scenario' is not valid JSON: $reason\n",
+               {"scenario": text}, reason=(decode, text))
+      for name, text, decode in (("invalid-json", "{not json", json.loads),
+                                 ("latin-1", LATIN1, bytes.decode), ("deep", DEEP, json.loads))],
+    *[Rejected(f"{name}-{kind}", argv, NOT_AN_OBJECT, {"scenario": text, **SAMPLES}, stdout)
+      for kind, text in (("list", "[1, 2]"), ("string", '"plant"'), ("number", "3"),
+                         ("null", "null"))
+      for name, argv, stdout in (("loss-flag", [*RUN, "--loss", "none"], ""),
+                                 ("set-flag", [*RUN, "--set", "loss=1"], ""),
+                                 ("apply-to", CALIBRATE, CALIBRATED))],
+    *[Rejected(f"missing-{key}", RUN, f"config error: missing required key {key}\n",
+               {"scenario": scenario_text(key)}) for key in ("cost.q_c", "predictor")],
+    *[Rejected(f"{argv[0]}-set-into-a-left-out-loss", [*argv, "--set", "loss.p=0.3"],
+               "config error: unknown key loss.p\n", {"scenario": scenario_text("loss")})
+      for argv in (RUN, COMPARE)],
+    Rejected("override-path", [*RUN, "--set", "nope.key=1"],
+             "config error: override path 'nope.key' does not reach a config section\n", SCENARIO),
+    Rejected("deep-override", ["run", "tank-reference", "--set", f"sim.theta={DEEP}"],
+             "config error: override 'sim.theta' nests its value too deeply\n"),
+    *[Rejected(f"loss-{spec}", [*RUN, "--loss", spec], f"config error: {message}\n", SCENARIO)
+      for spec, message in (
+          ("bogus:1", "unknown loss kind 'bogus' in --loss 'bogus:1'"),
+          ("bernoulli:xyz", "--loss bernoulli parameters must be numbers: 'bernoulli:xyz'"),
+          ("ge:0.1,0.4", "--loss gilbert-elliott takes p_g2b,p_b2g,loss_in_bad, got 'ge:0.1,0.4'"),
+          ("none:0", "--loss none takes no arguments, got 'none:0'"),
+          ("bernoulli:1.5", "loss.p must lie in [0, 1], got 1.5"),
+          ("bernoulli:nan", "loss.p must be finite, got nan"),
+          ("ge:0.1,2,0.5", "loss.p_b2g must lie in [0, 1], got 2.0"),
+          ("trace:", "--loss trace needs a file path, got 'trace:'"),
+      )],
+    # each input file is read through the size cap: an endless one, and a
+    # regular one a byte too long
+    *[Rejected(f"{name}-{source}", argv,
+               f"config error: {prefix}input file '{path}' is longer than {CAP} bytes\n",
+               {**files, **SAMPLES}, stdout)
+      for source, path, files in (("endless", ENDLESS, {}), ("long", "$long", {"long": CAP + 1}))
+      for name, argv, prefix, stdout in (
+          ("scenario", ["run", path], "", ""),
+          *((f"{command}-trace", [command, "tank-reference", "--loss", f"trace:{path}"],
+             f"loss.trace_path '{path}' is not a readable trace: ", "")
+            for command in ("run", "compare")),
+          ("samples", ["calibrate", path], f"cannot load samples from '{path}': ", ""),
+          ("apply-to", ["calibrate", "--apply-to", path, "$samples"], "", CALIBRATED),
+      )],
+    # an artifact that cannot be written, a directory in its way
+    *[Rejected(f"{argv[0]}-{artifact}-in-the-way", argv,
+               f"config error: cannot write '$out/{artifact}': $reason\n",
+               {**SCENARIO, **SAMPLES, f"out/{artifact}": None}, stdout, artifacts, after_run,
+               (open, f"$out/{artifact}", "w"))
+      for argv, stdout, artifact, artifacts, after_run in (
+          (RUN, "", "resolved_config.json", (), False),
+          (RUN, "", "trace.csv", ("resolved_config.json",), False),
+          (RUN, "", "summary.json", ("resolved_config.json", "trace.csv"), True),
+          (ONE_SEED, "", "resolved_config.json", (), False),
+          (ONE_SEED, "", "comparison.csv", ("resolved_config.json",), True),
+          (CALIBRATE, CALIBRATED, "calibrated_config.json", (), False),
+      )],
+    *[Rejected(f"{argv[0]}-file-in-the-way-of-out", argv,
+               "config error: cannot create output directory '$out': $reason\n",
+               {**SCENARIO, **SAMPLES, "file": ""}, stdout, reason=(os.makedirs, "$out"),
+               out="file/o")
+      for argv, stdout in ((RUN, ""), (ONE_SEED, ""), (CALIBRATE, CALIBRATED))],
+    # random.Random(-1) draws seed 1's stream, so seeds -1, 0 and 1 would
+    # count one loss realization twice
+    Rejected("negative-seed", [*COMPARE, "--loss", "bernoulli:0.3", "--seed", "-1", "--seeds", "3"],
+             "config error: loss.seed must be non-negative, got -1\n", SCENARIO),
+    # without the caps the cell list alone would exhaust memory
+    *[Rejected(f"seeds-{seeds}", [*COMPARE, "--seeds", seeds],
+               f"config error: --seeds must lie in [1, 10000], got {seeds}\n", SCENARIO)
+      for seeds in ("0", "10001", "1000000000000")],
+    *[Rejected(f"workers-{workers}", [*COMPARE, "--seeds", "10000", "--workers", workers],
+               f"config error: --workers must lie in [1, 64], got {workers}\n", SCENARIO)
+      for workers in ("0", "65", "1000000")],
+    *[Rejected(f"strategies-{spec!r}", [*COMPARE, "--strategies", spec],
+               f"config error: --strategies{message}\n", SCENARIO)
+      for spec, message in (
+          *((name, f": unknown strategy {name!r}, expected one of {STRATEGIES}")
+            for name in ("nope", "teleport")),
+          ("zero-input,zero-input", " must be unique"),
+          (",", " must be non-empty"),
+          (" , ", " must be non-empty"),
+      )],
+    Rejected("degenerate-samples", ["calibrate", "$samples"],
+             "config error: samples are degenerate: mean predicted state is zero\n",
+             {"samples": HEADER + "a,1.0,1.0\na,-1.0,1.0\n"}),
+    *[Rejected(f"samples-{name}", ["calibrate", "$samples", "--clamp-gamma", "--apply-to",
+                                   "tank-reference"],
+               f"config error: samples are degenerate: {message}\n", {"samples": HEADER + row},
+               reason=reason)
+      for name, row, message, reason in (
+          # the C library's text for ERANGE, which x ** 2 raises past float range
+          ("overflow", "a,1e200,-1e200\n", "$reason", (os.strerror, errno.ERANGE)),
+          ("infinite", "a,1e308,-1e308\n", "E inf, grand means 1e+308, -1e+308, gamma -inf", ()),
+      )],
+    Rejected("missing-samples", ["calibrate", "$tmp/absent.csv"],
+             "config error: cannot load samples from '$tmp/absent.csv': $reason\n",
+             reason=(open, "$tmp/absent.csv")),
+    # a field past csv.field_size_limit() (131 072 characters) is a csv.Error;
+    # a bad sample is named by line and column, and a long field is cut to
+    # its first 40 characters and its length
+    *[Rejected(f"samples-{name}", ["calibrate", "$samples"],
+               f"config error: cannot load samples from '$samples': {message}\n",
+               {"samples": text}, reason=(csv_rows, text) if "$reason" in message else ())
+      for name, text, message in (
+          ("wide-row", HEADER + "a," + "1" * 200_000 + ",1\n", "malformed CSV: $reason"),
+          ("wide-header", "pair_id,predicted," + "m" * 200_000 + "\na,1,1\n",
+           "malformed CSV: $reason"),
+          ("long-row", HEADER + "a,1,1\nb," + "x" * 100_000 + ",1\n",
+           f"bad sample on line 3, column predicted: '{'x' * 40}'... (100000 characters)"),
+          ("short-row", HEADER + "a,1,1\nb,1\n", "bad sample on line 3, column measured: nothing"),
+          ("long-header", "pair_id,predicted," + "m" * 100_000 + "\na,1,1\n",
+           "sample file must have columns pair_id,predicted,measured, got "
+           f"'pair_id,predicted,{'m' * 22}'... (100018 characters)"),
+          *((value, f"{HEADER}a,{value},1\n", f"bad sample on line 2, column predicted: {value!r}")
+            for value in ("nan", "inf", "1e999")),
+      )],
+]
 
 
-@pytest.mark.skipif(not os.path.exists(ENDLESS), reason="needs /dev/zero")
-class TestBoundedReads:
-    @pytest.mark.parametrize(
-        "argv, key",
-        [
-            (["run", ENDLESS], None),
-            (["run", "tank-reference", "--loss", f"trace:{ENDLESS}"], "loss.trace_path"),
-            (["compare", "tank-reference", "--loss", f"trace:{ENDLESS}"], "loss.trace_path"),
-            (["calibrate", ENDLESS], None),
-            (["calibrate", "--apply-to", ENDLESS, "{samples}"], None),
-        ],
-        ids=["scenario", "run-trace", "compare-trace", "samples", "apply-to"],
-    )
-    def test_endless_file_exits_2(self, tmp_path, capsys, argv, key):
-        samples = tmp_path / "samples.csv"
-        samples.write_text("pair_id,predicted,measured\n0,1.0,1.1\n")
-        argv = [arg.format(samples=samples) for arg in argv]
-        assert main([*argv, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert f"{ENDLESS!r} is longer than {ncsim.errors.MAX_INPUT_BYTES} bytes" in err
-        assert key is None or key in err
-        assert "Traceback" not in err
-        assert not (tmp_path / "o" / "resolved_config.json").exists()
+def ran(name, *args, **kwargs):
+    raise AssertionError(f"{name} ran for an input rejected before the run")
+
+
+@pytest.mark.parametrize("row", REJECTED, ids=[row.id for row in REJECTED])
+def test_rejected_input(tmp_path, monkeypatch, capsys, row):
+    """The row's command exits 2 with exactly the row's stdout and stderr,
+    adds exactly the row's artifacts to ``$out`` and leaves no child
+    process; a row rejected before the run calls neither ``run_scenario``
+    nor ``compare_strategies``."""
+    paths = {"tmp": str(tmp_path), "out": str(tmp_path / row.out)}
+    for name, content in row.files.items():
+        path = paths[name] = tmp_path / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        if content is None:
+            path.mkdir()
+        elif isinstance(content, int):
+            with open(path, "wb") as handle:
+                handle.truncate(content)
+        else:
+            path.write_bytes(content if isinstance(content, bytes) else content.encode())
+
+    def fill(arg):
+        return string.Template(arg).substitute(paths) if isinstance(arg, str) else arg
+
+    out = paths["out"]
+    present = set(os.listdir(out)) if os.path.isdir(out) else set()
+    if not row.after_run:
+        for name in ("run_scenario", "compare_strategies"):
+            monkeypatch.setattr(ncsim.cli, name, functools.partial(ran, name))
+    assert main([*map(fill, row.argv), "--out", out]) == EXIT_CONFIG
+    if row.reason:
+        function, *args = map(fill, row.reason)
+        try:
+            paths["reason"] = str(function(*args))
+        except Exception as exc:
+            paths["reason"] = str(exc)
+    assert capsys.readouterr() == (row.stdout, fill(row.stderr))
+    if row.artifacts is None:
+        assert not os.path.exists(out)
+    else:
+        assert set(os.listdir(out)) - present == set(row.artifacts)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
@@ -609,66 +713,6 @@ class TestFifoInputs:
             os.close(read_end)
 
 
-class TestUnwritableArtifacts:
-    @pytest.mark.parametrize(
-        "command, artifact",
-        [
-            ("run", "resolved_config.json"),
-            ("run", "trace.csv"),
-            ("run", "summary.json"),
-            ("compare", "resolved_config.json"),
-            ("compare", "comparison.csv"),
-            ("calibrate", "calibrated_config.json"),
-        ],
-    )
-    def test_directory_in_the_way_exits_2(
-        self, scenario_file, tmp_path, capsys, command, artifact
-    ):
-        out = tmp_path / "o"
-        blocked = out / artifact
-        blocked.mkdir(parents=True)
-        assert main([*self.argv(command, scenario_file, tmp_path), "--out", str(out)]) == EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert f"cannot write {str(blocked)!r}" in err
-        assert "Traceback" not in err
-
-    def test_unwritable_trace_fails_before_the_run(
-        self, scenario_file, tmp_path, capsys, monkeypatch
-    ):
-        drawn = []
-        monkeypatch.setattr(
-            ncsim.losses.LossModel, "sample_reception", lambda model, k: drawn.append(k) or 1
-        )
-        out = tmp_path / "o"
-        (out / "trace.csv").mkdir(parents=True)
-        assert main(["run", scenario_file(), "--out", str(out)]) == EXIT_CONFIG
-        assert f"cannot write {str(out / 'trace.csv')!r}" in capsys.readouterr().err
-        assert drawn == []
-        assert not (out / "summary.json").exists()
-
-    @pytest.mark.parametrize("command", ["run", "compare", "calibrate"])
-    def test_file_in_the_way_of_the_output_directory_exits_2(
-        self, scenario_file, tmp_path, capsys, command
-    ):
-        (tmp_path / "file").write_text("")
-        out = tmp_path / "file" / "o"
-        assert main([*self.argv(command, scenario_file, tmp_path), "--out", str(out)]) == EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert err.startswith(f"config error: cannot create output directory {str(out)!r}: ")
-        assert "Traceback" not in err
-
-    @staticmethod
-    def argv(command, scenario_file, tmp_path):
-        return {
-            "run": ["run", scenario_file()],
-            "compare": ["compare", scenario_file(), "--seeds", "1"],
-            "calibrate": [
-                "calibrate", write_samples(tmp_path, ["a,1.0,1.5\n"]),
-                "--apply-to", scenario_file(),
-            ],
-        }[command]
-
-
 class TestReadInput:
     def test_cap_is_inclusive(self, tmp_path, monkeypatch):
         monkeypatch.setattr(ncsim.errors, "MAX_INPUT_BYTES", 8)
@@ -688,19 +732,6 @@ class TestReadInput:
         path.write_bytes(b"\xff" * 4)
         with pytest.raises(UnicodeDecodeError):
             ncsim.errors.read_input(str(path))
-
-    @pytest.mark.parametrize("kind", ["scenario", "trace", "samples"])
-    def test_each_input_goes_through_the_cap(self, tmp_path, monkeypatch, capsys, kind):
-        monkeypatch.setattr(ncsim.errors, "MAX_INPUT_BYTES", 16)
-        path = tmp_path / "long"
-        path.write_text("1\n" * 9)
-        argv = {
-            "scenario": ["run", str(path)],
-            "trace": ["run", "tank-reference", "--loss", f"trace:{path}"],
-            "samples": ["calibrate", str(path)],
-        }[kind]
-        assert main([*argv, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
-        assert f"{str(path)!r} is longer than 16 bytes" in capsys.readouterr().err
 
     def test_trace_lines_keep_their_numbers(self, tmp_path):
         path = tmp_path / "bits.txt"
@@ -735,19 +766,6 @@ class TestCompare:
         stdout = capsys.readouterr().out
         assert "median_j" in stdout
         assert "wins" in stdout
-
-    def test_negative_seed_is_a_config_error(self, scenario_file, tmp_path, capsys):
-        # random.Random(-1) draws seed 1's stream, so seeds -1, 0 and 1 would
-        # count one loss realization twice
-        rc = main(
-            [
-                "compare", scenario_file(), "--loss", "bernoulli:0.3", "--seed", "-1",
-                "--seeds", "3", "--out", str(tmp_path / "out"),
-            ]
-        )
-        assert rc == EXIT_CONFIG
-        assert "loss.seed must be non-negative, got -1" in capsys.readouterr().err
-        assert not (tmp_path / "out" / "comparison.csv").exists()
 
     def test_subset_and_worker_parity(self, scenario_file, tmp_path):
         path = scenario_file({"loss": {"kind": "bernoulli", "p": 0.3, "seed": 5}})
@@ -796,83 +814,6 @@ class TestCompare:
             err = capsys.readouterr().err
             assert err.count("\n") == 1
             assert "ignores the seed" in err
-
-    def test_failing_cell_exits_alike_at_any_worker_count(self, scenario_file, tmp_path, capsys):
-        bits = tmp_path / "bits.txt"
-        bits.write_text("1\n0\n1\n")  # shorter than the run, and no wrap: rejected when parsed
-        errors = []
-        for workers in ("1", "2"):
-            argv = [
-                "compare", scenario_file(), "--loss", f"trace:{bits}", "--strategies",
-                "hold-last-value,zero-input", "--workers", workers, "--out", str(tmp_path / workers),
-            ]
-            assert main(argv) == EXIT_CONFIG
-            errors.append(capsys.readouterr().err)
-            with pytest.raises(ChildProcessError):
-                os.waitpid(-1, os.WNOHANG)
-        assert errors[0] == errors[1]
-        assert errors[0].startswith("config error: ")
-
-    @pytest.mark.parametrize("seeds", ["10001", "1000000000000"])
-    def test_seed_count_is_capped_before_any_artifact(
-        self, scenario_file, tmp_path, capsys, monkeypatch, seeds
-    ):
-        def must_not_run(*args, **kwargs):
-            raise AssertionError("compare ran past the --seeds cap")
-
-        # Without the cap the cell list alone would exhaust memory.
-        monkeypatch.setattr(ncsim.cli, "compare_strategies", must_not_run)
-        out = tmp_path / "o"
-        path = scenario_file({"loss": {"kind": "bernoulli", "p": 0.3, "seed": 5}})
-        assert main(["compare", path, "--seeds", seeds, "--out", str(out)]) == EXIT_CONFIG
-        assert "--seeds" in capsys.readouterr().err
-        assert not (out / "resolved_config.json").exists()
-
-    @pytest.mark.parametrize("workers", ["65", "1000000", "0"])
-    def test_worker_count_is_capped_before_any_artifact(
-        self, scenario_file, tmp_path, capsys, monkeypatch, workers
-    ):
-        def must_not_run(*args, **kwargs):
-            raise AssertionError("compare ran past the --workers cap")
-
-        monkeypatch.setattr(ncsim.cli, "compare_strategies", must_not_run)
-        out = tmp_path / "o"
-        path = scenario_file({"loss": {"kind": "bernoulli", "p": 0.3, "seed": 5}})
-        argv = ["compare", path, "--seeds", "10000", "--workers", workers, "--out", str(out)]
-        assert main(argv) == EXIT_CONFIG
-        assert "--workers" in capsys.readouterr().err
-        assert not (out / "resolved_config.json").exists()
-
-    def test_bad_arguments(self, scenario_file, tmp_path):
-        path = scenario_file()
-        assert main(["compare", path, "--seeds", "0", "--out", str(tmp_path / "o")]) == EXIT_CONFIG
-        assert (
-            main(
-                [
-                    "compare",
-                    path,
-                    "--strategies",
-                    "nope",
-                    "--out",
-                    str(tmp_path / "o"),
-                ]
-            )
-            == EXIT_CONFIG
-        )
-
-    @pytest.mark.parametrize("spec", ["teleport", "zero-input,zero-input", ",", " , "])
-    def test_bad_strategies_are_rejected_before_any_artifact(
-        self, scenario_file, tmp_path, capsys, monkeypatch, spec
-    ):
-        def must_not_run(*args, **kwargs):
-            raise AssertionError("compare ran past a bad --strategies")
-
-        monkeypatch.setattr(ncsim.cli, "compare_strategies", must_not_run)
-        out = tmp_path / "o"
-        argv = ["compare", scenario_file(), "--strategies", spec, "--out", str(out)]
-        assert main(argv) == EXIT_CONFIG
-        assert "config error: --strategies" in capsys.readouterr().err
-        assert not (out / "resolved_config.json").exists()
 
 
 def write_samples(tmp_path, rows, name="samples.csv"):
@@ -994,59 +935,6 @@ class TestCalibrate:
         doc = read_json(out / "calibrated_config.json")
         assert doc["predictor"]["gamma"] == 0.25
         assert "calibrated_config.json" in capsys.readouterr().out
-
-    def test_degenerate_samples_are_config_error(self, tmp_path, capsys):
-        path = write_samples(tmp_path, ["a,1.0,1.0\n", "a,-1.0,1.0\n"])
-        rc = main(["calibrate", path])
-        assert rc == EXIT_CONFIG
-        assert "degenerate" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("row", ["a,1e200,-1e200\n", "a,1e308,-1e308\n"])
-    def test_non_finite_statistics_are_config_error(self, tmp_path, capsys, row):
-        path = write_samples(tmp_path, [row])
-        out = tmp_path / "out"
-        argv = ["calibrate", path, "--clamp-gamma", "--apply-to", "tank-reference", "--out", str(out)]
-        assert main(argv) == EXIT_CONFIG
-        assert "samples are degenerate" in capsys.readouterr().err
-        assert not (out / "calibrated_config.json").exists()
-
-    def test_unreadable_samples_are_config_error(self, tmp_path):
-        assert main(["calibrate", str(tmp_path / "absent.csv")]) == EXIT_CONFIG
-
-    # a field past csv.field_size_limit() (131 072 characters by default),
-    # in a sample row and in the header
-    @pytest.mark.parametrize("text", [
-        "pair_id,predicted,measured\na," + "1" * 200_000 + ",1\n",
-        "pair_id,predicted," + "m" * 200_000 + "\na,1,1\n",
-    ], ids=["row", "header"])
-    def test_field_past_the_csv_limit_is_config_error(self, tmp_path, capsys, text):
-        path = tmp_path / "samples.csv"
-        path.write_text(text)
-        assert main(["calibrate", str(path)]) == EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert f"cannot load samples from {str(path)!r}: " in err
-        assert "field larger than field limit" in err
-
-    # a 100 000-character field within csv.field_size_limit(): the message
-    # names its line and column and quotes its first 40 characters
-    @pytest.mark.parametrize("text, names", [
-        ("pair_id,predicted,measured\na,1,1\nb," + "x" * 100_000 + ",1\n",
-         "bad sample on line 3, column predicted: '" + "x" * 40 + "'... (100000 characters)"),
-        ("pair_id,predicted,measured\na,1,1\nb,1\n", "bad sample on line 3, column measured: nothing"),
-        ("pair_id,predicted," + "m" * 100_000 + "\na,1,1\n",
-         "must have columns pair_id,predicted,measured, got 'pair_id,predicted,"),
-        ("pair_id,predicted,measured\na,nan,1\n", "bad sample on line 2, column predicted: 'nan'"),
-        ("pair_id,predicted,measured\na,inf,1\n", "bad sample on line 2, column predicted: 'inf'"),
-        ("pair_id,predicted,measured\na,1e999,1\n",
-         "bad sample on line 2, column predicted: '1e999'"),
-    ], ids=["row", "short row", "header", "nan", "inf", "1e999"])
-    def test_bad_sample_message_is_short(self, tmp_path, capsys, text, names):
-        path = tmp_path / "samples.csv"
-        path.write_text(text)
-        assert main(["calibrate", str(path)]) == EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert names in err
-        assert len(err) < 300 + len(str(path))
 
 
 LOSS_FLAG_KINDS = ("none", "bernoulli", "gilbert-elliott", "ge", "trace", "")
