@@ -253,33 +253,33 @@ def cmd_calibrate(args) -> int:
     except ArithmeticError as exc:  # an OverflowError's args are (errno, message)
         raise ConfigError(f"samples are degenerate: {exc.args[-1]}") from exc
     in_range = gamma_in_range(gamma)
+    # --apply-to is parsed before the verdict, with gamma put in once known,
+    # and the report printed last, so every exit 2 leaves stdout empty
+    scenario = None if args.apply_to is None else scenario_from_dict(
+        apply_overrides(_scenario_document(args.apply_to), ["predictor.gamma=0.0"])
+    )
 
-    print(f"method: {args.method}")
+    report = [f"method: {args.method}"]
     if args.method == "two":
-        for index, e_i in enumerate(e_values):
-            print(f"E_{index}: {e_i!r}")
-    print(f"E: {e!r}")
-    print(f"zeta: {zeta:+d}")
-    print(f"gamma: {gamma!r}")
-    print(f"in_range: {'true' if in_range else 'false'}")
+        report += [f"E_{index}: {e_i!r}" for index, e_i in enumerate(e_values)]
+    report += [f"E: {e!r}", f"zeta: {zeta:+d}", f"gamma: {gamma!r}",
+               f"in_range: {'true' if in_range else 'false'}"]
 
     if not in_range:
         if not args.clamp_gamma:
+            print("\n".join(report))
             print("gamma magnitude >= 1; pass --clamp-gamma to clip into range", file=sys.stderr)
             return EXIT_CALIBRATION
         bound = math.nextafter(1.0, 0.0)
         gamma = bound if gamma > 0 else -bound
-        print(f"gamma_clamped: {gamma!r}")
+        report.append(f"gamma_clamped: {gamma!r}")
 
-    if args.apply_to is not None:
-        doc = apply_overrides(
-            _scenario_document(args.apply_to), [f"predictor.gamma={gamma!r}"]
-        )
-        scenario = scenario_from_dict(doc)
-        out = _output_dir(args.out)
-        path = os.path.join(out, "calibrated_config.json")
+    if scenario is not None:
+        scenario = scenario._replace(predictor=scenario.predictor._replace(gamma=gamma))
+        path = os.path.join(_output_dir(args.out), "calibrated_config.json")
         _write(_write_text, resolved_json(scenario), path)
-        print(f"wrote {path}")
+        report.append(f"wrote {path}")
+    print("\n".join(report))
     return EXIT_OK
 
 

@@ -1,4 +1,4 @@
-import csv
+import functools
 import io
 import itertools
 import math
@@ -6,6 +6,7 @@ import os
 import time
 from bisect import bisect_right
 from collections import deque
+from typing import NamedTuple, Optional
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -37,7 +38,7 @@ from ncsim import (
     TraceWriter,
     UncertaintySignal,
     ZERO_INPUT,
-    builtin_scenario_dict,
+    builtin_scenario,
     compare_strategies,
     integrate_interval,
     run_closed_loop,
@@ -47,12 +48,14 @@ from ncsim import (
     tank_dynamics,
     write_comparison_csv,
 )
+from ncsim.predictor import predict_step
 from ncsim.runtime import TRACE_HEADER, check_strategies
 
 from conftest import (
-    WIDE, collected, linear_decay_dynamics, outcome, reference_interval, reference_plan,
-    reference_plant, reference_run, run_overrides, still_dynamics,
+    WIDE, collected, linear_decay_dynamics, outcome, reference_feedback, reference_interval,
+    reference_plan, reference_plant, reference_run, run_overrides,
 )
+from conftest import small_scenario as small_document
 
 ZERO_THETA = UncertaintySignal.constant(0.0)
 
@@ -360,410 +363,492 @@ class TestIntegrateIntervalErrors:
         assert (excinfo.value.stage, excinfo.value.state) == (1, 7.0)
 
 
+class RecordingSink:
+    """A sink that is no list: it keeps what is appended to it, in order."""
+
+    def __init__(self):
+        self.records = []
+
+    def append(self, record):
+        self.records.append(record)
+
+
+def bitwise(records):
+    """Each record as text that tells +0.0 from -0.0."""
+    return [repr(r) for r in records]
+
+
+def trace_row(r):
+    """A record's ``trace.csv`` row, each float formatted afresh."""
+    x_pred = "" if r.x_pred is None else repr(float(r.x_pred))
+    return (
+        f"{r.k},{float(r.t)!r},{float(r.x_true)!r},{x_pred},"
+        f"{r.s},{r.i},{float(r.u)!r},{float(r.j_running)!r}\n"
+    )
+
+
+def written_rows(records):
+    """The rows, header left out, that a ``TraceWriter`` writes for ``records``."""
+    handle = io.StringIO()
+    writer = TraceWriter(handle)
+    for record in records:
+        writer.append(record)
+    return handle.getvalue().splitlines(keepends=True)[1:]
+
+
 def small_scenario(small_scenario_dict, overrides=None):
     return scenario_from_dict(small_scenario_dict(overrides))
 
 
-def run_bits(sc, bits, strategy, sim=None, weights=None):
-    """``(records, x_final)`` of the loop of ``sc`` under reception ``bits``."""
-    return collected(
-        run_closed_loop, tank_dynamics(sc.plant), sc.predictor, sc.controller, LossModel(bits),
-        strategy, sim or sc.sim, weights or sc.cost,
+def scenario_loop(sc, sim=None, cost=None):
+    """``(dynamics, predictor, controller, sim, cost)`` of the scenario
+    ``sc``, with the fields ``sim`` and ``cost`` put into its last two."""
+    return (
+        tank_dynamics(sc.plant), sc.predictor, sc.controller, sc.sim._replace(**(sim or {})),
+        sc.cost._replace(**(cost or {})),
     )
 
 
-class TestRunClosedLoop:
-    def test_lossless_strategies_coincide(self, small_scenario_dict):
-        sc = small_scenario(small_scenario_dict)
-        results = {s: collected(run_scenario, sc, s) for s in STRATEGIES}
-        reference, reference_x = results[HOLD_LAST_VALUE]
-        assert results[ZERO_INPUT][0] == reference
-        for pred_rec, rec in zip(results[PREDICTIVE_BUFFER][0], reference):
-            assert pred_rec.x_pred == pred_rec.x_true
-            assert rec.x_pred is None
-            assert (pred_rec.k, pred_rec.t, pred_rec.x_true) == (rec.k, rec.t, rec.x_true)
-            assert (pred_rec.s, pred_rec.i, pred_rec.u) == (1, 0, rec.u)
-            assert pred_rec.j_running == rec.j_running
-        assert results[PREDICTIVE_BUFFER][1] == reference_x
+def tank_loop(overrides=None, **fields):
+    """The loop of the 60-step tank-reference scenario under ``overrides``."""
+    return scenario_loop(scenario_from_dict(small_document(overrides)), **fields)
 
-    def test_all_loss_hold_matches_zero_input(self, small_scenario_dict):
-        sc = small_scenario(small_scenario_dict)
-        runs = {s: run_bits(sc, [0] * sc.sim.steps, s)[0] for s in (HOLD_LAST_VALUE, ZERO_INPUT)}
-        assert runs[HOLD_LAST_VALUE] == runs[ZERO_INPUT]
-        assert all(r.u == 0.0 for r in runs[ZERO_INPUT])
 
-    def test_all_loss_predictive_replays_initial_plan(self, small_scenario_dict):
-        sc = small_scenario(small_scenario_dict)
-        dynamics = tank_dynamics(sc.plant)
-        ccfg = sc.controller
-        records, _ = run_bits(sc, [0] * sc.sim.steps, PREDICTIVE_BUFFER)
-        plan = reference_plan(sc.predictor, dynamics, sc.sim.x0, sontag_feedback(dynamics, ccfg))
-        n = sc.predictor.horizon
-        for rec in records:
-            assert (rec.x_pred, rec.u) == plan[min(rec.k, n)]
-            assert rec.i == min(rec.k + 1, n)
-
-    @pytest.mark.parametrize(
-        "doubled,expected_offsets", [(False, [1, 2, 3]), (True, [1, 3, 5])]
+def scalar_loop(f, g, x0, steps, setpoint, *, u=(0.0, 1.0), domain=WIDE, theta=ZERO_THETA,
+                n_truth=1, horizon=2, gamma=0.0, doubled=False, q_c=1.0, r_c=1.0, m_steps=None,
+                raw=False):
+    """The loop of x' = f(x) + g(x) u over ``steps`` intervals of 1 s,
+    predicted with delta = 1 s; m_steps defaults to ``steps``."""
+    return (
+        SystemDynamics(f, g, lambda x: 0.0, domain),
+        PredictorConfig(delta=1.0, gamma=gamma, horizon=horizon),
+        ControllerConfig(setpoint, u_min=u[0], u_max=u[1]),
+        SimSettings(x0, 1.0, float(steps), theta, n_truth, doubled),
+        CostWeights(q_c, r_c, m_steps or steps, raw),
     )
-    def test_loss_burst_offset_rule(self, small_scenario_dict, doubled, expected_offsets):
-        sc = small_scenario(small_scenario_dict)
-        dynamics = tank_dynamics(sc.plant)
-        ccfg = sc.controller
-        sim = SimSettings(
-            x0=sc.sim.x0,
-            t_s=sc.sim.t_s,
-            duration=6 * sc.sim.t_s,
-            theta=sc.sim.theta,
-            n_truth=sc.sim.n_truth,
-            doubled_age_offset=doubled,
-        )
-        weights = CostWeights(q_c=1.0, r_c=1.0, m_steps=6)
-        records, _ = run_bits(sc, [1, 0, 0, 0, 1, 1], PREDICTIVE_BUFFER, sim, weights)
-        plan = reference_plan(sc.predictor, dynamics, sc.sim.x0, sontag_feedback(dynamics, ccfg))
-        for rec, offset in zip(records[1:4], expected_offsets):
-            assert (rec.x_pred, rec.u) == plan[offset]
-        assert [r.i for r in records] == [0, 1, 2, 3, 0, 0]
 
-    def test_running_cost_is_the_stage_cost_sum(self, small_scenario_dict):
-        sc = small_scenario(small_scenario_dict)
-        records, _ = collected(run_scenario, sc, PREDICTIVE_BUFFER)
-        total = stage_cost_sum(records, sc.cost, sc.controller.setpoint)
-        assert records[-1].j_running == total
 
-    @pytest.mark.parametrize("raw,expected", [(True, 8.0), (False, 4.5)])
-    def test_cost_state_term(self, raw, expected):
-        records, _ = collected(
-            run_closed_loop,
-            dynamics=linear_decay_dynamics(),
-            predictor_cfg=PredictorConfig(delta=1.0, gamma=0.0, horizon=10),
-            control_cfg=ControllerConfig(setpoint=0.5),
-            loss_model=LossModel(itertools.repeat(1)),
-            strategy=ZERO_INPUT,
-            sim=SimSettings(x0=2.0, t_s=1.0, duration=2.0, theta=ZERO_THETA, n_truth=4),
-            weights=CostWeights(q_c=2.0, r_c=3.0, m_steps=2, raw_state=raw),
-        )
-        first = records[0]
-        assert first.u == 0.0
-        assert first.j_running == expected
+def decay(x0, setpoint, received=1, u_min=0.0, **cost):
+    """Two intervals of x' = -x + u under zero-input, whose first one is
+    lost unless ``received``, and whose cost is that first interval's."""
+    return scalar_loop(
+        lambda x: -x, lambda x: 1.0, x0, 2, setpoint, u=(u_min, u_min + 1.0), horizon=5, m_steps=1,
+        **cost,
+    ), (received, 1)
 
-    def test_prediction_divergence_before_record(self, small_scenario_dict):
-        sc = small_scenario(small_scenario_dict)
-        steps = sc.sim.steps
-        bad = PredictorConfig(delta=sc.predictor.delta, gamma=0.9, horizon=10)
-        records = []
-        with pytest.raises(SimulationDiverged) as excinfo:
-            run_closed_loop(
-                dynamics=tank_dynamics(sc.plant),
-                predictor_cfg=bad,
-                control_cfg=sc.controller,
-                loss_model=LossModel([0] * steps),
-                strategy=PREDICTIVE_BUFFER,
-                sim=sc.sim,
-                weights=sc.cost,
-                records=records,
+
+def sign_of_zero_drift(x):
+    """-1 at -0.0 and +1 at +0.0.  From x0 = -0.0 with h = 1, RK4 goes
+    to -1.0, then exactly to +0.0 (stages -1, 2, 1, 1), then to 1.0: a memo
+    that merged the two zeros would send +0.0 back to -1.0."""
+    if x == 0.0:
+        return math.copysign(1.0, x)
+    if x > 0.0:
+        return 1.0
+    return 2.0 if x < -1.25 else -1.0
+
+
+# Slopes of signed_zero_drift away from 0, each at the stage states one
+# run below meets, so its RK4 steps (h = 1) are exact.
+ZERO_RUN_SLOPES = {0.5: -4.0, 1.0: -7.0, -1.0: -1.0, -1.5: 2.0}
+
+
+def signed_zero_drift(x):
+    """+1 at +0.0 and -1 at -0.0.  With g = 1, setpoint 1 and u in [0, 2]
+    the feedback is 2.0 at -0.0 and sqrt(5) - 1 at +0.0, and a run from
+    -0.0 goes to -1.0 under that 2.0, then under a lost zero input to
+    +0.0 (the steps of ``sign_of_zero_drift``)."""
+    if x == 0.0:
+        return math.copysign(1.0, x)
+    return ZERO_RUN_SLOPES.get(x, 0.0)
+
+
+class Same(NamedTuple):
+    """A fact's value for another strategy of the same row."""
+
+    strategy: str
+
+
+class Run(NamedTuple):
+    """One row of ``RUNS``: a loop ``(dynamics, predictor, controller, sim,
+    cost)``, its reception bits, one bit per interval, the strategies run
+    on it, the memo cap (None: ``TRUTH_MEMO_ENTRIES``), and the facts only
+    this row pins, each a name of ``FACTS`` and its value for every one of
+    the row's strategies."""
+
+    id: str
+    loop: tuple
+    bits: tuple
+    strategies: tuple = STRATEGIES
+    cap: Optional[int] = None
+    facts: dict = {}
+
+
+class Ran(NamedTuple):
+    """What one strategy of a row did into one sink: the records the sink
+    kept (None if it keeps none), the final state or ``(step, reason)``,
+    the ``RunStats``, the ``SimulationDiverged`` or None, the argument
+    tuples of its ``integrate_interval`` calls, the states it applied the
+    feedback at, the values ``TraceWriter`` formatted, and its
+    ``predict_step`` calls."""
+
+    records: Optional[list]
+    end: object
+    stats: RunStats
+    error: Optional[SimulationDiverged]
+    marches: list
+    feedback: list
+    texts: list
+    predicted: int
+
+
+def x0_plan(loop):
+    """The reference plan from x0."""
+    dynamics, predictor, control, sim, _ = loop
+    return reference_plan(
+        predictor, dynamics, sim.x0, functools.partial(reference_feedback, dynamics, control),
+        predictor.steps_per_input(sim.t_s),
+    )
+
+
+# What a row may pin, each a function of the row's loop and one strategy's
+# ``Ran``; a pinned value is compared by ``repr``, which tells the zeros apart.
+FACTS = {
+    "end": lambda loop, ran: ran.end,
+    "steps": lambda loop, ran: len(ran.records),
+    "stats": lambda loop, ran: ran.stats,
+    "cost": lambda loop, ran: ran.stats.j_m_steps,
+    "first": lambda loop, ran: (ran.records[0].x_true, ran.records[0].u),
+    "records": lambda loop, ran: ran.records,
+    "plain records": lambda loop, ran: [r._replace(x_pred=None) for r in ran.records],
+    "states": lambda loop, ran: [r.x_true for r in ran.records],
+    "inputs": lambda loop, ran: [r.u for r in ran.records],
+    "ages": lambda loop, ran: [r.i for r in ran.records],
+    # the entry of the plan from x0 that each lost interval replays
+    "replayed": lambda loop, ran: [
+        x0_plan(loop).index((r.x_pred, r.u)) for r in ran.records if not r.s
+    ],
+    # calls, and the distinct (x, u, held theta) keys among them
+    "marches": lambda loop, ran: (
+        len(ran.marches), len({repr((x, u, held_theta(*rest))) for _, x, u, *rest in ran.marches}),
+    ),
+    # (interval start, held theta or None for a straddling interval)
+    "marched": lambda loop, ran: [(args[3], held_theta(*args[3:])) for args in ran.marches],
+    "feedback": lambda loop, ran: (len(ran.feedback), len(set(map(repr, ran.feedback)))),
+    "feedback states": lambda loop, ran: ran.feedback,
+    "texts": lambda loop, ran: (len(ran.texts), len(set(map(repr, ran.texts)))),
+    "cause": lambda loop, ran: type(ran.error.__cause__),
+}
+
+LOSSLESS, ALL_LOST = (1,) * 60, (0,) * 60
+BURSTY = tuple(int(bit) for bit in "110100011101111000001011" * 2 + "101101100111")
+AFTER_ONE_ENTRY = (1, "prediction left the domain after 1 entries")
+THETA_BREAKS = UncertaintySignal(
+    times=(-1.0, 2.5, 3.0, 4.5, 6.2, 6.4, 100.0), values=(0.0, 1.0, 2.0, 0.0, 3.0, 1.0, 5.0),
+)
+
+# Every loop the tests build by hand, one row each: a new run is one new row.
+RUNS = [
+    # without loss the three strategies apply the same inputs, and the buffer
+    # predicts each state itself
+    Run("lossless", tank_loop(), LOSSLESS, facts={
+        "plain records": Same(HOLD_LAST_VALUE), "end": Same(HOLD_LAST_VALUE),
+    }),
+    Run("bursty", tank_loop(cost={"m_steps": 7}), BURSTY),
+    Run("bursty-doubled", tank_loop({"sim.doubled_age_offset": True}, cost={"m_steps": 7}), BURSTY,
+        (PREDICTIVE_BUFFER,)),
+    # with no reception, hold keeps the initial u = +0.0
+    Run("all-lost", tank_loop(), ALL_LOST, (HOLD_LAST_VALUE, ZERO_INPUT),
+        facts={"records": Same(ZERO_INPUT), "inputs": [0.0] * 60}),
+    # a leading burst replays the plan from x0, frozen at its last entry;
+    # by the doubled rule its first loss replays entry 1
+    *[Run(f"all-lost-buffer{suffix}", tank_loop({"sim.doubled_age_offset": doubled}), ALL_LOST,
+          (PREDICTIVE_BUFFER,), facts={"replayed": replayed, "ages": [*range(1, 10), *[10] * 51]})
+      for suffix, doubled, replayed in (("", False, [*range(10), *[10] * 50]),
+                                        ("-doubled", True, [1, 3, 5, 7, 9, *[10] * 55]))],
+    *[Run(f"burst-offsets{suffix}",
+          tank_loop({"sim.duration": 12.0, "cost.m_steps": 6, "sim.doubled_age_offset": doubled}),
+          (1, 0, 0, 0, 1, 1), (PREDICTIVE_BUFFER,),
+          facts={"replayed": replayed, "ages": [0, 1, 2, 3, 0, 0]})
+      for suffix, doubled, replayed in (("", False, [1, 2, 3]), ("-doubled", True, [1, 3, 5]))],
+    # gamma = 0.9 makes entry 1 of every plan leave the domain: the run
+    # diverges at the first loss that replays it, and not before
+    *[Run(f"gamma-0.9-{name}",
+          tank_loop({"predictor.gamma": 0.9, "sim.doubled_age_offset": doubled}), bits,
+          (PREDICTIVE_BUFFER,), facts={"end": end, "steps": steps})
+      for name, doubled, bits, end, steps in (
+          ("all-lost", False, ALL_LOST, AFTER_ONE_ENTRY, 1),
+          ("all-lost-doubled", True, ALL_LOST, (0, AFTER_ONE_ENTRY[1]), 0),
+          ("first-received", False, (1,) + (0,) * 59, AFTER_ONE_ENTRY, 1),
+      )],
+    Run("gamma-0.9-lossless", tank_loop({"predictor.gamma": 0.9}), LOSSLESS, (PREDICTIVE_BUFFER,),
+        facts={"steps": 60}),
+    # theta jumps on the substep start t = 61 inside interval 30
+    Run("theta-jump", tank_loop({"sim.theta": [[0.0, 0.175], [61.0, 2.0]]}), LOSSLESS,
+        (PREDICTIVE_BUFFER, HOLD_LAST_VALUE),
+        facts={"end": (30, "stage 2 state 202433.75963201388 left the domain"), "steps": 31}),
+    # a running cost past float range diverges before its record is appended
+    Run("q_c-1e308", tank_loop({"cost.q_c": 1e308}), LOSSLESS, facts={
+        "end": (0, "running cost became non-finite: inf"),
+        "stats": RunStats(0, 0, None, None, None),
+    }),
+    Run("r_c-1e308", tank_loop({"cost.r_c": 1e308}), LOSSLESS,
+        facts={"end": (1, "running cost became non-finite: inf"), "steps": 1}),
+    # one lost interval of the two that m_steps asks for
+    Run("shorter-than-m_steps", tank_loop(sim={"duration": 2.0}, cost={"m_steps": 2}), (0,),
+        (HOLD_LAST_VALUE,), facts={"cost": None, "steps": 1}),
+    # the cost of the first interval, its state deviating from the setpoint
+    # or raw
+    *[Run(f"cost-{name}", *loop_and_bits, (ZERO_INPUT,), facts={"cost": cost, **facts})
+      for name, loop_and_bits, cost, facts in (
+          ("deviation", decay(2.0, 0.5, q_c=2.0, r_c=3.0), 4.5, {"first": (2.0, 0.0)}),
+          ("raw-state", decay(2.0, 0.5, q_c=2.0, r_c=3.0, raw=True), 8.0, {}),
+          # the feedback saturates at u_min = 3
+          ("saturated", decay(2.0, 0.0, u_min=3.0), 13.0, {"first": (2.0, 3.0)}),
+          ("lost-first", decay(5.0, 2.0, received=0), 9.0, {}),
+          ("lost-first-raw-state", decay(5.0, 2.0, received=0, raw=True), 25.0, {}),
+      )],
+    # the truth leaves the domain in the first interval, after its record
+    Run("runaway",
+        scalar_loop(lambda x: 100.0, lambda x: 0.0, 5.0, 3, 5.0, domain=(0.0, 10.0), horizon=5),
+        (1, 1, 1), (ZERO_INPUT,), facts={"end": (0, "stage 2 state 55.0 left the domain")}),
+    # the truth memo keys on the bits of x, so +0.0 is not -0.0
+    Run("sign-of-zero-truth", scalar_loop(sign_of_zero_drift, lambda x: 0.0, -0.0, 5, 0.0),
+        (1,) * 5, (HOLD_LAST_VALUE,),
+        facts={"states": [-0.0, -1.0, 0.0, 1.0, 2.0], "end": 3.0, "marches": (5, 5)}),
+    # and so does the feedback memo
+    Run("sign-of-zero-feedback",
+        scalar_loop(signed_zero_drift, lambda x: 1.0, -0.0, 3, 1.0, u=(0.0, 2.0)), (1, 0, 1),
+        (ZERO_INPUT,),
+        facts={"feedback states": [-0.0, 0.0], "inputs": [2.0, 0.0, math.sqrt(5.0) - 1.0]}),
+    # x climbs by 1 per interval; at 3.5 LgV^4 leaves float range, and the
+    # feedback that raised stores nothing
+    Run("feedback-overflow",
+        scalar_loop(lambda x: 1.0, lambda x: 0.0 if x < 3.5 else 1e200, 0.5, 6, 0.0), (1,) * 6,
+        (HOLD_LAST_VALUE,), facts={
+            "end": (3, "feedback overflowed at LfV=7.0, LgV=7e+200"),
+            "cause": ControllerOverflowError, "feedback states": [0.5, 1.5, 2.5, 3.5],
+        }),
+    # x stands still, so held intervals under one theta share one key.
+    # Intervals [k, k + 1) have substep starts k and k + 0.5.  Schedule
+    # times: one before the run, 2.5 inside interval 2, 3.0 on interval 3's
+    # start, 4.5 on interval 4's last substep start, 6.2 and 6.4 inside
+    # interval 6, and one after the run; each held theta is marched once
+    Run("straddling",
+        scalar_loop(lambda x: 0.0, lambda x: 0.0, 1.0, 8, 0.5, theta=THETA_BREAKS, n_truth=2),
+        (1,) * 8, (ZERO_INPUT,), facts={"marched": [
+            (0.0, 0.0), (2.0, None), (3.0, 2.0), (4.0, None), (6.0, None), (7.0, 1.0),
+        ]}),
+    # Lossless tank-reference, 1800 intervals: 182 distinct truth keys, a
+    # transient and a cycle of a few states before and after theta switches,
+    # and 181 distinct received states.  A memo of 4 entries is emptied
+    # within the cycle.
+    *[Run(f"tank-reference-cap-{cap}", scenario_loop(builtin_scenario("tank-reference")),
+          (1,) * 1800, strategies, cap, {"marches": marches, "feedback": feedback, "texts": texts})
+      for cap, strategies, marches, feedback, texts in (
+          (256, STRATEGIES, (182, 182), (181, 181), (181, 181)),
+          (4, (PREDICTIVE_BUFFER,), (988, 182), (987, 181), (987, 181)),
+      )],
+]
+
+
+def run_into(row, strategy, sink):
+    """The ``Ran`` of ``strategy`` on ``row`` into ``sink``, each march
+    checked to come after the interval's record where the sink keeps it."""
+    dynamics, predictor, control, sim, weights = row.loop
+    kept = sink if isinstance(sink, list) else getattr(sink, "records", None)
+    marches, feedback, texts, predicted = [], [], [], []
+    steps_per_input = predictor.steps_per_input(sim.t_s)
+
+    def march(*args):
+        assert kept is None or (kept and kept[-1].t == args[3])
+        marches.append(args)
+        return integrate_interval(*args)
+
+    def counted_feedback(dynamics, cfg):
+        u = sontag_feedback(dynamics, cfg)
+
+        def counted(x):
+            feedback.append(x)
+            return u(x)
+
+        return counted
+
+    def predict(*args):
+        assert args[-1] == steps_per_input
+        predicted.append(args)
+        return predict_step(*args)
+
+    def text(value):
+        texts.append(value)
+        return repr(value)
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name, value in (("integrate_interval", march), ("sontag_feedback", counted_feedback),
+                            ("predict_step", predict), ("repr", text)):
+            mp.setattr(ncsim.runtime, name, value, raising=False)
+        if row.cap is not None:
+            mp.setattr(ncsim.runtime, "TRUTH_MEMO_ENTRIES", row.cap)
+        try:
+            stats = run_closed_loop(
+                dynamics, predictor, control, LossModel(row.bits), strategy, sim, weights, sink,
             )
-        # the leading loss replays entry 0, controller(x0); the next one
-        # predicts entry 1, which leaves the domain
-        err = excinfo.value
-        assert err.step == 1
-        assert len(records) == 1
-        assert err.reason == "prediction left the domain after 1 entries"
+            end, error = stats.x_final, None
+        except SimulationDiverged as exc:
+            stats, end, error = exc.stats, (exc.step, exc.reason), exc
+    return Ran(kept, end, stats, error, marches, feedback, texts, len(predicted))
 
-    def test_unreplayed_plan_does_not_diverge(self, small_scenario_dict):
-        sc = small_scenario(small_scenario_dict)
-        steps = sc.sim.steps
-        bad = PredictorConfig(delta=sc.predictor.delta, gamma=0.9, horizon=10)
 
-        def run(loss_model, records):
-            return run_closed_loop(
-                dynamics=tank_dynamics(sc.plant),
-                predictor_cfg=bad,
-                control_cfg=sc.controller,
-                loss_model=loss_model,
-                strategy=PREDICTIVE_BUFFER,
-                sim=sc.sim,
-                weights=sc.cost,
-                records=records,
-            )
+def seen(ran):
+    """What a run did, whatever its sink kept or formatted."""
+    marches = [args[1:] for args in ran.marches]
+    return repr((ran.end, ran.stats, ran.error, marches, ran.feedback, ran.predicted))
 
-        records = []
-        run(LossModel(itertools.repeat(1)), records)
-        assert len(records) == steps
-        records = []
-        with pytest.raises(SimulationDiverged) as excinfo:
-            run(LossModel([1] + [0] * (steps - 1)), records)
-        err = excinfo.value
-        assert err.step == 1
-        assert len(records) == 1
-        assert err.reason == "prediction left the domain after 1 entries"
 
-    def test_truth_domain_exit_text(self, small_scenario_dict):
-        # theta jumps on the substep start t = 61 inside interval 30
-        sc = small_scenario(small_scenario_dict, {"sim.theta": [[0.0, 0.175], [61.0, 2.0]]})
-        records = []
-        with pytest.raises(SimulationDiverged) as excinfo:
-            run_scenario(sc, PREDICTIVE_BUFFER, records)
-        err = excinfo.value
-        assert err.step == 30
-        assert len(records) == 31
-        assert err.reason == "stage 2 state 202433.75963201388 left the domain"
-
-    @pytest.mark.parametrize("strategy", STRATEGIES)
-    @settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-    # a theta break between substep starts of a lossy interval
-    @example(case=((1, 0, 0, 1, 0), {"sim.theta": [[0.0, 0.175], [2.55, 0.185]]}))
-    # an input gain past float range: a leading loss that holds u = +0.0
-    # marches inf * 0.0
-    @example(case=((0, 1), {"plant.alpha1": 1e306}))
-    # a stage cost whose two terms round differently when added to the
-    # running cost one at a time
-    @example(case=((0, 0, 1), {
-        "plant.p2": 0.0, "plant.domain_margin": 0.0, "sim.x0": 1.0, "controller.setpoint": 1.0,
-        "sim.theta": [[0.0, 0.0]],
-    }))
-    # the running cost overflows at step 1, after the first record
-    @example(case=((1, 0, 1), {"cost.raw_state": True, "cost.q_c": 1e298}))
-    # entries 1 and 3 replayed, and entry 2 leaves the domain
-    @example(case=((1, 0, 0), {"sim.doubled_age_offset": True, "predictor.gamma": 0.4}))
-    # no outflow, theta = 0 and the valve closed hold the state still, so the
-    # interval under theta = 0.1 starts from a state already marched
-    @example(case=((1, 1, 1), {
-        "plant.m2": 0.0, "sim.x0": 160_000.0, "sim.theta": [[0.0, 0.0], [4.0, 0.1]],
-    }))
-    # the tank-reference settings over 60 intervals, three bursts longer
-    # than the horizon of 10: every strategy finishes
-    @example(case=(
-        (1,) + (0,) * 14 + (1, 1) + (0,) * 11 + (1, 0, 0) * 4 + (0,) * 12 + (1,) * 3 + (0,) * 5, {},
-    ))
-    @given(case=loop_cases())
-    def test_loop_matches_reference_run(self, small_scenario_dict, strategy, case):
-        bits, overrides = case
-        sc = small_scenario(small_scenario_dict, {
-            "sim.duration": 2.0 * len(bits), "cost.m_steps": 1, **overrides,
-        })
-        loop = (tank_dynamics(sc.plant), sc.predictor, sc.controller)
-        expected_records, expected_end = reference_run(*loop, bits, strategy, sc.sim, sc.cost)
-        steps_per_input = sc.predictor.steps_per_input(sc.sim.t_s)
-        predict_step = ncsim.runtime.predict_step
-        predicted = []
-
-        def counting_predict_step(*step_args):
-            assert step_args[-1] == steps_per_input
-            predicted.append(step_args)
-            return predict_step(*step_args)
-
-        records = []
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(ncsim.runtime, "predict_step", counting_predict_step)
-            try:
-                stats = run_closed_loop(*loop, LossModel(bits), strategy, sc.sim, sc.cost, records)
-                end = stats.x_final
-            except SimulationDiverged as exc:
-                stats, end = exc.stats, (exc.step, exc.reason)
-        assert bitwise(records) == bitwise(expected_records)
-        assert repr(end) == repr(expected_end)
-        # the loop's counts are a recount of the records it appended
-        m_steps = sc.cost.m_steps
-        assert stats == RunStats(
-            len(records), sum(1 for r in records if r.s == 0),
-            records[-1].j_running if records else None,
-            records[m_steps - 1].j_running if len(records) >= m_steps else None,
-            None if isinstance(expected_end, tuple) else expected_end,
-        )
-        if isinstance(end, tuple):
-            return
-        # each burst predicts the entries up to the furthest one it replays,
-        # one predict_step call per entry; no other strategy predicts
-        offsets = replayed_offsets(bits, sc.predictor.horizon, sc.sim.doubled_age_offset)
+def check_run(row, strategy):
+    """Hold ``strategy`` on ``row`` to ``reference_run``, through every
+    kind of sink, then to the row's facts."""
+    dynamics, predictor, control, sim, weights = row.loop
+    # a bit drawn ahead of its interval would find the bits exhausted
+    assert len(row.bits) == sim.steps
+    records, end = reference_run(dynamics, predictor, control, row.bits, strategy, sim, weights)
+    listed = run_into(row, strategy, [])
+    assert bitwise(listed.records) == bitwise(records)
+    assert repr(listed.end) == repr(end)
+    # the loop's counts are a recount of the records it appended
+    m_steps = weights.m_steps
+    assert listed.stats == RunStats(
+        len(records), sum(1 for r in records if r.s == 0),
+        records[-1].j_running if records else None,
+        records[m_steps - 1].j_running if len(records) >= m_steps else None,
+        None if isinstance(end, tuple) else end,
+    )
+    assert not hasattr(listed.error, "records")
+    if strategy == PREDICTIVE_BUFFER:
+        # a reception predicts the state itself, the same object
+        assert all(r.x_pred is r.x_true for r in listed.records if r.s)
+    if not isinstance(end, tuple):
+        # each burst predicts the entries up to the furthest one it
+        # replays, one predict_step call per entry; no other strategy
+        # predicts
+        offsets = replayed_offsets(row.bits, predictor.horizon, sim.doubled_age_offset)
         bursts = itertools.groupby(offsets, key=lambda offset: offset is None)
         furthest = sum(max(burst) for received, burst in bursts if not received)
-        assert len(predicted) == (furthest if strategy == PREDICTIVE_BUFFER else 0)
+        assert listed.predicted == (furthest if strategy == PREDICTIVE_BUFFER else 0)
+    # the same run into a sink that is no list, one that keeps nothing (as
+    # a compare cell passes) and a trace writer
+    sink, handle = RecordingSink(), io.StringIO()
+    recorded = run_into(row, strategy, sink)
+    assert {type(r) for r in sink.records} <= {SimulationRecord}
+    assert bitwise(sink.records) == bitwise(records)
+    written = run_into(row, strategy, TraceWriter(handle))
+    header = "k,t,x_true,x_pred,s,i,u,J_running\n"
+    assert tuple(header.strip().split(",")) == TRACE_HEADER
+    assert handle.getvalue() == header + "".join(map(trace_row, records))
+    dropped = run_into(row, strategy, deque(maxlen=0))
+    for other in (recorded, written, dropped):
+        assert seen(other) == seen(listed)
+    ran = listed._replace(texts=written.texts)
+    for name, value in row.facts.items():
+        fact = functools.partial(FACTS[name], row.loop)
+        expected = fact(run_into(row, value.strategy, [])) if isinstance(value, Same) else value
+        assert (name, repr(fact(ran))) == (name, repr(expected))
 
-    @settings(deadline=None)
-    @given(
-        bits=st.lists(st.integers(min_value=0, max_value=1), min_size=1, max_size=30),
-        doubled=st.booleans(),
-        horizon=st.integers(min_value=1, max_value=8),
-        data=st.data(),
-    )
-    def test_plan_diverges_at_the_loss_that_replays_its_exit(self, bits, doubled, horizon, data):
-        # x' = 0 keeps the truth at x0 = 1, and the plan from any reception
-        # grows as (1 + gamma)^j, first past 1.2 at entry j (horizon + 1:
-        # never replayed)
-        j = data.draw(st.integers(min_value=1, max_value=horizon + 1), label="j")
-        gamma = 1.2 ** (1.0 / (j - 0.5)) - 1.0
-        still = still_dynamics((0.0, 1.2))
 
-        records = []
+CASES = [(row, strategy) for row in RUNS for strategy in row.strategies]
 
-        def run():
-            return run_closed_loop(
-                dynamics=still,
-                predictor_cfg=PredictorConfig(delta=1.0, gamma=gamma, horizon=horizon),
-                control_cfg=ControllerConfig(setpoint=0.5),
-                loss_model=LossModel(bits),
-                strategy=PREDICTIVE_BUFFER,
-                sim=SimSettings(
-                    x0=1.0, t_s=1.0, duration=float(len(bits)), theta=ZERO_THETA,
-                    doubled_age_offset=doubled,
-                ),
-                weights=CostWeights(q_c=1.0, r_c=1.0, m_steps=1),
-                records=records,
-            )
 
-        offsets = replayed_offsets(bits, horizon, doubled)
-        exits = [k for k, offset in enumerate(offsets) if offset is not None and offset >= j]
-        if not exits:
-            run()
-            assert len(records) == len(bits)
-            return
-        with pytest.raises(SimulationDiverged) as excinfo:
-            run()
-        err = excinfo.value
-        assert err.step == exits[0]
-        assert len(records) == exits[0]
-        assert err.reason == f"prediction left the domain after {j} entries"
+@pytest.mark.parametrize("row, strategy", CASES, ids=[f"{row.id}-{s}" for row, s in CASES])
+def test_run(row, strategy):
+    check_run(row, strategy)
 
-    def test_truth_divergence_after_record(self):
-        runaway = SystemDynamics(
-            drift=lambda x: 100.0,
-            input_gain=lambda x: 0.0,
-            uncertainty_gain=lambda x: 0.0,
-            state_domain=(0.0, 10.0),
-        )
-        records = []
-        with pytest.raises(SimulationDiverged) as excinfo:
-            run_closed_loop(
-                dynamics=runaway,
-                predictor_cfg=PredictorConfig(delta=1.0, gamma=0.0, horizon=5),
-                control_cfg=ControllerConfig(setpoint=5.0),
-                loss_model=LossModel(itertools.repeat(1)),
-                strategy=ZERO_INPUT,
-                sim=SimSettings(x0=5.0, t_s=1.0, duration=3.0, theta=ZERO_THETA, n_truth=1),
-                weights=CostWeights(q_c=1.0, r_c=1.0, m_steps=1),
-                records=records,
-            )
-        err = excinfo.value
-        assert err.step == 0
-        assert len(records) == 1
-        assert "stage" in err.reason
 
-    def test_unknown_strategy_rejected(self, small_scenario_dict):
-        sc = small_scenario(small_scenario_dict)
-        with pytest.raises(ValueError):
-            run_closed_loop(
-                dynamics=tank_dynamics(sc.plant),
-                predictor_cfg=sc.predictor,
-                control_cfg=sc.controller,
-                loss_model=LossModel(itertools.repeat(1)),
-                strategy="nope",
-                sim=sc.sim,
-                weights=sc.cost,
-                records=[],
-            )
+@pytest.mark.parametrize("strategy", STRATEGIES)
+@settings(deadline=None)
+# a theta break between substep starts of a lossy interval
+@example(case=((1, 0, 0, 1, 0), {"sim.theta": [[0.0, 0.175], [2.55, 0.185]]}))
+# an input gain past float range: a leading loss that holds u = +0.0
+# marches inf * 0.0
+@example(case=((0, 1), {"plant.alpha1": 1e306}))
+# a stage cost whose two terms round differently when added to the
+# running cost one at a time
+@example(case=((0, 0, 1), {
+    "plant.p2": 0.0, "plant.domain_margin": 0.0, "sim.x0": 1.0, "controller.setpoint": 1.0,
+    "sim.theta": [[0.0, 0.0]],
+}))
+# the running cost overflows at step 1, after the first record
+@example(case=((1, 0, 1), {"cost.raw_state": True, "cost.q_c": 1e298}))
+# entries 1 and 3 replayed, and entry 2 leaves the domain
+@example(case=((1, 0, 0), {"sim.doubled_age_offset": True, "predictor.gamma": 0.4}))
+# no outflow, theta = 0 and the valve closed hold the state still, so the
+# interval under theta = 0.1 starts from a state already marched
+@example(case=((1, 1, 1), {
+    "plant.m2": 0.0, "sim.x0": 160_000.0, "sim.theta": [[0.0, 0.0], [4.0, 0.1]],
+}))
+# the tank-reference settings over 60 intervals, three bursts longer
+# than the horizon of 10: every strategy finishes
+@example(case=(
+    (1,) + (0,) * 14 + (1, 1) + (0,) * 11 + (1, 0, 0) * 4 + (0,) * 12 + (1,) * 3 + (0,) * 5, {},
+))
+@given(case=loop_cases())
+def test_loop_matches_reference_run(strategy, case):
+    bits, overrides = case
+    check_run(Run("drawn", tank_loop({
+        "sim.duration": 2.0 * len(bits), "cost.m_steps": 1, **overrides,
+    }), bits), strategy)
 
-    def test_initial_state_must_be_in_domain(self, small_scenario_dict):
-        sc = small_scenario(small_scenario_dict)
-        sim = SimSettings(
-            x0=50_000.0, t_s=sc.sim.t_s, duration=sc.sim.t_s, theta=sc.sim.theta, n_truth=1
-        )
-        with pytest.raises(DomainError):
-            run_closed_loop(
-                dynamics=tank_dynamics(sc.plant),
-                predictor_cfg=sc.predictor,
-                control_cfg=sc.controller,
-                loss_model=LossModel(itertools.repeat(1)),
-                strategy=ZERO_INPUT,
-                sim=sim,
-                weights=sc.cost,
-                records=[],
-            )
 
-    def test_repeat_run_is_deterministic(self, small_scenario_dict):
-        sc = small_scenario(
-            small_scenario_dict, {"loss": {"kind": "bernoulli", "p": 0.3, "seed": 4}}
-        )
-        assert collected(run_scenario, sc, PREDICTIVE_BUFFER) == collected(
-            run_scenario, sc, PREDICTIVE_BUFFER
+@settings(deadline=None)
+@given(
+    bits=st.lists(st.integers(min_value=0, max_value=1), min_size=1, max_size=30),
+    doubled=st.booleans(),
+    horizon=st.integers(min_value=1, max_value=8),
+    data=st.data(),
+)
+def test_plan_diverges_at_the_loss_that_replays_its_exit(bits, doubled, horizon, data):
+    # x' = 0 keeps the truth at x0 = 1, and the plan from any reception
+    # grows as (1 + gamma)^j, first past 1.2 at entry j (horizon + 1:
+    # never replayed)
+    j = data.draw(st.integers(min_value=1, max_value=horizon + 1), label="j")
+    gamma = 1.2 ** (1.0 / (j - 0.5)) - 1.0
+    offsets = replayed_offsets(bits, horizon, doubled)
+    exits = [k for k, offset in enumerate(offsets) if offset is not None and offset >= j]
+    end, steps = 1.0, len(bits)
+    if exits:
+        end, steps = (exits[0], f"prediction left the domain after {j} entries"), exits[0]
+    still = scalar_loop(lambda x: 0.0, lambda x: 0.0, 1.0, len(bits), 0.5, domain=(0.0, 1.2),
+                        horizon=horizon, gamma=gamma, doubled=doubled)
+    check_run(Run("drawn", still, tuple(bits), facts={"end": end, "steps": steps}),
+              PREDICTIVE_BUFFER)
+
+
+def test_initial_state_must_be_in_domain():
+    dynamics, predictor, control, sim, weights = tank_loop(sim={"x0": 50_000.0})
+    with pytest.raises(DomainError):
+        run_closed_loop(
+            dynamics, predictor, control, LossModel(LOSSLESS), ZERO_INPUT, sim, weights, [],
         )
 
-    @settings(max_examples=40, deadline=None)
-    @given(bits=st.lists(st.integers(min_value=0, max_value=1), min_size=12, max_size=12))
-    def test_buffer_age_invariants(self, bits):
-        doc_loss = LossModel(bits)
-        doc = builtin_scenario_dict("tank-reference")
-        doc["sim"]["duration"] = 24.0
-        doc["sim"]["n_truth"] = 5
-        doc["cost"]["m_steps"] = 12
-        sc = scenario_from_dict(doc)
-        records, _ = collected(
-            run_closed_loop,
-            dynamics=tank_dynamics(sc.plant),
-            predictor_cfg=sc.predictor,
-            control_cfg=sc.controller,
-            loss_model=doc_loss,
-            strategy=PREDICTIVE_BUFFER,
-            sim=sc.sim,
-            weights=sc.cost,
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_a_short_trace_ends_at_its_last_bit(strategy):
+    # one bit short, the last interval finds the trace exhausted
+    dynamics, predictor, control, sim, weights = tank_loop()
+    sink = RecordingSink()
+    with pytest.raises(TraceExhaustedError) as excinfo:
+        run_closed_loop(
+            dynamics, predictor, control, LossModel(BURSTY[:59]), strategy, sim, weights, sink,
         )
-        for rec in records:
-            if rec.s == 1:
-                assert rec.i == 0
-            assert 0 <= rec.i <= sc.predictor.horizon
+    assert str(excinfo.value) == "trace has 59 entries, step 59 requested without wrap"
+    assert [r.k for r in sink.records] == list(range(59))
 
 
-def first_interval_cost(x0, setpoint, received=True, u_min=0.0, raw_state=False):
-    """Running cost after one interval of a two-interval run on xdot = -x + u."""
-    weights = CostWeights(1.0, 1.0, 1, raw_state=raw_state)
-    records, _ = collected(
-        run_closed_loop,
-        dynamics=linear_decay_dynamics(),
-        predictor_cfg=PredictorConfig(delta=1.0, gamma=0.0, horizon=5),
-        control_cfg=ControllerConfig(setpoint=setpoint, u_min=u_min, u_max=u_min + 1.0),
-        loss_model=LossModel([1 if received else 0, 1]),
-        strategy=ZERO_INPUT,
-        sim=SimSettings(x0=x0, t_s=1.0, duration=2.0, theta=ZERO_THETA, n_truth=1),
-        weights=weights,
-    )
-    return records[weights.m_steps - 1].j_running, records
-
-
-class TestRunningCost:
-    """A run's cost is its own running cost after ``cost.m_steps`` intervals."""
-
-    def test_truncates_to_m_steps(self):
-        # the feedback saturates at u_min = 3 in the received first interval
-        cost, records = first_interval_cost(2.0, 0.0, u_min=3.0)
-        assert (records[0].x_true, records[0].u) == (2.0, 3.0)
-        assert cost == 13.0
-        assert records[1].j_running > 13.0
-
-    def test_setpoint_shifts_deviation(self):
-        assert first_interval_cost(5.0, 2.0, received=False)[0] == 9.0
-
-    def test_raw_state_ignores_setpoint(self):
-        assert first_interval_cost(5.0, 2.0, received=False, raw_state=True)[0] == 25.0
-
-    @pytest.mark.parametrize("key", ["cost.q_c", "cost.r_c"])
-    def test_cost_past_float_range_is_a_divergence(self, small_scenario_dict, key):
-        sc = scenario_from_dict(small_scenario_dict({key: 1e308}))
-        for strategy in STRATEGIES:
-            records = []
-            with pytest.raises(SimulationDiverged) as excinfo:
-                run_scenario(sc, strategy, records)
-            err = excinfo.value
-            assert err.reason.startswith("running cost became non-finite")
-            # the records stop before the step whose cost overflowed
-            assert len(records) == err.step
-            assert all(math.isfinite(r.j_running) for r in records)
-
-    def test_rejects_empty_and_short_records(self, small_scenario_dict):
-        # a run cannot be shorter than its cost horizon: both are parse errors
-        with pytest.raises(ValueError, match="sim.duration"):
-            scenario_from_dict(small_scenario_dict({"sim.duration": 0.0}))
-        with pytest.raises(ValueError, match="cost.m_steps"):
-            scenario_from_dict(small_scenario_dict({"cost.m_steps": 61}))
+@pytest.mark.parametrize("position", range(3))
+def test_truth_key_tells_the_zeros_apart(position):
+    key = ncsim.runtime._truth_key
+    plus, minus = [1.0, 0.5, 0.175], [1.0, 0.5, 0.175]
+    plus[position], minus[position] = 0.0, -0.0
+    assert key(*plus) != key(*minus)
 
 
 @pytest.fixture
@@ -1018,427 +1103,6 @@ class TestCheckStrategies:
             )
 
 
-def write_records(records, path):
-    """``records`` written to ``path`` by a ``TraceWriter``, as ``ncsim run``
-    writes its trace."""
-    with open(path, "w", newline="") as handle:
-        writer = TraceWriter(handle)
-        for record in records:
-            writer.append(record)
-
-
-def read_records(path):
-    """The records of a trace CSV written by a ``TraceWriter``, parsed
-    back with ``csv`` and ``float``."""
-    with open(path, newline="") as handle:
-        rows = list(csv.reader(handle))
-    records = []
-    for row in rows[1:]:
-        k, t, x_true, x_pred, s, i, u, j_running = row
-        records.append(SimulationRecord(
-            int(k), float(t), float(x_true), None if x_pred == "" else float(x_pred),
-            int(s), int(i), float(u), float(j_running),
-        ))
-    return records
-
-
-class TestRecordsCsv:
-    def test_round_trip_with_and_without_predictions(self, small_scenario_dict, tmp_path):
-        sc = small_scenario(
-            small_scenario_dict, {"loss": {"kind": "bernoulli", "p": 0.3, "seed": 11}}
-        )
-        for strategy in (PREDICTIVE_BUFFER, HOLD_LAST_VALUE):
-            records, _ = collected(run_scenario, sc, strategy)
-            path = tmp_path / f"{strategy}.csv"
-            write_records(records, str(path))
-            assert read_records(str(path)) == records
-
-    def test_header_line_is_frozen(self, tmp_path):
-        path = tmp_path / "trace.csv"
-        write_records([make_record()], str(path))
-        first_line = path.read_text().splitlines()[0]
-        assert first_line == "k,t,x_true,x_pred,s,i,u,J_running"
-        assert tuple(first_line.split(",")) == TRACE_HEADER
-
-    def test_write_is_byte_stable(self, small_scenario_dict, tmp_path):
-        sc = small_scenario(small_scenario_dict)
-        a = tmp_path / "a.csv"
-        b = tmp_path / "b.csv"
-        write_records(collected(run_scenario, sc, PREDICTIVE_BUFFER)[0], str(a))
-        write_records(collected(run_scenario, sc, PREDICTIVE_BUFFER)[0], str(b))
-        assert a.read_bytes() == b.read_bytes()
-
-    def test_an_equal_prediction_of_the_other_zero_keeps_its_sign(self, tmp_path):
-        path = tmp_path / "trace.csv"
-        for x, x_pred in ((0.0, -0.0), (-0.0, 0.0)):
-            write_records([make_record(x=x, x_pred=x_pred)], str(path))
-            assert path.read_text().splitlines()[1].split(",")[2:4] == [repr(x), repr(x_pred)]
-
-    def test_a_prediction_that_is_the_state_writes_as_an_equal_float(
-        self, small_scenario_dict, tmp_path
-    ):
-        # a buffer run's reception rows carry the state itself as x_pred
-        sc = small_scenario(
-            small_scenario_dict, {"loss": {"kind": "bernoulli", "p": 0.3, "seed": 11}}
-        )
-        records, _ = collected(run_scenario, sc, PREDICTIVE_BUFFER)
-        shared = [r for r in records if r.x_pred is r.x_true]
-        assert len(shared) == sum(r.s for r in records) > 0
-        fresh = [r._replace(x_pred=float.fromhex(r.x_pred.hex())) for r in records]
-        assert not any(r.x_pred is r.x_true for r in fresh)
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_records(records, str(a))
-        write_records(fresh, str(b))
-        assert a.read_bytes() == b.read_bytes()
-
-    def test_a_writer_run_counts_as_a_list_run(self, small_scenario_dict):
-        sc = small_scenario(small_scenario_dict, {
-            "loss": {"kind": "bernoulli", "p": 0.3, "seed": 11}, "cost.m_steps": 7,
-        })
-        records = []
-        stats = run_scenario(sc, PREDICTIVE_BUFFER, records)
-        assert run_scenario(sc, PREDICTIVE_BUFFER, TraceWriter(io.StringIO())) == stats
-        assert stats.loss_count > 0 and stats.j_m_steps == records[6].j_running
-
-
-class RecordingSink:
-    """A sink that is no list: it keeps what is appended to it, in order."""
-
-    def __init__(self):
-        self.records = []
-
-    def append(self, record):
-        self.records.append(record)
-
-
-class TestRecordSinks:
-    """The loop hands each record to ``records.append`` and keeps none."""
-
-    def bursty(self, small_scenario_dict):
-        return small_scenario(small_scenario_dict, {
-            "loss": {"kind": "bernoulli", "p": 0.3, "seed": 11}, "cost.m_steps": 7,
-        })
-
-    def test_each_record_arrives_before_its_truth_march(self, small_scenario_dict, monkeypatch):
-        sc = self.bursty(small_scenario_dict)
-        sink = RecordingSink()
-        marched = []
-
-        def counting(*args):
-            marched.append(len(sink.records))
-            return integrate_interval(*args)
-
-        monkeypatch.setattr(ncsim.runtime, "integrate_interval", counting)
-        run_scenario(sc, PREDICTIVE_BUFFER, sink)
-        assert marched == list(range(1, 61))
-        assert [r.k for r in sink.records] == list(range(60))
-
-    def test_divergence_leaves_the_records_in_the_sink(self, small_scenario_dict):
-        sc = small_scenario(small_scenario_dict, {"sim.theta": [[0.0, 0.175], [61.0, 2.0]]})
-        sink = RecordingSink()
-        with pytest.raises(SimulationDiverged) as excinfo:
-            run_scenario(sc, HOLD_LAST_VALUE, sink)
-        assert not hasattr(excinfo.value, "records")
-        assert [r.k for r in sink.records] == list(range(31))
-
-    @pytest.mark.parametrize("strategy", STRATEGIES)
-    def test_stats_keep_what_the_list_shows(self, small_scenario_dict, strategy):
-        sc = self.bursty(small_scenario_dict)
-        records, x_final = collected(run_scenario, sc, strategy)
-        # a sink that keeps nothing, as a compare cell passes
-        stats = run_scenario(sc, strategy, deque(maxlen=0))
-        assert stats.x_final == x_final
-        assert stats.steps == len(records) == 60
-        assert stats.loss_count == sum(1 for r in records if r.s == 0) > 0
-        assert stats.j_total == records[-1].j_running
-        assert stats.j_m_steps == records[6].j_running
-
-    def test_records_are_simulation_records(self, small_scenario_dict):
-        # the reference comparisons go by value, which a bare tuple passes
-        sc = self.bursty(small_scenario_dict)
-        sink = RecordingSink()
-        run_scenario(sc, PREDICTIVE_BUFFER, sink)
-        assert {type(r) for r in sink.records} == {SimulationRecord}
-        by_name = [
-            (r.k, r.t, r.x_true, r.x_pred, r.s, r.i, r.u, r.j_running) for r in sink.records
-        ]
-        assert by_name == [tuple(r) for r in collected(run_scenario, sc, PREDICTIVE_BUFFER)[0]]
-        assert [r.k for r in sink.records] == list(range(60))
-
-    @pytest.mark.parametrize("strategy", STRATEGIES)
-    @pytest.mark.parametrize("short", [0, 1])
-    def test_loss_model_is_read_one_bit_per_interval(self, small_scenario_dict, strategy, short):
-        # a trace of exactly sim.steps bits runs to the end, so no bit is drawn
-        # ahead; one bit short, the last interval finds it exhausted
-        sc = small_scenario(small_scenario_dict)
-        n = sc.sim.steps - short
-        sink = RecordingSink()
-        args = (
-            tank_dynamics(sc.plant), sc.predictor, sc.controller, LossModel(([1, 0, 0] * n)[:n]),
-            strategy, sc.sim, sc.cost, sink,
-        )
-        if short:
-            with pytest.raises(TraceExhaustedError) as excinfo:
-                run_closed_loop(*args)
-            assert str(excinfo.value) == f"trace has {n} entries, step {n} requested without wrap"
-        else:
-            assert run_closed_loop(*args).steps == n
-        assert [r.k for r in sink.records] == list(range(n))
-
-    def test_stats_before_m_steps(self, small_scenario_dict):
-        # the running cost overflows at step 0, before the first append
-        sc = small_scenario(small_scenario_dict, {"cost.q_c": 1e308})
-        with pytest.raises(SimulationDiverged) as excinfo:
-            run_scenario(sc, HOLD_LAST_VALUE, [])
-        assert excinfo.value.stats == (0, 0, None, None, None)
-        # one lost interval of the two that m_steps asks for
-        sc = small_scenario(small_scenario_dict)
-        records = []
-        stats = run_closed_loop(
-            tank_dynamics(sc.plant), sc.predictor, sc.controller, LossModel([0]), HOLD_LAST_VALUE,
-            sc.sim._replace(duration=sc.sim.t_s), sc.cost._replace(m_steps=2), records,
-        )
-        assert (stats.steps, stats.loss_count, stats.j_m_steps) == (1, 1, None)
-        assert stats.j_total == records[0].j_running
-
-
-def bitwise(records):
-    """Each record as text that tells +0.0 from -0.0."""
-    return [repr(r) for r in records]
-
-
-def counted_marches(monkeypatch):
-    """The argument tuples of every ``integrate_interval`` call the loop makes."""
-    calls = []
-
-    def counting(*args):
-        calls.append(args)
-        return integrate_interval(*args)
-
-    monkeypatch.setattr(ncsim.runtime, "integrate_interval", counting)
-    return calls
-
-
-def sign_of_zero_drift(x):
-    """-1 at -0.0 and +1 at +0.0.  From x0 = -0.0 with h = 1, RK4 goes
-    to -1.0, then exactly to +0.0 (stages -1, 2, 1, 1), then to 1.0: a memo
-    that merged the two zeros would send +0.0 back to -1.0."""
-    if x == 0.0:
-        return math.copysign(1.0, x)
-    if x > 0.0:
-        return 1.0
-    return 2.0 if x < -1.25 else -1.0
-
-
-class TestTruthMemo:
-    """A run marches each held-theta truth interval once per distinct
-    (x, u, theta), and its records match a loop that marches them all."""
-
-    # The memo cap and the marches of a lossless tank-reference run.  Its
-    # 182 distinct keys are a transient and a cycle of a few states before
-    # and after theta switches: 4 entries are emptied within the cycle.
-    @pytest.mark.parametrize("cap, marches", [(256, 182), (4, 988)])
-    def test_lossless_tank_reference_revisits_its_states(self, monkeypatch, cap, marches):
-        sc = scenario_from_dict(builtin_scenario_dict("tank-reference"))
-        monkeypatch.setattr(ncsim.runtime, "TRUTH_MEMO_ENTRIES", cap)
-        calls = counted_marches(monkeypatch)
-        records, x_final = collected(run_scenario, sc, PREDICTIVE_BUFFER)
-        assert len(calls) == marches
-        assert len({(x, u, held_theta(*rest)) for _, x, u, *rest in calls}) == 182
-        expected = reference_run(
-            tank_dynamics(sc.plant), sc.predictor, sc.controller, [1] * 1800, PREDICTIVE_BUFFER,
-            sc.sim, sc.cost,
-        )
-        assert (records, x_final) == expected
-        assert len(records) == 1800
-
-    def test_signed_zeros_are_different_keys(self, monkeypatch):
-        dynamics = SystemDynamics(
-            drift=sign_of_zero_drift,
-            input_gain=lambda x: 0.0,
-            uncertainty_gain=lambda x: 0.0,
-            state_domain=WIDE,
-        )
-        control = ControllerConfig(setpoint=0.0)
-        sim = SimSettings(x0=-0.0, t_s=1.0, duration=5.0, theta=ZERO_THETA, n_truth=1)
-        weights = CostWeights(q_c=1.0, r_c=1.0, m_steps=5)
-        predictor_cfg = PredictorConfig(delta=1.0, gamma=0.0, horizon=2)
-        calls = counted_marches(monkeypatch)
-        records, x_final = collected(
-            run_closed_loop, dynamics, predictor_cfg, control, LossModel(itertools.repeat(1)),
-            HOLD_LAST_VALUE, sim, weights,
-        )
-        expected = reference_run(
-            dynamics, predictor_cfg, control, [1] * 5, HOLD_LAST_VALUE, sim, weights
-        )
-        assert bitwise(records) == bitwise(expected[0])
-        assert [r.x_true for r in records] == [-0.0, -1.0, 0.0, 1.0, 2.0]
-        assert math.copysign(1.0, records[2].x_true) == 1.0
-        assert x_final == expected[1] == 3.0
-        assert len(calls) == 5
-
-    @pytest.mark.parametrize("position", range(3))
-    def test_key_tells_the_zeros_apart(self, position):
-        key = ncsim.runtime._truth_key
-        plus, minus = [1.0, 0.5, 0.175], [1.0, 0.5, 0.175]
-        plus[position], minus[position] = 0.0, -0.0
-        assert key(*plus) != key(*minus)
-
-    def test_straddling_intervals_march_every_time(self, monkeypatch):
-        # x stands still, so held intervals under one theta share one key.
-        # Intervals [k, k + 1) have substep starts k and k + 0.5.  Schedule
-        # times: one before the run, 2.5 inside interval 2, 3.0 on interval
-        # 3's start, 4.5 on interval 4's last substep start, 6.2 and 6.4
-        # inside interval 6, and one after the run
-        still = still_dynamics(WIDE)
-        theta = UncertaintySignal(
-            times=(-1.0, 2.5, 3.0, 4.5, 6.2, 6.4, 100.0),
-            values=(0.0, 1.0, 2.0, 0.0, 3.0, 1.0, 5.0),
-        )
-        sim = SimSettings(x0=1.0, t_s=1.0, duration=8.0, theta=theta, n_truth=2)
-        calls = counted_marches(monkeypatch)
-        collected(
-            run_closed_loop, still, PredictorConfig(delta=1.0, gamma=0.0, horizon=2),
-            ControllerConfig(setpoint=0.5), LossModel(itertools.repeat(1)), ZERO_INPUT,
-            sim, CostWeights(q_c=1.0, r_c=1.0, m_steps=8),
-        )
-        # (interval start, held theta or None for a straddling interval)
-        marched = [(args[3], held_theta(*args[3:])) for args in calls]
-        # what the schedule holds interval by interval, each held theta
-        # marched once
-        expected, seen = [], set()
-        for k in range(sim.steps):
-            th = held_theta(float(k), sim.t_s, sim.n_truth, theta)
-            if th not in seen:
-                expected.append((float(k), th))
-            if th is not None:
-                seen.add(th)
-        assert marched == expected == [
-            (0.0, 0.0), (2.0, None), (3.0, 2.0), (4.0, None), (6.0, None), (7.0, 1.0),
-        ]
-
-
-def counted_feedback(monkeypatch):
-    """The states at which every feedback built by the loop is called."""
-    build, states = sontag_feedback, []
-
-    def counting(dynamics, cfg):
-        feedback = build(dynamics, cfg)
-
-        def u(x):
-            states.append(x)
-            return feedback(x)
-
-        return u
-
-    monkeypatch.setattr(ncsim.runtime, "sontag_feedback", counting)
-    return states
-
-
-# Slopes of signed_zero_drift away from 0, each at the stage states one
-# run below meets, so its RK4 steps (h = 1) are exact.
-ZERO_RUN_SLOPES = {0.5: -4.0, 1.0: -7.0, -1.0: -1.0, -1.5: 2.0}
-
-
-def signed_zero_drift(x):
-    """+1 at +0.0 and -1 at -0.0.  With g = 1, setpoint 1 and u in [0, 2]
-    the feedback is 2.0 at -0.0 and sqrt(5) - 1 at +0.0, and a run from
-    -0.0 goes to -1.0 under that 2.0, then under a lost zero input to
-    +0.0 (the steps of ``sign_of_zero_drift``)."""
-    if x == 0.0:
-        return math.copysign(1.0, x)
-    return ZERO_RUN_SLOPES.get(x, 0.0)
-
-
-class TestFeedbackMemo:
-    """A run applies the feedback once per distinct received state, and
-    its records match a loop that applies it at every reception."""
-
-    # The memo cap and the feedback calls of a lossless tank-reference run,
-    # whose 1800 receptions meet 181 distinct states.
-    @pytest.mark.parametrize("cap, calls", [(256, 181), (4, 987)])
-    def test_lossless_tank_reference_revisits_its_states(self, monkeypatch, cap, calls):
-        sc = scenario_from_dict(builtin_scenario_dict("tank-reference"))
-        monkeypatch.setattr(ncsim.runtime, "TRUTH_MEMO_ENTRIES", cap)
-        states = counted_feedback(monkeypatch)
-        records, x_final = collected(run_scenario, sc, PREDICTIVE_BUFFER)
-        assert len(states) == calls
-        assert len(set(states)) == 181
-        expected = reference_run(
-            tank_dynamics(sc.plant), sc.predictor, sc.controller, [1] * 1800, PREDICTIVE_BUFFER,
-            sc.sim, sc.cost,
-        )
-        assert (records, x_final) == expected
-
-    def test_signed_zeros_are_different_keys(self, monkeypatch):
-        dynamics = SystemDynamics(
-            drift=signed_zero_drift,
-            input_gain=lambda x: 1.0,
-            uncertainty_gain=lambda x: 0.0,
-            state_domain=WIDE,
-        )
-        control = ControllerConfig(setpoint=1.0, u_min=0.0, u_max=2.0)
-        sim = SimSettings(x0=-0.0, t_s=1.0, duration=3.0, theta=ZERO_THETA, n_truth=1)
-        weights = CostWeights(q_c=1.0, r_c=1.0, m_steps=3)
-        predictor_cfg = PredictorConfig(delta=1.0, gamma=0.0, horizon=2)
-        bits = [1, 0, 1]
-        states = counted_feedback(monkeypatch)
-        records, x_final = collected(
-            run_closed_loop, dynamics, predictor_cfg, control, LossModel(bits), ZERO_INPUT,
-            sim, weights,
-        )
-        expected = reference_run(dynamics, predictor_cfg, control, bits, ZERO_INPUT, sim, weights)
-        assert bitwise(records) == bitwise(expected[0])
-        assert x_final == expected[1]
-        assert bitwise(states) == ["-0.0", "0.0"]
-        assert [r.u for r in records] == [2.0, 0.0, math.sqrt(5.0) - 1.0]
-
-    def test_a_feedback_that_raises_stores_nothing(self, monkeypatch):
-        # x climbs by 1 per interval; at 3.5 the input gain makes LgV^4
-        # leave float range
-        dynamics = SystemDynamics(
-            drift=lambda x: 1.0,
-            input_gain=lambda x: 0.0 if x < 3.5 else 1e200,
-            uncertainty_gain=lambda x: 0.0,
-            state_domain=WIDE,
-        )
-        control = ControllerConfig(setpoint=0.0)
-        sim = SimSettings(x0=0.5, t_s=1.0, duration=6.0, theta=ZERO_THETA, n_truth=1)
-        weights = CostWeights(q_c=1.0, r_c=1.0, m_steps=6)
-        predictor_cfg = PredictorConfig(delta=1.0, gamma=0.0, horizon=2)
-        states = counted_feedback(monkeypatch)
-        records = []
-        with pytest.raises(SimulationDiverged) as excinfo:
-            run_closed_loop(
-                dynamics, predictor_cfg, control, LossModel([1] * 6), HOLD_LAST_VALUE,
-                sim, weights, records,
-            )
-        expected = reference_run(
-            dynamics, predictor_cfg, control, [1] * 6, HOLD_LAST_VALUE, sim, weights
-        )
-        assert (records, (excinfo.value.step, excinfo.value.reason)) == expected
-        assert isinstance(excinfo.value.__cause__, ControllerOverflowError)
-        assert states == [0.5, 1.5, 2.5, 3.5]
-
-
-def trace_row(r):
-    """A record's ``trace.csv`` row, each float formatted afresh."""
-    x_pred = "" if r.x_pred is None else repr(float(r.x_pred))
-    return (
-        f"{r.k},{float(r.t)!r},{float(r.x_true)!r},{x_pred},"
-        f"{r.s},{r.i},{float(r.u)!r},{float(r.j_running)!r}\n"
-    )
-
-
-def written_rows(records):
-    """The rows, header left out, that a ``TraceWriter`` writes for ``records``."""
-    handle = io.StringIO()
-    writer = TraceWriter(handle)
-    for record in records:
-        writer.append(record)
-    return handle.getvalue().splitlines(keepends=True)[1:]
-
-
 class TestTextMemo:
     """A ``TraceWriter`` formats each distinct state once, by its bits, and
     writes the same rows as formatting every float afresh."""
@@ -1467,22 +1131,10 @@ class TestTextMemo:
             assert len(writer.texts) <= cap
         assert handle.getvalue().splitlines(keepends=True)[1:] == [trace_row(r) for r in records]
 
-    def test_lossless_tank_reference_formats_each_state_once(self, monkeypatch):
-        # counted through a repr put into the module's globals
-        sc = scenario_from_dict(builtin_scenario_dict("tank-reference"))
-        texts = []
-
-        def counting(value):
-            texts.append(value)
-            return repr(value)
-
-        monkeypatch.setattr(ncsim.runtime, "repr", counting, raising=False)
-        handle = io.StringIO()
-        run_scenario(sc, PREDICTIVE_BUFFER, TraceWriter(handle))
-        assert len(texts) == len(set(texts)) == 181
-        monkeypatch.undo()
-        records, _ = collected(run_scenario, sc, PREDICTIVE_BUFFER)
-        assert handle.getvalue().splitlines(keepends=True)[1:] == [trace_row(r) for r in records]
+    def test_an_equal_prediction_of_the_other_zero_keeps_its_sign(self):
+        for x, x_pred in ((0.0, -0.0), (-0.0, 0.0)):
+            rows = written_rows([make_record(x=x, x_pred=x_pred)])
+            assert rows[0].split(",")[2:4] == [repr(x), repr(x_pred)]
 
 
 class TestComparisonCsv:

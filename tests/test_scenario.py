@@ -394,8 +394,9 @@ RULES = [
           ({"t_s": 1e-300}, "3600.0 / sim.t_s 1e-300"),
           ({"duration": 1e300, "t_s": 1e-10}, "1e+300 / sim.t_s 1e-10"),
       )],
-    (SimSettings, {"sim.duration": 121.0}, ConfigError,
-     "sim.duration 121.0 must be a positive whole multiple of sim.t_s"),
+    *[(SimSettings, {"sim.duration": value}, ConfigError,
+       f"sim.duration {value!r} must be a positive whole multiple of sim.t_s")
+      for value in (121.0, 0.0)],
     *[(SimSettings, {"sim.n_truth": value}, ConfigError, f"sim.n_truth must be >= 1, got {value!r}")
       for value in (0, NAN)],
     # t_s / n_truth underflows to 0.0, which the RK4 kernel would reject mid-run
