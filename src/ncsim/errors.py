@@ -83,6 +83,18 @@ def checked(record):
     return record
 
 
+def clipped(value, limit: int = 40, show=repr) -> str:
+    """``value`` as an error message quotes it: ``show(value)`` for a
+    string, the repr of anything else.  A string or repr longer than
+    ``limit`` characters is cut there and followed by its length, so the
+    message stays short however long the input."""
+    if not isinstance(value, str):
+        value, show = repr(value), str
+    if len(value) <= limit:
+        return show(value)
+    return f"{show(value[:limit])}... ({len(value)} characters)"
+
+
 def read_input(path: str) -> str:
     """The UTF-8 text of an input file; a file longer than
     ``MAX_INPUT_BYTES`` is a ``ConfigError``, raised before decoding."""

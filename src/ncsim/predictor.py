@@ -20,7 +20,7 @@ import io
 import math
 from typing import NamedTuple, Optional, Sequence
 
-from .errors import ConfigError, NonFiniteError, checked, read_input
+from .errors import ConfigError, NonFiniteError, checked, clipped, read_input
 from .plant import SystemDynamics
 
 # Relative slack when checking that one time quantity divides another.
@@ -136,16 +136,6 @@ def calibration(
     return e_values, e, zeta, gamma
 
 
-def _clipped(text: Optional[str], limit: int = 40) -> str:
-    """``text`` quoted, cut to its first ``limit`` characters and its
-    length if longer; "nothing" for None."""
-    if text is None:
-        return "nothing"
-    if len(text) <= limit:
-        return repr(text)
-    return f"{text[:limit]!r}... ({len(text)} characters)"
-
-
 def read_sample_pairs(path: str) -> list[SamplePair]:
     """Load calibration samples from a CSV file.
 
@@ -163,7 +153,7 @@ def read_sample_pairs(path: str) -> list[SamplePair]:
         if reader.fieldnames is None or not required.issubset(reader.fieldnames):
             raise ValueError(
                 "sample file must have columns pair_id,predicted,measured, got "
-                + _clipped(",".join(reader.fieldnames or ()))
+                + clipped(",".join(reader.fieldnames or ()))
             )
         for row in reader:
             pair = groups.setdefault(row["pair_id"], ([], []))
@@ -175,7 +165,7 @@ def read_sample_pairs(path: str) -> list[SamplePair]:
                 if not math.isfinite(value):
                     raise ValueError(
                         f"bad sample on line {reader.line_num}, column {column}: "
-                        + _clipped(row[column])
+                        + ("nothing" if row[column] is None else clipped(row[column]))
                     )
                 values.append(value)
     except csv.Error as exc:  # a field past csv.field_size_limit(), say

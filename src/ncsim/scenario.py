@@ -20,7 +20,7 @@ import math
 from typing import NamedTuple, Optional, Sequence
 
 from .controller import ControllerConfig
-from .errors import ConfigError, checked
+from .errors import ConfigError, checked, clipped
 from .losses import LOSS_KEYS, LOSS_KINDS, LossSpec
 from .plant import TankParams, UncertaintySignal
 from .predictor import PredictorConfig
@@ -82,31 +82,31 @@ class Scenario(NamedTuple):
 def _number(label: str, value) -> float:
     """A finite float; JSON admits NaN, Infinity and integers past float range."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{label} must be a number, got {value!r}")
+        raise ConfigError(f"{label} must be a number, got {clipped(value)}")
     try:
         number = float(value)
     except OverflowError:
         number = math.inf
     if not math.isfinite(number):
-        raise ConfigError(f"{label} must be finite, got {value!r}")
+        raise ConfigError(f"{label} must be finite, got {clipped(value)}")
     return number
 
 
 def _integer(label: str, value) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{label} must be an integer, got {value!r}")
+        raise ConfigError(f"{label} must be an integer, got {clipped(value)}")
     return value
 
 
 def _boolean(label: str, value) -> bool:
     if not isinstance(value, bool):
-        raise ConfigError(f"{label} must be a boolean, got {value!r}")
+        raise ConfigError(f"{label} must be a boolean, got {clipped(value)}")
     return value
 
 
 def _string(label: str, value) -> str:
     if not isinstance(value, str):
-        raise ConfigError(f"{label} must be a string, got {value!r}")
+        raise ConfigError(f"{label} must be a string, got {clipped(value)}")
     return value
 
 
@@ -123,12 +123,12 @@ def _theta(label: str, value) -> UncertaintySignal:
                 or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in entry)
             ):
                 raise ConfigError(
-                    f"{label} entries must be [time, value] number pairs, got {entry!r}"
+                    f"{label} entries must be [time, value] number pairs, got {clipped(entry)}"
                 )
             times.append(_number(label, entry[0]))
             values.append(_number(label, entry[1]))
         return UncertaintySignal(times=tuple(times), values=tuple(values))
-    raise ConfigError(f"{label} must be a number or a list of pairs, got {value!r}")
+    raise ConfigError(f"{label} must be a number or a list of pairs, got {clipped(value)}")
 
 
 def _strategies(label: str, value) -> tuple:
@@ -168,7 +168,8 @@ def _check_keys(section: str, data: dict, keys) -> None:
     allowed = [key for key, _, _ in keys]
     for key in data:
         if key not in allowed:
-            raise ConfigError(f"unknown key {section}.{key}" if section else f"unknown key {key}")
+            label = f"{section}.{key}" if section else key
+            raise ConfigError(f"unknown key {clipped(label, show=str)}")
 
 
 # The sections a document may leave out, and what stands in for each.
@@ -214,7 +215,7 @@ def scenario_from_dict(data: dict) -> Scenario:
         raise ConfigError("missing required key loss.kind")
     loss_kind = _string("loss.kind", loss["kind"])
     if loss_kind not in LOSS_KINDS:
-        raise ConfigError(f"loss.kind must be one of {LOSS_KINDS}, got {loss_kind!r}")
+        raise ConfigError(f"loss.kind must be one of {LOSS_KINDS}, got {clipped(loss_kind)}")
     sections = {}
     for name, record, _ in top:
         if record not in _CHECKERS:

@@ -448,7 +448,9 @@ RULES = [
     *[(None, {key: value}, ConfigError, f"{key} must be finite, got {value!r}")
       for key, value in (("sim.duration", INF), ("sim.theta", NAN), ("cost.q_c", NAN),
                          ("plant.rho", NAN), ("controller.u_min", -INF),
-                         ("controller.setpoint", NAN), ("sim.x0", INF), ("sim.theta", 10**400))],
+                         ("controller.setpoint", NAN), ("sim.x0", INF))],
+    (None, {"sim.theta": 10**400}, ConfigError,
+     f"sim.theta must be finite, got {str(10**400)[:40]}... (401 characters)"),
     (None, {"sim.theta": [[0.0, INF]]}, ConfigError, "sim.theta must be finite, got inf"),
     (None, {"loss": {"seed": 1}}, ConfigError, "missing required key loss.kind"),
     *[(None, {key: 1}, ConfigError, f"unknown key {key}")
