@@ -19,7 +19,7 @@ import os
 import sys
 from typing import Optional, Sequence
 
-from .errors import ConfigError, SimulationDiverged, read_input
+from .errors import PATH_LIMIT, ConfigError, SimulationDiverged, clipped, read_input, reason
 from .losses import LOSS_KEYS, SEEDED_KINDS
 from .predictor import calibration, gamma_in_range, read_sample_pairs
 from .runtime import (
@@ -54,7 +54,8 @@ def _output_dir(arg: Optional[str]) -> str:
     try:
         os.makedirs(path, exist_ok=True)
     except OSError as exc:
-        raise ConfigError(f"cannot create output directory {path!r}: {exc}") from exc
+        raise ConfigError(f"cannot create output directory {clipped(path, PATH_LIMIT)}: "
+                          f"{reason(exc)}") from exc
     return path
 
 
@@ -62,6 +63,7 @@ def _scenario_document(ref: str) -> dict:
     """Resolve a scenario reference: built-in name first, then file path."""
     if ref in BUILTIN_SCENARIOS:
         return builtin_scenario_dict(ref)
+    shown = clipped(ref, PATH_LIMIT)
     if os.path.exists(ref):
         try:
             doc = json.loads(read_input(ref))
@@ -69,14 +71,14 @@ def _scenario_document(ref: str) -> dict:
             raise
         except (ValueError, RecursionError) as exc:
             # undecodable bytes and nesting past the recursion limit too
-            raise ConfigError(f"scenario file {ref!r} is not valid JSON: {exc}") from exc
+            raise ConfigError(f"scenario file {shown} is not valid JSON: {exc}") from exc
         except OSError as exc:
-            raise ConfigError(f"cannot read scenario file {ref!r}: {exc}") from exc
+            raise ConfigError(f"cannot read scenario file {shown}: {reason(exc)}") from exc
         if not isinstance(doc, dict):
-            raise ConfigError(f"scenario file {ref!r} must hold a JSON object")
+            raise ConfigError(f"scenario file {shown} must hold a JSON object")
         return doc
     known = ", ".join(sorted(BUILTIN_SCENARIOS))
-    raise ConfigError(f"scenario {ref!r} is neither a built-in ({known}) nor an existing file")
+    raise ConfigError(f"scenario {shown} is neither a built-in ({known}) nor an existing file")
 
 
 def _parse_loss_flag(spec: str) -> dict:
@@ -91,22 +93,22 @@ def _parse_loss_flag(spec: str) -> dict:
     kind = "gilbert-elliott" if kind == "ge" else kind
     if kind == "trace":
         if not rest:
-            raise ConfigError(f"--loss trace needs a file path, got {spec!r}")
+            raise ConfigError(f"--loss trace needs a file path, got {clipped(spec)}")
         path, _, flag = rest.rpartition(":")
         if path and flag == "wrap":
             return {"kind": "trace", "trace_path": path, "wrap": True}
         return {"kind": "trace", "trace_path": rest}
     if kind not in LOSS_KEYS:
-        raise ConfigError(f"unknown loss kind {kind!r} in --loss {spec!r}")
+        raise ConfigError(f"unknown loss kind {clipped(kind)} in --loss {clipped(spec)}")
     keys = LOSS_KEYS[kind]
     parts = rest.split(",") if rest else []
     if len(parts) != len(keys):
         wanted = ",".join(keys) or "no arguments"
-        raise ConfigError(f"--loss {kind} takes {wanted}, got {spec!r}")
+        raise ConfigError(f"--loss {kind} takes {wanted}, got {clipped(spec)}")
     try:
         return {"kind": kind, **{key: float(part) for key, part in zip(keys, parts)}}
     except ValueError as exc:
-        raise ConfigError(f"--loss {kind} parameters must be numbers: {spec!r}") from exc
+        raise ConfigError(f"--loss {kind} parameters must be numbers: {clipped(spec)}") from exc
 
 
 def _apply_common_flags(doc: dict, args) -> dict:
@@ -129,7 +131,7 @@ def _write(write, *args):
     try:
         return write(*args)
     except OSError as exc:
-        raise ConfigError(f"cannot write {args[-1]!r}: {exc}") from exc
+        raise ConfigError(f"cannot write {clipped(args[-1], PATH_LIMIT)}: {reason(exc)}") from exc
 
 
 def _write_text(text: str, path: str) -> None:
@@ -241,7 +243,8 @@ def cmd_calibrate(args) -> int:
     try:
         pairs = read_sample_pairs(args.samples)
     except (OSError, ValueError) as exc:
-        raise ConfigError(f"cannot load samples from {args.samples!r}: {exc}") from exc
+        raise ConfigError(f"cannot load samples from {clipped(args.samples, PATH_LIMIT)}: "
+                          f"{reason(exc)}") from exc
 
     if args.method == "one":  # every sample in a single recording
         pairs = [(

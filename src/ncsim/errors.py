@@ -6,6 +6,9 @@ import os
 # Bytes a scenario, loss-trace or samples file may hold (a 1 000 000-step
 # trace needs 2 MB); the read stops one byte past it, even on /dev/zero.
 MAX_INPUT_BYTES = 16 * 1024 * 1024
+# Characters of a file path that an error message quotes whole (see
+# ``clipped``); a longer path is cut there.
+PATH_LIMIT = 256
 
 
 class NcsimError(Exception):
@@ -87,12 +90,24 @@ def clipped(value, limit: int = 40, show=repr) -> str:
     """``value`` as an error message quotes it: ``show(value)`` for a
     string, the repr of anything else.  A string or repr longer than
     ``limit`` characters is cut there and followed by its length, so the
-    message stays short however long the input."""
+    message stays short however long the input.  An integer too long for
+    ``repr`` (past ``sys.get_int_max_str_digits()``) is quoted in hex, and
+    any other value holding one as such."""
     if not isinstance(value, str):
-        value, show = repr(value), str
+        try:
+            value, show = repr(value), str
+        except ValueError:
+            value, show = hex(value) if type(value) is int else "a value holding a huge integer", str
     if len(value) <= limit:
         return show(value)
     return f"{show(value[:limit])}... ({len(value)} characters)"
+
+
+def reason(exc: Exception) -> str:
+    """The text of ``exc``, with the file name an ``OSError`` quotes in it
+    clipped at ``PATH_LIMIT`` characters."""
+    text, name = str(exc), getattr(exc, "filename", None)
+    return text.replace(repr(name), clipped(name, PATH_LIMIT)) if isinstance(name, str) else text
 
 
 def read_input(path: str) -> str:
@@ -104,5 +119,6 @@ def read_input(path: str) -> str:
         os.set_blocking(handle.fileno(), True)
         data = handle.read(MAX_INPUT_BYTES + 1)
     if len(data) > MAX_INPUT_BYTES:
-        raise ConfigError(f"input file {path!r} is longer than {MAX_INPUT_BYTES} bytes")
+        raise ConfigError(f"input file {clipped(path, PATH_LIMIT)} is longer than "
+                          f"{MAX_INPUT_BYTES} bytes")
     return data.decode("utf-8")

@@ -15,7 +15,9 @@ import random
 from itertools import cycle, repeat
 from typing import Iterable, Iterator, NamedTuple, Optional
 
-from .errors import ConfigError, TraceExhaustedError, checked, read_input
+from .errors import (
+    PATH_LIMIT, ConfigError, TraceExhaustedError, checked, clipped, read_input, reason,
+)
 
 # Each loss kind and its keys besides ``kind`` and ``seed``, in snapshot
 # order.  The keys of the seeded kinds are the probabilities they draw
@@ -90,12 +92,10 @@ class LossSpec(NamedTuple):
 
     def _check(self) -> dict:
         if self.kind not in LOSS_KINDS:
-            raise ConfigError(
-                f"loss.kind must be one of {LOSS_KINDS}, got {self.kind!r}"
-            )
+            raise ConfigError(f"loss.kind must be one of {LOSS_KINDS}, got {clipped(self.kind)}")
         if not self.seed >= 0:
             # random.Random(-s) draws the same stream as random.Random(s)
-            raise ConfigError(f"loss.seed must be non-negative, got {self.seed!r}")
+            raise ConfigError(f"loss.seed must be non-negative, got {clipped(self.seed)}")
         for name in LOSS_KEYS[self.kind]:
             if getattr(self, name) is None:
                 raise ConfigError(f"loss.{name} is required for {self.kind} losses")
@@ -109,7 +109,8 @@ class LossSpec(NamedTuple):
             return {"bits": tuple(read_trace_file(self.trace_path))}
         except (OSError, ValueError) as exc:
             raise ConfigError(
-                f"loss.trace_path {self.trace_path!r} is not a readable trace: {exc}"
+                f"loss.trace_path {clipped(self.trace_path, PATH_LIMIT)} is not a readable trace: "
+                f"{reason(exc)}"
             ) from exc
 
     @property
@@ -131,14 +132,14 @@ class LossSpec(NamedTuple):
 def read_trace_file(path: str) -> list[int]:
     """Read a reception trace: one 0 or 1 per line, blanks ignored, in a
     UTF-8 file of at most ``MAX_INPUT_BYTES`` bytes."""
-    bits = []
+    bits, where = [], clipped(path, PATH_LIMIT, str)
     for lineno, line in enumerate(io.StringIO(read_input(path), newline=None), start=1):
         text = line.strip()
         if not text:
             continue
         if text not in ("0", "1"):
-            raise ValueError(f"{path}:{lineno}: expected 0 or 1, got {text!r}")
+            raise ValueError(f"{where}:{lineno}: expected 0 or 1, got {clipped(text)}")
         bits.append(int(text))
     if not bits:
-        raise ValueError(f"no trace entries in {path}")
+        raise ValueError(f"no trace entries in {where}")
     return bits

@@ -20,7 +20,7 @@ import io
 import math
 from typing import NamedTuple, Optional, Sequence
 
-from .errors import ConfigError, NonFiniteError, checked, clipped, read_input
+from .errors import PATH_LIMIT, ConfigError, NonFiniteError, checked, clipped, read_input
 from .plant import SystemDynamics
 
 # Relative slack when checking that one time quantity divides another.
@@ -61,7 +61,7 @@ class PredictorConfig(NamedTuple):
         if not gamma_in_range(self.gamma):
             raise ConfigError(f"predictor.gamma must lie in (-1, 1), got {self.gamma!r}")
         if not self.horizon >= 1:
-            raise ConfigError(f"predictor.horizon must be >= 1, got {self.horizon!r}")
+            raise ConfigError(f"predictor.horizon must be >= 1, got {clipped(self.horizon)}")
 
     def steps_per_input(self, t_s: float) -> int:
         """Predictor steps per control interval ``t_s``: ``t_s / delta`` when
@@ -151,10 +151,8 @@ def read_sample_pairs(path: str) -> list[SamplePair]:
     required = {"pair_id", "predicted", "measured"}
     try:
         if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-            raise ValueError(
-                "sample file must have columns pair_id,predicted,measured, got "
-                + clipped(",".join(reader.fieldnames or ()))
-            )
+            raise ValueError("sample file must have columns pair_id,predicted,measured, got "
+                             + clipped(",".join(reader.fieldnames or ())))
         for row in reader:
             pair = groups.setdefault(row["pair_id"], ([], []))
             for column, values in zip(("predicted", "measured"), pair):
@@ -163,13 +161,11 @@ def read_sample_pairs(path: str) -> list[SamplePair]:
                 except (TypeError, ValueError):  # not a number; TypeError: a short row
                     value = math.nan
                 if not math.isfinite(value):
-                    raise ValueError(
-                        f"bad sample on line {reader.line_num}, column {column}: "
-                        + ("nothing" if row[column] is None else clipped(row[column]))
-                    )
+                    raise ValueError(f"bad sample on line {reader.line_num}, column {column}: "
+                                     + ("nothing" if row[column] is None else clipped(row[column])))
                 values.append(value)
     except csv.Error as exc:  # a field past csv.field_size_limit(), say
         raise ValueError(f"malformed CSV: {exc}") from exc
     if not groups:
-        raise ValueError(f"no sample rows in {path}")
+        raise ValueError(f"no sample rows in {clipped(path, PATH_LIMIT, str)}")
     return [SamplePair(tuple(predicted), tuple(measured)) for predicted, measured in groups.values()]

@@ -57,7 +57,7 @@ from typing import NamedTuple, Optional, Sequence
 
 from .controller import ControllerConfig, sontag_feedback
 from .errors import (
-    ConfigError, DomainError, NcsimError, NonFiniteError, SimulationDiverged, checked,
+    ConfigError, DomainError, NcsimError, NonFiniteError, SimulationDiverged, checked, clipped,
 )
 from .losses import LossModel
 from .plant import SystemDynamics, UncertaintySignal, _stage_error, tank_dynamics
@@ -133,7 +133,7 @@ class CostWeights(NamedTuple):
             if not value >= 0:
                 raise ConfigError(f"cost.{name} must be non-negative, got {value!r}")
         if not self.m_steps >= 1:
-            raise ConfigError(f"cost.m_steps must be >= 1, got {self.m_steps!r}")
+            raise ConfigError(f"cost.m_steps must be >= 1, got {clipped(self.m_steps)}")
 
 
 @checked
@@ -160,20 +160,19 @@ class SimSettings(NamedTuple):
         if not self.t_s > 0:
             raise ConfigError("sim.t_s must be positive")
         if not self.duration / self.t_s < MAX_STEPS + 0.5:
-            raise ConfigError(
-                f"sim.duration {self.duration!r} / sim.t_s {self.t_s!r} asks for more "
-                f"than {MAX_STEPS} steps"
-            )
+            raise ConfigError(f"sim.duration {self.duration!r} / sim.t_s {self.t_s!r} asks for more "
+                              f"than {MAX_STEPS} steps")
         if self.steps is None:
             raise ConfigError(
                 f"sim.duration {self.duration!r} must be a positive whole multiple of sim.t_s"
             )
         if not self.n_truth >= 1:
-            raise ConfigError(f"sim.n_truth must be >= 1, got {self.n_truth!r}")
+            raise ConfigError(f"sim.n_truth must be >= 1, got {clipped(self.n_truth)}")
         if self.steps * self.n_truth > MAX_TRUTH_SUBSTEPS:
+            # a count that repr can print (up to 4300 digits) is shown whole
             raise ConfigError(
-                f"sim.n_truth {self.n_truth} over {self.steps} steps asks for more than "
-                f"{MAX_TRUTH_SUBSTEPS} truth substeps"
+                f"sim.n_truth {clipped(self.n_truth, 4300)} over {self.steps} steps asks for more "
+                f"than {MAX_TRUTH_SUBSTEPS} truth substeps"
             )
         if not self.t_s / self.n_truth > 0:
             raise ConfigError(
@@ -271,7 +270,8 @@ def check_strategies(names: Sequence[str], label: str = "strategies") -> tuple[s
         raise ConfigError(f"{label} must be non-empty")
     for name in names:
         if name not in STRATEGIES:
-            raise ConfigError(f"{label}: unknown strategy {name!r}, expected one of {STRATEGIES}")
+            raise ConfigError(f"{label}: unknown strategy {clipped(name)}, expected one of "
+                              f"{STRATEGIES}")
     if len(set(names)) != len(names):
         raise ConfigError(f"{label} must be unique")
     return names

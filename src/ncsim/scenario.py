@@ -20,7 +20,7 @@ import math
 from typing import NamedTuple, Optional, Sequence
 
 from .controller import ControllerConfig
-from .errors import ConfigError, checked, clipped
+from .errors import PATH_LIMIT, ConfigError, checked, clipped
 from .losses import LOSS_KEYS, LOSS_KINDS, LossSpec
 from .plant import TankParams, UncertaintySignal
 from .predictor import PredictorConfig
@@ -60,8 +60,9 @@ class Scenario(NamedTuple):
         loss = self.loss
         if loss.kind == "trace" and not loss.wrap and len(loss.bits) < steps:
             raise ConfigError(
-                f"loss.trace_path {loss.trace_path!r} holds {len(loss.bits)} bits, fewer than "
-                f"the {steps} steps of sim.duration {self.sim.duration!r}, and loss.wrap is false"
+                f"loss.trace_path {clipped(loss.trace_path, PATH_LIMIT)} holds {len(loss.bits)} "
+                f"bits, fewer than the {steps} steps of sim.duration {self.sim.duration!r}, and "
+                "loss.wrap is false"
             )
         per_input = self.predictor.steps_per_input(self.sim.t_s)
         entries = min(self.predictor.horizon, 2)
@@ -73,9 +74,8 @@ class Scenario(NamedTuple):
                 f"for more than {MAX_PREDICTOR_STEPS} predictor steps"
             )
         if self.cost.m_steps > steps:
-            raise ConfigError(
-                f"cost.m_steps {self.cost.m_steps} exceeds the {steps} simulated steps"
-            )
+            raise ConfigError(f"cost.m_steps {clipped(self.cost.m_steps)} exceeds the {steps} "
+                              "simulated steps")
         check_strategies(self.strategies)
 
 
@@ -122,9 +122,8 @@ def _theta(label: str, value) -> UncertaintySignal:
                 or len(entry) != 2
                 or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in entry)
             ):
-                raise ConfigError(
-                    f"{label} entries must be [time, value] number pairs, got {clipped(entry)}"
-                )
+                raise ConfigError(f"{label} entries must be [time, value] number pairs, got "
+                                  + clipped(entry))
             times.append(_number(label, entry[0]))
             values.append(_number(label, entry[1]))
         return UncertaintySignal(times=tuple(times), values=tuple(values))
@@ -269,25 +268,25 @@ def apply_overrides(data: dict, assignments: Sequence[str]) -> dict:
     result = json.loads(json.dumps(data))
     for assignment in assignments:
         if "=" not in assignment:
-            raise ConfigError(f"override {assignment!r} must look like section.key=value")
+            raise ConfigError(f"override {clipped(assignment)} must look like section.key=value")
         path, raw = assignment.split("=", 1)
         parts = path.split(".")
         if not all(parts):
-            raise ConfigError(f"override {assignment!r} has an empty path component")
+            raise ConfigError(f"override {clipped(assignment)} has an empty path component")
         try:
             value = json.loads(raw)
         except json.JSONDecodeError:
             value = raw
         except RecursionError as exc:
-            raise ConfigError(f"override {path!r} nests its value too deeply") from exc
+            raise ConfigError(f"override {clipped(path)} nests its value too deeply") from exc
         except ValueError as exc:  # an integer past the digit limit
-            raise ConfigError(f"override {path!r}: {exc}") from exc
+            raise ConfigError(f"override {clipped(path)}: {exc}") from exc
         if len(parts) > 1 and parts[0] in _DEFAULT_SECTIONS:
             result.setdefault(parts[0], dict(_DEFAULT_SECTIONS[parts[0]]))
         node = result
         for part in parts[:-1]:
             if part not in node or not isinstance(node[part], dict):
-                raise ConfigError(f"override path {path!r} does not reach a config section")
+                raise ConfigError(f"override path {clipped(path)} does not reach a config section")
             node = node[part]
         node[parts[-1]] = value
     return result

@@ -69,22 +69,30 @@ def reference_feedback(dynamics, cfg, x):
     return min(max(u, cfg.u_min), cfg.u_max)
 
 
-def reference_march(dynamics, x, u, h, theta, n=1, scale=1.0, fail=lambda x: None):
+def reference_march(dynamics, x, u, h, theta, n=1, scale=1.0, fail=lambda x, left: None):
     """``(x, dx)`` after ``n`` classical RK4 steps x <- scale*x + dx of
-    f(x) + g(x)*u + w(x)*theta, u and theta held: a stage state outside the
-    domain raises the kernel's ``IntegrationDomainError``, and an end state
-    outside it goes to ``fail(x)``."""
+    f(x) + g(x)*u + w(x)*theta, u and theta held, with the kernel's errors:
+    a step ``h`` that is not positive raises its ``ValueError``, and a
+    start or stage state outside the domain its ``IntegrationDomainError``.
+    An end state outside it goes to ``fail(x, left)``, ``left`` the steps
+    still to take."""
+    if not h > 0:
+        raise ValueError(f"step h must be positive, got {h!r}")
     f, g, w = dynamics.drift, dynamics.input_gain, dynamics.uncertainty_gain
     lo, hi = dynamics.state_domain
 
-    def slope(stage, xs):
+    def inside(stage, xs):
         if not lo <= xs <= hi:
             message = f"stage {stage} state {xs!r} left the domain"
             raise IntegrationDomainError(message, stage=stage, state=xs)
-        return h * (f(xs) + g(xs) * u + w(xs) * theta)
+        return xs
 
+    def slope(stage, xs):
+        return h * (f(inside(stage, xs)) + g(xs) * u + w(xs) * theta)
+
+    inside(1, x)  # the start state, checked even for no step
     dx = 0.0
-    for _ in range(n):
+    for left in reversed(range(n)):
         k1 = slope(1, x)
         k2 = slope(2, x + k1 / 2.0)
         k3 = slope(3, x + k2 / 2.0)
@@ -92,7 +100,7 @@ def reference_march(dynamics, x, u, h, theta, n=1, scale=1.0, fail=lambda x: Non
         dx = (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
         x = scale * x + dx
         if not lo <= x <= hi:
-            fail(x)
+            fail(x, left)
     return x, dx
 
 
@@ -121,7 +129,7 @@ def reference_plan(cfg, dynamics, x, controller, steps_per_input=1):
                 try:
                     x = reference_march(
                         dynamics, x, u, cfg.delta, 0.0, steps_per_input, 1.0 + cfg.gamma,
-                        dynamics.check_state,
+                        lambda x, left: dynamics.check_state(x),
                     )[0]
                 except DomainError as exc:
                     raise DomainError(f"prediction left the domain after {j} entries") from exc

@@ -20,6 +20,7 @@ import ncsim.cli
 import ncsim.errors
 import ncsim.losses
 from ncsim.cli import EXIT_CALIBRATION, EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK, OUT_ENV_VAR, main
+from ncsim.errors import PATH_LIMIT
 from ncsim.losses import LOSS_KINDS
 from ncsim.runtime import STRATEGIES
 
@@ -147,6 +148,20 @@ ONE_SEED, CALIBRATE = [*COMPARE, "--seeds", "1"], ["calibrate", "$samples", "--a
 LONG = "x" * 100_000
 CUT = f"'{'x' * 40}'... (100000 characters)"
 NOT_AN_OBJECT = "config error: scenario file '$scenario' must hold a JSON object\n"
+
+
+def cut(path, quote="'"):
+    """``path`` longer than PATH_LIMIT characters as a message quotes it."""
+    return f"{quote}{path[:PATH_LIMIT]}{quote}... ({len(path)} characters)"
+
+
+# The text of the OS error on the path LONG; a path longer than PATH_LIMIT
+# to each existing file; an artifact path as long, in a directory whose
+# name is not.
+TOO_LONG = f"[Errno {errno.ENAMETOOLONG}] $reason: {cut(LONG)}"
+LONG_WAY = {name: "./" * (PATH_LIMIT // 2) + name for name in ("bits", "long", "samples")}
+WIDE_OUT = "o" * (PATH_LIMIT - 10)
+WIDE_ARTIFACT = f"{WIDE_OUT}/resolved_config.json"
 
 # Every input a command rejects, one row each; a rejected input is added as
 # one row.  Only config rules stay in tests/test_scenario.py's RULES.
@@ -321,6 +336,61 @@ REJECTED = [
     Command("long-unknown-key", RUN,
             f"config error: unknown key {'x' * 40}... (100000 characters)\n",
             {"scenario": json.dumps({**small_scenario(), LONG: 1})}),
+    # a command-line value in a message is cut to its first 40 characters and
+    # its length, and a path to its first PATH_LIMIT characters
+    *[Command(f"long-{name}", argv, f"config error: {message}\n", SCENARIO)
+      for name, argv, message in (
+          ("strategy-set", [*RUN, "--set", f'strategies=["{LONG}"]'],
+           f"strategies: unknown strategy {CUT}, expected one of {STRATEGIES}"),
+          ("strategies-flag", [*COMPARE, "--strategies", LONG],
+           f"--strategies: unknown strategy {CUT}, expected one of {STRATEGIES}"),
+          ("loss-flag", [*RUN, "--loss", LONG], f"unknown loss kind {CUT} in --loss {CUT}"),
+          ("loss-bernoulli", [*RUN, "--loss", f"bernoulli:{LONG}"],
+           f"--loss bernoulli parameters must be numbers: 'bernoulli:{'x' * 30}'... "
+           "(100010 characters)"),
+          ("set-without-value", [*RUN, "--set", LONG],
+           f"override {CUT} must look like section.key=value"),
+          ("set-empty-component", [*RUN, "--set", f".{LONG}=1"],
+           f"override '.{'x' * 39}'... (100003 characters) has an empty path component"),
+          ("set-path", [*RUN, "--set", f"a.{LONG}=1"],
+           f"override path 'a.{'x' * 38}'... (100002 characters) does not reach a config "
+           "section"),
+          ("set-deep", [*RUN, "--set", f"{LONG}={DEEP}"],
+           f"override {CUT} nests its value too deeply"),
+          ("scenario", ["run", LONG],
+           f"scenario {cut(LONG)} is neither a built-in (tank-reference) nor an existing file"),
+      )],
+    # an OS error's text repeats the path, cut the same way
+    *[Command(f"long-{name}", argv, f"config error: {prefix}{TOO_LONG}\n", SCENARIO,
+              env=env, reason=(os.strerror, errno.ENAMETOOLONG))
+      for name, argv, prefix, env in (
+          ("trace-path", [*RUN, "--set", f'loss={{"kind": "trace", "trace_path": "{LONG}"}}'],
+           f"loss.trace_path {cut(LONG)} is not a readable trace: ", {}),
+          ("samples", ["calibrate", LONG], f"cannot load samples from {cut(LONG)}: ", {}),
+          ("out", RUN, f"cannot create output directory {cut(LONG)}: ", {OUT_ENV_VAR: LONG}),
+      )],
+    Command("long-artifact-path", RUN,
+            f"config error: cannot write {cut(WIDE_ARTIFACT)}: [Errno {errno.EISDIR}] $reason: "
+            f"{cut(WIDE_ARTIFACT)}\n", {**SCENARIO, WIDE_ARTIFACT: None}, artifacts=(),
+            reason=(os.strerror, errno.EISDIR), out=WIDE_OUT, env={OUT_ENV_VAR: WIDE_OUT}),
+    # an existing file reached by a path longer than PATH_LIMIT
+    *[Command(f"long-path-{name}", argv, f"config error: {message}\n", {**SCENARIO, **files})
+      for name, argv, files, message in (
+          ("short-trace", [*RUN, "--loss", f"trace:{LONG_WAY['bits']}"], {"bits": "1\n0\n1\n"},
+           f"loss.trace_path {cut(LONG_WAY['bits'])} holds 3 bits, fewer than the 60 steps "
+           "of sim.duration 120.0, and loss.wrap is false"),
+          ("trace-entry", [*RUN, "--loss", f"trace:{LONG_WAY['bits']}"], {"bits": f"1\n{LONG}\n"},
+           f"loss.trace_path {cut(LONG_WAY['bits'])} is not a readable trace: "
+           f"{cut(LONG_WAY['bits'], quote='')}:2: expected 0 or 1, got {CUT}"),
+          ("input-cap", ["run", LONG_WAY["long"]], {"long": CAP + 1},
+           f"input file {cut(LONG_WAY['long'])} is longer than {CAP} bytes"),
+          ("no-samples", ["calibrate", LONG_WAY["samples"]], {"samples": HEADER},
+           f"cannot load samples from {cut(LONG_WAY['samples'])}: no sample rows in "
+           f"{cut(LONG_WAY['samples'], quote='')}"),
+      )],
+    Command("samples-empty", ["calibrate", "$samples"],
+            "config error: cannot load samples from '$samples': no sample rows in $samples\n",
+            {"samples": HEADER}),
 ]
 
 

@@ -1,23 +1,12 @@
+import itertools
 import random
+from typing import NamedTuple, Optional
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ncsim import LossModel, LossSpec, TraceExhaustedError, read_trace_file
-
-
-def bernoulli(p, seed=0):
-    return LossSpec(kind="bernoulli", p=p).build(seed)
-
-
-def gilbert_elliott(p_g2b, p_b2g, loss_in_bad, seed=0):
-    spec = LossSpec(kind="gilbert-elliott", p_g2b=p_g2b, p_b2g=p_b2g, loss_in_bad=loss_in_bad)
-    return spec.build(seed)
-
-
-def first(model, n):
-    return [model.sample_reception(k) for k in range(n)]
+from ncsim import LossSpec, TraceExhaustedError
 
 
 # The draw loops of the former BernoulliLoss and GilbertElliottLoss
@@ -48,127 +37,119 @@ def reference_gilbert_elliott(p_g2b, p_b2g, loss_in_bad, seed, n):
     return bits
 
 
+def reference_stream(spec, seed, n, trace):
+    """The first ``n`` bits of the channel ``spec`` under ``seed``, and the
+    text of the error that stops the stream short of them, or None.  A
+    trace is the 0s and 1s of ``trace``'s lines that are not blank."""
+    kind = spec["kind"]
+    if kind == "bernoulli":
+        return reference_bernoulli(spec["p"], seed, n), None
+    if kind == "gilbert-elliott":
+        keys = ("p_g2b", "p_b2g", "loss_in_bad")
+        return reference_gilbert_elliott(*map(spec.get, keys), seed, n), None
+    if kind == "none":
+        return [1] * n, None
+    bits = [int(line) for line in trace.splitlines() if line.strip()]
+    if spec.get("wrap"):
+        return list(itertools.islice(itertools.cycle(bits), n)), None
+    stop = None if n <= len(bits) else (
+        f"trace has {len(bits)} entries, step {len(bits)} requested without wrap")
+    return bits[:n], stop
+
+
+class Stream(NamedTuple):
+    """One row of ``STREAMS``: the first ``n`` reception bits of the loss
+    channel ``LossSpec(**spec)`` built under ``seed``, a trace channel
+    reading the file of text ``trace``; and the facts only this row pins,
+    each a name of ``FACTS`` and its value."""
+
+    id: str
+    spec: dict
+    n: int
+    seed: int = 0
+    trace: Optional[str] = None
+    facts: dict = {}
+
+
+def bursts(bits):
+    """The lengths of the runs of lost bits."""
+    return [len(list(run)) for bit, run in itertools.groupby(bits) if not bit]
+
+
+# What a row may pin, each a function of the bits drawn.
+FACTS = {
+    "prefix": lambda bits: bits[:12],
+    "loss rate": lambda bits: bits.count(0) / len(bits),
+    "mean burst": lambda bits: sum(bursts(bits)) / len(bursts(bits)),
+}
+
+GE = "gilbert-elliott"
+
+# Every stream the tests draw by hand, one row each.
+STREAMS = [
+    Stream("none", {"kind": "none"}, 100),
+    Stream("bernoulli-seed-42", {"kind": "bernoulli", "p": 0.3}, 12, 42,
+           facts={"prefix": [1, 0, 0, 0, 1, 1, 1, 0, 1, 0, 0, 1]}),
+    Stream("bernoulli-rate", {"kind": "bernoulli", "p": 0.3}, 10_000, 7,
+           facts={"loss rate": pytest.approx(0.3, abs=0.05)}),
+    *[Stream(f"bernoulli-{p}", {"kind": "bernoulli", "p": p}, 50, facts={"loss rate": p})
+      for p in (0.0, 1.0)],
+    # a draw equal to p is a reception: seed 0 draws this p first
+    Stream("bernoulli-draw-is-p", {"kind": "bernoulli", "p": 0.8444218515250481}, 1,
+           facts={"prefix": [1]}),
+    # a bad state that never loses, and a good state never left
+    Stream("ge-benign", {"kind": GE, "p_g2b": 0.3, "p_b2g": 0.2, "loss_in_bad": 0.0}, 200, 5,
+           facts={"loss rate": 0.0}),
+    Stream("ge-absorbing", {"kind": GE, "p_g2b": 0.0, "p_b2g": 1.0, "loss_in_bad": 1.0}, 100, 21,
+           facts={"loss rate": 0.0}),
+    # the stationary loss rate p_g2b / (p_g2b + p_b2g) * loss_in_bad = 0.25
+    Stream("ge-rate", {"kind": GE, "p_g2b": 0.1, "p_b2g": 0.3, "loss_in_bad": 1.0}, 20_000, 17,
+           facts={"loss rate": pytest.approx(0.25, abs=0.05)}),
+    # the mean sojourn in the bad state is 1 / p_b2g = 5 intervals
+    Stream("ge-bursts", {"kind": GE, "p_g2b": 0.02, "p_b2g": 0.2, "loss_in_bad": 1.0}, 5_000, 3,
+           facts={"mean burst": pytest.approx(6.0, abs=4.0)}),
+    Stream("trace-wrap", {"kind": "trace", "wrap": True}, 7, trace="1\n0\n0\n"),
+    Stream("trace-blanks", {"kind": "trace", "wrap": True}, 3, trace="1\n\n0\n 1 \n\n",
+           facts={"prefix": [1, 0, 1]}),
+    Stream("trace-exhausted", {"kind": "trace"}, 3, trace="1\n0\n"),
+]
+
+
+def check_stream(row, directory=None):
+    """Hold the first ``row.n`` bits of the row's channel, and the error
+    that stops them short, to ``reference_stream``, then to the row's
+    facts; a trace file is written into ``directory``."""
+    spec = dict(row.spec)
+    if row.trace is not None:
+        spec["trace_path"] = str(directory / "bits.txt")
+        (directory / "bits.txt").write_text(row.trace)
+    model, bits, stop = LossSpec(**spec).build(row.seed), [], None
+    try:
+        for k in range(row.n):
+            bits.append(model.sample_reception(k))
+    except TraceExhaustedError as exc:
+        stop = str(exc)
+    assert (bits, stop) == reference_stream(row.spec, row.seed, row.n, row.trace)
+    for name, value in row.facts.items():
+        assert (name, FACTS[name](bits)) == (name, value)
+
+
+@pytest.mark.parametrize("row", STREAMS, ids=[row.id for row in STREAMS])
+def test_stream(row, tmp_path):
+    check_stream(row, tmp_path)
+
+
 probability = st.floats(min_value=0.0, max_value=1.0)
 seeds = st.integers(min_value=-(2**70), max_value=2**70)
 lengths = st.integers(min_value=0, max_value=300)
 
 
-class TestReferenceStreams:
-    @given(probability, seeds, lengths)
-    def test_bernoulli_matches_reference(self, p, seed, n):
-        assert first(bernoulli(p, seed), n) == reference_bernoulli(p, seed, n)
-
-    @given(probability, probability, probability, seeds, lengths)
-    def test_gilbert_elliott_matches_reference(self, p_g2b, p_b2g, loss_in_bad, seed, n):
-        model = gilbert_elliott(p_g2b, p_b2g, loss_in_bad, seed)
-        assert first(model, n) == reference_gilbert_elliott(p_g2b, p_b2g, loss_in_bad, seed, n)
+@given(probability, seeds, lengths)
+def test_bernoulli_matches_reference(p, seed, n):
+    check_stream(Stream("drawn", {"kind": "bernoulli", "p": p}, n, seed))
 
 
-class TestNoLoss:
-    def test_everything_received(self):
-        assert first(LossSpec(kind="none").build(), 100) == [1] * 100
-
-
-class TestBernoulliLoss:
-    def test_frozen_prefix_for_seed_42(self):
-        assert first(bernoulli(0.3, seed=42), 12) == [1, 0, 0, 0, 1, 1, 1, 0, 1, 0, 0, 1]
-
-    def test_same_seed_same_stream(self):
-        assert first(bernoulli(0.25, seed=9), 200) == first(bernoulli(0.25, seed=9), 200)
-
-    def test_different_seeds_differ(self):
-        assert first(bernoulli(0.5, seed=1), 64) != first(bernoulli(0.5, seed=2), 64)
-
-    def test_empirical_rate(self):
-        losses = 10_000 - sum(first(bernoulli(0.3, seed=7), 10_000))
-        assert abs(losses / 10_000 - 0.3) < 0.05
-
-    def test_degenerate_probabilities(self):
-        assert first(bernoulli(0.0), 50) == [1] * 50
-        assert first(bernoulli(1.0), 50) == [0] * 50
-
-
-class TestGilbertElliottLoss:
-    def test_benign_bad_state_never_loses(self):
-        assert first(gilbert_elliott(0.3, 0.2, 0.0, seed=5), 200) == [1] * 200
-
-    def test_same_seed_same_stream(self):
-        a = gilbert_elliott(0.1, 0.4, 0.9, seed=13)
-        b = gilbert_elliott(0.1, 0.4, 0.9, seed=13)
-        assert first(a, 300) == first(b, 300)
-
-    def test_absorbing_good_state(self):
-        # never enters the bad state, so the link is clean
-        assert first(gilbert_elliott(0.0, 1.0, 1.0, seed=21), 100) == [1] * 100
-
-    def test_empirical_rate_near_stationary(self):
-        # stationary loss rate p_g2b / (p_g2b + p_b2g) * loss_in_bad = 0.25
-        losses = 20_000 - sum(first(gilbert_elliott(0.1, 0.3, 1.0, seed=17), 20_000))
-        assert abs(losses / 20_000 - 0.25) < 0.05
-
-    def test_losses_cluster_in_bursts(self):
-        bits = first(gilbert_elliott(0.02, 0.2, 1.0, seed=3), 5_000)
-        runs = []
-        current = 0
-        for b in bits:
-            if b == 0:
-                current += 1
-            elif current:
-                runs.append(current)
-                current = 0
-        if current:
-            runs.append(current)
-        # mean sojourn in the bad state is 1/p_b2g = 5 intervals
-        assert runs
-        assert 2.0 < sum(runs) / len(runs) < 10.0
-
-
-class TestTraceLoss:
-    def test_replays_bits(self):
-        assert first(LossModel([1, 0, 0, 1]), 4) == [1, 0, 0, 1]
-
-    def test_exhaustion_without_wrap(self):
-        model = LossModel([1, 0])
-        assert first(model, 2) == [1, 0]
-        with pytest.raises(TraceExhaustedError, match="trace has 2 entries, step 2 requested without wrap"):
-            model.sample_reception(2)
-
-    def test_wrap_is_modular(self, tmp_path):
-        path = tmp_path / "bits.txt"
-        path.write_text("1\n0\n0\n")
-        model = LossSpec(kind="trace", trace_path=str(path), wrap=True).build()
-        assert first(model, 7) == [1, 0, 0, 1, 0, 0, 1]
-
-    def test_rejects_bad_entries(self, tmp_path):
-        for name, text in (("bad.txt", "1\n2\n0\n"), ("empty.txt", "")):
-            path = tmp_path / name
-            path.write_text(text)
-            with pytest.raises(ValueError):
-                LossSpec(kind="trace", trace_path=str(path))
-
-    def test_spec_without_wrap_is_exhausted(self, tmp_path):
-        path = tmp_path / "bits.txt"
-        path.write_text("1\n0\n")
-        model = LossSpec(kind="trace", trace_path=str(path)).build()
-        assert first(model, 2) == [1, 0]
-        with pytest.raises(TraceExhaustedError):
-            model.sample_reception(2)
-
-
-class TestReadTraceFile:
-    def test_reads_bits_and_skips_blanks(self, tmp_path):
-        path = tmp_path / "trace.txt"
-        path.write_text("1\n\n0\n 1 \n\n")
-        assert read_trace_file(str(path)) == [1, 0, 1]
-
-    def test_bad_line_reports_position(self, tmp_path):
-        path = tmp_path / "trace.txt"
-        path.write_text("1\n0\nx\n")
-        with pytest.raises(ValueError, match=":3:"):
-            read_trace_file(str(path))
-
-    def test_empty_rejected(self, tmp_path):
-        path = tmp_path / "trace.txt"
-        path.write_text("\n\n")
-        with pytest.raises(ValueError):
-            read_trace_file(str(path))
+@given(probability, probability, probability, seeds, lengths)
+def test_gilbert_elliott_matches_reference(p_g2b, p_b2g, loss_in_bad, seed, n):
+    spec = {"kind": GE, "p_g2b": p_g2b, "p_b2g": p_b2g, "loss_in_bad": loss_in_bad}
+    check_stream(Stream("drawn", spec, n, seed))

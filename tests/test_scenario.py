@@ -555,11 +555,12 @@ LOSS_SECTION_KEYS = ("kind", "seed") + tuple(key for keys in LOSS_KEYS.values() 
 def mutated_documents(draw, base):
     """``base`` with one to four keys replaced, added or dropped, at the top
     level or inside a section, and any JSON value put in: loss kinds and
-    integers past float range among them."""
+    integers past float range and past the 4300 digits ``repr`` prints
+    among them."""
     doc = json.loads(json.dumps(base))
     for _ in range(draw(st.integers(min_value=1, max_value=4))):
         name = draw(st.sampled_from(sorted(base)) | st.text())
-        value = draw(json_values | st.sampled_from(LOSS_KINDS) | st.integers(-(10**400), 10**400))
+        value = draw(json_values | st.sampled_from(LOSS_KINDS) | st.integers(-(10**5000), 10**5000))
         section = doc.get(name)
         if isinstance(section, dict) and draw(st.booleans()):
             known = sorted(set(section) | set(LOSS_SECTION_KEYS if name == "loss" else ()))
@@ -588,6 +589,15 @@ class TestAnyDocument:
             scenario_from_dict(doc)
         except ConfigError:
             pass
+
+
+def test_integer_repr_cannot_print_is_quoted_in_hex():
+    doc = builtin_scenario_dict("tank-reference")
+    doc["sim"]["x0"] = 10**5000
+    with pytest.raises(ConfigError) as raised:
+        scenario_from_dict(doc)
+    quoted = f"{hex(10**5000)[:40]}... (4155 characters)"
+    assert str(raised.value) == f"sim.x0 must be finite, got {quoted}"
 
 
 class TestCrossFieldValidation:
