@@ -19,7 +19,7 @@ import os
 import sys
 from typing import Optional, Sequence
 
-from .errors import PATH_LIMIT, ConfigError, SimulationDiverged, clipped, read_input, reason
+from .errors import PATH_LIMIT, ConfigError, SimulationDiverged, attempt, clipped, read_input
 from .losses import LOSS_KEYS, SEEDED_KINDS
 from .predictor import calibration, gamma_in_range, read_sample_pairs
 from .runtime import (
@@ -51,11 +51,7 @@ OUT_ENV_VAR = "NCSIM_OUT"
 
 def _output_dir(arg: Optional[str]) -> str:
     path = arg or os.environ.get(OUT_ENV_VAR) or "."
-    try:
-        os.makedirs(path, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"cannot create output directory {clipped(path, PATH_LIMIT)}: "
-                          f"{reason(exc)}") from exc
+    attempt("cannot create output directory {}", path, os.makedirs, path, exist_ok=True)
     return path
 
 
@@ -66,14 +62,12 @@ def _scenario_document(ref: str) -> dict:
     shown = clipped(ref, PATH_LIMIT)
     if os.path.exists(ref):
         try:
-            doc = json.loads(read_input(ref))
-        except ConfigError:  # longer than the input cap
+            doc = json.loads(attempt("cannot read scenario file {}", ref, read_input, ref))
+        except ConfigError:  # unreadable, or longer than the input cap
             raise
         except (ValueError, RecursionError) as exc:
             # undecodable bytes and nesting past the recursion limit too
             raise ConfigError(f"scenario file {shown} is not valid JSON: {exc}") from exc
-        except OSError as exc:
-            raise ConfigError(f"cannot read scenario file {shown}: {reason(exc)}") from exc
         if not isinstance(doc, dict):
             raise ConfigError(f"scenario file {shown} must hold a JSON object")
         return doc
@@ -128,10 +122,7 @@ def _apply_common_flags(doc: dict, args) -> dict:
 
 def _write(write, *args):
     """``write(*args)`` to the path ``args[-1]``, a ConfigError if it cannot."""
-    try:
-        return write(*args)
-    except OSError as exc:
-        raise ConfigError(f"cannot write {clipped(args[-1], PATH_LIMIT)}: {reason(exc)}") from exc
+    return attempt("cannot write {}", args[-1], write, *args)
 
 
 def _write_text(text: str, path: str) -> None:
@@ -240,11 +231,8 @@ def cmd_compare(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    try:
-        pairs = read_sample_pairs(args.samples)
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"cannot load samples from {clipped(args.samples, PATH_LIMIT)}: "
-                          f"{reason(exc)}") from exc
+    pairs = attempt("cannot load samples from {}", args.samples, read_sample_pairs, args.samples,
+                    errors=(OSError, ValueError))
 
     if args.method == "one":  # every sample in a single recording
         pairs = [(

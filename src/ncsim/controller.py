@@ -47,10 +47,14 @@ class ControllerConfig(NamedTuple):
         if not math.isfinite(self.setpoint):
             raise ConfigError(f"controller.setpoint must be finite, got {self.setpoint!r}")
         if not self.lgv_threshold > 0:
-            raise ConfigError(f"controller.lgv_threshold must be positive, got {self.lgv_threshold!r}")
+            raise ConfigError(
+                f"controller.lgv_threshold must be positive, got {self.lgv_threshold!r}"
+            )
         if not self.u_min < self.u_max:
-            raise ConfigError(f"controller.u_min must be below u_max, got u_min={self.u_min!r}, "
-                              f"u_max={self.u_max!r}")
+            raise ConfigError(
+                f"controller.u_min must be below u_max, got u_min={self.u_min!r}, "
+                f"u_max={self.u_max!r}"
+            )
 
 
 def sontag_feedback(dynamics: SystemDynamics, cfg: ControllerConfig) -> Callable[[float], float]:

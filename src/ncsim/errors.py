@@ -91,23 +91,30 @@ def clipped(value, limit: int = 40, show=repr) -> str:
     string, the repr of anything else.  A string or repr longer than
     ``limit`` characters is cut there and followed by its length, so the
     message stays short however long the input.  An integer too long for
-    ``repr`` (past ``sys.get_int_max_str_digits()``) is quoted in hex, and
-    any other value holding one as such."""
+    ``repr`` (past ``sys.get_int_max_str_digits()`` digits) is quoted in
+    hex, and any other value holding one as such."""
     if not isinstance(value, str):
         try:
             value, show = repr(value), str
-        except ValueError:
-            value, show = hex(value) if type(value) is int else "a value holding a huge integer", str
+        except ValueError:  # an integer past the digit limit, or a value holding one
+            value, show = hex(value) if type(value) is int else "a value with a huge integer", str
     if len(value) <= limit:
         return show(value)
     return f"{show(value[:limit])}... ({len(value)} characters)"
 
 
-def reason(exc: Exception) -> str:
-    """The text of ``exc``, with the file name an ``OSError`` quotes in it
-    clipped at ``PATH_LIMIT`` characters."""
-    text, name = str(exc), getattr(exc, "filename", None)
-    return text.replace(repr(name), clipped(name, PATH_LIMIT)) if isinstance(name, str) else text
+def attempt(what: str, path: str, action, *args, errors=OSError, **kwargs):
+    """``action(*args, **kwargs)``, with an exception of ``errors`` raised
+    as the ``ConfigError`` ``what`` (its ``{}`` the quoted ``path``), a
+    colon and the exception's text.  ``path``, and the file name an
+    ``OSError`` quotes in its text, are clipped at ``PATH_LIMIT``."""
+    try:
+        return action(*args, **kwargs)
+    except errors as exc:
+        # a name of at most PATH_LIMIT characters replaces itself
+        name = str(getattr(exc, "filename", None))
+        text = str(exc).replace(repr(name), clipped(name, PATH_LIMIT))
+        raise ConfigError(f"{what.format(clipped(path, PATH_LIMIT))}: {text}") from exc
 
 
 def read_input(path: str) -> str:
@@ -119,6 +126,7 @@ def read_input(path: str) -> str:
         os.set_blocking(handle.fileno(), True)
         data = handle.read(MAX_INPUT_BYTES + 1)
     if len(data) > MAX_INPUT_BYTES:
-        raise ConfigError(f"input file {clipped(path, PATH_LIMIT)} is longer than "
-                          f"{MAX_INPUT_BYTES} bytes")
+        raise ConfigError(
+            f"input file {clipped(path, PATH_LIMIT)} is longer than {MAX_INPUT_BYTES} bytes"
+        )
     return data.decode("utf-8")

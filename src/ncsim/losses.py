@@ -16,7 +16,7 @@ from itertools import cycle, repeat
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .errors import (
-    PATH_LIMIT, ConfigError, TraceExhaustedError, checked, clipped, read_input, reason,
+    PATH_LIMIT, ConfigError, TraceExhaustedError, attempt, checked, clipped, read_input,
 )
 
 # Each loss kind and its keys besides ``kind`` and ``seed``, in snapshot
@@ -92,7 +92,9 @@ class LossSpec(NamedTuple):
 
     def _check(self) -> dict:
         if self.kind not in LOSS_KINDS:
-            raise ConfigError(f"loss.kind must be one of {LOSS_KINDS}, got {clipped(self.kind)}")
+            raise ConfigError(
+                f"loss.kind must be one of {LOSS_KINDS}, got {clipped(self.kind)}"
+            )
         if not self.seed >= 0:
             # random.Random(-s) draws the same stream as random.Random(s)
             raise ConfigError(f"loss.seed must be non-negative, got {clipped(self.seed)}")
@@ -105,13 +107,9 @@ class LossSpec(NamedTuple):
                 raise ConfigError(f"loss.{name} must lie in [0, 1], got {value!r}")
         if self.kind != "trace":
             return {"bits": ()}
-        try:
-            return {"bits": tuple(read_trace_file(self.trace_path))}
-        except (OSError, ValueError) as exc:
-            raise ConfigError(
-                f"loss.trace_path {clipped(self.trace_path, PATH_LIMIT)} is not a readable trace: "
-                f"{reason(exc)}"
-            ) from exc
+        bits = attempt("loss.trace_path {} is not a readable trace", self.trace_path,
+                       read_trace_file, self.trace_path, errors=(OSError, ValueError))
+        return {"bits": tuple(bits)}
 
     @property
     def seeded(self) -> bool:

@@ -151,8 +151,10 @@ def read_sample_pairs(path: str) -> list[SamplePair]:
     required = {"pair_id", "predicted", "measured"}
     try:
         if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-            raise ValueError("sample file must have columns pair_id,predicted,measured, got "
-                             + clipped(",".join(reader.fieldnames or ())))
+            raise ValueError(
+                "sample file must have columns pair_id,predicted,measured, got "
+                + clipped(",".join(reader.fieldnames or ()))
+            )
         for row in reader:
             pair = groups.setdefault(row["pair_id"], ([], []))
             for column, values in zip(("predicted", "measured"), pair):
@@ -161,8 +163,10 @@ def read_sample_pairs(path: str) -> list[SamplePair]:
                 except (TypeError, ValueError):  # not a number; TypeError: a short row
                     value = math.nan
                 if not math.isfinite(value):
-                    raise ValueError(f"bad sample on line {reader.line_num}, column {column}: "
-                                     + ("nothing" if row[column] is None else clipped(row[column])))
+                    raise ValueError(
+                        f"bad sample on line {reader.line_num}, column {column}: "
+                        + ("nothing" if row[column] is None else clipped(row[column]))
+                    )
                 values.append(value)
     except csv.Error as exc:  # a field past csv.field_size_limit(), say
         raise ValueError(f"malformed CSV: {exc}") from exc

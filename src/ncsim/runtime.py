@@ -160,8 +160,10 @@ class SimSettings(NamedTuple):
         if not self.t_s > 0:
             raise ConfigError("sim.t_s must be positive")
         if not self.duration / self.t_s < MAX_STEPS + 0.5:
-            raise ConfigError(f"sim.duration {self.duration!r} / sim.t_s {self.t_s!r} asks for more "
-                              f"than {MAX_STEPS} steps")
+            raise ConfigError(
+                f"sim.duration {self.duration!r} / sim.t_s {self.t_s!r} asks for more "
+                f"than {MAX_STEPS} steps"
+            )
         if self.steps is None:
             raise ConfigError(
                 f"sim.duration {self.duration!r} must be a positive whole multiple of sim.t_s"
@@ -270,8 +272,9 @@ def check_strategies(names: Sequence[str], label: str = "strategies") -> tuple[s
         raise ConfigError(f"{label} must be non-empty")
     for name in names:
         if name not in STRATEGIES:
-            raise ConfigError(f"{label}: unknown strategy {clipped(name)}, expected one of "
-                              f"{STRATEGIES}")
+            raise ConfigError(
+                f"{label}: unknown strategy {clipped(name)}, expected one of {STRATEGIES}"
+            )
     if len(set(names)) != len(names):
         raise ConfigError(f"{label} must be unique")
     return names

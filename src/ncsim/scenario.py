@@ -74,8 +74,9 @@ class Scenario(NamedTuple):
                 f"for more than {MAX_PREDICTOR_STEPS} predictor steps"
             )
         if self.cost.m_steps > steps:
-            raise ConfigError(f"cost.m_steps {clipped(self.cost.m_steps)} exceeds the {steps} "
-                              "simulated steps")
+            raise ConfigError(
+                f"cost.m_steps {clipped(self.cost.m_steps)} exceeds the {steps} simulated steps"
+            )
         check_strategies(self.strategies)
 
 
@@ -122,8 +123,9 @@ def _theta(label: str, value) -> UncertaintySignal:
                 or len(entry) != 2
                 or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in entry)
             ):
-                raise ConfigError(f"{label} entries must be [time, value] number pairs, got "
-                                  + clipped(entry))
+                raise ConfigError(
+                    f"{label} entries must be [time, value] number pairs, got {clipped(entry)}"
+                )
             times.append(_number(label, entry[0]))
             values.append(_number(label, entry[1]))
         return UncertaintySignal(times=tuple(times), values=tuple(values))

@@ -101,8 +101,12 @@ FACTS = {
     "stage": lambda row, got: (got.error.stage, got.error.state),
     "fails": lambda row, got: got.fails,
     "sqrt": lambda row, got: got.sqrt,
-    # f, g and w at x
+    # f, g and w at x; w alone; f + g, 0 exactly where g = -f; and f <= 0, g >= 0
     "gains": lambda row, got: tuple(gain(row.x) for gain in row.dynamics[:3]),
+    "w": lambda row, got: row.dynamics.uncertainty_gain(row.x),
+    "net": lambda row, got: row.dynamics.drift(row.x) + row.dynamics.input_gain(row.x),
+    "signs": lambda row, got: (row.dynamics.drift(row.x) <= 0.0,
+                               row.dynamics.input_gain(row.x) >= 0.0),
     "domain": lambda row, got: row.dynamics.state_domain,
     # the march itself (functions compare by identity), and its code object
     "march": lambda row, got: row.dynamics.march,
@@ -116,8 +120,10 @@ MIDPOINT = {"x": 150_000.0, "h": 0.1, "theta": 0.175, "n": 20}
 
 # Every march the tests build by hand, one row each: a new march is one new row.
 MARCHES = [
-    *[March(f"tank-{x:.0f}", TANK, x, 0.4, 0.1, 0.175, 20, facts={"gains": hand_gains(x)})
-      for x in (110_000.0, 150_000.0, 190_000.0)],
+    # at the midpoint inflow and outflow cancel exactly
+    *[March(f"tank-{x:.0f}", TANK, x, 0.4, 0.1, 0.175, 20,
+            facts={"gains": hand_gains(x), "w": x / 2.0, "signs": (True, True), **net})
+      for x, net in ((110_000.0, {}), (150_000.0, {"net": 0.0}), (190_000.0, {}))],
     # half the outlet opening halves the drift alone
     March("half-outlet", tank(m2=0.5), 160_000.0, 0.4, 0.1, 0.175,
           facts={"gains": hand_gains(160_000.0, m2=0.5)}),
@@ -247,7 +253,30 @@ def test_march(row):
 
 
 @st.composite
-def drawn_marches(draw):
+def physical_marches(draw):
+    """A march of the reference tank, its volume and outlet opening drawn,
+    from a state inside its domain under an input in [-2, 2], several
+    steps long; it also pins the gains by hand, w = x / 2 at the reference
+    volume, and the signs f <= 0 and g >= 0."""
+    vol = draw(st.sampled_from([2.0]) | st.floats(0.1, 10.0))
+    m2 = draw(st.sampled_from([1.0]) | st.floats(0.0, 1.0))
+    dynamics = tank(vol=vol, m2=m2)
+    x = draw(st.floats(*dynamics.state_domain))
+    return March(
+        "physical", dynamics, x,
+        u=draw(st.floats(-2.0, 2.0)),
+        h=draw(st.sampled_from([0.01, 0.1, 0.5, 2.0])),
+        theta=draw(st.sampled_from([0.0]) | st.floats(-1.0, 1.0)),
+        n=draw(st.integers(1, 25)),
+        # 1 - 0.3 leaves the domain at once, 1 +- 1e-3 over many steps
+        scale=1.0 + draw(st.sampled_from([0.0, 0.05, -0.3]) | st.floats(-1e-3, 1e-3)),
+        facts={"gains": hand_gains(x, vol=vol, m2=m2), "signs": (True, True),
+               **({"w": x / 2.0} if vol == 2.0 else {})},
+    )
+
+
+@st.composite
+def stressed_marches(draw):
     """A march of a tank with drawn parameters, from any state of its
     domain or past it, under any input: the zero-input march's guards
     (signed zeros, a domain that reaches 0, a gain that may overflow)
@@ -271,8 +300,9 @@ def drawn_marches(draw):
     )
 
 
-@settings(deadline=None)
-@given(row=drawn_marches())
+# at least the 800 draws the default profile gives, more under a deeper one
+@settings(deadline=None, max_examples=max(800, settings.default.max_examples))
+@given(row=physical_marches() | stressed_marches())
 def test_drawn_march(row):
     check_march(row)
 

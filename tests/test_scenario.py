@@ -591,13 +591,17 @@ class TestAnyDocument:
             pass
 
 
-def test_integer_repr_cannot_print_is_quoted_in_hex():
+@pytest.mark.parametrize("key, value, message", [
+    ("x0", 10**5000, f"sim.x0 must be finite, got {hex(10**5000)[:40]}... (4155 characters)"),
+    ("theta", [[0, 10**5000, 1]],
+     "sim.theta entries must be [time, value] number pairs, got a value with a huge integer"),
+], ids=["integer", "list-holding-one"])
+def test_integer_repr_cannot_print_is_quoted_in_hex(key, value, message):
     doc = builtin_scenario_dict("tank-reference")
-    doc["sim"]["x0"] = 10**5000
+    doc["sim"][key] = value
     with pytest.raises(ConfigError) as raised:
         scenario_from_dict(doc)
-    quoted = f"{hex(10**5000)[:40]}... (4155 characters)"
-    assert str(raised.value) == f"sim.x0 must be finite, got {quoted}"
+    assert str(raised.value) == message
 
 
 class TestCrossFieldValidation:
