@@ -105,6 +105,15 @@ def _parse_loss_flag(spec: str) -> dict:
         raise ConfigError(f"--loss {kind} parameters must be numbers: {clipped(spec)}") from exc
 
 
+def _int_flag(text: str) -> int:
+    """An integer flag's value; a bad one is quoted clipped, where argparse
+    would quote the whole of it."""
+    try:
+        return int(text)
+    except ValueError:  # not a number, or past int's digit limit
+        raise argparse.ArgumentTypeError(f"invalid int value: {clipped(text)}") from None
+
+
 def _apply_common_flags(doc: dict, args) -> dict:
     """Fold sugar flags into the scenario document, then --set overrides."""
     if args.loss is not None:
@@ -283,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("scenario", help="built-in scenario name or path to a config JSON")
-    common.add_argument("--seed", type=int, default=None, help="override the loss seed")
+    common.add_argument("--seed", type=_int_flag, default=None, help="override the loss seed")
     common.add_argument(
         "--set",
         action="append",
@@ -314,8 +323,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument(
         "--strategies", default=None, help="comma-separated subset to compare"
     )
-    p_cmp.add_argument("--seeds", type=int, default=10, help="number of paired seeds")
-    p_cmp.add_argument("--workers", type=int, default=1, help="processes running the cells, this one included")
+    p_cmp.add_argument("--seeds", type=_int_flag, default=10, help="number of paired seeds")
+    p_cmp.add_argument("--workers", type=_int_flag, default=1, help="processes running the cells, this one included")
     p_cmp.set_defaults(func=cmd_compare)
 
     p_cal = sub.add_parser("calibrate", help="estimate the prediction correction factor")

@@ -96,6 +96,8 @@ def _number(label: str, value) -> float:
 def _integer(label: str, value) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{label} must be an integer, got {clipped(value)}")
+    if "x" in clipped(value):  # quoted in hex: past the digits repr, and so a snapshot, prints
+        raise ConfigError(f"{label} has too many digits for a snapshot, got {clipped(value)}")
     return value
 
 

@@ -29,8 +29,9 @@ WIDE = (-1.0e12, 1.0e12)
 
 # A longer search than the default 100 examples, loaded only on request:
 #   python -m pytest tests/test_cli.py -k Fuzz --hypothesis-profile=deep
-# CI runs it on the command-line fuzz and on the reference-run and
-# plan-divergence tests of tests/test_runtime.py.
+# CI runs it on the command-line fuzz, the reference-run and
+# plan-divergence tests of tests/test_runtime.py, and the drawn rows of
+# each table: the kernels', DOCUMENTS, INTERVALS and COMPARES.
 settings.register_profile("deep", max_examples=2000, deadline=None)
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(ncsim.__file__)))

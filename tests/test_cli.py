@@ -222,6 +222,12 @@ REJECTED = [
              "config error: override path 'nope.key' does not reach a config section\n", SCENARIO),
     Command("deep-override", ["run", "tank-reference", "--set", f"sim.theta={DEEP}"],
              "config error: override 'sim.theta' nests its value too deeply\n"),
+    # an integer past the digits int() reads, and a path through a number
+    Command("override-past-the-digit-limit",
+            ["run", "tank-reference", "--set", f"loss.seed={'9' * 5000}"],
+            "config error: override 'loss.seed': $reason\n", reason=(json.loads, "9" * 5000)),
+    Command("override-into-a-number", ["run", "tank-reference", "--set", "plant.alpha1.deep=1"],
+            "config error: override path 'plant.alpha1.deep' does not reach a config section\n"),
     *[Command(f"loss-{spec}", [*RUN, "--loss", spec], f"config error: {message}\n", SCENARIO)
       for spec, message in (
           ("bogus:1", "unknown loss kind 'bogus' in --loss 'bogus:1'"),
@@ -276,6 +282,17 @@ REJECTED = [
     *[Command(f"workers-{workers}", [*COMPARE, "--seeds", "10000", "--workers", workers],
                f"config error: --workers must lie in [1, 64], got {workers}\n", SCENARIO)
       for workers in ("0", "65", "1000000")],
+    # argparse quotes a bad integer flag, cut like any other value;
+    # COLUMNS keeps its usage on one line
+    *[Command(f"{flag[2:]}-huge", [command, "tank-reference", flag, "9" * 100_000],
+              f"usage: ncsim {command} [-h] [--seed SEED] [--set KEY=VALUE] [--loss SPEC] "
+              f"[--out OUT] {usage} scenario\nncsim {command}: error: argument {flag}: invalid int "
+              f"value: '{'9' * 40}'... (100000 characters)\n", env={"COLUMNS": "200"})
+      for command, flag, usage in (
+          ("run", "--seed", f"[--strategy {{{','.join(STRATEGIES)}}}]"),
+          *(("compare", flag, "[--strategies STRATEGIES] [--seeds SEEDS] [--workers WORKERS]")
+            for flag in ("--seeds", "--workers")),
+      )],
     *[Command(f"strategies-{spec!r}", [*COMPARE, "--strategies", spec],
                f"config error: --strategies{message}\n", SCENARIO)
       for spec, message in (
@@ -680,7 +697,10 @@ def test_command(tmp_path, monkeypatch, capsys, row):
 
     def call(argv, out):
         reads.clear()
-        code = main(argv)
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
         assert len(reads) == len(set(reads))
         snapshot = out / "resolved_config.json"
         if code != EXIT_CONFIG and snapshot.exists():

@@ -3,9 +3,11 @@ import io
 import itertools
 import math
 import os
+import statistics
 import time
 from bisect import bisect_right
 from collections import deque
+from fractions import Fraction
 from typing import NamedTuple, Optional
 
 import pytest
@@ -48,41 +50,23 @@ from ncsim import (
     tank_dynamics,
     write_comparison_csv,
 )
+from ncsim.losses import SEEDED_KINDS
 from ncsim.predictor import predict_step
-from ncsim.runtime import TRACE_HEADER, check_strategies
+from ncsim.runtime import MAX_COMPARE_SEEDS, TRACE_HEADER
 
 from conftest import (
-    WIDE, collected, linear_decay_dynamics, outcome, reference_feedback, reference_interval,
-    reference_plan, reference_plant, reference_run, run_overrides,
+    RUN_KEYS, WIDE, linear_decay_dynamics, reference_feedback, reference_interval, reference_plan,
+    reference_plant, reference_run, run_overrides, still_dynamics,
 )
 from conftest import small_scenario as small_document
 
 ZERO_THETA = UncertaintySignal.constant(0.0)
 
 
-def disturbance_channel() -> SystemDynamics:
-    """xdot = theta; isolates how the truth integrator samples theta."""
-    return SystemDynamics(
-        drift=lambda x: 0.0,
-        input_gain=lambda x: 0.0,
-        uncertainty_gain=lambda x: 1.0,
-        state_domain=WIDE,
-    )
-
-
 def make_record(k=0, x=2.0, u=3.0, x_pred=None):
     return SimulationRecord(
         k=k, t=float(k), x_true=x, x_pred=x_pred, s=1, i=0, u=u, j_running=0.0
     )
-
-
-def stage_cost_sum(records, weights, setpoint):
-    """The quadratic cost of the first ``m_steps`` records, summed afresh."""
-    total = 0.0
-    for record in records[: weights.m_steps]:
-        deviation = record.x_true if weights.raw_state else record.x_true - setpoint
-        total += weights.q_c * deviation * deviation + weights.r_c * record.u * record.u
-    return total
 
 
 # Corners of the tank: no outflow, a domain reaching p2 or 0, and an input
@@ -131,40 +115,15 @@ def replayed_offsets(bits, horizon, doubled):
     return offsets
 
 
-# Schedules around the interval [1800, 1802) with 20 substeps of 0.1 s.
-SCHEDULES = {
-    "break mid-interval": ((0.0, 1800.05), (0.175, 0.185)),
-    "break on a substep start": ((0.0, 1800.5), (0.175, 0.185)),
-    "break on the interval start": ((0.0, 1800.0), (0.175, 0.185)),
-    "break on the last substep start": ((0.0, 1800.0 + 19 * 0.1), (0.175, 0.185)),
-    "break after the last substep start": ((0.0, 1801.95), (0.175, 0.185)),
-    "several breaks": ((0.0, 1800.05, 1800.3, 1800.35, 1801.9), (0.175, 0.3, -0.2, 0.0, 0.185)),
-    "break and back": ((0.0, 1800.5, 1801.0), (0.175, 0.3, 0.175)),
-    # the same theta at both ends, from two entries, switching between starts
-    "switch away and back between starts": ((0.0, 1800.45, 1801.05), (0.175, 0.3, 0.175)),
-    "no break": ((0.0, 1000.0), (0.175, 0.185)),
-}
-# The substeps of each march over that interval, one per run of substep
-# starts that fall after the same number of schedule times.
-SCHEDULE_RUNS = {
-    "break mid-interval": [1, 19],
-    "break on a substep start": [5, 15],
-    "break on the interval start": [20],
-    "break on the last substep start": [19, 1],
-    "break after the last substep start": [20],
-    "several breaks": [1, 2, 1, 15, 1],
-    "break and back": [5, 5, 10],
-    "switch away and back between starts": [5, 6, 9],
-    "no break": [20],
-}
-
-
-def counted_march(dynamics):
-    """``dynamics`` with a march that records the substeps of each call."""
+def counted_march(dynamics, n_truth):
+    """``dynamics`` with a march that records the substeps of each call.  A
+    march of no substep, or past ``n_truth`` substeps in all, fails: a
+    split that stops advancing fails rather than hangs."""
     steps = []
 
     def march(x, u, h, theta, lo, hi, n, scale, fail):
         steps.append(n)
+        assert 0 < n and sum(steps) <= n_truth, steps
         return dynamics.march(x, u, h, theta, lo, hi, n, scale, fail)
 
     return dynamics._replace(march=march), steps
@@ -184,183 +143,158 @@ def held_theta(t_start, t_s, n_truth, theta):
     return theta.value(t_start) if len(theta_runs(t_start, t_s, n_truth, theta)) == 1 else None
 
 
-class TestIntegrateInterval:
-    @pytest.mark.parametrize("name", sorted(SCHEDULES))
-    def test_matches_per_substep_lookup(self, tank, name):
-        theta = UncertaintySignal(*SCHEDULES[name])
-        counted, steps = counted_march(tank)
-        for x, u in ((140_000.0, 0.0), (150_100.0, 0.37), (185_000.0, 1.0)):
-            args = (x, u, 1800.0, 2.0, 20, theta)
-            assert integrate_interval(counted, *args) == reference_interval(tank, *args)
-            assert steps == theta_runs(*args[2:]) == SCHEDULE_RUNS[name]
-            steps.clear()
+class Interval(NamedTuple):
+    """One row of ``INTERVALS``: the interval of ``dynamics`` from ``x``
+    under ``u`` and ``theta``, from ``t_start`` over ``t_s`` in ``n_truth``
+    substeps, and the facts only this row pins: the end state ``x``, the
+    error's type and text ``end``, its ``stage`` and state, and ``runs``."""
 
-    # (1.0,): the starts before 1.0 precede times[0] and take its value
-    @pytest.mark.parametrize("times", [(-5.0,), (-5.0, 0.35), (-5.0, -1.0, 1.0), (1.0,)])
-    def test_break_before_time_zero(self, tank, times):
-        theta = UncertaintySignal(times, tuple(0.1 * (i + 1) for i in range(len(times))))
-        counted, steps = counted_march(tank)
-        args = (150_000.0, 0.5, 0.0, 2.0, 20, theta)
-        assert integrate_interval(counted, *args) == reference_interval(tank, *args)
-        assert steps == theta_runs(*args[2:])
-
-    def test_break_on_the_lookup_floats(self):
-        # 0.9 / 0.3 is 3.0, but the start 3 * 0.3 is 0.8999999999999999,
-        # which the lookup still gives the first entry: 4 substeps of 1.0
-        theta = UncertaintySignal(times=(0.0, 0.9), values=(1.0, 2.0))
-        counted, steps = counted_march(disturbance_channel())
-        args = (0.0, 0.0, 0.0, 3.0, 10, theta)
-        x = integrate_interval(counted, *args)
-        assert x == reference_interval(disturbance_channel(), *args)
-        assert x == pytest.approx(4 * 0.3 + 6 * 0.3 * 2.0)
-        assert steps == theta_runs(*args[2:]) == [4, 6]
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        breaks=st.lists(
-            st.floats(min_value=-2.0, max_value=4.0), min_size=1, max_size=5, unique=True
-        ),
-        # a band and disturbance that keep every stage state of both loops
-        # inside the domain down to one substep; values from three, so a
-        # run often ends at an entry of the same value
-        values=st.lists(st.sampled_from((-0.2, 0.0, 0.2)), min_size=5, max_size=5),
-        x=st.floats(min_value=145_000.0, max_value=160_000.0),
-        u=st.floats(min_value=0.0, max_value=1.0),
-        t_start=st.sampled_from([0.0, 1.0, 2.0]),
-        n_truth=st.integers(min_value=1, max_value=30),
-    )
-    def test_schedule_property(self, breaks, values, x, u, t_start, n_truth):
-        tank = tank_dynamics(reference_plant())
-        times = tuple(sorted(breaks))
-        theta = UncertaintySignal(times, tuple(values[: len(times)]))
-        counted, steps = counted_march(tank)
-        args = (x, u, t_start, 2.0, n_truth, theta)
-        assert integrate_interval(counted, *args) == reference_interval(tank, *args)
-        assert steps == theta_runs(t_start, 2.0, n_truth, theta)
-
-    def test_nonfinite_result_raises(self):
-        # every stage state stays in the domain; only k4 is infinite
-        cliff = SystemDynamics(
-            drift=lambda x: 1.0 if x < 1.9 else math.inf,
-            input_gain=lambda x: 0.0,
-            uncertainty_gain=lambda x: 0.0,
-            state_domain=WIDE,
-        )
-        args = (cliff, 1.0, 0.0, 0.0, 1.0, 1, ZERO_THETA)
-        assert outcome(integrate_interval, *args) == outcome(reference_interval, *args) == (
-            NonFiniteError, "state became non-finite during interval at t=0.0"
-        )
-
-    def test_exponential_decay(self):
-        x1 = integrate_interval(
-            linear_decay_dynamics(), 1.0, 0.0, 0.0, 1.0, 100, ZERO_THETA
-        )
-        assert x1 == pytest.approx(math.exp(-1.0), rel=1e-9)
-
-    def test_refinement_shrinks_error(self):
-        coarse = integrate_interval(
-            linear_decay_dynamics(), 1.0, 0.0, 0.0, 1.0, 1, ZERO_THETA
-        )
-        fine = integrate_interval(
-            linear_decay_dynamics(), 1.0, 0.0, 0.0, 1.0, 10, ZERO_THETA
-        )
-        exact = math.exp(-1.0)
-        assert abs(fine - exact) < abs(coarse - exact) / 1000.0
-
-    def test_constant_disturbance_is_exact(self):
-        # rhs is the constant 2, so every substep adds h * 2 exactly
-        x1 = integrate_interval(
-            disturbance_channel(), 10.0, 0.0, 0.0, 1.0, 4, UncertaintySignal.constant(2.0)
-        )
-        assert x1 == 12.0
-
-    def test_theta_sampled_at_substep_starts(self):
-        # switch at t = 0.3 only takes effect from the substep at t = 0.5
-        theta = UncertaintySignal(times=(0.0, 0.3), values=(1.0, 3.0))
-        x1 = integrate_interval(disturbance_channel(), 0.0, 0.0, 0.0, 1.0, 2, theta)
-        assert x1 == 0.5 * 1.0 + 0.5 * 3.0
-
-    def test_interval_start_offsets_the_schedule(self):
-        theta = UncertaintySignal(times=(0.0, 10.0), values=(1.0, 3.0))
-        x1 = integrate_interval(disturbance_channel(), 0.0, 0.0, 10.0, 1.0, 2, theta)
-        assert x1 == 3.0
-
-    def test_stage_escape_raises(self):
-        runaway = SystemDynamics(
-            drift=lambda x: 100.0,
-            input_gain=lambda x: 0.0,
-            uncertainty_gain=lambda x: 0.0,
-            state_domain=(0.0, 10.0),
-        )
-        args = (runaway, 5.0, 0.0, 0.0, 1.0, 1, ZERO_THETA)
-        with pytest.raises(IntegrationDomainError) as excinfo:
-            integrate_interval(*args)
-        assert excinfo.value.stage == 2
-        assert outcome(reference_interval, *args) == (
-            IntegrationDomainError, "stage 2 state 55.0 left the domain"
-        ) == (type(excinfo.value), str(excinfo.value))
+    id: str
+    dynamics: SystemDynamics
+    x: float
+    u: float
+    t_start: float
+    t_s: float
+    n_truth: int
+    theta: UncertaintySignal = ZERO_THETA
+    facts: dict = {}
 
 
-# Every stage stays in [0, 6.5] from 5 at h = 1 (5.5, 5.5, 6.0), but the
-# end state 5 + (1 + 2 + 2 + 100) / 6 = 22.5 does not.
-def end_escape(domain=(0.0, 6.5)) -> SystemDynamics:
-    return SystemDynamics(lambda x: 1.0 if x < 5.9 else 100.0, lambda x: 0.0, lambda x: 0.0, domain)
+def ended(fn, *args):
+    """The hex of the state ``fn(*args)`` returns, or the type, text, stage
+    and state of its error; and the error or None."""
+    try:
+        return fn(*args).hex(), None
+    except (NcsimError, ValueError) as exc:
+        return repr([type(exc), str(exc), *(getattr(exc, a, 0) for a in ("stage", "state"))]), exc
 
 
-# From 5 at h = 2 the stages sit at 5.05, 5.05 and 5.1, where 2 * 1e308 overflows.
-def overflow() -> SystemDynamics:
-    return SystemDynamics(lambda x: 0.05 if x < 5.08 else 1e308, lambda x: 0.0, lambda x: 0.0, WIDE)
+def check_interval(row):
+    """Hold ``integrate_interval`` on ``row`` to ``reference_interval`` by
+    ``ended``, and its marches, up to one that raised, to ``theta_runs``;
+    then the row's facts."""
+    args = row[2:8]
+    counted, steps = counted_march(row.dynamics, row.n_truth)
+    shown, error = ended(integrate_interval, counted, *args)
+    assert shown == ended(reference_interval, row.dynamics, *args)[0]
+    runs = theta_runs(*args[2:])
+    assert steps == (runs if error is None else runs[:len(steps)])
+    facts = {"x": lambda: float.fromhex(shown), "end": lambda: (type(error), str(error)),
+             "stage": lambda: (error.stage, error.state), "runs": lambda: steps}
+    for name, value in row.facts.items():
+        assert (name, facts[name]()) == (name, value)
 
 
-# theta schedules under which an interval from t = 3 is one march, and,
-# with more than one substep, a straddling one: a march before 3.5 and
-# one from it
-THETA_PATHS = {
-    "constant": ZERO_THETA,
-    "straddling": UncertaintySignal(times=(0.0, 3.5), values=(0.0, 0.0)),
+TANK = tank_dynamics(reference_plant())
+FLAT = still_dynamics().drift  # 0 at every state
+DISTURBANCE = SystemDynamics(FLAT, FLAT, lambda x: 1.0, WIDE)  # x' = theta
+# Schedules around the interval [1800, 1802) in 20 substeps of 0.1 s, and
+# the substeps of each march over it, as ``theta_runs`` counts them.
+SCHEDULES = {
+    "break-mid-interval": ((0.0, 1800.05), (0.175, 0.185), [1, 19]),
+    "break-on-a-substep-start": ((0.0, 1800.5), (0.175, 0.185), [5, 15]),
+    "break-on-the-interval-start": ((0.0, 1800.0), (0.175, 0.185), [20]),
+    "break-on-the-last-substep-start": ((0.0, 1800.0 + 19 * 0.1), (0.175, 0.185), [19, 1]),
+    "break-after-the-last-substep-start": ((0.0, 1801.95), (0.175, 0.185), [20]),
+    "several-breaks": ((0.0, 1800.05, 1800.3, 1800.35, 1801.9), (0.175, 0.3, -0.2, 0.0, 0.185),
+                       [1, 2, 1, 15, 1]),
+    "break-and-back": ((0.0, 1800.5, 1801.0), (0.175, 0.3, 0.175), [5, 5, 10]),
+    # the same theta at both ends, from two entries, switching between starts
+    "switch-away-and-back-between-starts": ((0.0, 1800.45, 1801.05), (0.175, 0.3, 0.175),
+                                            [5, 6, 9]),
+    "no-break": ((0.0, 1000.0), (0.175, 0.185), [20]),
 }
+# From 5 at h = 1 every stage stays in [0, 6.5] (5.5, 5.5, 6.0), but the end
+# state 5 + (1 + 2 + 2 + 100) / 6 = 22.5 does not; from 4, step 1 ends at 5.
+END_ESCAPE = SystemDynamics(lambda x: 1.0 if x < 5.9 else 100.0, FLAT, FLAT, (0.0, 6.5))
+# From 5 at h = 2 the stages sit at 5.05, 5.05 and 5.1, where 2 * 1e308 overflows.
+OVERFLOW = SystemDynamics(lambda x: 0.05 if x < 5.08 else 1e308, FLAT, FLAT, WIDE)
+# theta under which an interval from t = 3 is one march, and, with more
+# than one substep, a straddling one: a march before 3.5 and one from it
+THETA_PATHS = {"constant": ZERO_THETA, "straddling": UncertaintySignal((0.0, 3.5), (0.0, 0.0))}
+
+# Every interval the tests march by hand, one row each: a new one is one row.
+INTERVALS = [
+    *[Interval(f"{name}-{x:.0f}", TANK, x, u, 1800.0, 2.0, 20, UncertaintySignal(times, values),
+               {"runs": runs})
+      for name, (times, values, runs) in SCHEDULES.items()
+      for x, u in ((140_000.0, 0.0), (150_100.0, 0.37), (185_000.0, 1.0))],
+    # schedule times before t = 0; the starts before times[0] take its value
+    *[Interval(f"times-{times}", TANK, 150_000.0, 0.5, 0.0, 2.0, 20,
+               UncertaintySignal(times, tuple(0.1 * (i + 1) for i in range(len(times)))))
+      for times in ((-5.0,), (-5.0, 0.35), (-5.0, -1.0, 1.0), (1.0,), (1.0, 1.5))],
+    # 0.9 / 0.3 is 3.0, but the start 3 * 0.3 is 0.8999999999999999, which
+    # the lookup still gives the first entry: 4 substeps of 1.0
+    Interval("break-on-the-lookup-floats", DISTURBANCE, 0.0, 0.0, 0.0, 3.0, 10,
+             UncertaintySignal((0.0, 0.9), (1.0, 2.0)),
+             {"x": pytest.approx(4 * 0.3 + 6 * 0.3 * 2.0), "runs": [4, 6]}),
+    # each substep adds h * theta exactly; a switch at 0.3 takes effect
+    # from the start 0.5, and the interval start offsets the schedule
+    *[Interval(name, DISTURBANCE, x, 0.0, t_start, 1.0, n, UncertaintySignal(*schedule), facts)
+      for name, x, t_start, n, schedule, facts in (
+          ("constant-disturbance", 10.0, 0.0, 4, ((0.0,), (2.0,)), {"x": 12.0}),
+          ("switch-between-starts", 0.0, 0.0, 2, ((0.0, 0.3), (1.0, 3.0)),
+           {"x": 2.0, "runs": [1, 1]}),
+          ("start-offsets-the-schedule", 0.0, 10.0, 2, ((0.0, 10.0), (1.0, 3.0)), {"x": 3.0}),
+      )],
+    # x' = -x: one step is 1 - 1 + 1/2 - 1/6 + 1/24, ten cut its error to a
+    # thousandth, and a hundred come within 1e-9 of e^-1
+    *[Interval(f"decay-{n}", linear_decay_dynamics(), 1.0, 0.0, 0.0, 1.0, n, facts={"x": x})
+      for n, x in ((1, 0.375), (10, pytest.approx(math.exp(-1.0), abs=7.1e-6)),
+                   (100, pytest.approx(math.exp(-1.0), rel=1e-9)))],
+    # every stage state stays in the domain; only k4 is infinite
+    Interval("cliff", SystemDynamics(lambda x: 1.0 if x < 1.9 else math.inf, FLAT, FLAT, WIDE),
+             1.0, 0.0, 0.0, 1.0, 1,
+             facts={"end": (NonFiniteError, "state became non-finite during interval at t=0.0")}),
+    *[Interval(f"{name}-{path}-{n}", dynamics, x, 0.0, 3.0, n * h, n, theta, facts)
+      for path, theta in THETA_PATHS.items()
+      for name, dynamics, x, h, n, facts in (
+          *(("end-escape", END_ESCAPE, x, 1.0, n,
+             {"end": (DomainError, "state 22.5 outside domain [0.0, 6.5]")})
+            for x, n in ((5.0, 1), (4.0, 2))),
+          # an exit mid-interval stops the next march's first stage
+          *(("mid-interval-exit", END_ESCAPE, 5.0, 1.0, n, {"stage": (1, 22.5), "end": (
+              IntegrationDomainError, "stage 1 state 22.5 left the domain")}) for n in (2, 3)),
+          *(("overflow", OVERFLOW, 5.0, 2.0, n,
+             {"end": (NonFiniteError, "state became non-finite during interval at t=3.0")})
+            for n in (1, 2)),
+      )],
+    # each stage names itself, the start state's check the first; stage 4
+    # probes 6.0 outside [0, 5.9]
+    *[Interval(f"stage-{stage}", SystemDynamics(f, FLAT, FLAT, domain), x, 0.0, 0.0, t_s, n,
+               facts={"stage": (stage, state), "end": (
+                   IntegrationDomainError, f"stage {stage} state {state!r} left the domain")})
+      for stage, f, domain, x, t_s, n, state in (
+          (1, END_ESCAPE.drift, (0.0, 6.5), 7.0, 1.0, 1, 7.0),
+          (2, lambda x: 100.0, (0.0, 10.0), 5.0, 1.0, 1, 55.0),
+          (4, END_ESCAPE.drift, (0.0, 5.9), 5.0, 2.0, 2, 6.0),
+      )],
+]
 
 
-class TestIntegrateIntervalErrors:
-    @pytest.mark.parametrize("path", sorted(THETA_PATHS))
-    @pytest.mark.parametrize("x, n_truth", [(5.0, 1), (4.0, 2)])  # from 4, step 1 ends at 5
-    def test_end_state_outside_the_domain(self, path, x, n_truth):
-        args = (end_escape(), x, 0.0, 3.0, n_truth * 1.0, n_truth, THETA_PATHS[path])
-        assert outcome(integrate_interval, *args) == outcome(reference_interval, *args) == (
-            DomainError, "state 22.5 outside domain [0.0, 6.5]"
-        )
+@pytest.mark.parametrize("row", INTERVALS, ids=[row.id for row in INTERVALS])
+def test_interval(row):
+    check_interval(row)
 
-    @pytest.mark.parametrize("path", sorted(THETA_PATHS))
-    @pytest.mark.parametrize("n_truth", [2, 3])
-    def test_mid_interval_exit_stops_the_next_first_stage(self, path, n_truth):
-        args = (end_escape(), 5.0, 0.0, 3.0, n_truth * 1.0, n_truth, THETA_PATHS[path])
-        with pytest.raises(IntegrationDomainError) as excinfo:
-            integrate_interval(*args)
-        assert excinfo.value.stage == 1
-        assert excinfo.value.state == 22.5
-        assert outcome(reference_interval, *args) == (
-            IntegrationDomainError, "stage 1 state 22.5 left the domain"
-        ) == (type(excinfo.value), str(excinfo.value))
 
-    @pytest.mark.parametrize("path", sorted(THETA_PATHS))
-    @pytest.mark.parametrize("n_truth", [1, 2])
-    def test_overflowing_rhs(self, path, n_truth):
-        args = (overflow(), 5.0, 0.0, 3.0, n_truth * 2.0, n_truth, THETA_PATHS[path])
-        assert outcome(integrate_interval, *args) == outcome(reference_interval, *args) == (
-            NonFiniteError, "state became non-finite during interval at t=3.0"
-        )
+@st.composite
+def drawn_intervals(draw):
+    """A tank interval under up to five schedule times, some on substep
+    starts, where every stage state stays inside the domain down to one
+    substep; values from three, so a run often ends at the same value."""
+    n_truth, t_start = draw(st.integers(1, 30)), draw(st.sampled_from([0.0, 1.0, 2.0]))
+    starts = st.integers(0, n_truth - 1).map(lambda j: t_start + j * (2.0 / n_truth))
+    times = draw(st.lists(st.floats(-2.0, 4.0) | starts, min_size=1, max_size=5, unique=True))
+    values = draw(st.lists(st.sampled_from((-0.2, 0.0, 0.2)), min_size=5, max_size=5))
+    theta = UncertaintySignal(tuple(sorted(times)), tuple(values[:len(times)]))
+    return Interval("drawn", TANK, draw(st.floats(145_000.0, 160_000.0)), draw(st.floats(0.0, 1.0)),
+                    t_start, 2.0, n_truth, theta)
 
-    def test_stage_errors_keep_their_index(self):
-        # stage 4 probes 6.0 outside [0, 5.9]
-        with pytest.raises(IntegrationDomainError) as excinfo:
-            integrate_interval(end_escape((0.0, 5.9)), 5.0, 0.0, 0.0, 2.0, 2, ZERO_THETA)
-        assert excinfo.value.stage == 4
-        assert str(excinfo.value) == "stage 4 state 6.0 left the domain"
 
-    def test_start_state_outside_the_domain(self):
-        with pytest.raises(IntegrationDomainError) as excinfo:
-            integrate_interval(end_escape(), 7.0, 0.0, 0.0, 1.0, 1, ZERO_THETA)
-        assert (excinfo.value.stage, excinfo.value.state) == (1, 7.0)
+@settings(deadline=None)
+@given(row=drawn_intervals())
+def test_drawn_interval(row):
+    check_interval(row)
 
 
 class RecordingSink:
@@ -385,15 +319,6 @@ def trace_row(r):
         f"{r.k},{float(r.t)!r},{float(r.x_true)!r},{x_pred},"
         f"{r.s},{r.i},{float(r.u)!r},{float(r.j_running)!r}\n"
     )
-
-
-def written_rows(records):
-    """The rows, header left out, that a ``TraceWriter`` writes for ``records``."""
-    handle = io.StringIO()
-    writer = TraceWriter(handle)
-    for record in records:
-        writer.append(record)
-    return handle.getvalue().splitlines(keepends=True)[1:]
 
 
 def small_scenario(small_scenario_dict, overrides=None):
@@ -735,6 +660,8 @@ def check_run(row, strategy):
         bursts = itertools.groupby(offsets, key=lambda offset: offset is None)
         furthest = sum(max(burst) for received, burst in bursts if not received)
         assert listed.predicted == (furthest if strategy == PREDICTIVE_BUFFER else 0)
+        # at most min(horizon, 2) entries per loss, as MAX_PREDICTOR_STEPS charges
+        assert listed.predicted <= min(predictor.horizon, 2) * listed.stats.loss_count
     # the same run into a sink that is no list, one that keeps nothing (as
     # a compare cell passes) and a trace writer
     sink, handle = RecordingSink(), io.StringIO()
@@ -872,288 +799,229 @@ def assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-class TestCompareStrategies:
-    def test_paired_seeds_and_full_table(self, small_scenario_dict):
-        sc = small_scenario(
-            small_scenario_dict, {"loss": {"kind": "bernoulli", "p": 0.3, "seed": 5}}
-        )
-        result = compare_strategies(sc, n_seeds=3)
-        assert result.seeds == (5, 6, 7)
-        assert result.strategies == STRATEGIES
-        for strategy in STRATEGIES:
-            assert result.diverged_count(strategy) == 0
-            assert result.median_cost(strategy) > 0.0
+class Compare(NamedTuple):
+    """One row of ``COMPARES``: ``compare_strategies`` on the 60-step
+    tank-reference scenario under ``overrides``, over ``strategies`` (None:
+    the scenario's own) and ``n_seeds`` seeds, and the facts only this row
+    pins: a result's field, a name of ``COMPARE_FACTS``, or ``error``, the
+    text of the ``ConfigError`` raised before any cell; and its value."""
 
-    def test_cell_matches_individual_run(self, small_scenario_dict):
-        sc = small_scenario(
-            small_scenario_dict, {"loss": {"kind": "bernoulli", "p": 0.3, "seed": 5}}
-        )
-        result = compare_strategies(sc, strategies=(HOLD_LAST_VALUE,), n_seeds=2)
-        records, _ = collected(run_scenario, sc, HOLD_LAST_VALUE, seed=6)
-        total = stage_cost_sum(records, sc.cost, sc.controller.setpoint)
-        assert result.costs[HOLD_LAST_VALUE][6] == total
+    id: str
+    overrides: dict
+    strategies: Optional[tuple]
+    n_seeds: int
+    facts: dict = {}
 
-    @pytest.mark.parametrize("m_steps", [1, 7, 59])
-    def test_cell_cost_stops_at_m_steps(self, small_scenario_dict, m_steps):
-        sc = small_scenario(
-            small_scenario_dict,
-            {"loss": {"kind": "bernoulli", "p": 0.3, "seed": 5}, "cost.m_steps": m_steps},
-        )
-        result = compare_strategies(sc, strategies=(PREDICTIVE_BUFFER,), n_seeds=2)
-        for seed in result.seeds:
-            records, _ = collected(run_scenario, sc, PREDICTIVE_BUFFER, seed=seed)
-            assert len(records) == 60
-            cost = result.costs[PREDICTIVE_BUFFER][seed]
-            assert cost == records[m_steps - 1].j_running
-            assert cost == stage_cost_sum(records, sc.cost, sc.controller.setpoint)
-            assert cost < records[-1].j_running
 
-    def test_divergence_after_m_steps_empties_the_cell(self, small_scenario_dict):
-        # the truth march leaves the domain in interval 30, after m_steps = 10
-        sc = small_scenario(
-            small_scenario_dict,
-            {"sim.theta": [[0.0, 0.175], [61.0, 2.0]], "cost.m_steps": 10},
-        )
-        result = compare_strategies(sc, strategies=(HOLD_LAST_VALUE,), n_seeds=1)
-        assert result.costs[HOLD_LAST_VALUE] == {42: None}
+def reference_costs(sc, strategies, n_seeds):
+    """``(seeds, costs)`` of a compare, each cell by ``reference_run`` on its
+    seed's reception bits: the running cost after ``m_steps``, or None for
+    a run that diverges, after ``m_steps`` too.  A seedless channel realizes
+    one loss pattern, so it runs its base seed once."""
+    seeds = range(sc.loss.seed, sc.loss.seed + (n_seeds if sc.loss.kind in SEEDED_KINDS else 1))
+    costs, m_steps = {strategy: {} for strategy in strategies}, sc.cost.m_steps
+    for strategy, seed in itertools.product(strategies, seeds):
+        bits = list(map(sc.loss.build(seed).sample_reception, range(sc.sim.steps)))
+        records, end = reference_run(tank_dynamics(sc.plant), sc.predictor, sc.controller, bits,
+                                     strategy, sc.sim, sc.cost)
+        costs[strategy][seed] = None if isinstance(end, tuple) else records[m_steps - 1].j_running
+    return tuple(seeds), costs
 
-    def test_lossless_columns_agree(self, small_scenario_dict):
-        sc = small_scenario(small_scenario_dict)
-        result = compare_strategies(sc, n_seeds=1)
-        seed = result.seeds[0]
-        costs = {result.costs[s][seed] for s in STRATEGIES}
-        assert len(costs) == 1
 
-    def test_seedless_channel_runs_base_seed_only(self, small_scenario_dict):
-        sc = small_scenario(small_scenario_dict)
-        result = compare_strategies(sc, strategies=(HOLD_LAST_VALUE,), n_seeds=3)
-        assert result.seeds == (42,)
-        assert list(result.costs[HOLD_LAST_VALUE]) == [42]
+# What a row may pin besides the result's fields, each a function of the
+# result; a pinned value is compared by ``repr``.
+COMPARE_FACTS = {
+    "median": lambda result: {s: result.median_cost(s) for s in result.strategies},
+    "diverged": lambda result: {s: result.diverged_count(s) for s in result.strategies},
+    "cells": lambda result: {repr(c) for column in result.costs.values() for c in column.values()},
+}
+LOSSY = {"loss": {"kind": "bernoulli", "p": 0.3, "seed": 5}}
+UNDIVERGED = dict.fromkeys(STRATEGIES, 0)
 
-    def test_diverged_cells_are_none(self, small_scenario_dict):
-        sc = small_scenario(
-            small_scenario_dict,
-            {
-                "predictor.gamma": 0.9,
-                "loss": {"kind": "bernoulli", "p": 0.3, "seed": 42},
-            },
-        )
-        result = compare_strategies(
-            sc, strategies=(PREDICTIVE_BUFFER, HOLD_LAST_VALUE), n_seeds=2
-        )
-        assert result.diverged_count(PREDICTIVE_BUFFER) == 2
-        assert result.median_cost(PREDICTIVE_BUFFER) is None
-        assert result.median_cost(HOLD_LAST_VALUE) is not None
-        assert result.count_wins(HOLD_LAST_VALUE, PREDICTIVE_BUFFER) == 0
-        assert result.count_wins(PREDICTIVE_BUFFER, HOLD_LAST_VALUE) == 0
+# Every compare the tests run by hand, one row each: a new one is one row.
+COMPARES = [
+    # seeds from the loss seed on, paired across the strategies
+    Compare("bernoulli", LOSSY, None, 3, {"seeds": (5, 6, 7), "diverged": UNDIVERGED}),
+    # a cell's cost stops at m_steps
+    *[Compare(f"m_steps-{m_steps}", {**LOSSY, "cost.m_steps": m_steps}, (PREDICTIVE_BUFFER,), 2)
+      for m_steps in (1, 7, 59)],
+    # the truth leaves the domain in interval 30, after m_steps = 10, and
+    # the cell is still None
+    Compare("diverged-after-m_steps", {"sim.theta": [[0.0, 0.175], [61.0, 2.0]],
+                                       "cost.m_steps": 10},
+            (HOLD_LAST_VALUE,), 1, {"costs": {HOLD_LAST_VALUE: {42: None}}}),
+    # without loss the strategies apply the same inputs, and the seedless
+    # channel runs its base seed once
+    Compare("lossless", {}, None, 3, {"seeds": (42,), "cells": {"7975344530.308761"}}),
+    # gamma = 0.9 sends every plan out of the domain: the buffer's cells
+    # diverge, and it neither wins nor loses
+    Compare("gamma-0.9", {"predictor.gamma": 0.9, "loss": {**LOSSY["loss"], "seed": 42}},
+            (PREDICTIVE_BUFFER, HOLD_LAST_VALUE), 2, {
+                "diverged": {PREDICTIVE_BUFFER: 2, HOLD_LAST_VALUE: 0},
+                "median": {PREDICTIVE_BUFFER: None, HOLD_LAST_VALUE: 18284562804.987373},
+            }),
+    # no outflow, no disturbance and x0 at the setpoint: the valve stays
+    # shut, every cell costs 0.0, and no such cell counts as diverged
+    Compare("still-at-the-setpoint", {
+        "plant.m2": 0.0, "sim.theta": 0.0, "sim.x0": 150_100.0, "predictor.gamma": 0.0,
+        "loss": {**LOSSY["loss"], "seed": 42},
+    }, None, 3, {"cells": {"0.0"}, "diverged": UNDIVERGED}),
+    # the median of one interval's costs: 1e308 lost and 1.5e308 received
+    # at u = 1, whose sum overflows, and two costs at the least subnormal
+    Compare("median-of-an-overflowing-pair", {
+        "sim.duration": 2.0, "cost.m_steps": 1, "sim.x0": 150_099.0, "cost.q_c": 1e308,
+        "cost.r_c": 5e307, "loss": {"kind": "bernoulli", "p": 0.5, "seed": 1},
+    }, (HOLD_LAST_VALUE, ZERO_INPUT), 2,
+        {"median": dict.fromkeys((HOLD_LAST_VALUE, ZERO_INPUT), 1.25e308)}),
+    Compare("median-of-subnormals", {
+        **LOSSY, "cost.m_steps": 1, "sim.x0": 150_101.0, "cost.q_c": 5e-324, "cost.r_c": 0.0,
+    }, (ZERO_INPUT,), 2, {"median": {ZERO_INPUT: 5e-324}}),
+    # bad strategies and seed counts; an empty selection is no call for the
+    # scenario's own
+    *[Compare(f"rejects-{name}", {}, strategies, n_seeds, {"error": error})
+      for name, strategies, n_seeds, error in (
+          ("no-strategy", (), 1, "strategies must be non-empty"),
+          ("teleport", ("teleport",), 1,
+           f"strategies: unknown strategy 'teleport', expected one of {STRATEGIES}"),
+          ("twice", (ZERO_INPUT, ZERO_INPUT), 1, "strategies must be unique"),
+          *((f"seeds-{n}", None, n, f"n_seeds must lie in [1, {MAX_COMPARE_SEEDS}], got {n}")
+            for n in (0, MAX_COMPARE_SEEDS + 1)),
+      )],
+]
 
-    def test_median_of_a_pair_whose_sum_overflows(self):
-        costs = {"a": {0: 1.5e308, 1: 1e308, 2: None}, "b": {0: 1.0, 1: 3.0, 2: 2.0}}
-        result = ComparisonResult(strategies=("a", "b"), seeds=(0, 1, 2), costs=costs)
-        assert result.median_cost("a") == 1.25e308
-        assert result.median_cost("b") == 2.0
 
-    def test_worker_count_does_not_change_result(self, small_scenario_dict):
-        sc = small_scenario(
-            small_scenario_dict, {"loss": {"kind": "bernoulli", "p": 0.3, "seed": 9}}
-        )
-        serial = compare_strategies(sc, n_seeds=2, workers=1)
-        pooled = compare_strategies(sc, n_seeds=2, workers=2)
-        assert serial == pooled
-
-    def test_rejects_bad_arguments(self, small_scenario_dict, monkeypatch):
-        def must_not_run(task):
-            raise AssertionError("a cell ran despite bad arguments")
-
-        monkeypatch.setattr(ncsim.runtime, "_compare_cell", must_not_run)
-        sc = small_scenario(small_scenario_dict)
-        with pytest.raises(ValueError):
-            compare_strategies(sc, strategies=("nope",))
-        with pytest.raises(ValueError):
-            compare_strategies(sc, strategies=(ZERO_INPUT, ZERO_INPUT))
-        with pytest.raises(ValueError):
-            compare_strategies(sc, n_seeds=0)
-        with pytest.raises(ValueError, match="n_seeds"):
-            compare_strategies(sc, n_seeds=ncsim.runtime.MAX_COMPARE_SEEDS + 1)
-
-    @pytest.mark.parametrize(
-        "workers, strategies, n_seeds, pool_size",
-        [
-            (8, (HOLD_LAST_VALUE, ZERO_INPUT), 1, 2),
-            (2, (HOLD_LAST_VALUE, ZERO_INPUT), 3, 2),
-            (4, (ZERO_INPUT,), 1, None),
-            (3, (PREDICTIVE_BUFFER, HOLD_LAST_VALUE), 2, 3),  # shares of 2, 1 and 1 cells
-        ],
-    )
-    def test_pool_is_sized_to_the_cell_count(
-        self, small_scenario_dict, forks, workers, strategies, n_seeds, pool_size
-    ):
-        # pool_size counts the calling process, which runs a share too, so
-        # compare forks pool_size - 1 children; None: it runs alone
-        sc = small_scenario(
-            small_scenario_dict, {"loss": {"kind": "bernoulli", "p": 0.3, "seed": 9}}
-        )
-        pooled = compare_strategies(sc, strategies=strategies, n_seeds=n_seeds, workers=workers)
-        assert len(forks) == (0 if pool_size is None else pool_size - 1)
-        assert pooled == compare_strategies(sc, strategies=strategies, n_seeds=n_seeds)
+def check_compare(row, forks):
+    """Run ``row`` at 1, 2 and 3 workers, each forking one child per share
+    but its own and leaving none, and hold the result to
+    ``reference_costs``, its medians, wins and diverged cells recounted from
+    that table, then to the row's facts.  A rejected row forks nothing."""
+    sc = scenario_from_dict(small_document(row.overrides))
+    shown = set()
+    for workers in (1, 2, 3):
+        forks.clear()
+        try:
+            result = compare_strategies(sc, row.strategies, row.n_seeds, workers)
+            cells = len(result.strategies) * len(result.seeds)
+        except ConfigError as exc:
+            result, cells = exc, 1
+        assert len(forks) == min(workers, cells) - 1
         assert_no_child_left()
-
-    def test_pool_size_is_capped(self, small_scenario_dict, forks):
-        cap = ncsim.runtime.MAX_COMPARE_WORKERS
-        sc = small_scenario(
-            small_scenario_dict,
-            {"sim.duration": 4.0, "cost.m_steps": 2, "loss": {"kind": "bernoulli", "p": 0.3, "seed": 9}},
-        )
-        for workers in (cap + 1, 1_000_000, 0):
-            with pytest.raises(ValueError, match="workers"):
-                compare_strategies(sc, n_seeds=10_000, workers=workers)
-        assert forks == []
-        # the shares themselves, without forking a process per share
-        tasks = list(range(cap * 2 + 5))
-        shares = ncsim.runtime._shares(tasks, cap)
-        assert shares == [tasks[i::cap] for i in range(cap)]
-        assert ncsim.runtime._shares(tasks[:3], cap) == [[0], [1], [2]]
-        assert ncsim.runtime._shares(tasks, 1) == [tasks]
-
-    def test_cell_exception_is_raised_with_its_type_and_args(self, small_scenario_dict, monkeypatch):
-        parent = os.getpid()
-        cell = ncsim.runtime._compare_cell
-
-        def failing_in_a_child(task):
-            if os.getpid() != parent:
-                raise LookupError("no such cell", task[2])
-            return cell(task)
-
-        monkeypatch.setattr(ncsim.runtime, "_compare_cell", failing_in_a_child)
-        sc = small_scenario(
-            small_scenario_dict, {"loss": {"kind": "bernoulli", "p": 0.3, "seed": 9}}
-        )
-        with pytest.raises(LookupError) as excinfo:
-            compare_strategies(sc, strategies=(HOLD_LAST_VALUE, ZERO_INPUT), n_seeds=1, workers=2)
-        assert type(excinfo.value) is LookupError
-        assert excinfo.value.args == ("no such cell", 9)
-        assert_no_child_left()
-
-    def test_child_without_a_result_names_its_exit_status(self, small_scenario_dict, monkeypatch):
-        parent = os.getpid()
-        cell = ncsim.runtime._compare_cell
-
-        def exiting_in_a_child(task):
-            if os.getpid() != parent:
-                os._exit(7)
-            return cell(task)
-
-        monkeypatch.setattr(ncsim.runtime, "_compare_cell", exiting_in_a_child)
-        sc = small_scenario(small_scenario_dict)
-        with pytest.raises(NcsimError, match="status 7"):
-            compare_strategies(sc, strategies=(HOLD_LAST_VALUE, ZERO_INPUT), workers=2)
-        assert_no_child_left()
-
-    def test_interrupted_compare_kills_its_children(self, small_scenario_dict, monkeypatch):
-        parent = os.getpid()
-
-        def interrupted_here_stuck_there(task):
-            if os.getpid() == parent:
-                raise KeyboardInterrupt
-            time.sleep(60)
-
-        monkeypatch.setattr(ncsim.runtime, "_compare_cell", interrupted_here_stuck_there)
-        sc = small_scenario(small_scenario_dict)
-        start = time.monotonic()
-        with pytest.raises(KeyboardInterrupt):
-            compare_strategies(sc, workers=3)
-        assert time.monotonic() - start < 30
-        assert_no_child_left()
+        shown.add(repr(result))
+    assert len(shown) == 1
+    if isinstance(result, ConfigError) or "error" in row.facts:
+        assert str(result) == row.facts.get("error")
+        return
+    chosen = sc.strategies if row.strategies is None else row.strategies
+    seeds, costs = reference_costs(sc, chosen, row.n_seeds)
+    assert shown == {repr(ComparisonResult(chosen, seeds, costs))}
+    for a, b in itertools.product(chosen, repeat=2):
+        finished = [Fraction(cost) for cost in costs[a].values() if cost is not None]
+        median = float(statistics.median(finished)) if finished else None
+        wins = sum(None not in pair and pair[0] < pair[1]
+                   for pair in zip(costs[a].values(), costs[b].values()))
+        counted = (result.median_cost(a), result.diverged_count(a), result.count_wins(a, b))
+        assert (a, b, repr(counted)) == (a, b, repr((median, len(seeds) - len(finished), wins)))
+    for name, value in row.facts.items():
+        got = COMPARE_FACTS[name](result) if name in COMPARE_FACTS else getattr(result, name)
+        assert (name, repr(got)) == (name, repr(value))
 
 
-class TestCheckStrategies:
-    """The scenario, compare and the loop check strategy names through one
-    function, which raises ``ConfigError`` naming what it checked."""
-
-    def test_known_unique_names_come_back_as_a_tuple(self):
-        assert check_strategies([ZERO_INPUT, HOLD_LAST_VALUE]) == (ZERO_INPUT, HOLD_LAST_VALUE)
-
-    @pytest.mark.parametrize(
-        "names, needle",
-        [((), "must be non-empty"), (("teleport",), "unknown strategy 'teleport'"),
-         ((ZERO_INPUT, ZERO_INPUT), "must be unique")],
-    )
-    def test_every_caller_rejects_the_same_names(
-        self, small_scenario_dict, monkeypatch, names, needle
-    ):
-        def must_not_run(task):
-            raise AssertionError("a cell ran despite bad strategies")
-
-        monkeypatch.setattr(ncsim.runtime, "_compare_cell", must_not_run)
-        assert issubclass(ConfigError, ValueError)
-        with pytest.raises(ConfigError, match=f"^--strategies:? {needle}"):
-            check_strategies(names, "--strategies")
-        with pytest.raises(ConfigError, match=f"^strategies:? {needle}"):
-            scenario_from_dict(small_scenario_dict({"strategies": list(names)}))
-        # an empty selection is an error, not the scenario's own list
-        with pytest.raises(ConfigError, match=f"^strategies:? {needle}"):
-            compare_strategies(small_scenario(small_scenario_dict), strategies=names)
-
-    def test_the_loop_names_its_strategy(self, small_scenario_dict):
-        sc = small_scenario(small_scenario_dict)
-        with pytest.raises(ConfigError, match="^strategy: unknown strategy 'nope'"):
-            run_closed_loop(
-                tank_dynamics(sc.plant), sc.predictor, sc.controller,
-                LossModel(itertools.repeat(1)), "nope", sc.sim, sc.cost, [],
-            )
+@pytest.mark.parametrize("row", COMPARES, ids=[row.id for row in COMPARES])
+def test_compare(row, forks):
+    check_compare(row, forks)
 
 
-class TestTextMemo:
-    """A ``TraceWriter`` formats each distinct state once, by its bits, and
-    writes the same rows as formatting every float afresh."""
-
-    def test_signed_zeros_keep_their_text(self):
-        records = [make_record(k=k, x=x) for k, x in enumerate((0.0, -0.0, 0.0))]
-        rows = written_rows(records)
-        assert [row.split(",")[2] for row in rows] == ["0.0", "-0.0", "0.0"]
-        assert rows == [trace_row(r) for r in records]
-
-    def test_an_int_state_writes_as_a_float(self):
-        # the API accepts an int x0, which a run's first record carries
-        record = make_record(x=110000, x_pred=110000)
-        rows = written_rows([record])
-        assert rows == [trace_row(record)]
-        assert rows[0].split(",")[2:4] == ["110000.0", "110000.0"]
-
-    def test_memo_is_capped_and_keeps_the_right_texts(self):
-        cap = ncsim.runtime.TRUTH_MEMO_ENTRIES
-        states = [1.0 + j / 8 for j in range(2 * cap + 3)]
-        records = [make_record(k=k, x=x, x_pred=-x) for k, x in enumerate(states + states[::-3])]
-        handle = io.StringIO()
-        writer = TraceWriter(handle)
-        for record in records:
-            writer.append(record)
-            assert len(writer.texts) <= cap
-        assert handle.getvalue().splitlines(keepends=True)[1:] == [trace_row(r) for r in records]
-
-    def test_an_equal_prediction_of_the_other_zero_keeps_its_sign(self):
-        for x, x_pred in ((0.0, -0.0), (-0.0, 0.0)):
-            rows = written_rows([make_record(x=x, x_pred=x_pred)])
-            assert rows[0].split(",")[2:4] == [repr(x), repr(x_pred)]
+@st.composite
+def drawn_compares(draw):
+    """A compare of 10 intervals under a loss channel of ``RUN_KEYS``, a gamma
+    that may send plans out of the domain, and any strategies and seeds."""
+    names = draw(st.permutations(STRATEGIES))
+    return Compare("drawn", {
+        "sim.duration": 20.0, "cost.m_steps": draw(st.integers(1, 10)),
+        "loss": draw(RUN_KEYS["loss"]),
+        "predictor.gamma": draw(st.sampled_from([0.175, 0.9]) | st.floats(-0.5, 0.95)),
+        "sim.doubled_age_offset": draw(st.booleans()),
+    }, draw(st.none() | st.integers(1, 3).map(lambda n: tuple(names[:n]))), draw(st.integers(1, 3)))
 
 
-class TestComparisonCsv:
-    def test_layout_and_empty_cells(self, tmp_path):
-        result = ComparisonResult(
-            strategies=(PREDICTIVE_BUFFER, HOLD_LAST_VALUE),
-            seeds=(1, 2),
-            costs={
-                PREDICTIVE_BUFFER: {1: 3.5, 2: None},
-                HOLD_LAST_VALUE: {1: 1.0, 2: 2.0},
-            },
-        )
-        path = tmp_path / "comparison.csv"
-        write_comparison_csv(result, str(path))
-        assert path.read_text().splitlines() == [
-            "seed,predictive-buffer,hold-last-value",
-            "1,3.5,1.0",
-            "2,,2.0",
-        ]
+# each draw forks up to three children, so a quarter of the profile's draws
+@settings(deadline=None, max_examples=settings.default.max_examples // 4,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(row=drawn_compares())
+def test_drawn_compare(forks, row):
+    check_compare(row, forks)
+
+
+def raising(task):
+    raise LookupError("no such cell", task[2])
+
+
+def exiting(task):
+    os._exit(7)
+
+
+def stuck(task):
+    time.sleep(60)
+
+
+def interrupted(task):
+    raise KeyboardInterrupt
+
+
+# Faults of a compare's cell, here (None: the real cell) and in each
+# forked child: a cell that raises, a child that exits without a result,
+# and an interrupt here while the children are stuck.
+@pytest.mark.parametrize("here, there, workers, error", [
+    (None, raising, 2, LookupError("no such cell", 10)),
+    (None, exiting, 2, NcsimError("compare worker exited with status 7 without a result")),
+    (interrupted, stuck, 3, KeyboardInterrupt()),
+], ids=["child-raises", "child-exits", "interrupted"])
+def test_compare_fault(small_scenario_dict, monkeypatch, here, there, workers, error):
+    """The fault is raised here with its type and args, within 30 s, and
+    leaves no child behind."""
+    parent, cell = os.getpid(), ncsim.runtime._compare_cell
+    monkeypatch.setattr(ncsim.runtime, "_compare_cell",
+                        lambda task: (here or cell)(task) if os.getpid() == parent else there(task))
+    sc = small_scenario(small_scenario_dict, {"loss": {**LOSSY["loss"], "seed": 9}})
+    start = time.monotonic()
+    with pytest.raises(type(error)) as raised:
+        compare_strategies(sc, (HOLD_LAST_VALUE, ZERO_INPUT), n_seeds=2, workers=workers)
+    assert (type(raised.value), raised.value.args) == (type(error), error.args)
+    assert time.monotonic() - start < 30
+    assert_no_child_left()
+
+
+def test_the_loop_names_its_strategy(small_scenario_dict):
+    sc = small_scenario(small_scenario_dict)
+    with pytest.raises(ConfigError) as raised:
+        run_closed_loop(tank_dynamics(sc.plant), sc.predictor, sc.controller,
+                        LossModel(itertools.repeat(1)), "nope", sc.sim, sc.cost, [])
+    assert str(raised.value) == f"strategy: unknown strategy 'nope', expected one of {STRATEGIES}"
+
+
+# Records a ``TraceWriter`` writes, one sequence each: signed zeros, an
+# int state as the API's x0 may be, a prediction equal to its state but of
+# the other zero, and more distinct states than its text memo holds.
+STATES = [1.0 + j / 8 for j in range(2 * ncsim.runtime.TRUTH_MEMO_ENTRIES + 3)]
+WRITES = {
+    "signed-zeros": [make_record(k=k, x=x) for k, x in enumerate((0.0, -0.0, 0.0))],
+    "int-state": [make_record(x=110000, x_pred=110000)],
+    "other-zero": [make_record(x=x, x_pred=-x) for x in (0.0, -0.0)],
+    "past-the-memo": [make_record(k, x, x_pred=-x) for k, x in enumerate(STATES + STATES[::-3])],
+}
+
+
+@pytest.mark.parametrize("records", WRITES.values(), ids=WRITES)
+def test_trace_text(records):
+    """The writer formats each distinct state once, by its bits, keeps no
+    more texts than its memo holds, and writes the rows of formatting
+    every float afresh."""
+    handle = io.StringIO()
+    writer = TraceWriter(handle)
+    for record in records:
+        writer.append(record)
+        assert len(writer.texts) <= ncsim.runtime.TRUTH_MEMO_ENTRIES
+    assert handle.getvalue().splitlines(keepends=True)[1:] == [trace_row(r) for r in records]
 
 
 class TestAnyScenarioRunsOrDiverges:

@@ -1,15 +1,16 @@
+import functools
 import json
 import math
 import typing
+from typing import NamedTuple
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-import ncsim.runtime
-from ncsim.cli import EXIT_CONFIG, EXIT_OK, main
+from ncsim.cli import EXIT_CONFIG, main
 from ncsim.losses import LOSS_KEYS, LOSS_KINDS
-from ncsim.runtime import MAX_STEPS, MAX_TRUTH_SUBSTEPS, PREDICTIVE_BUFFER, run_scenario
+from ncsim.runtime import MAX_STEPS, MAX_TRUTH_SUBSTEPS
 from ncsim.scenario import _CHECKERS, MAX_PREDICTOR_STEPS, Scenario, _keys
 from ncsim import (
     ConfigError,
@@ -31,87 +32,7 @@ from ncsim import (
     scenario_to_dict,
 )
 
-from conftest import json_values
-
-
-GE_SPEC = {"kind": "gilbert-elliott", "p_g2b": 0.1, "p_b2g": 0.4, "loss_in_bad": 1.0}
-
-
-def first(model, n=6):
-    return [model.sample_reception(k) for k in range(n)]
-
-
-class TestLossSpec:
-    def test_builds_each_kind(self, tmp_path):
-        assert first(LossSpec(kind="none").build()) == [1] * 6
-        bern = LossSpec(kind="bernoulli", p=0.3, seed=5).build()
-        assert first(bern) == first(LossSpec(kind="bernoulli", p=0.3).build(5))
-        ge = LossSpec(
-            kind="gilbert-elliott", p_g2b=0.1, p_b2g=0.4, loss_in_bad=0.0
-        ).build()
-        assert first(ge, 200) == [1] * 200
-        trace_file = tmp_path / "bits.txt"
-        trace_file.write_text("1\n0\n")
-        spec = LossSpec(kind="trace", trace_path=str(trace_file), wrap=True)
-        assert spec.bits == (1, 0)
-        assert first(spec.build()) == [1, 0, 1, 0, 1, 0]
-
-    def test_build_seed_override(self):
-        spec = LossSpec(kind="bernoulli", p=0.5, seed=3)
-        other = LossSpec(kind="bernoulli", p=0.5, seed=7)
-        bits = {seed: first(spec.build(seed), 64) for seed in (3, 7)}
-        assert first(spec.build(), 64) == bits[3]
-        assert first(other.build(), 64) == bits[7]
-        assert bits[3] != bits[7]
-
-
-class TestBuiltinScenario:
-    def test_reference_scenario_parses(self):
-        sc = builtin_scenario("tank-reference")
-        assert sc.controller.setpoint == 150_100.0
-        assert sc.predictor.gamma == 0.175
-        assert sc.predictor.horizon == 10
-        assert sc.sim.theta.times == (0.0, 1800.0)
-        assert sc.sim.theta.values == (0.175, 0.185)
-        assert sc.sim.steps == 1800
-        assert sc.strategies == STRATEGIES
-        assert sc.loss.kind == "none"
-        assert sc.loss.seed == 42
-
-    def test_dict_copies_are_independent(self):
-        first = builtin_scenario_dict("tank-reference")
-        first["sim"]["duration"] = 2.0
-        second = builtin_scenario_dict("tank-reference")
-        assert second["sim"]["duration"] == 3600.0
-
-    def test_unknown_name_lists_builtins(self):
-        with pytest.raises(ConfigError, match="tank-reference"):
-            builtin_scenario_dict("tank-atmospheric")
-
-
-class TestScenarioRoundTrip:
-    def test_dict_round_trip_preserves_scenario(self):
-        sc = builtin_scenario("tank-reference")
-        assert scenario_from_dict(scenario_to_dict(sc)) == sc
-
-    def test_resolved_json_is_stable(self):
-        sc = builtin_scenario("tank-reference")
-        text = resolved_json(sc)
-        assert text.endswith("\n")
-        again = resolved_json(scenario_from_dict(json.loads(text)))
-        assert again == text
-
-    def test_scalar_theta_normalizes_to_single_pair(self, small_scenario_dict):
-        doc = small_scenario_dict({"sim.theta": 0.2})
-        sc = scenario_from_dict(doc)
-        assert sc.sim.theta == UncertaintySignal.constant(0.2)
-        assert scenario_to_dict(sc)["sim"]["theta"] == [[0.0, 0.2]]
-
-    def test_loss_section_defaults_to_no_loss(self, small_scenario_dict):
-        doc = small_scenario_dict()
-        del doc["loss"]
-        sc = scenario_from_dict(doc)
-        assert sc.loss == LossSpec(kind="none", seed=0)
+from conftest import json_values, small_scenario
 
 
 # resolved_json of tank-reference with each loss kind, around its loss section.
@@ -201,26 +122,162 @@ SNAPSHOT_LOSS = {
   },
 """),
 }
+SNAPSHOT = {kind: SNAPSHOT_HEAD + loss + SNAPSHOT_TAIL for kind, (_, loss) in SNAPSHOT_LOSS.items()}
+# The first bits of each snapshot's loss channel under its own seed:
+# Bernoulli seed 7's draws, and bits.txt wrapped.
+FIRST_BITS = {"none": [1] * 12, "bernoulli": [1, 0, 1, 0, 1, 1, 0, 1, 0, 1, 0, 0],
+              "gilbert-elliott": [1] * 12, "trace": [1, 0] * 6}
+# The trace files a row may name, in the directory its check runs in.
+TRACES = {"bits.txt": "1\n0\n", "sixty.txt": "1\n" * 60, "long.txt": "1\n0\n0\n" * 20}
+# Each key a document may leave out, and the default its record fills in.
+DEFAULTS = {
+    "plant.domain_margin": 0.001, "controller.lgv_threshold": 1e-9, "controller.u_min": 0.0,
+    "controller.u_max": 1.0, "loss.seed": 0, "loss.wrap": False, "sim.n_truth": 20,
+    "sim.doubled_age_offset": False, "cost.raw_state": False, "strategies": STRATEGIES,
+}
+# Predictor steps per interval at the cap: two predicted entries per
+# interval over MAX_STEPS intervals of 1 s.
+PER_INPUT = MAX_PREDICTOR_STEPS // MAX_STEPS // 2
 
 
-class TestResolvedSnapshot:
-    @pytest.mark.parametrize("kind", sorted(SNAPSHOT_LOSS))
-    def test_text_is_pinned_per_loss_kind(self, kind, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        (tmp_path / "bits.txt").write_text("1\n0\n")
-        loss, block = SNAPSHOT_LOSS[kind]
-        doc = builtin_scenario_dict("tank-reference")
-        doc["loss"] = loss
-        assert resolved_json(scenario_from_dict(doc)) == SNAPSHOT_HEAD + block + SNAPSHOT_TAIL
+class Document(NamedTuple):
+    """One row of ``DOCUMENTS``: a base document, a built-in's name or a
+    function that builds one, the ``--set`` assignments put on it or a
+    function that edits it in place, and the facts only this row pins,
+    each a name of ``FACTS`` or a dotted path into the parsed scenario,
+    and its value."""
+
+    id: str
+    base: object
+    edit: object = ()
+    facts: dict = {}
+
+
+def left_out(*paths):
+    """An edit that drops each ``section.key`` or ``section`` of ``paths``."""
+    def edit(doc):
+        for path in paths:
+            section, _, key = path.partition(".")
+            (doc.get(section, {}) if key else doc).pop(key or section, None)
+    return edit
+
+
+# What a row may pin besides a scenario's fields, each a function of the
+# parsed scenario; a pinned value is compared by ``repr``.
+FACTS = {
+    "steps_per_input": lambda sc: sc.predictor.steps_per_input(sc.sim.t_s),
+    "snapshot": resolved_json,
+    # theta as a document writes it
+    "theta": lambda sc: scenario_to_dict(sc)["sim"]["theta"],
+    # the first reception bits of the loss channel, under the scenario's seed
+    "stream": lambda sc: list(map(sc.loss.build().sample_reception, range(12))),
+}
+
+# Every document the tests parse by hand, one row each: a new one is one row.
+DOCUMENTS = [
+    Document("tank-reference", "tank-reference", facts={
+        "controller.setpoint": 150_100.0, "predictor.gamma": 0.175, "predictor.horizon": 10,
+        "sim.theta": UncertaintySignal((0.0, 1800.0), (0.175, 0.185)), "sim.steps": 1800,
+        "steps_per_input": 1, "strategies": STRATEGIES, "loss": LossSpec(kind="none", seed=42),
+        "snapshot": SNAPSHOT["none"],
+    }),
+    # each loss kind's snapshot writes its keys in one order, whatever the
+    # order of the section
+    *[Document(f"snapshot-{kind}", "tank-reference", [f"loss={json.dumps(loss)}"],
+               {"snapshot": SNAPSHOT[kind], "stream": FIRST_BITS[kind]})
+      for kind, (loss, _) in SNAPSHOT_LOSS.items()],
+    # a scalar theta is a schedule of one pair, from t = 0
+    *[Document(f"theta-{value}", small_scenario, [f"sim.theta={value}"],
+               {"sim.theta": UncertaintySignal.constant(value), "theta": [[0.0, float(value)]]})
+      for value in (0.2, 0)],
+    # JSON values and bare strings alike; the later of two assignments wins
+    Document("set-json-and-bare-strings", small_scenario, [
+        "predictor.gamma=0.2", "loss.kind=bernoulli", "loss.p=0.3", "sim.doubled_age_offset=true",
+        'strategies=["zero-input"]',
+    ], {"predictor.gamma": 0.2, "loss": LossSpec("bernoulli", 42, p=0.3),
+        "sim.doubled_age_offset": True, "strategies": ("zero-input",)}),
+    Document("later-set-wins", small_scenario, ["predictor.gamma=0.1", "predictor.gamma=0.2"],
+             {"predictor.gamma": 0.2}),
+    # an assignment into a left-out loss section starts from its default,
+    # which the next document without one still gets
+    Document("set-into-left-out-loss",
+             lambda: {name: value for name, value in small_scenario().items() if name != "loss"},
+             ["loss.kind=bernoulli", "loss.p=0.3"], {"loss": LossSpec("bernoulli", 0, p=0.3)}),
+    Document("loss-left-out", small_scenario, left_out("loss"), {"loss": LossSpec("none", 0)}),
+    *[Document(f"defaults-{name}", functools.partial(small_scenario, {"loss": loss}),
+               left_out(*["loss"] * (loss is None), *DEFAULTS), DEFAULTS)
+      for name, loss in (("no-loss", None), ("bernoulli", {"kind": "bernoulli", "p": 0.3}),
+                         ("gilbert-elliott", {"kind": "gilbert-elliott", "p_g2b": 0.1,
+                                             "p_b2g": 0.4, "loss_in_bad": 1.0}),
+                         ("trace", {"kind": "trace", "trace_path": "long.txt"}))],
+    # a trace that does not wrap covers the run: as many bits as steps
+    *[Document(f"trace-{name}", small_scenario, [f"loss={json.dumps(loss)}"], {"loss.bits": bits})
+      for name, loss, bits in (
+          ("as-long-as-the-run", {"kind": "trace", "trace_path": "sixty.txt"}, (1,) * 60),
+          ("that-wraps", {"kind": "trace", "trace_path": "bits.txt", "wrap": True}, (1, 0)),
+      )],
+    Document("duration-float-noise", small_scenario,
+             ["sim.t_s=0.1", "sim.duration=0.3", "cost.m_steps=3"], {"sim.steps": 3}),
+    # the run-size caps are inclusive: MAX_STEPS intervals of 20 substeps and
+    # PER_INPUT predictor steps each
+    Document("at-the-caps", small_scenario, [
+        "sim.t_s=1.0", f"sim.duration={float(MAX_STEPS)}", "sim.n_truth=20",
+        f"predictor.delta={1.0 / PER_INPUT}",
+    ], {"sim.steps": MAX_STEPS, "steps_per_input": PER_INPUT}),
+    # at most two predicted entries per interval, however long the buffer
+    *[Document(f"horizon-{horizon}", "tank-reference",
+               ["predictor.delta=0.2", f"predictor.horizon={horizon}"],
+               {"predictor.horizon": horizon, "steps_per_input": 10})
+      for horizon in (1200, 10**6)],
+    # t_s / delta when whole within 1e-9 relative (3.000000002 is 3),
+    # else one step of delta; an infinite ratio is one step
+    *[Document(f"delta-{delta!r}", small_scenario, [f"predictor.delta={delta!r}"],
+               {"steps_per_input": steps})
+      for delta, steps in ((2.0, 1), (0.5, 4), (10.0, 1), (0.3, 1), (1.0, 2),
+                           (0.6666666662222221, 3), (5e-324, 1))],
+]
+
+
+def document(row):
+    """The document of ``row``: its base, edited or with its assignments
+    applied, which leave the base as it was."""
+    doc = builtin_scenario_dict(row.base) if isinstance(row.base, str) else row.base()
+    if callable(row.edit):
+        row.edit(doc)
+        return doc
+    kept = json.dumps(doc)
+    edited = apply_overrides(doc, row.edit)
+    assert json.dumps(doc) == kept
+    return edited
+
+
+def check_document(row):
+    """Parse ``row``'s document, hold the scenario to its round trip, whose
+    snapshot reparses to the same scenario and rewrites the same text, and
+    to the row's facts.  A built-in's document stays as it was."""
+    sc = scenario_from_dict(document(row))
+    text = resolved_json(sc)
+    again = scenario_from_dict(json.loads(text))
+    assert (repr(again), resolved_json(again)) == (repr(sc), text)
+    assert resolved_json(builtin_scenario("tank-reference")) == SNAPSHOT["none"]
+    for name, want in row.facts.items():
+        got = FACTS[name](sc) if name in FACTS else functools.reduce(getattr, name.split("."), sc)
+        assert (name, repr(got)) == (name, repr(want))
 
 
 @pytest.fixture(scope="module")
-def trace_file(tmp_path_factory):
-    # as many bits as the longest valid document below has steps, so that
-    # a trace that does not wrap covers every run
-    path = tmp_path_factory.mktemp("trace") / "bits.txt"
-    path.write_text("1\n0\n0\n" * 20)
-    return str(path)
+def traces(tmp_path_factory):
+    """A directory that holds each file of ``TRACES``."""
+    path = tmp_path_factory.mktemp("traces")
+    for name, text in TRACES.items():
+        (path / name).write_text(text)
+    return path
+
+
+@pytest.mark.parametrize("row", DOCUMENTS, ids=[row.id for row in DOCUMENTS])
+def test_document(traces, monkeypatch, row):
+    monkeypatch.chdir(traces)
+    check_document(row)
 
 
 def numbers(low, high):
@@ -260,23 +317,12 @@ def scenario_documents(draw, trace_path):
     sim = {"x0": draw(numbers(110_000, 180_000)), "t_s": t_s, "duration": steps * t_s, "theta": theta}
     maybe(sim, "n_truth", st.integers(min_value=1, max_value=30))
     maybe(sim, "doubled_age_offset", st.booleans())
-    cost = {
-        "q_c": draw(numbers(0, 10)),
-        "r_c": draw(numbers(0, 1e6)),
-        "m_steps": draw(st.integers(min_value=1, max_value=steps)),
-    }
+    cost = {"q_c": draw(numbers(0, 10)), "r_c": draw(numbers(0, 1e6)),
+            "m_steps": draw(st.integers(min_value=1, max_value=steps))}
     maybe(cost, "raw_state", st.booleans())
-    doc = {
-        "plant": plant,
-        "predictor": {
-            "delta": draw(numbers(0.01, 4)),
-            "gamma": draw(numbers(-0.99, 0.99)),
-            "horizon": draw(st.integers(min_value=1, max_value=20)),
-        },
-        "controller": controller,
-        "sim": sim,
-        "cost": cost,
-    }
+    predictor = {"delta": draw(numbers(0.01, 4)), "gamma": draw(numbers(-0.99, 0.99)),
+                 "horizon": draw(st.integers(min_value=1, max_value=20))}
+    doc = dict(plant=plant, predictor=predictor, controller=controller, sim=sim, cost=cost)
     kind = draw(st.sampled_from(["omitted", "none", "bernoulli", "gilbert-elliott", "trace"]))
     if kind != "omitted":
         loss = {"kind": kind}
@@ -295,23 +341,65 @@ def scenario_documents(draw, trace_path):
     return doc
 
 
-class TestResolvedRoundTrip:
-    @settings(max_examples=150, deadline=None)
-    @given(data=st.data())
-    def test_snapshot_reparses_to_itself(self, trace_file, data):
-        sc = scenario_from_dict(data.draw(scenario_documents(trace_file)))
-        text = resolved_json(sc)
-        again = scenario_from_dict(json.loads(text))
-        assert again == sc
-        assert resolved_json(again) == text
+# Every key a loss section may hold, across the kinds.
+LOSS_SECTION_KEYS = ("kind", "seed") + tuple(key for keys in LOSS_KEYS.values() for key in keys)
 
 
-class TestStrictParsing:
-    @pytest.mark.parametrize("doc", [[], None, "x"])
-    def test_document_must_be_an_object(self, doc):
-        with pytest.raises(ConfigError) as raised:
-            scenario_from_dict(doc)
-        assert str(raised.value) == "scenario document must be a JSON object"
+@st.composite
+def mutated_documents(draw, base):
+    """``base`` with one to four keys replaced, added or dropped, at the top
+    level or inside a section, and any JSON value put in: loss kinds and
+    integers past float range and past the 4300 digits ``repr`` prints
+    among them."""
+    doc = json.loads(json.dumps(base))
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        name = draw(st.sampled_from(sorted(base)) | st.text())
+        value = draw(json_values | st.sampled_from(LOSS_KINDS) | st.integers(-(10**5000), 10**5000))
+        section = doc.get(name)
+        if isinstance(section, dict) and draw(st.booleans()):
+            known = sorted(set(section) | set(LOSS_SECTION_KEYS if name == "loss" else ()))
+            key = draw(st.sampled_from(known) | st.text() if known else st.text())
+            target = section
+        else:
+            key, target = name, doc
+        if draw(st.booleans()):
+            target[key] = value
+        else:
+            target.pop(key, None)
+    return doc
+
+
+# 600 draws, or the profile's count if larger; two thirds are mutated
+@settings(
+    max_examples=max(600, settings.default.max_examples), deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+# an integer no snapshot can write, in each key bounded only below
+@example(doc={**small_scenario(), "predictor": {"delta": 2.0, "gamma": 0.175, "horizon": 10**5000}})
+@example(doc={**small_scenario(), "loss": {"kind": "none", "seed": 10**5000}})
+@given(doc=st.one_of(scenario_documents("long.txt"), mutated_documents(small_scenario()),
+                     mutated_documents(small_scenario())))
+def test_drawn_document(traces, monkeypatch, doc):
+    """Any document, valid or mutated, parses and holds to its round trip,
+    or raises ``ConfigError``, never another error."""
+    monkeypatch.chdir(traces)
+    try:
+        scenario_from_dict(doc)
+    except ConfigError:
+        return
+    check_document(Document("drawn", lambda: doc))
+
+
+@pytest.mark.parametrize("parse, value, text", [
+    *[(scenario_from_dict, doc, "scenario document must be a JSON object")
+      for doc in ([], None, "x")],
+    (builtin_scenario_dict, "tank-atmospheric",
+     "unknown scenario 'tank-atmospheric'; built-ins: tank-reference"),
+])
+def test_not_a_document(parse, value, text):
+    with pytest.raises(ConfigError) as raised:
+        parse(value)
+    assert str(raised.value) == text
 
 
 REFERENCE = builtin_scenario("tank-reference")
@@ -468,6 +556,29 @@ RULES = [
     *[(None, {"sim.theta": [[0.0, 0.1], entry]}, ConfigError,
        f"sim.theta entries must be [time, value] number pairs, got {entry!r}")
       for entry in ([1.0], [1.0, "x"])],
+    # the domain is open: its ends are outside it
+    *[(Scenario, {key: value}, ConfigError,
+       f"{key} {value!r} outside state domain (100000.001, 199999.999)")
+      for key, value in (("sim.x0", 100_000.001), ("controller.setpoint", 199_999.999))],
+    # one past each run-size cap
+    (SimSettings, {"sim.t_s": 1.0, "sim.duration": MAX_STEPS + 1.0}, ConfigError,
+     f"sim.duration {MAX_STEPS + 1.0!r} / sim.t_s 1.0 asks for more than {MAX_STEPS} steps"),
+    (SimSettings, {"sim.t_s": 1.0, "sim.duration": float(MAX_STEPS), "sim.n_truth": 21},
+     ConfigError, f"sim.n_truth 21 over {MAX_STEPS} steps asks for more than "
+     f"{MAX_TRUTH_SUBSTEPS} truth substeps"),
+    (Scenario, {"sim.t_s": 1.0, "sim.duration": float(MAX_STEPS),
+                "predictor.delta": 1.0 / (PER_INPUT + 1)}, ConfigError,
+     f"predictor.delta {1.0 / (PER_INPUT + 1)!r} gives {PER_INPUT + 1} predictor steps per "
+     f"interval (sim.t_s / predictor.delta), which over {MAX_STEPS} steps of up to "
+     "min(predictor.horizon, 2) = 2 predicted entries may ask for more than "
+     f"{MAX_PREDICTOR_STEPS} predictor steps"),
+    # a boolean is no number and no integer, in a theta pair too
+    (None, {"sim.theta": [[True, 0.1]]}, ConfigError,
+     "sim.theta entries must be [time, value] number pairs, got [True, 0.1]"),
+    *[(None, {key: value}, ConfigError, f"{key} must be an integer, got {value!r}")
+      for key, value in (("predictor.horizon", True), ("loss.seed", False))],
+    *[(None, {name: value}, ConfigError, f"{name} section must be an object")
+      for name, value in (("loss", 1), ("plant", [1.0]))],
 ]
 
 
@@ -547,167 +658,22 @@ def test_document_raises_the_rule_text(tmp_path, capsys, owner, changes, error, 
     assert not out.exists()
 
 
-# Every key a loss section may hold, across the kinds.
-LOSS_SECTION_KEYS = ("kind", "seed") + tuple(key for keys in LOSS_KEYS.values() for key in keys)
-
-
-@st.composite
-def mutated_documents(draw, base):
-    """``base`` with one to four keys replaced, added or dropped, at the top
-    level or inside a section, and any JSON value put in: loss kinds and
-    integers past float range and past the 4300 digits ``repr`` prints
-    among them."""
-    doc = json.loads(json.dumps(base))
-    for _ in range(draw(st.integers(min_value=1, max_value=4))):
-        name = draw(st.sampled_from(sorted(base)) | st.text())
-        value = draw(json_values | st.sampled_from(LOSS_KINDS) | st.integers(-(10**5000), 10**5000))
-        section = doc.get(name)
-        if isinstance(section, dict) and draw(st.booleans()):
-            known = sorted(set(section) | set(LOSS_SECTION_KEYS if name == "loss" else ()))
-            key = draw(st.sampled_from(known) | st.text() if known else st.text())
-            target = section
-        else:
-            key, target = name, doc
-        if draw(st.booleans()):
-            target[key] = value
-        else:
-            target.pop(key, None)
-    return doc
-
-
-class TestAnyDocument:
-    """Any document parses or raises ``ConfigError``, never another error."""
-
-    @settings(
-        max_examples=400, deadline=None,
-        suppress_health_check=[HealthCheck.function_scoped_fixture],
-    )
-    @given(data=st.data())
-    def test_parses_or_raises_config_error(self, small_scenario_dict, data):
-        doc = data.draw(mutated_documents(small_scenario_dict()))
-        try:
-            scenario_from_dict(doc)
-        except ConfigError:
-            pass
-
-
-@pytest.mark.parametrize("key, value, message", [
-    ("x0", 10**5000, f"sim.x0 must be finite, got {hex(10**5000)[:40]}... (4155 characters)"),
-    ("theta", [[0, 10**5000, 1]],
+@pytest.mark.parametrize("path, value, message", [
+    ("sim.x0", 10**5000, f"sim.x0 must be finite, got {hex(10**5000)[:40]}... (4155 characters)"),
+    ("sim.theta", [[0, 10**5000, 1]],
      "sim.theta entries must be [time, value] number pairs, got a value with a huge integer"),
-], ids=["integer", "list-holding-one"])
-def test_integer_repr_cannot_print_is_quoted_in_hex(key, value, message):
+    # a key bounded only below: no snapshot could write the integer
+    *[(path, 10**5000,
+       f"{path} has too many digits for a snapshot, got {hex(10**5000)[:40]}... (4155 characters)")
+      for path in ("predictor.horizon", "loss.seed")],
+], ids=["integer", "list-holding-one", "horizon", "seed"])
+def test_integer_repr_cannot_print_is_quoted_in_hex(path, value, message):
     doc = builtin_scenario_dict("tank-reference")
-    doc["sim"][key] = value
+    section, key = path.split(".")
+    doc[section][key] = value
     with pytest.raises(ConfigError) as raised:
         scenario_from_dict(doc)
     assert str(raised.value) == message
-
-
-class TestCrossFieldValidation:
-    @pytest.mark.parametrize("lines,wrap,ok", [(59, False, False), (60, False, True), (1, True, True)])
-    def test_trace_that_does_not_wrap_covers_the_run(
-        self, small_scenario_dict, tmp_path, lines, wrap, ok
-    ):
-        path = tmp_path / "bits.txt"
-        path.write_text("1\n" * lines)
-        loss = {"kind": "trace", "trace_path": str(path), "wrap": wrap}
-        doc = small_scenario_dict({"loss": loss})
-        if ok:
-            assert len(scenario_from_dict(doc).loss.bits) == lines
-            return
-        text = (
-            f"loss.trace_path {str(path)!r} holds 59 bits, fewer than the 60 steps of "
-            "sim.duration 120.0, and loss.wrap is false"
-        )
-        with pytest.raises(ConfigError) as parsed:
-            scenario_from_dict(doc)
-        assert str(parsed.value) == text
-        # the rule spans the loss and sim records, so Scenario owns it
-        sc = scenario_from_dict(small_scenario_dict())
-        with pytest.raises(ConfigError) as replaced:
-            sc._replace(loss=LossSpec(**loss))
-        assert str(replaced.value) == text
-
-    def test_duration_tolerates_float_noise(self, small_scenario_dict):
-        doc = small_scenario_dict({"sim.t_s": 0.1, "sim.duration": 0.3, "cost.m_steps": 3})
-        assert scenario_from_dict(doc).sim.steps == 3
-
-
-class TestRunSizeCaps:
-    def test_reference_scenario_far_inside_caps(self):
-        sc = builtin_scenario("tank-reference")
-        steps = sc.sim.steps
-        assert 100 * steps <= MAX_STEPS
-        assert 100 * steps * sc.sim.n_truth <= MAX_TRUTH_SUBSTEPS
-        entries = min(sc.predictor.horizon, 2)
-        assert 100 * steps * sc.predictor.steps_per_input(sc.sim.t_s) * entries <= MAX_PREDICTOR_STEPS
-
-    def test_caps_are_inclusive(self, small_scenario_dict):
-        # parsing only: nothing runs
-        # two predicted entries per interval of 10 predictor steps each
-        per_input = MAX_PREDICTOR_STEPS // MAX_STEPS // 2
-        at_cap = {
-            "sim.t_s": 1.0, "sim.duration": float(MAX_STEPS), "sim.n_truth": 20,
-            "predictor.delta": 1.0 / per_input,
-        }
-        sc = scenario_from_dict(small_scenario_dict(at_cap))
-        assert sc.sim.steps == MAX_STEPS
-        assert sc.sim.steps * sc.predictor.steps_per_input(sc.sim.t_s) * 2 == MAX_PREDICTOR_STEPS
-        for path, value in (
-            ("sim.duration", MAX_STEPS + 1.0),
-            ("sim.n_truth", 21),
-            ("predictor.delta", 1.0 / (per_input + 1)),
-        ):
-            with pytest.raises(ConfigError, match=path):
-                scenario_from_dict(small_scenario_dict(dict(at_cap, **{path: value})))
-
-    def test_long_horizon_is_not_charged_per_entry(self):
-        # at most two predicted entries per interval, however long the buffer
-        doc = apply_overrides(
-            builtin_scenario_dict("tank-reference"), ["predictor.delta=0.2", "predictor.horizon=1200"]
-        )
-        assert scenario_from_dict(doc).predictor.horizon == 1200
-        doc["predictor"]["horizon"] = 10**6
-        scenario_from_dict(doc)
-
-    @pytest.mark.parametrize("horizon", [1, 40])
-    def test_predicted_steps_stay_within_the_bound(self, small_scenario_dict, monkeypatch, horizon):
-        grown = []
-        predict_step = ncsim.runtime.predict_step
-
-        def counting(cfg, dynamics, xhat, u, steps):
-            grown.append(steps)
-            return predict_step(cfg, dynamics, xhat, u, steps)
-
-        monkeypatch.setattr(ncsim.runtime, "predict_step", counting)
-        sc = scenario_from_dict(small_scenario_dict({
-            # gamma = theta * delta / vol, as tank-reference sets it for its delta
-            "predictor.delta": 0.5, "predictor.gamma": 0.04375, "predictor.horizon": horizon,
-            "sim.doubled_age_offset": True,
-            "loss": {"kind": "bernoulli", "p": 0.8, "seed": 3},
-        }))
-        per_input = sc.predictor.steps_per_input(sc.sim.t_s)
-        records = []
-        run_scenario(sc, PREDICTIVE_BUFFER, records)
-        losses = sum(1 for r in records if not r.s)
-        bound = sc.sim.steps * per_input * min(horizon, 2)
-        assert sum(grown) <= losses * per_input * min(horizon, 2) <= bound
-        if horizon > 2:
-            # the doubled offset does predict past one entry per loss
-            assert sum(grown) > losses * per_input
-
-    def test_infinite_substep_ratio_is_one_step(self, small_scenario_dict):
-        sc = scenario_from_dict(small_scenario_dict({"predictor.delta": 5e-324}))
-        assert sc.predictor.steps_per_input(sc.sim.t_s) == 1
-
-
-# The keys a document may leave out; the records' defaults fill them in.
-OPTIONAL_KEYS = (
-    "plant.domain_margin", "controller.lgv_threshold", "controller.u_min", "controller.u_max",
-    "loss.seed", "loss.wrap", "sim.n_truth", "sim.doubled_age_offset", "cost.raw_state",
-    "strategies",
-)
 
 
 def _document_keys():
@@ -721,109 +687,14 @@ def _document_keys():
                 yield f"{name}.{key}", kind, key_required
 
 
-class TestRecordsAreTheSchema:
-    def test_scenario_fields_are_the_sections_and_strategies(self):
-        fields = [name for name, _, _ in _keys(Scenario)]
-        assert fields == ["plant", "predictor", "controller", "loss", "sim", "cost", "strategies"]
-
-    def test_every_key_has_a_checker(self):
-        for path, kind, _ in _document_keys():
-            assert kind in _CHECKERS, path
-
-    def test_optional_keys_are_the_keys_with_a_default(self):
-        # an Optional key defaults to None: only some loss kinds take it,
-        # and LossSpec requires it of them
-        defaulted = {
-            path for path, kind, required in _document_keys()
-            if not required and type(None) not in typing.get_args(kind)
-        }
-        assert defaulted == set(OPTIONAL_KEYS)
-
-    @pytest.mark.parametrize("loss", [None, {"kind": "bernoulli", "p": 0.3}, GE_SPEC, "trace"])
-    def test_leaving_out_optional_keys_gives_the_records_defaults(
-        self, small_scenario_dict, trace_file, loss
-    ):
-        doc = small_scenario_dict()
-        doc["loss"] = {"kind": "trace", "trace_path": trace_file} if loss == "trace" else loss
-        if loss is None:
-            del doc["loss"]
-        for path in OPTIONAL_KEYS:
-            section, _, key = path.partition(".")
-            (doc.get(section, {}) if key else doc).pop(key or section, None)
-        sc = scenario_from_dict(doc)
-        assert sc.strategies == STRATEGIES
-        for name, record_type, _ in _keys(Scenario)[:-1]:
-            record = getattr(sc, name)
-            required = {
-                key: getattr(record, key)
-                for key, _, _ in _keys(record_type)
-                if f"{name}.{key}" not in OPTIONAL_KEYS and getattr(record, key) is not None
-            }
-            assert record == record_type(**required), name
-
-
-class TestStepsPerInput:
-    @pytest.mark.parametrize(
-        "delta,expected", [(2.0, 1), (0.5, 4), (10.0, 1), (0.3, 1), (1.0, 2)]
-    )
-    def test_substep_rule(self, small_scenario_dict, delta, expected):
-        sc = scenario_from_dict(small_scenario_dict({"predictor.delta": delta}))
-        assert sc.predictor.steps_per_input(sc.sim.t_s) == expected
-
-
-class TestApplyOverrides:
-    def test_json_values_and_bare_strings(self, small_scenario_dict):
-        doc = small_scenario_dict()
-        out = apply_overrides(
-            doc,
-            [
-                "predictor.gamma=0.2",
-                "loss.kind=bernoulli",
-                "loss.p=0.3",
-                "sim.doubled_age_offset=true",
-                'strategies=["zero-input"]',
-            ],
-        )
-        assert out["predictor"]["gamma"] == 0.2
-        assert out["loss"]["kind"] == "bernoulli"
-        assert out["loss"]["p"] == 0.3
-        assert out["sim"]["doubled_age_offset"] is True
-        assert out["strategies"] == ["zero-input"]
-        sc = scenario_from_dict(out)
-        assert sc.loss.p == 0.3
-
-    def test_later_assignment_wins(self, small_scenario_dict):
-        out = apply_overrides(
-            small_scenario_dict(), ["predictor.gamma=0.1", "predictor.gamma=0.2"]
-        )
-        assert out["predictor"]["gamma"] == 0.2
-
-    def test_original_document_untouched(self, small_scenario_dict):
-        doc = small_scenario_dict()
-        apply_overrides(doc, ["predictor.gamma=0.99"])
-        assert doc["predictor"]["gamma"] == 0.175
-
-    def test_theta_scalar_override_reparses(self, small_scenario_dict):
-        out = apply_overrides(small_scenario_dict(), ["sim.theta=0"])
-        sc = scenario_from_dict(out)
-        assert sc.sim.theta == UncertaintySignal.constant(0.0)
-
-    @pytest.mark.parametrize(
-        "assignment",
-        ["justakey", "nosection.key=1", "plant.alpha1.deep=1", ".dangling=1", "a..b=1"],
-    )
-    def test_bad_assignments_rejected(self, small_scenario_dict, assignment):
-        with pytest.raises(ConfigError):
-            apply_overrides(small_scenario_dict(), [assignment])
-
-
-class TestLoadScenario:
-    """Scenario files are read by the command line."""
-
-    def test_file_round_trip(self, tmp_path, small_scenario_dict):
-        sc = scenario_from_dict(small_scenario_dict())
-        path = tmp_path / "scenario.json"
-        path.write_text(resolved_json(sc))
-        out = tmp_path / "out"
-        assert main(["run", str(path), "--out", str(out)]) == EXIT_OK
-        assert (out / "resolved_config.json").read_text() == resolved_json(sc)
+def test_records_are_the_schema():
+    """The sections and strategies are ``Scenario``'s fields, every key has a
+    checker, and the keys with a default are those of ``DEFAULTS``; an
+    Optional key defaults to None: only some loss kinds take it, and
+    ``LossSpec`` requires it of them."""
+    assert [name for name, _, _ in _keys(Scenario)] == [
+        "plant", "predictor", "controller", "loss", "sim", "cost", "strategies"]
+    assert [path for path, kind, _ in _document_keys() if kind not in _CHECKERS] == []
+    defaulted = {path for path, kind, required in _document_keys()
+                 if not required and type(None) not in typing.get_args(kind)}
+    assert defaulted == set(DEFAULTS)
