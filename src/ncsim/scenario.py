@@ -96,8 +96,10 @@ def _number(label: str, value) -> float:
 def _integer(label: str, value) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{label} must be an integer, got {clipped(value)}")
-    if "x" in clipped(value):  # quoted in hex: past the digits repr, and so a snapshot, prints
-        raise ConfigError(f"{label} has too many digits for a snapshot, got {clipped(value)}")
+    try:
+        repr(value)  # as a snapshot writes it
+    except ValueError:  # past the digit limit
+        raise ConfigError(f"{label} has too many digits for a snapshot, got {clipped(value)}") from None
     return value
 
 

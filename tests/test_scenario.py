@@ -171,6 +171,10 @@ FACTS = {
     "theta": lambda sc: scenario_to_dict(sc)["sim"]["theta"],
     # the first reception bits of the loss channel, under the scenario's seed
     "stream": lambda sc: list(map(sc.loss.build().sample_reception, range(12))),
+    # whether each run-size cap holds 100 times the run's steps, truth substeps, predictor steps
+    "far-inside-caps": lambda sc: [100 * sc.sim.steps * per_step <= cap for per_step, cap in (
+        (1, MAX_STEPS), (sc.sim.n_truth, MAX_TRUTH_SUBSTEPS),
+        (FACTS["steps_per_input"](sc) * min(sc.predictor.horizon, 2), MAX_PREDICTOR_STEPS))],
 }
 
 # Every document the tests parse by hand, one row each: a new one is one row.
@@ -179,7 +183,7 @@ DOCUMENTS = [
         "controller.setpoint": 150_100.0, "predictor.gamma": 0.175, "predictor.horizon": 10,
         "sim.theta": UncertaintySignal((0.0, 1800.0), (0.175, 0.185)), "sim.steps": 1800,
         "steps_per_input": 1, "strategies": STRATEGIES, "loss": LossSpec(kind="none", seed=42),
-        "snapshot": SNAPSHOT["none"],
+        "snapshot": SNAPSHOT["none"], "far-inside-caps": [True] * 3,
     }),
     # each loss kind's snapshot writes its keys in one order, whatever the
     # order of the section
@@ -265,26 +269,23 @@ def check_document(row):
         assert (name, repr(got)) == (name, repr(want))
 
 
-@pytest.fixture(scope="module")
-def traces(tmp_path_factory):
-    """A directory that holds each file of ``TRACES``."""
-    path = tmp_path_factory.mktemp("traces")
+@pytest.fixture
+def in_traces(tmp_path, monkeypatch):
+    """Run the test in a directory that holds each file of ``TRACES``."""
     for name, text in TRACES.items():
-        (path / name).write_text(text)
-    return path
+        (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
 
 
 @pytest.mark.parametrize("row", DOCUMENTS, ids=[row.id for row in DOCUMENTS])
-def test_document(traces, monkeypatch, row):
-    monkeypatch.chdir(traces)
+def test_document(in_traces, row):
     check_document(row)
 
 
 def numbers(low, high):
     """JSON numbers in [low, high], integers included."""
-    return st.one_of(
-        st.floats(min_value=low, max_value=high), st.integers(min_value=int(low), max_value=int(high))
-    ).filter(lambda v: low <= v <= high)
+    return (st.floats(low, high) | st.integers(int(low), int(high))).filter(
+        lambda v: low <= v <= high)
 
 
 @st.composite
@@ -305,15 +306,10 @@ def scenario_documents(draw, trace_path):
     maybe(controller, "u_max", numbers(1, 2))
     t_s = draw(st.sampled_from([0.1, 0.5, 2, 2.0]))
     steps = draw(st.integers(min_value=1, max_value=40))
-    theta = draw(
-        st.one_of(
-            numbers(-1, 1),
-            st.lists(st.tuples(numbers(0, 100), numbers(-1, 1)), min_size=1, max_size=4,
-                     unique_by=lambda pair: float(pair[0])).map(
-                lambda pairs: [list(pair) for pair in sorted(pairs, key=lambda p: float(p[0]))]
-            ),
-        )
-    )
+    pairs = st.lists(st.tuples(numbers(0, 100), numbers(-1, 1)), min_size=1, max_size=4,
+                     unique_by=lambda pair: float(pair[0]))
+    theta = draw(numbers(-1, 1) | pairs.map(
+        lambda pairs: [list(pair) for pair in sorted(pairs, key=lambda p: float(p[0]))]))
     sim = {"x0": draw(numbers(110_000, 180_000)), "t_s": t_s, "duration": steps * t_s, "theta": theta}
     maybe(sim, "n_truth", st.integers(min_value=1, max_value=30))
     maybe(sim, "doubled_age_offset", st.booleans())
@@ -379,10 +375,9 @@ def mutated_documents(draw, base):
 @example(doc={**small_scenario(), "loss": {"kind": "none", "seed": 10**5000}})
 @given(doc=st.one_of(scenario_documents("long.txt"), mutated_documents(small_scenario()),
                      mutated_documents(small_scenario())))
-def test_drawn_document(traces, monkeypatch, doc):
+def test_drawn_document(in_traces, doc):
     """Any document, valid or mutated, parses and holds to its round trip,
     or raises ``ConfigError``, never another error."""
-    monkeypatch.chdir(traces)
     try:
         scenario_from_dict(doc)
     except ConfigError:
@@ -579,6 +574,10 @@ RULES = [
       for key, value in (("predictor.horizon", True), ("loss.seed", False))],
     *[(None, {name: value}, ConfigError, f"{name} section must be an object")
       for name, value in (("loss", 1), ("plant", [1.0]))],
+    # a trace as long as the 60-step run of trace-as-long-as-the-run
+    (Scenario, {"loss.kind": "trace", "loss.trace_path": "sixty.txt"}, ConfigError,
+     "loss.trace_path 'sixty.txt' holds 60 bits, fewer than the 1800 steps of sim.duration 3600.0, "
+     "and loss.wrap is false"),
 ]
 
 
@@ -587,12 +586,13 @@ def broken(owner, changes):
     paths of ``changes`` reach, and the fields they change on it.  For
     ``Scenario`` a changed section is its record with the keys replaced."""
     if owner is Scenario:
-        fields = {}
+        sections = {}
         for path, value in changes.items():
             name, _, key = path.partition(".")
-            section = fields.get(name, getattr(REFERENCE, name))
-            fields[name] = section._replace(**{key: value}) if key else value
-        return REFERENCE, fields
+            sections.setdefault(name, {})[key] = value
+        return REFERENCE, {
+            name: keys[""] if "" in keys else getattr(REFERENCE, name)._replace(**keys)
+            for name, keys in sections.items()}
     record = STANDALONE.get(owner, REFERENCE)
     *walk, _ = next(iter(changes)).split(".")
     for name in walk:
@@ -632,7 +632,7 @@ def _rows(rows):
 
 
 @_rows([row for row in RULES if row[0] is not None])
-def test_record_raises_the_rule_text(owner, changes, error, text):
+def test_record_raises_the_rule_text(in_traces, owner, changes, error, text):
     """The record's constructor and ``_replace`` raise the row's error."""
     record, fields = broken(owner, changes)
     with pytest.raises(error) as built:
@@ -644,7 +644,7 @@ def test_record_raises_the_rule_text(owner, changes, error, text):
 
 
 @_rows([row for row in RULES if assignments(*row[:2]) is not None])
-def test_document_raises_the_rule_text(tmp_path, capsys, owner, changes, error, text):
+def test_document_raises_the_rule_text(in_traces, tmp_path, capsys, owner, changes, error, text):
     """Where a document can carry the row's values, ``ncsim run`` prints
     the row's text and exits 2 before it makes its output directory.  The
     command parses through ``apply_overrides`` and ``scenario_from_dict``
